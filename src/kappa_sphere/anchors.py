@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vmf import UNIT_NORM_TOL
+from .vmf import check_unit_rows
 
 CENTROID_EPS = 1e-12
 
@@ -27,12 +27,9 @@ class PrototypeSet:
     weights: np.ndarray  # (C, d), unit rows
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] < 1:
+        w = check_unit_rows(self.weights, name="prototype rows")
+        if w.shape[0] < 1:
             raise ValueError(f"weights must be a (C, d) matrix, got shape {w.shape}")
-        norms = np.linalg.norm(w, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-            raise ValueError("prototype rows must be unit-norm")
         self.weights = w
 
     @property

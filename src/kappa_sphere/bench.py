@@ -1,26 +1,31 @@
 """Latency benchmark: descriptor path vs descriptor + kappa path.
 
-The descriptor path mirrors a retrieval aggregation stack (per-position
-L2 normalization, GeM pooling, linear projection to the descriptor).
-The kappa path adds the concentration head on the already-pooled
-vector, which is how the head is deployed: aggregation work is shared,
-the head only appends two small linear maps and a softplus.
+The descriptor path is the head's aggregation step (per-position L2
+normalization, GeM pooling) followed by a linear projection to the
+unit descriptor.  The kappa path adds the head proper on the
+already-pooled vector, which is how the head is deployed: aggregation
+work is shared, the head only appends two small linear maps and a
+softplus.  Both paths call the functions `head.forward_batch` composes.
 
-Protocol: fixed number of warmup runs, then timed runs, reporting the
-mean wall-clock latency of each path and the relative overhead.
+Protocol: a fixed number of warmup runs per path, then the timed runs
+split into interleaved repeats (descriptor and kappa blocks alternate,
+swapping which goes first), reporting the median latency of each path
+and the median of the per-repeat relative overheads.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .head import HeadParams, HeadVariant, softplus
+from .head import HeadParams, HeadVariant, aggregate, kappa_from_pooled
+from .training import LinearEncoder
 
 WARMUP_RUNS = 20
 TIMED_RUNS = 200
+REPEATS = 20
 
 # realistic backbone output: 512 channels on a 7x7 grid, 512-d descriptor
 DEFAULT_CHANNELS = 512
@@ -33,7 +38,7 @@ DEFAULT_HIDDEN = 64
 class BenchResult:
     descriptor_ms: float
     combined_ms: float
-    overhead: float            # (combined - descriptor) / descriptor
+    overhead: float            # median over repeats of (comb - desc) / desc
     channels: int
     grid: int
     descriptor_dim: int
@@ -41,32 +46,7 @@ class BenchResult:
     timed_runs: int
 
     def to_dict(self) -> dict:
-        return {
-            "descriptor_ms": self.descriptor_ms,
-            "combined_ms": self.combined_ms,
-            "overhead": self.overhead,
-            "channels": self.channels,
-            "grid": self.grid,
-            "descriptor_dim": self.descriptor_dim,
-            "warmup_runs": self.warmup_runs,
-            "timed_runs": self.timed_runs,
-        }
-
-
-def _aggregate(fm, gem_p, proj):
-    """Shared aggregation: normalize positions, GeM pool, project."""
-    norms = np.linalg.norm(fm, axis=0, keepdims=True)
-    u = fm / np.maximum(norms, 1e-12)
-    s = np.maximum(u, 0.0)
-    g = np.mean(s ** gem_p, axis=(1, 2)) ** (1.0 / gem_p)
-    z = proj @ g
-    z /= np.linalg.norm(z)
-    return z, g
-
-
-def _kappa_from_pooled(g, head: HeadParams) -> float:
-    hid = head.proj_w @ g
-    return float(softplus(hid @ head.kappa_w + head.kappa_b))
+        return asdict(self)
 
 
 def run_bench(channels: int = DEFAULT_CHANNELS, grid: int = DEFAULT_GRID,
@@ -76,8 +56,9 @@ def run_bench(channels: int = DEFAULT_CHANNELS, grid: int = DEFAULT_GRID,
               timed_runs: int = TIMED_RUNS) -> BenchResult:
     """Time the descriptor path and the descriptor + kappa path."""
     rng = np.random.default_rng(seed)
-    fm = rng.standard_normal((channels, grid, grid))
-    proj = rng.standard_normal((descriptor_dim, channels)) / np.sqrt(channels)
+    fms = rng.standard_normal((1, channels, grid, grid))
+    encoder = LinearEncoder(
+        rng.standard_normal((descriptor_dim, channels)) / np.sqrt(channels))
     head = HeadParams(
         gem_p=3.0,
         proj_w=rng.standard_normal((hidden, channels)) / np.sqrt(channels),
@@ -87,25 +68,34 @@ def run_bench(channels: int = DEFAULT_CHANNELS, grid: int = DEFAULT_GRID,
     )
 
     def descriptor_path():
-        _aggregate(fm, head.gem_p, proj)
+        encoder.encode(aggregate(fms, head.gem_p)["g"])
 
     def combined_path():
-        _, g = _aggregate(fm, head.gem_p, proj)
-        _kappa_from_pooled(g, head)
+        g = aggregate(fms, head.gem_p)["g"]
+        encoder.encode(g)
+        kappa_from_pooled(g, head)
 
-    timings = []
-    for fn in (descriptor_path, combined_path):
-        for _ in range(warmup_runs):
-            fn()
+    def block_ms(fn, runs):
         start = time.perf_counter()
-        for _ in range(timed_runs):
+        for _ in range(runs):
             fn()
-        timings.append((time.perf_counter() - start) / timed_runs * 1e3)
+        return (time.perf_counter() - start) / runs * 1e3
 
-    desc_ms, comb_ms = timings
+    for fn in (descriptor_path, combined_path):
+        block_ms(fn, warmup_runs)
+    runs = max(1, timed_runs // REPEATS)
+    desc, comb = [], []
+    for r in range(REPEATS):
+        if r % 2:
+            comb.append(block_ms(combined_path, runs))
+            desc.append(block_ms(descriptor_path, runs))
+        else:
+            desc.append(block_ms(descriptor_path, runs))
+            comb.append(block_ms(combined_path, runs))
+    desc, comb = np.array(desc), np.array(comb)
     return BenchResult(
-        descriptor_ms=desc_ms, combined_ms=comb_ms,
-        overhead=(comb_ms - desc_ms) / desc_ms,
+        descriptor_ms=float(np.median(desc)), combined_ms=float(np.median(comb)),
+        overhead=float(np.median((comb - desc) / desc)),
         channels=channels, grid=grid, descriptor_dim=descriptor_dim,
         warmup_runs=warmup_runs, timed_runs=timed_runs,
     )

@@ -17,9 +17,8 @@ exactly idempotent.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -139,23 +138,15 @@ class CalibrationReport:
     level: str = "query"     # "query" or "match"
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "k": self.k,
-            "level": self.level,
-            "num_bins": self.num_bins,
-            "strategy": self.strategy.value,
-            "clamp": self.clamp.value,
-            "clamp_bounds": list(self.clamp_bounds),
-            "bin_counts": self.bin_counts,
-            "bin_observed": self.bin_observed,
-            "bin_expected": self.bin_expected,
-            "ece": self.ece,
-            "total": self.total,
-        }
+        return {**asdict(self), "strategy": self.strategy.value,
+                "clamp": self.clamp.value, "clamp_bounds": list(self.clamp_bounds)}
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    @classmethod
+    def from_dict(cls, doc: dict) -> "CalibrationReport":
+        """Inverse of `to_dict`."""
+        return cls(**{**doc, "strategy": BinStrategy(doc["strategy"]),
+                      "clamp": ClampMode(doc["clamp"]),
+                      "clamp_bounds": tuple(doc["clamp_bounds"])})
 
     def csv_rows(self):
         """One row per bin: (bin, count, observed, expected)."""
@@ -164,8 +155,9 @@ class CalibrationReport:
                    self.bin_expected[i])
 
 
-def _ece_core(scores, flags, config: BinningConfig):
-    """Shared fast path: clamp, bin, aggregate. Returns report pieces."""
+def _ece_report(scores, flags, config: BinningConfig, k: int, method: str,
+                level: str) -> CalibrationReport:
+    """Shared fast path: clamp, bin, aggregate."""
     scores = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(flags, dtype=np.float64)
     if scores.shape != flags.shape:
@@ -188,7 +180,12 @@ def _ece_core(scores, flags, config: BinningConfig):
         obs = float(flags[mask].mean())
         observed.append(obs)
         ece += (cnt / n) * abs(obs - exp)
-    return bounds, counts, observed, expected, ece, n
+    return CalibrationReport(
+        method=method, k=k, num_bins=m, strategy=config.strategy,
+        clamp=config.clamp, clamp_bounds=bounds, bin_counts=counts,
+        bin_observed=observed, bin_expected=expected, ece=ece, total=n,
+        level=level,
+    )
 
 
 def ece_at_k(scored_queries, successes, config: BinningConfig,
@@ -196,13 +193,7 @@ def ece_at_k(scored_queries, successes, config: BinningConfig,
     """Query-level ECE@K from per-query scores and success-at-K flags."""
     scores = np.asarray([getattr(s, "score", s) for s in scored_queries],
                         dtype=np.float64)
-    bounds, counts, observed, expected, ece, n = _ece_core(scores, successes, config)
-    return CalibrationReport(
-        method=method, k=k, num_bins=config.num_bins, strategy=config.strategy,
-        clamp=config.clamp, clamp_bounds=bounds, bin_counts=counts,
-        bin_observed=observed, bin_expected=expected, ece=ece, total=n,
-        level="query",
-    )
+    return _ece_report(scores, successes, config, k, method, "query")
 
 
 def match_ece_at_k(scored_pairs, k: int, n_queries: int,
@@ -217,13 +208,7 @@ def match_ece_at_k(scored_pairs, k: int, n_queries: int,
         raise ValueError(f"expected {t} = K*N pairs, got {len(scored_pairs)}")
     scores = np.asarray([p.score for p in scored_pairs], dtype=np.float64)
     flags = np.asarray([p.is_positive for p in scored_pairs], dtype=np.float64)
-    bounds, counts, observed, expected, ece, _ = _ece_core(scores, flags, config)
-    return CalibrationReport(
-        method=method, k=k, num_bins=config.num_bins, strategy=config.strategy,
-        clamp=config.clamp, clamp_bounds=bounds, bin_counts=counts,
-        bin_observed=observed, bin_expected=expected, ece=ece, total=t,
-        level="match",
-    )
+    return _ece_report(scores, flags, config, k, method, "match")
 
 
 def ece_bruteforce_oracle(scores, flags, config: BinningConfig) -> float:

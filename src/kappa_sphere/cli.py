@@ -197,10 +197,7 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_inputs(args):
-    import numpy as np
-
     from . import fileio
-    from .retrieval import DescriptorBank
 
     paths = _paths(args.out)
     desc = fileio.read_bank(paths["bank"])
@@ -208,18 +205,7 @@ def _load_eval_inputs(args):
     if not splits:
         raise ValueError("manifest has no split assignment; run gen first")
     resolved = _config_for_out(args)
-
-    def subset(idx):
-        return DescriptorBank(
-            descriptors=bank.descriptors[idx], ids=bank.ids[idx],
-            labels=bank.labels[idx],
-            poses=None if bank.poses is None else bank.poses[idx],
-            true_kappa=None if bank.true_kappa is None else bank.true_kappa[idx],
-            kappas=None if bank.kappas is None else bank.kappas[idx])
-
-    db = subset(np.asarray(splits["db"]))
-    queries = subset(np.asarray(splits["query"]))
-    return resolved, db, queries
+    return resolved, bank.subset(splits["db"]), bank.subset(splits["query"])
 
 
 def _eval_options(args, resolved):
@@ -316,8 +302,7 @@ def _print_query_table(ev, ks) -> None:
 
 def cmd_report(args) -> int:
     from . import fileio
-    from .calibration import (BinningConfig, BinStrategy, CalibrationReport,
-                              ClampMode, reliability_svg)
+    from .calibration import CalibrationReport, reliability_svg
 
     with open(args.path) as fh:
         doc = json.load(fh)
@@ -345,16 +330,9 @@ def cmd_report(args) -> int:
     if args.svg:
         base = os.path.dirname(os.path.abspath(args.path))
         for name, rep in doc["reports"].items():
-            cal = CalibrationReport(
-                method=rep["method"], k=rep["k"], num_bins=rep["num_bins"],
-                strategy=BinStrategy(rep["strategy"]),
-                clamp=ClampMode(rep["clamp"]),
-                clamp_bounds=tuple(rep["clamp_bounds"]),
-                bin_counts=rep["bin_counts"], bin_observed=rep["bin_observed"],
-                bin_expected=rep["bin_expected"], ece=rep["ece"],
-                total=rep["total"], level=rep["level"])
             path = os.path.join(base, f"reliability_{name.replace('@', '_k')}.svg")
-            fileio.atomic_write_text(path, reliability_svg(cal))
+            fileio.atomic_write_text(
+                path, reliability_svg(CalibrationReport.from_dict(rep)))
             print(f"wrote {path}")
     return 0
 

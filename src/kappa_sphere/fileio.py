@@ -27,8 +27,7 @@ BANK_MAGIC = b"KPB1"
 BANK_VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 
-RENORM_TOL = 1e-6      # rows beyond this are silently renormalized on load
-REJECT_TOL = 1e-3      # rows beyond this are rejected as corrupt
+REJECT_TOL = 1e-3      # rows whose norm deviates beyond this are corrupt
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -91,8 +90,9 @@ def write_bank(path, descriptors) -> None:
 def read_bank(path) -> np.ndarray:
     """Load a bank file; rows are renormalized to unit length.
 
-    Norm deviations up to RENORM_TOL are expected float32 quantization;
-    deviations beyond REJECT_TOL indicate corruption and are rejected.
+    Rows with non-finite values, or whose norm deviates from 1 beyond
+    REJECT_TOL (far above float32 quantization), are rejected as corrupt
+    with the row's byte offset.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -110,6 +110,10 @@ def read_bank(path) -> np.ndarray:
             f"= {count * dim * 4}", min(len(raw), expected))
     flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
     desc = flat.astype(np.float64).reshape(count, dim)
+    bad = np.flatnonzero(~np.all(np.isfinite(desc), axis=1))
+    if bad.size:
+        raise BankFormatError(f"row {bad[0]} has non-finite values",
+                              _HEADER.size + int(bad[0]) * dim * 4)
     norms = np.linalg.norm(desc, axis=1)
     bad = np.flatnonzero(np.abs(norms - 1.0) > REJECT_TOL)
     if bad.size:
@@ -117,8 +121,6 @@ def read_bank(path) -> np.ndarray:
         raise BankFormatError(
             f"row {bad[0]} norm {norms[bad[0]]:.6f} deviates beyond "
             f"{REJECT_TOL}", offset)
-    if np.any(norms == 0.0):
-        raise BankFormatError("zero-norm row", _HEADER.size)
     return desc / norms[:, None]
 
 

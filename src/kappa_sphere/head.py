@@ -14,7 +14,7 @@ against central finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -102,6 +102,16 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def _gem(x, p: float):
+    """GeM over the spatial axes of an (n, c, h, w) batch.
+
+    Returns (clipped map max(x, 0), per-channel mean of clipped^p, pooled).
+    """
+    s = np.maximum(x, 0.0)
+    mean_sp = np.mean(s ** p, axis=(2, 3))
+    return s, mean_sp, mean_sp ** (1.0 / p)
+
+
 def gem_pool(fm, p: float) -> np.ndarray:
     """Generalized-mean pooling per channel: (mean over space of max(x,0)^p)^(1/p).
 
@@ -110,14 +120,26 @@ def gem_pool(fm, p: float) -> np.ndarray:
     fm = check_feature_map(fm)
     if not np.isfinite(p) or p < 1.0:
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    clipped = np.maximum(fm, 0.0)
-    return np.mean(clipped ** p, axis=(1, 2)) ** (1.0 / p)
+    return _gem(fm[None], p)[2][0]
 
 
-def _normalize_positions(fm_batch):
-    """L2-normalize the channel vector at every spatial position; batched."""
-    norms = np.linalg.norm(fm_batch, axis=1, keepdims=True)
-    return fm_batch / np.maximum(norms, _NORM_EPS)
+def aggregate(fms, p: float) -> dict:
+    """The aggregation step shared with the descriptor path: L2-normalize
+    the channel vector at every position of an (n, c, h, w) batch, then
+    GeM-pool.  Returns the pooled (n, c) vectors under "g" together with
+    the intermediates the backward pass reads ("s", "mean_sp")."""
+    norms = np.linalg.norm(fms, axis=1, keepdims=True)
+    u = fms / np.maximum(norms, _NORM_EPS)
+    s, mean_sp, g = _gem(u, p)
+    return {"u": u, "s": s, "mean_sp": mean_sp, "g": g}
+
+
+def kappa_from_pooled(g, params: HeadParams):
+    """The head proper on pooled (n, c) vectors: project, map to a scalar,
+    softplus.  Returns (kappas, hidden activations, pre-activations)."""
+    hid = g @ params.proj_w.T                          # (n, hidden)
+    pre = hid @ params.kappa_w + params.kappa_b        # (n,)
+    return softplus(pre), hid, pre
 
 
 def forward_batch(fms, params: HeadParams):
@@ -144,15 +166,9 @@ def forward_batch(fms, params: HeadParams):
         raise ValueError(
             f"channel count {fms.shape[1]} does not match proj_w {params.proj_w.shape}"
         )
-    u = _normalize_positions(fms)                      # (n, c, h, w)
-    s = np.maximum(u, 0.0)
-    p = params.gem_p
-    mean_sp = np.mean(s ** p, axis=(2, 3))             # (n, c)
-    g = mean_sp ** (1.0 / p)                           # pooled, (n, c)
-    hid = g @ params.proj_w.T                          # (n, hidden)
-    pre = hid @ params.kappa_w + params.kappa_b        # (n,)
-    cache.update(u=u, s=s, mean_sp=mean_sp, g=g, hid=hid, pre=pre)
-    return softplus(pre), cache
+    cache.update(aggregate(fms, params.gem_p))
+    kappas, cache["hid"], cache["pre"] = kappa_from_pooled(cache["g"], params)
+    return kappas, cache
 
 
 def backward_batch(cache, params: HeadParams, upstream) -> HeadGrads:

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from . import scores as sc
-from .calibration import (BinningConfig, BinStrategy, CalibrationReport,
-                          ClampMode, ece_at_k, match_ece_at_k)
+from .calibration import (BinningConfig, BinStrategy, ClampMode, ece_at_k,
+                          match_ece_at_k)
 from .head import HeadParams, HeadVariant, forward_batch, init_head
 from .retrieval import (DescriptorBank, GroundTruth, GroundTruthMode,
                         batch_knn, mark_successes, recall_at_k)
@@ -50,22 +50,37 @@ def _validation_split(train_idx, seed: int):
     return train_idx[perm[n_val:]], train_idx[perm[:n_val]]
 
 
-def _query_ece1(dataset: SynthDataset, head: HeadParams, query_idx, db_idx,
-                tau: float = DEFAULT_TAU) -> float:
-    """Resultant-score ECE@1 of `query_idx` against `db_idx`."""
-    db_bank = dataset.subset_bank(db_idx)
-    db_bank.kappas = predict_kappas(dataset.features[db_idx], head)
-    q_feats = dataset.features[query_idx]
-    q_kappas = predict_kappas(q_feats, head)
-    results = batch_knn(dataset.bank.descriptors[query_idx], db_bank, 1,
-                        query_ids=dataset.bank.ids[query_idx])
-    gt = GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=tau)
-    mark_successes(results, gt, db_bank, query_poses=dataset.bank.poses[query_idx])
+def _fit_data(dataset: SynthDataset, seed: int):
+    """Training data restricted to the fit portion of the train split; the
+    validation portion stays held out.  Returns (data, fit_idx, val_idx)."""
+    fit_idx, val_idx = _validation_split(dataset.splits["train"], seed)
+    train = dataset.train_data()
+    keep = np.isin(dataset.splits["train"], fit_idx)
+    for name in ("features", "labels", "descriptors", "raw"):
+        setattr(train, name, getattr(train, name)[keep])
+    return train, fit_idx, val_idx
+
+
+def _resultant_ece1(results, db_bank: DescriptorBank, q_kappas) -> float:
+    """Resultant-score ECE@1 of marked top-1 results; db_bank.kappas set."""
     scored = [sc.score_query(sc.METHOD_RESULTANT, res, db_bank, kappa_q=kq)
               for res, kq in zip(results, q_kappas)]
     flags = [bool(r.success[0]) for r in results]
     return ece_at_k(scored, flags, binning_for(sc.METHOD_RESULTANT),
                     k=1, method=sc.METHOD_RESULTANT).ece
+
+
+def _query_ece1(dataset: SynthDataset, head: HeadParams, query_idx, db_idx,
+                tau: float = DEFAULT_TAU) -> float:
+    """Resultant-score ECE@1 of `query_idx` against `db_idx`."""
+    db_bank = dataset.subset_bank(db_idx)
+    db_bank.kappas = predict_kappas(dataset.features[db_idx], head)
+    q_kappas = predict_kappas(dataset.features[query_idx], head)
+    results = batch_knn(dataset.bank.descriptors[query_idx], db_bank, 1,
+                        query_ids=dataset.bank.ids[query_idx])
+    gt = GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=tau)
+    mark_successes(results, gt, db_bank, query_poses=dataset.bank.poses[query_idx])
+    return _resultant_ece1(results, db_bank, q_kappas)
 
 
 def _recall_and_ece1(dataset, encoder, prototypes, head, fit_idx, val_idx,
@@ -84,12 +99,8 @@ def _recall_and_ece1(dataset, encoder, prototypes, head, fit_idx, val_idx,
     ece1 = float("nan")
     if head is not None:
         db_bank.kappas = predict_kappas(dataset.features[db_idx], head)
-        q_kappas = predict_kappas(dataset.features[val_idx], head)
-        scored = [sc.score_query(sc.METHOD_RESULTANT, res, db_bank, kappa_q=kq)
-                  for res, kq in zip(results, q_kappas)]
-        flags = [bool(r.success[0]) for r in results]
-        ece1 = ece_at_k(scored, flags, binning_for(sc.METHOD_RESULTANT),
-                        k=1, method=sc.METHOD_RESULTANT).ece
+        ece1 = _resultant_ece1(results, db_bank,
+                               predict_kappas(dataset.features[val_idx], head))
     return recall1, ece1
 
 
@@ -106,15 +117,8 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
     if head is None:
         head = init_head(dataset.config.feature_shape, hidden=hidden,
                          variant=variant, rng=cfg.seed)
-    fit_idx, val_idx = _validation_split(dataset.splits["train"], cfg.seed)
+    train, fit_idx, val_idx = _fit_data(dataset, cfg.seed)
     db_idx = dataset.splits["db"]
-    train = dataset.train_data()
-    # restrict optimization to the fit portion; validation stays held out
-    keep = np.isin(dataset.splits["train"], fit_idx)
-    train.features = train.features[keep]
-    train.labels = train.labels[keep]
-    train.descriptors = train.descriptors[keep]
-    train.raw = train.raw[keep]
 
     def hook(h):
         return _query_ece1(dataset, h, val_idx, db_idx)
@@ -143,14 +147,8 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig | None = None,
         head = init_head(dataset.config.feature_shape, hidden=hidden, rng=cfg.seed)
     if not with_head:
         head = None
-    fit_idx, val_idx = _validation_split(dataset.splits["train"], cfg.seed)
+    train, fit_idx, val_idx = _fit_data(dataset, cfg.seed)
     db_idx = dataset.splits["db"]
-    train = dataset.train_data()
-    keep = np.isin(dataset.splits["train"], fit_idx)
-    train.features = train.features[keep]
-    train.labels = train.labels[keep]
-    train.descriptors = train.descriptors[keep]
-    train.raw = train.raw[keep]
 
     def hook(enc, protos, h):
         return _recall_and_ece1(dataset, enc, protos, h, fit_idx, val_idx, db_idx)
@@ -179,8 +177,10 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
 
     `bank` is the reference database (kappas filled for the kappa-based
     methods); `query_bank` carries query descriptors, poses, and kappas.
-    Methods that cannot run (e.g. SUE without poses) are reported as
-    unsupported and the evaluation continues.
+    Methods that lack their inputs (SUE without poses, a kappa score
+    without kappas, PA or SUE on a one-row database) are reported as
+    unsupported and the evaluation continues; any other scorer error
+    propagates.
     """
     ks = sorted(set(int(k) for k in ks))
     k_max = max(max(ks), 2)
@@ -200,7 +200,7 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
                 per_query.append(sc.score_query(method, res, bank, kappa_q=kq,
                                                 k=min(k_max, len(bank))))
             scored[method] = per_query
-        except (sc.MissingPosesError, ValueError) as exc:
+        except sc.MissingInputError as exc:
             unsupported[method] = str(exc)
 
     reports = {}
@@ -256,11 +256,9 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
                 pairs[sc.METHOD_RESULTANT].append(sc.ScoredPair(
                     query_id=res.query_id, ref_id=ref_id, score=mu.value,
                     is_positive=positive, degenerate=mu.degenerate))
-            cc = min(1.0, max(-1.0, cos))
             pairs[sc.METHOD_L2].append(sc.ScoredPair(
                 query_id=res.query_id, ref_id=ref_id,
-                score=float(np.sqrt(max(2.0 - 2.0 * cc, 0.0))),
-                is_positive=positive))
+                score=sc.l2_distance(cos), is_positive=positive))
 
     reports = {}
     n = len(results)
@@ -272,25 +270,24 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
     return MatchEvaluation(reports=reports, pairs=pairs)
 
 
+def _scene_banks(dataset: SynthDataset, head: HeadParams):
+    """The scene's db and query banks with kappas predicted by `head`."""
+    banks = []
+    for split in ("db", "query"):
+        idx = dataset.splits[split]
+        bank = dataset.subset_bank(idx)
+        bank.kappas = predict_kappas(dataset.features[idx], head)
+        banks.append(bank)
+    return banks
+
+
 def scene_query_evaluation(dataset: SynthDataset, head: HeadParams,
                            ks=DEFAULT_KS, **kwargs) -> QueryEvaluation:
     """Convenience wrapper: evaluate a fitted head on the scene's
     query split against its db split."""
-    db_idx = dataset.splits["db"]
-    q_idx = dataset.splits["query"]
-    bank = dataset.subset_bank(db_idx)
-    bank.kappas = predict_kappas(dataset.features[db_idx], head)
-    query_bank = dataset.subset_bank(q_idx)
-    query_bank.kappas = predict_kappas(dataset.features[q_idx], head)
-    return evaluate_queries(bank, query_bank, ks=ks, **kwargs)
+    return evaluate_queries(*_scene_banks(dataset, head), ks=ks, **kwargs)
 
 
 def scene_match_evaluation(dataset: SynthDataset, head: HeadParams,
                            k: int = 1, **kwargs) -> MatchEvaluation:
-    db_idx = dataset.splits["db"]
-    q_idx = dataset.splits["query"]
-    bank = dataset.subset_bank(db_idx)
-    bank.kappas = predict_kappas(dataset.features[db_idx], head)
-    query_bank = dataset.subset_bank(q_idx)
-    query_bank.kappas = predict_kappas(dataset.features[q_idx], head)
-    return evaluate_matches(bank, query_bank, k=k, **kwargs)
+    return evaluate_matches(*_scene_banks(dataset, head), k=k, **kwargs)

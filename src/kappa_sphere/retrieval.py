@@ -3,12 +3,12 @@ ground-truth resolution, and Recall@K."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .vmf import UNIT_NORM_TOL
+from .vmf import check_unit_rows
 
 
 @dataclass
@@ -27,15 +27,11 @@ class DescriptorBank:
     kappas: np.ndarray | None = None
 
     def __post_init__(self):
-        self.descriptors = np.asarray(self.descriptors, dtype=np.float64)
+        self.descriptors = check_unit_rows(self.descriptors,
+                                           name="descriptor rows")
         self.ids = np.asarray(self.ids, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         n = len(self.descriptors)
-        if self.descriptors.ndim != 2:
-            raise ValueError("descriptors must be (N, d)")
-        norms = np.linalg.norm(self.descriptors, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-            raise ValueError("descriptor rows must be unit-norm")
         for name in ("ids", "labels", "poses", "true_kappa", "kappas"):
             arr = getattr(self, name)
             if arr is not None:
@@ -47,6 +43,15 @@ class DescriptorBank:
 
     def __len__(self):
         return len(self.descriptors)
+
+    def subset(self, indices) -> "DescriptorBank":
+        """The rows at `indices`, every per-row field included."""
+        indices = np.asarray(indices)
+        return DescriptorBank(**{
+            name: None if getattr(self, name) is None
+            else getattr(self, name)[indices]
+            for name in ("descriptors", "ids", "labels", "poses", "true_kappa",
+                         "kappas")})
 
 
 class GroundTruthMode(str, Enum):
@@ -92,21 +97,15 @@ class RetrievalResult:
 
 def knn(query, bank: DescriptorBank, k: int, query_id: int = -1) -> RetrievalResult:
     """Exact top-k under cosine similarity; ties broken by ascending id."""
-    if not 1 <= k <= len(bank):
-        raise ValueError(f"K={k} out of range for bank of {len(bank)}")
     q = np.asarray(query, dtype=np.float64)
-    sims = bank.descriptors @ q
-    order = np.lexsort((bank.ids, -sims))[:k]
-    return RetrievalResult(
-        query_id=query_id,
-        ref_ids=bank.ids[order].copy(),
-        ref_indices=order,
-        similarities=sims[order].copy(),
-    )
+    return batch_knn(q[None], bank, k, query_ids=[query_id])[0]
 
 
 def batch_knn(queries, bank: DescriptorBank, k: int, query_ids=None) -> list:
-    """knn for an (n, d) block of queries; vectorized similarity computation."""
+    """Exact top-k for an (n, d) block of queries, one RetrievalResult each.
+
+    Ranking is by descending cosine, ties broken by ascending reference id.
+    """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if query_ids is None:
         query_ids = np.arange(len(queries))

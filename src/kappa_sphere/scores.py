@@ -32,8 +32,16 @@ ALL_METHODS = (METHOD_RESULTANT, METHOD_INV_KAPPA, METHOD_L2, METHOD_PA,
 TWO_SIDED_METHODS = frozenset({METHOD_RESULTANT, METHOD_INV_KAPPA})
 
 
-class MissingPosesError(ValueError):
+class MissingInputError(ValueError):
+    """A score's input is absent: poses, kappas, or a second neighbor."""
+
+
+class MissingPosesError(MissingInputError):
     """SUE needs reference poses; single-positive datasets have none."""
+
+
+class MissingKappasError(MissingInputError):
+    """A kappa-based score was asked for before kappas were predicted."""
 
 
 @dataclass
@@ -76,20 +84,24 @@ def match_uncertainty(kappa_q, kappa_r, cos_qr,
                                  cos_qr, cap=cap)
 
 
+def l2_distance(cos) -> float:
+    """L2 distance of two unit vectors from their cosine: sqrt(2 - 2 cos),
+    with the cosine clamped to [-1, 1]."""
+    c = min(1.0, max(-1.0, float(cos)))
+    return math.sqrt(max(2.0 - 2.0 * c, 0.0))
+
+
 def baseline_l2(result: RetrievalResult) -> float:
-    """Top-match L2 distance: sqrt(2 - 2 cos), strictly decreasing in cosine."""
-    cos = min(1.0, max(-1.0, float(result.similarities[0])))
-    return math.sqrt(max(2.0 - 2.0 * cos, 0.0))
+    """Top-match L2 distance, strictly decreasing in cosine."""
+    return l2_distance(result.similarities[0])
 
 
 def baseline_pa(result: RetrievalResult) -> float:
     """Nearest-neighbor distance ratio d1/d2 in [0, 1]; ties give 1."""
     if len(result.similarities) < 2:
-        raise ValueError("PA score needs at least 2 retrieved neighbors")
-    cos1 = min(1.0, max(-1.0, float(result.similarities[0])))
-    cos2 = min(1.0, max(-1.0, float(result.similarities[1])))
-    d1 = math.sqrt(max(2.0 - 2.0 * cos1, 0.0))
-    d2 = math.sqrt(max(2.0 - 2.0 * cos2, 0.0))
+        raise MissingInputError("PA score needs at least 2 retrieved neighbors")
+    d1 = l2_distance(result.similarities[0])
+    d2 = l2_distance(result.similarities[1])
     if d2 == 0.0:
         return 1.0  # both distances zero: maximal ambiguity
     return d1 / d2
@@ -105,7 +117,7 @@ def baseline_sue(result: RetrievalResult, bank: DescriptorBank, k: int) -> float
     if bank.poses is None:
         raise MissingPosesError("SUE requires reference poses")
     if k < 2 or len(result.ref_indices) < k:
-        raise ValueError("SUE needs at least 2 retrieved neighbors")
+        raise MissingInputError("SUE needs at least 2 retrieved neighbors")
     sims = result.similarities[:k]
     poses = bank.poses[result.ref_indices[:k]]
     w = np.exp(sims - sims.max())
@@ -127,14 +139,14 @@ def score_query(method: str, result: RetrievalResult, bank: DescriptorBank,
     degenerate = False
     if method == METHOD_RESULTANT:
         if bank.kappas is None or kappa_q is None:
-            raise ValueError("resultant score requires predicted kappas")
+            raise MissingKappasError("resultant score requires predicted kappas")
         top = result.ref_indices[0]
         ru = query_uncertainty(kappa_q, bank.kappas[top],
                                result.similarities[0], cap=cap)
         score, degenerate = ru.value, ru.degenerate
     elif method == METHOD_INV_KAPPA:
         if kappa_q is None:
-            raise ValueError("inverse-kappa score requires a predicted kappa")
+            raise MissingKappasError("inverse-kappa score requires a predicted kappa")
         score = query_uncertainty_inverse_kappa(kappa_q)
     elif method == METHOD_L2:
         score = baseline_l2(result)

@@ -82,16 +82,7 @@ class SynthDataset:
         return len(self.bank)
 
     def subset_bank(self, indices) -> DescriptorBank:
-        indices = np.asarray(indices)
-        return DescriptorBank(
-            descriptors=self.bank.descriptors[indices],
-            ids=self.bank.ids[indices],
-            labels=self.bank.labels[indices],
-            poses=None if self.bank.poses is None else self.bank.poses[indices],
-            true_kappa=None if self.bank.true_kappa is None
-            else self.bank.true_kappa[indices],
-            kappas=None if self.bank.kappas is None else self.bank.kappas[indices],
-        )
+        return self.bank.subset(indices)
 
     def train_data(self) -> TrainData:
         idx = self.splits["train"]

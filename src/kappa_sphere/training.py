@@ -13,8 +13,8 @@ from enum import Enum
 import numpy as np
 
 from .anchors import PrototypeSet, batch_centroid_anchor
-from .head import HeadGrads, HeadParams, backward_batch, forward_batch
-from .vmf import BesselOrder, stable_log_partition, stable_log_partition_grad
+from .head import HeadParams, backward_batch, forward_batch
+from .vmf import BesselOrder, vmf_batch_nll
 
 
 class TrainMode(str, Enum):
@@ -84,51 +84,68 @@ class LinearEncoder:
 # --- losses -----------------------------------------------------------------
 
 
-def lmcl_loss(embedding, prototypes: PrototypeSet, label: int, cfg: LmclConfig):
-    """Large-margin cosine loss for one sample.
+def lmcl_batch(z, prototype_weights, labels, cfg: LmclConfig):
+    """Mean large-margin cosine loss over a batch of n embeddings.
 
-    Cross-entropy over s * (cos_j - m * [j == label]).  Returns
-    (loss, grad wrt embedding, grad wrt prototype matrix).
+    Cross-entropy over s * (cos_j - m * [j == label]), with cos_j = w_j.z
+    taken against the raw prototype rows.  Returns (loss, grad wrt the
+    (n, d) embeddings, grad wrt the (C, d) prototype matrix).
+    """
+    b = len(labels)
+    rows = np.arange(b)
+    cos = z @ prototype_weights.T
+    logits = cfg.scale * cos
+    logits[rows, labels] -= cfg.scale * cfg.margin
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    loss = float(np.mean(log_norm - shifted[rows, labels]))
+    d_logits = np.exp(shifted - log_norm[:, None])
+    d_logits[rows, labels] -= 1.0
+    d_cos = cfg.scale * d_logits / b
+    return loss, d_cos @ prototype_weights, d_cos.T @ z
+
+
+def lmcl_loss(embedding, prototypes: PrototypeSet, label: int, cfg: LmclConfig):
+    """Large-margin cosine loss for one sample: `lmcl_batch` with n = 1.
+
+    Returns (loss, grad wrt embedding, grad wrt prototype matrix).
     """
     z = np.asarray(embedding, dtype=np.float64)
     label = int(label)
     if not 0 <= label < prototypes.num_classes:
         raise KeyError(f"label {label} out of range")
-    w = prototypes.weights
-    cos = w @ z
-    logits = cfg.scale * cos
-    logits[label] -= cfg.scale * cfg.margin
-    # stable log-softmax
-    shifted = logits - logits.max()
-    log_norm = math.log(np.exp(shifted).sum())
-    loss = float(log_norm - shifted[label])
-    probs = np.exp(shifted - log_norm)
-    d_logits = probs.copy()
-    d_logits[label] -= 1.0
-    d_cos = cfg.scale * d_logits
-    grad_z = w.T @ d_cos
-    grad_w = np.outer(d_cos, z)
-    return loss, grad_z, grad_w
+    loss, grad_z, grad_w = lmcl_batch(z[None], prototypes.weights,
+                                      np.array([label]), cfg)
+    return loss, grad_z[0], grad_w
+
+
+def gnll_batch(z, anchors, sigma_sq, d):
+    """Mean isotropic Gaussian NLL over a batch, in ambient space.
+
+    loss_i = |z_i - mu_i|^2 / (2 s2_i) + (d/2) ln s2_i.  Returns (mean loss,
+    grad wrt z, grad wrt sigma_sq); the sigma_sq gradient is zero exactly
+    at s2_i = |z_i - mu_i|^2 / d.
+    """
+    diff = z - anchors
+    sq = np.einsum("ij,ij->i", diff, diff)
+    n = len(sigma_sq)
+    loss = float(np.mean(sq / (2.0 * sigma_sq) + 0.5 * d * np.log(sigma_sq)))
+    grad_s2 = (-sq / (2.0 * sigma_sq**2) + 0.5 * d / sigma_sq) / n
+    return loss, diff / sigma_sq[:, None] / n, grad_s2
 
 
 def gnll_loss(z, mu, sigma_sq: float, d: int):
-    """Isotropic Gaussian NLL between descriptor and anchor in ambient space.
+    """Gaussian NLL for one descriptor: `gnll_batch` with n = 1.
 
-    loss = |z - mu|^2 / (2 s2) + (d/2) ln s2.  Returns
-    (loss, grad wrt z, grad wrt sigma_sq); the sigma_sq gradient is zero
-    exactly at s2 = |z - mu|^2 / d.
+    Returns (loss, grad wrt z, grad wrt sigma_sq).
     """
     s2 = float(sigma_sq)
     if not (s2 > 0.0) or not math.isfinite(s2):
         raise ValueError(f"sigma_sq must be positive and finite, got {sigma_sq}")
     z = np.asarray(z, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    diff = z - mu
-    sq = float(diff @ diff)
-    loss = sq / (2.0 * s2) + 0.5 * d * math.log(s2)
-    grad_z = diff / s2
-    grad_s2 = -sq / (2.0 * s2 * s2) + 0.5 * d / s2
-    return loss, grad_z, grad_s2
+    loss, grad_z, grad_s2 = gnll_batch(z[None], mu[None], np.array([s2]), d)
+    return loss, grad_z[0], float(grad_s2[0])
 
 
 # --- Adam -------------------------------------------------------------------
@@ -231,40 +248,37 @@ class TrainData:
         return len(self.labels)
 
 
-def _head_params_dict(head: HeadParams) -> dict:
-    params = {"kappa_w": head.kappa_w, "kappa_b": np.array([head.kappa_b])}
+def _head_dict(values, head: HeadParams) -> dict:
+    """The trainable entries of `head` taken from `values` (the head's
+    HeadParams or HeadGrads), as a dict of arrays."""
+    out = {"kappa_w": values.kappa_w, "kappa_b": np.array([values.kappa_b])}
     if head.proj_w is not None:
-        params["proj_w"] = head.proj_w
+        out["proj_w"] = values.proj_w
     if head.train_gem_p:
-        params["gem_p"] = np.array([head.gem_p])
-    return params
-
-
-def _apply_head_dict(head: HeadParams, params: dict) -> None:
-    head.kappa_w = params["kappa_w"]
-    head.kappa_b = float(params["kappa_b"][0])
-    if "proj_w" in params:
-        head.proj_w = params["proj_w"]
-    if "gem_p" in params:
-        head.gem_p = max(float(params["gem_p"][0]), 1.0)
-
-
-def _head_grads_dict(grads: HeadGrads, head: HeadParams) -> dict:
-    out = {"kappa_w": grads.kappa_w, "kappa_b": np.array([grads.kappa_b])}
-    if head.proj_w is not None:
-        out["proj_w"] = grads.proj_w
-    if head.train_gem_p:
-        out["gem_p"] = np.array([grads.gem_p])
+        out["gem_p"] = np.array([values.gem_p])
     return out
 
 
-def _resolve_anchors(cfg: TrainConfig, prototypes: PrototypeSet,
+def _head_from_dict(head: HeadParams, params: dict) -> HeadParams:
+    """`head` with the trainable entries of `params` in place (arrays shared)."""
+    return HeadParams(
+        gem_p=max(float(params["gem_p"][0]), 1.0) if "gem_p" in params
+        else head.gem_p,
+        proj_w=params.get("proj_w", head.proj_w),
+        kappa_w=params["kappa_w"],
+        kappa_b=float(params["kappa_b"][0]),
+        variant=head.variant,
+        train_gem_p=head.train_gem_p,
+    )
+
+
+def _resolve_anchors(cfg: TrainConfig, prototype_weights: np.ndarray,
                      descriptors: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Anchor direction per sample of a batch, as an (B, d) array."""
     if cfg.anchor_mode is AnchorMode.CLASS_PROTOTYPE:
-        if labels.max() >= prototypes.num_classes or labels.min() < 0:
+        if labels.max() >= len(prototype_weights) or labels.min() < 0:
             raise KeyError("unresolvable anchor label in batch")
-        return prototypes.weights[labels]
+        return prototype_weights[labels]
     anchors = np.empty_like(descriptors)
     for i, lab in enumerate(labels):
         mask = labels == lab
@@ -278,25 +292,6 @@ def _resolve_anchors(cfg: TrainConfig, prototypes: PrototypeSet,
             )
         anchors[i] = batch_centroid_anchor(descriptors[mask])
     return anchors
-
-
-def _vmf_batch_loss_and_kappa_grad(z, anchors, kappas, order: BesselOrder):
-    """Mean stable vMF NLL over a batch and dL/dkappa per sample."""
-    dots = np.einsum("ij,ij->i", anchors, z)
-    n = len(kappas)
-    loss = float(np.mean([stable_log_partition(k, order) for k in kappas]) -
-                 np.mean(kappas * dots))
-    grad = np.array([stable_log_partition_grad(k, order) for k in kappas]) - dots
-    return loss, grad / n, dots
-
-
-def _gnll_batch_loss_and_grad(z, anchors, sigma_sq, d):
-    diff = z - anchors
-    sq = np.einsum("ij,ij->i", diff, diff)
-    n = len(sigma_sq)
-    loss = float(np.mean(sq / (2.0 * sigma_sq) + 0.5 * d * np.log(sigma_sq)))
-    grad = (-sq / (2.0 * sigma_sq**2) + 0.5 * d / sigma_sq) / n
-    return loss, grad
 
 
 def train_post(data: TrainData, prototypes: PrototypeSet, head: HeadParams,
@@ -320,7 +315,7 @@ def train_post(data: TrainData, prototypes: PrototypeSet, head: HeadParams,
     order = BesselOrder(d)
     rng = np.random.default_rng(cfg.seed)
     head = head.copy()
-    params = _head_params_dict(head)
+    params = _head_dict(head, head)
     state = AdamState()
     history = []
     best_metric = math.inf
@@ -335,15 +330,15 @@ def train_post(data: TrainData, prototypes: PrototypeSet, head: HeadParams,
             idx = perm[start:start + cfg.batch_size]
             z = data.descriptors[idx]
             labels = data.labels[idx]
-            anchors = _resolve_anchors(cfg, prototypes, z, labels)
+            anchors = _resolve_anchors(cfg, prototypes.weights, z, labels)
             out, cache = forward_batch(data.features[idx], head)
             if cfg.mode is TrainMode.GNLL_VARIANT:
-                loss, up = _gnll_batch_loss_and_grad(z, anchors, out, d)
+                loss, _, up = gnll_batch(z, anchors, out, d)
             else:
-                loss, up, _ = _vmf_batch_loss_and_kappa_grad(z, anchors, out, order)
-            grads = _head_grads_dict(backward_batch(cache, head, up), head)
+                loss, up = vmf_batch_nll(z, anchors, out, order)[:2]
+            grads = _head_dict(backward_batch(cache, head, up), head)
             adam_step(params, grads, state, cfg.lr)
-            _apply_head_dict(head, params)
+            head = _head_from_dict(head, params)
             epoch_loss += loss * len(idx)
         epoch_loss /= n
 
@@ -361,8 +356,46 @@ def train_post(data: TrainData, prototypes: PrototypeSet, head: HeadParams,
                     break
 
     if eval_hook is not None:
-        _apply_head_dict(head, best_params)
+        head = _head_from_dict(head, best_params)
     return head, history
+
+
+def joint_loss_and_grads(params: dict, batch: TrainData, head: HeadParams | None,
+                         cfg: TrainConfig, lmcl: LmclConfig):
+    """L_cls + lam * L_vMF on one batch and its gradient w.r.t. `params`.
+
+    `params` holds "encoder" (d, m) and "prototypes" (C, d), plus the
+    head's trainable entries when the vMF term is on (lam > 0 and a head
+    is given); `head` supplies the head's fixed settings only.  The
+    encoder output is z = normalize(W x) of `batch.raw`; the kappa head
+    reads `batch.features`.  Batch-centroid anchors are treated as
+    constants w.r.t. z (stop-gradient).
+    Returns (loss, grads) with one gradient per trained entry.
+    """
+    x, labels = batch.raw, batch.labels
+    zraw = x @ params["encoder"].T
+    norms = np.linalg.norm(zraw, axis=1, keepdims=True)
+    z = zraw / norms
+    loss, d_z, d_proto = lmcl_batch(z, params["prototypes"], labels, lmcl)
+
+    grads = {}
+    if cfg.lam > 0.0 and head is not None:
+        anchors = _resolve_anchors(cfg, params["prototypes"], z, labels)
+        head = _head_from_dict(head, params)
+        kappas, cache = forward_batch(batch.features, head)
+        vmf = vmf_batch_nll(z, anchors, kappas, BesselOrder(z.shape[1]))
+        loss = loss + cfg.lam * vmf.loss
+        grads.update(_head_dict(
+            backward_batch(cache, head, cfg.lam * vmf.kappa), head))
+        d_z = d_z + cfg.lam * vmf.z
+        if cfg.anchor_mode is AnchorMode.CLASS_PROTOTYPE:
+            np.add.at(d_proto, labels, cfg.lam * vmf.mu)
+
+    # through the L2 normalization of the encoder output
+    d_zraw = (d_z - z * np.einsum("ij,ij->i", z, d_z)[:, None]) / norms
+    grads["encoder"] = d_zraw.T @ x
+    grads["prototypes"] = d_proto
+    return loss, grads
 
 
 def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSet,
@@ -370,9 +403,10 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
                 eval_hook=None):
     """Jointly train encoder, prototypes, and (optionally) the kappa head.
 
-    Objective: L_cls + lam * L_vMF per batch.  With lam == 0 (or head is
-    None) the vMF term is skipped entirely, so the encoder/prototype
-    trajectory is bit-identical to classification-only training.
+    Objective: L_cls + lam * L_vMF per batch (`joint_loss_and_grads`).
+    With lam == 0 (or head is None) the vMF term is skipped entirely, so
+    the encoder/prototype trajectory is bit-identical to
+    classification-only training.
 
     Phased early stopping: phase 1 tracks Recall@1 until patience is
     exhausted, phase 2 continues while tracking ECE@1 with refreshed
@@ -382,8 +416,6 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
     if data.raw is None:
         raise ValueError("joint training requires raw features")
     use_vmf = cfg.lam > 0.0 and head is not None
-    d = encoder.weights.shape[0]
-    order = BesselOrder(d)
     rng = np.random.default_rng(cfg.seed)
     encoder = encoder.copy()
     prototypes = PrototypeSet(prototypes.weights.copy())
@@ -391,7 +423,7 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
 
     params = {"encoder": encoder.weights, "prototypes": prototypes.weights}
     if use_vmf:
-        params.update(_head_params_dict(head))
+        params.update(_head_dict(head, head))
     state = AdamState()
     history = []
     phase = 1
@@ -406,56 +438,16 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            x = data.raw[idx]
-            labels = data.labels[idx]
-            b = len(idx)
-
-            zraw = x @ encoder.weights.T
-            norms = np.linalg.norm(zraw, axis=1, keepdims=True)
-            z = zraw / norms
-
-            # classification term (batched LMCL, mean over batch)
-            cos = z @ prototypes.weights.T
-            logits = lmcl.scale * cos
-            logits[np.arange(b), labels] -= lmcl.scale * lmcl.margin
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            log_norm = np.log(np.exp(shifted).sum(axis=1))
-            loss_cls = float(np.mean(log_norm - shifted[np.arange(b), labels]))
-            probs = np.exp(shifted - log_norm[:, None])
-            d_logits = probs
-            d_logits[np.arange(b), labels] -= 1.0
-            d_cos = lmcl.scale * d_logits / b
-            d_z = d_cos @ prototypes.weights
-            d_proto = d_cos.T @ z
-            loss = loss_cls
-
-            grads = {}
-            if use_vmf:
-                anchors = _resolve_anchors(cfg, prototypes, z, labels)
-                kappas, cache = forward_batch(data.features[idx], head)
-                loss_vmf, up, _ = _vmf_batch_loss_and_kappa_grad(z, anchors, kappas, order)
-                loss = loss + cfg.lam * loss_vmf
-                grads.update(_head_grads_dict(
-                    backward_batch(cache, head, cfg.lam * up), head))
-                if cfg.anchor_mode is AnchorMode.CLASS_PROTOTYPE:
-                    d_z = d_z + (-cfg.lam / b) * kappas[:, None] * anchors
-                    np.add.at(d_proto, labels, (-cfg.lam / b) * kappas[:, None] * z)
-                else:
-                    # centroid anchors are treated as constants w.r.t. z
-                    d_z = d_z + (-cfg.lam / b) * kappas[:, None] * anchors
-
-            # through the L2 normalization of the encoder output
-            d_zraw = (d_z - z * np.einsum("ij,ij->i", z, d_z)[:, None]) / norms
-            grads["encoder"] = d_zraw.T @ x
-            grads["prototypes"] = d_proto
-
+            batch = TrainData(features=data.features[idx], labels=data.labels[idx],
+                              raw=data.raw[idx])
+            loss, grads = joint_loss_and_grads(params, batch, head, cfg, lmcl)
             adam_step(params, grads, state, cfg.lr)
             prototypes.renormalize()
-            if use_vmf:
-                _apply_head_dict(head, params)
-            epoch_loss += loss * b
+            epoch_loss += loss * len(idx)
         epoch_loss /= n
 
+        if use_vmf:
+            head = _head_from_dict(head, params)
         recall1, ece1 = (math.nan, math.nan)
         if eval_hook is not None:
             recall1, ece1 = eval_hook(encoder, prototypes, head)
@@ -490,5 +482,5 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
         prototypes.weights = best_params["prototypes"]
         prototypes.renormalize()
         if use_vmf:
-            _apply_head_dict(head, {k: best_params[k] for k in _head_params_dict(head)})
+            head = _head_from_dict(head, best_params)
     return encoder, prototypes, head, history

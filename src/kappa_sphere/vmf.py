@@ -43,6 +43,17 @@ def check_unit(values, tol=UNIT_NORM_TOL, name="vector"):
     return v
 
 
+def check_unit_rows(rows, tol=UNIT_NORM_TOL, name="rows") -> np.ndarray:
+    """Validate an (N, d) matrix of finite unit rows; return it as float64."""
+    w = np.asarray(rows, dtype=np.float64)
+    if w.ndim != 2:
+        raise ValueError(f"{name} must be an (N, d) matrix, got shape {w.shape}")
+    norms = np.linalg.norm(w, axis=1)
+    if not np.all(np.abs(norms - 1.0) <= tol):  # NaN fails too
+        raise ValueError(f"{name} must be finite and unit-norm")
+    return w
+
+
 @dataclass(frozen=True)
 class BesselOrder:
     """Bessel order bookkeeping for dimension d: v = d/2 - 1, v_tilde = (d-1)/2."""
@@ -71,46 +82,82 @@ class VmfParams:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", check_unit(self.mu, name="mu"))
-        k = float(self.kappa)
-        if not math.isfinite(k) or k < 0.0:
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
-        object.__setattr__(self, "kappa", k)
+        object.__setattr__(self, "kappa", float(_check_kappas(self.kappa)))
 
     @property
     def d(self) -> int:
         return self.mu.shape[0]
 
 
-def _check_kappa(kappa) -> float:
-    k = float(kappa)
-    if not math.isfinite(k) or k < 0.0:
+def _check_kappas(kappa) -> np.ndarray:
+    """Validate one kappa or an array of them; a scalar gives a 0-d array."""
+    k = np.asarray(kappa, dtype=np.float64)
+    if not (k.min() >= 0.0 and k.max() < math.inf):  # NaN fails both
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     return k
 
 
-def stable_log_partition(kappa, order: BesselOrder) -> float:
-    """Stable log-partition surrogate A(kappa).
+def stable_log_partition(kappa, order: BesselOrder):
+    """Stable log-partition surrogate A(kappa), elementwise.
 
     A(k) = sqrt(k^2 + vt^2) - vt * log(vt + sqrt(k^2 + vt^2)), vt = (d-1)/2.
 
     This is the antiderivative of the Amos upper bound on the Bessel ratio
     I_{v+1}/I_v, replacing log I_v(k) - v log k up to a constant.  Finite
     for all kappa >= 0 at any dimension; no Bessel evaluation involved.
+    A scalar kappa gives a float, an array an array.
     """
-    k = _check_kappa(kappa)
+    k = _check_kappas(kappa)
     vt = order.v_tilde
-    root = math.hypot(k, vt)
-    return root - vt * math.log(vt + root)
+    root = np.hypot(k, vt)
+    return root - vt * np.log(vt + root)
 
 
-def stable_log_partition_grad(kappa, order: BesselOrder) -> float:
+def stable_log_partition_grad(kappa, order: BesselOrder):
     """dA/dkappa = kappa / (vt + sqrt(kappa^2 + vt^2)), the Amos upper bound.
 
-    Lies in [0, 1); upper-bounds the exact ratio I_{v+1}(kappa)/I_v(kappa).
+    Elementwise; lies in [0, 1) and upper-bounds the exact ratio
+    I_{v+1}(kappa)/I_v(kappa).
     """
-    k = _check_kappa(kappa)
+    k = _check_kappas(kappa)
     vt = order.v_tilde
-    return k / (vt + math.hypot(k, vt))
+    return k / (vt + np.hypot(k, vt))
+
+
+class VmfBatchLoss(NamedTuple):
+    """Mean vMF NLL over a batch and its gradients."""
+
+    loss: float
+    kappa: np.ndarray     # (n,) dL/dkappa_i
+    z: np.ndarray         # (n, d) ambient dL/dz_i = -kappa_i mu_i / n
+    mu: np.ndarray        # (n, d) ambient dL/dmu_i = -kappa_i z_i / n
+
+
+def vmf_batch_nll(z, mu, kappas, order: BesselOrder) -> VmfBatchLoss:
+    """Mean stable vMF NLL over n samples, L = mean_i A(kappa_i) - kappa_i mu_i.z_i.
+
+    The single implementation of the loss: training runs it on whole
+    batches and the per-sample functions below call it with n = 1.
+    """
+    dots = np.einsum("ij,ij->i", mu, z)
+    n = len(kappas)
+    loss = float(stable_log_partition(kappas, order).sum() / n -
+                 (kappas * dots).sum() / n)
+    grad = stable_log_partition_grad(kappas, order) - dots
+    scale = (-1.0 / n) * kappas[:, None]
+    return VmfBatchLoss(loss=loss, kappa=grad / n, z=scale * mu, mu=scale * z)
+
+
+def _single(z, mu, kappa, order: BesselOrder | None = None) -> VmfBatchLoss:
+    """Validate one (z, mu, kappa) instance and run the batch kernel on it."""
+    z = check_unit(z, name="z")
+    mu = check_unit(mu, name="mu")
+    order = order or BesselOrder(z.shape[0])
+    if z.shape != mu.shape or z.shape[0] != order.d:
+        raise ValueError(
+            f"dimension mismatch: z {z.shape}, mu {mu.shape}, order d={order.d}"
+        )
+    return vmf_batch_nll(z[None], mu[None], np.array([float(kappa)]), order)
 
 
 def vmf_nll(z, mu, kappa, order: BesselOrder) -> float:
@@ -118,26 +165,12 @@ def vmf_nll(z, mu, kappa, order: BesselOrder) -> float:
 
     L = A(kappa) - kappa * mu.z
     """
-    z = check_unit(z, name="z")
-    mu = check_unit(mu, name="mu")
-    if z.shape != mu.shape or z.shape[0] != order.d:
-        raise ValueError(
-            f"dimension mismatch: z {z.shape}, mu {mu.shape}, order d={order.d}"
-        )
-    k = _check_kappa(kappa)
-    return stable_log_partition(k, order) - k * float(mu @ z)
+    return _single(z, mu, kappa, order).loss
 
 
 def vmf_nll_grad_kappa(z, mu, kappa, order: BesselOrder) -> float:
     """dL/dkappa = A'(kappa) - mu.z; zero where the Amos ratio equals mu.z."""
-    z = check_unit(z, name="z")
-    mu = check_unit(mu, name="mu")
-    if z.shape != mu.shape or z.shape[0] != order.d:
-        raise ValueError(
-            f"dimension mismatch: z {z.shape}, mu {mu.shape}, order d={order.d}"
-        )
-    k = _check_kappa(kappa)
-    return stable_log_partition_grad(k, order) - float(mu @ z)
+    return float(_single(z, mu, kappa, order).kappa[0])
 
 
 class DescriptorGrad(NamedTuple):
@@ -150,11 +183,7 @@ class DescriptorGrad(NamedTuple):
 def vmf_nll_grad_z(z, mu, kappa) -> DescriptorGrad:
     """Gradient of L w.r.t. z, raw and projected onto the tangent space at z."""
     z = check_unit(z, name="z")
-    mu = check_unit(mu, name="mu")
-    if z.shape != mu.shape:
-        raise ValueError(f"dimension mismatch: z {z.shape}, mu {mu.shape}")
-    k = _check_kappa(kappa)
-    raw = -k * mu
+    raw = _single(z, mu, kappa).z[0]
     tangent = raw - z * float(z @ raw)
     return DescriptorGrad(raw=raw, tangent=tangent)
 
@@ -261,8 +290,8 @@ def resultant_uncertainty(
     cancellation) the configured cap is returned with a degenerate flag,
     keeping downstream reports finite and serializable.
     """
-    ka = _check_kappa(kappa_a)
-    kb = _check_kappa(kappa_b)
+    ka = float(_check_kappas(kappa_a))
+    kb = float(_check_kappas(kappa_b))
     c = float(cos_ab)
     if not math.isfinite(c):
         raise ValueError(f"cos_ab must be finite, got {cos_ab}")

@@ -7,16 +7,18 @@ decisions ledger (docs/decisions.md) records the measurements behind that
 reading and a snippet that reproduces them.
 """
 
+import contextlib
 import hashlib
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 from kappa_sphere import scores as sc
-from kappa_sphere.anchors import PrototypeSet
+from kappa_sphere.anchors import PrototypeSet, batch_centroid_anchor
 from kappa_sphere.bench import run_bench
 from kappa_sphere.bessel import bessel_ratio_exact
 from kappa_sphere.calibration import (BinningConfig, BinStrategy, ClampMode,
@@ -31,12 +33,15 @@ from kappa_sphere.retrieval import (DescriptorBank, GroundTruth,
                                     mark_successes, recall_at_k)
 from kappa_sphere.scores import ScoredPair
 from kappa_sphere.synth import SceneConfig, generate_scene
-from kappa_sphere.training import (LinearEncoder, LmclConfig, TrainConfig,
-                                   TrainMode, finite_diff_check, gnll_loss,
-                                   lmcl_loss, train_joint)
+from kappa_sphere.training import (AnchorMode, LinearEncoder, LmclConfig,
+                                   TrainConfig, TrainData, TrainMode,
+                                   finite_diff_check, gnll_batch, gnll_loss,
+                                   joint_loss_and_grads, lmcl_loss,
+                                   train_joint)
 from kappa_sphere.vmf import (BesselOrder, VmfParams, mle_kappa, sample_vmf,
                               stable_log_partition, stable_log_partition_grad,
-                              vmf_nll, vmf_nll_grad_kappa, vmf_nll_grad_z)
+                              vmf_batch_nll, vmf_nll, vmf_nll_grad_kappa,
+                              vmf_nll_grad_z)
 
 
 def unit(rng, d):
@@ -83,7 +88,8 @@ def test_criterion_1_bessel_sandwich():
 
 # --------------------------------------------------------------------------
 # Criterion 2: gradient suite.  Every analytic gradient (vMF NLL w.r.t.
-# kappa and z; head parameters; LMCL; GNLL; encoder) matches central
+# kappa and z; head parameters; LMCL; GNLL; and the joint objective that
+# train_joint applies, w.r.t. encoder, prototypes and head) matches central
 # finite differences at rel. <= 1e-4 on >= 50 random instances each,
 # double precision.  Runtime < 30 s.
 
@@ -196,33 +202,79 @@ def test_criterion_2_gradient_suite():
             tolerance=GRAD_TOL)
         assert report.passed, report.per_param
 
-    # encoder: LMCL through z = normalize(W x), the same chain rule the
-    # joint loop applies (d_zraw = (g_z - z (z . g_z)) / |W x|)
+    # the batched kernels training runs, at batch size > 1: vMF w.r.t.
+    # kappa and the ambient z and mu, GNLL w.r.t. z and sigma^2
     for _ in range(N_INSTANCES):
-        d, m, b = 6, 5, 3
-        protos = PrototypeSet(unit_rows(rng, 4, d))
-        cfg = LmclConfig(scale=6.0, margin=0.2)
-        x = rng.standard_normal((b, m))
-        labels = rng.integers(0, 4, b)
+        n, d = int(rng.integers(2, 8)), int(rng.integers(3, 40))
+        order = BesselOrder(d)
 
-        def loss_and_grad(params, x=x, labels=labels, protos=protos, cfg=cfg):
-            weights = params["W"]
-            zraw = x @ weights.T
-            norms = np.linalg.norm(zraw, axis=1, keepdims=True)
-            z = zraw / norms
-            total = 0.0
-            d_zraw = np.zeros_like(zraw)
-            for i in range(b):
-                loss, gz, _ = lmcl_loss(z[i], protos, int(labels[i]), cfg)
-                total += loss / b
-                gz = gz / b
-                d_zraw[i] = (gz - z[i] * float(z[i] @ gz)) / norms[i, 0]
-            return total, {"W": d_zraw.T @ x}
+        def loss_and_grad(params, order=order):
+            out = vmf_batch_nll(params["z"], params["mu"], params["kappa"],
+                                order)
+            return out.loss, {"kappa": out.kappa, "z": out.z, "mu": out.mu}
 
         report = finite_diff_check(
-            loss_and_grad, {"W": rng.standard_normal((d, m))},
+            loss_and_grad, {"z": unit_rows(rng, n, d), "mu": unit_rows(rng, n, d),
+                            "kappa": rng.uniform(0.5, 300.0, n)},
             tolerance=GRAD_TOL)
         assert report.passed, report.per_param
+
+        def loss_and_grad(params, mu=rng.standard_normal((n, d)), d=d):
+            loss, gz, gs2 = gnll_batch(params["z"], mu, params["s2"], d)
+            return loss, {"z": gz, "s2": gs2}
+
+        report = finite_diff_check(
+            loss_and_grad, {"z": rng.standard_normal((n, d)),
+                            "s2": rng.uniform(0.3, 4.0, n)},
+            tolerance=GRAD_TOL)
+        assert report.passed, report.per_param
+
+    # the joint objective, exactly as train_joint evaluates it per batch:
+    # LMCL through z = normalize(W x), plus lam * vMF with the kappa head.
+    # Class-prototype anchors at lam = 0 and lam > 0 (the vMF term reaches
+    # the prototypes through np.add.at); batch-centroid anchors held
+    # constant, the stop-gradient train_joint applies.
+    d, m, b, shape = 6, 5, 6, (5, 3, 3)
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    lmcl = LmclConfig(scale=6.0, margin=0.2)
+    cases = [(AnchorMode.CLASS_PROTOTYPE, False),
+             (AnchorMode.CLASS_PROTOTYPE, True),
+             (AnchorMode.BATCH_CENTROID, True)]
+    for anchor_mode, with_vmf in cases:
+        for _ in range(N_INSTANCES):
+            lam = float(rng.uniform(0.1, 1.0)) if with_vmf else 0.0
+            cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=lam,
+                              anchor_mode=anchor_mode)
+            head = init_head(shape, hidden=4, rng=rng)
+            head.train_gem_p = True
+            head.gem_p = float(rng.uniform(1.5, 4.0))
+            batch = TrainData(features=rng.standard_normal((b,) + shape),
+                              labels=labels, raw=rng.standard_normal((b, m)))
+            params = {"encoder": rng.standard_normal((d, m)),
+                      "prototypes": unit_rows(rng, 3, d)}
+            if with_vmf:
+                params.update(kappa_w=head.kappa_w.copy(),
+                              kappa_b=np.array([head.kappa_b]),
+                              proj_w=head.proj_w.copy(),
+                              gem_p=np.array([head.gem_p]))
+            held = contextlib.nullcontext()
+            if anchor_mode is AnchorMode.BATCH_CENTROID:
+                z = LinearEncoder(params["encoder"]).encode(batch.raw)
+                anchors = np.array([
+                    batch_centroid_anchor(z[(labels == labels[i])
+                                            & (np.arange(b) != i)])
+                    for i in range(b)])
+                held = mock.patch("kappa_sphere.training._resolve_anchors",
+                                  return_value=anchors)
+
+            def loss_and_grad(params, batch=batch, head=head, cfg=cfg):
+                return joint_loss_and_grads(params, batch, head, cfg, lmcl)
+
+            with held:
+                assert set(loss_and_grad(params)[1]) == set(params)
+                report = finite_diff_check(loss_and_grad, params,
+                                           tolerance=GRAD_TOL)
+            assert report.passed, (anchor_mode, with_vmf, report.per_param)
 
     assert time.perf_counter() - start < 30.0
 

@@ -19,6 +19,12 @@ class TestPrototypeSet:
         with pytest.raises(ValueError):
             PrototypeSet(rng.standard_normal((4, 8)) * 3.0)
 
+    def test_rejects_nonfinite_rows(self, rng):
+        w = unit_rows(rng, 4, 8)
+        w[1, 0] = np.nan
+        with pytest.raises(ValueError, match="unit-norm"):
+            PrototypeSet(w)
+
     def test_renormalize(self, rng):
         protos = PrototypeSet(unit_rows(rng, 5, 16))
         protos.weights *= 1.5  # simulate an optimizer step off the sphere

@@ -241,6 +241,13 @@ class TestReport:
         rows = list(rep.csv_rows())
         assert rows[0] == (1, 1, 1.0, 1.0)
 
+    def test_from_dict_inverts_to_dict(self):
+        for clamp in ClampMode:
+            cfg = BinningConfig(num_bins=4, clamp=clamp)
+            rep = ece_at_k([0.1, 0.5, 0.9, 0.95, 3.0], [1, 1, 0, 0, 1], cfg,
+                           k=5, method="resultant")
+            assert CalibrationReport.from_dict(rep.to_dict()) == rep
+
     def test_svg_is_deterministic_and_wellformed(self):
         cfg = BinningConfig(num_bins=3, clamp=ClampMode.NONE)
         rep = ece_at_k([0.1, 0.5, 0.9], [1, 1, 0], cfg, method="l2")

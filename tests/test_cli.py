@@ -194,3 +194,43 @@ class TestUnsupportedMethods:
         assert "sue_log" in ev.unsupported
         assert ("resultant", 1) in ev.reports
         assert ("l2", 1) in ev.reports
+
+    def test_one_row_database_files_pa_and_sue_unsupported(self, rng):
+        # PA and SUE need a second neighbor; the other methods still run.
+        from kappa_sphere.pipeline import evaluate_queries
+        from kappa_sphere.retrieval import DescriptorBank
+
+        w = rng.standard_normal((4, 8))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        poses = rng.uniform(0, 100, (4, 2))
+        bank = DescriptorBank(descriptors=w[:1], ids=np.arange(1),
+                              labels=np.zeros(1), poses=poses[:1],
+                              kappas=rng.uniform(2, 50, 1))
+        queries = DescriptorBank(descriptors=w[1:], ids=np.arange(1, 4),
+                                 labels=np.zeros(3), poses=poses[1:],
+                                 kappas=rng.uniform(2, 50, 3))
+        ev = evaluate_queries(bank, queries, ks=(1,))
+        assert set(ev.unsupported) == {"pa", "sue", "sue_log"}
+        assert "2 retrieved neighbors" in ev.unsupported["pa"]
+        assert ("resultant", 1) in ev.reports
+        assert ("l2", 1) in ev.reports
+
+    def test_scorer_error_is_not_filed_as_unsupported(self, rng):
+        # A NaN kappa is a fault in the inputs, not a missing input: it
+        # must surface instead of turning the method into "unsupported".
+        from kappa_sphere.pipeline import evaluate_queries
+        from kappa_sphere.retrieval import DescriptorBank
+
+        w = rng.standard_normal((12, 8))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        poses = rng.uniform(0, 100, (12, 2))
+        bank = DescriptorBank(descriptors=w[:8], ids=np.arange(8),
+                              labels=np.zeros(8), poses=poses[:8],
+                              kappas=rng.uniform(2, 50, 8))
+        q_kappas = rng.uniform(2, 50, 4)
+        q_kappas[2] = np.nan
+        queries = DescriptorBank(descriptors=w[8:], ids=np.arange(8, 12),
+                                 labels=np.zeros(4), poses=poses[8:],
+                                 kappas=q_kappas)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_queries(bank, queries, ks=(1,))

@@ -91,6 +91,26 @@ class TestBankFormat:
         assert exc.value.offset == row_off
         assert "row 2" in str(exc.value)
 
+    def test_nonfinite_row_rejected_with_offset(self, rng, tmp_path):
+        # a NaN row has a NaN norm, which no norm-deviation test rejects
+        path = tmp_path / "bank.kpb"
+        write_bank(path, unit_rows(rng, 5, 4))
+        raw = bytearray(path.read_bytes())
+        row_off = 20 + 3 * 4 * 4
+        raw[row_off + 4:row_off + 8] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(BankFormatError) as exc:
+            read_bank(path)
+        assert exc.value.offset == row_off
+        assert "row 3" in str(exc.value) and "non-finite" in str(exc.value)
+
+    def test_descriptor_bank_rejects_nonfinite_rows(self, rng):
+        desc = unit_rows(rng, 4, 3)
+        desc[1, 0] = np.nan
+        with pytest.raises(ValueError, match="unit-norm"):
+            DescriptorBank(descriptors=desc, ids=np.arange(4),
+                           labels=np.zeros(4))
+
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
             write_bank(tmp_path / "x.kpb", np.empty((0, 4)))

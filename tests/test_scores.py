@@ -155,6 +155,14 @@ class TestScoreQuery:
         with pytest.raises(ValueError):
             sc.score_query(sc.METHOD_RESULTANT, res, bank, kappa_q=5.0)
 
+    def test_missing_kappas_error_type(self, rng):
+        res = make_result([0.9], ref_indices=[0])
+        with pytest.raises(sc.MissingKappasError):
+            sc.score_query(sc.METHOD_RESULTANT, res, make_bank(rng, kappas=None),
+                           kappa_q=5.0)
+        with pytest.raises(sc.MissingKappasError):
+            sc.score_query(sc.METHOD_INV_KAPPA, res, make_bank(rng))
+
     def test_unknown_method(self, rng):
         bank = make_bank(rng)
         with pytest.raises(ValueError):
