@@ -188,27 +188,26 @@ def _ece_report(scores, flags, config: BinningConfig, k: int, method: str,
     )
 
 
-def ece_at_k(scored_queries, successes, config: BinningConfig,
+def ece_at_k(scores, successes, config: BinningConfig,
              k: int = 1, method: str = "") -> CalibrationReport:
-    """Query-level ECE@K from per-query scores and success-at-K flags."""
-    scores = np.asarray([getattr(s, "score", s) for s in scored_queries],
-                        dtype=np.float64)
+    """Query-level ECE@K from (n,) scores and success-at-K flags."""
     return _ece_report(scores, successes, config, k, method, "query")
 
 
-def match_ece_at_k(scored_pairs, k: int, n_queries: int,
-                   config: BinningConfig, method: str = "") -> CalibrationReport:
-    """Match-level ECE@K over the T = K * N retrieved pairs.
+def match_ece_at_k(scores, positives, config: BinningConfig,
+                   method: str = "") -> CalibrationReport:
+    """Match-level ECE@K over the T = n * K retrieved pairs.
 
+    `scores` and `positives` are (n, K): row i holds query i's pairs.
     Each pair is binned by its match uncertainty; per-bin accuracy is the
     fraction of ground-truth-positive pairs.
     """
-    t = k * n_queries
-    if len(scored_pairs) != t:
-        raise ValueError(f"expected {t} = K*N pairs, got {len(scored_pairs)}")
-    scores = np.asarray([p.score for p in scored_pairs], dtype=np.float64)
-    flags = np.asarray([p.is_positive for p in scored_pairs], dtype=np.float64)
-    return _ece_report(scores, flags, config, k, method, "match")
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or np.shape(positives) != scores.shape:
+        raise ValueError(f"expected (n, K) scores and positives, got "
+                         f"{scores.shape} and {np.shape(positives)}")
+    return _ece_report(scores.ravel(), np.ravel(positives), config,
+                       scores.shape[1], method, "match")
 
 
 def ece_bruteforce_oracle(scores, flags, config: BinningConfig) -> float:

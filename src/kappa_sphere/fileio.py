@@ -16,7 +16,6 @@ import tempfile
 
 import numpy as np
 
-from .calibration import BinningConfig, BinStrategy, ClampMode
 from .head import HeadParams, HeadVariant
 from .retrieval import DescriptorBank
 from .synth import SceneConfig, SPLIT_NAMES
@@ -57,13 +56,18 @@ class ConfigError(ValueError):
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write to a sibling temp file, then rename into place."""
+    """Write to a sibling temp file, then rename into place.  The file gets
+    the mode open() would give it (0o666 less the umask), not mkstemp's
+    0o600."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -203,7 +207,7 @@ _SCENE_KEYS = set(SceneConfig().to_dict())
 _TRAIN_KEYS = {"mode", "lam", "lr", "batch_size", "patience", "max_epochs",
                "warmup", "seed", "anchor_mode", "include_self_in_centroid"}
 _LMCL_KEYS = {"scale", "margin"}
-_BINNING_KEYS = {"num_bins", "strategy", "clamp"}
+_BINNING_KEYS = {"num_bins", "strategy"}
 _TOP_KEYS = {"scene", "train", "lmcl", "binning", "ks", "tau"}
 
 
@@ -288,14 +292,6 @@ def lmcl_config_from(resolved: dict) -> LmclConfig:
     return LmclConfig(**resolved["lmcl"])
 
 
-def binning_config_from(resolved: dict) -> BinningConfig:
-    binning = dict(resolved["binning"])
-    binning["strategy"] = BinStrategy(binning["strategy"])
-    if "clamp" in binning:
-        binning["clamp"] = ClampMode(binning["clamp"])
-    return BinningConfig(**binning)
-
-
 # ---------------------------------------------------------------------------
 # model state
 
@@ -370,7 +366,8 @@ def report_document(body: dict, resolved_config: dict, seed: int) -> str:
         "config": resolved_config,
         **body,
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    # a NaN or infinity would be written as a bare token that is not JSON
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
 def history_csv(history) -> str:

@@ -19,10 +19,12 @@ from .calibration import (BinningConfig, BinStrategy, ClampMode, ece_at_k,
                           match_ece_at_k)
 from .head import HeadParams, HeadVariant, forward_batch, init_head
 from .retrieval import (DescriptorBank, GroundTruth, GroundTruthMode,
-                        batch_knn, mark_successes, recall_at_k)
+                        RetrievalResult, batch_knn, mark_successes,
+                        recall_at_k)
 from .synth import SynthDataset
 from .training import (LinearEncoder, LmclConfig, TrainConfig, TrainMode,
                        train_joint, train_post)
+from .vmf import ResultantUncertainty
 
 DEFAULT_KS = (1, 5, 10)
 DEFAULT_TAU = 25.0
@@ -61,26 +63,22 @@ def _fit_data(dataset: SynthDataset, seed: int):
     return train, fit_idx, val_idx
 
 
+def _marked_knn(queries, query_ids, query_poses, db_bank: DescriptorBank,
+                tau: float = DEFAULT_TAU):
+    """Top-1 retrieval of `queries` against `db_bank`, successes marked."""
+    results = batch_knn(queries, db_bank, 1, query_ids=query_ids)
+    gt = GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=tau)
+    mark_successes(results, gt, db_bank, query_poses=query_poses)
+    return results
+
+
 def _resultant_ece1(results, db_bank: DescriptorBank, q_kappas) -> float:
     """Resultant-score ECE@1 of marked top-1 results; db_bank.kappas set."""
-    scored = [sc.score_query(sc.METHOD_RESULTANT, res, db_bank, kappa_q=kq)
-              for res, kq in zip(results, q_kappas)]
-    flags = [bool(r.success[0]) for r in results]
-    return ece_at_k(scored, flags, binning_for(sc.METHOD_RESULTANT),
+    value, _ = sc.score_query(sc.METHOD_RESULTANT, results, db_bank,
+                              kappa_q=q_kappas)
+    return ece_at_k(value, results.success[:, 0],
+                    binning_for(sc.METHOD_RESULTANT),
                     k=1, method=sc.METHOD_RESULTANT).ece
-
-
-def _query_ece1(dataset: SynthDataset, head: HeadParams, query_idx, db_idx,
-                tau: float = DEFAULT_TAU) -> float:
-    """Resultant-score ECE@1 of `query_idx` against `db_idx`."""
-    db_bank = dataset.subset_bank(db_idx)
-    db_bank.kappas = predict_kappas(dataset.features[db_idx], head)
-    q_kappas = predict_kappas(dataset.features[query_idx], head)
-    results = batch_knn(dataset.bank.descriptors[query_idx], db_bank, 1,
-                        query_ids=dataset.bank.ids[query_idx])
-    gt = GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=tau)
-    mark_successes(results, gt, db_bank, query_poses=dataset.bank.poses[query_idx])
-    return _resultant_ece1(results, db_bank, q_kappas)
 
 
 def _recall_and_ece1(dataset, encoder, prototypes, head, fit_idx, val_idx,
@@ -91,10 +89,9 @@ def _recall_and_ece1(dataset, encoder, prototypes, head, fit_idx, val_idx,
     db_bank = DescriptorBank(
         descriptors=db_desc, ids=dataset.bank.ids[db_idx],
         labels=dataset.bank.labels[db_idx], poses=dataset.bank.poses[db_idx])
-    q_desc = encoder.encode(dataset.raw[val_idx])
-    results = batch_knn(q_desc, db_bank, 1, query_ids=dataset.bank.ids[val_idx])
-    gt = GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=tau)
-    mark_successes(results, gt, db_bank, query_poses=dataset.bank.poses[val_idx])
+    results = _marked_knn(encoder.encode(dataset.raw[val_idx]),
+                          dataset.bank.ids[val_idx],
+                          dataset.bank.poses[val_idx], db_bank, tau)
     recall1 = recall_at_k(results, 1)
     ece1 = float("nan")
     if head is not None:
@@ -119,9 +116,16 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
                          variant=variant, rng=cfg.seed)
     train, fit_idx, val_idx = _fit_data(dataset, cfg.seed)
     db_idx = dataset.splits["db"]
+    # descriptors are frozen: retrieve once, re-score kappas each epoch
+    db_bank = dataset.subset_bank(db_idx)
+    results = _marked_knn(dataset.bank.descriptors[val_idx],
+                          dataset.bank.ids[val_idx],
+                          dataset.bank.poses[val_idx], db_bank)
 
     def hook(h):
-        return _query_ece1(dataset, h, val_idx, db_idx)
+        db_bank.kappas = predict_kappas(dataset.features[db_idx], h)
+        return _resultant_ece1(results, db_bank,
+                               predict_kappas(dataset.features[val_idx], h))
 
     return train_post(train, dataset.prototypes, head, cfg, eval_hook=hook)
 
@@ -161,8 +165,8 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig | None = None,
 class QueryEvaluation:
     reports: dict                      # (method, k) -> CalibrationReport
     recalls: dict                      # k -> overall Recall@K
-    results: list                      # RetrievalResult per query
-    scored: dict                       # method -> list of ScoredQuery
+    results: RetrievalResult           # (n, K) retrieval, successes marked
+    scored: dict                       # method -> (value, degenerate), (n,) each
     spearman_kappa: float | None       # rank corr of predicted vs true kappa
     unsupported: dict = field(default_factory=dict)  # method -> reason
 
@@ -183,40 +187,35 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
     propagates.
     """
     ks = sorted(set(int(k) for k in ks))
-    k_max = max(max(ks), 2)
-    results = batch_knn(query_bank.descriptors, bank, min(k_max, len(bank)),
+    k_eff = min(max(max(ks), 2), len(bank))
+    results = batch_knn(query_bank.descriptors, bank, k_eff,
                         query_ids=query_bank.ids)
     gt = gt or GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=tau)
-    query_poses = None if query_bank.poses is None else query_bank.poses
-    mark_successes(results, gt, bank, query_poses=query_poses)
+    mark_successes(results, gt, bank, query_poses=query_bank.poses)
 
     scored = {}
     unsupported = {}
     for method in methods:
         try:
-            per_query = []
-            for i, res in enumerate(results):
-                kq = None if query_bank.kappas is None else query_bank.kappas[i]
-                per_query.append(sc.score_query(method, res, bank, kappa_q=kq,
-                                                k=min(k_max, len(bank))))
-            scored[method] = per_query
+            scored[method] = sc.score_query(method, results, bank,
+                                            kappa_q=query_bank.kappas, k=k_eff)
         except sc.MissingInputError as exc:
             unsupported[method] = str(exc)
 
     reports = {}
     recalls = {}
     for k in ks:
-        flags = [bool(r.success[k - 1]) for r in results]
-        recalls[k] = float(np.mean(flags))
-        for method, per_query in scored.items():
+        recalls[k] = recall_at_k(results, k)
+        for method, (value, _) in scored.items():
             cfg = binning_for(method, num_bins=num_bins, strategy=strategy)
-            reports[(method, k)] = ece_at_k(per_query, flags, cfg, k=k,
-                                            method=method)
+            reports[(method, k)] = ece_at_k(value, results.success[:, k - 1],
+                                            cfg, k=k, method=method)
 
     spear = None
-    if query_bank.kappas is not None and query_bank.true_kappa is not None:
-        rho = spearmanr(query_bank.kappas, query_bank.true_kappa).statistic
-        spear = float(rho)
+    kq, kt = query_bank.kappas, query_bank.true_kappa
+    # undefined, not NaN, when either side is constant
+    if kq is not None and kt is not None and np.ptp(kq) > 0 and np.ptp(kt) > 0:
+        spear = float(spearmanr(kq, kt).statistic)
     return QueryEvaluation(reports=reports, recalls=recalls, results=results,
                            scored=scored, spearman_kappa=spear,
                            unsupported=unsupported)
@@ -224,8 +223,10 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
 
 @dataclass
 class MatchEvaluation:
-    reports: dict          # method -> CalibrationReport (match level)
-    pairs: dict            # method -> list of ScoredPair
+    reports: dict               # method -> CalibrationReport (match level)
+    pairs: dict                 # method -> (value, degenerate), (n, K) each
+    results: RetrievalResult    # (n, K) retrieval
+    positive: np.ndarray        # (n, K) ground-truth positive pairs
 
 
 def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
@@ -235,39 +236,29 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
                      gt: GroundTruth | None = None) -> MatchEvaluation:
     """Match-level calibration over the T = K * N retrieved pairs.
 
-    Scores each pair with the resultant-fusion kernel and with the
-    pairwise L2 distance baseline.
+    Scores each pair with the resultant-fusion kernel (when both banks
+    carry kappas) and with the pairwise L2 distance baseline.
     """
     results = batch_knn(query_bank.descriptors, bank, k, query_ids=query_bank.ids)
     gt = gt or GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=tau)
-    query_poses = None if query_bank.poses is None else query_bank.poses
+    positive = gt.positive_mask(results.query_ids, query_bank.poses, bank,
+                                results.ref_indices)
 
-    pairs = {sc.METHOD_RESULTANT: [], sc.METHOD_L2: []}
-    for i, res in enumerate(results):
-        pose = None if query_poses is None else query_poses[i]
-        mask = gt.positive_mask(res.query_id, pose, bank, res.ref_indices)
-        for rank in range(k):
-            cos = float(res.similarities[rank])
-            positive = bool(mask[rank])
-            ref_id = int(res.ref_ids[rank])
-            if query_bank.kappas is not None and bank.kappas is not None:
-                mu = sc.match_uncertainty(query_bank.kappas[i],
-                                          bank.kappas[res.ref_indices[rank]], cos)
-                pairs[sc.METHOD_RESULTANT].append(sc.ScoredPair(
-                    query_id=res.query_id, ref_id=ref_id, score=mu.value,
-                    is_positive=positive, degenerate=mu.degenerate))
-            pairs[sc.METHOD_L2].append(sc.ScoredPair(
-                query_id=res.query_id, ref_id=ref_id,
-                score=sc.l2_distance(cos), is_positive=positive))
+    pairs = {}
+    if query_bank.kappas is not None and bank.kappas is not None:
+        pairs[sc.METHOD_RESULTANT] = sc.match_uncertainty(
+            query_bank.kappas[:, None], bank.kappas[results.ref_indices],
+            results.similarities)
+    pairs[sc.METHOD_L2] = ResultantUncertainty(
+        sc.l2_distance(results.similarities),
+        np.zeros(positive.shape, dtype=bool))
 
     reports = {}
-    n = len(results)
-    for method, plist in pairs.items():
-        if not plist:
-            continue
+    for method, (value, _) in pairs.items():
         cfg = binning_for(method, num_bins=num_bins, strategy=strategy)
-        reports[method] = match_ece_at_k(plist, k, n, cfg, method=method)
-    return MatchEvaluation(reports=reports, pairs=pairs)
+        reports[method] = match_ece_at_k(value, positive, cfg, method=method)
+    return MatchEvaluation(reports=reports, pairs=pairs, results=results,
+                           positive=positive)
 
 
 def _scene_banks(dataset: SynthDataset, head: HeadParams):

@@ -71,40 +71,55 @@ class GroundTruth:
         if self.mode is GroundTruthMode.EXPLICIT_POSITIVES and self.positives is None:
             raise ValueError("explicit mode requires a positives map")
 
-    def positive_mask(self, query_id: int, query_pose, bank: DescriptorBank,
+    def positive_mask(self, query_ids, query_poses, bank: DescriptorBank,
                       ref_indices) -> np.ndarray:
-        """Boolean mask over `ref_indices` (bank row indices)."""
+        """(n, K) mask: is bank row ref_indices[i, j] a positive of query i?
+
+        `query_ids` is (n,), `query_poses` (n, 2) or None (explicit mode
+        does not read it), `ref_indices` (n, K).
+        """
         ref_indices = np.asarray(ref_indices)
         if self.mode is GroundTruthMode.DISTANCE_THRESHOLD:
-            if bank.poses is None or query_pose is None:
+            if bank.poses is None or query_poses is None:
                 raise ValueError("distance-threshold ground truth requires poses")
-            diffs = bank.poses[ref_indices] - np.asarray(query_pose, dtype=np.float64)
-            return np.linalg.norm(diffs, axis=1) <= self.tau
-        if query_id not in self.positives:
-            raise KeyError(f"query {query_id} missing from explicit ground truth")
-        pos = self.positives[query_id]
-        return np.isin(bank.ids[ref_indices], list(pos))
+            diffs = (bank.poses[ref_indices]
+                     - np.asarray(query_poses, dtype=np.float64)[:, None, :])
+            return np.linalg.norm(diffs, axis=2) <= self.tau
+        mask = np.empty(ref_indices.shape, dtype=bool)
+        for row, qid, idx in zip(mask, query_ids, ref_indices):
+            if qid not in self.positives:
+                raise KeyError(f"query {qid} missing from explicit ground truth")
+            row[:] = np.isin(bank.ids[idx], list(self.positives[qid]))
+        return mask
 
 
 @dataclass
 class RetrievalResult:
-    query_id: int
-    ref_ids: np.ndarray            # (K,) ranked reference ids
-    ref_indices: np.ndarray        # (K,) bank row indices
-    similarities: np.ndarray       # (K,) descending cosines
-    success: np.ndarray | None = None  # (K,) any-positive-in-prefix flags
+    """Top-K retrieval of n queries; row i holds query i's ranked matches."""
+
+    query_ids: np.ndarray          # (n,)
+    ref_ids: np.ndarray            # (n, K) ranked reference ids
+    ref_indices: np.ndarray        # (n, K) bank row indices
+    similarities: np.ndarray       # (n, K) descending cosines
+    success: np.ndarray | None = None  # (n, K) any-positive-in-prefix flags
+
+    def __len__(self):
+        return len(self.query_ids)
 
 
 def knn(query, bank: DescriptorBank, k: int, query_id: int = -1) -> RetrievalResult:
-    """Exact top-k under cosine similarity; ties broken by ascending id."""
+    """Exact top-k of one query: a batch of one."""
     q = np.asarray(query, dtype=np.float64)
-    return batch_knn(q[None], bank, k, query_ids=[query_id])[0]
+    return batch_knn(q[None], bank, k, query_ids=[query_id])
 
 
-def batch_knn(queries, bank: DescriptorBank, k: int, query_ids=None) -> list:
-    """Exact top-k for an (n, d) block of queries, one RetrievalResult each.
+def batch_knn(queries, bank: DescriptorBank, k: int,
+              query_ids=None) -> RetrievalResult:
+    """Exact top-k under cosine similarity for an (n, d) block of queries.
 
     Ranking is by descending cosine, ties broken by ascending reference id.
+    Each row is sorted on its own into the (n, k) index block, so no n x N
+    index array is ever held.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if query_ids is None:
@@ -112,41 +127,36 @@ def batch_knn(queries, bank: DescriptorBank, k: int, query_ids=None) -> list:
     if not 1 <= k <= len(bank):
         raise ValueError(f"K={k} out of range for bank of {len(bank)}")
     sims = queries @ bank.descriptors.T  # (n, N)
-    results = []
-    for row, qid in zip(sims, query_ids):
-        order = np.lexsort((bank.ids, -row))[:k]
-        results.append(RetrievalResult(
-            query_id=int(qid),
-            ref_ids=bank.ids[order].copy(),
-            ref_indices=order,
-            similarities=row[order].copy(),
-        ))
-    return results
+    order = np.empty((len(sims), k), dtype=np.int64)
+    for row, out in zip(sims, order):
+        out[:] = np.lexsort((bank.ids, -row))[:k]
+    return RetrievalResult(
+        query_ids=np.asarray(query_ids, dtype=np.int64),
+        ref_ids=bank.ids[order],
+        ref_indices=order,
+        similarities=np.take_along_axis(sims, order, axis=1),
+    )
 
 
-def mark_successes(results, gt: GroundTruth, bank: DescriptorBank,
-                   query_poses=None) -> None:
-    """Fill per-prefix success flags in place.
+def mark_successes(results: RetrievalResult, gt: GroundTruth,
+                   bank: DescriptorBank, query_poses=None) -> None:
+    """Fill the (n, K) prefix success flags in place.
 
-    success[j] is true when any of ranks 1..j+1 is a ground-truth positive.
-    `query_poses` maps position in `results` to the query pose (needed for
-    the distance-threshold mode).
+    success[i, j] is true when any of query i's ranks 1..j+1 is a
+    ground-truth positive.  `query_poses` is (n, 2), row i the pose of
+    query i (needed for the distance-threshold mode).
     """
-    for i, res in enumerate(results):
-        pose = None if query_poses is None else query_poses[i]
-        mask = gt.positive_mask(res.query_id, pose, bank, res.ref_indices)
-        res.success = np.maximum.accumulate(mask)
+    mask = gt.positive_mask(results.query_ids, query_poses, bank,
+                            results.ref_indices)
+    results.success = np.maximum.accumulate(mask, axis=1)
 
 
-def recall_at_k(results, k: int) -> float:
+def recall_at_k(results: RetrievalResult, k: int) -> float:
     """Fraction of queries with a positive among the top k ranks."""
-    if not results:
+    if len(results) == 0:
         raise ValueError("no retrieval results")
-    hits = 0
-    for res in results:
-        if res.success is None:
-            raise ValueError("call mark_successes before recall_at_k")
-        if len(res.success) < k:
-            raise ValueError(f"result for query {res.query_id} has fewer than {k} ranks")
-        hits += bool(res.success[k - 1])
-    return hits / len(results)
+    if results.success is None:
+        raise ValueError("call mark_successes before recall_at_k")
+    if results.success.shape[1] < k:
+        raise ValueError(f"results have fewer than {k} ranks")
+    return float(results.success[:, k - 1].mean())

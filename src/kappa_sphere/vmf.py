@@ -273,8 +273,8 @@ def mle_kappa(samples) -> float:
 
 
 class ResultantUncertainty(NamedTuple):
-    value: float
-    degenerate: bool
+    value: np.ndarray        # or a float, for scalar inputs
+    degenerate: np.ndarray   # or a bool
 
 
 def resultant_uncertainty(
@@ -283,21 +283,21 @@ def resultant_uncertainty(
     cos_ab,
     cap: float = DEFAULT_UNCERTAINTY_CAP,
 ) -> ResultantUncertainty:
-    """Inverse magnitude of the resultant of two kappa-scaled directions.
+    """Inverse magnitude of the resultant of two kappa-scaled directions,
+    elementwise over broadcast inputs (scalars in, scalars out).
 
     U = 1 / sqrt(ka^2 + kb^2 + 2 ka kb cos_ab).  The cosine is clamped to
-    [-1, 1] before use.  When the resultant magnitude underflows (exact
+    [-1, 1] before use.  Where the resultant magnitude underflows (exact
     cancellation) the configured cap is returned with a degenerate flag,
     keeping downstream reports finite and serializable.
     """
-    ka = float(_check_kappas(kappa_a))
-    kb = float(_check_kappas(kappa_b))
-    c = float(cos_ab)
-    if not math.isfinite(c):
-        raise ValueError(f"cos_ab must be finite, got {cos_ab}")
-    c = min(1.0, max(-1.0, c))
-    mag_sq = ka * ka + kb * kb + 2.0 * ka * kb * c
-    mag = math.sqrt(max(mag_sq, 0.0))
-    if mag < RESULTANT_EPS:
-        return ResultantUncertainty(value=cap, degenerate=True)
-    return ResultantUncertainty(value=1.0 / mag, degenerate=False)
+    ka = _check_kappas(kappa_a)
+    kb = _check_kappas(kappa_b)
+    c = np.asarray(cos_ab, dtype=np.float64)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("cos_ab must be finite")
+    c = np.clip(c, -1.0, 1.0)
+    mag = np.sqrt(np.maximum(ka * ka + kb * kb + 2.0 * ka * kb * c, 0.0))
+    degenerate = mag < RESULTANT_EPS
+    value = np.where(degenerate, cap, 1.0 / np.maximum(mag, RESULTANT_EPS))
+    return ResultantUncertainty(value=value[()], degenerate=degenerate)

@@ -27,11 +27,10 @@ from kappa_sphere.calibration import (BinningConfig, BinStrategy, ClampMode,
                                       match_ece_at_k)
 from kappa_sphere.head import HeadVariant, backward_batch, forward_batch, \
     head_backward, head_forward, init_head
-from kappa_sphere.pipeline import fit_head, fit_joint, predict_kappas
+from kappa_sphere.pipeline import fit_head, fit_joint
 from kappa_sphere.retrieval import (DescriptorBank, GroundTruth,
                                     GroundTruthMode, batch_knn,
                                     mark_successes, recall_at_k)
-from kappa_sphere.scores import ScoredPair
 from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import (AnchorMode, LinearEncoder, LmclConfig,
                                    TrainConfig, TrainData, TrainMode,
@@ -322,10 +321,9 @@ def test_criterion_4_ece_oracle_equivalence():
                             clamp=modes[trial % 3])
         oracle = ece_bruteforce_oracle(scores, flags, cfg)
         assert ece_at_k(scores, flags, cfg).ece == oracle, trial
-        pairs = [ScoredPair(query_id=i // k, ref_id=i, score=float(s),
-                            is_positive=bool(f))
-                 for i, (s, f) in enumerate(zip(scores, flags))]
-        assert match_ece_at_k(pairs, k, n_queries, cfg).ece == oracle, trial
+        pair_scores = scores.reshape(n_queries, k)  # row i: query i's pairs
+        pair_flags = flags.reshape(n_queries, k)
+        assert match_ece_at_k(pair_scores, pair_flags, cfg).ece == oracle, trial
 
 
 # --------------------------------------------------------------------------
@@ -356,7 +354,7 @@ def test_criterion_5_protocol_exactness(rng):
 # --------------------------------------------------------------------------
 # Criterion 6: recall preservation.  After train_post, retrieval rankings
 # over the database are bit-identical to the pre-training baseline;
-# checked by hashing all RetrievalResults.
+# checked by hashing every query's ranked ids and similarities.
 
 def _rankings_digest(dataset, k=10):
     db = dataset.subset_bank(dataset.splits["db"])
@@ -364,9 +362,9 @@ def _rankings_digest(dataset, k=10):
     results = batch_knn(dataset.bank.descriptors[q_idx], db,
                         min(k, len(db)), query_ids=dataset.bank.ids[q_idx])
     h = hashlib.sha256()
-    for res in results:
-        h.update(res.ref_ids.tobytes())
-        h.update(res.similarities.tobytes())
+    for ref_ids, sims in zip(results.ref_ids, results.similarities):
+        h.update(ref_ids.tobytes())
+        h.update(sims.tobytes())
     return h.hexdigest()
 
 
@@ -496,27 +494,10 @@ def test_criterion_10_match_level_discrimination(default_scene_sweep):
     assert ev.reports[sc.METHOD_RESULTANT].ece <= ev.reports[sc.METHOD_L2].ece
 
     # decile analysis over k=10 retrieved pairs
-    db_idx = dataset.splits["db"]
-    q_idx = dataset.splits["query"]
-    db = dataset.subset_bank(db_idx)
-    db.kappas = predict_kappas(dataset.features[db_idx], head)
-    q_kappas = predict_kappas(dataset.features[q_idx], head)
-    results = batch_knn(dataset.bank.descriptors[q_idx], db, 10,
-                        query_ids=dataset.bank.ids[q_idx])
-    gt = GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=25.0)
-    sims, scores, flags = [], [], []
-    for i, res in enumerate(results):
-        mask = gt.positive_mask(res.query_id, dataset.bank.poses[q_idx][i],
-                                db, res.ref_indices)
-        for rank in range(10):
-            cos = float(res.similarities[rank])
-            sims.append(cos)
-            scores.append(sc.match_uncertainty(
-                q_kappas[i], db.kappas[res.ref_indices[rank]], cos).value)
-            flags.append(bool(mask[rank]))
-    sims = np.asarray(sims)
-    scores = np.asarray(scores)
-    flags = np.asarray(flags)
+    ev10 = scene_match_evaluation(dataset, head, k=10)
+    sims = ev10.results.similarities.ravel()
+    scores = ev10.pairs[sc.METHOD_RESULTANT].value.ravel()
+    flags = ev10.positive.ravel()
 
     edges = np.quantile(sims, np.linspace(0.0, 1.0, 11))
     weighted_gap = 0.0

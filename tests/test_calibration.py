@@ -10,7 +10,6 @@ from kappa_sphere.calibration import (BinningConfig, BinStrategy,
                                       clamp_values, bin_assign, ece_at_k,
                                       ece_bruteforce_oracle, expected_level,
                                       match_ece_at_k, reliability_svg)
-from kappa_sphere.scores import ScoredPair
 
 
 class TestClamp:
@@ -147,16 +146,6 @@ class TestEceAtK:
         rep = ece_at_k(scores, flags, cfg)
         assert rep.ece == pytest.approx(0.0, abs=1e-12)
 
-    def test_accepts_scored_query_objects(self):
-        class Dummy:
-            def __init__(self, s):
-                self.score = s
-
-        cfg = BinningConfig(num_bins=2, clamp=ClampMode.NONE)
-        a = ece_at_k([Dummy(0.1), Dummy(0.9)], [1, 0], cfg)
-        b = ece_at_k([0.1, 0.9], [1, 0], cfg)
-        assert a.ece == b.ece
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ece_at_k([0.1, 0.2], [1], BinningConfig())
@@ -185,24 +174,26 @@ class TestEceAtK:
 
 
 class TestMatchEce:
-    def make_pairs(self, scores, flags):
-        return [ScoredPair(query_id=i, ref_id=i, score=s, is_positive=bool(f))
-                for i, (s, f) in enumerate(zip(scores, flags))]
-
     def test_hand_case_matches_oracle(self):
         scores = [0.1, 0.15, 0.3, 0.45, 0.6, 0.7, 0.85, 0.9]
         flags = [1, 1, 1, 0, 1, 0, 0, 0]
         cfg = BinningConfig(num_bins=4, clamp=ClampMode.NONE)
-        rep = match_ece_at_k(self.make_pairs(scores, flags), k=2,
-                             n_queries=4, config=cfg)
+        # 4 queries x K = 2 pairs, row-major
+        rep = match_ece_at_k(np.reshape(scores, (4, 2)),
+                             np.reshape(flags, (4, 2)), config=cfg)
         assert rep.level == "match"
+        assert rep.k == 2
         assert rep.total == 8
         assert rep.ece == ece_bruteforce_oracle(scores, flags, cfg)
 
     def test_pair_count_enforced(self):
-        pairs = self.make_pairs([0.1, 0.2], [1, 0])
+        # scores and positives must be the same (n, K) block
         with pytest.raises(ValueError):
-            match_ece_at_k(pairs, k=3, n_queries=4, config=BinningConfig())
+            match_ece_at_k(np.array([0.1, 0.2]), np.array([1, 0]),
+                           config=BinningConfig())
+        with pytest.raises(ValueError):
+            match_ece_at_k(np.zeros((4, 3)), np.zeros((3, 4)),
+                           config=BinningConfig())
 
 
 class TestOracleEquivalence:

@@ -1,18 +1,20 @@
 """Binary bank format, manifest, run config, and model state I/O."""
 
 import json
+import os
+import stat
 import struct
 
 import numpy as np
 import pytest
 
 from kappa_sphere.fileio import (BankFormatError, ConfigError, ManifestError,
-                                 binning_config_from, default_run_config,
+                                 atomic_write_text, default_run_config,
                                  load_run_config, read_bank, read_manifest,
-                                 read_model_state, scene_config_from,
-                                 train_config_from, write_bank,
-                                 write_manifest, write_model_state,
-                                 history_csv)
+                                 read_model_state, report_document,
+                                 scene_config_from, train_config_from,
+                                 write_bank, write_manifest,
+                                 write_model_state, history_csv)
 from kappa_sphere.head import HeadVariant, init_head
 from kappa_sphere.retrieval import DescriptorBank
 from kappa_sphere.training import LinearEncoder, TrainMode
@@ -176,10 +178,8 @@ class TestRunConfig:
         assert resolved == default_run_config()
         scene = scene_config_from(resolved)
         train = train_config_from(resolved)
-        binning = binning_config_from(resolved)
         assert scene.num_classes == 32
         assert train.mode is TrainMode.POST_TRAINING
-        assert binning.num_bins == 10
 
     def test_file_layer_overrides(self, tmp_path):
         path = tmp_path / "config.json"
@@ -212,6 +212,13 @@ class TestRunConfig:
         path = tmp_path / "config.json"
         path.write_text("[1, 2")
         with pytest.raises(ConfigError):
+            load_run_config(path)
+
+    def test_binning_clamp_rejected(self, tmp_path):
+        # eval clamps per method, so a config clamp would be ignored
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"binning": {"clamp": "none"}}))
+        with pytest.raises(ConfigError, match=r"clamp.*\$\.binning"):
             load_run_config(path)
 
 
@@ -253,6 +260,27 @@ class TestModelState:
                                     "encoder": None, "prototypes": None}))
         with pytest.raises(ConfigError):
             read_model_state(path)
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        path = tmp_path / "a.json"
+        old = os.umask(umask)
+        try:
+            atomic_write_text(path, "{}")
+            atomic_write_text(path, "[]")  # replacing keeps the same mode
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+        assert path.read_text() == "[]"
+
+    def test_report_rejects_non_finite_values(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                report_document({"ece": bad}, default_run_config(), 0)
+        json.loads(report_document({"spearman_kappa": None},
+                                   default_run_config(), 0))
 
 
 class TestHistoryCsv:

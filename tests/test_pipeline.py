@@ -1,0 +1,99 @@
+"""Evaluation on (n, K) arrays: batched retrieval, scores and reports."""
+
+import warnings
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from kappa_sphere import pipeline
+from kappa_sphere import scores as sc
+from kappa_sphere.retrieval import RetrievalResult
+from kappa_sphere.synth import SceneConfig, generate_scene
+from kappa_sphere.training import TrainConfig, TrainMode
+
+SMALL = dict(num_classes=8, images_per_class=10, descriptor_dim=16,
+             aliasing_rate=0.25, seed=3)
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    dataset = generate_scene(SceneConfig(**SMALL))
+    head, _ = pipeline.fit_head(dataset, cfg=TrainConfig(
+        mode=TrainMode.POST_TRAINING, lr=0.05, max_epochs=6, warmup=2, seed=3))
+    db, query = pipeline._scene_banks(dataset, head)
+    return dataset, head, db, query
+
+
+def test_fit_head_retrieves_once():
+    # descriptors are frozen during post-training, so the validation kNN
+    # runs once however many epochs the hook scores
+    dataset = generate_scene(SceneConfig(**SMALL))
+    with mock.patch.object(pipeline, "batch_knn",
+                           wraps=pipeline.batch_knn) as knn:
+        _, history = pipeline.fit_head(dataset, cfg=TrainConfig(
+            mode=TrainMode.POST_TRAINING, lr=0.05, max_epochs=5, warmup=0,
+            seed=3))
+    assert len(history) == 5
+    assert knn.call_count == 1
+
+
+class TestEvaluateQueries:
+    def test_rows_match_batches_of_one(self, fitted):
+        # every method scores a query the same alone as inside the batch
+        _, _, db, query = fitted
+        ev = pipeline.evaluate_queries(db, query, ks=(1, 5))
+        res = ev.results
+        n = len(query)
+        assert res.success.shape == (n, 5)
+        for method, (value, degenerate) in ev.scored.items():
+            assert value.shape == degenerate.shape == (n,)
+            for i in (0, n // 2, n - 1):
+                row = RetrievalResult(
+                    query_ids=res.query_ids[i:i + 1],
+                    ref_ids=res.ref_ids[i:i + 1],
+                    ref_indices=res.ref_indices[i:i + 1],
+                    similarities=res.similarities[i:i + 1])
+                one = sc.score_query(method, row, db,
+                                     kappa_q=query.kappas[i:i + 1], k=5)
+                assert one.value[0] == value[i], (method, i)
+        for k in (1, 5):
+            assert ev.recalls[k] == float(np.mean(res.success[:, k - 1]))
+
+    def test_constant_kappa_gives_no_spearman(self, fitted):
+        # Spearman is undefined for a constant vector: None, not NaN
+        _, _, db, query = fitted
+        query = replace(query, kappas=np.ones(len(query)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = pipeline.evaluate_queries(db, query, ks=(1,))
+        assert ev.spearman_kappa is None
+        assert (sc.METHOD_RESULTANT, 1) in ev.reports
+
+
+class TestEvaluateMatches:
+    def test_pairs_are_the_elementwise_scores(self, fitted):
+        _, _, db, query = fitted
+        ev = pipeline.evaluate_matches(db, query, k=3)
+        res = ev.results
+        n = len(query)
+        assert ev.positive.shape == res.similarities.shape == (n, 3)
+        value, degenerate = ev.pairs[sc.METHOD_RESULTANT]
+        assert value.shape == degenerate.shape == (n, 3)
+        for i, j in ((0, 0), (n // 2, 1), (n - 1, 2)):
+            ref = res.ref_indices[i, j]
+            one = sc.match_uncertainty(query.kappas[i], db.kappas[ref],
+                                       res.similarities[i, j])
+            assert one.value == value[i, j]
+            dist = np.linalg.norm(db.poses[ref] - query.poses[i])
+            assert ev.positive[i, j] == (dist <= pipeline.DEFAULT_TAU)
+        np.testing.assert_array_equal(
+            ev.pairs[sc.METHOD_L2].value, sc.l2_distance(res.similarities))
+        assert ev.reports[sc.METHOD_RESULTANT].total == 3 * n
+
+    def test_without_kappas_only_l2(self, fitted):
+        _, _, db, query = fitted
+        query = replace(query, kappas=None)
+        ev = pipeline.evaluate_matches(db, query, k=2)
+        assert set(ev.pairs) == set(ev.reports) == {sc.METHOD_L2}

@@ -43,7 +43,7 @@ class TestKnn:
             res = knn(q, bank, k=30)
             sims = bank.descriptors @ q
             expected = bank.ids[np.lexsort((bank.ids, -sims))]
-            np.testing.assert_array_equal(res.ref_ids, expected)
+            np.testing.assert_array_equal(res.ref_ids, [expected])
             assert np.all(np.diff(res.similarities) <= 1e-15)
 
     def test_tie_broken_by_ascending_id(self):
@@ -52,19 +52,31 @@ class TestKnn:
                               ids=np.array([7, 3, 1]),
                               labels=np.zeros(3))
         res = knn(z, bank, k=2)
-        np.testing.assert_array_equal(res.ref_ids, [3, 7])
+        np.testing.assert_array_equal(res.ref_ids, [[3, 7]])
 
     def test_batch_matches_single(self, rng):
         bank = make_bank(rng, n=25, d=5)
         queries = rng.standard_normal((6, 5))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         batch = batch_knn(queries, bank, k=4)
-        for i, res in enumerate(batch):
+        assert batch.ref_ids.shape == batch.similarities.shape == (6, 4)
+        np.testing.assert_array_equal(batch.query_ids, np.arange(6))
+        for i in range(6):
             single = knn(queries[i], bank, k=4, query_id=i)
-            np.testing.assert_array_equal(res.ref_ids, single.ref_ids)
+            np.testing.assert_array_equal(batch.ref_ids[i], single.ref_ids[0])
+            np.testing.assert_array_equal(batch.ref_indices[i],
+                                          single.ref_indices[0])
             # matmul vs matvec may differ by 1 ulp
-            np.testing.assert_allclose(res.similarities, single.similarities,
-                                       rtol=1e-14)
+            np.testing.assert_allclose(batch.similarities[i],
+                                       single.similarities[0], rtol=1e-14)
+
+    def test_result_owns_only_its_k_columns(self, rng):
+        # The index block is allocated (n, k); no row is a view of a full
+        # N-long sort that would keep it alive.
+        bank = make_bank(rng, n=25, d=5)
+        res = batch_knn(bank.descriptors[:3], bank, k=4)
+        for arr in (res.ref_indices, res.ref_ids, res.similarities):
+            assert arr.shape == (3, 4) and arr.base is None
 
     def test_k_out_of_range(self, rng):
         bank = make_bank(rng, n=5)
@@ -81,31 +93,44 @@ class TestGroundTruth:
         bank.poses = np.zeros((10, 2))
         bank.poses[:5, 0] = 100.0  # far group
         gt = GroundTruth(tau=25.0)
-        mask = gt.positive_mask(0, np.array([0.0, 0.0]), bank, np.arange(10))
-        np.testing.assert_array_equal(mask, [False] * 5 + [True] * 5)
+        mask = gt.positive_mask([0], np.zeros((1, 2)), bank,
+                                np.arange(10)[None])
+        np.testing.assert_array_equal(mask, [[False] * 5 + [True] * 5])
+
+    def test_batched_rows_match_single_rows(self, rng):
+        bank = make_bank(rng, n=30)
+        q_poses = rng.uniform(0, 500, (5, 2))
+        idx = rng.integers(0, 30, (5, 7))
+        gt = GroundTruth(tau=150.0)
+        mask = gt.positive_mask(np.arange(5), q_poses, bank, idx)
+        assert mask.shape == (5, 7) and mask.any() and not mask.all()
+        for i in range(5):
+            np.testing.assert_array_equal(
+                mask[i], gt.positive_mask([i], q_poses[i:i + 1], bank,
+                                          idx[i:i + 1])[0])
 
     def test_threshold_is_inclusive(self, rng):
         bank = make_bank(rng, n=2)
         bank.poses = np.array([[25.0, 0.0], [25.0 + 1e-9, 0.0]])
         gt = GroundTruth(tau=25.0)
-        mask = gt.positive_mask(0, np.zeros(2), bank, np.arange(2))
-        np.testing.assert_array_equal(mask, [True, False])
+        mask = gt.positive_mask([0], np.zeros((1, 2)), bank, np.arange(2)[None])
+        np.testing.assert_array_equal(mask, [[True, False]])
 
     def test_requires_poses(self, rng):
         bank = make_bank(rng, with_poses=False)
         gt = GroundTruth(tau=25.0)
         with pytest.raises(ValueError):
-            gt.positive_mask(0, np.zeros(2), bank, np.arange(3))
+            gt.positive_mask([0], np.zeros((1, 2)), bank, np.arange(3)[None])
 
     def test_explicit_positives(self, rng):
         bank = make_bank(rng, n=6)
         gt = GroundTruth(mode=GroundTruthMode.EXPLICIT_POSITIVES,
                          positives={9: {101, 104}})
-        mask = gt.positive_mask(9, None, bank, np.arange(6))
+        mask = gt.positive_mask([9], None, bank, np.arange(6)[None])
         np.testing.assert_array_equal(mask,
-                                      [False, True, False, False, True, False])
+                                      [[False, True, False, False, True, False]])
         with pytest.raises(KeyError):
-            gt.positive_mask(8, None, bank, np.arange(6))
+            gt.positive_mask([8], None, bank, np.arange(6)[None])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -151,7 +176,7 @@ class TestRecall:
         gt = GroundTruth(mode=GroundTruthMode.EXPLICIT_POSITIVES,
                          positives={int(bank.ids[0]): {int(bank.ids[5])}})
         mark_successes(res, gt, bank)
-        assert np.all(np.diff(res[0].success.astype(int)) >= 0)
+        assert np.all(np.diff(res.success.astype(int), axis=1) >= 0)
 
     def test_requires_marked_successes(self, rng):
         bank = make_bank(rng, n=4, d=4)

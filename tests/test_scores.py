@@ -10,11 +10,13 @@ from kappa_sphere.retrieval import DescriptorBank, RetrievalResult
 
 
 def make_result(similarities, ref_indices=None, query_id=0):
+    """A batch of one query's ranked matches."""
     sims = np.asarray(similarities, dtype=np.float64)
     idx = (np.arange(len(sims)) if ref_indices is None
            else np.asarray(ref_indices))
-    return RetrievalResult(query_id=query_id, ref_ids=idx.copy(),
-                           ref_indices=idx, similarities=sims)
+    return RetrievalResult(query_ids=np.array([query_id]),
+                           ref_ids=idx[None].copy(), ref_indices=idx[None],
+                           similarities=sims[None])
 
 
 def make_bank(rng, n=6, d=4, poses=True, kappas=None):
@@ -63,16 +65,16 @@ class TestResultantScores:
 class TestL2:
     def test_closed_form(self):
         res = make_result([0.5, 0.1])
-        assert sc.baseline_l2(res) == pytest.approx(1.0, rel=1e-15)  # sqrt(2-1)
+        assert sc.baseline_l2(res)[0] == pytest.approx(1.0, rel=1e-15)  # sqrt(2-1)
 
     def test_perfect_match_is_zero(self):
-        assert sc.baseline_l2(make_result([1.0])) == 0.0
+        assert sc.baseline_l2(make_result([1.0]))[0] == 0.0
 
     def test_clamps_float_noise(self):
-        assert sc.baseline_l2(make_result([1.0 + 1e-15])) == 0.0
+        assert sc.baseline_l2(make_result([1.0 + 1e-15]))[0] == 0.0
 
     def test_decreasing_in_cosine(self):
-        values = [sc.baseline_l2(make_result([c]))
+        values = [sc.baseline_l2(make_result([c]))[0]
                   for c in np.linspace(-1.0, 1.0, 11)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -81,13 +83,13 @@ class TestPa:
     def test_ratio(self):
         # d = sqrt(2 - 2cos): cos 0.5 -> d1 = 1, cos -1 -> d2 = 2
         res = make_result([0.5, -1.0])
-        assert sc.baseline_pa(res) == pytest.approx(1.0 / 2.0, rel=1e-15)
+        assert sc.baseline_pa(res)[0] == pytest.approx(1.0 / 2.0, rel=1e-15)
 
     def test_tie_gives_one(self):
-        assert sc.baseline_pa(make_result([0.3, 0.3])) == pytest.approx(1.0)
+        assert sc.baseline_pa(make_result([0.3, 0.3]))[0] == pytest.approx(1.0)
 
     def test_both_perfect_gives_one(self):
-        assert sc.baseline_pa(make_result([1.0, 1.0])) == 1.0
+        assert sc.baseline_pa(make_result([1.0, 1.0]))[0] == 1.0
 
     def test_needs_two_neighbors(self):
         with pytest.raises(ValueError):
@@ -99,15 +101,15 @@ class TestSue:
         bank = make_bank(rng, n=4)
         bank.poses = np.tile([10.0, 20.0], (4, 1))
         res = make_result([0.9, 0.8, 0.7], ref_indices=[0, 1, 2])
-        assert sc.baseline_sue(res, bank, k=3) == pytest.approx(0.0, abs=1e-20)
+        assert sc.baseline_sue(res, bank, k=3)[0] == pytest.approx(0.0, abs=1e-20)
 
     def test_shift_invariance(self, rng):
         bank = make_bank(rng, n=5)
         res_a = make_result([0.9, 0.5, 0.1], ref_indices=[0, 1, 2])
         res_b = make_result([0.9 - 0.3, 0.5 - 0.3, 0.1 - 0.3],
                             ref_indices=[0, 1, 2])
-        a = sc.baseline_sue(res_a, bank, k=3)
-        b = sc.baseline_sue(res_b, bank, k=3)
+        a = sc.baseline_sue(res_a, bank, k=3)[0]
+        b = sc.baseline_sue(res_b, bank, k=3)[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_hand_computed_two_point(self, rng):
@@ -115,7 +117,7 @@ class TestSue:
         bank.poses = np.array([[0.0, 0.0], [10.0, 0.0]])
         res = make_result([0.2, 0.2], ref_indices=[0, 1])
         # equal weights: mean (5, 0), spread = 2 * 0.5 * 25 = 25
-        assert sc.baseline_sue(res, bank, k=2) == pytest.approx(25.0, rel=1e-12)
+        assert sc.baseline_sue(res, bank, k=2)[0] == pytest.approx(25.0, rel=1e-12)
 
     def test_missing_poses(self, rng):
         bank = make_bank(rng, poses=False)
@@ -134,32 +136,34 @@ class TestScoreQuery:
         bank = make_bank(rng, n=6, kappas=kappas)
         res = make_result([0.9, 0.7, 0.5], ref_indices=[2, 0, 1], query_id=42)
 
-        got = sc.score_query(sc.METHOD_RESULTANT, res, bank, kappa_q=10.0)
+        kq = np.array([10.0])
+        got = sc.score_query(sc.METHOD_RESULTANT, res, bank, kappa_q=kq)
         expected = sc.query_uncertainty(10.0, 20.0, 0.9).value
-        assert got.score == expected and got.query_id == 42
+        assert got.value[0] == expected and not got.degenerate[0]
 
         assert sc.score_query(sc.METHOD_INV_KAPPA, res, bank,
-                              kappa_q=10.0).score == pytest.approx(0.1)
-        assert sc.score_query(sc.METHOD_L2, res, bank).score == \
+                              kappa_q=kq).value[0] == pytest.approx(0.1)
+        assert sc.score_query(sc.METHOD_L2, res, bank).value == \
             sc.baseline_l2(res)
-        assert sc.score_query(sc.METHOD_PA, res, bank).score == \
+        assert sc.score_query(sc.METHOD_PA, res, bank).value == \
             sc.baseline_pa(res)
-        assert sc.score_query(sc.METHOD_SUE, res, bank, k=3).score == \
+        assert sc.score_query(sc.METHOD_SUE, res, bank, k=3).value == \
             sc.baseline_sue(res, bank, 3)
-        assert sc.score_query(sc.METHOD_SUE_LOG, res, bank, k=3).score == \
+        assert sc.score_query(sc.METHOD_SUE_LOG, res, bank, k=3).value == \
             sc.sue_log(sc.baseline_sue(res, bank, 3))
 
     def test_resultant_needs_kappas(self, rng):
         bank = make_bank(rng, kappas=None)
         res = make_result([0.9], ref_indices=[0])
         with pytest.raises(ValueError):
-            sc.score_query(sc.METHOD_RESULTANT, res, bank, kappa_q=5.0)
+            sc.score_query(sc.METHOD_RESULTANT, res, bank,
+                           kappa_q=np.array([5.0]))
 
     def test_missing_kappas_error_type(self, rng):
         res = make_result([0.9], ref_indices=[0])
         with pytest.raises(sc.MissingKappasError):
             sc.score_query(sc.METHOD_RESULTANT, res, make_bank(rng, kappas=None),
-                           kappa_q=5.0)
+                           kappa_q=np.array([5.0]))
         with pytest.raises(sc.MissingKappasError):
             sc.score_query(sc.METHOD_INV_KAPPA, res, make_bank(rng))
 
@@ -172,6 +176,43 @@ class TestScoreQuery:
         kappas = np.array([5.0] * 6)
         bank = make_bank(rng, kappas=kappas)
         res = make_result([-1.0, 0.0], ref_indices=[0, 1])
-        got = sc.score_query(sc.METHOD_RESULTANT, res, bank, kappa_q=5.0)
-        assert got.degenerate
-        assert got.score == 1e12
+        got = sc.score_query(sc.METHOD_RESULTANT, res, bank,
+                             kappa_q=np.array([5.0]))
+        assert got.degenerate[0]
+        assert got.value[0] == 1e12
+
+
+class TestElementwise:
+    def test_scalar_in_scalar_out(self):
+        for value in (sc.floor_kappa(0.5), sc.l2_distance(0.5),
+                      sc.sue_log(2.0), sc.query_uncertainty_inverse_kappa(4.0),
+                      sc.match_uncertainty(3.0, 4.0, 0.5).value):
+            assert np.ndim(value) == 0 and isinstance(value, float)
+
+    def test_arrays_match_scalars(self, rng):
+        kq, kr = rng.uniform(0.1, 300.0, (2, 40))
+        cos = rng.uniform(-1.0, 1.0, 40)
+        batch = sc.match_uncertainty(kq, kr, cos)
+        assert batch.value.shape == batch.degenerate.shape == (40,)
+        for i in range(40):
+            one = sc.match_uncertainty(kq[i], kr[i], cos[i])
+            assert (batch.value[i], batch.degenerate[i]) == one
+            assert sc.l2_distance(cos)[i] == math.sqrt(2.0 - 2.0 * cos[i])
+        v = rng.uniform(0.0, 1e4, 40)
+        assert list(sc.sue_log(v)) == [math.log1p(x) for x in v]
+
+    def test_query_and_match_share_one_kernel(self):
+        assert sc.query_uncertainty is sc.match_uncertainty
+
+    def test_sue_rows_match_single_query_formula(self, rng):
+        bank = make_bank(rng, n=12)
+        sims = -np.sort(-rng.uniform(-1.0, 1.0, (7, 5)), axis=1)
+        idx = np.stack([rng.permutation(12)[:5] for _ in range(7)])
+        res = RetrievalResult(query_ids=np.arange(7), ref_ids=idx,
+                              ref_indices=idx, similarities=sims)
+        got = sc.baseline_sue(res, bank, k=5)
+        for i in range(7):
+            w = np.exp(sims[i] - sims[i].max())
+            w /= w.sum()
+            centered = bank.poses[idx[i]] - w @ bank.poses[idx[i]]
+            assert got[i] == float(np.sum(w * np.sum(centered ** 2, axis=1)))
