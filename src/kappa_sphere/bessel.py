@@ -1,11 +1,15 @@
 """Exact modified-Bessel oracles: log I_v and the ratio I_{v+1}/I_v.
 
 These exist to test the stable surrogates; nothing on the production loss
-path calls them.  log I_v is computed from the exponentially scaled Bessel
-function, with a power-series fallback where the scaled value underflows
-(large order, small argument).  The ratio is computed by a Perron-style
-continued fraction evaluated with the modified Lentz algorithm, so it
-shares no code with either the log path or the Amos-bound surrogate.
+path calls them.  `log_bessel_exact` is the only function in the package
+that needs scipy, a test dependency; `vmf.log_density` is its one caller
+outside the tests.
+
+log I_v is computed from the exponentially scaled Bessel function, with a
+power-series fallback where the scaled value underflows (large order,
+small argument).  The ratio is computed by a Perron-style continued
+fraction evaluated with the modified Lentz algorithm, so it shares no code
+with either the log path or the Amos-bound surrogate.
 
 Validated range: 0 <= v <= 300, 0 < kappa <= 1e4.
 """
@@ -13,8 +17,6 @@ Validated range: 0 <= v <= 300, 0 < kappa <= 1e4.
 from __future__ import annotations
 
 import math
-
-from scipy.special import ive
 
 _MAX_V = 300.0
 _MAX_KAPPA = 1e4
@@ -41,7 +43,12 @@ def _log_bessel_series(v: float, kappa: float) -> float:
 
 
 def log_bessel_exact(v: float, kappa: float) -> float:
-    """log I_v(kappa), exact to near machine precision on the validated range."""
+    """log I_v(kappa), exact to near machine precision on the validated range.
+
+    Imports scipy on first call, so importing this module does not.
+    """
+    from scipy.special import ive
+
     v = float(v)
     kappa = float(kappa)
     _check_range(v, kappa)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import scores as sc
 from .calibration import (BinningConfig, BinStrategy, ClampMode, ece_at_k,
@@ -161,6 +160,20 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig | None = None,
                        eval_hook=hook)
 
 
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their positions."""
+    s = np.sort(x)
+    return (np.searchsorted(s, x, "left") + np.searchsorted(s, x, "right")
+            + 1) / 2
+
+
+def _spearman(a, b) -> float:
+    """Spearman's rho: the Pearson correlation of average ranks (the
+    computation scipy.stats.spearmanr performs)."""
+    ranks = np.column_stack((_average_ranks(a), _average_ranks(b)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
 @dataclass
 class QueryEvaluation:
     reports: dict                      # (method, k) -> CalibrationReport
@@ -215,7 +228,7 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
     kq, kt = query_bank.kappas, query_bank.true_kappa
     # undefined, not NaN, when either side is constant
     if kq is not None and kt is not None and np.ptp(kq) > 0 and np.ptp(kt) > 0:
-        spear = float(spearmanr(kq, kt).statistic)
+        spear = _spearman(kq, kt)
     return QueryEvaluation(reports=reports, recalls=recalls, results=results,
                            scored=scored, spearman_kappa=spear,
                            unsupported=unsupported)

@@ -10,6 +10,8 @@ import numpy as np
 
 from .vmf import check_unit_rows
 
+_ROW_BLOCK = 256  # query rows ranked per partition pass
+
 
 @dataclass
 class DescriptorBank:
@@ -118,18 +120,29 @@ def batch_knn(queries, bank: DescriptorBank, k: int,
     """Exact top-k under cosine similarity for an (n, d) block of queries.
 
     Ranking is by descending cosine, ties broken by ascending reference id.
-    Each row is sorted on its own into the (n, k) index block, so no n x N
-    index array is ever held.
+    Rows are ranked _ROW_BLOCK at a time: a partition finds each row's k-th
+    best cosine, and only the columns at least that good (every tie of the
+    k-th included) are sorted, so no full N-long row is ever sorted.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if query_ids is None:
         query_ids = np.arange(len(queries))
     if not 1 <= k <= len(bank):
         raise ValueError(f"K={k} out of range for bank of {len(bank)}")
+    if not np.isfinite(queries).all():
+        raise ValueError("query rows contain non-finite entries")
     sims = queries @ bank.descriptors.T  # (n, N)
-    order = np.empty((len(sims), k), dtype=np.int64)
-    for row, out in zip(sims, order):
-        out[:] = np.lexsort((bank.ids, -row))[:k]
+    n, N = sims.shape
+    order = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, _ROW_BLOCK):
+        block = sims[start:start + _ROW_BLOCK]
+        kth = np.partition(block, N - k, axis=1)[:, N - k, None]
+        rows, cols = np.nonzero(block >= kth)
+        ranked = cols[np.lexsort((bank.ids[cols], -block[rows, cols], rows))]
+        # `rows` is ascending and is the lexsort's primary key, so
+        # row i's candidates start at the same offset in both
+        first = np.searchsorted(rows, np.arange(len(block)))
+        order[start:start + len(block)] = ranked[first[:, None] + np.arange(k)]
     return RetrievalResult(
         query_ids=np.asarray(query_ids, dtype=np.int64),
         ref_ids=bank.ids[order],

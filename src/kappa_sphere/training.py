@@ -294,6 +294,33 @@ def _resolve_anchors(cfg: TrainConfig, prototype_weights: np.ndarray,
     return anchors
 
 
+def _epoch_batches(labels: np.ndarray, cfg: TrainConfig,
+                   rng: np.random.Generator):
+    """Yield one epoch's batches as index arrays into `labels`.
+
+    Class-prototype anchoring slices one random permutation of the
+    samples.  Batch-centroid anchoring needs each sample's classmates in
+    its batch, so it shuffles the classes and packs whole classes into
+    batches of at most cfg.batch_size; a larger class is a batch alone.
+    """
+    if cfg.anchor_mode is AnchorMode.CLASS_PROTOTYPE:
+        perm = rng.permutation(len(labels))
+        for start in range(0, len(labels), cfg.batch_size):
+            yield perm[start:start + cfg.batch_size]
+        return
+    by_class = np.argsort(labels, kind="stable")
+    _, firsts = np.unique(labels[by_class], return_index=True)
+    classes = np.split(by_class, firsts[1:])
+    batch = []
+    for c in rng.permutation(len(classes)):
+        if batch and sum(map(len, batch)) + len(classes[c]) > cfg.batch_size:
+            yield np.concatenate(batch)
+            batch = []
+        batch.append(classes[c])
+    if batch:
+        yield np.concatenate(batch)
+
+
 def train_post(data: TrainData, prototypes: PrototypeSet, head: HeadParams,
                cfg: TrainConfig, eval_hook=None):
     """Train only the kappa head against frozen descriptors and prototypes.
@@ -324,10 +351,8 @@ def train_post(data: TrainData, prototypes: PrototypeSet, head: HeadParams,
 
     n = len(data)
     for epoch in range(cfg.max_epochs):
-        perm = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
+        for idx in _epoch_batches(data.labels, cfg, rng):
             z = data.descriptors[idx]
             labels = data.labels[idx]
             anchors = _resolve_anchors(cfg, prototypes.weights, z, labels)
@@ -434,10 +459,8 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
 
     n = len(data)
     for epoch in range(cfg.max_epochs):
-        perm = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
+        for idx in _epoch_batches(data.labels, cfg, rng):
             batch = TrainData(features=data.features[idx], labels=data.labels[idx],
                               raw=data.raw[idx])
             loss, grads = joint_loss_and_grads(params, batch, head, cfg, lmcl)

@@ -197,7 +197,8 @@ def log_density(z, params: VmfParams, order: BesselOrder) -> float:
     """Exact vMF log-density log C_d(kappa) + kappa * mu.z.
 
     Uses the exact log-Bessel oracle, so it is restricted to d <= 64 and
-    kappa <= 1e4.  The production loss path never calls this.
+    kappa <= 1e4, and it is the one function here that needs scipy.  The
+    production loss path never calls this.
     """
     z = check_unit(z, name="z")
     if z.shape[0] != order.d or params.d != order.d:

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from kappa_sphere import pipeline
 from kappa_sphere import scores as sc
@@ -70,6 +71,21 @@ class TestEvaluateQueries:
             ev = pipeline.evaluate_queries(db, query, ks=(1,))
         assert ev.spearman_kappa is None
         assert (sc.METHOD_RESULTANT, 1) in ev.reports
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 10, 97, 1000, 6144])
+def test_spearman_equals_scipy_bit_for_bit(n, ties):
+    for seed in range(5):
+        r = np.random.default_rng([n, seed])
+        if ties:
+            a = r.integers(0, max(2, n // 4), n).astype(float)
+            b = r.integers(0, 3, n).astype(float)
+            a[:2], b[:2] = (0.0, 1.0), (1.0, 0.0)  # never constant
+        else:
+            a, b = r.lognormal(size=n), r.standard_normal(n)
+            b += a
+        assert pipeline._spearman(a, b) == spearmanr(a, b).statistic
 
 
 class TestEvaluateMatches:

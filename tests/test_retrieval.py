@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kappa_sphere.retrieval import (DescriptorBank, GroundTruth,
+from kappa_sphere.retrieval import (_ROW_BLOCK, DescriptorBank, GroundTruth,
                                     GroundTruthMode, batch_knn, knn,
                                     mark_successes, recall_at_k)
 
@@ -69,6 +71,41 @@ class TestKnn:
             # matmul vs matvec may differ by 1 ulp
             np.testing.assert_allclose(batch.similarities[i],
                                        single.similarities[0], rtol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.sampled_from([1, 5, _ROW_BLOCK, _ROW_BLOCK + 1,
+                              2 * _ROW_BLOCK + 37]),
+           size=st.integers(1, 40), dim=st.integers(2, 5),
+           levels=st.integers(1, 3), unique_ids=st.booleans(),
+           data=st.data())
+    def test_matches_full_lexsort_under_heavy_ties(self, seed, n, size, dim,
+                                                   levels, unique_ids, data):
+        # Quantised and duplicated rows make many exact cosine ties; the
+        # ranking must equal a full per-row lexsort by (-cosine, id).
+        r = np.random.default_rng(seed)
+        x = r.integers(-levels, levels + 1, (size, dim)).astype(float)
+        x[~x.any(axis=1), 0] = 1.0
+        x[r.integers(0, size, size // 3)] = x[r.integers(0, size, size // 3)]
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        ids = r.choice(4 * size, size, replace=not unique_ids)
+        bank = DescriptorBank(descriptors=x, ids=ids, labels=np.zeros(size))
+        queries = np.concatenate([x, r.integers(-levels, levels + 1,
+                                                (n, dim)).astype(float)])[:n]
+        k = data.draw(st.integers(1, size), label="k")
+
+        res = batch_knn(queries, bank, k)
+        sims = queries @ bank.descriptors.T
+        expected = np.stack([np.lexsort((ids, -row))[:k] for row in sims])
+        np.testing.assert_array_equal(res.ref_indices, expected)
+        np.testing.assert_array_equal(
+            res.similarities, np.take_along_axis(sims, expected, axis=1))
+        np.testing.assert_array_equal(res.ref_ids, ids[expected])
+
+    def test_rejects_non_finite_queries(self, rng):
+        bank = make_bank(rng, n=5, d=3)
+        with pytest.raises(ValueError, match="non-finite"):
+            batch_knn([[1.0, np.nan, 0.0]], bank, k=2)
 
     def test_result_owns_only_its_k_columns(self, rng):
         # The index block is allocated (n, k); no row is a view of a full

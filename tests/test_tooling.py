@@ -1,11 +1,15 @@
 """The layer tracer's targets exist, so a rename fails here rather than in a
-traced benchmark run."""
+traced benchmark run; and the CLI's modules start without scipy."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACE_RUNNER = Path(__file__).resolve().parents[1] / "perfbench" / "trace_runner.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_RUNNER = ROOT / "perfbench" / "trace_runner.py"
 
 
 def test_trace_targets_exist():
@@ -18,3 +22,17 @@ def test_trace_targets_exist():
                if not callable(getattr(importlib.import_module(module), name,
                                        None))]
     assert not missing, missing
+
+
+def test_cli_modules_import_without_scipy():
+    # scipy is a test dependency: no module a CLI command loads may pull
+    # it in.  A fresh interpreter, because this test process has it loaded.
+    code = ("import sys\n"
+            "import kappa_sphere.cli, kappa_sphere.pipeline, kappa_sphere.fileio\n"
+            "import kappa_sphere.synth, kappa_sphere.training, kappa_sphere.bench\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

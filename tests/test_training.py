@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from kappa_sphere import pipeline
 from kappa_sphere.anchors import PrototypeSet
 from kappa_sphere.head import HeadVariant, init_head
+from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import (AdamState, AnchorMode, LinearEncoder,
                                    LmclConfig, TrainConfig, TrainData,
-                                   TrainMode, adam_step, finite_diff_check,
-                                   gnll_loss, lmcl_loss, train_joint,
-                                   train_post)
+                                   TrainMode, _epoch_batches, adam_step,
+                                   finite_diff_check, gnll_loss, lmcl_loss,
+                                   train_joint, train_post)
 
 
 def unit_rows(rng, n, d):
@@ -267,6 +269,43 @@ class TestTrainPost:
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         with pytest.raises(ValueError):
             train_post(data, protos, head, TrainConfig())
+
+
+class TestEpochBatches:
+    def test_class_prototype_slices_one_permutation(self):
+        labels = np.arange(70) % 6
+        cfg = TrainConfig(batch_size=32)
+        batches = list(_epoch_batches(labels, cfg, np.random.default_rng(5)))
+        perm = np.random.default_rng(5).permutation(70)
+        assert [len(b) for b in batches] == [32, 32, 6]
+        np.testing.assert_array_equal(np.concatenate(batches), perm)
+
+    def test_batch_centroid_packs_whole_classes(self, rng):
+        # class sizes 1..12 plus one class larger than a batch
+        labels = rng.permutation(np.repeat(np.arange(13),
+                                           [*range(1, 13), 40]))
+        cfg = TrainConfig(batch_size=16, anchor_mode=AnchorMode.BATCH_CENTROID)
+        batches = list(_epoch_batches(labels, cfg, rng))
+        np.testing.assert_array_equal(np.sort(np.concatenate(batches)),
+                                      np.arange(len(labels)))
+        for batch in batches:
+            classes = np.unique(labels[batch])
+            assert len(batch) <= cfg.batch_size or len(classes) == 1
+            for c in classes:
+                assert np.sum(labels[batch] == c) == np.sum(labels == c)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batch_centroid_trains_on_default_scene(self, seed):
+        dataset = generate_scene(SceneConfig(seed=seed))
+        common = dict(max_epochs=2, warmup=0, seed=seed,
+                      anchor_mode=AnchorMode.BATCH_CENTROID)
+        _, history = pipeline.fit_head(dataset, TrainConfig(
+            mode=TrainMode.POST_TRAINING, lr=0.05, **common))
+        assert len(history) == 2
+        *_, history = pipeline.fit_joint(dataset, TrainConfig(
+            mode=TrainMode.JOINT_TRAINING, lam=0.01, lr=1e-4, **common))
+        assert len(history) == 2
+        assert all(math.isfinite(row["loss"]) for row in history)
 
 
 class TestTrainJoint:
