@@ -4,8 +4,8 @@ Stable von Mises-Fisher training losses, concentration regression,
 resultant-vector uncertainty scores, and rank-based calibration (ECE@K),
 verified end to end on synthetic scenes with known ground truth.
 
-Submodules are imported lazily so the CLI can cap BLAS threads before
-numpy loads.
+Submodules are imported lazily, so the CLI's ``--help`` and argument
+errors return without loading numpy.
 """
 
 import importlib

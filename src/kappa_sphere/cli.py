@@ -10,27 +10,21 @@ Subcommands:
 * ``report``     render a report JSON as text tables (optionally SVG)
 * ``bench``      latency benchmark of the kappa path
 
-Heavy imports happen inside ``main`` so that KAPPA_SPHERE_THREADS can
-cap the BLAS thread pool before numpy is loaded.
+Heavy imports happen inside the command functions, so ``--help`` and
+argument errors return without loading numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("KAPPA_SPHERE_THREADS")
-    if not cap:
-        return
-    if "numpy" in sys.modules:
-        return  # too late to cap; numpy already configured its pools
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+def _int_list(text: str) -> list:
+    return [int(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                             ("match-eval", "match-level evaluation")):
         p = sub.add_parser(name, help=help_text)
         common(p)
-        p.add_argument("--k", default=None,
+        p.add_argument("--k", type=_int_list, default=None,
                        help="comma-separated K values, e.g. 1,5,10")
         p.add_argument("--bins", type=int, default=None, help="bin count M")
         p.add_argument("--binning", choices=["equal-width", "quantile"],
@@ -91,6 +85,16 @@ def _resolve(args):
     overrides = {}
     if args.seed is not None:
         overrides = {"scene": {"seed": args.seed}, "train": {"seed": args.seed}}
+    # eval's flags override the config, so a report's config block records them
+    if getattr(args, "k", None) is not None:
+        overrides["ks"] = args.k
+    binning = {}
+    if getattr(args, "bins", None) is not None:
+        binning["num_bins"] = args.bins
+    if getattr(args, "binning", None) is not None:
+        binning["strategy"] = args.binning.replace("-", "_")
+    if binning:
+        overrides["binning"] = binning
     return fileio.load_run_config(args.config, overrides)
 
 
@@ -111,17 +115,27 @@ def _paths(out):
     }
 
 
-def cmd_gen(args) -> int:
+def _write_artifacts(out, resolved, dataset, history=None, **model) -> dict:
+    """Write the scene's bank, manifest and resolved config into `out`;
+    with a training `history`, also the model state (`model` goes to
+    `fileio.write_model_state`) and history.csv.  Returns the paths."""
     from . import fileio
 
-    resolved = _resolve(args)
-    dataset = _load_scene(resolved)
-    os.makedirs(args.out, exist_ok=True)
-    paths = _paths(args.out)
+    os.makedirs(out, exist_ok=True)
+    paths = _paths(out)
+    if history is not None:
+        fileio.write_model_state(paths["model"], **model)
+        fileio.atomic_write_text(paths["history"], fileio.history_csv(history))
     fileio.write_bank(paths["bank"], dataset.bank.descriptors)
     fileio.write_manifest(paths["manifest"], dataset.bank, dataset.splits)
     fileio.atomic_write_text(paths["config"],
                              json.dumps(resolved, sort_keys=True, indent=2))
+    return paths
+
+
+def cmd_gen(args) -> int:
+    resolved = _resolve(args)
+    paths = _write_artifacts(args.out, resolved, _load_scene(resolved))
     print(f"wrote {paths['bank']}, {paths['manifest']}, {paths['config']}")
     return 0
 
@@ -146,17 +160,10 @@ def cmd_fit(args) -> int:
         raise ValueError("fit expects train.mode post_training or gnll_variant")
     dataset = _load_scene(resolved)
     head, history = fit_head(dataset, cfg=train_cfg)
-    os.makedirs(args.out, exist_ok=True)
-    paths = _paths(args.out)
-    fileio.write_model_state(paths["model"], head=head,
+    dataset.bank.kappas = predict_kappas(dataset.features, head)
+    paths = _write_artifacts(args.out, resolved, dataset, history, head=head,
                              extra={"mode": train_cfg.mode.value,
                                     "epochs": len(history)})
-    fileio.atomic_write_text(paths["history"], fileio.history_csv(history))
-    dataset.bank.kappas = predict_kappas(dataset.features, head)
-    fileio.write_bank(paths["bank"], dataset.bank.descriptors)
-    fileio.write_manifest(paths["manifest"], dataset.bank, dataset.splits)
-    fileio.atomic_write_text(paths["config"],
-                             json.dumps(resolved, sort_keys=True, indent=2))
     print(f"fitted head in {len(history)} epochs; wrote {paths['model']}")
     return 0
 
@@ -164,33 +171,23 @@ def cmd_fit(args) -> int:
 def cmd_train(args) -> int:
     from . import fileio
     from .pipeline import fit_joint, predict_kappas
-    from .training import TrainConfig, TrainMode
+    from .training import TrainMode
 
     resolved = _config_for_out(args)
-    train_cfg = fileio.train_config_from(resolved)
-    if train_cfg.mode is not TrainMode.JOINT_TRAINING:
-        train_cfg = TrainConfig(
-            **{**resolved["train"], "mode": TrainMode.JOINT_TRAINING,
-               "anchor_mode": train_cfg.anchor_mode})
+    train_cfg = dataclasses.replace(fileio.train_config_from(resolved),
+                                    mode=TrainMode.JOINT_TRAINING)
     lmcl = fileio.lmcl_config_from(resolved)
     dataset = _load_scene(resolved)
     encoder, prototypes, head, history = fit_joint(dataset, cfg=train_cfg,
                                                    lmcl=lmcl)
-    os.makedirs(args.out, exist_ok=True)
-    paths = _paths(args.out)
-    fileio.write_model_state(paths["model"], head=head, encoder=encoder,
-                             prototypes=prototypes,
-                             extra={"mode": train_cfg.mode.value,
-                                    "lam": train_cfg.lam,
-                                    "epochs": len(history)})
-    fileio.atomic_write_text(paths["history"], fileio.history_csv(history))
     dataset.bank.descriptors = encoder.encode(dataset.raw)
     if head is not None:
         dataset.bank.kappas = predict_kappas(dataset.features, head)
-    fileio.write_bank(paths["bank"], dataset.bank.descriptors)
-    fileio.write_manifest(paths["manifest"], dataset.bank, dataset.splits)
-    fileio.atomic_write_text(paths["config"],
-                             json.dumps(resolved, sort_keys=True, indent=2))
+    paths = _write_artifacts(args.out, resolved, dataset, history, head=head,
+                             encoder=encoder, prototypes=prototypes,
+                             extra={"mode": train_cfg.mode.value,
+                                    "lam": train_cfg.lam,
+                                    "epochs": len(history)})
     print(f"joint training finished in {len(history)} epochs; "
           f"wrote {paths['model']}")
     return 0
@@ -208,18 +205,12 @@ def _load_eval_inputs(args):
     return resolved, bank.subset(splits["db"]), bank.subset(splits["query"])
 
 
-def _eval_options(args, resolved):
+def _eval_options(resolved):
     from .calibration import BinStrategy
 
-    ks = resolved["ks"]
-    if args.k:
-        ks = [int(v) for v in str(args.k).split(",")]
-    bins = args.bins if args.bins else resolved["binning"]["num_bins"]
-    strategy = BinStrategy(resolved["binning"]["strategy"])
-    if args.binning:
-        strategy = (BinStrategy.QUANTILE if args.binning == "quantile"
-                    else BinStrategy.EQUAL_WIDTH)
-    return ks, bins, strategy
+    binning = resolved["binning"]
+    return (resolved["ks"], binning["num_bins"],
+            BinStrategy(binning["strategy"]))
 
 
 def cmd_eval(args) -> int:
@@ -228,7 +219,7 @@ def cmd_eval(args) -> int:
     from .pipeline import evaluate_queries
 
     resolved, db, queries = _load_eval_inputs(args)
-    ks, bins, strategy = _eval_options(args, resolved)
+    ks, bins, strategy = _eval_options(resolved)
     methods = sc.ALL_METHODS
     if args.method:
         methods = tuple(str(args.method).split(","))
@@ -264,7 +255,7 @@ def cmd_match_eval(args) -> int:
     from .pipeline import evaluate_matches
 
     resolved, db, queries = _load_eval_inputs(args)
-    ks, bins, strategy = _eval_options(args, resolved)
+    ks, bins, strategy = _eval_options(resolved)
     k = ks[0] if ks else 1
     ev = evaluate_matches(db, queries, k=k, num_bins=bins, strategy=strategy,
                           tau=resolved["tau"])
@@ -368,7 +359,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -13,9 +13,13 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import fields
+from enum import Enum
+from itertools import chain
 
 import numpy as np
 
+from .calibration import BinningConfig
 from .head import HeadParams, HeadVariant
 from .retrieval import DescriptorBank
 from .synth import SceneConfig, SPLIT_NAMES
@@ -151,6 +155,62 @@ def write_manifest(path, bank: DescriptorBank, splits: dict | None = None) -> No
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
+# manifest field -> (dtype, required); poses are (n, 2), the rest (n,)
+_MANIFEST_ARRAYS = {"ids": (np.int64, True), "labels": (np.int64, True),
+                    "poses": (np.float64, False),
+                    "true_kappa": (np.float64, False),
+                    "kappas": (np.float64, False)}
+
+
+def _check_types(items, types: set, path_of) -> None:
+    """A ManifestError at `path_of(i)` for the first item whose type is not
+    in `types` (a bool is not an int here)."""
+    if not set(map(type, items)) <= types:
+        i = next(i for i, v in enumerate(items) if type(v) not in types)
+        expected = " or ".join(sorted(t.__name__ for t in types))
+        raise ManifestError(f"expected {expected}, got {items[i]!r}",
+                            path_of(i))
+
+
+def _manifest_list(doc: dict, key: str, n: int, types: set,
+                   required: bool = False):
+    """`doc[key]` checked to be an n-long array of `types` items; None when
+    absent and optional."""
+    val = doc.get(key)
+    if val is None and not required:
+        return None
+    if not isinstance(val, list):
+        raise ManifestError(f"missing or non-array field {key!r}", f"$.{key}")
+    if len(val) != n:
+        raise ManifestError(f"{key} length {len(val)} != bank count {n}",
+                            f"$.{key}")
+    _check_types(val, types, lambda i: f"$.{key}[{i}]")
+    return val
+
+
+def _manifest_array(doc: dict, key: str, n: int, dtype, required: bool):
+    """A numeric manifest field as an array, located on any failure."""
+    number = {int} if dtype is np.int64 else {int, float}
+    if key != "poses":
+        val = _manifest_list(doc, key, n, number, required)
+    else:
+        val = _manifest_list(doc, key, n, {list}, required)
+        if val is not None:
+            lengths = list(map(len, val))
+            if lengths.count(2) != n:
+                i = next(i for i, k in enumerate(lengths) if k != 2)
+                raise ManifestError(f"pose must be [x, y], got {val[i]!r}",
+                                    f"$.poses[{i}]")
+            _check_types(list(chain.from_iterable(val)), number,
+                         lambda i: f"$.poses[{i // 2}][{i % 2}]")
+    if val is None:
+        return None
+    try:
+        return np.asarray(val, dtype=dtype)
+    except OverflowError as exc:
+        raise ManifestError(f"value out of range: {exc}", f"$.{key}") from exc
+
+
 def read_manifest(path, descriptors) -> tuple:
     """Build a DescriptorBank from a manifest plus its descriptor block.
 
@@ -166,49 +226,29 @@ def read_manifest(path, descriptors) -> tuple:
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object", "$")
     n = len(descriptors)
-    for key in ("ids", "labels"):
-        if key not in doc or not isinstance(doc[key], list):
-            raise ManifestError(f"missing or non-array field {key!r}", f"$.{key}")
-        if len(doc[key]) != n:
-            raise ManifestError(
-                f"{key} length {len(doc[key])} != bank count {n}", f"$.{key}")
-    for key in ("poses", "true_kappa", "kappas", "split"):
-        val = doc.get(key)
-        if val is not None and len(val) != n:
-            raise ManifestError(
-                f"{key} length {len(val)} != bank count {n}", f"$.{key}")
-    bank = DescriptorBank(
-        descriptors=descriptors,
-        ids=np.asarray(doc["ids"], dtype=np.int64),
-        labels=np.asarray(doc["labels"], dtype=np.int64),
-        poses=None if doc.get("poses") is None
-        else np.asarray(doc["poses"], dtype=np.float64),
-        true_kappa=None if doc.get("true_kappa") is None
-        else np.asarray(doc["true_kappa"], dtype=np.float64),
-        kappas=None if doc.get("kappas") is None
-        else np.asarray(doc["kappas"], dtype=np.float64),
-    )
-    splits = {}
-    if doc.get("split") is not None:
-        names = doc["split"]
-        unknown = sorted(set(names) - set(SPLIT_NAMES))
-        if unknown:
-            raise ManifestError(f"unknown split names {unknown}", "$.split")
-        for name in SPLIT_NAMES:
-            splits[name] = np.flatnonzero(
-                np.asarray([s == name for s in names]))
-    return bank, splits
+    bank = DescriptorBank(descriptors=descriptors, **{
+        key: _manifest_array(doc, key, n, dtype, required)
+        for key, (dtype, required) in _MANIFEST_ARRAYS.items()})
+    names = _manifest_list(doc, "split", n, {str})
+    if names is None:
+        return bank, {}
+    unknown = set(names) - set(SPLIT_NAMES)
+    if unknown:
+        i = next(i for i, name in enumerate(names) if name in unknown)
+        raise ManifestError(f"unknown split name {names[i]!r}", f"$.split[{i}]")
+    return bank, {name: np.flatnonzero(np.asarray([s == name for s in names]))
+                  for name in SPLIT_NAMES}
 
 
 # ---------------------------------------------------------------------------
 # run configuration
 
-_SCENE_KEYS = set(SceneConfig().to_dict())
-_TRAIN_KEYS = {"mode", "lam", "lr", "batch_size", "patience", "max_epochs",
-               "warmup", "seed", "anchor_mode", "include_self_in_centroid"}
-_LMCL_KEYS = {"scale", "margin"}
-_BINNING_KEYS = {"num_bins", "strategy"}
-_TOP_KEYS = {"scene", "train", "lmcl", "binning", "ks", "tau"}
+_SECTIONS = {"scene": SceneConfig, "train": TrainConfig, "lmcl": LmclConfig,
+             "binning": BinningConfig}
+_SECTION_KEYS = {name: {f.name for f in fields(cls)}
+                 for name, cls in _SECTIONS.items()}
+_SECTION_KEYS["binning"].remove("clamp")  # eval fixes clamping per method
+_TOP_KEYS = {*_SECTIONS, "ks", "tau"}
 
 
 def default_run_config() -> dict:
@@ -243,7 +283,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> dict:
     """Resolve a run config: defaults, optional JSON file, optional overrides.
 
     Unknown keys anywhere are rejected so typos cannot silently fall back
-    to defaults.
+    to defaults, and every section is built once, so a bad value fails
+    here with its JSON path rather than in a later command.
     """
     resolved = default_run_config()
     layers = []
@@ -260,8 +301,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> dict:
         if not isinstance(layer, dict):
             raise ConfigError("config must be a JSON object", "$")
         _check_keys(layer, _TOP_KEYS, "$")
-        for section, allowed in (("scene", _SCENE_KEYS), ("train", _TRAIN_KEYS),
-                                 ("lmcl", _LMCL_KEYS), ("binning", _BINNING_KEYS)):
+        for section, allowed in _SECTION_KEYS.items():
             if section in layer:
                 if not isinstance(layer[section], dict):
                     raise ConfigError(f"{section} must be an object",
@@ -269,27 +309,71 @@ def load_run_config(path=None, overrides: dict | None = None) -> dict:
                 _check_keys(layer[section], allowed, f"$.{section}")
                 resolved[section].update(layer[section])
         if "ks" in layer:
-            resolved["ks"] = [int(k) for k in layer["ks"]]
+            ks = layer["ks"]
+            if (not isinstance(ks, list) or not set(map(type, ks)) <= {int}
+                    or min(ks, default=1) < 1):
+                raise ConfigError(
+                    f"ks must be an array of positive integers, got {ks!r}",
+                    "$.ks")
+            resolved["ks"] = list(ks)
         if "tau" in layer:
+            if type(layer["tau"]) not in (int, float):
+                raise ConfigError(f"tau must be a number, got {layer['tau']!r}",
+                                  "$.tau")
             resolved["tau"] = float(layer["tau"])
+    for section in _SECTIONS:
+        _section_config(resolved, section)
     return resolved
 
 
+def _config_value(value, default, path: str):
+    """`value` checked against the type of its field's `default`: an enum is
+    built from its value, a tuple takes an array of positive integers, and
+    a number keeps its JSON type (an int may stand for a float; a bool is
+    no number)."""
+    kind = type(default)
+    if isinstance(default, Enum):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"expected one of {[m.value for m in kind]}, "
+                              f"got {value!r}", path) from None
+    if kind is tuple:
+        expected = f"an array of {len(default)} positive integers"
+        ok = (isinstance(value, list) and len(value) == len(default)
+              and set(map(type, value)) <= {int} and min(value) >= 1)
+    else:
+        expected = kind.__name__
+        ok = type(value) in {bool: (bool,), int: (int,), float: (int, float)}[kind]
+    if not ok:
+        raise ConfigError(f"expected {expected}, got {value!r}", path)
+    return tuple(value) if kind is tuple else value
+
+
+def _section_config(resolved: dict, section: str):
+    """The dataclass of a resolved config section.  A bad value is located
+    at its key, a violated constraint between keys at the section."""
+    cls = _SECTIONS[section]
+    defaults = cls()
+    values = {key: _config_value(value, getattr(defaults, key),
+                                 f"$.{section}.{key}")
+              for key, value in resolved[section].items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc), f"$.{section}") from exc
+
+
 def scene_config_from(resolved: dict) -> SceneConfig:
-    scene = dict(resolved["scene"])
-    scene["feature_shape"] = tuple(scene["feature_shape"])
-    return SceneConfig(**scene)
+    return _section_config(resolved, "scene")
 
 
 def train_config_from(resolved: dict) -> TrainConfig:
-    train = dict(resolved["train"])
-    train["mode"] = TrainMode(train["mode"])
-    train["anchor_mode"] = AnchorMode(train["anchor_mode"])
-    return TrainConfig(**train)
+    return _section_config(resolved, "train")
 
 
 def lmcl_config_from(resolved: dict) -> LmclConfig:
-    return LmclConfig(**resolved["lmcl"])
+    return _section_config(resolved, "lmcl")
 
 
 # ---------------------------------------------------------------------------

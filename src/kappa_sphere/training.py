@@ -1,7 +1,8 @@
 """Optimization: margin-based classification loss, the Gaussian-NLL
-ablation, Adam, gradient verification, and the two training loops
+ablation, Adam, gradient verification, and the two training settings
 (post-training of the kappa head against a frozen embedding space, and
-joint training of encoder + prototypes + head).
+joint training of encoder + prototypes + head), which share one epoch,
+Adam and early-stopping driver and differ in their per-batch objective.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class TrainConfig:
     include_self_in_centroid: bool = False
 
     def __post_init__(self):
-        if self.lam < 0 or self.lr <= 0 or self.patience < 1 or self.max_epochs < 1:
+        if (self.lam < 0 or self.lr <= 0 or self.patience < 1
+                or self.max_epochs < 1 or self.batch_size < 1):
             raise ValueError("invalid training configuration")
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
@@ -321,68 +323,119 @@ def _epoch_batches(labels: np.ndarray, cfg: TrainConfig,
         yield np.concatenate(batch)
 
 
+def _take(data: TrainData, idx) -> TrainData:
+    """The samples `idx` of `data`, as a batch of their own."""
+    return TrainData(**{name: None if value is None else value[idx]
+                        for name, value in vars(data).items()})
+
+
+def _fit(params: dict, loss_and_grads, data: TrainData, cfg: TrainConfig,
+         evaluate, watch: tuple, project=None):
+    """The epoch loop both trainers run.
+
+    Each epoch walks `_epoch_batches`; per batch, `loss_and_grads(params,
+    batch) -> (loss, grads)` feeds one Adam step on `params` (in place),
+    followed by `project()` if given.  The epoch's history row holds
+    epoch, mean loss, one value per `watch` metric (`evaluate()` returns
+    them in order; NaN without `evaluate`) and the phase (1-based).
+
+    `watch` is the early-stopping schedule: a tuple of phases, each a
+    (metric, sign) pair.  A phase keeps the checkpoint with the lowest
+    sign * metric; after cfg.patience epochs without an improvement
+    beyond 1e-12 the next phase starts from a fresh best (the checkpoint
+    carries over), or training stops after the last phase.  The first
+    cfg.warmup epochs are never selected.  Without `evaluate` every epoch
+    runs and the final parameters are the result.
+    Returns (best params, history rows).
+    """
+    rng = np.random.default_rng(cfg.seed)
+    state = AdamState()
+    history = []
+    names = [name for name, _ in watch]
+    phase, stale, best = 0, 0, math.inf
+    best_params = params if evaluate is None else \
+        {k: v.copy() for k, v in params.items()}
+    for epoch in range(cfg.max_epochs):
+        epoch_loss = 0.0
+        for idx in _epoch_batches(data.labels, cfg, rng):
+            loss, grads = loss_and_grads(params, _take(data, idx))
+            adam_step(params, grads, state, cfg.lr)
+            if project is not None:
+                project()
+            epoch_loss += loss * len(idx)
+        values = evaluate() if evaluate is not None else [math.nan] * len(names)
+        history.append({"epoch": epoch, "loss": epoch_loss / len(data),
+                        **dict(zip(names, values)), "phase": phase + 1})
+
+        if evaluate is None or epoch < cfg.warmup:
+            continue
+        name, sign = watch[phase]
+        value = sign * history[-1][name]  # exact: negation never rounds
+        if value < best - 1e-12:
+            best, stale = value, 0
+            best_params = {k: v.copy() for k, v in params.items()}
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                if phase + 1 == len(watch):
+                    break
+                phase, stale, best = phase + 1, 0, math.inf
+    return best_params, history
+
+
+def post_loss_and_grads(params: dict, batch: TrainData, head: HeadParams,
+                        prototype_weights: np.ndarray, cfg: TrainConfig):
+    """The post-training loss on one batch and its gradient w.r.t. `params`.
+
+    The loss is the stable vMF NLL of the frozen `batch.descriptors`
+    around their anchors, with the head output as kappa; under
+    GNLL_VARIANT it is the Gaussian NLL, the head output read as sigma^2.
+    `params` holds the head's trainable entries; `head` supplies its
+    fixed settings only.  Anchors come from `prototype_weights` (class
+    prototypes) or the batch's own descriptors (batch centroids); either
+    way they do not depend on `params`.
+    Returns (loss, grads) with one gradient per entry of `params`.
+    """
+    z, d = batch.descriptors, batch.descriptors.shape[1]
+    anchors = _resolve_anchors(cfg, prototype_weights, z, batch.labels)
+    head = _head_from_dict(head, params)
+    out, cache = forward_batch(batch.features, head)
+    if cfg.mode is TrainMode.GNLL_VARIANT:
+        loss, _, up = gnll_batch(z, anchors, out, d)
+    else:
+        loss, up = vmf_batch_nll(z, anchors, out, BesselOrder(d))[:2]
+    return loss, _head_dict(backward_batch(cache, head, up), head)
+
+
 def train_post(data: TrainData, prototypes: PrototypeSet, head: HeadParams,
                cfg: TrainConfig, eval_hook=None):
     """Train only the kappa head against frozen descriptors and prototypes.
 
-    The loss is the stable vMF NLL (or the Gaussian NLL under
-    GNLL_VARIANT, in which case the head output is read as sigma^2).
-    Early stopping tracks the eval_hook metric (lower is better,
-    e.g. validation ECE@1) with the configured patience; the first
-    cfg.warmup epochs are excluded from checkpoint selection (the
-    untrained head can hit spurious calibration minima before it has
-    learned any ordering).  The best checkpoint is returned.
+    The per-batch objective is `post_loss_and_grads`.  Early stopping
+    tracks the eval_hook metric (lower is better, e.g. validation ECE@1)
+    with the configured patience; the first cfg.warmup epochs are
+    excluded from checkpoint selection (the untrained head can hit
+    spurious calibration minima before it has learned any ordering).
+    The best checkpoint is returned.  `eval_hook(head) -> metric`.
     Returns (trained head, history rows).
     """
     if data.descriptors is None:
         raise ValueError("post-training requires precomputed descriptors")
     if cfg.mode is TrainMode.JOINT_TRAINING:
         raise ValueError("use train_joint for joint mode")
-    d = data.descriptors.shape[1]
-    order = BesselOrder(d)
-    rng = np.random.default_rng(cfg.seed)
     head = head.copy()
     params = _head_dict(head, head)
-    state = AdamState()
-    history = []
-    best_metric = math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
-    stale = 0
 
-    n = len(data)
-    for epoch in range(cfg.max_epochs):
-        epoch_loss = 0.0
-        for idx in _epoch_batches(data.labels, cfg, rng):
-            z = data.descriptors[idx]
-            labels = data.labels[idx]
-            anchors = _resolve_anchors(cfg, prototypes.weights, z, labels)
-            out, cache = forward_batch(data.features[idx], head)
-            if cfg.mode is TrainMode.GNLL_VARIANT:
-                loss, _, up = gnll_batch(z, anchors, out, d)
-            else:
-                loss, up = vmf_batch_nll(z, anchors, out, order)[:2]
-            grads = _head_dict(backward_batch(cache, head, up), head)
-            adam_step(params, grads, state, cfg.lr)
-            head = _head_from_dict(head, params)
-            epoch_loss += loss * len(idx)
-        epoch_loss /= n
+    def loss_and_grads(p, batch):
+        return post_loss_and_grads(p, batch, head, prototypes.weights, cfg)
 
-        metric = float(eval_hook(head)) if eval_hook is not None else math.nan
-        history.append({"epoch": epoch, "loss": epoch_loss, "metric": metric,
-                        "phase": 1})
-        if eval_hook is not None and epoch >= cfg.warmup:
-            if metric < best_metric - 1e-12:
-                best_metric = metric
-                best_params = {k: v.copy() for k, v in params.items()}
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
+    def evaluate():
+        return (float(eval_hook(_head_from_dict(head, params))),)
 
-    if eval_hook is not None:
-        head = _head_from_dict(head, best_params)
-    return head, history
+    best, history = _fit(params, loss_and_grads, data, cfg,
+                         evaluate if eval_hook is not None else None,
+                         (("metric", +1),))
+    return _head_from_dict(head, best), history
 
 
 def joint_loss_and_grads(params: dict, batch: TrainData, head: HeadParams | None,
@@ -431,7 +484,8 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
     Objective: L_cls + lam * L_vMF per batch (`joint_loss_and_grads`).
     With lam == 0 (or head is None) the vMF term is skipped entirely, so
     the encoder/prototype trajectory is bit-identical to
-    classification-only training.
+    classification-only training.  Prototypes are renormalized after
+    every step.
 
     Phased early stopping: phase 1 tracks Recall@1 until patience is
     exhausted, phase 2 continues while tracking ECE@1 with refreshed
@@ -441,7 +495,6 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
     if data.raw is None:
         raise ValueError("joint training requires raw features")
     use_vmf = cfg.lam > 0.0 and head is not None
-    rng = np.random.default_rng(cfg.seed)
     encoder = encoder.copy()
     prototypes = PrototypeSet(prototypes.weights.copy())
     head = head.copy() if head is not None else None
@@ -449,61 +502,22 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
     params = {"encoder": encoder.weights, "prototypes": prototypes.weights}
     if use_vmf:
         params.update(_head_dict(head, head))
-    state = AdamState()
-    history = []
-    phase = 1
-    best_recall = -math.inf
-    best_ece = math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
-    stale = 0
 
-    n = len(data)
-    for epoch in range(cfg.max_epochs):
-        epoch_loss = 0.0
-        for idx in _epoch_batches(data.labels, cfg, rng):
-            batch = TrainData(features=data.features[idx], labels=data.labels[idx],
-                              raw=data.raw[idx])
-            loss, grads = joint_loss_and_grads(params, batch, head, cfg, lmcl)
-            adam_step(params, grads, state, cfg.lr)
-            prototypes.renormalize()
-            epoch_loss += loss * len(idx)
-        epoch_loss /= n
+    def trained_head(p):
+        return _head_from_dict(head, p) if use_vmf else head
 
-        if use_vmf:
-            head = _head_from_dict(head, params)
-        recall1, ece1 = (math.nan, math.nan)
-        if eval_hook is not None:
-            recall1, ece1 = eval_hook(encoder, prototypes, head)
-        history.append({"epoch": epoch, "loss": epoch_loss, "recall1": recall1,
-                        "ece1": ece1, "phase": phase})
+    def loss_and_grads(p, batch):
+        return joint_loss_and_grads(p, batch, head, cfg, lmcl)
 
-        if eval_hook is None or epoch < cfg.warmup:
-            continue
-        if phase == 1:
-            if recall1 > best_recall + 1e-12:
-                best_recall = recall1
-                best_params = {k: v.copy() for k, v in params.items()}
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    phase = 2
-                    stale = 0
-                    best_ece = math.inf
-        else:
-            if ece1 < best_ece - 1e-12:
-                best_ece = ece1
-                best_params = {k: v.copy() for k, v in params.items()}
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
+    def evaluate():
+        return eval_hook(encoder, prototypes, trained_head(params))
 
+    best, history = _fit(params, loss_and_grads, data, cfg,
+                         evaluate if eval_hook is not None else None,
+                         (("recall1", -1), ("ece1", +1)),
+                         project=prototypes.renormalize)
     if eval_hook is not None:
-        encoder.weights = best_params["encoder"]
-        prototypes.weights = best_params["prototypes"]
+        encoder.weights = best["encoder"]
+        prototypes.weights = best["prototypes"]
         prototypes.renormalize()
-        if use_vmf:
-            head = _head_from_dict(head, best_params)
-    return encoder, prototypes, head, history
+    return encoder, prototypes, trained_head(best), history

@@ -36,7 +36,7 @@ from kappa_sphere.training import (AnchorMode, LinearEncoder, LmclConfig,
                                    TrainConfig, TrainData, TrainMode,
                                    finite_diff_check, gnll_batch, gnll_loss,
                                    joint_loss_and_grads, lmcl_loss,
-                                   train_joint)
+                                   post_loss_and_grads, train_joint)
 from kappa_sphere.vmf import (BesselOrder, VmfParams, mle_kappa, sample_vmf,
                               stable_log_partition, stable_log_partition_grad,
                               vmf_batch_nll, vmf_nll, vmf_nll_grad_kappa,
@@ -87,7 +87,8 @@ def test_criterion_1_bessel_sandwich():
 
 # --------------------------------------------------------------------------
 # Criterion 2: gradient suite.  Every analytic gradient (vMF NLL w.r.t.
-# kappa and z; head parameters; LMCL; GNLL; and the joint objective that
+# kappa and z; head parameters; LMCL; GNLL; the post-training objective
+# that train_post applies, w.r.t. the head; and the joint objective that
 # train_joint applies, w.r.t. encoder, prototypes and head) matches central
 # finite differences at rel. <= 1e-4 on >= 50 random instances each,
 # double precision.  Runtime < 30 s.
@@ -274,6 +275,37 @@ def test_criterion_2_gradient_suite():
                 report = finite_diff_check(loss_and_grad, params,
                                            tolerance=GRAD_TOL)
             assert report.passed, (anchor_mode, with_vmf, report.per_param)
+
+    # the post-training objective, exactly as train_post evaluates it per
+    # batch: the vMF NLL (GNLL_VARIANT: the Gaussian NLL) of frozen
+    # descriptors with the head output as kappa (sigma^2), w.r.t. every
+    # head parameter, trained GeM p included.  Batch-centroid anchors are
+    # built from the frozen descriptors, so they are constant in the head.
+    for mode in (TrainMode.POST_TRAINING, TrainMode.GNLL_VARIANT):
+        for anchor_mode in (AnchorMode.CLASS_PROTOTYPE,
+                            AnchorMode.BATCH_CENTROID):
+            cfg = TrainConfig(mode=mode, anchor_mode=anchor_mode)
+            for _ in range(N_INSTANCES):
+                head = init_head(shape, hidden=4, rng=rng)
+                head.train_gem_p = True
+                head.gem_p = float(rng.uniform(1.5, 4.0))
+                batch = TrainData(features=rng.standard_normal((b,) + shape),
+                                  labels=labels,
+                                  descriptors=unit_rows(rng, b, d))
+                params = {"kappa_w": head.kappa_w.copy(),
+                          "kappa_b": np.array([head.kappa_b]),
+                          "proj_w": head.proj_w.copy(),
+                          "gem_p": np.array([head.gem_p])}
+
+                def loss_and_grad(params, batch=batch, head=head, cfg=cfg,
+                                  protos=unit_rows(rng, 3, d)):
+                    return post_loss_and_grads(params, batch, head, protos,
+                                               cfg)
+
+                assert set(loss_and_grad(params)[1]) == set(params)
+                report = finite_diff_check(loss_and_grad, params,
+                                           tolerance=GRAD_TOL)
+                assert report.passed, (mode, anchor_mode, report.per_param)
 
     assert time.perf_counter() - start < 30.0
 

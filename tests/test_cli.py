@@ -114,9 +114,14 @@ class TestEval:
     def test_quantile_strategy_recorded(self, workdir):
         out = workdir["out"]
         assert main(["eval", "--out", str(out), "--binning", "quantile",
-                     "--k", "1"]) == 0
+                     "--k", "1", "--bins", "5"]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["reports"]["resultant@1"]["strategy"] == "quantile"
+        assert doc["reports"]["resultant@1"]["num_bins"] == 5
+        # the flags are part of the run's config, and recorded as such
+        assert doc["config"]["ks"] == [1]
+        assert doc["config"]["binning"] == {"num_bins": 5,
+                                            "strategy": "quantile"}
 
 
 class TestMatchEval:
@@ -159,6 +164,38 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert "unknown keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, path", [
+        ({"ks": 5}, "$.ks"),
+        ({"tau": [1]}, "$.tau"),
+        ({"scene": {"num_classes": "8"}}, "$.scene.num_classes"),
+        ({"train": {"mode": "nope"}}, "$.train.mode"),
+    ])
+    def test_bad_config_value_located(self, tmp_path, capsys, config, path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["gen", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert f"(at {path})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("poses", 5, "$.poses"),
+        ("split", [[1]], "$.split[0]"),
+        ("poses", [[1, 2, 3]], "$.poses[0]"),
+        ("ids", ["x"], "$.ids[0]"),
+    ])
+    def test_bad_manifest_value_located(self, workdir, tmp_path, capsys,
+                                        field, value, path):
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in ("bank.kpb", "config.json"):
+            (out / name).write_bytes((workdir["out"] / name).read_bytes())
+        doc = json.loads((workdir["out"] / "manifest.json").read_text())
+        doc[field] = value if not isinstance(value, list) \
+            else value + doc[field][len(value):]
+        (out / "manifest.json").write_text(json.dumps(doc))
+        assert main(["eval", "--out", str(out)]) == 1
+        assert f"(at {path})" in capsys.readouterr().err
 
     def test_fit_rejects_joint_mode(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -4,9 +4,12 @@ import json
 import os
 import stat
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kappa_sphere.fileio import (BankFormatError, ConfigError, ManifestError,
                                  atomic_write_text, default_run_config,
@@ -15,9 +18,11 @@ from kappa_sphere.fileio import (BankFormatError, ConfigError, ManifestError,
                                  scene_config_from, train_config_from,
                                  write_bank, write_manifest,
                                  write_model_state, history_csv)
+from kappa_sphere.calibration import BinStrategy
 from kappa_sphere.head import HeadVariant, init_head
 from kappa_sphere.retrieval import DescriptorBank
-from kappa_sphere.training import LinearEncoder, TrainMode
+from kappa_sphere.synth import SPLIT_NAMES
+from kappa_sphere.training import AnchorMode, LinearEncoder, TrainMode
 
 
 def unit_rows(rng, n, d):
@@ -295,3 +300,118 @@ class TestHistoryCsv:
 
     def test_empty(self):
         assert history_csv([]) == ""
+
+
+# JSON values of every type; `_not_of` keeps those of other types
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+    st.lists(st.integers(0, 9), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=1))
+
+
+def _not_of(*types):
+    return _JSON_VALUES.filter(lambda v: type(v) not in types)
+
+
+class TestBoundaryProperties:
+    """Type-substituted and truncated manifest and config fields raise the
+    located error (ManifestError or ConfigError at the field's JSON path,
+    or at the line of a truncated file), never anything else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_manifest_fields(self, data):
+        rng = np.random.default_rng(0)
+        bank = TestManifest().make_bank(rng, n=6)
+        splits = {"train": np.arange(0, 2), "db": np.arange(2, 4),
+                  "query": np.arange(4, 6)}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "manifest.json")
+            write_manifest(path, bank, splits)
+            text = open(path).read()
+            doc = json.loads(text)
+            field = data.draw(st.sampled_from(sorted(doc)), label="field")
+            how = data.draw(st.sampled_from(["field", "truncate", "item",
+                                             "file"]), label="how")
+            expected = f"$.{field}"
+            if how == "field":
+                required = field in ("ids", "labels")
+                doc[field] = data.draw(_not_of(list) if required
+                                       else _not_of(list, type(None)))
+            elif how == "truncate":
+                doc[field] = doc[field][:data.draw(st.integers(0, 5))]
+            elif how == "item":
+                i = data.draw(st.integers(0, 5), label="i")
+                expected = f"$.{field}[{i}]"
+                if field in ("ids", "labels"):
+                    doc[field][i] = data.draw(_not_of(int))
+                elif field == "split":
+                    doc[field][i] = data.draw(_not_of(str) | st.text(
+                        max_size=5).filter(lambda v: v not in SPLIT_NAMES))
+                elif field == "poses" and data.draw(st.booleans()):
+                    doc[field][i] = data.draw(_not_of(list) | st.lists(
+                        st.integers(0, 9), max_size=4).filter(
+                            lambda row: len(row) != 2))
+                elif field == "poses":
+                    doc[field][i][data.draw(st.integers(0, 1))] = \
+                        data.draw(_not_of(int, float))
+                else:
+                    doc[field][i] = data.draw(_not_of(int, float))
+            if how == "file":
+                expected = "line "
+                payload = text[:data.draw(st.integers(0, len(text) - 1))]
+            else:
+                payload = json.dumps(doc)
+            with open(path, "w") as fh:
+                fh.write(payload)
+            with pytest.raises(ManifestError) as exc:
+                read_manifest(path, bank.descriptors)
+        assert exc.value.path.startswith(expected), (how, exc.value.path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_config_fields(self, data):
+        doc = default_run_config()
+        keys = [(section, key) for section in ("scene", "train", "lmcl",
+                                               "binning")
+                for key in sorted(doc[section])]
+        target = data.draw(st.sampled_from(
+            keys + [("ks",), ("tau",), ("file",)]), label="target")
+        enum_values = {m.value for e in (TrainMode, AnchorMode, BinStrategy)
+                       for m in e}
+        expected = "$." + ".".join(target)
+        if len(target) == 2:
+            section, key = target
+            default = doc[section][key]
+            if isinstance(default, list):      # feature_shape
+                k = data.draw(st.integers(0, len(default) - 1))
+                bad = data.draw(
+                    _not_of(list) | st.just(default[:k])
+                    | _not_of(int).map(lambda v: default[:k] + [v]
+                                       + default[k + 1:]))
+            elif isinstance(default, str):     # an enum
+                bad = data.draw(_not_of(str) | st.text(max_size=5).filter(
+                    lambda v: v not in enum_values))
+            elif isinstance(default, bool):
+                bad = data.draw(_not_of(bool))
+            else:
+                bad = data.draw(_not_of(int) if isinstance(default, int)
+                                else _not_of(int, float))
+            doc = {section: {key: bad}}
+        elif target == ("ks",):
+            doc = {"ks": data.draw(_not_of(list)
+                                   | _not_of(int).map(lambda v: [1, v]))}
+        elif target == ("tau",):
+            doc = {"tau": data.draw(_not_of(int, float))}
+        text = json.dumps(doc)
+        if target == ("file",):
+            expected = "line "
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            with pytest.raises(ConfigError) as exc:
+                load_run_config(path)
+        assert exc.value.path.startswith(expected), (target, exc.value.path)

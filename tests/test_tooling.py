@@ -1,5 +1,6 @@
 """The layer tracer's targets exist, so a rename fails here rather than in a
-traced benchmark run; and the CLI's modules start without scipy."""
+traced benchmark run; the CLI's modules start without scipy; and --help and
+argument errors return without loading numpy."""
 
 import importlib
 import importlib.util
@@ -10,6 +11,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACE_RUNNER = ROOT / "perfbench" / "trace_runner.py"
+
+
+def _fresh_python(code: str) -> str:
+    """Stdout of `code` run by a fresh interpreter that imports this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True,
+                          timeout=60).stdout.strip()
 
 
 def test_trace_targets_exist():
@@ -31,8 +41,20 @@ def test_cli_modules_import_without_scipy():
             "import kappa_sphere.cli, kappa_sphere.pipeline, kappa_sphere.fileio\n"
             "import kappa_sphere.synth, kappa_sphere.training, kappa_sphere.bench\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+def test_help_and_argument_errors_skip_numpy():
+    # the reason the package and the CLI defer their heavy imports
+    code = ("import sys\n"
+            "from kappa_sphere.cli import main\n"
+            "for argv in (['--help'], ['eval', '--help'], ['eval'],\n"
+            "             ['eval', '--out', 'o', '--k', 'x'], ['nope']):\n"
+            "    try:\n"
+            "        main(argv)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "    else:\n"
+            "        raise AssertionError(argv)\n"
+            "print('numpy' in sys.modules)")
+    assert _fresh_python(code).splitlines()[-1] == "False"

@@ -391,4 +391,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(warmup=-1)
         with pytest.raises(ValueError):
+            TrainConfig(batch_size=0)
+        with pytest.raises(ValueError):
             LmclConfig(margin=1.0)
