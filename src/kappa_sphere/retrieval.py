@@ -120,9 +120,15 @@ def batch_knn(queries, bank: DescriptorBank, k: int,
     """Exact top-k under cosine similarity for an (n, d) block of queries.
 
     Ranking is by descending cosine, ties broken by ascending reference id.
-    Rows are ranked _ROW_BLOCK at a time: a partition finds each row's k-th
-    best cosine, and only the columns at least that good (every tie of the
-    k-th included) are sorted, so no full N-long row is ever sorted.
+    Rows are scored and ranked _ROW_BLOCK at a time, so no (n, N) matrix
+    exists: one GEMM gives the block's cosines, a partition finds each
+    row's k-th best, and only the columns at least that good (every tie of
+    the k-th included) are sorted.
+
+    The cosines are bit-identical to one full `queries @ D.T`.  A batch of
+    at most _ROW_BLOCK rows is that GEMM; in a longer batch a short tail
+    block is zero-padded to _ROW_BLOCK rows, because BLAS may sum a GEMM of
+    only a few rows in another order.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if query_ids is None:
@@ -131,23 +137,29 @@ def batch_knn(queries, bank: DescriptorBank, k: int,
         raise ValueError(f"K={k} out of range for bank of {len(bank)}")
     if not np.isfinite(queries).all():
         raise ValueError("query rows contain non-finite entries")
-    sims = queries @ bank.descriptors.T  # (n, N)
-    n, N = sims.shape
+    n, N = len(queries), len(bank)
     order = np.empty((n, k), dtype=np.int64)
+    similarities = np.empty((n, k))
     for start in range(0, n, _ROW_BLOCK):
-        block = sims[start:start + _ROW_BLOCK]
+        q = queries[start:start + _ROW_BLOCK]
+        h = len(q)
+        if n > _ROW_BLOCK and h < _ROW_BLOCK:
+            q = np.concatenate([q, np.zeros((_ROW_BLOCK - h, q.shape[1]))])
+        block = (q @ bank.descriptors.T)[:h]  # (h, N)
         kth = np.partition(block, N - k, axis=1)[:, N - k, None]
         rows, cols = np.nonzero(block >= kth)
         ranked = cols[np.lexsort((bank.ids[cols], -block[rows, cols], rows))]
         # `rows` is ascending and is the lexsort's primary key, so
         # row i's candidates start at the same offset in both
-        first = np.searchsorted(rows, np.arange(len(block)))
-        order[start:start + len(block)] = ranked[first[:, None] + np.arange(k)]
+        first = np.searchsorted(rows, np.arange(h))
+        top = ranked[first[:, None] + np.arange(k)]
+        order[start:start + h] = top
+        similarities[start:start + h] = np.take_along_axis(block, top, axis=1)
     return RetrievalResult(
         query_ids=np.asarray(query_ids, dtype=np.int64),
         ref_ids=bank.ids[order],
         ref_indices=order,
-        similarities=np.take_along_axis(sims, order, axis=1),
+        similarities=similarities,
     )
 
 

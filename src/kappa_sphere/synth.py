@@ -48,6 +48,7 @@ class SceneConfig:
             raise ValueError("aliasing_rate must be in [0, 1]")
         if self.num_classes < 2 or self.images_per_class < 1:
             raise ValueError("need at least 2 classes and 1 image per class")
+        aliased_class_count(self.aliasing_rate, self.num_classes)
         self.feature_shape = tuple(int(x) for x in self.feature_shape)
 
     def to_dict(self) -> dict:
@@ -98,6 +99,18 @@ def ambiguity_to_kappa(ambiguity, config: SceneConfig):
     """Affine decreasing link: high ambiguity means low concentration."""
     a = np.asarray(ambiguity, dtype=np.float64)
     return config.kappa_min + (config.kappa_max - config.kappa_min) * (1.0 - a)
+
+
+def aliased_class_count(rate: float, num_classes: int) -> int:
+    """Classes that aliasing at `rate` pairs up: round(rate * C), which
+    must be even."""
+    involved = round(rate * num_classes)
+    if involved % 2 != 0:
+        raise ValueError(
+            f"aliasing rate {rate} selects an odd number of classes ({involved}); "
+            "cannot form pairs"
+        )
+    return involved
 
 
 def _ambiguity_embedding(a):
@@ -189,12 +202,7 @@ def inject_aliasing(dataset: SynthDataset, rate: float, seed: int,
     if rate == 0.0:
         return dataset
     c_cls = dataset.config.num_classes
-    involved = round(rate * c_cls)
-    if involved % 2 != 0:
-        raise ValueError(
-            f"aliasing rate {rate} selects an odd number of classes ({involved}); "
-            "cannot form pairs"
-        )
+    involved = aliased_class_count(rate, c_cls)
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         chosen = rng.permutation(c_cls)[:involved]

@@ -48,6 +48,17 @@ class TestClamp:
         with pytest.raises(ValueError):
             clamp_values([], BinningConfig())
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1e6, 1e6) | st.integers(-3, 3),
+                           min_size=1, max_size=300),
+           mode=st.sampled_from(list(ClampMode)))
+    def test_idempotent_property(self, values, mode):
+        # Heavy ties included: re-clamping clamped values changes nothing.
+        cfg = BinningConfig(clamp=mode)
+        once, _ = clamp_values(values, cfg)
+        twice, _ = clamp_values(once, cfg)
+        np.testing.assert_array_equal(once, twice)
+
 
 class TestBinAssign:
     def test_symmetric_split(self):
@@ -79,6 +90,23 @@ class TestBinAssign:
         bins = bin_assign(np.arange(11.0), cfg)
         np.testing.assert_array_equal(bins[:5], 1)
         np.testing.assert_array_equal(bins[5:], 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.integers(-1000, 1000), width=st.integers(1, 1000),
+           m=st.integers(2, 20),
+           extra=st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_interior_edge_goes_up_property(self, lo, width, m, extra):
+        # Edge i is lo + (hi - lo) * (i / m).  A value on it lands in bin
+        # i + 1; the float just below it lands in bin i.
+        hi = lo + m * width
+        edges = lo + (hi - lo) * (np.arange(1, m) / m)
+        below = np.nextafter(edges, -np.inf)
+        v = np.concatenate([[lo, hi], edges, below,
+                            lo + (hi - lo) * np.asarray(extra)])
+        bins = bin_assign(v, BinningConfig(num_bins=m, clamp=ClampMode.NONE))
+        np.testing.assert_array_equal(bins[2:m + 1], np.arange(2, m + 1))
+        np.testing.assert_array_equal(bins[m + 1:2 * m], np.arange(1, m))
+        assert bins[0] == 1 and bins[1] == m
 
     def test_quantile_near_equal_counts(self, rng):
         cfg = BinningConfig(num_bins=4, strategy=BinStrategy.QUANTILE)

@@ -170,6 +170,7 @@ class TestErrors:
         ({"tau": [1]}, "$.tau"),
         ({"scene": {"num_classes": "8"}}, "$.scene.num_classes"),
         ({"train": {"mode": "nope"}}, "$.train.mode"),
+        ({"scene": {"num_classes": 4}}, "$.scene"),  # 1 aliased class
     ])
     def test_bad_config_value_located(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "config.json"

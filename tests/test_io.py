@@ -198,8 +198,8 @@ class TestRunConfig:
     def test_overrides_layer_wins(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scene": {"num_classes": 8}}))
-        resolved = load_run_config(path, overrides={"scene": {"num_classes": 4}})
-        assert resolved["scene"]["num_classes"] == 4
+        resolved = load_run_config(path, overrides={"scene": {"num_classes": 16}})
+        assert resolved["scene"]["num_classes"] == 16
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -317,7 +317,59 @@ def _not_of(*types):
 class TestBoundaryProperties:
     """Type-substituted and truncated manifest and config fields raise the
     located error (ManifestError or ConfigError at the field's JSON path,
-    or at the line of a truncated file), never anything else."""
+    or at the line of a truncated file), and a corrupted bank raises
+    BankFormatError at its byte offset, never anything else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bank_corruption(self, data):
+        count, dim = 6, 5
+        rows = unit_rows(np.random.default_rng(0), count, dim)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bank.kpb")
+            write_bank(path, rows)
+            raw = bytearray(open(path, "rb").read())
+            how = data.draw(st.sampled_from(
+                ["truncate", "magic", "version", "dim", "count", "scale",
+                 "non_finite"]), label="how")
+            if how == "truncate":
+                raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+                # the header's shape asks for more bytes than the file has
+                expected = len(raw)
+            elif how == "magic":
+                raw[0:4] = data.draw(st.binary(min_size=4, max_size=4)
+                                     .filter(lambda b: b != b"KPB1"))
+                expected = 0
+            elif how == "version":
+                struct.pack_into("<I", raw, 4, data.draw(
+                    st.integers(0, 2**32 - 1).filter(lambda v: v != 1)))
+                expected = 4
+            elif how in ("dim", "count"):
+                fmt, at, old = (("<I", 8, dim) if how == "dim"
+                                else ("<Q", 12, count))
+                value = data.draw(st.integers(0, 2**32 - 1)
+                                  .filter(lambda v: v != old))
+                struct.pack_into(fmt, raw, at, value)
+                shape = {"dim": dim, "count": count, how: value}
+                # a wrong dim or count shows as a payload length mismatch,
+                # at the first byte the header's shape does not account for
+                expected = min(len(raw), 20 + shape["dim"] * shape["count"] * 4)
+            else:
+                i = data.draw(st.integers(0, count - 1), label="row")
+                expected = 20 + i * dim * 4
+                row = np.frombuffer(raw, "<f4", dim, expected).copy()
+                if how == "scale":
+                    row *= data.draw(st.floats(0.0, 0.99)
+                                     | st.floats(1.01, 100.0))
+                else:
+                    row[data.draw(st.integers(0, dim - 1))] = data.draw(
+                        st.sampled_from([np.nan, np.inf, -np.inf]))
+                raw[expected:expected + dim * 4] = row.tobytes()
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            with pytest.raises(BankFormatError) as exc:
+                read_bank(path)
+        assert exc.value.offset == expected, (how, exc.value.offset)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -1,5 +1,7 @@
 """Exact cosine retrieval, ground truth, and Recall@K."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,14 @@ from kappa_sphere.retrieval import (_ROW_BLOCK, DescriptorBank, GroundTruth,
                                     mark_successes, recall_at_k)
 
 
-def make_bank(rng, n=20, d=8, with_poses=True):
+def unit_rows(rng, n, d):
     w = rng.standard_normal((n, d))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
+def make_bank(rng, n=20, d=8, with_poses=True):
     return DescriptorBank(
-        descriptors=w,
+        descriptors=unit_rows(rng, n, d),
         ids=np.arange(100, 100 + n),
         labels=np.arange(n) % 4,
         poses=rng.uniform(0, 500, (n, 2)) if with_poses else None,
@@ -101,6 +106,40 @@ class TestKnn:
         np.testing.assert_array_equal(
             res.similarities, np.take_along_axis(sims, expected, axis=1))
         np.testing.assert_array_equal(res.ref_ids, ids[expected])
+
+    @pytest.mark.parametrize("n", [1, _ROW_BLOCK]
+                             + [_ROW_BLOCK + h for h in range(1, 9)])
+    def test_blocked_gemm_is_bit_identical_to_full_gemm(self, n):
+        # The blocks' cosines must equal one full Q @ D.T bit for bit.  At
+        # N = 288 and d = 64, OpenBLAS 0.3.31 sums a GEMM of 1-4 rows in
+        # another order, so every tail height up to 8 is pinned here.
+        r = np.random.default_rng(n)
+        bank = DescriptorBank(descriptors=unit_rows(r, 288, 64),
+                              ids=np.arange(288), labels=np.zeros(288))
+        queries = unit_rows(r, n, 64)
+        sims = queries @ bank.descriptors.T
+        expected = np.stack([np.lexsort((bank.ids, -row))[:10]
+                             for row in sims])
+        res = batch_knn(queries, bank, 10)
+        np.testing.assert_array_equal(res.ref_indices, expected)
+        np.testing.assert_array_equal(
+            res.similarities, np.take_along_axis(sims, expected, axis=1))
+
+    def test_memory_stays_below_the_full_similarity_matrix(self):
+        # Blocked search never holds the (n, N) float64 matrix: its peak
+        # allocation stays below half of it.
+        r = np.random.default_rng(0)
+        n, N = 2048, 4096
+        bank = DescriptorBank(descriptors=unit_rows(r, N, 64),
+                              ids=np.arange(N), labels=np.zeros(N))
+        queries = unit_rows(r, n, 64)
+        tracemalloc.start()
+        try:
+            batch_knn(queries, bank, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * N * 8 / 2
 
     def test_rejects_non_finite_queries(self, rng):
         bank = make_bank(rng, n=5, d=3)

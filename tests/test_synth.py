@@ -29,6 +29,8 @@ class TestConfig:
             SceneConfig(pose_spacing=8.0, pose_jitter=5.0)
         with pytest.raises(ValueError):
             SceneConfig(aliasing_rate=1.5)
+        with pytest.raises(ValueError, match=r"odd number of classes \(1\)"):
+            SceneConfig(num_classes=4)  # 0.25 of 4 classes cannot pair up
 
     def test_kappa_link(self):
         cfg = SceneConfig(kappa_min=5.0, kappa_max=500.0)
