@@ -49,16 +49,12 @@ class BinningConfig:
             raise ValueError("need at least 2 bins")
 
 
-def _percentile_high(sorted_vals: np.ndarray, pct: float) -> float:
-    """High-tail order statistic: sorted value at floor((n-1) * p / 100)."""
-    n = len(sorted_vals)
-    return float(sorted_vals[int(math.floor((n - 1) * pct / 100.0))])
-
-
-def _percentile_low(sorted_vals: np.ndarray, pct: float) -> float:
-    """Low-tail order statistic: sorted value at ceil((n-1) * p / 100)."""
-    n = len(sorted_vals)
-    return float(sorted_vals[int(math.ceil((n - 1) * pct / 100.0))])
+def _clamp_indices(n: int) -> tuple:
+    """Order-statistic indices (low, high) of the clamp bounds among n
+    sorted values: high at floor((n-1) * 99 / 100), low at
+    ceil((n-1) * 1 / 100) but never above high (n = 2 would invert them)."""
+    high = int(math.floor((n - 1) * CLAMP_HIGH_PCT / 100.0))
+    return min(int(math.ceil((n - 1) * CLAMP_LOW_PCT / 100.0)), high), high
 
 
 def clamp_values(values, config: BinningConfig):
@@ -73,11 +69,12 @@ def clamp_values(values, config: BinningConfig):
     if config.clamp is ClampMode.NONE:
         return v.copy(), (None, None)
     s = np.sort(v)
-    high = _percentile_high(s, CLAMP_HIGH_PCT)
+    i_low, i_high = _clamp_indices(len(s))
+    high = float(s[i_high])
     low = None
     out = np.minimum(v, high)
     if config.clamp is ClampMode.TWO_SIDED:
-        low = _percentile_low(s, CLAMP_LOW_PCT)
+        low = float(s[i_low])
         out = np.maximum(out, low)
     return out, (low, high)
 
@@ -225,10 +222,11 @@ def ece_bruteforce_oracle(scores, flags, config: BinningConfig) -> float:
     # clamping (same inclusive order-statistic convention as the fast path)
     if config.clamp is not ClampMode.NONE:
         svals = sorted(vals)
-        hi_b = svals[int(math.floor((n - 1) * 99.0 / 100.0))]
+        hi_i = int(math.floor((n - 1) * 99.0 / 100.0))
+        hi_b = svals[hi_i]
         vals = [min(x, hi_b) for x in vals]
         if config.clamp is ClampMode.TWO_SIDED:
-            lo_b = svals[int(math.ceil((n - 1) * 1.0 / 100.0))]
+            lo_b = svals[min(int(math.ceil((n - 1) * 1.0 / 100.0)), hi_i)]
             vals = [max(x, lo_b) for x in vals]
 
     # partitioning

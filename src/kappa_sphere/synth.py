@@ -19,7 +19,7 @@ import numpy as np
 from .anchors import PrototypeSet
 from .retrieval import DescriptorBank
 from .training import TrainData
-from .vmf import VmfParams, sample_vmf
+from .vmf import sample_vmf
 
 DEFAULT_SPLIT = (0.5, 0.3, 0.2)
 SPLIT_NAMES = ("train", "db", "query")
@@ -48,7 +48,10 @@ class SceneConfig:
             raise ValueError("aliasing_rate must be in [0, 1]")
         if self.num_classes < 2 or self.images_per_class < 1:
             raise ValueError("need at least 2 classes and 1 image per class")
+        if self.descriptor_dim < 2:
+            raise ValueError(f"descriptor_dim must be >= 2, got {self.descriptor_dim}")
         aliased_class_count(self.aliasing_rate, self.num_classes)
+        stratified_counts(DEFAULT_SPLIT, self.images_per_class)
         self.feature_shape = tuple(int(x) for x in self.feature_shape)
 
     def to_dict(self) -> dict:
@@ -113,6 +116,20 @@ def aliased_class_count(rate: float, num_classes: int) -> int:
     return involved
 
 
+def stratified_counts(fractions, size: int) -> list:
+    """Images of a class of `size` per split: floor(fraction * size), the
+    remainder handed to train, db, query in that order.  Every
+    nonzero-fraction split must get at least one image."""
+    counts = [int(math.floor(f * size)) for f in fractions]
+    for i in range(size - sum(counts)):
+        counts[i % 3] += 1
+    for f, cnt, name in zip(fractions, counts, SPLIT_NAMES):
+        if f > 0.0 and cnt == 0:
+            raise ValueError(f"a class of {size} images is too small to "
+                             f"stratify: no images for {name!r}")
+    return counts
+
+
 def _ambiguity_embedding(a):
     """Fixed smooth monotone map of ambiguity into channel-0 amplitude."""
     return 0.25 + 1.75 * (1.0 - a)
@@ -166,10 +183,7 @@ def generate_scene(config: SceneConfig) -> SynthDataset:
     poses = class_poses[labels] + rng.uniform(
         -config.pose_jitter, config.pose_jitter, size=(n, 2))
 
-    descriptors = np.empty((n, d))
-    for i in range(n):
-        params = VmfParams(mu=prototypes[labels[i]], kappa=true_kappa[i])
-        descriptors[i] = sample_vmf(params, 1, rng)[0]
+    descriptors = sample_vmf((prototypes[labels], true_kappa), n, rng)
 
     features = _build_features(rng, ambiguity, config.feature_shape, config.noise_std)
     raw = np.concatenate([descriptors, features.reshape(n, -1)], axis=1)
@@ -216,14 +230,15 @@ def inject_aliasing(dataset: SynthDataset, rate: float, seed: int,
         raise ValueError("could not find geographically separated alias pairs")
 
     protos = dataset.prototypes.weights
+    bank = dataset.bank
     for a, b in pairs:
         protos[b] = protos[a]
-        idx = np.flatnonzero(dataset.bank.labels == b)
-        for i in idx:
-            params = VmfParams(mu=protos[b], kappa=dataset.bank.true_kappa[i])
-            dataset.bank.descriptors[i] = sample_vmf(params, 1, rng)[0]
-        m_desc = dataset.bank.descriptors.shape[1]
-        dataset.raw[idx, :m_desc] = dataset.bank.descriptors[idx]
+    if pairs:
+        # One draw for every resampled row, pair by pair, rows ascending.
+        idx = np.concatenate([np.flatnonzero(bank.labels == b) for _, b in pairs])
+        bank.descriptors[idx] = sample_vmf(
+            (protos[bank.labels[idx]], bank.true_kappa[idx]), idx.size, rng)
+        dataset.raw[idx, :bank.descriptors.shape[1]] = bank.descriptors[idx]
     dataset.aliased_pairs = pairs
     return dataset
 
@@ -231,9 +246,7 @@ def inject_aliasing(dataset: SynthDataset, rate: float, seed: int,
 def split(dataset: SynthDataset, fractions, seed: int) -> dict:
     """Class-stratified split into train/db/query; stored on the dataset.
 
-    Whole-image counts are floor(fraction * per_class) with the remainder
-    handed to train, db, query in that order.  Every class must land at
-    least one image in each nonzero-fraction split.
+    Each class's counts come from `stratified_counts`.
     """
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
@@ -244,15 +257,7 @@ def split(dataset: SynthDataset, fractions, seed: int) -> dict:
     for cls in range(dataset.config.num_classes):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(len(idx))]
-        counts = [int(math.floor(f * len(idx))) for f in fractions]
-        leftover = len(idx) - sum(counts)
-        for i in range(leftover):
-            counts[i % 3] += 1
-        for f, cnt, name in zip(fractions, counts, SPLIT_NAMES):
-            if f > 0.0 and cnt == 0:
-                raise ValueError(
-                    f"class {cls} too small to stratify: no images for {name!r}"
-                )
+        counts = stratified_counts(fractions, len(idx))
         start = 0
         for cnt, name in zip(counts, SPLIT_NAMES):
             parts[name].extend(idx[start:start + cnt].tolist())

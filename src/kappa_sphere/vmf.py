@@ -217,43 +217,66 @@ def log_density(z, params: VmfParams, order: BesselOrder) -> float:
     return log_c + k * float(params.mu @ z)
 
 
-def sample_vmf(params: VmfParams, count: int, rng_seed) -> np.ndarray:
+def sample_vmf(params, count: int, rng_seed) -> np.ndarray:
     """Draw `count` vMF samples, returned as a (count, d) array of unit rows.
 
-    Wood-style scheme: the mu-component w is drawn by beta rejection
+    `params` is one `VmfParams` shared by every row, or a pair
+    (mu, kappa) of per-row unit means (count, d) and concentrations
+    (count,).  Wood (1994): the mu-component w is drawn by beta rejection
     sampling, the tangent component uniformly on the orthogonal sphere.
     Deterministic for a fixed (seed, params, count).
+
+    Stream contract.  Row i consumes the generator in row order: its
+    rejection draws (beta, then uniform, until accepted; none at kappa 0),
+    then d standard normals.  So n per-row draws in one call equal n
+    successive calls with count 1 on the same generator, bit for bit;
+    scene synthesis relies on this.  (Before the batched kernel, one
+    VmfParams with count > 1 drew every w first and then all the normals,
+    so that stream changed.)  The projection, the tilt by w and both
+    normalisations run once over all rows; each row's mu.v is a stacked matmul,
+    which gives the bits of a (1, d) @ (d,) product.  np.einsum and
+    (v * mu).sum(1) sum in another order and change about two rows in
+    three; np.vecdot keeps the bits but needs numpy >= 2.0.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if isinstance(params, VmfParams):
+        params = (np.tile(params.mu, (count, 1)), np.full(count, params.kappa))
+    mu = check_unit_rows(params[0], name="mu")
+    kappas = _check_kappas(params[1])
+    if mu.shape[0] != count or mu.shape[1] < 2 or kappas.shape != (count,):
+        raise ValueError(f"need mu (count, d >= 2) and kappa (count,) with "
+                         f"count={count}, got {mu.shape} and {kappas.shape}")
     rng = np.random.default_rng(rng_seed)
-    d, k, mu = params.d, params.kappa, params.mu
-
-    if k == 0.0:
-        x = rng.standard_normal((count, d))
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-    w = np.empty(count)
+    d = mu.shape[1]
     dim = d - 1
-    b = dim / (math.sqrt(4.0 * k * k + dim * dim) + 2.0 * k)
-    x0 = (1.0 - b) / (1.0 + b)
-    c = k * x0 + dim * math.log(1.0 - x0 * x0)
-    for i in range(count):
-        while True:
-            zb = rng.beta(dim / 2.0, dim / 2.0)
-            wi = (1.0 - (1.0 + b) * zb) / (1.0 - (1.0 - b) * zb)
-            u = rng.uniform()
-            if k * wi + dim * math.log(1.0 - x0 * wi) - c >= math.log(u):
-                w[i] = wi
-                break
+    w = np.zeros(count)
+    x = np.empty((count, d))
+    for i, k in enumerate(kappas.tolist()):
+        if k > 0.0:
+            b = dim / (math.sqrt(4.0 * k * k + dim * dim) + 2.0 * k)
+            x0 = (1.0 - b) / (1.0 + b)
+            c = k * x0 + dim * math.log(1.0 - x0 * x0)
+            while True:
+                zb = rng.beta(dim / 2.0, dim / 2.0)
+                wi = (1.0 - (1.0 + b) * zb) / (1.0 - (1.0 - b) * zb)
+                u = rng.uniform()
+                if k * wi + dim * math.log(1.0 - x0 * wi) - c >= math.log(u):
+                    w[i] = wi
+                    break
+        rng.standard_normal(out=x[i])
 
-    # Uniform directions in the hyperplane orthogonal to mu.
-    v = rng.standard_normal((count, d))
-    v -= np.outer(v @ mu, mu)
+    # Rows with kappa > 0: a uniform direction in the hyperplane orthogonal
+    # to mu, tilted by w.  Rows with kappa = 0 stay isotropic normals.
+    t = kappas > 0.0
+    v, m, wt = x[t], mu[t], w[t]
+    v -= (v[:, None, :] @ m[:, :, None])[:, 0] * m
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-
-    samples = v * np.sqrt(np.maximum(1.0 - w * w, 0.0))[:, None] + np.outer(w, mu)
-    return samples / np.linalg.norm(samples, axis=1, keepdims=True)
+    v *= np.sqrt(np.maximum(1.0 - wt * wt, 0.0))[:, None]
+    v += wt[:, None] * m
+    x[t] = v
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x
 
 
 def mle_kappa(samples) -> float:

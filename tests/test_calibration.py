@@ -53,11 +53,20 @@ class TestClamp:
                            min_size=1, max_size=300),
            mode=st.sampled_from(list(ClampMode)))
     def test_idempotent_property(self, values, mode):
-        # Heavy ties included: re-clamping clamped values changes nothing.
+        # Heavy ties included: re-clamping clamped values changes nothing,
+        # and the low bound never sits above the high one.
         cfg = BinningConfig(clamp=mode)
-        once, _ = clamp_values(values, cfg)
+        once, (lo, hi) = clamp_values(values, cfg)
         twice, _ = clamp_values(once, cfg)
         np.testing.assert_array_equal(once, twice)
+        if lo is not None:
+            assert lo <= hi
+
+    def test_two_values_keep_ordered_bounds(self):
+        # At n = 2 the low order statistic would sit above the high one.
+        clamped, (lo, hi) = clamp_values([0.0, 1.0], BinningConfig())
+        assert (lo, hi) == (0.0, 0.0)
+        np.testing.assert_array_equal(clamped, [0.0, 0.0])
 
 
 class TestBinAssign:

@@ -171,6 +171,8 @@ class TestErrors:
         ({"scene": {"num_classes": "8"}}, "$.scene.num_classes"),
         ({"train": {"mode": "nope"}}, "$.train.mode"),
         ({"scene": {"num_classes": 4}}, "$.scene"),  # 1 aliased class
+        ({"scene": {"descriptor_dim": 1}}, "$.scene"),
+        ({"scene": {"images_per_class": 4}}, "$.scene"),  # cannot stratify
     ])
     def test_bad_config_value_located(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "config.json"

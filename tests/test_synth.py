@@ -31,6 +31,13 @@ class TestConfig:
             SceneConfig(aliasing_rate=1.5)
         with pytest.raises(ValueError, match=r"odd number of classes \(1\)"):
             SceneConfig(num_classes=4)  # 0.25 of 4 classes cannot pair up
+        for d in (0, 1):
+            with pytest.raises(ValueError, match="descriptor_dim"):
+                SceneConfig(descriptor_dim=d)
+        for per in (1, 2, 3, 4):
+            with pytest.raises(ValueError, match="stratify"):
+                SceneConfig(images_per_class=per)
+        SceneConfig(images_per_class=5, descriptor_dim=2)
 
     def test_kappa_link(self):
         cfg = SceneConfig(kappa_min=5.0, kappa_max=500.0)
@@ -169,8 +176,8 @@ class TestSplit:
             split(ds, (0.5, 0.5, 0.5), seed=0)
 
     def test_tiny_class_rejected(self):
-        # 2 images per class cannot stratify into 3 nonzero splits;
-        # generate_scene performs the default split and must refuse.
+        # 2 images per class cannot stratify into 3 nonzero splits; the
+        # scene config is refused before generate_scene runs the split.
         with pytest.raises(ValueError, match="stratify"):
             generate_scene(SceneConfig(num_classes=4, images_per_class=2,
                                        descriptor_dim=8, aliasing_rate=0.0))

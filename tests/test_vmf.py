@@ -1,5 +1,6 @@
 """Core vMF machinery against scipy/quadrature oracles."""
 
+import inspect
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ive
 
+from kappa_sphere import synth, vmf
 from kappa_sphere.bessel import bessel_ratio_exact
 from kappa_sphere.vmf import (BesselOrder, DegenerateConcentrationError,
                               VmfParams, check_unit, log_density, mle_kappa,
@@ -168,6 +170,156 @@ class TestSampling:
         params = VmfParams(mu=unit(np.ones(6)), kappa=0.0)
         samples = sample_vmf(params, 20000, rng_seed=5)
         assert abs(float(np.mean(samples @ params.mu))) < 0.02
+
+    def test_per_row_mean_alignment_matches_bessel_ratio(self, rng):
+        # Per-row means and kappas in one call: each kappa's rows have
+        # E[mu.z] = I_{d/2}(k) / I_{d/2-1}(k).
+        d, per = 64, 10000
+        grid = (0.5, 5.0, 50.0, 500.0)
+        kappas = np.repeat(grid, per)
+        mu = rng.standard_normal((kappas.size, d))
+        mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+        samples = sample_vmf((mu, kappas), kappas.size, rng_seed=13)
+        dots = np.einsum("ij,ij->i", samples, mu).reshape(len(grid), per)
+        for kappa, row in zip(grid, dots):
+            expected = bessel_ratio_exact(d / 2.0 - 1.0, kappa)
+            tol = 4.0 * row.std() / math.sqrt(per)
+            assert abs(row.mean() - expected) < tol, kappa
+
+    def test_per_row_inputs_checked(self):
+        mu = np.tile(unit(np.ones(4)), (3, 1))
+        kappas = np.full(3, 2.0)
+        with pytest.raises(ValueError, match="unit-norm"):
+            sample_vmf((2.0 * mu, kappas), 3, rng_seed=0)
+        with pytest.raises(ValueError, match="kappa"):
+            sample_vmf((mu, -kappas), 3, rng_seed=0)
+        with pytest.raises(ValueError, match="count=2"):
+            sample_vmf((mu, kappas), 2, rng_seed=0)
+        with pytest.raises(ValueError, match="d >= 2"):
+            sample_vmf((np.ones((3, 1)), kappas), 3, rng_seed=0)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            sample_vmf((mu[:0], kappas[:0]), 0, rng_seed=0)
+
+
+def scalar_draw_oracle(params: VmfParams, count: int, rng_seed) -> np.ndarray:
+    """The per-call sampler that scene synthesis ran before the batched
+    kernel, kept verbatim as the stream oracle (scenes call it with count 1)."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    rng = np.random.default_rng(rng_seed)
+    d, k, mu = params.d, params.kappa, params.mu
+
+    if k == 0.0:
+        x = rng.standard_normal((count, d))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    w = np.empty(count)
+    dim = d - 1
+    b = dim / (math.sqrt(4.0 * k * k + dim * dim) + 2.0 * k)
+    x0 = (1.0 - b) / (1.0 + b)
+    c = k * x0 + dim * math.log(1.0 - x0 * x0)
+    for i in range(count):
+        while True:
+            zb = rng.beta(dim / 2.0, dim / 2.0)
+            wi = (1.0 - (1.0 + b) * zb) / (1.0 - (1.0 - b) * zb)
+            u = rng.uniform()
+            if k * wi + dim * math.log(1.0 - x0 * wi) - c >= math.log(u):
+                w[i] = wi
+                break
+
+    # Uniform directions in the hyperplane orthogonal to mu.
+    v = rng.standard_normal((count, d))
+    v -= np.outer(v @ mu, mu)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+
+    samples = v * np.sqrt(np.maximum(1.0 - w * w, 0.0))[:, None] + np.outer(w, mu)
+    return samples / np.linalg.norm(samples, axis=1, keepdims=True)
+
+
+def oracle_rows(mu, kappas, rng) -> np.ndarray:
+    """n successive count-1 oracle draws on one shared generator."""
+    return np.stack([scalar_draw_oracle(VmfParams(mu=m, kappa=k), 1, rng)[0]
+                     for m, k in zip(mu, kappas)])
+
+
+STREAM_KAPPAS = (0.0, 1e-3, 5.0, 500.0, 1e5)
+
+
+def stream_mismatches(sampler, d: int) -> int:
+    """Rows where one per-row `sampler` call differs from the oracle rows
+    drawn on an identically seeded generator, plus one if the two
+    generators end in different states."""
+    gen = np.random.default_rng(d)
+    kappas = np.concatenate([gen.permutation(np.repeat(STREAM_KAPPAS, 40)),
+                             gen.uniform(0.0, 800.0, 200)])
+    mu = gen.standard_normal((kappas.size, d))
+    mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+    got = sampler((mu, kappas), kappas.size, rng_a)
+    want = oracle_rows(mu, kappas, rng_b)
+    return int(np.any(got != want, axis=1).sum()) + int(
+        rng_a.bit_generator.state != rng_b.bit_generator.state)
+
+
+class TestStream:
+    """The batched kernel keeps the per-row stream of the scalar sampler,
+    so scenes stay bit for bit what they were."""
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 64])
+    def test_batch_equals_successive_scalar_draws(self, d):
+        assert stream_mismatches(sample_vmf, d) == 0
+
+    def test_vmf_params_count_one_equals_oracle(self):
+        for kappa in STREAM_KAPPAS:
+            params = VmfParams(mu=unit(np.arange(1.0, 10.0)), kappa=kappa)
+            np.testing.assert_array_equal(
+                sample_vmf(params, 1, rng_seed=4),
+                scalar_draw_oracle(params, 1, rng_seed=4))
+
+    def test_einsum_projection_breaks_the_pin(self):
+        # The pin bites: the same kernel with the dot product summed by
+        # einsum instead of the stacked matmul no longer matches.
+        source = inspect.getsource(vmf.sample_vmf)
+        stacked = "(v[:, None, :] @ m[:, :, None])[:, 0]"
+        assert stacked in source
+        namespace = dict(vmf.__dict__)
+        exec(source.replace(stacked, 'np.einsum("ij,ij->i", v, m)[:, None]'),
+             namespace)
+        assert stream_mismatches(namespace["sample_vmf"], 64) > 0
+
+    @pytest.mark.parametrize("rate, calls", [(0.0, 1), (0.25, 2)])
+    def test_scene_draws_in_one_call_per_pass(self, monkeypatch, rate, calls):
+        seen = []
+
+        def counting(params, count, rng_seed):
+            seen.append(count)
+            return sample_vmf(params, count, rng_seed)
+
+        monkeypatch.setattr(synth, "sample_vmf", counting)
+        cfg = synth.SceneConfig(aliasing_rate=rate, seed=2)
+        synth.generate_scene(cfg)
+        assert len(seen) == calls
+        assert seen[0] == cfg.num_classes * cfg.images_per_class
+
+    def test_scene_equals_successive_scalar_draws(self, monkeypatch):
+        # Descriptors with the batched kernel equal those of a scene whose
+        # every row is drawn by its own oracle call, aliased rows included,
+        # and the aliased rows are drawn pair by pair, rows ascending.
+        cfg = synth.SceneConfig(num_classes=16, images_per_class=5,
+                                descriptor_dim=16, aliasing_rate=0.5, seed=5)
+        batched = synth.generate_scene(cfg).bank.descriptors
+        drawn = []
+
+        def oracle(params, count, rng):
+            drawn.append(params[1])
+            return oracle_rows(*params, rng)
+
+        monkeypatch.setattr(synth, "sample_vmf", oracle)
+        ds = synth.generate_scene(cfg)
+        np.testing.assert_array_equal(ds.bank.descriptors, batched)
+        rows = [np.flatnonzero(ds.bank.labels == b) for _, b in ds.aliased_pairs]
+        np.testing.assert_array_equal(
+            drawn[1], ds.bank.true_kappa[np.concatenate(rows)])
 
 
 class TestMle:
