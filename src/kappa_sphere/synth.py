@@ -106,8 +106,13 @@ def ambiguity_to_kappa(ambiguity, config: SceneConfig):
 
 def aliased_class_count(rate: float, num_classes: int) -> int:
     """Classes that aliasing at `rate` pairs up: round(rate * C), which
-    must be even."""
+    must be even, and nonzero when the rate is."""
     involved = round(rate * num_classes)
+    if rate > 0.0 and involved == 0:
+        raise ValueError(
+            f"aliasing rate {rate} selects no class of {num_classes}; "
+            "use 0.0 for a scene without aliasing"
+        )
     if involved % 2 != 0:
         raise ValueError(
             f"aliasing rate {rate} selects an odd number of classes ({involved}); "

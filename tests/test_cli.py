@@ -171,6 +171,7 @@ class TestErrors:
         ({"scene": {"num_classes": "8"}}, "$.scene.num_classes"),
         ({"train": {"mode": "nope"}}, "$.train.mode"),
         ({"scene": {"num_classes": 4}}, "$.scene"),  # 1 aliased class
+        ({"scene": {"aliasing_rate": 0.01}}, "$.scene"),  # 0 aliased classes
         ({"scene": {"descriptor_dim": 1}}, "$.scene"),
         ({"scene": {"images_per_class": 4}}, "$.scene"),  # cannot stratify
     ])

@@ -107,6 +107,39 @@ class TestKnn:
             res.similarities, np.take_along_axis(sims, expected, axis=1))
         np.testing.assert_array_equal(res.ref_ids, ids[expected])
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           size=st.integers(1, 300) | st.integers(300, 1100),
+           n=st.sampled_from([1, 3, _ROW_BLOCK - 1, _ROW_BLOCK,
+                              _ROW_BLOCK + 1, _ROW_BLOCK + 40]),
+           data=st.data())
+    def test_matches_brute_force_at_every_k(self, seed, size, n, data):
+        # Banks wider than the group floor and k up to N: the group-max
+        # bound must keep every column of each row's top k.  A bank row
+        # has 1, 4 or 16 entries of +-1, +-1/2 or +-1/4, and the queries
+        # are integer, so every cosine is exact in any summation order and
+        # one full GEMM is the reference whatever the blocking.  Cosines
+        # take few values and rows repeat, so ties are everywhere; ids are
+        # a permutation, so the tie order is not the column order.
+        r = np.random.default_rng(seed)
+        m = r.choice([1, 4, 16], (size, 1))
+        on = r.random((size, 16)).argsort(axis=1) < m
+        x = np.where(on, r.choice([-1.0, 1.0], (size, 16)) / np.sqrt(m), 0.0)
+        x[r.integers(0, size, size // 2)] = x[r.integers(0, size, size // 2)]
+        ids = r.permutation(3 * size)[:size]
+        bank = DescriptorBank(descriptors=x, ids=ids, labels=np.zeros(size))
+        queries = np.concatenate([x[r.integers(0, size, n // 2)],
+                                  r.integers(-2, 3, (n - n // 2, 16))])
+        k = data.draw(st.integers(1, size) | st.sampled_from([1, size]),
+                      label="k")
+
+        res = batch_knn(queries, bank, k)
+        sims = queries @ x.T
+        expected = np.stack([np.lexsort((ids, -row))[:k] for row in sims])
+        np.testing.assert_array_equal(res.ref_indices, expected)
+        np.testing.assert_array_equal(
+            res.similarities, np.take_along_axis(sims, expected, axis=1))
+
     @pytest.mark.parametrize("n", [1, _ROW_BLOCK]
                              + [_ROW_BLOCK + h for h in range(1, 9)])
     def test_blocked_gemm_is_bit_identical_to_full_gemm(self, n):

@@ -31,6 +31,9 @@ class TestConfig:
             SceneConfig(aliasing_rate=1.5)
         with pytest.raises(ValueError, match=r"odd number of classes \(1\)"):
             SceneConfig(num_classes=4)  # 0.25 of 4 classes cannot pair up
+        with pytest.raises(ValueError, match="selects no class"):
+            SceneConfig(aliasing_rate=0.01)  # 0.32 of 32 classes rounds to 0
+        SceneConfig(aliasing_rate=0.0)
         for d in (0, 1):
             with pytest.raises(ValueError, match="descriptor_dim"):
                 SceneConfig(descriptor_dim=d)
