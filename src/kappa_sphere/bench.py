@@ -28,10 +28,10 @@ TIMED_RUNS = 200
 REPEATS = 20
 
 # realistic backbone output: 512 channels on a 7x7 grid, 512-d descriptor
-DEFAULT_CHANNELS = 512
-DEFAULT_GRID = 7
-DEFAULT_DESCRIPTOR_DIM = 512
-DEFAULT_HIDDEN = 64
+CHANNELS = 512
+GRID = 7
+DESCRIPTOR_DIM = 512
+HIDDEN = 64
 
 
 @dataclass
@@ -49,20 +49,16 @@ class BenchResult:
         return asdict(self)
 
 
-def run_bench(channels: int = DEFAULT_CHANNELS, grid: int = DEFAULT_GRID,
-              descriptor_dim: int = DEFAULT_DESCRIPTOR_DIM,
-              hidden: int = DEFAULT_HIDDEN, seed: int = 0,
-              warmup_runs: int = WARMUP_RUNS,
-              timed_runs: int = TIMED_RUNS) -> BenchResult:
+def run_bench(seed: int = 0) -> BenchResult:
     """Time the descriptor path and the descriptor + kappa path."""
     rng = np.random.default_rng(seed)
-    fms = rng.standard_normal((1, channels, grid, grid))
+    fms = rng.standard_normal((1, CHANNELS, GRID, GRID))
     encoder = LinearEncoder(
-        rng.standard_normal((descriptor_dim, channels)) / np.sqrt(channels))
+        rng.standard_normal((DESCRIPTOR_DIM, CHANNELS)) / np.sqrt(CHANNELS))
     head = HeadParams(
         gem_p=3.0,
-        proj_w=rng.standard_normal((hidden, channels)) / np.sqrt(channels),
-        kappa_w=rng.standard_normal(hidden) / np.sqrt(hidden),
+        proj_w=rng.standard_normal((HIDDEN, CHANNELS)) / np.sqrt(CHANNELS),
+        kappa_w=rng.standard_normal(HIDDEN) / np.sqrt(HIDDEN),
         kappa_b=0.0,
         variant=HeadVariant.AGGREGATION,
     )
@@ -82,8 +78,8 @@ def run_bench(channels: int = DEFAULT_CHANNELS, grid: int = DEFAULT_GRID,
         return (time.perf_counter() - start) / runs * 1e3
 
     for fn in (descriptor_path, combined_path):
-        block_ms(fn, warmup_runs)
-    runs = max(1, timed_runs // REPEATS)
+        block_ms(fn, WARMUP_RUNS)
+    runs = TIMED_RUNS // REPEATS
     desc, comb = [], []
     for r in range(REPEATS):
         if r % 2:
@@ -96,6 +92,6 @@ def run_bench(channels: int = DEFAULT_CHANNELS, grid: int = DEFAULT_GRID,
     return BenchResult(
         descriptor_ms=float(np.median(desc)), combined_ms=float(np.median(comb)),
         overhead=float(np.median((comb - desc) / desc)),
-        channels=channels, grid=grid, descriptor_dim=descriptor_dim,
-        warmup_runs=warmup_runs, timed_runs=timed_runs,
+        channels=CHANNELS, grid=GRID, descriptor_dim=DESCRIPTOR_DIM,
+        warmup_runs=WARMUP_RUNS, timed_runs=TIMED_RUNS,
     )

@@ -159,7 +159,8 @@ def cmd_fit(args) -> int:
     if train_cfg.mode not in (TrainMode.POST_TRAINING, TrainMode.GNLL_VARIANT):
         raise ValueError("fit expects train.mode post_training or gnll_variant")
     dataset = _load_scene(resolved)
-    head, history = fit_head(dataset, cfg=train_cfg)
+    head, history = fit_head(dataset, cfg=train_cfg, tau=resolved["tau"],
+                             binning=fileio.binning_config_from(resolved))
     dataset.bank.kappas = predict_kappas(dataset.features, head)
     paths = _write_artifacts(args.out, resolved, dataset, history, head=head,
                              extra={"mode": train_cfg.mode.value,
@@ -178,8 +179,9 @@ def cmd_train(args) -> int:
                                     mode=TrainMode.JOINT_TRAINING)
     lmcl = fileio.lmcl_config_from(resolved)
     dataset = _load_scene(resolved)
-    encoder, prototypes, head, history = fit_joint(dataset, cfg=train_cfg,
-                                                   lmcl=lmcl)
+    encoder, prototypes, head, history = fit_joint(
+        dataset, cfg=train_cfg, lmcl=lmcl, tau=resolved["tau"],
+        binning=fileio.binning_config_from(resolved))
     dataset.bank.descriptors = encoder.encode(dataset.raw)
     if head is not None:
         dataset.bank.kappas = predict_kappas(dataset.features, head)
@@ -205,21 +207,28 @@ def _load_eval_inputs(args):
     return resolved, bank.subset(splits["db"]), bank.subset(splits["query"])
 
 
-def _eval_options(resolved):
-    from .calibration import BinStrategy
+def _write_svgs(directory, reports) -> list:
+    """A reliability diagram per CalibrationReport in `directory`, named
+    from the report's own level, method and k.  Returns the paths."""
+    from . import fileio
+    from .calibration import reliability_svg
 
-    binning = resolved["binning"]
-    return (resolved["ks"], binning["num_bins"],
-            BinStrategy(binning["strategy"]))
+    paths = []
+    for rep in reports:
+        level = "match_" if rep.level == "match" else ""
+        path = os.path.join(directory,
+                            f"reliability_{level}{rep.method}_k{rep.k}.svg")
+        fileio.atomic_write_text(path, reliability_svg(rep))
+        paths.append(path)
+    return paths
 
 
 def cmd_eval(args) -> int:
     from . import fileio, scores as sc
-    from .calibration import reliability_svg
     from .pipeline import evaluate_queries
 
     resolved, db, queries = _load_eval_inputs(args)
-    ks, bins, strategy = _eval_options(resolved)
+    ks = resolved["ks"]
     methods = sc.ALL_METHODS
     if args.method:
         methods = tuple(str(args.method).split(","))
@@ -227,7 +236,7 @@ def cmd_eval(args) -> int:
         if unknown:
             raise ValueError(f"unknown methods {unknown}")
     ev = evaluate_queries(db, queries, ks=ks, methods=methods,
-                          num_bins=bins, strategy=strategy,
+                          binning=fileio.binning_config_from(resolved),
                           tau=resolved["tau"])
     body = {
         "level": "query",
@@ -241,9 +250,7 @@ def cmd_eval(args) -> int:
     fileio.atomic_write_text(out_path, fileio.report_document(
         body, resolved, resolved["scene"]["seed"]))
     if args.svg:
-        for (m, k), rep in ev.reports.items():
-            svg_path = os.path.join(args.out, f"reliability_{m}_k{k}.svg")
-            fileio.atomic_write_text(svg_path, reliability_svg(rep))
+        _write_svgs(args.out, ev.reports.values())
     _print_query_table(ev, ks)
     print(f"wrote {out_path}")
     return 0
@@ -251,13 +258,12 @@ def cmd_eval(args) -> int:
 
 def cmd_match_eval(args) -> int:
     from . import fileio
-    from .calibration import reliability_svg
     from .pipeline import evaluate_matches
 
     resolved, db, queries = _load_eval_inputs(args)
-    ks, bins, strategy = _eval_options(resolved)
-    k = ks[0] if ks else 1
-    ev = evaluate_matches(db, queries, k=k, num_bins=bins, strategy=strategy,
+    k = resolved["ks"][0] if resolved["ks"] else 1
+    ev = evaluate_matches(db, queries, k=k,
+                          binning=fileio.binning_config_from(resolved),
                           tau=resolved["tau"])
     body = {
         "level": "match",
@@ -268,9 +274,7 @@ def cmd_match_eval(args) -> int:
     fileio.atomic_write_text(out_path, fileio.report_document(
         body, resolved, resolved["scene"]["seed"]))
     if args.svg:
-        for m, rep in ev.reports.items():
-            svg_path = os.path.join(args.out, f"reliability_match_{m}_k{k}.svg")
-            fileio.atomic_write_text(svg_path, reliability_svg(rep))
+        _write_svgs(args.out, ev.reports.values())
     for m, rep in sorted(ev.reports.items()):
         print(f"match {m:12s} ECE@{k} = {rep.ece:.4f}  (T={rep.total})")
     print(f"wrote {out_path}")
@@ -293,7 +297,7 @@ def _print_query_table(ev, ks) -> None:
 
 def cmd_report(args) -> int:
     from . import fileio
-    from .calibration import CalibrationReport, reliability_svg
+    from .calibration import CalibrationReport
 
     with open(args.path) as fh:
         doc = json.load(fh)
@@ -320,10 +324,8 @@ def cmd_report(args) -> int:
         print(f"{m:20s}  unsupported: {reason}")
     if args.svg:
         base = os.path.dirname(os.path.abspath(args.path))
-        for name, rep in doc["reports"].items():
-            path = os.path.join(base, f"reliability_{name.replace('@', '_k')}.svg")
-            fileio.atomic_write_text(
-                path, reliability_svg(CalibrationReport.from_dict(rep)))
+        for path in _write_svgs(base, map(CalibrationReport.from_dict,
+                                          doc["reports"].values())):
             print(f"wrote {path}")
     return 0
 

@@ -21,10 +21,9 @@ import numpy as np
 
 from .calibration import BinningConfig
 from .head import HeadParams, HeadVariant
-from .retrieval import DescriptorBank
+from .retrieval import DEFAULT_KS, DEFAULT_TAU, DescriptorBank
 from .synth import SceneConfig, SPLIT_NAMES
-from .training import (AnchorMode, LinearEncoder, LmclConfig, TrainConfig,
-                       TrainMode)
+from .training import LinearEncoder, LmclConfig, TrainConfig
 
 BANK_MAGIC = b"KPB1"
 BANK_VERSION = 1
@@ -251,26 +250,23 @@ _SECTION_KEYS["binning"].remove("clamp")  # eval fixes clamping per method
 _TOP_KEYS = {*_SECTIONS, "ks", "tau"}
 
 
+def _json_value(value):
+    """A config value as JSON holds it: an enum as its value, a tuple as a
+    list."""
+    if isinstance(value, Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
+
+
 def default_run_config() -> dict:
-    return {
-        "scene": SceneConfig().to_dict(),
-        "train": {
-            "mode": TrainMode.POST_TRAINING.value,
-            "lam": 0.01,
-            "lr": 0.05,
-            "batch_size": 32,
-            "patience": 15,
-            "max_epochs": 300,
-            "warmup": 10,
-            "seed": 0,
-            "anchor_mode": AnchorMode.CLASS_PROTOTYPE.value,
-            "include_self_in_centroid": False,
-        },
-        "lmcl": {"scale": 30.0, "margin": 0.35},
-        "binning": {"num_bins": 10, "strategy": "equal_width"},
-        "ks": [1, 5, 10],
-        "tau": 25.0,
-    }
+    """The run config that the section dataclasses' defaults, DEFAULT_KS and
+    DEFAULT_TAU make, as JSON values."""
+    resolved = {}
+    for name, cls in _SECTIONS.items():
+        defaults = cls()
+        resolved[name] = {f.name: _json_value(getattr(defaults, f.name))
+                          for f in fields(cls) if f.name in _SECTION_KEYS[name]}
+    return {**resolved, "ks": list(DEFAULT_KS), "tau": DEFAULT_TAU}
 
 
 def _check_keys(section: dict, allowed: set, path: str) -> None:
@@ -374,6 +370,12 @@ def train_config_from(resolved: dict) -> TrainConfig:
 
 def lmcl_config_from(resolved: dict) -> LmclConfig:
     return _section_config(resolved, "lmcl")
+
+
+def binning_config_from(resolved: dict) -> BinningConfig:
+    """The config's binning; its clamp is the default, which eval replaces
+    per method."""
+    return _section_config(resolved, "binning")
 
 
 # ---------------------------------------------------------------------------

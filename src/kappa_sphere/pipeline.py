@@ -9,32 +9,31 @@ two-sided at the 1st/99th percentiles, naturally one-sided baselines
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import scores as sc
-from .calibration import (BinningConfig, BinStrategy, ClampMode, ece_at_k,
-                          match_ece_at_k)
-from .head import HeadParams, HeadVariant, forward_batch, init_head
-from .retrieval import (DescriptorBank, GroundTruth, GroundTruthMode,
+from .calibration import BinningConfig, ClampMode, ece_at_k, match_ece_at_k
+from .head import HeadParams, forward_batch, init_head
+from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank, GroundTruth,
                         RetrievalResult, batch_knn, mark_successes,
                         recall_at_k)
 from .synth import SynthDataset
-from .training import (LinearEncoder, LmclConfig, TrainConfig, TrainMode,
-                       train_joint, train_post)
+from .training import (LinearEncoder, LmclConfig, TrainConfig, train_joint,
+                       train_post)
 from .vmf import ResultantUncertainty
 
-DEFAULT_KS = (1, 5, 10)
-DEFAULT_TAU = 25.0
 VALIDATION_FRACTION = 0.1
 
 
-def binning_for(method: str, num_bins: int = 10,
-                strategy: BinStrategy = BinStrategy.EQUAL_WIDTH) -> BinningConfig:
+def binning_for(method: str,
+                binning: BinningConfig | None = None) -> BinningConfig:
+    """`binning` (the BinningConfig defaults when None) with the clamp
+    `method` takes: two-sided for kappa scores, high tail otherwise."""
     clamp = (ClampMode.TWO_SIDED if method in sc.TWO_SIDED_METHODS
              else ClampMode.ONE_SIDED_HIGH)
-    return BinningConfig(num_bins=num_bins, strategy=strategy, clamp=clamp)
+    return replace(binning or BinningConfig(), clamp=clamp)
 
 
 def predict_kappas(features, head: HeadParams) -> np.ndarray:
@@ -53,35 +52,35 @@ def _validation_split(train_idx, seed: int):
 
 def _fit_data(dataset: SynthDataset, seed: int):
     """Training data restricted to the fit portion of the train split; the
-    validation portion stays held out.  Returns (data, fit_idx, val_idx)."""
+    validation portion stays held out.  Returns (data, val_idx)."""
     fit_idx, val_idx = _validation_split(dataset.splits["train"], seed)
     train = dataset.train_data()
     keep = np.isin(dataset.splits["train"], fit_idx)
     for name in ("features", "labels", "descriptors", "raw"):
         setattr(train, name, getattr(train, name)[keep])
-    return train, fit_idx, val_idx
+    return train, val_idx
 
 
 def _marked_knn(queries, query_ids, query_poses, db_bank: DescriptorBank,
-                tau: float = DEFAULT_TAU):
+                tau: float):
     """Top-1 retrieval of `queries` against `db_bank`, successes marked."""
     results = batch_knn(queries, db_bank, 1, query_ids=query_ids)
-    gt = GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=tau)
-    mark_successes(results, gt, db_bank, query_poses=query_poses)
+    mark_successes(results, GroundTruth(tau=tau), db_bank,
+                   query_poses=query_poses)
     return results
 
 
-def _resultant_ece1(results, db_bank: DescriptorBank, q_kappas) -> float:
+def _resultant_ece1(results, db_bank: DescriptorBank, q_kappas,
+                    binning: BinningConfig | None) -> float:
     """Resultant-score ECE@1 of marked top-1 results; db_bank.kappas set."""
     value, _ = sc.score_query(sc.METHOD_RESULTANT, results, db_bank,
                               kappa_q=q_kappas)
     return ece_at_k(value, results.success[:, 0],
-                    binning_for(sc.METHOD_RESULTANT),
+                    binning_for(sc.METHOD_RESULTANT, binning),
                     k=1, method=sc.METHOD_RESULTANT).ece
 
 
-def _recall_and_ece1(dataset, encoder, prototypes, head, fit_idx, val_idx,
-                     db_idx, tau=DEFAULT_TAU):
+def _recall_and_ece1(dataset, encoder, head, val_idx, db_idx, tau, binning):
     """Joint-training hook: Recall@1 and resultant ECE@1 on validation
     queries, with database descriptors recomputed from the live encoder."""
     db_desc = encoder.encode(dataset.raw[db_idx])
@@ -96,67 +95,62 @@ def _recall_and_ece1(dataset, encoder, prototypes, head, fit_idx, val_idx,
     if head is not None:
         db_bank.kappas = predict_kappas(dataset.features[db_idx], head)
         ece1 = _resultant_ece1(results, db_bank,
-                               predict_kappas(dataset.features[val_idx], head))
+                               predict_kappas(dataset.features[val_idx], head),
+                               binning)
     return recall1, ece1
 
 
 def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
-             hidden: int = 64, variant: HeadVariant = HeadVariant.AGGREGATION,
-             head: HeadParams | None = None):
+             tau: float = DEFAULT_TAU, binning: BinningConfig | None = None):
     """Post-train a kappa head on the scene's train split.
 
     Early stopping tracks validation ECE@1 (a fixed 10% of training
-    queries evaluated against the db split).  Returns (head, history).
+    queries evaluated against the db split, positives within `tau`,
+    binned by `binning`).  `cfg` defaults to TrainConfig's defaults with
+    the scene's seed.  Returns (head, history).
     """
-    cfg = cfg or TrainConfig(mode=TrainMode.POST_TRAINING, lr=0.05,
-                             max_epochs=300, seed=dataset.config.seed)
-    if head is None:
-        head = init_head(dataset.config.feature_shape, hidden=hidden,
-                         variant=variant, rng=cfg.seed)
-    train, fit_idx, val_idx = _fit_data(dataset, cfg.seed)
+    cfg = cfg or TrainConfig(seed=dataset.config.seed)
+    head = init_head(dataset.config.feature_shape, rng=cfg.seed)
+    train, val_idx = _fit_data(dataset, cfg.seed)
     db_idx = dataset.splits["db"]
     # descriptors are frozen: retrieve once, re-score kappas each epoch
     db_bank = dataset.subset_bank(db_idx)
     results = _marked_knn(dataset.bank.descriptors[val_idx],
                           dataset.bank.ids[val_idx],
-                          dataset.bank.poses[val_idx], db_bank)
+                          dataset.bank.poses[val_idx], db_bank, tau)
 
     def hook(h):
         db_bank.kappas = predict_kappas(dataset.features[db_idx], h)
         return _resultant_ece1(results, db_bank,
-                               predict_kappas(dataset.features[val_idx], h))
+                               predict_kappas(dataset.features[val_idx], h),
+                               binning)
 
     return train_post(train, dataset.prototypes, head, cfg, eval_hook=hook)
 
 
-def fit_joint(dataset: SynthDataset, cfg: TrainConfig | None = None,
-              lmcl: LmclConfig | None = None, hidden: int = 64,
-              encoder: LinearEncoder | None = None,
-              head: HeadParams | None = None, with_head: bool = True):
+def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
+              lmcl: LmclConfig | None = None, tau: float = DEFAULT_TAU,
+              binning: BinningConfig | None = None, with_head: bool = True):
     """Jointly train encoder + prototypes (+ kappa head unless disabled).
 
+    Early stopping tracks validation Recall@1, then resultant ECE@1, with
+    positives within `tau` and ECE binned by `binning`.
     Returns (encoder, prototypes, head, history).
     """
-    cfg = cfg or TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.01, lr=1e-4,
-                             max_epochs=150, seed=dataset.config.seed)
     lmcl = lmcl or LmclConfig()
     d = dataset.config.descriptor_dim
     m = dataset.raw.shape[1]
     rng = np.random.default_rng(cfg.seed)
-    if encoder is None:
-        encoder = LinearEncoder(rng.standard_normal((d, m)) / np.sqrt(m))
-    prototypes = dataset.prototypes
-    if with_head and head is None:
-        head = init_head(dataset.config.feature_shape, hidden=hidden, rng=cfg.seed)
-    if not with_head:
-        head = None
-    train, fit_idx, val_idx = _fit_data(dataset, cfg.seed)
+    encoder = LinearEncoder(rng.standard_normal((d, m)) / np.sqrt(m))
+    head = (init_head(dataset.config.feature_shape, rng=cfg.seed)
+            if with_head else None)
+    train, val_idx = _fit_data(dataset, cfg.seed)
     db_idx = dataset.splits["db"]
 
     def hook(enc, protos, h):
-        return _recall_and_ece1(dataset, enc, protos, h, fit_idx, val_idx, db_idx)
+        return _recall_and_ece1(dataset, enc, h, val_idx, db_idx, tau, binning)
 
-    return train_joint(train, encoder, prototypes, head, cfg, lmcl,
+    return train_joint(train, encoder, dataset.prototypes, head, cfg, lmcl,
                        eval_hook=hook)
 
 
@@ -186,8 +180,7 @@ class QueryEvaluation:
 
 def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
                      ks=DEFAULT_KS, methods=sc.ALL_METHODS,
-                     num_bins: int = 10,
-                     strategy: BinStrategy = BinStrategy.EQUAL_WIDTH,
+                     binning: BinningConfig | None = None,
                      tau: float = DEFAULT_TAU,
                      gt: GroundTruth | None = None) -> QueryEvaluation:
     """The query-level evaluation protocol.
@@ -203,7 +196,7 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
     k_eff = min(max(max(ks), 2), len(bank))
     results = batch_knn(query_bank.descriptors, bank, k_eff,
                         query_ids=query_bank.ids)
-    gt = gt or GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=tau)
+    gt = gt or GroundTruth(tau=tau)
     mark_successes(results, gt, bank, query_poses=query_bank.poses)
 
     scored = {}
@@ -220,9 +213,9 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
     for k in ks:
         recalls[k] = recall_at_k(results, k)
         for method, (value, _) in scored.items():
-            cfg = binning_for(method, num_bins=num_bins, strategy=strategy)
             reports[(method, k)] = ece_at_k(value, results.success[:, k - 1],
-                                            cfg, k=k, method=method)
+                                            binning_for(method, binning),
+                                            k=k, method=method)
 
     spear = None
     kq, kt = query_bank.kappas, query_bank.true_kappa
@@ -243,19 +236,16 @@ class MatchEvaluation:
 
 
 def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
-                     k: int = 1, num_bins: int = 10,
-                     strategy: BinStrategy = BinStrategy.EQUAL_WIDTH,
-                     tau: float = DEFAULT_TAU,
-                     gt: GroundTruth | None = None) -> MatchEvaluation:
+                     k: int = 1, binning: BinningConfig | None = None,
+                     tau: float = DEFAULT_TAU) -> MatchEvaluation:
     """Match-level calibration over the T = K * N retrieved pairs.
 
     Scores each pair with the resultant-fusion kernel (when both banks
     carry kappas) and with the pairwise L2 distance baseline.
     """
     results = batch_knn(query_bank.descriptors, bank, k, query_ids=query_bank.ids)
-    gt = gt or GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=tau)
-    positive = gt.positive_mask(results.query_ids, query_bank.poses, bank,
-                                results.ref_indices)
+    positive = GroundTruth(tau=tau).positive_mask(
+        results.query_ids, query_bank.poses, bank, results.ref_indices)
 
     pairs = {}
     if query_bank.kappas is not None and bank.kappas is not None:
@@ -268,8 +258,9 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
 
     reports = {}
     for method, (value, _) in pairs.items():
-        cfg = binning_for(method, num_bins=num_bins, strategy=strategy)
-        reports[method] = match_ece_at_k(value, positive, cfg, method=method)
+        reports[method] = match_ece_at_k(value, positive,
+                                         binning_for(method, binning),
+                                         method=method)
     return MatchEvaluation(reports=reports, pairs=pairs, results=results,
                            positive=positive)
 
@@ -286,12 +277,12 @@ def _scene_banks(dataset: SynthDataset, head: HeadParams):
 
 
 def scene_query_evaluation(dataset: SynthDataset, head: HeadParams,
-                           ks=DEFAULT_KS, **kwargs) -> QueryEvaluation:
+                           **kwargs) -> QueryEvaluation:
     """Convenience wrapper: evaluate a fitted head on the scene's
-    query split against its db split."""
-    return evaluate_queries(*_scene_banks(dataset, head), ks=ks, **kwargs)
+    query split against its db split (`kwargs` go to evaluate_queries)."""
+    return evaluate_queries(*_scene_banks(dataset, head), **kwargs)
 
 
 def scene_match_evaluation(dataset: SynthDataset, head: HeadParams,
-                           k: int = 1, **kwargs) -> MatchEvaluation:
-    return evaluate_matches(*_scene_banks(dataset, head), k=k, **kwargs)
+                           **kwargs) -> MatchEvaluation:
+    return evaluate_matches(*_scene_banks(dataset, head), **kwargs)

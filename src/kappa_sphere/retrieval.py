@@ -13,6 +13,9 @@ from .vmf import check_unit_rows
 _ROW_BLOCK = 256  # query rows scored per GEMM
 _GROUP_FLOOR = 256  # fewest column groups that bound a row's k-th best
 
+DEFAULT_KS = (1, 5, 10)  # the K of Recall@K and ECE@K a run reports
+DEFAULT_TAU = 25.0       # pose distance within which a reference is positive
+
 
 @dataclass
 class DescriptorBank:
@@ -65,7 +68,7 @@ class GroundTruthMode(str, Enum):
 @dataclass
 class GroundTruth:
     mode: GroundTruthMode = GroundTruthMode.DISTANCE_THRESHOLD
-    tau: float = 25.0
+    tau: float = DEFAULT_TAU
     positives: dict | None = None  # query id -> set of reference ids
 
     def __post_init__(self):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .retrieval import DescriptorBank, RetrievalResult
-from .vmf import DEFAULT_UNCERTAINTY_CAP, ResultantUncertainty, resultant_uncertainty
+from .vmf import ResultantUncertainty, resultant_uncertainty
 
 KAPPA_FLOOR = 1.0
 
@@ -48,12 +48,11 @@ def floor_kappa(kappa):
     return np.maximum(kappa, KAPPA_FLOOR)
 
 
-def match_uncertainty(kappa_q, kappa_r, cos_qr,
-                      cap: float = DEFAULT_UNCERTAINTY_CAP) -> ResultantUncertainty:
+def match_uncertainty(kappa_q, kappa_r, cos_qr) -> ResultantUncertainty:
     """Resultant uncertainty of query-reference pairs after flooring both
     kappas, elementwise; the query-level score is the top-1 pair."""
     return resultant_uncertainty(floor_kappa(kappa_q), floor_kappa(kappa_r),
-                                 cos_qr, cap=cap)
+                                 cos_qr)
 
 
 query_uncertainty = match_uncertainty
@@ -119,8 +118,7 @@ def sue_log(value):
 
 
 def score_query(method: str, result: RetrievalResult, bank: DescriptorBank,
-                kappa_q=None, k: int | None = None,
-                cap: float = DEFAULT_UNCERTAINTY_CAP) -> ResultantUncertainty:
+                kappa_q=None, k: int | None = None) -> ResultantUncertainty:
     """Score every query of `result` under the given method tag.
 
     `kappa_q` holds the (n,) query kappas.  Returns the (n,) value and
@@ -130,7 +128,7 @@ def score_query(method: str, result: RetrievalResult, bank: DescriptorBank,
         if bank.kappas is None or kappa_q is None:
             raise MissingKappasError("resultant score requires predicted kappas")
         return query_uncertainty(kappa_q, bank.kappas[result.ref_indices[:, 0]],
-                                 result.similarities[:, 0], cap=cap)
+                                 result.similarities[:, 0])
     k = k if k is not None else result.ref_ids.shape[1]
     if method == METHOD_INV_KAPPA:
         if kappa_q is None:

@@ -54,21 +54,6 @@ class SceneConfig:
         stratified_counts(DEFAULT_SPLIT, self.images_per_class)
         self.feature_shape = tuple(int(x) for x in self.feature_shape)
 
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "images_per_class": self.images_per_class,
-            "descriptor_dim": self.descriptor_dim,
-            "kappa_min": self.kappa_min,
-            "kappa_max": self.kappa_max,
-            "pose_spacing": self.pose_spacing,
-            "pose_jitter": self.pose_jitter,
-            "aliasing_rate": self.aliasing_rate,
-            "feature_shape": list(self.feature_shape),
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class SynthDataset:

@@ -33,14 +33,13 @@ class AnchorMode(str, Enum):
 class TrainConfig:
     mode: TrainMode = TrainMode.POST_TRAINING
     lam: float = 0.01          # weight of the vMF term in the joint objective
-    lr: float = 1e-3
+    lr: float = 0.05
     batch_size: int = 32
     patience: int = 15
-    max_epochs: int = 200
+    max_epochs: int = 300
     warmup: int = 10           # epochs excluded from checkpoint selection
     seed: int = 0
     anchor_mode: AnchorMode = AnchorMode.CLASS_PROTOTYPE
-    include_self_in_centroid: bool = False
 
     def __post_init__(self):
         if (self.lam < 0 or self.lr <= 0 or self.patience < 1
@@ -284,9 +283,7 @@ def _resolve_anchors(cfg: TrainConfig, prototype_weights: np.ndarray,
     anchors = np.empty_like(descriptors)
     for i, lab in enumerate(labels):
         mask = labels == lab
-        if not cfg.include_self_in_centroid:
-            mask = mask.copy()
-            mask[i] = False
+        mask[i] = False  # a sample's centroid anchor excludes the sample
         if not mask.any():
             raise ValueError(
                 f"sample {i} (class {lab}) has no positives in its batch; "

@@ -22,7 +22,7 @@ import numpy as np
 from .bessel import log_bessel_exact
 
 UNIT_NORM_TOL = 1e-9
-DEFAULT_UNCERTAINTY_CAP = 1e12
+UNCERTAINTY_CAP = 1e12  # the score of a degenerate (cancelled) resultant
 RESULTANT_EPS = 1e-12
 
 
@@ -301,18 +301,13 @@ class ResultantUncertainty(NamedTuple):
     degenerate: np.ndarray   # or a bool
 
 
-def resultant_uncertainty(
-    kappa_a,
-    kappa_b,
-    cos_ab,
-    cap: float = DEFAULT_UNCERTAINTY_CAP,
-) -> ResultantUncertainty:
+def resultant_uncertainty(kappa_a, kappa_b, cos_ab) -> ResultantUncertainty:
     """Inverse magnitude of the resultant of two kappa-scaled directions,
     elementwise over broadcast inputs (scalars in, scalars out).
 
     U = 1 / sqrt(ka^2 + kb^2 + 2 ka kb cos_ab).  The cosine is clamped to
     [-1, 1] before use.  Where the resultant magnitude underflows (exact
-    cancellation) the configured cap is returned with a degenerate flag,
+    cancellation) UNCERTAINTY_CAP is returned with a degenerate flag,
     keeping downstream reports finite and serializable.
     """
     ka = _check_kappas(kappa_a)
@@ -323,5 +318,6 @@ def resultant_uncertainty(
     c = np.clip(c, -1.0, 1.0)
     mag = np.sqrt(np.maximum(ka * ka + kb * kb + 2.0 * ka * kb * c, 0.0))
     degenerate = mag < RESULTANT_EPS
-    value = np.where(degenerate, cap, 1.0 / np.maximum(mag, RESULTANT_EPS))
+    value = np.where(degenerate, UNCERTAINTY_CAP,
+                     1.0 / np.maximum(mag, RESULTANT_EPS))
     return ResultantUncertainty(value=value[()], degenerate=degenerate)

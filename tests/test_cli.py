@@ -71,6 +71,31 @@ class TestFit:
             (b / "manifest.json").read_bytes()
 
 
+class TestCheckpointSelection:
+    # 8 validation queries: enough for a changed ECE or Recall@1 to show
+    CONFIG = {"scene": {"num_classes": 16, "images_per_class": 10,
+                        "descriptor_dim": 16, "seed": 0},
+              "train": {"max_epochs": 20, "patience": 3, "warmup": 0}}
+
+    @pytest.mark.parametrize("command", ["fit", "train"])
+    @pytest.mark.parametrize("override", [
+        {"tau": 5.0},  # inside the pose jitter: some same-place hits fail
+        {"binning": {"num_bins": 4}}], ids=["tau", "num_bins"])
+    def test_validation_follows_tau_and_binning(self, tmp_path, command,
+                                                override):
+        # the validation metric that picks the checkpoint is measured
+        # under the config's tau and binning, not fixed defaults
+        histories = []
+        for name, config in (("base", self.CONFIG),
+                             ("changed", {**self.CONFIG, **override})):
+            cfg, out = tmp_path / f"{name}.json", tmp_path / name
+            cfg.write_text(json.dumps(config))
+            assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+            assert main([command, "--out", str(out)]) == 0
+            histories.append((out / "history.csv").read_text())
+        assert histories[0] != histories[1]
+
+
 class TestEval:
     def test_report_written_and_deterministic(self, workdir):
         out = workdir["out"]
@@ -143,6 +168,27 @@ class TestReportCommand:
         text = capsys.readouterr().out
         assert "resultant@1" in text
         assert "bin  count  observed  expected" in text
+
+    @pytest.mark.parametrize("command, report", [
+        ("eval", "report.json"), ("match-eval", "match_report.json")])
+    def test_svg_names_match_the_evaluating_command(self, workdir, tmp_path,
+                                                    command, report):
+        # one naming rule: `report --svg` rewrites exactly the diagrams the
+        # command that wrote the report wrote
+        evaluated, rendered = tmp_path / "evaluated", tmp_path / "rendered"
+        evaluated.mkdir()
+        rendered.mkdir()
+        for name in ("bank.kpb", "manifest.json", "config.json"):
+            (evaluated / name).write_bytes((workdir["out"] / name).read_bytes())
+        assert main([command, "--out", str(evaluated), "--svg"]) == 0
+        (rendered / report).write_bytes((evaluated / report).read_bytes())
+        assert main(["report", str(rendered / report), "--svg"]) == 0
+
+        def svgs(directory):
+            return {p.name: p.read_bytes() for p in directory.glob("*.svg")}
+
+        assert svgs(evaluated)
+        assert svgs(rendered) == svgs(evaluated)
 
     def test_rejects_wrong_schema(self, tmp_path, capsys):
         bad = tmp_path / "r.json"

@@ -18,11 +18,12 @@ from kappa_sphere.fileio import (BankFormatError, ConfigError, ManifestError,
                                  scene_config_from, train_config_from,
                                  write_bank, write_manifest,
                                  write_model_state, history_csv)
-from kappa_sphere.calibration import BinStrategy
+from kappa_sphere.calibration import BinningConfig, BinStrategy
 from kappa_sphere.head import HeadVariant, init_head
 from kappa_sphere.retrieval import DescriptorBank
-from kappa_sphere.synth import SPLIT_NAMES
-from kappa_sphere.training import AnchorMode, LinearEncoder, TrainMode
+from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
+from kappa_sphere.training import (AnchorMode, LinearEncoder, LmclConfig,
+                                   TrainConfig, TrainMode)
 
 
 def unit_rows(rng, n, d):
@@ -218,6 +219,26 @@ class TestRunConfig:
         path.write_text("[1, 2")
         with pytest.raises(ConfigError):
             load_run_config(path)
+
+    def test_defaults_round_trip(self, monkeypatch):
+        # the section dataclasses are the one source of run defaults: the
+        # default config builds them back, and fit_head's fallback is it
+        from kappa_sphere import fileio, pipeline
+
+        resolved = default_run_config()
+        assert scene_config_from(resolved) == SceneConfig()
+        assert train_config_from(resolved) == TrainConfig()
+        assert fileio.lmcl_config_from(resolved) == LmclConfig()
+        assert fileio.binning_config_from(resolved) == BinningConfig()
+
+        seen = []
+        monkeypatch.setattr(pipeline, "train_post",
+                            lambda *args, **kwargs: seen.append(args[3]))
+        scene = SceneConfig(num_classes=8, images_per_class=10,
+                            descriptor_dim=16, seed=3)
+        pipeline.fit_head(generate_scene(scene))
+        assert seen == [train_config_from(load_run_config(
+            overrides={"train": {"seed": 3}}))]
 
     def test_binning_clamp_rejected(self, tmp_path):
         # eval clamps per method, so a config clamp would be ignored

@@ -1,6 +1,6 @@
 """The layer tracer's targets exist, so a rename fails here rather than in a
-traced benchmark run; the CLI's modules start without scipy; and --help and
-argument errors return without loading numpy."""
+traced benchmark run; the CLI's modules start without scipy; --help and
+argument errors return without loading numpy; and every demo runs."""
 
 import importlib
 import importlib.util
@@ -9,17 +9,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACE_RUNNER = ROOT / "perfbench" / "trace_runner.py"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run_python(args, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this tree, run on `args`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
 
 
 def _fresh_python(code: str) -> str:
     """Stdout of `code` run by a fresh interpreter that imports this tree."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True,
-                          timeout=60).stdout.strip()
+    proc = _run_python(["-c", code])
+    proc.check_returncode()
+    return proc.stdout.strip()
 
 
 def test_trace_targets_exist():
@@ -58,3 +67,10 @@ def test_help_and_argument_errors_skip_numpy():
             "        raise AssertionError(argv)\n"
             "print('numpy' in sys.modules)")
     assert _fresh_python(code).splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    # in a scratch directory: scene_walkthrough writes its SVG there
+    proc = _run_python([str(demo)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
