@@ -35,11 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "scores, and rank-based calibration.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", help="run-config JSON path")
         p.add_argument("--seed", type=int, help="override the config seed")
-        if needs_out:
-            p.add_argument("--out", required=True, help="artifact directory")
+        p.add_argument("--out", required=True, help="artifact directory")
 
     p = sub.add_parser("gen", help="generate a synthetic scene")
     common(p)
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write reliability diagrams next to the report")
 
     p = sub.add_parser("bench", help="latency benchmark")
-    common(p, needs_out=False)
+    p.add_argument("--seed", type=int, help="seed of the benchmark's inputs")
     p.add_argument("--out", default=None, help="optional output directory")
 
     return parser
@@ -161,7 +160,7 @@ def cmd_fit(args) -> int:
     dataset = _load_scene(resolved)
     head, history = fit_head(dataset, cfg=train_cfg, tau=resolved["tau"],
                              binning=fileio.binning_config_from(resolved))
-    dataset.bank.kappas = predict_kappas(dataset.features, head)
+    dataset.bank.kappas = predict_kappas(dataset.head_inputs(head), head)
     paths = _write_artifacts(args.out, resolved, dataset, history, head=head,
                              extra={"mode": train_cfg.mode.value,
                                     "epochs": len(history)})
@@ -184,7 +183,7 @@ def cmd_train(args) -> int:
         binning=fileio.binning_config_from(resolved))
     dataset.bank.descriptors = encoder.encode(dataset.raw)
     if head is not None:
-        dataset.bank.kappas = predict_kappas(dataset.features, head)
+        dataset.bank.kappas = predict_kappas(dataset.head_inputs(head), head)
     paths = _write_artifacts(args.out, resolved, dataset, history, head=head,
                              encoder=encoder, prototypes=prototypes,
                              extra={"mode": train_cfg.mode.value,
@@ -334,8 +333,7 @@ def cmd_bench(args) -> int:
     from . import fileio
     from .bench import run_bench
 
-    seed = args.seed if args.seed is not None else 0
-    result = run_bench(seed=seed)
+    result = run_bench() if args.seed is None else run_bench(seed=args.seed)
     print(f"descriptor path : {result.descriptor_ms:8.4f} ms")
     print(f"with kappa head : {result.combined_ms:8.4f} ms")
     print(f"overhead        : {result.overhead * 100:7.2f} %")

@@ -10,6 +10,13 @@ Two variants:
 
 Forward and backward are hand-written numpy; every gradient is checked
 against central finite differences in the test suite.
+
+The feature maps come from a frozen backbone, so while the GeM exponent
+is frozen too (``train_gem_p`` off, every production path) the pooled
+rows are a constant of a fit: ``forward_batch`` also takes the (n, c)
+rows ``aggregate`` pooled once, and runs only the head proper on them.
+Each pooled row does not depend on the batch it was pooled in, so both
+inputs give the same bits.
 """
 
 from __future__ import annotations
@@ -143,22 +150,28 @@ def kappa_from_pooled(g, params: HeadParams):
 
 
 def forward_batch(fms, params: HeadParams):
-    """Forward pass for a (n, c, h, w) batch. Returns (kappas, cache)."""
+    """Forward pass for a (n, c, h, w) batch of feature maps, or for the
+    (n, c) rows `aggregate` pooled from such maps at params.gem_p, which
+    skips the pooling.  Pooled rows suit only the aggregation variant
+    with a frozen exponent: training gem_p reads the maps.
+    Returns (kappas, cache)."""
     fms = np.asarray(fms, dtype=np.float64)
-    if fms.ndim != 4:
-        raise ValueError(f"expected (n, c, h, w) batch, got shape {fms.shape}")
-    n = fms.shape[0]
-    cache = {"fms": fms}
+    pooled = fms.ndim == 2
+    if fms.ndim != 4 and not pooled:
+        raise ValueError("expected a (n, c, h, w) batch or (n, c) pooled rows, "
+                         f"got shape {fms.shape}")
     if params.variant is HeadVariant.LINEAR_ONLY:
-        flat = fms.reshape(n, -1)
+        if pooled:
+            raise ValueError("the linear-only head reads feature maps, "
+                             "not pooled rows")
+        flat = fms.reshape(fms.shape[0], -1)
         if flat.shape[1] != params.kappa_w.shape[0]:
             raise ValueError(
                 f"feature size {flat.shape[1]} does not match head "
                 f"weights {params.kappa_w.shape[0]}"
             )
         pre = flat @ params.kappa_w + params.kappa_b
-        cache.update(flat=flat, pre=pre)
-        return softplus(pre), cache
+        return softplus(pre), {"flat": flat, "pre": pre}
 
     if params.proj_w is None:
         raise ValueError("aggregation variant requires proj_w")
@@ -166,7 +179,9 @@ def forward_batch(fms, params: HeadParams):
         raise ValueError(
             f"channel count {fms.shape[1]} does not match proj_w {params.proj_w.shape}"
         )
-    cache.update(aggregate(fms, params.gem_p))
+    if pooled and params.train_gem_p:
+        raise ValueError("training gem_p needs the feature maps, not pooled rows")
+    cache = {"g": fms} if pooled else aggregate(fms, params.gem_p)
     kappas, cache["hid"], cache["pre"] = kappa_from_pooled(cache["g"], params)
     return kappas, cache
 
@@ -175,6 +190,8 @@ def backward_batch(cache, params: HeadParams, upstream) -> HeadGrads:
     """Parameter gradients for a batch; `upstream` is dL/dkappa per sample.
 
     Gradients are summed over the batch (pass upstream/n for a mean loss).
+    The pooling intermediates ("s", "mean_sp") are read only when gem_p
+    trains, so a cache from pooled rows serves every other case.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     d_pre = upstream * _sigmoid(cache["pre"])          # (n,)
@@ -187,18 +204,16 @@ def backward_batch(cache, params: HeadParams, upstream) -> HeadGrads:
             kappa_b=float(d_pre.sum()),
         )
 
-    g, hid, s, mean_sp = cache["g"], cache["hid"], cache["s"], cache["mean_sp"]
-    p = params.gem_p
-    hw = s.shape[2] * s.shape[3]
-
+    g, hid = cache["g"], cache["hid"]
     d_kappa_w = hid.T @ d_pre
     d_kappa_b = float(d_pre.sum())
     d_hid = np.outer(d_pre, params.kappa_w)            # (n, hidden)
     d_proj_w = d_hid.T @ g                             # (hidden, c)
-    d_g = d_hid @ params.proj_w                        # (n, c)
 
     d_gem_p = 0.0
     if params.train_gem_p:
+        s, mean_sp, p = cache["s"], cache["mean_sp"], params.gem_p
+        d_g = d_hid @ params.proj_w                    # (n, c)
         # g = M^{1/p}, M = mean s^p:  dg/dp = g(-ln M / p^2 + (mean s^p ln s)/(p M))
         with np.errstate(divide="ignore", invalid="ignore"):
             log_m = np.where(mean_sp > 0.0, np.log(np.maximum(mean_sp, 1e-300)), 0.0)

@@ -16,12 +16,12 @@ import numpy as np
 from . import scores as sc
 from .calibration import BinningConfig, ClampMode, ece_at_k, match_ece_at_k
 from .head import HeadParams, forward_batch, init_head
-from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank, GroundTruth,
-                        RetrievalResult, batch_knn, mark_successes,
-                        recall_at_k)
+from .retrieval import (DEFAULT_KS, DEFAULT_TAU, SUE_K, DescriptorBank,
+                        GroundTruth, RetrievalResult, batch_knn,
+                        mark_successes, recall_at_k)
 from .synth import SynthDataset
-from .training import (LinearEncoder, LmclConfig, TrainConfig, train_joint,
-                       train_post)
+from .training import (LinearEncoder, LmclConfig, TrainConfig, TrainData,
+                       train_joint, train_post)
 from .vmf import ResultantUncertainty
 
 VALIDATION_FRACTION = 0.1
@@ -37,6 +37,8 @@ def binning_for(method: str,
 
 
 def predict_kappas(features, head: HeadParams) -> np.ndarray:
+    """kappa per row of `features`: feature maps, or the rows
+    `SynthDataset.head_inputs` pooled from them (see `forward_batch`)."""
     kappas, _ = forward_batch(np.asarray(features, dtype=np.float64), head)
     return kappas
 
@@ -50,15 +52,18 @@ def _validation_split(train_idx, seed: int):
     return train_idx[perm[n_val:]], train_idx[perm[:n_val]]
 
 
-def _fit_data(dataset: SynthDataset, seed: int):
+def _fit_data(dataset: SynthDataset, seed: int, head: HeadParams | None):
     """Training data restricted to the fit portion of the train split; the
-    validation portion stays held out.  Returns (data, val_idx)."""
-    fit_idx, val_idx = _validation_split(dataset.splits["train"], seed)
-    train = dataset.train_data()
-    keep = np.isin(dataset.splits["train"], fit_idx)
-    for name in ("features", "labels", "descriptors", "raw"):
-        setattr(train, name, getattr(train, name)[keep])
-    return train, val_idx
+    validation portion stays held out.  Its features are the rows `head`
+    reads (`SynthDataset.head_inputs`; the maps without a head).
+    Returns (data, val_idx)."""
+    train_idx = dataset.splits["train"]
+    fit_idx, val_idx = _validation_split(train_idx, seed)
+    idx = train_idx[np.isin(train_idx, fit_idx)]
+    rows = dataset.features if head is None else dataset.head_inputs(head)
+    return TrainData(features=rows[idx], labels=dataset.bank.labels[idx],
+                     descriptors=dataset.bank.descriptors[idx],
+                     raw=dataset.raw[idx]), val_idx
 
 
 def _marked_knn(queries, query_ids, query_poses, db_bank: DescriptorBank,
@@ -93,10 +98,10 @@ def _recall_and_ece1(dataset, encoder, head, val_idx, db_idx, tau, binning):
     recall1 = recall_at_k(results, 1)
     ece1 = float("nan")
     if head is not None:
-        db_bank.kappas = predict_kappas(dataset.features[db_idx], head)
+        rows = dataset.head_inputs(head)
+        db_bank.kappas = predict_kappas(rows[db_idx], head)
         ece1 = _resultant_ece1(results, db_bank,
-                               predict_kappas(dataset.features[val_idx], head),
-                               binning)
+                               predict_kappas(rows[val_idx], head), binning)
     return recall1, ece1
 
 
@@ -111,7 +116,7 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
     """
     cfg = cfg or TrainConfig(seed=dataset.config.seed)
     head = init_head(dataset.config.feature_shape, rng=cfg.seed)
-    train, val_idx = _fit_data(dataset, cfg.seed)
+    train, val_idx = _fit_data(dataset, cfg.seed, head)
     db_idx = dataset.splits["db"]
     # descriptors are frozen: retrieve once, re-score kappas each epoch
     db_bank = dataset.subset_bank(db_idx)
@@ -120,10 +125,10 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
                           dataset.bank.poses[val_idx], db_bank, tau)
 
     def hook(h):
-        db_bank.kappas = predict_kappas(dataset.features[db_idx], h)
+        rows = dataset.head_inputs(h)
+        db_bank.kappas = predict_kappas(rows[db_idx], h)
         return _resultant_ece1(results, db_bank,
-                               predict_kappas(dataset.features[val_idx], h),
-                               binning)
+                               predict_kappas(rows[val_idx], h), binning)
 
     return train_post(train, dataset.prototypes, head, cfg, eval_hook=hook)
 
@@ -144,7 +149,7 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
     encoder = LinearEncoder(rng.standard_normal((d, m)) / np.sqrt(m))
     head = (init_head(dataset.config.feature_shape, rng=cfg.seed)
             if with_head else None)
-    train, val_idx = _fit_data(dataset, cfg.seed)
+    train, val_idx = _fit_data(dataset, cfg.seed, head)
     db_idx = dataset.splits["db"]
 
     def hook(enc, protos, h):
@@ -190,11 +195,13 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
     Methods that lack their inputs (SUE without poses, a kappa score
     without kappas, PA or SUE on a one-row database) are reported as
     unsupported and the evaluation continues; any other scorer error
-    propagates.
+    propagates.  The search goes max(max(ks), SUE_K) deep, clipped to the
+    bank, and SUE spreads the top SUE_K poses whatever `ks` lists, so no
+    method's ECE@K depends on the other K.
     """
     ks = sorted(set(int(k) for k in ks))
-    k_eff = min(max(max(ks), 2), len(bank))
-    results = batch_knn(query_bank.descriptors, bank, k_eff,
+    results = batch_knn(query_bank.descriptors, bank,
+                        min(max(ks[-1], SUE_K), len(bank)),
                         query_ids=query_bank.ids)
     gt = gt or GroundTruth(tau=tau)
     mark_successes(results, gt, bank, query_poses=query_bank.poses)
@@ -204,7 +211,8 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
     for method in methods:
         try:
             scored[method] = sc.score_query(method, results, bank,
-                                            kappa_q=query_bank.kappas, k=k_eff)
+                                            kappa_q=query_bank.kappas,
+                                            k=min(SUE_K, len(bank)))
         except sc.MissingInputError as exc:
             unsupported[method] = str(exc)
 
@@ -268,10 +276,11 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
 def _scene_banks(dataset: SynthDataset, head: HeadParams):
     """The scene's db and query banks with kappas predicted by `head`."""
     banks = []
+    rows = dataset.head_inputs(head)
     for split in ("db", "query"):
         idx = dataset.splits[split]
         bank = dataset.subset_bank(idx)
-        bank.kappas = predict_kappas(dataset.features[idx], head)
+        bank.kappas = predict_kappas(rows[idx], head)
         banks.append(bank)
     return banks
 

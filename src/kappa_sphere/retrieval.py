@@ -15,6 +15,7 @@ _GROUP_FLOOR = 256  # fewest column groups that bound a row's k-th best
 
 DEFAULT_KS = (1, 5, 10)  # the K of Recall@K and ECE@K a run reports
 DEFAULT_TAU = 25.0       # pose distance within which a reference is positive
+SUE_K = 10               # top-k references whose pose spread is SUE's score
 
 
 @dataclass

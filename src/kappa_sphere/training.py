@@ -1,5 +1,5 @@
 """Optimization: margin-based classification loss, the Gaussian-NLL
-ablation, Adam, gradient verification, and the two training settings
+ablation, Adam, and the two training settings
 (post-training of the kappa head against a frozen embedding space, and
 joint training of encoder + prototypes + head), which share one epoch,
 Adam and early-stopping driver and differ in their per-batch objective.
@@ -154,72 +154,62 @@ def gnll_loss(z, mu, sigma_sq: float, d: int):
 
 @dataclass
 class AdamState:
+    """Adam's step count and moments.  The first step lays the moments of
+    its keys out in one flat buffer each (`m` and `v` map every key to its
+    view); every later step updates the same keys."""
+
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
+    _slices: dict = field(default_factory=dict, repr=False)
+    _flat: tuple = field(default=(), repr=False)  # m, v, grad, step, denom
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam update, in place on the `params` dict of float64 arrays."""
-    state.t += 1
-    t = state.t
-    for key, g in grads.items():
-        p = params[key]
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {key!r}")
-        if key not in state.m:
-            state.m[key] = np.zeros_like(p)
-            state.v[key] = np.zeros_like(p)
-        state.m[key] = beta1 * state.m[key] + (1 - beta1) * g
-        state.v[key] = beta2 * state.v[key] + (1 - beta2) * g * g
-        m_hat = state.m[key] / (1 - beta1 ** t)
-        v_hat = state.v[key] / (1 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    """One Adam update, in place on the `params` dict of float64 arrays.
 
-
-# --- gradient verification ---------------------------------------------------
-
-
-@dataclass
-class FiniteDiffReport:
-    max_rel_err: float
-    per_param: dict
-    tolerance: float
-    passed: bool
-
-
-def finite_diff_check(loss_and_grad, params: dict, tolerance: float = 1e-4) -> FiniteDiffReport:
-    """Check analytic gradients against central finite differences.
-
-    `loss_and_grad(params) -> (loss, grads_dict)`.  Steps are
-    h = 1e-5 * max(1, |x|) per coordinate.
+    Per key, m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g
+    and p -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps).
+    All keys update at once, in place in the flat buffers of `state`, one
+    operation at a time in that order: every key gets the bits of the
+    per-key formula, without its temporary arrays.
     """
-    _, analytic = loss_and_grad(params)
-    per_param = {}
-    worst = 0.0
-    for key in analytic:
-        p = params[key]
-        a = np.asarray(analytic[key], dtype=np.float64)
-        fd = np.zeros_like(a)
-        flat_p = p.reshape(-1)
-        flat_fd = fd.reshape(-1)
-        for i in range(flat_p.size):
-            x0 = flat_p[i]
-            h = 1e-5 * max(1.0, abs(x0))
-            flat_p[i] = x0 + h
-            lp, _ = loss_and_grad(params)
-            flat_p[i] = x0 - h
-            lm, _ = loss_and_grad(params)
-            flat_p[i] = x0
-            flat_fd[i] = (lp - lm) / (2.0 * h)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-6)
-        err = float(np.max(np.abs(a - fd) / denom)) if a.size else 0.0
-        per_param[key] = err
-        worst = max(worst, err)
-    return FiniteDiffReport(max_rel_err=worst, per_param=per_param,
-                            tolerance=tolerance, passed=worst <= tolerance)
+    grads = {key: np.asarray(g, dtype=np.float64) for key, g in grads.items()}
+    for key, g in grads.items():
+        if g.shape != params[key].shape:
+            raise ValueError(f"gradient shape {g.shape} != param shape "
+                             f"{params[key].shape} for {key!r}")
+    if not state._slices:
+        bounds = np.cumsum([0] + [g.size for g in grads.values()])
+        state._slices = {key: slice(a, b)
+                         for key, a, b in zip(grads, bounds, bounds[1:])}
+        state._flat = tuple(np.zeros(bounds[-1]) for _ in range(5))
+        for moments, buf in zip((state.m, state.v), state._flat):
+            moments.update({key: buf[sl].reshape(grads[key].shape)
+                            for key, sl in state._slices.items()})
+    elif grads.keys() != state._slices.keys():
+        raise ValueError(f"Adam state holds keys {sorted(state._slices)}, "
+                         f"got gradients for {sorted(grads)}")
+    state.t += 1
+    m, v, g, step, den = state._flat
+    for key, sl in state._slices.items():
+        g[sl] = grads[key].reshape(-1)
+    m *= beta1
+    np.multiply(1 - beta1, g, out=step)
+    m += step
+    v *= beta2
+    np.multiply(1 - beta2, g, out=step)
+    step *= g
+    v += step
+    np.divide(v, 1 - beta2 ** state.t, out=den)
+    np.sqrt(den, out=den)
+    den += eps
+    np.divide(m, 1 - beta1 ** state.t, out=step)
+    step *= lr
+    step /= den
+    for key, sl in state._slices.items():
+        params[key] -= step[sl].reshape(params[key].shape)
 
 
 # --- training loops ----------------------------------------------------------
@@ -230,10 +220,12 @@ class TrainData:
     """Per-sample training inputs.
 
     descriptors are the frozen embeddings (post-training); raw features
-    feed the encoder in joint mode; feature maps feed the kappa head.
+    feed the encoder in joint mode; features feed the kappa head, as
+    feature maps or, while its GeM exponent is frozen, as the rows pooled
+    from them once (`forward_batch` takes either).
     """
 
-    features: np.ndarray           # (n, c, h, w)
+    features: np.ndarray           # (n, c, h, w) maps or (n, c) pooled rows
     labels: np.ndarray             # (n,) int
     descriptors: np.ndarray | None = None  # (n, d) unit rows
     raw: np.ndarray | None = None          # (n, m)

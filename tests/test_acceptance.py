@@ -34,13 +34,13 @@ from kappa_sphere.retrieval import (DescriptorBank, GroundTruth,
 from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import (AnchorMode, LinearEncoder, LmclConfig,
                                    TrainConfig, TrainData, TrainMode,
-                                   finite_diff_check, gnll_batch, gnll_loss,
-                                   joint_loss_and_grads, lmcl_loss,
-                                   post_loss_and_grads, train_joint)
+                                   gnll_batch, gnll_loss, joint_loss_and_grads,
+                                   lmcl_loss, post_loss_and_grads, train_joint)
 from kappa_sphere.vmf import (BesselOrder, VmfParams, mle_kappa, sample_vmf,
                               stable_log_partition, stable_log_partition_grad,
                               vmf_batch_nll, vmf_nll, vmf_nll_grad_kappa,
                               vmf_nll_grad_z)
+from oracles import finite_diff_check
 
 
 def unit(rng, d):

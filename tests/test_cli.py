@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +257,41 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["fit", "--out", str(out)]) == 1
         assert "post_training" in capsys.readouterr().err
+
+
+class TestPooling:
+    @pytest.mark.parametrize("command", ["fit", "train"])
+    def test_each_scene_row_pooled_once(self, workdir, tmp_path, command,
+                                        monkeypatch):
+        # the training batches, the epoch hooks and the final kappas of a
+        # command all read one pooling of the scene's frozen maps
+        from kappa_sphere import head
+
+        original, rows = head.aggregate, []
+
+        def spy(fms, p):
+            rows.append(len(fms))
+            return original(fms, p)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("kappa_sphere") \
+                    and getattr(module, "aggregate", None) is original:
+                monkeypatch.setattr(module, "aggregate", spy)
+        out = tmp_path / "run"
+        assert main(["gen", "--config", str(workdir["cfg"]),
+                     "--out", str(out)]) == 0
+        assert main([command, "--out", str(out)]) == 0
+        scene = SMALL_CONFIG["scene"]
+        assert rows == [scene["num_classes"] * scene["images_per_class"]]
+
+
+class TestBench:
+    def test_config_flag_rejected(self, capsys):
+        # bench reads no run config, so argparse refuses --config
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", "missing.json"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
 
 class TestUnsupportedMethods:

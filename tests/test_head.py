@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kappa_sphere.head import (HeadVariant, backward_batch,
+from kappa_sphere.head import (HeadVariant, aggregate, backward_batch,
                                forward_batch, gem_pool, head_backward,
                                head_forward, init_head, softplus)
-from kappa_sphere.training import finite_diff_check
+from oracles import finite_diff_check
 
 SHAPE = (6, 3, 3)
 
@@ -163,3 +165,48 @@ class TestGradients:
             batched.proj_w, sum(s.proj_w for s in singles), rtol=1e-12)
         assert batched.kappa_b == pytest.approx(
             sum(s.kappa_b for s in singles), rel=1e-12)
+
+
+class TestPooledRows:
+    """Rows pooled once stand in for per-batch pooling, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_do_not_depend_on_the_batch(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        c = data.draw(st.integers(1, 70), label="c")
+        h = data.draw(st.integers(1, 9), label="h")
+        w = data.draw(st.integers(1, 9), label="w")
+        p = data.draw(st.sampled_from([1.0, 2.0, 3.0])
+                      | st.floats(1.0, 8.0), label="p")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        fms = rng.standard_normal((n, c, h, w)) * 10.0 ** rng.uniform(-3, 3)
+        whole = aggregate(fms, p)["g"]
+        height = data.draw(st.integers(1, n), label="height")
+        idx = np.array(data.draw(st.permutations(range(n))))[:height]
+        part = aggregate(fms[idx], p)["g"]
+        assert part.tobytes() == whole[idx].tobytes()
+
+    def test_rows_give_the_maps_kappas_and_gradients(self, rng):
+        head = random_head(rng)
+        fms = rng.standard_normal((40,) + SHAPE)
+        rows = aggregate(fms, head.gem_p)["g"]
+        idx = rng.permutation(40)[:17]
+        upstream = rng.standard_normal(17)
+        k_maps, c_maps = forward_batch(fms[idx], head)
+        k_rows, c_rows = forward_batch(rows[idx], head)
+        assert k_rows.tobytes() == k_maps.tobytes()
+        g_maps = backward_batch(c_maps, head, upstream)
+        g_rows = backward_batch(c_rows, head, upstream)
+        assert g_rows.proj_w.tobytes() == g_maps.proj_w.tobytes()
+        assert g_rows.kappa_w.tobytes() == g_maps.kappa_w.tobytes()
+        assert g_rows.kappa_b == g_maps.kappa_b
+
+    def test_rows_rejected_where_the_maps_are_read(self, rng):
+        rows = rng.standard_normal((4, SHAPE[0]))
+        with pytest.raises(ValueError, match="gem_p"):
+            forward_batch(rows, random_head(rng, train_gem_p=True))
+        with pytest.raises(ValueError, match="linear-only"):
+            forward_batch(rows, random_head(rng, HeadVariant.LINEAR_ONLY))
+        with pytest.raises(ValueError, match="channel count"):
+            forward_batch(rows[:, 1:], random_head(rng))

@@ -10,8 +10,8 @@ from scipy.stats import spearmanr
 
 from kappa_sphere import pipeline
 from kappa_sphere import scores as sc
-from kappa_sphere.retrieval import RetrievalResult
-from kappa_sphere.synth import SceneConfig, generate_scene
+from kappa_sphere.retrieval import SUE_K, RetrievalResult
+from kappa_sphere.synth import SceneConfig, SynthDataset, generate_scene
 from kappa_sphere.training import TrainConfig, TrainMode
 
 SMALL = dict(num_classes=8, images_per_class=10, descriptor_dim=16,
@@ -40,14 +40,42 @@ def test_fit_head_retrieves_once():
     assert knn.call_count == 1
 
 
+class TestPooledOnce:
+    """fit_head and fit_joint pool the frozen maps once per scene; with
+    per-batch pooling restored they train the same head bit for bit."""
+
+    @staticmethod
+    def _fits(dataset):
+        common = dict(max_epochs=6, warmup=2, patience=3, seed=3)
+        post = pipeline.fit_head(dataset, cfg=TrainConfig(
+            mode=TrainMode.POST_TRAINING, lr=0.05, **common))
+        gnll = pipeline.fit_head(dataset, cfg=TrainConfig(
+            mode=TrainMode.GNLL_VARIANT, lr=0.05, **common))
+        *_, head, history = pipeline.fit_joint(dataset, cfg=TrainConfig(
+            mode=TrainMode.JOINT_TRAINING, lam=0.5, lr=0.01, **common))
+        return [post, gnll, (head, history)]
+
+    def test_same_heads_and_history_as_per_batch_maps(self):
+        pooled = self._fits(generate_scene(SceneConfig(**SMALL)))
+        with mock.patch.object(SynthDataset, "head_inputs",
+                               lambda self, head: self.features):
+            maps = self._fits(generate_scene(SceneConfig(**SMALL)))
+        for (h_a, hist_a), (h_b, hist_b) in zip(pooled, maps):
+            assert h_a.kappa_w.tobytes() == h_b.kappa_w.tobytes()
+            assert h_a.proj_w.tobytes() == h_b.proj_w.tobytes()
+            assert h_a.kappa_b == h_b.kappa_b
+            assert repr(hist_a) == repr(hist_b)
+
+
 class TestEvaluateQueries:
     def test_rows_match_batches_of_one(self, fitted):
-        # every method scores a query the same alone as inside the batch
+        # every method scores a query the same alone as inside the batch;
+        # the search goes SUE_K deep even when ks stops at 5
         _, _, db, query = fitted
         ev = pipeline.evaluate_queries(db, query, ks=(1, 5))
         res = ev.results
         n = len(query)
-        assert res.success.shape == (n, 5)
+        assert res.success.shape == (n, SUE_K)
         for method, (value, degenerate) in ev.scored.items():
             assert value.shape == degenerate.shape == (n,)
             for i in (0, n // 2, n - 1):
@@ -57,10 +85,22 @@ class TestEvaluateQueries:
                     ref_indices=res.ref_indices[i:i + 1],
                     similarities=res.similarities[i:i + 1])
                 one = sc.score_query(method, row, db,
-                                     kappa_q=query.kappas[i:i + 1], k=5)
+                                     kappa_q=query.kappas[i:i + 1], k=SUE_K)
                 assert one.value[0] == value[i], (method, i)
         for k in (1, 5):
             assert ev.recalls[k] == float(np.mean(res.success[:, k - 1]))
+
+    def test_ece_at_k_does_not_depend_on_the_other_ks(self, fitted):
+        # SUE's neighbourhood is SUE_K whatever ks lists, so adding K
+        # values leaves every method's report at the others unchanged
+        _, _, db, query = fitted
+        full = pipeline.evaluate_queries(db, query, ks=(1, 5, 10))
+        for ks in ((1,), (5,), (10,), (1, 5)):
+            part = pipeline.evaluate_queries(db, query, ks=ks)
+            assert set(part.reports) == {(m, k) for m in sc.ALL_METHODS
+                                         for k in ks}
+            for key, rep in part.reports.items():
+                assert rep.to_dict() == full.reports[key].to_dict(), key
 
     def test_constant_kappa_gives_no_spearman(self, fitted):
         # Spearman is undefined for a constant vector: None, not NaN

@@ -12,8 +12,9 @@ from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import (AdamState, AnchorMode, LinearEncoder,
                                    LmclConfig, TrainConfig, TrainData,
                                    TrainMode, _epoch_batches, adam_step,
-                                   finite_diff_check, gnll_loss, lmcl_loss,
-                                   train_joint, train_post)
+                                   gnll_loss, lmcl_loss, train_joint,
+                                   train_post)
+from oracles import finite_diff_check
 
 
 def unit_rows(rng, n, d):
@@ -139,6 +140,50 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             adam_step({"w": np.zeros(3)}, {"w": np.zeros(2)}, AdamState(), 0.1)
+
+    def test_keys_fixed_by_the_first_step(self):
+        state = AdamState()
+        adam_step({"w": np.zeros(2)}, {"w": np.ones(2)}, state, 0.1)
+        with pytest.raises(ValueError, match="keys"):
+            adam_step({"w": np.zeros(2), "b": np.zeros(1)},
+                      {"w": np.ones(2), "b": np.ones(1)}, state, 0.1)
+
+    def test_bits_of_the_per_key_formula(self):
+        # the allocating per-key update adam_step replaced, verbatim
+        def reference(params, grads, state, lr, beta1=0.9, beta2=0.999,
+                      eps=1e-8):
+            state["t"] += 1
+            t = state["t"]
+            for key, g in grads.items():
+                p = params[key]
+                g = np.asarray(g, dtype=np.float64)
+                if key not in state["m"]:
+                    state["m"][key] = np.zeros_like(p)
+                    state["v"][key] = np.zeros_like(p)
+                state["m"][key] = beta1 * state["m"][key] + (1 - beta1) * g
+                state["v"][key] = (beta2 * state["v"][key]
+                                   + (1 - beta2) * g * g)
+                m_hat = state["m"][key] / (1 - beta1 ** t)
+                v_hat = state["v"][key] / (1 - beta2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        # joint training's keys at the default scene: encoder (d, m),
+        # prototypes (C, d) and the head's entries (hidden 64, 8 channels)
+        rng = np.random.default_rng(5)
+        shapes = {"kappa_w": (64,), "kappa_b": (1,), "proj_w": (64, 8),
+                  "encoder": (64, 192), "prototypes": (32, 64)}
+        ours = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        theirs = {k: v.copy() for k, v in ours.items()}
+        state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+        for _ in range(600):
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-6, 2)
+                     for k, s in shapes.items()}
+            adam_step(ours, grads, state, 1e-3)
+            reference(theirs, grads, ref_state, 1e-3)
+        for key in shapes:
+            assert ours[key].tobytes() == theirs[key].tobytes(), key
+            assert state.m[key].tobytes() == ref_state["m"][key].tobytes()
+            assert state.v[key].tobytes() == ref_state["v"][key].tobytes()
 
 
 class TestFiniteDiffCheck:
