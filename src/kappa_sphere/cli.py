@@ -111,6 +111,7 @@ def _paths(out):
         "config": os.path.join(out, "config.json"),
         "model": os.path.join(out, "model.json"),
         "history": os.path.join(out, "history.csv"),
+        "retrieval": os.path.join(out, "retrieval.npz"),
     }
 
 
@@ -248,6 +249,10 @@ def cmd_eval(args) -> int:
     out_path = os.path.join(args.out, "report.json")
     fileio.atomic_write_text(out_path, fileio.report_document(
         body, resolved, resolved["scene"]["seed"]))
+    # match-eval reads the first k columns of this search instead of
+    # repeating it; eval itself never reads the file
+    fileio.write_retrieval(_paths(args.out)["retrieval"], db, queries,
+                           ev.results)
     if args.svg:
         _write_svgs(args.out, ev.reports.values())
     _print_query_table(ev, ks)
@@ -260,10 +265,13 @@ def cmd_match_eval(args) -> int:
     from .pipeline import evaluate_matches
 
     resolved, db, queries = _load_eval_inputs(args)
-    k = resolved["ks"][0] if resolved["ks"] else 1
+    k = resolved["ks"][0]
+    # the search eval recorded for these exact inputs, when at least k deep
+    results = fileio.read_retrieval(_paths(args.out)["retrieval"], db,
+                                    queries, k)
     ev = evaluate_matches(db, queries, k=k,
                           binning=fileio.binning_config_from(resolved),
-                          tau=resolved["tau"])
+                          tau=resolved["tau"], results=results)
     body = {
         "level": "match",
         "k": k,

@@ -1,5 +1,6 @@
 """File formats: the binary descriptor-bank format, the JSON manifest,
-run configuration, model state, and report emission.
+the recorded retrieval, run configuration, model state, and report
+emission.
 
 Bank layout (little-endian): magic "KPB1", u32 version = 1, u32 dim,
 u64 count, then count*dim float32 values row-major.  All writes go to a
@@ -9,10 +10,12 @@ on success, so readers never observe partial artifacts.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
 import tempfile
+import zipfile
 from dataclasses import fields
 from enum import Enum
 from itertools import chain
@@ -21,7 +24,8 @@ import numpy as np
 
 from .calibration import BinningConfig
 from .head import HeadParams, HeadVariant
-from .retrieval import DEFAULT_KS, DEFAULT_TAU, DescriptorBank
+from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
+                        RetrievalResult)
 from .synth import SceneConfig, SPLIT_NAMES
 from .training import LinearEncoder, LmclConfig, TrainConfig
 
@@ -56,6 +60,16 @@ class ConfigError(ValueError):
     def __init__(self, message: str, path: str):
         super().__init__(f"{message} (at {path})")
         self.path = path
+
+
+class RetrievalFileError(ValueError):
+    """Malformed retrieval record; carries the file and the failing field
+    (None when the archive itself cannot be read)."""
+
+    def __init__(self, message: str, path, field: str | None = None):
+        self.path, self.field = os.fspath(path), field
+        where = self.path if field is None else f"{self.path}, field {field!r}"
+        super().__init__(f"{message} (in {where})")
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
@@ -240,6 +254,109 @@ def read_manifest(path, descriptors) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# recorded retrieval
+
+# Names the search that wrote a record; change it when batch_knn's results
+# change, so older records stop matching.
+_RETRIEVAL_FORMAT = b"kappa-sphere retrieval 1"
+
+
+def retrieval_key(bank: DescriptorBank, query_bank: DescriptorBank) -> str:
+    """sha256 of exactly what `batch_knn(query_bank.descriptors, bank, K,
+    query_ids=query_bank.ids)` reads besides K: both descriptor blocks and
+    both id arrays, each with its dtype and shape.  Kappas, poses, tau and
+    binning are not search inputs, so they are not hashed."""
+    import hashlib  # here: loading OpenSSL costs every command a few ms
+
+    h = hashlib.sha256(_RETRIEVAL_FORMAT)
+    for arr in (bank.descriptors, bank.ids, query_bank.descriptors,
+                query_bank.ids):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr)  # the buffer itself, no tobytes() copy
+    return h.hexdigest()
+
+
+def write_retrieval(path, bank: DescriptorBank, query_bank: DescriptorBank,
+                    results: RetrievalResult) -> None:
+    """Record a top-K search of `query_bank` against `bank`: its (n, K)
+    bank row indices and cosines, keyed by `retrieval_key`.  A numpy-only
+    .npz archive, written atomically."""
+    buf = io.BytesIO()
+    np.savez(buf, key=np.array(retrieval_key(bank, query_bank)),
+             ref_indices=np.asarray(results.ref_indices, dtype=np.int64),
+             similarities=np.asarray(results.similarities, dtype=np.float64))
+    atomic_write_bytes(path, buf.getvalue())
+
+
+def _retrieval_field(archive, name: str, path, dtype, ndim: int):
+    """One member of a retrieval archive, checked for its dtype and rank."""
+    if name not in archive.files:
+        raise RetrievalFileError("missing field", path, name)
+    try:
+        value = archive[name]
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise RetrievalFileError(f"unreadable: {exc}", path, name) from exc
+    if value.dtype != dtype or value.ndim != ndim:
+        raise RetrievalFileError(
+            f"expected a {ndim}-d {np.dtype(dtype)} array, got "
+            f"{value.ndim}-d {value.dtype}", path, name)
+    return value
+
+
+def read_retrieval(path, bank: DescriptorBank, query_bank: DescriptorBank,
+                   k: int) -> RetrievalResult | None:
+    """The first k columns of the search recorded by `write_retrieval`.
+
+    None when there is no file, when it was recorded for other search
+    inputs (its key differs from `retrieval_key(bank, query_bank)`), or
+    when it holds fewer than k columns.  A file that is not such a record
+    raises RetrievalFileError naming the file and the field.  Loaded with
+    allow_pickle=False.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    # opened here, not by np.load, which leaves the file open when the
+    # archive cannot be read
+    with fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise RetrievalFileError(f"not a readable .npz archive: {exc}",
+                                     path) from exc
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise RetrievalFileError("not an .npz archive", path)
+        with archive:
+            key = _retrieval_field(archive, "key", path, np.dtype("<U64"), 0)
+            order = _retrieval_field(archive, "ref_indices", path, np.int64,
+                                     2)
+            sims = _retrieval_field(archive, "similarities", path,
+                                    np.float64, 2)
+    if str(key) != retrieval_key(bank, query_bank):
+        return None
+    n, depth = order.shape
+    if n != len(query_bank) or not 1 <= depth <= len(bank):
+        raise RetrievalFileError(
+            f"shape {order.shape} does not fit {len(query_bank)} queries "
+            f"against {len(bank)} references", path, "ref_indices")
+    if order.min() < 0 or order.max() >= len(bank):
+        raise RetrievalFileError(f"row index outside [0, {len(bank)})",
+                                 path, "ref_indices")
+    if sims.shape != order.shape:
+        raise RetrievalFileError(f"shape {sims.shape} != ref_indices shape "
+                                 f"{order.shape}", path, "similarities")
+    if k > depth:
+        return None
+    # contiguous, as batch_knn returns them
+    order = np.ascontiguousarray(order[:, :k])
+    sims = np.ascontiguousarray(sims[:, :k])
+    return RetrievalResult(query_ids=query_bank.ids, ref_ids=bank.ids[order],
+                           ref_indices=order, similarities=sims)
+
+
+# ---------------------------------------------------------------------------
 # run configuration
 
 _SECTIONS = {"scene": SceneConfig, "train": TrainConfig, "lmcl": LmclConfig,
@@ -306,11 +423,10 @@ def load_run_config(path=None, overrides: dict | None = None) -> dict:
                 resolved[section].update(layer[section])
         if "ks" in layer:
             ks = layer["ks"]
-            if (not isinstance(ks, list) or not set(map(type, ks)) <= {int}
-                    or min(ks, default=1) < 1):
-                raise ConfigError(
-                    f"ks must be an array of positive integers, got {ks!r}",
-                    "$.ks")
+            if (not isinstance(ks, list) or not ks
+                    or not set(map(type, ks)) <= {int} or min(ks) < 1):
+                raise ConfigError("ks must be a non-empty array of positive "
+                                  f"integers, got {ks!r}", "$.ks")
             resolved["ks"] = list(ks)
         if "tau" in layer:
             if type(layer["tau"]) not in (int, float):

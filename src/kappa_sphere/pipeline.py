@@ -245,13 +245,21 @@ class MatchEvaluation:
 
 def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
                      k: int = 1, binning: BinningConfig | None = None,
-                     tau: float = DEFAULT_TAU) -> MatchEvaluation:
+                     tau: float = DEFAULT_TAU,
+                     results: RetrievalResult | None = None) -> MatchEvaluation:
     """Match-level calibration over the T = K * N retrieved pairs.
 
     Scores each pair with the resultant-fusion kernel (when both banks
-    carry kappas) and with the pairwise L2 distance baseline.
+    carry kappas) and with the pairwise L2 distance baseline.  `results`
+    is the top-k search of `query_bank` against `bank` when the caller
+    already has it (see `fileio.read_retrieval`); otherwise it is run here.
     """
-    results = batch_knn(query_bank.descriptors, bank, k, query_ids=query_bank.ids)
+    if results is None:
+        results = batch_knn(query_bank.descriptors, bank, k,
+                            query_ids=query_bank.ids)
+    elif results.ref_indices.shape != (len(query_bank), k):
+        raise ValueError(f"results of shape {results.ref_indices.shape} are "
+                         f"not a top-{k} search of {len(query_bank)} queries")
     positive = GroundTruth(tau=tau).positive_mask(
         results.query_ids, query_bank.poses, bank, results.ref_indices)
 

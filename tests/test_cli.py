@@ -2,11 +2,13 @@
 
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
 import pytest
 
+from kappa_sphere import fileio, retrieval
 from kappa_sphere.cli import main
 
 SMALL_CONFIG = {
@@ -14,6 +16,23 @@ SMALL_CONFIG = {
               "aliasing_rate": 0.25, "seed": 0},
     "train": {"max_epochs": 8, "patience": 3, "warmup": 2, "lr": 0.05},
 }
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace every binding of the function `original` in the package."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("kappa_sphere") \
+                and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, replacement)
+
+
+def _copy_scene(workdir, out):
+    """A new run directory holding the module scene's bank, manifest and
+    config."""
+    out.mkdir()
+    for name in ("bank.kpb", "manifest.json", "config.json"):
+        (out / name).write_bytes((workdir["out"] / name).read_bytes())
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +179,139 @@ class TestMatchEval:
         assert doc["reports"]["resultant"]["level"] == "match"
 
 
+class TestRecordedRetrieval:
+    """eval records its top-K search in retrieval.npz; match-eval takes the
+    first k columns when the record's key matches its own search inputs
+    and k is at most K, and searches otherwise."""
+
+    @pytest.fixture()
+    def evaluated(self, workdir, tmp_path):
+        out = _copy_scene(workdir, tmp_path / "run")
+        assert main(["eval", "--out", str(out)]) == 0
+        assert (out / "retrieval.npz").is_file()
+        return out
+
+    @staticmethod
+    def _count_searches(monkeypatch) -> list:
+        """Patch batch_knn to record the k of every search it runs."""
+        original, ks = retrieval.batch_knn, []
+
+        def spy(queries, bank, k, **kwargs):
+            ks.append(k)
+            return original(queries, bank, k, **kwargs)
+
+        _patch_everywhere(monkeypatch, original, spy)
+        return ks
+
+    @pytest.mark.parametrize("k", [None, "5", "10"])
+    def test_match_eval_reads_the_record(self, evaluated, tmp_path,
+                                         monkeypatch, k):
+        # the record's prefix gives the bytes a search gives
+        flags = [] if k is None else ["--k", k]
+        searched = tmp_path / "searched"
+        shutil.copytree(evaluated, searched)
+        (searched / "retrieval.npz").unlink()
+        assert main(["match-eval", "--out", str(searched), *flags]) == 0
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("match-eval searched")
+
+        _patch_everywhere(monkeypatch, retrieval.batch_knn, no_search)
+        assert main(["match-eval", "--out", str(evaluated), *flags]) == 0
+        assert (evaluated / "match_report.json").read_bytes() == \
+            (searched / "match_report.json").read_bytes()
+
+    @pytest.mark.parametrize("change", ["train", "perturbed row",
+                                        "deeper k", "no file"])
+    def test_match_eval_searches_when_the_record_does_not_fit(
+            self, evaluated, monkeypatch, change):
+        argv = ["match-eval", "--out", str(evaluated)]
+        if change == "train":
+            assert main(["train", "--out", str(evaluated)]) == 0
+        elif change == "perturbed row":
+            desc = fileio.read_bank(evaluated / "bank.kpb")
+            manifest = json.loads((evaluated / "manifest.json").read_text())
+            i = manifest["split"].index("db")
+            desc[i] += 0.05 * desc[i - 1]
+            desc[i] /= np.linalg.norm(desc[i])
+            fileio.write_bank(evaluated / "bank.kpb", desc)
+        elif change == "deeper k":
+            with np.load(evaluated / "retrieval.npz") as record:
+                depth = record["ref_indices"].shape[1]
+            argv += ["--k", str(depth + 1)]
+        else:
+            (evaluated / "retrieval.npz").unlink()
+        searches = self._count_searches(monkeypatch)
+        assert main(argv) == 0
+        assert len(searches) == 1
+
+    def test_changes_outside_the_search_keep_the_record(
+            self, evaluated, tmp_path, monkeypatch):
+        # kappas, train rows, tau and binning are not search inputs
+        doc = json.loads((evaluated / "manifest.json").read_text())
+        doc["kappas"] = [2.0 * v for v in doc["kappas"]]
+        (evaluated / "manifest.json").write_text(json.dumps(doc))
+        desc = fileio.read_bank(evaluated / "bank.kpb")
+        i = doc["split"].index("train")
+        desc[i] = desc[i - 1]
+        fileio.write_bank(evaluated / "bank.kpb", desc)
+        flags = ["--binning", "quantile", "--bins", "4"]
+        searched = tmp_path / "searched"
+        shutil.copytree(evaluated, searched)
+        (searched / "retrieval.npz").unlink()
+        assert main(["match-eval", "--out", str(searched), *flags]) == 0
+        searches = self._count_searches(monkeypatch)
+        assert main(["match-eval", "--out", str(evaluated), *flags]) == 0
+        assert searches == []
+        assert (evaluated / "match_report.json").read_bytes() == \
+            (searched / "match_report.json").read_bytes()
+
+    @pytest.mark.parametrize("garble, field", [
+        ("truncated", None),
+        ("noise", None),
+        ("no key", "key"),
+        ("float indices", "ref_indices"),
+        ("index out of range", "ref_indices"),
+        ("one query short", "ref_indices"),
+        ("short similarities", "similarities"),
+        ("pickled similarities", "similarities"),
+    ])
+    def test_bad_record_fails_with_its_location(self, evaluated, capsys,
+                                                garble, field):
+        path = evaluated / "retrieval.npz"
+        payload = path.read_bytes()
+        with np.load(path) as npz:
+            record = dict(npz)
+        if garble == "truncated":
+            path.write_bytes(payload[:len(payload) // 2])
+        elif garble == "noise":
+            path.write_bytes(np.random.default_rng(0).bytes(len(payload)))
+        else:
+            order, sims = record["ref_indices"], record["similarities"]
+            if garble == "no key":
+                del record["key"]
+            elif garble == "float indices":
+                record["ref_indices"] = order.astype(float)
+            elif garble == "index out of range":
+                order[-1, -1] = 10**6
+            elif garble == "one query short":
+                record.update(ref_indices=order[1:], similarities=sims[1:])
+            elif garble == "short similarities":
+                record["similarities"] = sims[:, :-1]
+            else:
+                record["similarities"] = sims.astype(object)
+            np.savez(path, **record)
+        assert main(["match-eval", "--out", str(evaluated)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err
+        if field is not None:
+            assert f"field {field!r}" in err
+        # eval never reads the record: it searches and rewrites it
+        assert main(["eval", "--out", str(evaluated)]) == 0
+        assert path.read_bytes() == payload
+        assert main(["match-eval", "--out", str(evaluated)]) == 0
+
+
 class TestReportCommand:
     def test_renders_tables(self, workdir, capsys):
         out = workdir["out"]
@@ -177,10 +329,8 @@ class TestReportCommand:
         # one naming rule: `report --svg` rewrites exactly the diagrams the
         # command that wrote the report wrote
         evaluated, rendered = tmp_path / "evaluated", tmp_path / "rendered"
-        evaluated.mkdir()
+        _copy_scene(workdir, evaluated)
         rendered.mkdir()
-        for name in ("bank.kpb", "manifest.json", "config.json"):
-            (evaluated / name).write_bytes((workdir["out"] / name).read_bytes())
         assert main([command, "--out", str(evaluated), "--svg"]) == 0
         (rendered / report).write_bytes((evaluated / report).read_bytes())
         assert main(["report", str(rendered / report), "--svg"]) == 0
@@ -221,6 +371,7 @@ class TestErrors:
         ({"scene": {"aliasing_rate": 0.01}}, "$.scene"),  # 0 aliased classes
         ({"scene": {"descriptor_dim": 1}}, "$.scene"),
         ({"scene": {"images_per_class": 4}}, "$.scene"),  # cannot stratify
+        ({"ks": []}, "$.ks"),  # eval and match-eval need a K
     ])
     def test_bad_config_value_located(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "config.json"
@@ -273,10 +424,7 @@ class TestPooling:
             rows.append(len(fms))
             return original(fms, p)
 
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("kappa_sphere") \
-                    and getattr(module, "aggregate", None) is original:
-                monkeypatch.setattr(module, "aggregate", spy)
+        _patch_everywhere(monkeypatch, original, spy)
         out = tmp_path / "run"
         assert main(["gen", "--config", str(workdir["cfg"]),
                      "--out", str(out)]) == 0

@@ -12,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_sphere.fileio import (BankFormatError, ConfigError, ManifestError,
-                                 atomic_write_text, default_run_config,
-                                 load_run_config, read_bank, read_manifest,
-                                 read_model_state, report_document,
+                                 RetrievalFileError, atomic_write_text,
+                                 default_run_config, load_run_config,
+                                 read_bank, read_manifest, read_model_state,
+                                 read_retrieval, report_document,
                                  scene_config_from, train_config_from,
                                  write_bank, write_manifest,
-                                 write_model_state, history_csv)
+                                 write_model_state, write_retrieval,
+                                 history_csv)
 from kappa_sphere.calibration import BinningConfig, BinStrategy
 from kappa_sphere.head import HeadVariant, init_head
-from kappa_sphere.retrieval import DescriptorBank
+from kappa_sphere.retrieval import DescriptorBank, batch_knn
 from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
 from kappa_sphere.training import (AnchorMode, LinearEncoder, LmclConfig,
                                    TrainConfig, TrainMode)
@@ -240,6 +242,16 @@ class TestRunConfig:
         assert seen == [train_config_from(load_run_config(
             overrides={"train": {"seed": 3}}))]
 
+    @pytest.mark.parametrize("layer", ["file", "overrides"])
+    def test_empty_ks_rejected(self, tmp_path, layer):
+        # eval has no K to report and match-eval none to score
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"ks": []} if layer == "file" else {}))
+        overrides = {"ks": []} if layer == "overrides" else None
+        with pytest.raises(ConfigError, match="non-empty") as exc:
+            load_run_config(path, overrides)
+        assert exc.value.path == "$.ks"
+
     def test_binning_clamp_rejected(self, tmp_path):
         # eval clamps per method, so a config clamp would be ignored
         path = tmp_path / "config.json"
@@ -307,6 +319,62 @@ class TestArtifacts:
                 report_document({"ece": bad}, default_run_config(), 0)
         json.loads(report_document({"spearman_kappa": None},
                                    default_run_config(), 0))
+
+
+class TestRetrievalRecord:
+    @pytest.fixture()
+    def banks(self, rng):
+        def bank(n, start):
+            return DescriptorBank(descriptors=unit_rows(rng, n, 6),
+                                  ids=np.arange(start, start + n),
+                                  labels=np.zeros(n),
+                                  poses=rng.uniform(0, 9, (n, 2)),
+                                  kappas=rng.uniform(1, 9, n))
+        return bank(30, 100), bank(7, 0)
+
+    def test_prefix_round_trip(self, banks, tmp_path):
+        db, queries = banks
+        path = tmp_path / "retrieval.npz"
+        write_retrieval(path, db, queries, batch_knn(queries.descriptors, db,
+                                                     10, query_ids=queries.ids))
+        for k in (1, 4, 10):
+            got = read_retrieval(path, db, queries, k)
+            want = batch_knn(queries.descriptors, db, k,
+                             query_ids=queries.ids)
+            for name in ("query_ids", "ref_ids", "ref_indices",
+                         "similarities"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+        assert read_retrieval(path, db, queries, 11) is None
+        assert read_retrieval(tmp_path / "none.npz", db, queries, 1) is None
+
+    @pytest.mark.parametrize("field", ["descriptors", "ids"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_key_covers_every_search_input(self, banks, tmp_path, field,
+                                           side):
+        path = tmp_path / "retrieval.npz"
+        write_retrieval(path, *banks, batch_knn(banks[1].descriptors,
+                                                banks[0], 3))
+        changed = list(banks)
+        values = getattr(banks[side], field)[::-1].copy()
+        changed[side] = DescriptorBank(**{**vars(banks[side]), field: values})
+        assert read_retrieval(path, *changed, 1) is None
+
+    def test_key_ignores_what_is_not_searched(self, banks, tmp_path):
+        path = tmp_path / "retrieval.npz"
+        write_retrieval(path, *banks, batch_knn(banks[1].descriptors,
+                                                banks[0], 3))
+        changed = [DescriptorBank(**{**vars(b), "kappas": None, "poses": None,
+                                     "labels": b.labels + 1}) for b in banks]
+        assert read_retrieval(path, *changed, 3) is not None
+
+    def test_not_an_archive(self, banks, tmp_path):
+        path = tmp_path / "retrieval.npz"
+        np.save(path, np.zeros(3))
+        os.replace(str(path) + ".npy", path)
+        with pytest.raises(RetrievalFileError) as exc:
+            read_retrieval(path, *banks, 1)
+        assert exc.value.path == str(path) and exc.value.field is None
 
 
 class TestHistoryCsv:

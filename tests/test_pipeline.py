@@ -153,3 +153,17 @@ class TestEvaluateMatches:
         query = replace(query, kappas=None)
         ev = pipeline.evaluate_matches(db, query, k=2)
         assert set(ev.pairs) == set(ev.reports) == {sc.METHOD_L2}
+
+    def test_given_results_are_scored_as_searched(self, fitted):
+        # a caller's top-k search (match-eval's recorded one) replaces the
+        # search; one of another depth is refused, not scored
+        _, _, db, query = fitted
+        searched = pipeline.evaluate_matches(db, query, k=2)
+        with mock.patch.object(pipeline, "batch_knn",
+                               side_effect=AssertionError("searched")):
+            given = pipeline.evaluate_matches(db, query, k=2,
+                                              results=searched.results)
+            assert given.reports == searched.reports
+            with pytest.raises(ValueError, match="top-1"):
+                pipeline.evaluate_matches(db, query, k=1,
+                                          results=searched.results)

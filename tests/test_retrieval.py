@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappa_sphere.retrieval import (_ROW_BLOCK, DescriptorBank, GroundTruth,
-                                    GroundTruthMode, batch_knn, knn,
-                                    mark_successes, recall_at_k)
+from kappa_sphere.retrieval import (_GROUP_FLOOR, _ROW_BLOCK, DescriptorBank,
+                                    GroundTruth, GroundTruthMode, batch_knn,
+                                    knn, mark_successes, recall_at_k)
 
 
 def unit_rows(rng, n, d):
@@ -139,6 +139,40 @@ class TestKnn:
         np.testing.assert_array_equal(res.ref_indices, expected)
         np.testing.assert_array_equal(
             res.similarities, np.take_along_axis(sims, expected, axis=1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           size=st.integers(1, 300) | st.integers(_GROUP_FLOOR + 2, 700),
+           n=st.sampled_from([1, 37, _ROW_BLOCK, _ROW_BLOCK + 1,
+                              2 * _ROW_BLOCK + 37]),
+           duplicated=st.booleans(), data=st.data())
+    def test_shallow_search_is_a_prefix_of_a_deeper_one(self, seed, size, n,
+                                                        duplicated, data):
+        # match-eval reuses eval's deeper search on this: for k <= K the
+        # top k are the first k columns of the top K, bit for bit.  Random
+        # unit rows, so the cosines are those of the GEMM, not exact; with
+        # duplicated rows, ties.  K above the group floor folds the columns
+        # into another number of groups than k does.
+        r = np.random.default_rng(seed)
+        x = unit_rows(r, size, 16)
+        if duplicated:
+            x[r.integers(0, size, size // 2)] = x[r.integers(0, size,
+                                                           size // 2)]
+        ids = r.permutation(3 * size)[:size]
+        bank = DescriptorBank(descriptors=x, ids=ids, labels=np.zeros(size))
+        queries = np.concatenate([x[r.integers(0, size, n // 2)],
+                                  unit_rows(r, n - n // 2, 16)])
+        deep = data.draw(st.integers(1, size)
+                         | st.integers(min(size, _GROUP_FLOOR + 1), size),
+                         label="K")
+        k = data.draw(st.integers(1, deep) | st.sampled_from([1, deep]),
+                      label="k")
+
+        shallow, full = batch_knn(queries, bank, k), batch_knn(queries, bank,
+                                                               deep)
+        for name in ("ref_indices", "ref_ids", "similarities"):
+            np.testing.assert_array_equal(getattr(shallow, name),
+                                          getattr(full, name)[:, :k])
 
     @pytest.mark.parametrize("n", [1, _ROW_BLOCK]
                              + [_ROW_BLOCK + h for h in range(1, 9)])

@@ -1,7 +1,9 @@
-"""The layer tracer's targets exist, so a rename fails here rather than in a
-traced benchmark run; the CLI's modules start without scipy; --help and
-argument errors return without loading numpy; and every demo runs."""
+"""The layer tracer's targets and the names the benchmark harness imports
+from the package exist, so a rename fails here rather than in a benchmark
+run; the CLI's modules start without scipy; --help and argument errors
+return without loading numpy; and every demo runs."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -13,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACE_RUNNER = ROOT / "perfbench" / "trace_runner.py"
+HARNESS = ROOT / "perfbench" / "harness.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -40,6 +43,22 @@ def test_trace_targets_exist():
                for name in functions
                if not callable(getattr(importlib.import_module(module), name,
                                        None))]
+    assert not missing, missing
+
+
+def test_harness_imports_exist():
+    # The harness checks eval's report against names it imports from the
+    # package it measures (the ECE oracle among them).  The benchmark runs
+    # the harness of its own commit, so moving one of those names out of
+    # the package fails every benchmark eval check.
+    imports = [node for node in ast.walk(ast.parse(HARNESS.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").startswith("kappa_sphere")]
+    assert imports
+    missing = [f"{node.module}.{alias.name}" for node in imports
+               for alias in node.names
+               if not hasattr(importlib.import_module(node.module),
+                              alias.name)]
     assert not missing, missing
 
 
