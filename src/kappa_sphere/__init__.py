@@ -13,7 +13,7 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset({
-    "anchors", "bench", "bessel", "calibration", "cli", "fileio", "head",
+    "anchors", "bench", "calibration", "cli", "fileio", "head",
     "pipeline", "retrieval", "scores", "synth", "training", "vmf",
 })
 

@@ -45,14 +45,6 @@ class PrototypeSet:
         self.weights /= np.linalg.norm(self.weights, axis=1, keepdims=True)
 
 
-def class_anchor(prototypes: PrototypeSet, label: int) -> np.ndarray:
-    """Return the prototype of `label`; a live view, so updates are seen."""
-    label = int(label)
-    if not 0 <= label < prototypes.num_classes:
-        raise KeyError(f"unknown class label {label} (C={prototypes.num_classes})")
-    return prototypes.weights[label]
-
-
 def batch_centroid_anchor(positives) -> np.ndarray:
     """Normalized sum of positive descriptors, the temporary anchor direction.
 

@@ -145,12 +145,6 @@ class CalibrationReport:
                       "clamp": ClampMode(doc["clamp"]),
                       "clamp_bounds": tuple(doc["clamp_bounds"])})
 
-    def csv_rows(self):
-        """One row per bin: (bin, count, observed, expected)."""
-        for i in range(self.num_bins):
-            yield (i + 1, self.bin_counts[i], self.bin_observed[i],
-                   self.bin_expected[i])
-
 
 def _ece_report(scores, flags, config: BinningConfig, k: int, method: str,
                 level: str) -> CalibrationReport:

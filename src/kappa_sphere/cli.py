@@ -308,9 +308,14 @@ def cmd_report(args) -> int:
 
     with open(args.path) as fh:
         doc = json.load(fh)
+    # checked before anything is printed, so a bad file prints no half table
+    if not isinstance(doc, dict):
+        raise ValueError("a report must be a JSON object (at $)")
     if doc.get("schema_version") != fileio.REPORT_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported report schema {doc.get('schema_version')!r}")
+    if not isinstance(doc.get("reports"), dict):
+        raise ValueError("missing or non-object field 'reports' (at $.reports)")
     print(f"seed {doc['seed']}  level {doc.get('level')}")
     if doc.get("recalls"):
         print("recall: " + "  ".join(f"R@{k}={v:.3f}"

@@ -34,15 +34,6 @@ class HeadVariant(str, Enum):
     LINEAR_ONLY = "linear_only"
 
 
-def check_feature_map(fm) -> np.ndarray:
-    fm = np.asarray(fm, dtype=np.float64)
-    if fm.ndim != 3 or fm.shape[0] < 1 or fm.shape[1] * fm.shape[2] < 1:
-        raise ValueError(f"feature map must have shape (c, h, w), got {fm.shape}")
-    if not np.all(np.isfinite(fm)):
-        raise ValueError("feature map contains non-finite entries")
-    return fm
-
-
 @dataclass
 class HeadParams:
     """Parameters of the kappa regressor."""
@@ -117,17 +108,6 @@ def _gem(x, p: float):
     s = np.maximum(x, 0.0)
     mean_sp = np.mean(s ** p, axis=(2, 3))
     return s, mean_sp, mean_sp ** (1.0 / p)
-
-
-def gem_pool(fm, p: float) -> np.ndarray:
-    """Generalized-mean pooling per channel: (mean over space of max(x,0)^p)^(1/p).
-
-    p=1 is average pooling of the clipped map; p -> inf approaches max.
-    """
-    fm = check_feature_map(fm)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    return _gem(fm[None], p)[2][0]
 
 
 def aggregate(fms, p: float) -> dict:
@@ -228,17 +208,3 @@ def backward_batch(cache, params: HeadParams, upstream) -> HeadGrads:
 
     return HeadGrads(gem_p=d_gem_p, proj_w=d_proj_w, kappa_w=d_kappa_w,
                      kappa_b=d_kappa_b)
-
-
-def head_forward(fm, params: HeadParams) -> float:
-    """Single feature map -> kappa > 0."""
-    fm = check_feature_map(fm)
-    kappas, _ = forward_batch(fm[None], params)
-    return float(kappas[0])
-
-
-def head_backward(fm, params: HeadParams, upstream: float) -> HeadGrads:
-    """Parameter gradients of upstream * d kappa / d params for one map."""
-    fm = check_feature_map(fm)
-    _, cache = forward_batch(fm[None], params)
-    return backward_batch(cache, params, np.array([float(upstream)]))

@@ -119,7 +119,7 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
     train, val_idx = _fit_data(dataset, cfg.seed, head)
     db_idx = dataset.splits["db"]
     # descriptors are frozen: retrieve once, re-score kappas each epoch
-    db_bank = dataset.subset_bank(db_idx)
+    db_bank = dataset.bank.subset(db_idx)
     results = _marked_knn(dataset.bank.descriptors[val_idx],
                           dataset.bank.ids[val_idx],
                           dataset.bank.poses[val_idx], db_bank, tau)
@@ -197,9 +197,12 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
     unsupported and the evaluation continues; any other scorer error
     propagates.  The search goes max(max(ks), SUE_K) deep, clipped to the
     bank, and SUE spreads the top SUE_K poses whatever `ks` lists, so no
-    method's ECE@K depends on the other K.
+    method's ECE@K depends on the other K.  `ks` must list at least one
+    K, each at least 1.
     """
     ks = sorted(set(int(k) for k in ks))
+    if not ks or ks[0] < 1:
+        raise ValueError(f"ks must list at least one K >= 1, got {ks}")
     results = batch_knn(query_bank.descriptors, bank,
                         min(max(ks[-1], SUE_K), len(bank)),
                         query_ids=query_bank.ids)
@@ -281,25 +284,14 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
                            positive=positive)
 
 
-def _scene_banks(dataset: SynthDataset, head: HeadParams):
-    """The scene's db and query banks with kappas predicted by `head`."""
+def scene_banks(dataset: SynthDataset, head: HeadParams):
+    """The scene's db and query banks, in that order, with kappas predicted
+    by `head`: the inputs of `evaluate_queries` and `evaluate_matches`."""
     banks = []
     rows = dataset.head_inputs(head)
     for split in ("db", "query"):
         idx = dataset.splits[split]
-        bank = dataset.subset_bank(idx)
+        bank = dataset.bank.subset(idx)
         bank.kappas = predict_kappas(rows[idx], head)
         banks.append(bank)
     return banks
-
-
-def scene_query_evaluation(dataset: SynthDataset, head: HeadParams,
-                           **kwargs) -> QueryEvaluation:
-    """Convenience wrapper: evaluate a fitted head on the scene's
-    query split against its db split (`kwargs` go to evaluate_queries)."""
-    return evaluate_queries(*_scene_banks(dataset, head), **kwargs)
-
-
-def scene_match_evaluation(dataset: SynthDataset, head: HeadParams,
-                           **kwargs) -> MatchEvaluation:
-    return evaluate_matches(*_scene_banks(dataset, head), **kwargs)

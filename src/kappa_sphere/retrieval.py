@@ -114,12 +114,6 @@ class RetrievalResult:
         return len(self.query_ids)
 
 
-def knn(query, bank: DescriptorBank, k: int, query_id: int = -1) -> RetrievalResult:
-    """Exact top-k of one query: a batch of one."""
-    q = np.asarray(query, dtype=np.float64)
-    return batch_knn(q[None], bank, k, query_ids=[query_id])
-
-
 def batch_knn(queries, bank: DescriptorBank, k: int,
               query_ids=None) -> RetrievalResult:
     """Exact top-k under cosine similarity for an (n, d) block of queries.
@@ -195,7 +189,9 @@ def mark_successes(results: RetrievalResult, gt: GroundTruth,
 
 
 def recall_at_k(results: RetrievalResult, k: int) -> float:
-    """Fraction of queries with a positive among the top k ranks."""
+    """Fraction of queries with a positive among the top k ranks, k >= 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if len(results) == 0:
         raise ValueError("no retrieval results")
     if results.success is None:

@@ -55,9 +55,6 @@ def match_uncertainty(kappa_q, kappa_r, cos_qr) -> ResultantUncertainty:
                                  cos_qr)
 
 
-query_uncertainty = match_uncertainty
-
-
 def query_uncertainty_inverse_kappa(kappa_q):
     """Naive ablation: 1 / kappa after flooring; lies in (0, 1]."""
     return 1.0 / floor_kappa(kappa_q)
@@ -127,7 +124,7 @@ def score_query(method: str, result: RetrievalResult, bank: DescriptorBank,
     if method == METHOD_RESULTANT:
         if bank.kappas is None or kappa_q is None:
             raise MissingKappasError("resultant score requires predicted kappas")
-        return query_uncertainty(kappa_q, bank.kappas[result.ref_indices[:, 0]],
+        return match_uncertainty(kappa_q, bank.kappas[result.ref_indices[:, 0]],
                                  result.similarities[:, 0])
     k = k if k is not None else result.ref_ids.shape[1]
     if method == METHOD_INV_KAPPA:

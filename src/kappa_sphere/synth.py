@@ -19,7 +19,6 @@ import numpy as np
 from .anchors import PrototypeSet
 from .head import HeadParams, HeadVariant, aggregate
 from .retrieval import DescriptorBank
-from .training import TrainData
 from .vmf import sample_vmf
 
 DEFAULT_SPLIT = (0.5, 0.3, 0.2)
@@ -92,18 +91,6 @@ class SynthDataset:
                       aggregate(self.features, head.gem_p)["g"])
             self._pooled = cached
         return cached[2]
-
-    def subset_bank(self, indices) -> DescriptorBank:
-        return self.bank.subset(indices)
-
-    def train_data(self) -> TrainData:
-        idx = self.splits["train"]
-        return TrainData(
-            features=self.features[idx],
-            labels=self.bank.labels[idx],
-            descriptors=self.bank.descriptors[idx],
-            raw=self.raw[idx],
-        )
 
 
 def ambiguity_to_kappa(ambiguity, config: SceneConfig):

@@ -106,20 +106,6 @@ def lmcl_batch(z, prototype_weights, labels, cfg: LmclConfig):
     return loss, d_cos @ prototype_weights, d_cos.T @ z
 
 
-def lmcl_loss(embedding, prototypes: PrototypeSet, label: int, cfg: LmclConfig):
-    """Large-margin cosine loss for one sample: `lmcl_batch` with n = 1.
-
-    Returns (loss, grad wrt embedding, grad wrt prototype matrix).
-    """
-    z = np.asarray(embedding, dtype=np.float64)
-    label = int(label)
-    if not 0 <= label < prototypes.num_classes:
-        raise KeyError(f"label {label} out of range")
-    loss, grad_z, grad_w = lmcl_batch(z[None], prototypes.weights,
-                                      np.array([label]), cfg)
-    return loss, grad_z[0], grad_w
-
-
 def gnll_batch(z, anchors, sigma_sq, d):
     """Mean isotropic Gaussian NLL over a batch, in ambient space.
 
@@ -133,20 +119,6 @@ def gnll_batch(z, anchors, sigma_sq, d):
     loss = float(np.mean(sq / (2.0 * sigma_sq) + 0.5 * d * np.log(sigma_sq)))
     grad_s2 = (-sq / (2.0 * sigma_sq**2) + 0.5 * d / sigma_sq) / n
     return loss, diff / sigma_sq[:, None] / n, grad_s2
-
-
-def gnll_loss(z, mu, sigma_sq: float, d: int):
-    """Gaussian NLL for one descriptor: `gnll_batch` with n = 1.
-
-    Returns (loss, grad wrt z, grad wrt sigma_sq).
-    """
-    s2 = float(sigma_sq)
-    if not (s2 > 0.0) or not math.isfinite(s2):
-        raise ValueError(f"sigma_sq must be positive and finite, got {sigma_sq}")
-    z = np.asarray(z, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    loss, grad_z, grad_s2 = gnll_batch(z[None], mu[None], np.array([s2]), d)
-    return loss, grad_z[0], float(grad_s2[0])
 
 
 # --- Adam -------------------------------------------------------------------

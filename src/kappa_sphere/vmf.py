@@ -1,11 +1,12 @@
 """Core von Mises-Fisher machinery on the unit hypersphere S^{d-1}.
 
 Provides the numerically stable log-partition surrogate (integral of the
-Amos upper bound on the Bessel ratio), the vMF negative log-likelihood and
-its analytic gradients, the exact log-density (small-d oracle path),
-Wood-style rejection sampling, the Banerjee concentration estimator, and
-the resultant-vector fusion primitive shared by the query- and match-level
-uncertainty scores.
+Amos upper bound on the Bessel ratio), the batched vMF negative
+log-likelihood and its analytic gradients, Wood-style rejection sampling,
+the Banerjee concentration estimator, and the resultant-vector fusion
+primitive shared by the query- and match-level uncertainty scores.  No
+Bessel function is evaluated here: the exact oracles the surrogate is
+tested against live with the tests.
 
 All losses are defined up to an additive constant: only differences and
 gradients are meaningful.
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .bessel import log_bessel_exact
 
 UNIT_NORM_TOL = 1e-9
 UNCERTAINTY_CAP = 1e12  # the score of a degenerate (cancelled) resultant
@@ -137,7 +136,7 @@ def vmf_batch_nll(z, mu, kappas, order: BesselOrder) -> VmfBatchLoss:
     """Mean stable vMF NLL over n samples, L = mean_i A(kappa_i) - kappa_i mu_i.z_i.
 
     The single implementation of the loss: training runs it on whole
-    batches and the per-sample functions below call it with n = 1.
+    batches, and a single sample is the batch of one.
     """
     dots = np.einsum("ij,ij->i", mu, z)
     n = len(kappas)
@@ -146,75 +145,6 @@ def vmf_batch_nll(z, mu, kappas, order: BesselOrder) -> VmfBatchLoss:
     grad = stable_log_partition_grad(kappas, order) - dots
     scale = (-1.0 / n) * kappas[:, None]
     return VmfBatchLoss(loss=loss, kappa=grad / n, z=scale * mu, mu=scale * z)
-
-
-def _single(z, mu, kappa, order: BesselOrder | None = None) -> VmfBatchLoss:
-    """Validate one (z, mu, kappa) instance and run the batch kernel on it."""
-    z = check_unit(z, name="z")
-    mu = check_unit(mu, name="mu")
-    order = order or BesselOrder(z.shape[0])
-    if z.shape != mu.shape or z.shape[0] != order.d:
-        raise ValueError(
-            f"dimension mismatch: z {z.shape}, mu {mu.shape}, order d={order.d}"
-        )
-    return vmf_batch_nll(z[None], mu[None], np.array([float(kappa)]), order)
-
-
-def vmf_nll(z, mu, kappa, order: BesselOrder) -> float:
-    """Stable vMF negative log-likelihood, up to an additive constant.
-
-    L = A(kappa) - kappa * mu.z
-    """
-    return _single(z, mu, kappa, order).loss
-
-
-def vmf_nll_grad_kappa(z, mu, kappa, order: BesselOrder) -> float:
-    """dL/dkappa = A'(kappa) - mu.z; zero where the Amos ratio equals mu.z."""
-    return float(_single(z, mu, kappa, order).kappa[0])
-
-
-class DescriptorGrad(NamedTuple):
-    """Gradient of the vMF NLL w.r.t. the descriptor z."""
-
-    raw: np.ndarray       # -kappa * mu, the ambient-space gradient
-    tangent: np.ndarray   # (I - z z^T) applied to raw; orthogonal to z
-
-
-def vmf_nll_grad_z(z, mu, kappa) -> DescriptorGrad:
-    """Gradient of L w.r.t. z, raw and projected onto the tangent space at z."""
-    z = check_unit(z, name="z")
-    raw = _single(z, mu, kappa).z[0]
-    tangent = raw - z * float(z @ raw)
-    return DescriptorGrad(raw=raw, tangent=tangent)
-
-
-# Exact-density oracle path: validated only for small d and moderate kappa.
-_LOG_DENSITY_MAX_D = 64
-_LOG_DENSITY_MAX_KAPPA = 1e4
-
-
-def log_density(z, params: VmfParams, order: BesselOrder) -> float:
-    """Exact vMF log-density log C_d(kappa) + kappa * mu.z.
-
-    Uses the exact log-Bessel oracle, so it is restricted to d <= 64 and
-    kappa <= 1e4, and it is the one function here that needs scipy.  The
-    production loss path never calls this.
-    """
-    z = check_unit(z, name="z")
-    if z.shape[0] != order.d or params.d != order.d:
-        raise ValueError("dimension mismatch between z, params and order")
-    d, k = order.d, params.kappa
-    if d > _LOG_DENSITY_MAX_D:
-        raise ValueError(f"log_density validated only for d <= {_LOG_DENSITY_MAX_D}")
-    if k > _LOG_DENSITY_MAX_KAPPA:
-        raise ValueError(f"log_density validated only for kappa <= {_LOG_DENSITY_MAX_KAPPA}")
-    if k == 0.0:
-        # Uniform on the sphere: log(Gamma(d/2) / (2 pi^{d/2})).
-        log_area = math.log(2.0) + (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0)
-        return -log_area
-    v = order.v
-    log_c = v * math.log(k) - (d / 2.0) * math.log(2.0 * math.pi) - log_bessel_exact(v, k)
-    return log_c + k * float(params.mu @ z)
 
 
 def sample_vmf(params, count: int, rng_seed) -> np.ndarray:

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from kappa_sphere import scores as sc
-from kappa_sphere.pipeline import (evaluate_queries, fit_head,
-                                   scene_query_evaluation)
+from kappa_sphere.pipeline import evaluate_queries, fit_head, scene_banks
 from kappa_sphere.synth import SceneConfig, generate_scene
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -33,10 +32,10 @@ def default_scene_sweep():
         start = time.perf_counter()
         dataset = generate_scene(SceneConfig(seed=seed))
         head, history = fit_head(dataset)
-        ev = scene_query_evaluation(dataset, head, ks=(1,))
+        ev = evaluate_queries(*scene_banks(dataset, head), ks=(1,))
         elapsed = time.perf_counter() - start
-        db = dataset.subset_bank(dataset.splits["db"])
-        query = dataset.subset_bank(dataset.splits["query"])
+        db = dataset.bank.subset(dataset.splits["db"])
+        query = dataset.bank.subset(dataset.splits["query"])
         db.kappas, query.kappas = db.true_kappa, query.true_kappa
         truth = evaluate_queries(db, query, ks=(1,),
                                  methods=(sc.METHOD_RESULTANT,))

@@ -20,27 +20,27 @@ from scipy.stats import spearmanr
 from kappa_sphere import scores as sc
 from kappa_sphere.anchors import PrototypeSet, batch_centroid_anchor
 from kappa_sphere.bench import run_bench
-from kappa_sphere.bessel import bessel_ratio_exact
 from kappa_sphere.calibration import (BinningConfig, BinStrategy, ClampMode,
                                       clamp_values, ece_at_k,
                                       ece_bruteforce_oracle, expected_level,
                                       match_ece_at_k)
-from kappa_sphere.head import HeadVariant, backward_batch, forward_batch, \
-    head_backward, head_forward, init_head
-from kappa_sphere.pipeline import fit_head, fit_joint
+from kappa_sphere.head import (HeadVariant, backward_batch, forward_batch,
+                               init_head)
+from kappa_sphere.pipeline import (evaluate_matches, fit_head, fit_joint,
+                                   scene_banks)
 from kappa_sphere.retrieval import (DescriptorBank, GroundTruth,
                                     GroundTruthMode, batch_knn,
                                     mark_successes, recall_at_k)
 from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import (AnchorMode, LinearEncoder, LmclConfig,
                                    TrainConfig, TrainData, TrainMode,
-                                   gnll_batch, gnll_loss, joint_loss_and_grads,
-                                   lmcl_loss, post_loss_and_grads, train_joint)
+                                   gnll_batch, joint_loss_and_grads,
+                                   lmcl_batch, post_loss_and_grads,
+                                   train_joint)
 from kappa_sphere.vmf import (BesselOrder, VmfParams, mle_kappa, sample_vmf,
                               stable_log_partition, stable_log_partition_grad,
-                              vmf_batch_nll, vmf_nll, vmf_nll_grad_kappa,
-                              vmf_nll_grad_z)
-from oracles import finite_diff_check
+                              vmf_batch_nll)
+from oracles import bessel_ratio_exact, finite_diff_check
 
 
 def unit(rng, d):
@@ -91,10 +91,16 @@ def test_criterion_1_bessel_sandwich():
 # that train_post applies, w.r.t. the head; and the joint objective that
 # train_joint applies, w.r.t. encoder, prototypes and head) matches central
 # finite differences at rel. <= 1e-4 on >= 50 random instances each,
-# double precision.  Runtime < 30 s.
+# double precision.  Runtime < 30 s.  Single-sample instances run the
+# batched kernels training runs, on one-row inputs.
 
 N_INSTANCES = 50
 GRAD_TOL = 1e-4
+
+
+def _vmf_one(z, mu, kappa, order):
+    """The vMF NLL of one sample: `vmf_batch_nll` on one-row inputs."""
+    return vmf_batch_nll(z[None], mu[None], np.array([kappa]), order)
 
 
 def test_criterion_2_gradient_suite():
@@ -108,9 +114,9 @@ def test_criterion_2_gradient_suite():
         z, mu = unit(rng, d), unit(rng, d)
         kappa = float(rng.uniform(0.5, 300.0))
         h = 1e-5 * max(1.0, kappa)
-        fd = (vmf_nll(z, mu, kappa + h, order)
-              - vmf_nll(z, mu, kappa - h, order)) / (2 * h)
-        a = vmf_nll_grad_kappa(z, mu, kappa, order)
+        fd = (_vmf_one(z, mu, kappa + h, order).loss
+              - _vmf_one(z, mu, kappa - h, order).loss) / (2 * h)
+        a = float(_vmf_one(z, mu, kappa, order).kappa[0])
         assert abs(a - fd) / max(abs(a), abs(fd), 1e-6) <= GRAD_TOL
 
     # vMF NLL w.r.t. z: directional derivative along a geodesic through z
@@ -125,10 +131,11 @@ def test_criterion_2_gradient_suite():
         t -= z * (z @ t)
         t /= np.linalg.norm(t)
         h = 1e-5
-        fd = (vmf_nll(math.cos(h) * z + math.sin(h) * t, mu, kappa, order)
-              - vmf_nll(math.cos(h) * z - math.sin(h) * t, mu, kappa, order)
-              ) / (2 * h)
-        a = float(vmf_nll_grad_z(z, mu, kappa).tangent @ t)
+        fd = (_vmf_one(math.cos(h) * z + math.sin(h) * t, mu, kappa, order).loss
+              - _vmf_one(math.cos(h) * z - math.sin(h) * t, mu, kappa,
+                         order).loss) / (2 * h)
+        raw = _vmf_one(z, mu, kappa, order).z[0]
+        a = float((raw - z * (z @ raw)) @ t)  # the tangent part of dL/dz
         assert abs(a - fd) / max(abs(a), abs(fd), 1e-6) <= GRAD_TOL
 
     # head parameters (aggregation variant with trained GeM exponent
@@ -149,8 +156,9 @@ def test_criterion_2_gradient_suite():
                     head.proj_w = params["proj_w"]
                 if "gem_p" in params:
                     head.gem_p = float(params["gem_p"][0])
-                kappa = head_forward(fm, head)
-                g = head_backward(fm, head, upstream=kappa)
+                kappas, cache = forward_batch(fm[None], head)
+                g = backward_batch(cache, head, kappas)
+                kappa = float(kappas[0])
                 out = {"kappa_w": g.kappa_w, "kappa_b": np.array([g.kappa_b])}
                 if "proj_w" in params:
                     out["proj_w"] = g.proj_w
@@ -175,10 +183,9 @@ def test_criterion_2_gradient_suite():
         label = int(rng.integers(c))
 
         def loss_and_grad(params, cfg=cfg, label=label):
-            p = PrototypeSet.__new__(PrototypeSet)
-            p.weights = params["w"]
-            loss, gz, gw = lmcl_loss(params["z"], p, label, cfg)
-            return loss, {"z": gz, "w": gw}
+            loss, gz, gw = lmcl_batch(params["z"][None], params["w"],
+                                      np.array([label]), cfg)
+            return loss, {"z": gz[0], "w": gw}
 
         report = finite_diff_check(
             loss_and_grad, {"z": unit(rng, d), "w": protos.weights.copy()},
@@ -191,9 +198,9 @@ def test_criterion_2_gradient_suite():
         mu = rng.standard_normal(d)
 
         def loss_and_grad(params, mu=mu, d=d):
-            loss, gz, gs2 = gnll_loss(params["z"], mu,
-                                      float(params["s2"][0]), d)
-            return loss, {"z": gz, "s2": np.array([gs2])}
+            loss, gz, gs2 = gnll_batch(params["z"][None], mu[None],
+                                       params["s2"], d)
+            return loss, {"z": gz[0], "s2": gs2}
 
         report = finite_diff_check(
             loss_and_grad,
@@ -377,7 +384,7 @@ def test_criterion_5_protocol_exactness(rng):
 
     # flooring before score construction
     assert sc.floor_kappa(0.3) == 1.0
-    assert sc.query_uncertainty(0.3, 0.7, 0.5) == sc.query_uncertainty(1.0, 1.0, 0.5)
+    assert sc.match_uncertainty(0.3, 0.7, 0.5) == sc.match_uncertainty(1.0, 1.0, 0.5)
     assert sc.match_uncertainty(0.0, 250.0, 0.1) == \
         sc.match_uncertainty(1.0, 250.0, 0.1)
     assert sc.query_uncertainty_inverse_kappa(0.3) == 1.0
@@ -389,7 +396,7 @@ def test_criterion_5_protocol_exactness(rng):
 # checked by hashing every query's ranked ids and similarities.
 
 def _rankings_digest(dataset, k=10):
-    db = dataset.subset_bank(dataset.splits["db"])
+    db = dataset.bank.subset(dataset.splits["db"])
     q_idx = dataset.splits["query"]
     results = batch_knn(dataset.bank.descriptors[q_idx], db,
                         min(k, len(db)), query_ids=dataset.bank.ids[q_idx])
@@ -494,7 +501,11 @@ def test_criterion_9_joint_training_non_degradation():
     # Compared without an eval hook so the optimization path itself is
     # tested, not checkpoint selection.
     rng = np.random.default_rng(0)
-    data = dataset.train_data()
+    idx = dataset.splits["train"]
+    data = TrainData(features=dataset.features[idx],
+                     labels=dataset.bank.labels[idx],
+                     descriptors=dataset.bank.descriptors[idx],
+                     raw=dataset.raw[idx])
     encoder = LinearEncoder(rng.standard_normal(
         (dataset.config.descriptor_dim, dataset.raw.shape[1])))
     head0 = init_head(dataset.config.feature_shape, hidden=8, rng=0)
@@ -518,15 +529,13 @@ def test_criterion_9_joint_training_non_degradation():
 # deciles that contain both kinds of pair).
 
 def test_criterion_10_match_level_discrimination(default_scene_sweep):
-    from kappa_sphere.pipeline import scene_match_evaluation
-
     row = default_scene_sweep[0]
-    dataset, head = row["dataset"], row["head"]
-    ev = scene_match_evaluation(dataset, head, k=1)
+    db, queries = scene_banks(row["dataset"], row["head"])
+    ev = evaluate_matches(db, queries, k=1)
     assert ev.reports[sc.METHOD_RESULTANT].ece <= ev.reports[sc.METHOD_L2].ece
 
     # decile analysis over k=10 retrieved pairs
-    ev10 = scene_match_evaluation(dataset, head, k=10)
+    ev10 = evaluate_matches(db, queries, k=10)
     sims = ev10.results.similarities.ravel()
     scores = ev10.pairs[sc.METHOD_RESULTANT].value.ravel()
     flags = ev10.positive.ravel()

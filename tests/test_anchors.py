@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_sphere.anchors import (DegenerateCentroidError, PrototypeSet,
-                                  batch_centroid_anchor, class_anchor)
+                                  batch_centroid_anchor)
+from kappa_sphere.training import TrainConfig, _resolve_anchors
 
 
 def unit_rows(rng, n, d):
@@ -32,18 +33,15 @@ class TestPrototypeSet:
         np.testing.assert_allclose(np.linalg.norm(protos.weights, axis=1), 1.0,
                                    atol=1e-14)
 
-    def test_class_anchor_is_live_view(self, rng):
-        protos = PrototypeSet(unit_rows(rng, 3, 8))
-        anchor = class_anchor(protos, 1)
-        protos.weights[1] = np.roll(protos.weights[1], 1)
-        np.testing.assert_array_equal(anchor, protos.weights[1])
-
     def test_unknown_label(self, rng):
+        # class-prototype anchoring resolves every label of a batch before
+        # a loss reads a prototype row
         protos = PrototypeSet(unit_rows(rng, 3, 8))
-        with pytest.raises(KeyError):
-            class_anchor(protos, 3)
-        with pytest.raises(KeyError):
-            class_anchor(protos, -1)
+        z = unit_rows(rng, 2, 8)
+        for labels in ([0, 3], [-1, 0]):
+            with pytest.raises(KeyError):
+                _resolve_anchors(TrainConfig(), protos.weights, z,
+                                 np.array(labels))
 
 
 class TestBatchCentroid:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import iv, ive
 
-from kappa_sphere.bessel import bessel_ratio_exact, log_bessel_exact
+from oracles import bessel_ratio_exact, log_bessel_exact
 
 
 @pytest.mark.parametrize("v", [0.0, 0.5, 1.0, 7.0, 31.0, 255.0])

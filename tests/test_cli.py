@@ -347,6 +347,25 @@ class TestReportCommand:
         assert main(["report", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, where", [
+        (lambda doc: [doc], "(at $)"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "reports"},
+         "(at $.reports)"),
+        (lambda doc: {**doc, "reports": []}, "(at $.reports)")],
+        ids=["array", "no reports", "reports not an object"])
+    def test_rejects_a_malformed_document_before_printing(
+            self, workdir, tmp_path, capsys, edit, where):
+        out = workdir["out"]
+        assert main(["eval", "--out", str(out)]) == 0
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(edit(json.loads(
+            (out / "report.json").read_text()))))
+        capsys.readouterr()
+        assert main(["report", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and where in captured.err
+
 
 class TestErrors:
     def test_missing_artifacts_exit_nonzero(self, tmp_path, capsys):

@@ -7,12 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappa_sphere.head import (HeadVariant, aggregate, backward_batch,
-                               forward_batch, gem_pool, head_backward,
-                               head_forward, init_head, softplus)
+from kappa_sphere.head import (HeadVariant, _gem, aggregate, backward_batch,
+                               forward_batch, init_head, softplus)
 from oracles import finite_diff_check
 
 SHAPE = (6, 3, 3)
+
+
+def gem(fm, p):
+    """GeM of one (c, h, w) map, as `aggregate` pools each row."""
+    return _gem(np.asarray(fm)[None], p)[2][0]
+
+
+def kappa_one(fm, head):
+    """kappa of one (c, h, w) map: the batch forward on one row."""
+    return float(forward_batch(fm[None], head)[0][0])
+
+
+def grads_one(fm, head, upstream):
+    """Parameter gradients of upstream * kappa for one map."""
+    _, cache = forward_batch(fm[None], head)
+    return backward_batch(cache, head, np.array([upstream]))
 
 
 def random_head(rng, variant=HeadVariant.AGGREGATION, train_gem_p=False):
@@ -25,30 +40,31 @@ class TestGemPool:
     def test_p1_is_mean(self):
         fm = np.zeros((1, 1, 2))
         fm[0, 0] = [1.0, 3.0]
-        assert gem_pool(fm, 1.0)[0] == pytest.approx(2.0)
+        assert gem(fm, 1.0)[0] == pytest.approx(2.0)
 
     def test_large_p_approaches_max(self):
         fm = np.zeros((1, 1, 2))
         fm[0, 0] = [1.0, 3.0]
-        assert gem_pool(fm, 64.0)[0] == pytest.approx(3.0, rel=0.03)
+        assert gem(fm, 64.0)[0] == pytest.approx(3.0, rel=0.03)
 
     def test_all_zero_channel(self):
         fm = np.zeros((2, 2, 2))
-        np.testing.assert_array_equal(gem_pool(fm, 3.0), [0.0, 0.0])
+        np.testing.assert_array_equal(gem(fm, 3.0), [0.0, 0.0])
 
     def test_negative_values_clipped(self):
         fm = np.full((1, 1, 2), -5.0)
-        assert gem_pool(fm, 2.0)[0] == 0.0
+        assert gem(fm, 2.0)[0] == 0.0
 
     def test_monotone_in_p(self, rng):
         fm = np.abs(rng.standard_normal((3, 4, 4)))
-        pooled = [gem_pool(fm, p) for p in (1.0, 2.0, 4.0, 16.0)]
+        pooled = [gem(fm, p) for p in (1.0, 2.0, 4.0, 16.0)]
         for a, b in zip(pooled, pooled[1:]):
             assert np.all(b >= a - 1e-12)
 
-    def test_rejects_bad_p(self, rng):
-        with pytest.raises(ValueError):
-            gem_pool(np.abs(rng.standard_normal(SHAPE)), 0.5)
+    def test_rejects_bad_p(self):
+        for bad in (0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="gem_p"):
+                init_head(SHAPE, gem_p=bad)
 
 
 class TestForward:
@@ -61,26 +77,26 @@ class TestForward:
         head.proj_w = np.zeros_like(head.proj_w)
         head.kappa_b = 1.7
         fm = rng.standard_normal(SHAPE)
-        assert head_forward(fm, head) == pytest.approx(softplus(1.7), rel=1e-12)
+        assert kappa_one(fm, head) == pytest.approx(softplus(1.7), rel=1e-12)
 
     def test_strictly_positive(self, rng):
         for variant in HeadVariant:
             head = random_head(rng, variant)
             for _ in range(20):
                 fm = rng.standard_normal(SHAPE) * 10.0
-                assert head_forward(fm, head) > 0.0
+                assert kappa_one(fm, head) > 0.0
 
     def test_batch_matches_single(self, rng):
         head = random_head(rng)
         fms = rng.standard_normal((4,) + SHAPE)
         kappas, _ = forward_batch(fms, head)
-        singles = [head_forward(fm, head) for fm in fms]
+        singles = [kappa_one(fm, head) for fm in fms]
         np.testing.assert_allclose(kappas, singles, rtol=1e-14)
 
     def test_shape_mismatch(self, rng):
         head = random_head(rng)
-        with pytest.raises(ValueError):
-            head_forward(rng.standard_normal((7, 3, 3)), head)
+        with pytest.raises(ValueError, match="channel count"):
+            kappa_one(rng.standard_normal((7, 3, 3)), head)
 
 
 def _head_loss(fm, head, base):
@@ -93,8 +109,8 @@ def _head_loss(fm, head, base):
             base.proj_w = params["proj_w"]
         if "gem_p" in params:
             base.gem_p = float(params["gem_p"][0])
-        kappa = head_forward(fm, base)
-        grads = head_backward(fm, base, upstream=kappa)
+        kappa = kappa_one(fm, base)
+        grads = grads_one(fm, base, kappa)
         out = {"kappa_w": grads.kappa_w,
                "kappa_b": np.array([grads.kappa_b])}
         if "proj_w" in params:
@@ -133,7 +149,7 @@ class TestGradients:
 
     def test_zero_upstream(self, rng):
         head = random_head(rng)
-        grads = head_backward(rng.standard_normal(SHAPE), head, upstream=0.0)
+        grads = grads_one(rng.standard_normal(SHAPE), head, 0.0)
         assert grads.kappa_b == 0.0
         np.testing.assert_array_equal(grads.kappa_w, 0.0)
         np.testing.assert_array_equal(grads.proj_w, 0.0)
@@ -146,7 +162,7 @@ class TestGradients:
         pre = float(flat @ head.kappa_w + head.kappa_b)
         sig = 1.0 / (1.0 + math.exp(-pre))
         upstream = 2.3
-        grads = head_backward(fm, head, upstream=upstream)
+        grads = grads_one(fm, head, upstream)
         np.testing.assert_allclose(grads.kappa_w, upstream * sig * flat,
                                    rtol=1e-12)
         assert grads.kappa_b == pytest.approx(upstream * sig, rel=1e-12)
@@ -157,7 +173,7 @@ class TestGradients:
         upstream = rng.standard_normal(3)
         _, cache = forward_batch(fms, head)
         batched = backward_batch(cache, head, upstream)
-        singles = [head_backward(fm, head, float(u))
+        singles = [grads_one(fm, head, float(u))
                    for fm, u in zip(fms, upstream)]
         np.testing.assert_allclose(
             batched.kappa_w, sum(s.kappa_w for s in singles), rtol=1e-12)

@@ -23,7 +23,7 @@ def fitted():
     dataset = generate_scene(SceneConfig(**SMALL))
     head, _ = pipeline.fit_head(dataset, cfg=TrainConfig(
         mode=TrainMode.POST_TRAINING, lr=0.05, max_epochs=6, warmup=2, seed=3))
-    db, query = pipeline._scene_banks(dataset, head)
+    db, query = pipeline.scene_banks(dataset, head)
     return dataset, head, db, query
 
 
@@ -89,6 +89,14 @@ class TestEvaluateQueries:
                 assert one.value[0] == value[i], (method, i)
         for k in (1, 5):
             assert ev.recalls[k] == float(np.mean(res.success[:, k - 1]))
+
+    @pytest.mark.parametrize("ks", [(), (0, 1), (-1, 5)],
+                             ids=["empty", "zero", "negative"])
+    def test_rejects_empty_or_nonpositive_ks(self, fitted, ks):
+        # ks = (0, 1) would report the deepest rank as "Recall@0"
+        _, _, db, query = fitted
+        with pytest.raises(ValueError, match="ks"):
+            pipeline.evaluate_queries(db, query, ks=ks)
 
     def test_ece_at_k_does_not_depend_on_the_other_ks(self, fitted):
         # SUE's neighbourhood is SUE_K whatever ks lists, so adding K

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kappa_sphere.retrieval import (_GROUP_FLOOR, _ROW_BLOCK, DescriptorBank,
                                     GroundTruth, GroundTruthMode, batch_knn,
-                                    knn, mark_successes, recall_at_k)
+                                    mark_successes, recall_at_k)
 
 
 def unit_rows(rng, n, d):
@@ -47,7 +47,7 @@ class TestKnn:
         queries = rng.standard_normal((10, 6))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         for q in queries:
-            res = knn(q, bank, k=30)
+            res = batch_knn(q[None], bank, k=30)
             sims = bank.descriptors @ q
             expected = bank.ids[np.lexsort((bank.ids, -sims))]
             np.testing.assert_array_equal(res.ref_ids, [expected])
@@ -58,7 +58,7 @@ class TestKnn:
         bank = DescriptorBank(descriptors=np.stack([z, z, -z]),
                               ids=np.array([7, 3, 1]),
                               labels=np.zeros(3))
-        res = knn(z, bank, k=2)
+        res = batch_knn(z[None], bank, k=2)
         np.testing.assert_array_equal(res.ref_ids, [[3, 7]])
 
     def test_batch_matches_single(self, rng):
@@ -69,11 +69,11 @@ class TestKnn:
         assert batch.ref_ids.shape == batch.similarities.shape == (6, 4)
         np.testing.assert_array_equal(batch.query_ids, np.arange(6))
         for i in range(6):
-            single = knn(queries[i], bank, k=4, query_id=i)
+            single = batch_knn(queries[i:i + 1], bank, k=4, query_ids=[i])
             np.testing.assert_array_equal(batch.ref_ids[i], single.ref_ids[0])
             np.testing.assert_array_equal(batch.ref_indices[i],
                                           single.ref_indices[0])
-            # matmul vs matvec may differ by 1 ulp
+            # a one-row GEMM may sum in another order: 1 ulp
             np.testing.assert_allclose(batch.similarities[i],
                                        single.similarities[0], rtol=1e-14)
 
@@ -225,9 +225,9 @@ class TestKnn:
         bank = make_bank(rng, n=5)
         q = bank.descriptors[0]
         with pytest.raises(ValueError):
-            knn(q, bank, k=0)
+            batch_knn(q[None], bank, k=0)
         with pytest.raises(ValueError):
-            knn(q, bank, k=6)
+            batch_knn(q[None], bank, k=6)
 
 
 class TestGroundTruth:
@@ -328,3 +328,13 @@ class TestRecall:
             recall_at_k(res, 1)
         with pytest.raises(ValueError):
             recall_at_k([], 1)
+
+    def test_rejects_k_below_one(self, rng):
+        # k = 0 would index the last column, the recall at the deepest rank
+        bank = make_bank(rng, n=4, d=4)
+        res = batch_knn(bank.descriptors, bank, k=2)
+        mark_successes(res, GroundTruth(tau=1.0), bank,
+                       query_poses=bank.poses)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                recall_at_k(res, k)

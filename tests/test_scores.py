@@ -7,6 +7,7 @@ import pytest
 
 from kappa_sphere import scores as sc
 from kappa_sphere.retrieval import DescriptorBank, RetrievalResult
+from kappa_sphere.vmf import resultant_uncertainty
 
 
 def make_result(similarities, ref_indices=None, query_id=0):
@@ -37,8 +38,8 @@ class TestFlooring:
 
     def test_query_uncertainty_floors_both_sides(self):
         # kappas below 1 behave exactly like kappa = 1
-        a = sc.query_uncertainty(0.01, 0.5, 0.3)
-        b = sc.query_uncertainty(1.0, 1.0, 0.3)
+        a = sc.match_uncertainty(0.01, 0.5, 0.3)
+        b = sc.match_uncertainty(1.0, 1.0, 0.3)
         assert a.value == b.value
 
     def test_inverse_kappa_bounded(self):
@@ -48,17 +49,17 @@ class TestFlooring:
 
 class TestResultantScores:
     def test_query_matches_closed_form(self):
-        got = sc.query_uncertainty(3.0, 4.0, 0.5)
+        got = sc.match_uncertainty(3.0, 4.0, 0.5)
         assert got.value == pytest.approx(1.0 / math.sqrt(37.0), rel=1e-15)
 
     def test_match_uncertainty_same_fusion(self):
-        q = sc.query_uncertainty(5.0, 7.0, -0.2)
-        m = sc.match_uncertainty(5.0, 7.0, -0.2)
-        assert q == m
+        # the vMF resultant of the floored kappas
+        m = sc.match_uncertainty(0.5, 7.0, -0.2)
+        assert m == resultant_uncertainty(1.0, 7.0, -0.2)
 
     def test_more_confident_pair_scores_lower(self):
-        weak = sc.query_uncertainty(2.0, 2.0, 0.9).value
-        strong = sc.query_uncertainty(200.0, 200.0, 0.9).value
+        weak = sc.match_uncertainty(2.0, 2.0, 0.9).value
+        strong = sc.match_uncertainty(200.0, 200.0, 0.9).value
         assert strong < weak
 
 
@@ -138,7 +139,7 @@ class TestScoreQuery:
 
         kq = np.array([10.0])
         got = sc.score_query(sc.METHOD_RESULTANT, res, bank, kappa_q=kq)
-        expected = sc.query_uncertainty(10.0, 20.0, 0.9).value
+        expected = sc.match_uncertainty(10.0, 20.0, 0.9).value
         assert got.value[0] == expected and not got.degenerate[0]
 
         assert sc.score_query(sc.METHOD_INV_KAPPA, res, bank,
@@ -201,8 +202,18 @@ class TestElementwise:
         v = rng.uniform(0.0, 1e4, 40)
         assert list(sc.sue_log(v)) == [math.log1p(x) for x in v]
 
-    def test_query_and_match_share_one_kernel(self):
-        assert sc.query_uncertainty is sc.match_uncertainty
+    def test_query_and_match_share_one_kernel(self, rng):
+        # a query's resultant score is the match score of its top-1 pair
+        bank = make_bank(rng, n=12, kappas=rng.uniform(0.1, 300.0, 12))
+        sims = -np.sort(-rng.uniform(-1.0, 1.0, (7, 3)), axis=1)
+        idx = np.stack([rng.permutation(12)[:3] for _ in range(7)])
+        res = RetrievalResult(query_ids=np.arange(7), ref_ids=idx,
+                              ref_indices=idx, similarities=sims)
+        kq = rng.uniform(0.1, 300.0, 7)
+        got = sc.score_query(sc.METHOD_RESULTANT, res, bank, kappa_q=kq)
+        pair = sc.match_uncertainty(kq, bank.kappas[idx[:, 0]], sims[:, 0])
+        assert got.value.tobytes() == pair.value.tobytes()
+        np.testing.assert_array_equal(got.degenerate, pair.degenerate)
 
     def test_sue_rows_match_single_query_formula(self, rng):
         bank = make_bank(rng, n=12)

@@ -150,7 +150,7 @@ class TestAliasing:
                                              aliasing_rate=0.5))
 
         def top1_label_accuracy(ds):
-            db = ds.subset_bank(ds.splits["db"])
+            db = ds.bank.subset(ds.splits["db"])
             q = ds.splits["query"]
             results = batch_knn(ds.bank.descriptors[q], db, 1)
             hits = db.labels[results.ref_indices[:, 0]] == ds.bank.labels[q]

@@ -1,7 +1,9 @@
 """The layer tracer's targets and the names the benchmark harness imports
 from the package exist, so a rename fails here rather than in a benchmark
-run; the CLI's modules start without scipy; --help and argument errors
-return without loading numpy; and every demo runs."""
+run; no package module imports scipy, and the CLI's modules start without
+it; every module-level function and class of the package runs outside the
+tests; --help and argument errors return without loading numpy; and every
+demo runs."""
 
 import ast
 import importlib
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "kappa_sphere"
 TRACE_RUNNER = ROOT / "perfbench" / "trace_runner.py"
 HARNESS = ROOT / "perfbench" / "harness.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -60,6 +63,61 @@ def test_harness_imports_exist():
                if not hasattr(importlib.import_module(node.module),
                               alias.name)]
     assert not missing, missing
+
+
+def _parsed(paths):
+    return {path: ast.parse(path.read_text()) for path in paths}
+
+
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency; the oracles that need it live in
+    # tests/oracles.py.  Function-level imports count too.
+    found = []
+    for path, tree in _parsed(sorted(PACKAGE.glob("*.py"))).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {module}" for module in modules
+                      if module.split(".")[0] == "scipy"]
+    assert not found, found
+
+
+# Package names that may lack a caller outside the tests, with the reason.
+NO_PRODUCTION_CALLER = {
+    "fileio.read_model_state": "the CLI never reads model.json yet; whether "
+                               "it should, or the file goes, is ROADMAP item 7",
+}
+
+
+def test_package_names_run_outside_the_tests():
+    # What the tests exercise is what production runs: every module-level
+    # function and class of the package is referenced by code outside
+    # tests/ (a package module, a demo or the benchmark), not only defined.
+    # Dunders such as a module's __getattr__ are called by the interpreter.
+    # A reference is matched by name alone, so the check errs toward passing.
+    production = sorted(PACKAGE.glob("*.py")) + DEMOS + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for tree in _parsed(production).values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+    defined = [(path.stem, node.name)
+               for path, tree in _parsed(sorted(PACKAGE.glob("*.py"))).items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("__")]
+    unused = {f"{module}.{name}" for module, name in defined
+              if name not in used}
+    assert unused == set(NO_PRODUCTION_CALLER)
 
 
 def test_cli_modules_import_without_scipy():

@@ -11,12 +11,12 @@ from scipy.integrate import quad
 from scipy.special import ive
 
 from kappa_sphere import synth, vmf
-from kappa_sphere.bessel import bessel_ratio_exact
 from kappa_sphere.vmf import (BesselOrder, DegenerateConcentrationError,
-                              VmfParams, check_unit, log_density, mle_kappa,
+                              VmfParams, check_unit, mle_kappa,
                               resultant_uncertainty, sample_vmf,
                               stable_log_partition, stable_log_partition_grad,
-                              vmf_nll, vmf_nll_grad_kappa, vmf_nll_grad_z)
+                              vmf_batch_nll)
+from oracles import bessel_ratio_exact, log_density
 
 
 def unit(v):
@@ -68,6 +68,11 @@ class TestStableLogPartition:
                 stable_log_partition(bad, order)
 
 
+def nll_one(z, mu, kappa, order):
+    """The vMF NLL of one sample: the batch kernel on one-row inputs."""
+    return vmf_batch_nll(z[None], mu[None], np.array([kappa]), order)
+
+
 class TestNll:
     def test_value_and_kappa_grad(self, rng):
         order = BesselOrder(16)
@@ -75,21 +80,20 @@ class TestNll:
         z = unit(rng.standard_normal(16))
         kappa = 12.5
         expected = stable_log_partition(kappa, order) - kappa * float(mu @ z)
-        assert vmf_nll(z, mu, kappa, order) == pytest.approx(expected, rel=1e-14)
+        assert nll_one(z, mu, kappa, order).loss == pytest.approx(expected, rel=1e-14)
 
         h = 1e-6 * kappa
-        fd = (vmf_nll(z, mu, kappa + h, order)
-              - vmf_nll(z, mu, kappa - h, order)) / (2 * h)
-        assert vmf_nll_grad_kappa(z, mu, kappa, order) == pytest.approx(fd, rel=1e-6)
+        fd = (nll_one(z, mu, kappa + h, order).loss
+              - nll_one(z, mu, kappa - h, order).loss) / (2 * h)
+        assert nll_one(z, mu, kappa, order).kappa[0] == pytest.approx(fd, rel=1e-6)
 
     def test_grad_z(self, rng):
+        # the ambient gradients: dL/dz = -kappa mu and dL/dmu = -kappa z
         mu = unit(rng.standard_normal(8))
         z = unit(rng.standard_normal(8))
-        grad = vmf_nll_grad_z(z, mu, 4.0)
-        np.testing.assert_allclose(grad.raw, -4.0 * mu, rtol=1e-15)
-        assert abs(float(grad.tangent @ z)) < 1e-12
-        np.testing.assert_allclose(
-            grad.tangent, grad.raw - z * float(z @ grad.raw), rtol=1e-12)
+        grad = nll_one(z, mu, 4.0, BesselOrder(8))
+        np.testing.assert_allclose(grad.z[0], -4.0 * mu, rtol=1e-15)
+        np.testing.assert_allclose(grad.mu[0], -4.0 * z, rtol=1e-15)
 
     def test_minimized_at_matching_alignment(self):
         # dL/dkappa = 0 exactly where the Amos ratio equals mu.z.
@@ -101,7 +105,7 @@ class TestNll:
         z = np.zeros(32)
         z[0] = target
         z[1] = math.sqrt(1.0 - target * target)
-        assert vmf_nll_grad_kappa(z, mu, kappa, order) == pytest.approx(0.0, abs=1e-15)
+        assert nll_one(z, mu, kappa, order).kappa[0] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestLogDensity:
