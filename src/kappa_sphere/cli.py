@@ -2,9 +2,10 @@
 
 Subcommands:
 
-* ``gen``        generate a synthetic scene -> bank + manifest + config
-* ``fit``        post-train the kappa head on a generated scene
-* ``train``      joint training (margin loss + weighted vMF term)
+* ``gen``        generate a synthetic scene -> bank + manifest + config +
+                 scene record
+* ``fit``        post-train the kappa head on the scene gen recorded
+* ``train``      joint training (margin loss + weighted vMF term) on it
 * ``eval``       query-level Recall@K + ECE@K reports for every method
 * ``match-eval`` match-level calibration reports
 * ``report``     render a report JSON as text tables (optionally SVG)
@@ -97,13 +98,6 @@ def _resolve(args):
     return fileio.load_run_config(args.config, overrides)
 
 
-def _load_scene(resolved):
-    from . import fileio
-    from .synth import generate_scene
-
-    return generate_scene(fileio.scene_config_from(resolved))
-
-
 def _paths(out):
     return {
         "bank": os.path.join(out, "bank.kpb"),
@@ -112,6 +106,7 @@ def _paths(out):
         "model": os.path.join(out, "model.json"),
         "history": os.path.join(out, "history.csv"),
         "retrieval": os.path.join(out, "retrieval.npz"),
+        "scene": os.path.join(out, "scene.npz"),
     }
 
 
@@ -134,9 +129,16 @@ def _write_artifacts(out, resolved, dataset, history=None, **model) -> dict:
 
 
 def cmd_gen(args) -> int:
+    from . import fileio
+    from .synth import generate_scene
+
     resolved = _resolve(args)
-    paths = _write_artifacts(args.out, resolved, _load_scene(resolved))
-    print(f"wrote {paths['bank']}, {paths['manifest']}, {paths['config']}")
+    dataset = generate_scene(fileio.scene_config_from(resolved))
+    paths = _write_artifacts(args.out, resolved, dataset)
+    # fit and train read this record instead of generating the scene again
+    fileio.write_scene(paths["scene"], dataset, resolved)
+    print(f"wrote {paths['bank']}, {paths['manifest']}, {paths['config']}, "
+          f"{paths['scene']}")
     return 0
 
 
@@ -158,7 +160,7 @@ def cmd_fit(args) -> int:
     train_cfg = fileio.train_config_from(resolved)
     if train_cfg.mode not in (TrainMode.POST_TRAINING, TrainMode.GNLL_VARIANT):
         raise ValueError("fit expects train.mode post_training or gnll_variant")
-    dataset = _load_scene(resolved)
+    dataset = fileio.read_scene(_paths(args.out)["scene"], resolved)
     head, history = fit_head(dataset, cfg=train_cfg, tau=resolved["tau"],
                              binning=fileio.binning_config_from(resolved))
     dataset.bank.kappas = predict_kappas(dataset.head_inputs(head), head)
@@ -178,7 +180,7 @@ def cmd_train(args) -> int:
     train_cfg = dataclasses.replace(fileio.train_config_from(resolved),
                                     mode=TrainMode.JOINT_TRAINING)
     lmcl = fileio.lmcl_config_from(resolved)
-    dataset = _load_scene(resolved)
+    dataset = fileio.read_scene(_paths(args.out)["scene"], resolved)
     encoder, prototypes, head, history = fit_joint(
         dataset, cfg=train_cfg, lmcl=lmcl, tau=resolved["tau"],
         binning=fileio.binning_config_from(resolved))
@@ -302,6 +304,32 @@ def _print_query_table(ev, ks) -> None:
         print(f"{m:12s}  unsupported: {reason}")
 
 
+# what `report` prints of each entry: field -> allowed item types (a bin
+# list's observed accuracy is None for an empty bin; a bool is no number)
+_REPORT_ENTRY = {"ece": (int, float), "total": (int,)}
+_REPORT_BINS = {"bin_counts": (int,), "bin_observed": (int, float, type(None)),
+                "bin_expected": (int, float)}
+
+
+def _check_report_entry(rep, where: str) -> None:
+    """One entry of a report's `reports`, checked for every field `report`
+    prints; a failure is located at `where`.<field>."""
+    if not isinstance(rep, dict):
+        raise ValueError(f"a report entry must be an object (at {where})")
+    for field, types in {**_REPORT_ENTRY, **_REPORT_BINS}.items():
+        if field not in rep:
+            raise ValueError(f"missing field {field!r} (at {where}.{field})")
+        items = [rep[field]] if field in _REPORT_ENTRY else rep[field]
+        if not isinstance(items, list) or not set(map(type, items)) <= set(types):
+            raise ValueError(f"malformed field {field!r} "
+                             f"(at {where}.{field})")
+    for field in _REPORT_BINS:
+        if len(rep[field]) != len(rep["bin_counts"]):
+            raise ValueError(f"{field} has {len(rep[field])} bins, "
+                             f"bin_counts {len(rep['bin_counts'])} "
+                             f"(at {where}.{field})")
+
+
 def cmd_report(args) -> int:
     from . import fileio
     from .calibration import CalibrationReport
@@ -316,6 +344,8 @@ def cmd_report(args) -> int:
             f"unsupported report schema {doc.get('schema_version')!r}")
     if not isinstance(doc.get("reports"), dict):
         raise ValueError("missing or non-object field 'reports' (at $.reports)")
+    for name, rep in doc["reports"].items():
+        _check_report_entry(rep, f"$.reports.{name}")
     print(f"seed {doc['seed']}  level {doc.get('level')}")
     if doc.get("recalls"):
         print("recall: " + "  ".join(f"R@{k}={v:.3f}"

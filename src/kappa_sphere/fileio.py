@@ -1,21 +1,22 @@
 """File formats: the binary descriptor-bank format, the JSON manifest,
-the recorded retrieval, run configuration, model state, and report
-emission.
+the scene record, the recorded retrieval, run configuration, model state,
+and report emission.
 
 Bank layout (little-endian): magic "KPB1", u32 version = 1, u32 dim,
-u64 count, then count*dim float32 values row-major.  All writes go to a
+u64 count, then count*dim float32 values row-major.  The scene record and
+the recorded retrieval are numpy-only .npz archives.  All writes go to a
 temporary file in the destination directory and are renamed into place
 on success, so readers never observe partial artifacts.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
 import tempfile
 import zipfile
+from contextlib import contextmanager
 from dataclasses import fields
 from enum import Enum
 from itertools import chain
@@ -26,7 +27,8 @@ from .calibration import BinningConfig
 from .head import HeadParams, HeadVariant
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                         RetrievalResult)
-from .synth import SceneConfig, SPLIT_NAMES
+from .anchors import PrototypeSet
+from .synth import SceneConfig, SPLIT_NAMES, SynthDataset, raw_inputs
 from .training import LinearEncoder, LmclConfig, TrainConfig
 
 BANK_MAGIC = b"KPB1"
@@ -62,9 +64,10 @@ class ConfigError(ValueError):
         self.path = path
 
 
-class RetrievalFileError(ValueError):
-    """Malformed retrieval record; carries the file and the failing field
-    (None when the archive itself cannot be read)."""
+class RecordFileError(ValueError):
+    """Malformed .npz record (the scene record or the recorded retrieval);
+    carries the file and the failing field (None when the archive itself
+    cannot be read)."""
 
     def __init__(self, message: str, path, field: str | None = None):
         self.path, self.field = os.fspath(path), field
@@ -72,10 +75,12 @@ class RetrievalFileError(ValueError):
         super().__init__(f"{message} (in {where})")
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write to a sibling temp file, then rename into place.  The file gets
-    the mode open() would give it (0o666 less the umask), not mkstemp's
-    0o600."""
+@contextmanager
+def _atomic_file(path):
+    """A binary file to write in place of `path`: a sibling temp file,
+    renamed into place when the block ends and removed when it raises.
+    The file gets the mode open() would give it (0o666 less the umask),
+    not mkstemp's 0o600."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
@@ -85,12 +90,17 @@ def atomic_write_bytes(path, payload: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, payload: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(payload)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -254,6 +264,162 @@ def read_manifest(path, descriptors) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# .npz records
+
+
+def _write_record(path, **arrays) -> None:
+    """A numpy-only .npz archive of `arrays`, streamed into the temp file of
+    an atomic write (no copy of the archive is held in memory)."""
+    with _atomic_file(path) as fh:
+        np.savez(fh, **arrays)
+
+
+@contextmanager
+def _open_record(path):
+    """The .npz archive at `path`, loaded with allow_pickle=False.  A file
+    that is not one raises RecordFileError, a missing one
+    FileNotFoundError."""
+    # opened here, not by np.load, which leaves the file open when the
+    # archive cannot be read
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise RecordFileError(f"not a readable .npz archive: {exc}",
+                                  path) from exc
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise RecordFileError("not an .npz archive", path)
+        with archive:
+            yield archive
+
+
+def _record_field(archive, name: str, path, dtype, shape: tuple):
+    """One member of an .npz record, checked for its dtype and shape.  A
+    `dtype` of str takes a unicode string of any length; a None in `shape`
+    takes any length on that axis."""
+    if name not in archive.files:
+        raise RecordFileError("missing field", path, name)
+    try:
+        value = archive[name]
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise RecordFileError(f"unreadable: {exc}", path, name) from exc
+    if (value.dtype.kind != "U" if dtype is str else value.dtype != dtype) \
+            or value.ndim != len(shape):
+        expected = "str" if dtype is str else np.dtype(dtype)
+        raise RecordFileError(
+            f"expected a {len(shape)}-d {expected} array, got "
+            f"{value.ndim}-d {value.dtype}", path, name)
+    if any(want not in (None, got) for got, want in zip(value.shape, shape)):
+        expected = ", ".join("*" if want is None else str(want)
+                             for want in shape)
+        raise RecordFileError(f"shape {value.shape} != ({expected})", path,
+                              name)
+    return value
+
+
+def _check_indices(value, upper: int, path, name: str) -> None:
+    """Every entry of the index field `name` lies in [0, upper)."""
+    if value.size and (value.min() < 0 or value.max() >= upper):
+        raise RecordFileError(f"index outside [0, {upper})", path, name)
+
+
+# ---------------------------------------------------------------------------
+# scene record
+
+
+def write_scene(path, dataset: SynthDataset, resolved: dict) -> None:
+    """Record the float64 scene that `resolved`'s scene section generated:
+    every array of `dataset` but `raw` (`read_scene` derives it), its
+    aliased pairs and splits, and the section itself as JSON, the record's
+    key.  A numpy-only .npz archive, written atomically."""
+    bank = dataset.bank
+    _write_record(
+        path, scene=np.array(json.dumps(resolved["scene"], sort_keys=True)),
+        descriptors=bank.descriptors, labels=bank.labels, poses=bank.poses,
+        true_kappa=bank.true_kappa, features=dataset.features,
+        ambiguity=dataset.ambiguity, prototypes=dataset.prototypes.weights,
+        class_poses=dataset.class_poses,
+        aliased_pairs=np.array(dataset.aliased_pairs,
+                               dtype=np.int64).reshape(-1, 2),
+        **{f"split_{name}": dataset.splits[name] for name in SPLIT_NAMES})
+
+
+def _scene_fields(cfg: SceneConfig) -> dict:
+    """Field -> (dtype, shape) of the record of a scene of `cfg`."""
+    c, d = cfg.num_classes, cfg.descriptor_dim
+    n = c * cfg.images_per_class
+    f8, i8 = np.float64, np.int64
+    return {"descriptors": (f8, (n, d)), "labels": (i8, (n,)),
+            "poses": (f8, (n, 2)), "true_kappa": (f8, (n,)),
+            "features": (f8, (n, *cfg.feature_shape)),
+            "ambiguity": (f8, (n,)), "prototypes": (f8, (c, d)),
+            "class_poses": (f8, (c, 2)), "aliased_pairs": (i8, (None, 2)),
+            **{f"split_{name}": (i8, (None,)) for name in SPLIT_NAMES}}
+
+
+def _check_scene_key(archive, path, scene: dict) -> None:
+    """The record's scene section equals `scene`, or a ConfigError at the
+    first key that differs."""
+    try:
+        recorded = json.loads(str(_record_field(archive, "scene", path, str,
+                                                ())))
+    except json.JSONDecodeError as exc:
+        raise RecordFileError(f"invalid JSON: {exc.msg}", path,
+                              "scene") from exc
+    if not isinstance(recorded, dict):
+        raise RecordFileError("not a JSON object", path, "scene")
+    for key in sorted(set(recorded) | set(scene)):
+        if recorded.get(key) != scene.get(key):
+            raise ConfigError(
+                f"{os.fspath(path)} holds a scene with {key} = "
+                f"{recorded.get(key)!r}, but the config gives "
+                f"{scene.get(key)!r}; run gen with this config",
+                f"$.scene.{key}")
+
+
+def read_scene(path, resolved: dict) -> SynthDataset:
+    """The scene `write_scene` recorded for `resolved`'s scene section.
+
+    A record of another section fails with a ConfigError at the first key
+    that differs (`$.scene.seed`), naming the file; a missing file, or a
+    file that is not such a record, with a RecordFileError naming the file
+    and the field.  `raw` is rebuilt by `raw_inputs`, as `generate_scene`
+    builds it, so every array has the generator's bits.
+    """
+    cfg = scene_config_from(resolved)
+    if not os.path.isfile(path):
+        raise RecordFileError("no scene record; run gen first", path)
+    with _open_record(path) as archive:
+        _check_scene_key(archive, path, resolved["scene"])
+        values = {name: _record_field(archive, name, path, dtype, shape)
+                  for name, (dtype, shape) in _scene_fields(cfg).items()}
+    n = len(values["labels"])
+    splits = {name: values[f"split_{name}"] for name in SPLIT_NAMES}
+    for name, upper in (("labels", cfg.num_classes),
+                        ("aliased_pairs", cfg.num_classes),
+                        *((f"split_{s}", n) for s in SPLIT_NAMES)):
+        _check_indices(values[name], upper, path, name)
+    if not np.array_equal(np.sort(np.concatenate(list(splits.values()))),
+                          np.arange(n)):
+        raise RecordFileError("the splits do not partition the rows", path)
+    try:
+        bank = DescriptorBank(descriptors=values["descriptors"],
+                              ids=np.arange(n),
+                              labels=values["labels"], poses=values["poses"],
+                              true_kappa=values["true_kappa"])
+        prototypes = PrototypeSet(values["prototypes"])
+    except ValueError as exc:
+        raise RecordFileError(str(exc), path) from exc
+    return SynthDataset(
+        config=cfg, bank=bank, features=values["features"],
+        raw=raw_inputs(bank.descriptors, values["features"]),
+        ambiguity=values["ambiguity"], prototypes=prototypes,
+        class_poses=values["class_poses"],
+        aliased_pairs=[(int(a), int(b)) for a, b in values["aliased_pairs"]],
+        splits=splits)
+
+
+# ---------------------------------------------------------------------------
 # recorded retrieval
 
 # Names the search that wrote a record; change it when batch_knn's results
@@ -282,26 +448,10 @@ def write_retrieval(path, bank: DescriptorBank, query_bank: DescriptorBank,
     """Record a top-K search of `query_bank` against `bank`: its (n, K)
     bank row indices and cosines, keyed by `retrieval_key`.  A numpy-only
     .npz archive, written atomically."""
-    buf = io.BytesIO()
-    np.savez(buf, key=np.array(retrieval_key(bank, query_bank)),
-             ref_indices=np.asarray(results.ref_indices, dtype=np.int64),
-             similarities=np.asarray(results.similarities, dtype=np.float64))
-    atomic_write_bytes(path, buf.getvalue())
-
-
-def _retrieval_field(archive, name: str, path, dtype, ndim: int):
-    """One member of a retrieval archive, checked for its dtype and rank."""
-    if name not in archive.files:
-        raise RetrievalFileError("missing field", path, name)
-    try:
-        value = archive[name]
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise RetrievalFileError(f"unreadable: {exc}", path, name) from exc
-    if value.dtype != dtype or value.ndim != ndim:
-        raise RetrievalFileError(
-            f"expected a {ndim}-d {np.dtype(dtype)} array, got "
-            f"{value.ndim}-d {value.dtype}", path, name)
-    return value
+    _write_record(
+        path, key=np.array(retrieval_key(bank, query_bank)),
+        ref_indices=np.asarray(results.ref_indices, dtype=np.int64),
+        similarities=np.asarray(results.similarities, dtype=np.float64))
 
 
 def read_retrieval(path, bank: DescriptorBank, query_bank: DescriptorBank,
@@ -311,42 +461,28 @@ def read_retrieval(path, bank: DescriptorBank, query_bank: DescriptorBank,
     None when there is no file, when it was recorded for other search
     inputs (its key differs from `retrieval_key(bank, query_bank)`), or
     when it holds fewer than k columns.  A file that is not such a record
-    raises RetrievalFileError naming the file and the field.  Loaded with
-    allow_pickle=False.
+    raises RecordFileError naming the file and the field.
     """
     try:
-        fh = open(path, "rb")
+        with _open_record(path) as archive:
+            key = _record_field(archive, "key", path, str, ())
+            order = _record_field(archive, "ref_indices", path, np.int64,
+                                  (None, None))
+            sims = _record_field(archive, "similarities", path, np.float64,
+                                 (None, None))
     except FileNotFoundError:
         return None
-    # opened here, not by np.load, which leaves the file open when the
-    # archive cannot be read
-    with fh:
-        try:
-            archive = np.load(fh, allow_pickle=False)
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise RetrievalFileError(f"not a readable .npz archive: {exc}",
-                                     path) from exc
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise RetrievalFileError("not an .npz archive", path)
-        with archive:
-            key = _retrieval_field(archive, "key", path, np.dtype("<U64"), 0)
-            order = _retrieval_field(archive, "ref_indices", path, np.int64,
-                                     2)
-            sims = _retrieval_field(archive, "similarities", path,
-                                    np.float64, 2)
     if str(key) != retrieval_key(bank, query_bank):
         return None
     n, depth = order.shape
     if n != len(query_bank) or not 1 <= depth <= len(bank):
-        raise RetrievalFileError(
+        raise RecordFileError(
             f"shape {order.shape} does not fit {len(query_bank)} queries "
             f"against {len(bank)} references", path, "ref_indices")
-    if order.min() < 0 or order.max() >= len(bank):
-        raise RetrievalFileError(f"row index outside [0, {len(bank)})",
-                                 path, "ref_indices")
+    _check_indices(order, len(bank), path, "ref_indices")
     if sims.shape != order.shape:
-        raise RetrievalFileError(f"shape {sims.shape} != ref_indices shape "
-                                 f"{order.shape}", path, "similarities")
+        raise RecordFileError(f"shape {sims.shape} != ref_indices shape "
+                              f"{order.shape}", path, "similarities")
     if k > depth:
         return None
     # contiguous, as batch_knn returns them

@@ -153,6 +153,13 @@ def _sample_prototypes(rng, c: int, d: int, max_abs_cos: float = 0.5,
     )
 
 
+def raw_inputs(descriptors, features) -> np.ndarray:
+    """A scene's joint-training input: each image's descriptor followed by
+    its flattened feature maps."""
+    return np.concatenate([descriptors, features.reshape(len(features), -1)],
+                          axis=1)
+
+
 def _build_features(rng, ambiguity, shape, noise_std):
     n = len(ambiguity)
     c, h, w = shape
@@ -186,7 +193,7 @@ def generate_scene(config: SceneConfig) -> SynthDataset:
     descriptors = sample_vmf((prototypes[labels], true_kappa), n, rng)
 
     features = _build_features(rng, ambiguity, config.feature_shape, config.noise_std)
-    raw = np.concatenate([descriptors, features.reshape(n, -1)], axis=1)
+    raw = raw_inputs(descriptors, features)
 
     bank = DescriptorBank(descriptors=descriptors, ids=np.arange(n),
                           labels=labels, poses=poses, true_kappa=true_kappa)

@@ -90,8 +90,16 @@ def lmcl_batch(z, prototype_weights, labels, cfg: LmclConfig):
 
     Cross-entropy over s * (cos_j - m * [j == label]), with cos_j = w_j.z
     taken against the raw prototype rows.  Returns (loss, grad wrt the
-    (n, d) embeddings, grad wrt the (C, d) prototype matrix).
+    (n, d) embeddings, grad wrt the (C, d) prototype matrix).  A label
+    outside [0, C) raises ValueError: a negative one would index from the
+    end.
     """
+    labels = np.asarray(labels)
+    c = len(prototype_weights)
+    bad = np.flatnonzero((labels < 0) | (labels >= c))
+    if bad.size:
+        raise ValueError(f"label {labels[bad[0]]} at row {bad[0]} outside "
+                         f"[0, {c})")
     b = len(labels)
     rows = np.arange(b)
     cos = z @ prototype_weights.T

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kappa_sphere import fileio, retrieval
+from kappa_sphere import fileio, retrieval, synth
 from kappa_sphere.cli import main
 
 SMALL_CONFIG = {
@@ -27,10 +27,10 @@ def _patch_everywhere(monkeypatch, original, replacement):
 
 
 def _copy_scene(workdir, out):
-    """A new run directory holding the module scene's bank, manifest and
-    config."""
+    """A new run directory holding the module scene's bank, manifest,
+    config and scene record."""
     out.mkdir()
-    for name in ("bank.kpb", "manifest.json", "config.json"):
+    for name in ("bank.kpb", "manifest.json", "config.json", "scene.npz"):
         (out / name).write_bytes((workdir["out"] / name).read_bytes())
     return out
 
@@ -50,7 +50,7 @@ def workdir(tmp_path_factory):
 class TestGen:
     def test_writes_artifacts(self, workdir):
         out = workdir["out"]
-        for name in ("bank.kpb", "manifest.json", "config.json"):
+        for name in ("bank.kpb", "manifest.json", "config.json", "scene.npz"):
             assert (out / name).exists()
 
     def test_deterministic_bytes(self, workdir, tmp_path):
@@ -61,6 +61,7 @@ class TestGen:
         assert (a / "bank.kpb").read_bytes() == (b / "bank.kpb").read_bytes()
         assert (a / "manifest.json").read_bytes() == \
             (b / "manifest.json").read_bytes()
+        assert (a / "scene.npz").read_bytes() == (b / "scene.npz").read_bytes()
 
     def test_seed_override_recorded(self, workdir, tmp_path):
         out = tmp_path / "seeded"
@@ -89,6 +90,54 @@ class TestFit:
         assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
         assert (a / "manifest.json").read_bytes() == \
             (b / "manifest.json").read_bytes()
+
+
+class TestSceneRecord:
+    """fit and train read the scene gen recorded in scene.npz; they never
+    generate it, and a record that is missing or not for the resolved
+    scene fails with its file and field or its `$.scene` key."""
+
+    @pytest.mark.parametrize("command", ["fit", "train"])
+    def test_reads_the_record_and_never_generates(self, workdir, tmp_path,
+                                                  command, monkeypatch):
+        out = _copy_scene(workdir, tmp_path / "run")
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError(f"{command} generated the scene")
+
+        _patch_everywhere(monkeypatch, synth.generate_scene, no_generation)
+        assert main([command, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("command", ["fit", "train"])
+    @pytest.mark.parametrize("fault, where", [
+        ("missing", "run gen first"),
+        ("another seed", "(at $.scene.seed)"),
+        ("truncated", "not a readable .npz archive"),
+        ("float32 features", "field 'features'"),
+    ])
+    def test_bad_record_fails_with_its_location(self, workdir, tmp_path,
+                                                capsys, command, fault,
+                                                where):
+        out = _copy_scene(workdir, tmp_path / "run")
+        path = out / "scene.npz"
+        argv = [command, "--out", str(out)]
+        if fault == "missing":
+            path.unlink()
+        elif fault == "another seed":
+            argv += ["--seed", "1"]
+        elif fault == "truncated":
+            path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        else:
+            with np.load(path) as npz:
+                record = dict(npz)
+            record["features"] = record["features"].astype(np.float32)
+            np.savez(path, **record)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and where in err
+        # a rejected command writes nothing
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestCheckpointSelection:
@@ -365,6 +414,31 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and where in captured.err
+
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda rep: rep.pop("bin_counts"), "bin_counts"),
+        (lambda rep: rep.pop("ece"), "ece"),
+        (lambda rep: rep["bin_observed"].pop(), "bin_observed"),
+        (lambda rep: rep["bin_expected"].append(0.5), "bin_expected"),
+        (lambda rep: rep.update(total="9"), "total"),
+        (lambda rep: rep["bin_counts"].__setitem__(0, 1.5), "bin_counts")],
+        ids=["no bin_counts", "no ece", "short bin_observed",
+             "long bin_expected", "string total", "float count"])
+    def test_checks_every_entry_before_printing(self, workdir, tmp_path,
+                                                capsys, edit, field):
+        out = workdir["out"]
+        assert main(["eval", "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        second = sorted(doc["reports"])[1]
+        edit(doc["reports"][second])
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"(at $.reports.{second}.{field})" in captured.err
 
 
 class TestErrors:

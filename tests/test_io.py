@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_sphere.fileio import (BankFormatError, ConfigError, ManifestError,
-                                 RetrievalFileError, atomic_write_text,
+                                 RecordFileError, atomic_write_text,
                                  default_run_config, load_run_config,
                                  read_bank, read_manifest, read_model_state,
-                                 read_retrieval, report_document,
+                                 read_retrieval, read_scene, report_document,
                                  scene_config_from, train_config_from,
                                  write_bank, write_manifest,
                                  write_model_state, write_retrieval,
-                                 history_csv)
+                                 write_scene, history_csv)
 from kappa_sphere.calibration import BinningConfig, BinStrategy
 from kappa_sphere.head import HeadVariant, init_head
 from kappa_sphere.retrieval import DescriptorBank, batch_knn
@@ -321,6 +321,116 @@ class TestArtifacts:
                                    default_run_config(), 0))
 
 
+def _same_bits(got, want) -> bool:
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestSceneRecord:
+    """gen records the float64 scene in scene.npz; fit and train read it
+    back instead of generating the scene again."""
+
+    SMALL = {"num_classes": 8, "images_per_class": 10, "descriptor_dim": 16}
+
+    @pytest.mark.parametrize("scene", [{}, {"aliasing_rate": 0.0}],
+                             ids=["default", "no aliasing"])
+    def test_read_back_is_the_generated_scene(self, tmp_path, scene):
+        resolved = load_run_config(overrides={"scene": scene})
+        want = generate_scene(scene_config_from(resolved))
+        path = tmp_path / "scene.npz"
+        write_scene(path, want, resolved)
+        got = read_scene(path, resolved)
+        assert got.config == want.config
+        for name in ("descriptors", "ids", "labels", "poses", "true_kappa"):
+            assert _same_bits(getattr(got.bank, name),
+                              getattr(want.bank, name)), name
+        assert got.bank.kappas is None and want.bank.kappas is None
+        for name in ("features", "raw", "ambiguity", "class_poses"):
+            assert _same_bits(getattr(got, name), getattr(want, name)), name
+        assert _same_bits(got.prototypes.weights, want.prototypes.weights)
+        assert set(got.splits) == set(want.splits) == set(SPLIT_NAMES)
+        for name in SPLIT_NAMES:
+            assert _same_bits(got.splits[name], want.splits[name]), name
+        assert got.aliased_pairs == want.aliased_pairs
+        assert {type(v) for pair in got.aliased_pairs for v in pair} <= {int}
+        assert (want.aliased_pairs == []) == ("aliasing_rate" in scene)
+
+    @pytest.fixture()
+    def recorded(self, tmp_path):
+        resolved = load_run_config(overrides={"scene": self.SMALL})
+        path = tmp_path / "scene.npz"
+        write_scene(path, generate_scene(scene_config_from(resolved)),
+                    resolved)
+        return path, resolved
+
+    @pytest.mark.parametrize("garble, field", [
+        ("float32 descriptors", "descriptors"),
+        ("one label short", "labels"),
+        ("label out of range", "labels"),
+        ("pickled features", "features"),
+        ("no prototypes", "prototypes"),
+        ("pair out of range", "aliased_pairs"),
+        ("scene not JSON", "scene"),
+        ("overlapping splits", None),
+    ])
+    def test_bad_record_fails_with_its_location(self, recorded, garble,
+                                                field):
+        path, resolved = recorded
+        with np.load(path) as npz:
+            record = dict(npz)
+        if garble == "float32 descriptors":
+            record["descriptors"] = record["descriptors"].astype(np.float32)
+        elif garble == "one label short":
+            record["labels"] = record["labels"][1:]
+        elif garble == "label out of range":
+            record["labels"][-1] = self.SMALL["num_classes"]
+        elif garble == "pickled features":
+            record["features"] = record["features"].astype(object)
+        elif garble == "no prototypes":
+            del record["prototypes"]
+        elif garble == "pair out of range":
+            record["aliased_pairs"][0, 1] = -1
+        elif garble == "scene not JSON":
+            record["scene"] = np.array("{seed")
+        else:
+            record["split_db"] = record["split_query"]
+        np.savez(path, **record)
+        with pytest.raises(RecordFileError) as exc:
+            read_scene(path, resolved)
+        assert exc.value.path == str(path) and exc.value.field == field
+
+    @pytest.mark.parametrize("scene, key", [
+        ({"images_per_class": 20}, "images_per_class"),
+        ({"feature_shape": [4, 4, 4]}, "feature_shape")])
+    def test_another_scene_fails_at_its_key(self, recorded, scene, key):
+        # a record is only ever read for the scene it holds: a config that
+        # differs is an error, never a silent regeneration
+        path, _ = recorded
+        resolved = load_run_config(overrides={"scene": {**self.SMALL,
+                                                        **scene}})
+        with pytest.raises(ConfigError) as exc:
+            read_scene(path, resolved)
+        assert exc.value.path == f"$.scene.{key}"
+        assert str(path) in str(exc.value)
+
+    def test_failed_write_keeps_the_old_file(self, recorded, monkeypatch):
+        # a record streams into its temp file: a write that fails midway
+        # removes the temp file and leaves the previous record in place
+        path, resolved = recorded
+        before = path.read_bytes()
+        dataset = read_scene(path, resolved)
+
+        def failing(fh, **arrays):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_scene(path, dataset, resolved)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["scene.npz"]
+
+
 class TestRetrievalRecord:
     @pytest.fixture()
     def banks(self, rng):
@@ -372,7 +482,7 @@ class TestRetrievalRecord:
         path = tmp_path / "retrieval.npz"
         np.save(path, np.zeros(3))
         os.replace(str(path) + ".npy", path)
-        with pytest.raises(RetrievalFileError) as exc:
+        with pytest.raises(RecordFileError) as exc:
             read_retrieval(path, *banks, 1)
         assert exc.value.path == str(path) and exc.value.field is None
 

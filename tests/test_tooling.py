@@ -2,12 +2,13 @@
 from the package exist, so a rename fails here rather than in a benchmark
 run; no package module imports scipy, and the CLI's modules start without
 it; every module-level function and class of the package runs outside the
-tests; --help and argument errors return without loading numpy; and every
-demo runs."""
+tests; --help and argument errors return without loading numpy; every
+demo runs; and no CLI command leaves a temp file in its run directory."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -151,3 +152,21 @@ def test_demo_runs(demo, tmp_path):
     # in a scratch directory: scene_walkthrough writes its SVG there
     proc = _run_python([str(demo)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_leave_no_temp_files(tmp_path):
+    # every artifact is written to a .tmp-* sibling and renamed into place,
+    # the scene record and the recorded retrieval streamed into theirs
+    from kappa_sphere.cli import main
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "scene": {"num_classes": 8, "images_per_class": 10,
+                  "descriptor_dim": 16},
+        "train": {"max_epochs": 2, "warmup": 0}}))
+    out = tmp_path / "run"
+    for argv, status in ((["gen", "--config", str(cfg)], 0), (["fit"], 0),
+                         (["eval"], 0), (["match-eval"], 0), (["train"], 0),
+                         (["fit", "--seed", "1"], 1)):  # another scene
+        assert main([*argv, "--out", str(out)]) == status, argv
+        assert not sorted(out.glob(".tmp-*")), argv

@@ -365,6 +365,20 @@ class TestTrainJoint:
         np.testing.assert_array_equal(enc_a.weights, enc_b.weights)
         np.testing.assert_array_equal(pro_a.weights, pro_b.weights)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_lambda_zero_rejects_a_label_outside_the_classes(self, rng, bad):
+        # at lam = 0 no vMF anchor is resolved, so the LMCL term is the
+        # only reader of the labels: -1 must not score as class C - 1, and
+        # C must not fail with a bare IndexError
+        data, protos = tiny_data(rng)  # 4 classes
+        data.labels = data.labels.copy()
+        data.labels[5] = bad
+        cfg0 = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.0,
+                           max_epochs=2, warmup=0)
+        with pytest.raises(ValueError, match=rf"label {bad} .*\[0, 4\)"):
+            train_joint(data, LinearEncoder(rng.standard_normal((6, 5))),
+                        protos, None, cfg0, LmclConfig())
+
     def test_loss_decreases(self, rng):
         data, protos = tiny_data(rng, n=48)
         encoder = LinearEncoder(rng.standard_normal((6, 5)))
