@@ -32,14 +32,6 @@ class PrototypeSet:
             raise ValueError(f"weights must be a (C, d) matrix, got shape {w.shape}")
         self.weights = w
 
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.weights.shape[1]
-
     def renormalize(self) -> None:
         """Re-project rows onto the sphere (called after optimizer steps)."""
         self.weights /= np.linalg.norm(self.weights, axis=1, keepdims=True)

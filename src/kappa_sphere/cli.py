@@ -203,8 +203,6 @@ def _load_eval_inputs(args):
     paths = _paths(args.out)
     desc = fileio.read_bank(paths["bank"])
     bank, splits = fileio.read_manifest(paths["manifest"], desc)
-    if not splits:
-        raise ValueError("manifest has no split assignment; run gen first")
     resolved = _config_for_out(args)
     return resolved, bank.subset(splits["db"]), bank.subset(splits["query"])
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import tempfile
 import zipfile
 from contextlib import contextmanager
@@ -24,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .calibration import BinningConfig
-from .head import HeadParams, HeadVariant
+from .head import HeadParams
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                         RetrievalResult)
 from .anchors import PrototypeSet
@@ -155,21 +156,21 @@ def read_bank(path) -> np.ndarray:
     return desc / norms[:, None]
 
 
-def write_manifest(path, bank: DescriptorBank, splits: dict | None = None) -> None:
-    """JSON manifest carrying everything about the bank except descriptors."""
-    n = len(bank)
-    split_list = None
-    if splits is not None:
-        split_list = [None] * n
-        for name in SPLIT_NAMES:
-            for i in splits.get(name, ()):
-                split_list[int(i)] = name
-        if any(s is None for s in split_list):
-            raise ValueError("splits do not cover every bank row")
+def write_manifest(path, bank: DescriptorBank, splits: dict) -> None:
+    """JSON manifest carrying everything about the bank except descriptors:
+    ids, labels, poses, the kappas it has, and each row's split."""
+    if bank.poses is None:
+        raise ValueError("a manifest records poses; the bank has none")
+    split_list = [None] * len(bank)
+    for name in SPLIT_NAMES:
+        for i in splits.get(name, ()):
+            split_list[int(i)] = name
+    if any(s is None for s in split_list):
+        raise ValueError("splits do not cover every bank row")
     doc = {
         "ids": bank.ids.tolist(),
         "labels": bank.labels.tolist(),
-        "poses": None if bank.poses is None else bank.poses.tolist(),
+        "poses": bank.poses.tolist(),
         "true_kappa": None if bank.true_kappa is None
         else bank.true_kappa.tolist(),
         "kappas": None if bank.kappas is None else bank.kappas.tolist(),
@@ -180,7 +181,7 @@ def write_manifest(path, bank: DescriptorBank, splits: dict | None = None) -> No
 
 # manifest field -> (dtype, required); poses are (n, 2), the rest (n,)
 _MANIFEST_ARRAYS = {"ids": (np.int64, True), "labels": (np.int64, True),
-                    "poses": (np.float64, False),
+                    "poses": (np.float64, True),
                     "true_kappa": (np.float64, False),
                     "kappas": (np.float64, False)}
 
@@ -212,7 +213,8 @@ def _manifest_list(doc: dict, key: str, n: int, types: set,
 
 
 def _manifest_array(doc: dict, key: str, n: int, dtype, required: bool):
-    """A numeric manifest field as an array, located on any failure."""
+    """A numeric manifest field as an array, located on any failure.  A
+    float field must be finite, and a kappa field also >= 0."""
     number = {int} if dtype is np.int64 else {int, float}
     if key != "poses":
         val = _manifest_list(doc, key, n, number, required)
@@ -229,16 +231,25 @@ def _manifest_array(doc: dict, key: str, n: int, dtype, required: bool):
     if val is None:
         return None
     try:
-        return np.asarray(val, dtype=dtype)
+        arr = np.asarray(val, dtype=dtype)
     except OverflowError as exc:
         raise ManifestError(f"value out of range: {exc}", f"$.{key}") from exc
+    if dtype is np.float64:
+        # json loads the NaN and Infinity tokens as floats
+        ok = np.isfinite(arr) if key == "poses" else (arr >= 0) & (arr < np.inf)
+        if not ok.all():
+            at = np.argwhere(~ok)[0]
+            want = "a finite number" + ("" if key == "poses" else " >= 0")
+            raise ManifestError(f"expected {want}, got {arr[tuple(at)]}",
+                                f"$.{key}" + "".join(f"[{i}]" for i in at))
+    return arr
 
 
 def read_manifest(path, descriptors) -> tuple:
     """Build a DescriptorBank from a manifest plus its descriptor block.
 
-    Returns (bank, splits) where splits maps split name -> index array
-    (empty dict when the manifest has no split assignment).
+    Returns (bank, splits) where splits maps split name -> index array.
+    `poses` and `split` are required: every evaluation reads both.
     """
     with open(path) as fh:
         try:
@@ -252,9 +263,7 @@ def read_manifest(path, descriptors) -> tuple:
     bank = DescriptorBank(descriptors=descriptors, **{
         key: _manifest_array(doc, key, n, dtype, required)
         for key, (dtype, required) in _MANIFEST_ARRAYS.items()})
-    names = _manifest_list(doc, "split", n, {str})
-    if names is None:
-        return bank, {}
+    names = _manifest_list(doc, "split", n, {str}, required=True)
     unknown = set(names) - set(SPLIT_NAMES)
     if unknown:
         i = next(i for i, name in enumerate(names) if name in unknown)
@@ -501,6 +510,7 @@ _SECTION_KEYS = {name: {f.name for f in fields(cls)}
                  for name, cls in _SECTIONS.items()}
 _SECTION_KEYS["binning"].remove("clamp")  # eval fixes clamping per method
 _TOP_KEYS = {*_SECTIONS, "ks", "tau"}
+_FLOAT_MAX = sys.float_info.max
 
 
 def _json_value(value):
@@ -565,10 +575,12 @@ def load_run_config(path=None, overrides: dict | None = None) -> dict:
                                   f"integers, got {ks!r}", "$.ks")
             resolved["ks"] = list(ks)
         if "tau" in layer:
-            if type(layer["tau"]) not in (int, float):
-                raise ConfigError(f"tau must be a number, got {layer['tau']!r}",
-                                  "$.tau")
-            resolved["tau"] = float(layer["tau"])
+            tau = layer["tau"]
+            # false for NaN, infinity and an int beyond the float range
+            if type(tau) not in (int, float) or not 0 < tau <= _FLOAT_MAX:
+                raise ConfigError("tau must be a finite positive number, got "
+                                  f"{tau!r}", "$.tau")
+            resolved["tau"] = float(tau)
     for section in _SECTIONS:
         _section_config(resolved, section)
     return resolved
@@ -578,7 +590,7 @@ def _config_value(value, default, path: str):
     """`value` checked against the type of its field's `default`: an enum is
     built from its value, a tuple takes an array of positive integers, and
     a number keeps its JSON type (an int may stand for a float; a bool is
-    no number)."""
+    no number), and a float is finite."""
     kind = type(default)
     if isinstance(default, Enum):
         try:
@@ -591,8 +603,9 @@ def _config_value(value, default, path: str):
         ok = (isinstance(value, list) and len(value) == len(default)
               and set(map(type, value)) <= {int} and min(value) >= 1)
     else:
-        expected = kind.__name__
-        ok = type(value) in {bool: (bool,), int: (int,), float: (int, float)}[kind]
+        expected = "a finite float" if kind is float else kind.__name__
+        ok = (type(value) in {bool: (bool,), int: (int,), float: (int, float)}[kind]
+              and (kind is not float or abs(value) <= _FLOAT_MAX))
     if not ok:
         raise ConfigError(f"expected {expected}, got {value!r}", path)
     return tuple(value) if kind is tuple else value
@@ -646,23 +659,11 @@ def _head_to_dict(head: HeadParams | None) -> dict | None:
     }
 
 
-def _head_from_dict(doc: dict | None) -> HeadParams | None:
-    if doc is None:
-        return None
-    return HeadParams(
-        gem_p=doc["gem_p"],
-        proj_w=None if doc["proj_w"] is None else np.asarray(doc["proj_w"]),
-        kappa_w=np.asarray(doc["kappa_w"]),
-        kappa_b=float(np.asarray(doc["kappa_b"]).reshape(-1)[0]),
-        variant=HeadVariant(doc["variant"]),
-        train_gem_p=doc.get("train_gem_p", False),
-    )
-
-
 def write_model_state(path, head: HeadParams | None = None,
                       encoder: LinearEncoder | None = None,
                       prototypes=None, extra: dict | None = None) -> None:
-    """Serialize trained parameters as JSON (floats round-trip exactly)."""
+    """Serialize trained parameters as JSON (floats round-trip exactly).
+    A record of the run, like history.csv: no command reads it back."""
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "head": _head_to_dict(head),
@@ -672,25 +673,6 @@ def write_model_state(path, head: HeadParams | None = None,
         "extra": extra or {},
     }
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
-
-
-def read_model_state(path) -> dict:
-    """Returns {"head": HeadParams|None, "encoder": LinearEncoder|None,
-    "prototypes": ndarray|None, "extra": dict}."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported model-state schema {doc.get('schema_version')!r}",
-            "$.schema_version")
-    return {
-        "head": _head_from_dict(doc["head"]),
-        "encoder": None if doc["encoder"] is None
-        else LinearEncoder(np.asarray(doc["encoder"])),
-        "prototypes": None if doc["prototypes"] is None
-        else np.asarray(doc["prototypes"]),
-        "extra": doc.get("extra", {}),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from . import scores as sc
 from .calibration import BinningConfig, ClampMode, ece_at_k, match_ece_at_k
 from .head import HeadParams, forward_batch, init_head
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, SUE_K, DescriptorBank,
-                        GroundTruth, RetrievalResult, batch_knn,
-                        mark_successes, recall_at_k)
+                        RetrievalResult, batch_knn, mark_successes,
+                        positive_mask, recall_at_k)
 from .synth import SynthDataset
 from .training import (LinearEncoder, LmclConfig, TrainConfig, TrainData,
                        train_joint, train_post)
@@ -66,20 +66,22 @@ def _fit_data(dataset: SynthDataset, seed: int, head: HeadParams | None):
                      raw=dataset.raw[idx]), val_idx
 
 
-def _marked_knn(queries, query_ids, query_poses, db_bank: DescriptorBank,
-                tau: float):
+def _marked_knn(queries, query_poses, db_bank: DescriptorBank, tau: float):
     """Top-1 retrieval of `queries` against `db_bank`, successes marked."""
-    results = batch_knn(queries, db_bank, 1, query_ids=query_ids)
-    mark_successes(results, GroundTruth(tau=tau), db_bank,
-                   query_poses=query_poses)
+    results = batch_knn(queries, db_bank, 1)
+    mark_successes(results, db_bank, query_poses, tau)
     return results
 
 
-def _resultant_ece1(results, db_bank: DescriptorBank, q_kappas,
-                    binning: BinningConfig | None) -> float:
-    """Resultant-score ECE@1 of marked top-1 results; db_bank.kappas set."""
+def _resultant_ece1(dataset, head, results, db_bank: DescriptorBank, db_idx,
+                    val_idx, binning: BinningConfig | None) -> float:
+    """Resultant-score ECE@1 of the marked top-1 `results` of the validation
+    rows `val_idx` against `db_bank` (the rows `db_idx`), with kappas
+    predicted by `head`; sets db_bank.kappas."""
+    rows = dataset.head_inputs(head)
+    db_bank.kappas = predict_kappas(rows[db_idx], head)
     value, _ = sc.score_query(sc.METHOD_RESULTANT, results, db_bank,
-                              kappa_q=q_kappas)
+                              kappa_q=predict_kappas(rows[val_idx], head))
     return ece_at_k(value, results.success[:, 0],
                     binning_for(sc.METHOD_RESULTANT, binning),
                     k=1, method=sc.METHOD_RESULTANT).ece
@@ -93,16 +95,10 @@ def _recall_and_ece1(dataset, encoder, head, val_idx, db_idx, tau, binning):
         descriptors=db_desc, ids=dataset.bank.ids[db_idx],
         labels=dataset.bank.labels[db_idx], poses=dataset.bank.poses[db_idx])
     results = _marked_knn(encoder.encode(dataset.raw[val_idx]),
-                          dataset.bank.ids[val_idx],
                           dataset.bank.poses[val_idx], db_bank, tau)
-    recall1 = recall_at_k(results, 1)
-    ece1 = float("nan")
-    if head is not None:
-        rows = dataset.head_inputs(head)
-        db_bank.kappas = predict_kappas(rows[db_idx], head)
-        ece1 = _resultant_ece1(results, db_bank,
-                               predict_kappas(rows[val_idx], head), binning)
-    return recall1, ece1
+    ece1 = float("nan") if head is None else _resultant_ece1(
+        dataset, head, results, db_bank, db_idx, val_idx, binning)
+    return recall_at_k(results, 1), ece1
 
 
 def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
@@ -121,14 +117,11 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
     # descriptors are frozen: retrieve once, re-score kappas each epoch
     db_bank = dataset.bank.subset(db_idx)
     results = _marked_knn(dataset.bank.descriptors[val_idx],
-                          dataset.bank.ids[val_idx],
                           dataset.bank.poses[val_idx], db_bank, tau)
 
     def hook(h):
-        rows = dataset.head_inputs(h)
-        db_bank.kappas = predict_kappas(rows[db_idx], h)
-        return _resultant_ece1(results, db_bank,
-                               predict_kappas(rows[val_idx], h), binning)
+        return _resultant_ece1(dataset, h, results, db_bank, db_idx, val_idx,
+                               binning)
 
     return train_post(train, dataset.prototypes, head, cfg, eval_hook=hook)
 
@@ -186,19 +179,18 @@ class QueryEvaluation:
 def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
                      ks=DEFAULT_KS, methods=sc.ALL_METHODS,
                      binning: BinningConfig | None = None,
-                     tau: float = DEFAULT_TAU,
-                     gt: GroundTruth | None = None) -> QueryEvaluation:
+                     tau: float = DEFAULT_TAU) -> QueryEvaluation:
     """The query-level evaluation protocol.
 
-    `bank` is the reference database (kappas filled for the kappa-based
+    `bank` is the reference database (poses, and kappas for the kappa-based
     methods); `query_bank` carries query descriptors, poses, and kappas.
-    Methods that lack their inputs (SUE without poses, a kappa score
-    without kappas, PA or SUE on a one-row database) are reported as
-    unsupported and the evaluation continues; any other scorer error
-    propagates.  The search goes max(max(ks), SUE_K) deep, clipped to the
-    bank, and SUE spreads the top SUE_K poses whatever `ks` lists, so no
-    method's ECE@K depends on the other K.  `ks` must list at least one
-    K, each at least 1.
+    A reference is a positive of a query within `tau` of its pose.
+    Methods that lack their inputs (a kappa score without kappas, PA or
+    SUE on a one-row database) are reported as unsupported and the
+    evaluation continues; any other scorer error propagates.  The search
+    goes max(max(ks), SUE_K) deep, clipped to the bank, and SUE spreads
+    the top SUE_K poses whatever `ks` lists, so no method's ECE@K depends
+    on the other K.  `ks` must list at least one K, each at least 1.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -206,8 +198,7 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
     results = batch_knn(query_bank.descriptors, bank,
                         min(max(ks[-1], SUE_K), len(bank)),
                         query_ids=query_bank.ids)
-    gt = gt or GroundTruth(tau=tau)
-    mark_successes(results, gt, bank, query_poses=query_bank.poses)
+    mark_successes(results, bank, query_bank.poses, tau)
 
     scored = {}
     unsupported = {}
@@ -263,8 +254,8 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
     elif results.ref_indices.shape != (len(query_bank), k):
         raise ValueError(f"results of shape {results.ref_indices.shape} are "
                          f"not a top-{k} search of {len(query_bank)} queries")
-    positive = GroundTruth(tau=tau).positive_mask(
-        results.query_ids, query_bank.poses, bank, results.ref_indices)
+    positive = positive_mask(query_bank.poses, bank, results.ref_indices,
+                             tau)
 
     pairs = {}
     if query_bank.kappas is not None and bank.kappas is not None:

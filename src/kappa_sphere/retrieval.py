@@ -1,10 +1,9 @@
 """Exact cosine nearest-neighbor retrieval over a descriptor bank,
-ground-truth resolution, and Recall@K."""
+ground truth (references within tau of the query's pose), and Recall@K."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -61,43 +60,18 @@ class DescriptorBank:
                          "kappas")})
 
 
-class GroundTruthMode(str, Enum):
-    DISTANCE_THRESHOLD = "distance_threshold"
-    EXPLICIT_POSITIVES = "explicit_positives"
-
-
-@dataclass
-class GroundTruth:
-    mode: GroundTruthMode = GroundTruthMode.DISTANCE_THRESHOLD
-    tau: float = DEFAULT_TAU
-    positives: dict | None = None  # query id -> set of reference ids
-
-    def __post_init__(self):
-        if self.mode is GroundTruthMode.DISTANCE_THRESHOLD and self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.mode is GroundTruthMode.EXPLICIT_POSITIVES and self.positives is None:
-            raise ValueError("explicit mode requires a positives map")
-
-    def positive_mask(self, query_ids, query_poses, bank: DescriptorBank,
-                      ref_indices) -> np.ndarray:
-        """(n, K) mask: is bank row ref_indices[i, j] a positive of query i?
-
-        `query_ids` is (n,), `query_poses` (n, 2) or None (explicit mode
-        does not read it), `ref_indices` (n, K).
-        """
-        ref_indices = np.asarray(ref_indices)
-        if self.mode is GroundTruthMode.DISTANCE_THRESHOLD:
-            if bank.poses is None or query_poses is None:
-                raise ValueError("distance-threshold ground truth requires poses")
-            diffs = (bank.poses[ref_indices]
-                     - np.asarray(query_poses, dtype=np.float64)[:, None, :])
-            return np.linalg.norm(diffs, axis=2) <= self.tau
-        mask = np.empty(ref_indices.shape, dtype=bool)
-        for row, qid, idx in zip(mask, query_ids, ref_indices):
-            if qid not in self.positives:
-                raise KeyError(f"query {qid} missing from explicit ground truth")
-            row[:] = np.isin(bank.ids[idx], list(self.positives[qid]))
-        return mask
+def positive_mask(query_poses, bank: DescriptorBank, ref_indices,
+                  tau: float) -> np.ndarray:
+    """(n, K) mask: is bank row ref_indices[i, j] within `tau` of query i's
+    pose (the threshold inclusive)?  `query_poses` is (n, 2), `ref_indices`
+    (n, K); `tau` is finite and positive."""
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    if bank.poses is None or query_poses is None:
+        raise ValueError("ground truth requires query and reference poses")
+    diffs = (bank.poses[np.asarray(ref_indices)]
+             - np.asarray(query_poses, dtype=np.float64)[:, None, :])
+    return np.linalg.norm(diffs, axis=2) <= tau
 
 
 @dataclass
@@ -175,16 +149,14 @@ def batch_knn(queries, bank: DescriptorBank, k: int,
     )
 
 
-def mark_successes(results: RetrievalResult, gt: GroundTruth,
-                   bank: DescriptorBank, query_poses=None) -> None:
+def mark_successes(results: RetrievalResult, bank: DescriptorBank,
+                   query_poses, tau: float) -> None:
     """Fill the (n, K) prefix success flags in place.
 
-    success[i, j] is true when any of query i's ranks 1..j+1 is a
-    ground-truth positive.  `query_poses` is (n, 2), row i the pose of
-    query i (needed for the distance-threshold mode).
+    success[i, j] is true when any of query i's ranks 1..j+1 is within
+    `tau` of its pose; `query_poses` is (n, 2), row i the pose of query i.
     """
-    mask = gt.positive_mask(results.query_ids, query_poses, bank,
-                            results.ref_indices)
+    mask = positive_mask(query_poses, bank, results.ref_indices, tau)
     results.success = np.maximum.accumulate(mask, axis=1)
 
 

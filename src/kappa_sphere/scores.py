@@ -35,14 +35,6 @@ class MissingInputError(ValueError):
     """A score's input is absent: poses, kappas, or a second neighbor."""
 
 
-class MissingPosesError(MissingInputError):
-    """SUE needs reference poses; single-positive datasets have none."""
-
-
-class MissingKappasError(MissingInputError):
-    """A kappa-based score was asked for before kappas were predicted."""
-
-
 def floor_kappa(kappa):
     """max(kappa, 1.0), elementwise."""
     return np.maximum(kappa, KAPPA_FLOOR)
@@ -92,7 +84,7 @@ def baseline_sue(result: RetrievalResult, bank: DescriptorBank,
     shift of the similarities (softmax shift invariance).
     """
     if bank.poses is None:
-        raise MissingPosesError("SUE requires reference poses")
+        raise MissingInputError("SUE requires reference poses")
     if k < 2 or result.ref_indices.shape[1] < k:
         raise MissingInputError("SUE needs at least 2 retrieved neighbors")
     sims = result.similarities[:, :k]
@@ -123,13 +115,13 @@ def score_query(method: str, result: RetrievalResult, bank: DescriptorBank,
     """
     if method == METHOD_RESULTANT:
         if bank.kappas is None or kappa_q is None:
-            raise MissingKappasError("resultant score requires predicted kappas")
+            raise MissingInputError("resultant score requires predicted kappas")
         return match_uncertainty(kappa_q, bank.kappas[result.ref_indices[:, 0]],
                                  result.similarities[:, 0])
     k = k if k is not None else result.ref_ids.shape[1]
     if method == METHOD_INV_KAPPA:
         if kappa_q is None:
-            raise MissingKappasError("inverse-kappa score requires a predicted kappa")
+            raise MissingInputError("inverse-kappa score requires a predicted kappa")
         value = query_uncertainty_inverse_kappa(kappa_q)
     elif method == METHOD_L2:
         value = baseline_l2(result)

@@ -28,8 +28,7 @@ from kappa_sphere.head import (HeadVariant, backward_batch, forward_batch,
                                init_head)
 from kappa_sphere.pipeline import (evaluate_matches, fit_head, fit_joint,
                                    scene_banks)
-from kappa_sphere.retrieval import (DescriptorBank, GroundTruth,
-                                    GroundTruthMode, batch_knn,
+from kappa_sphere.retrieval import (DescriptorBank, batch_knn,
                                     mark_successes, recall_at_k)
 from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import (AnchorMode, LinearEncoder, LmclConfig,
@@ -479,8 +478,7 @@ def _query_recall1(dataset, encoder):
                         poses=dataset.bank.poses[db_idx])
     results = batch_knn(encoder.encode(dataset.raw[q_idx]), db, 1,
                         query_ids=dataset.bank.ids[q_idx])
-    gt = GroundTruth(mode=GroundTruthMode.DISTANCE_THRESHOLD, tau=25.0)
-    mark_successes(results, gt, db, query_poses=dataset.bank.poses[q_idx])
+    mark_successes(results, db, dataset.bank.poses[q_idx], tau=25.0)
     return recall_at_k(results, 1)
 
 

@@ -465,6 +465,14 @@ class TestErrors:
         ({"scene": {"descriptor_dim": 1}}, "$.scene"),
         ({"scene": {"images_per_class": 4}}, "$.scene"),  # cannot stratify
         ({"ks": []}, "$.ks"),  # eval and match-eval need a K
+        ({"tau": 0}, "$.tau"),
+        ({"tau": -5}, "$.tau"),
+        ({"tau": float("nan")}, "$.tau"),  # every match would be negative
+        ({"tau": float("inf")}, "$.tau"),
+        ({"tau": 10 ** 400}, "$.tau"),  # no float holds it
+        ({"train": {"lr": float("inf")}}, "$.train.lr"),
+        ({"lmcl": {"scale": float("nan")}}, "$.lmcl.scale"),
+        ({"scene": {"pose_jitter": -10 ** 400}}, "$.scene.pose_jitter"),
     ])
     def test_bad_config_value_located(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "config.json"
@@ -536,12 +544,12 @@ class TestBench:
 
 
 class TestUnsupportedMethods:
-    def test_sue_reported_unsupported_without_poses(self, rng):
-        # Pipeline-level: a pose-less bank with explicit ground truth must
-        # still evaluate the other methods and report SUE as unsupported.
+    def test_pose_less_bank_fails_evaluation(self, rng):
+        # Positives are references within tau of the query's pose, so a
+        # bank without poses has no ground truth: an error, not a run that
+        # files SUE as unsupported.
         from kappa_sphere.pipeline import evaluate_queries
-        from kappa_sphere.retrieval import (DescriptorBank, GroundTruth,
-                                            GroundTruthMode)
+        from kappa_sphere.retrieval import DescriptorBank
 
         w = rng.standard_normal((12, 8))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
@@ -550,14 +558,10 @@ class TestUnsupportedMethods:
                               kappas=rng.uniform(2, 50, 8))
         queries = DescriptorBank(descriptors=w[8:], ids=np.arange(8, 12),
                                  labels=np.zeros(4),
+                                 poses=rng.uniform(0, 100, (4, 2)),
                                  kappas=rng.uniform(2, 50, 4))
-        gt = GroundTruth(mode=GroundTruthMode.EXPLICIT_POSITIVES,
-                         positives={i: {0} for i in range(8, 12)})
-        ev = evaluate_queries(bank, queries, ks=(1,), gt=gt)
-        assert "sue" in ev.unsupported
-        assert "sue_log" in ev.unsupported
-        assert ("resultant", 1) in ev.reports
-        assert ("l2", 1) in ev.reports
+        with pytest.raises(ValueError, match="poses"):
+            evaluate_queries(bank, queries, ks=(1,))
 
     def test_one_row_database_files_pa_and_sue_unsupported(self, rng):
         # PA and SUE need a second neighbor; the other methods still run.

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappa_sphere.fileio import (BankFormatError, ConfigError, ManifestError,
-                                 RecordFileError, atomic_write_text,
-                                 default_run_config, load_run_config,
-                                 read_bank, read_manifest, read_model_state,
+from kappa_sphere.fileio import (REPORT_SCHEMA_VERSION, BankFormatError,
+                                 ConfigError, ManifestError, RecordFileError,
+                                 atomic_write_text, default_run_config,
+                                 load_run_config, read_bank, read_manifest,
                                  read_retrieval, read_scene, report_document,
                                  scene_config_from, train_config_from,
                                  write_bank, write_manifest,
@@ -127,6 +127,9 @@ class TestBankFormat:
 
 
 class TestManifest:
+    SPLITS = {"train": np.arange(0, 5), "db": np.arange(5, 7),
+              "query": np.arange(7, 9)}  # of make_bank's 9 rows
+
     def make_bank(self, rng, n=9, d=4):
         return DescriptorBank(
             descriptors=unit_rows(rng, n, d), ids=np.arange(n),
@@ -135,8 +138,7 @@ class TestManifest:
 
     def test_round_trip(self, rng, tmp_path):
         bank = self.make_bank(rng)
-        splits = {"train": np.arange(0, 5), "db": np.arange(5, 7),
-                  "query": np.arange(7, 9)}
+        splits = self.SPLITS
         path = tmp_path / "manifest.json"
         write_manifest(path, bank, splits)
         loaded, loaded_splits = read_manifest(path, bank.descriptors)
@@ -150,14 +152,53 @@ class TestManifest:
             np.testing.assert_array_equal(loaded_splits[name], splits[name])
 
     def test_optional_fields_absent(self, rng, tmp_path):
-        n = 4
-        bank = DescriptorBank(descriptors=unit_rows(rng, n, 4),
-                              ids=np.arange(n), labels=np.zeros(n))
+        # only the kappas are optional: a bank has no kappa before fit
+        bank = self.make_bank(rng)
+        bank.true_kappa = bank.kappas = None
         path = tmp_path / "manifest.json"
-        write_manifest(path, bank)
-        loaded, splits = read_manifest(path, bank.descriptors)
-        assert loaded.poses is None and loaded.kappas is None
-        assert splits == {}
+        write_manifest(path, bank, self.SPLITS)
+        loaded, _ = read_manifest(path, bank.descriptors)
+        assert loaded.true_kappa is None and loaded.kappas is None
+
+    @pytest.mark.parametrize("field", ["poses", "split"])
+    def test_required_fields_located(self, rng, tmp_path, field):
+        # every evaluation reads the poses (its ground truth) and the split
+        bank = self.make_bank(rng)
+        path = tmp_path / "manifest.json"
+        write_manifest(path, bank, self.SPLITS)
+        doc = json.loads(path.read_text())
+        for absent in (lambda d: d.pop(field), lambda d: d.update({field: None})):
+            absent(doc)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ManifestError) as exc:
+                read_manifest(path, bank.descriptors)
+            assert exc.value.path == f"$.{field}"
+
+    def test_pose_less_bank_rejected_on_write(self, rng, tmp_path):
+        bank = self.make_bank(rng)
+        bank.poses = None
+        with pytest.raises(ValueError, match="poses"):
+            write_manifest(tmp_path / "m.json", bank, self.SPLITS)
+
+    @pytest.mark.parametrize("field, values, path", [
+        ("poses", {(1, 0): np.nan}, "$.poses[1][0]"),  # would be a negative
+        ("poses", {(8, 1): -np.inf}, "$.poses[8][1]"),
+        ("true_kappa", {3: np.inf}, "$.true_kappa[3]"),
+        ("kappas", {1: np.inf, 2: -3.0}, "$.kappas[1]"),  # the first bad one
+        ("kappas", {2: -3.0}, "$.kappas[2]"),  # would be floored to 1.0
+        ("kappas", {0: np.nan}, "$.kappas[0]"),
+    ])
+    def test_non_finite_or_negative_value_located(self, rng, tmp_path, field,
+                                                  values, path):
+        # json writes and loads NaN and Infinity as bare tokens
+        bank = self.make_bank(rng)
+        for index, value in values.items():
+            getattr(bank, field)[index] = value
+        manifest = tmp_path / "manifest.json"
+        write_manifest(manifest, bank, self.SPLITS)
+        with pytest.raises(ManifestError) as exc:
+            read_manifest(manifest, bank.descriptors)
+        assert exc.value.path == path
 
     def test_incomplete_split_rejected_on_write(self, rng, tmp_path):
         bank = self.make_bank(rng)
@@ -168,7 +209,7 @@ class TestManifest:
     def test_length_mismatch(self, rng, tmp_path):
         bank = self.make_bank(rng)
         path = tmp_path / "manifest.json"
-        write_manifest(path, bank)
+        write_manifest(path, bank, self.SPLITS)
         with pytest.raises(ManifestError) as exc:
             read_manifest(path, bank.descriptors[:5])
         assert "$." in str(exc.value)
@@ -261,19 +302,26 @@ class TestRunConfig:
 
 
 class TestModelState:
+    """model.json is a record of the run, like history.csv: no command reads
+    it back.  Its floats round-trip exactly through the JSON."""
+
+    @staticmethod
+    def load(path):
+        with open(path) as fh:
+            return json.load(fh)
+
     def test_head_round_trip(self, rng, tmp_path):
         head = init_head((8, 4, 4), hidden=6, rng=rng)
-        head.kappa_b = 0.3125  # exact binary fraction round-trips exactly
         path = tmp_path / "model.json"
         write_model_state(path, head=head, extra={"note": "x"})
-        state = read_model_state(path)
-        loaded = state["head"]
-        assert loaded.variant is HeadVariant.AGGREGATION
-        np.testing.assert_array_equal(loaded.kappa_w, head.kappa_w)
-        np.testing.assert_array_equal(loaded.proj_w, head.proj_w)
-        assert loaded.kappa_b == head.kappa_b
-        assert isinstance(loaded.kappa_b, float)
-        assert state["extra"] == {"note": "x"}
+        doc = self.load(path)
+        assert doc["head"]["variant"] == HeadVariant.AGGREGATION.value
+        for name in ("kappa_w", "proj_w"):
+            assert _same_bits(np.asarray(doc["head"][name]),
+                              getattr(head, name)), name
+        assert doc["head"]["kappa_b"] == head.kappa_b
+        assert doc["head"]["gem_p"] == head.gem_p
+        assert doc["extra"] == {"note": "x"}
 
     def test_full_state_round_trip(self, rng, tmp_path):
         head = init_head((8, 4, 4), variant=HeadVariant.LINEAR_ONLY, rng=rng)
@@ -281,23 +329,17 @@ class TestModelState:
         protos = unit_rows(rng, 3, 4)
         path = tmp_path / "model.json"
         write_model_state(path, head=head, encoder=encoder, prototypes=protos)
-        state = read_model_state(path)
-        assert state["head"].proj_w is None
-        np.testing.assert_array_equal(state["encoder"].weights, encoder.weights)
-        np.testing.assert_array_equal(state["prototypes"], protos)
+        doc = self.load(path)
+        assert doc["head"]["proj_w"] is None
+        assert _same_bits(np.asarray(doc["encoder"]), encoder.weights)
+        assert _same_bits(np.asarray(doc["prototypes"]), protos)
 
     def test_none_head(self, tmp_path):
         path = tmp_path / "model.json"
         write_model_state(path)
-        state = read_model_state(path)
-        assert state["head"] is None and state["encoder"] is None
-
-    def test_schema_version_enforced(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps({"schema_version": 99, "head": None,
-                                    "encoder": None, "prototypes": None}))
-        with pytest.raises(ConfigError):
-            read_model_state(path)
+        assert self.load(path) == {
+            "schema_version": REPORT_SCHEMA_VERSION, "head": None,
+            "encoder": None, "prototypes": None, "extra": {}}
 
 
 class TestArtifacts:
@@ -513,6 +555,10 @@ def _not_of(*types):
     return _JSON_VALUES.filter(lambda v: type(v) not in types)
 
 
+# floats that json writes and loads as the bare NaN and Infinity tokens
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
 class TestBoundaryProperties:
     """Type-substituted and truncated manifest and config fields raise the
     located error (ManifestError or ConfigError at the field's JSON path,
@@ -587,7 +633,7 @@ class TestBoundaryProperties:
                                              "file"]), label="how")
             expected = f"$.{field}"
             if how == "field":
-                required = field in ("ids", "labels")
+                required = field in ("ids", "labels", "poses", "split")
                 doc[field] = data.draw(_not_of(list) if required
                                        else _not_of(list, type(None)))
             elif how == "truncate":
@@ -606,9 +652,12 @@ class TestBoundaryProperties:
                             lambda row: len(row) != 2))
                 elif field == "poses":
                     doc[field][i][data.draw(st.integers(0, 1))] = \
-                        data.draw(_not_of(int, float))
-                else:
-                    doc[field][i] = data.draw(_not_of(int, float))
+                        data.draw(_not_of(int, float) | _NON_FINITE)
+                else:                           # a kappa is also >= 0
+                    doc[field][i] = data.draw(
+                        _not_of(int, float) | _NON_FINITE
+                        | st.integers(max_value=-1)
+                        | st.floats(max_value=-1e-300))
             if how == "file":
                 expected = "line "
                 payload = text[:data.draw(st.integers(0, len(text) - 1))]
@@ -648,13 +697,15 @@ class TestBoundaryProperties:
                 bad = data.draw(_not_of(bool))
             else:
                 bad = data.draw(_not_of(int) if isinstance(default, int)
-                                else _not_of(int, float))
+                                else _not_of(int, float) | _NON_FINITE)
             doc = {section: {key: bad}}
         elif target == ("ks",):
             doc = {"ks": data.draw(_not_of(list)
                                    | _not_of(int).map(lambda v: [1, v]))}
         elif target == ("tau",):
-            doc = {"tau": data.draw(_not_of(int, float))}
+            doc = {"tau": data.draw(_not_of(int, float) | _NON_FINITE
+                                    | st.integers(max_value=0)
+                                    | st.floats(max_value=0.0))}
         text = json.dumps(doc)
         if target == ("file",):
             expected = "line "

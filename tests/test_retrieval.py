@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_sphere.retrieval import (_GROUP_FLOOR, _ROW_BLOCK, DescriptorBank,
-                                    GroundTruth, GroundTruthMode, batch_knn,
-                                    mark_successes, recall_at_k)
+                                    batch_knn, mark_successes, positive_mask,
+                                    recall_at_k)
 
 
 def unit_rows(rng, n, d):
@@ -235,51 +235,42 @@ class TestGroundTruth:
         bank = make_bank(rng, n=10)
         bank.poses = np.zeros((10, 2))
         bank.poses[:5, 0] = 100.0  # far group
-        gt = GroundTruth(tau=25.0)
-        mask = gt.positive_mask([0], np.zeros((1, 2)), bank,
-                                np.arange(10)[None])
+        mask = positive_mask(np.zeros((1, 2)), bank, np.arange(10)[None],
+                             tau=25.0)
         np.testing.assert_array_equal(mask, [[False] * 5 + [True] * 5])
 
     def test_batched_rows_match_single_rows(self, rng):
         bank = make_bank(rng, n=30)
         q_poses = rng.uniform(0, 500, (5, 2))
         idx = rng.integers(0, 30, (5, 7))
-        gt = GroundTruth(tau=150.0)
-        mask = gt.positive_mask(np.arange(5), q_poses, bank, idx)
+        mask = positive_mask(q_poses, bank, idx, tau=150.0)
         assert mask.shape == (5, 7) and mask.any() and not mask.all()
         for i in range(5):
             np.testing.assert_array_equal(
-                mask[i], gt.positive_mask([i], q_poses[i:i + 1], bank,
-                                          idx[i:i + 1])[0])
+                mask[i], positive_mask(q_poses[i:i + 1], bank, idx[i:i + 1],
+                                       tau=150.0)[0])
 
     def test_threshold_is_inclusive(self, rng):
         bank = make_bank(rng, n=2)
         bank.poses = np.array([[25.0, 0.0], [25.0 + 1e-9, 0.0]])
-        gt = GroundTruth(tau=25.0)
-        mask = gt.positive_mask([0], np.zeros((1, 2)), bank, np.arange(2)[None])
+        mask = positive_mask(np.zeros((1, 2)), bank, np.arange(2)[None],
+                             tau=25.0)
         np.testing.assert_array_equal(mask, [[True, False]])
 
     def test_requires_poses(self, rng):
         bank = make_bank(rng, with_poses=False)
-        gt = GroundTruth(tau=25.0)
-        with pytest.raises(ValueError):
-            gt.positive_mask([0], np.zeros((1, 2)), bank, np.arange(3)[None])
+        with pytest.raises(ValueError, match="poses"):
+            positive_mask(np.zeros((1, 2)), bank, np.arange(3)[None],
+                          tau=25.0)
+        with pytest.raises(ValueError, match="poses"):
+            positive_mask(None, make_bank(rng), np.arange(3)[None], tau=25.0)
 
-    def test_explicit_positives(self, rng):
-        bank = make_bank(rng, n=6)
-        gt = GroundTruth(mode=GroundTruthMode.EXPLICIT_POSITIVES,
-                         positives={9: {101, 104}})
-        mask = gt.positive_mask([9], None, bank, np.arange(6)[None])
-        np.testing.assert_array_equal(mask,
-                                      [[False, True, False, False, True, False]])
-        with pytest.raises(KeyError):
-            gt.positive_mask([8], None, bank, np.arange(6)[None])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GroundTruth(tau=0.0)
-        with pytest.raises(ValueError):
-            GroundTruth(mode=GroundTruthMode.EXPLICIT_POSITIVES)
+    def test_validation(self, rng):
+        # a NaN tau would make every reference a negative
+        for tau in (0.0, -5.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau"):
+                positive_mask(np.zeros((1, 2)), make_bank(rng),
+                              np.arange(3)[None], tau=tau)
 
 
 class TestRecall:
@@ -289,9 +280,7 @@ class TestRecall:
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         results = batch_knn(queries, bank, k=10,
                             query_ids=bank.ids[:8])
-        gt = GroundTruth(mode=GroundTruthMode.EXPLICIT_POSITIVES,
-                         positives={int(i): {int(i)} for i in bank.ids[:8]})
-        mark_successes(results, gt, bank)
+        mark_successes(results, bank, bank.poses[:8], tau=1.0)
         recalls = [recall_at_k(results, k) for k in (1, 5, 10)]
         assert recalls[0] <= recalls[1] <= recalls[2]
 
@@ -300,15 +289,15 @@ class TestRecall:
         # Recall@1 = 1/3 and Recall@2 = 1.
         e = np.eye(3)
         bank = DescriptorBank(descriptors=e, ids=np.arange(3),
-                              labels=np.arange(3))
+                              labels=np.arange(3),
+                              poses=[[0.0, 0.0], [100.0, 0.0], [200.0, 0.0]])
         queries = np.array([e[0], e[1], e[2]])
         results = batch_knn(queries, bank, k=2, query_ids=[0, 1, 2])
         # rank 2 for every query is id 0 (tie among the two zero-cosine
-        # candidates broken by ascending id), so positives {0} hit at
-        # rank 1 only for query 0 and at rank 2 for the others.
-        gt = GroundTruth(mode=GroundTruthMode.EXPLICIT_POSITIVES,
-                         positives={0: {0}, 1: {0}, 2: {0}})
-        mark_successes(results, gt, bank)
+        # candidates broken by ascending id), so id 0, the one reference
+        # within tau of every query, hits at rank 1 only for query 0 and
+        # at rank 2 for the others.
+        mark_successes(results, bank, np.zeros((3, 2)), tau=25.0)
         assert recall_at_k(results, 1) == pytest.approx(1 / 3)
         assert recall_at_k(results, 2) == pytest.approx(1.0)
 
@@ -316,10 +305,11 @@ class TestRecall:
         bank = make_bank(rng, n=10, d=4)
         res = batch_knn(bank.descriptors[0], bank, k=10,
                         query_ids=[int(bank.ids[0])])
-        gt = GroundTruth(mode=GroundTruthMode.EXPLICIT_POSITIVES,
-                         positives={int(bank.ids[0]): {int(bank.ids[5])}})
-        mark_successes(res, gt, bank)
+        # the query stands at row 5's pose, and no other row is that close
+        mark_successes(res, bank, bank.poses[5:6], tau=1e-6)
         assert np.all(np.diff(res.success.astype(int), axis=1) >= 0)
+        rank = int(np.flatnonzero(res.ref_indices[0] == 5)[0])
+        assert res.success[0].tolist() == [False] * rank + [True] * (10 - rank)
 
     def test_requires_marked_successes(self, rng):
         bank = make_bank(rng, n=4, d=4)
@@ -333,8 +323,7 @@ class TestRecall:
         # k = 0 would index the last column, the recall at the deepest rank
         bank = make_bank(rng, n=4, d=4)
         res = batch_knn(bank.descriptors, bank, k=2)
-        mark_successes(res, GroundTruth(tau=1.0), bank,
-                       query_poses=bank.poses)
+        mark_successes(res, bank, bank.poses, tau=1.0)
         for k in (0, -1):
             with pytest.raises(ValueError, match="k must be >= 1"):
                 recall_at_k(res, k)

@@ -123,7 +123,7 @@ class TestSue:
     def test_missing_poses(self, rng):
         bank = make_bank(rng, poses=False)
         res = make_result([0.9, 0.8], ref_indices=[0, 1])
-        with pytest.raises(sc.MissingPosesError):
+        with pytest.raises(sc.MissingInputError, match="poses"):
             sc.baseline_sue(res, bank, k=2)
 
     def test_sue_log_compression(self):
@@ -162,10 +162,10 @@ class TestScoreQuery:
 
     def test_missing_kappas_error_type(self, rng):
         res = make_result([0.9], ref_indices=[0])
-        with pytest.raises(sc.MissingKappasError):
+        with pytest.raises(sc.MissingInputError, match="kappas"):
             sc.score_query(sc.METHOD_RESULTANT, res, make_bank(rng, kappas=None),
                            kappa_q=np.array([5.0]))
-        with pytest.raises(sc.MissingKappasError):
+        with pytest.raises(sc.MissingInputError, match="kappa"):
             sc.score_query(sc.METHOD_INV_KAPPA, res, make_bank(rng))
 
     def test_unknown_method(self, rng):

@@ -87,13 +87,6 @@ def test_no_package_module_imports_scipy():
     assert not found, found
 
 
-# Package names that may lack a caller outside the tests, with the reason.
-NO_PRODUCTION_CALLER = {
-    "fileio.read_model_state": "the CLI never reads model.json yet; whether "
-                               "it should, or the file goes, is ROADMAP item 7",
-}
-
-
 def test_package_names_run_outside_the_tests():
     # What the tests exercise is what production runs: every module-level
     # function and class of the package is referenced by code outside
@@ -118,7 +111,7 @@ def test_package_names_run_outside_the_tests():
                and not node.name.startswith("__")]
     unused = {f"{module}.{name}" for module, name in defined
               if name not in used}
-    assert unused == set(NO_PRODUCTION_CALLER)
+    assert unused == set()
 
 
 def test_cli_modules_import_without_scipy():
