@@ -312,6 +312,7 @@ class TestModelState:
 
     def test_head_round_trip(self, rng, tmp_path):
         head = init_head((8, 4, 4), hidden=6, rng=rng)
+        head.kappa_b = 0.3125  # init_head's bias is 0.0; write a nonzero one
         path = tmp_path / "model.json"
         write_model_state(path, head=head, extra={"note": "x"})
         doc = self.load(path)
@@ -319,18 +320,21 @@ class TestModelState:
         for name in ("kappa_w", "proj_w"):
             assert _same_bits(np.asarray(doc["head"][name]),
                               getattr(head, name)), name
-        assert doc["head"]["kappa_b"] == head.kappa_b
+        assert doc["head"]["kappa_b"] == 0.3125
+        assert isinstance(doc["head"]["kappa_b"], float)
         assert doc["head"]["gem_p"] == head.gem_p
         assert doc["extra"] == {"note": "x"}
 
     def test_full_state_round_trip(self, rng, tmp_path):
         head = init_head((8, 4, 4), variant=HeadVariant.LINEAR_ONLY, rng=rng)
+        head.kappa_b = -0.1  # no exact binary fraction: its repr round-trips
         encoder = LinearEncoder(rng.standard_normal((4, 6)))
         protos = unit_rows(rng, 3, 4)
         path = tmp_path / "model.json"
         write_model_state(path, head=head, encoder=encoder, prototypes=protos)
         doc = self.load(path)
         assert doc["head"]["proj_w"] is None
+        assert doc["head"]["kappa_b"] == -0.1
         assert _same_bits(np.asarray(doc["encoder"]), encoder.weights)
         assert _same_bits(np.asarray(doc["prototypes"]), protos)
 
