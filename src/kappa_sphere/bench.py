@@ -1,11 +1,12 @@
 """Latency benchmark: descriptor path vs descriptor + kappa path.
 
 The descriptor path is the head's aggregation step (per-position L2
-normalization, GeM pooling) followed by a linear projection to the
-unit descriptor.  The kappa path adds the head proper on the
+normalization, GeM pooling at `head.GEM_P`) followed by a linear
+projection to the unit descriptor.  The kappa path adds the head proper
+(`head.kappa_from_pooled`, which `head.forward_batch` runs) on the
 already-pooled vector, which is how the head is deployed: aggregation
 work is shared, the head only appends two small linear maps and a
-softplus.  Both paths call the functions `head.forward_batch` composes.
+softplus.
 
 Protocol: a fixed number of warmup runs per path, then the timed runs
 split into interleaved repeats (descriptor and kappa blocks alternate,
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .head import HeadParams, HeadVariant, aggregate, kappa_from_pooled
+from .head import HeadParams, aggregate, kappa_from_pooled
 from .training import LinearEncoder
 
 WARMUP_RUNS = 20
@@ -56,18 +57,16 @@ def run_bench(seed: int = 0) -> BenchResult:
     encoder = LinearEncoder(
         rng.standard_normal((DESCRIPTOR_DIM, CHANNELS)) / np.sqrt(CHANNELS))
     head = HeadParams(
-        gem_p=3.0,
         proj_w=rng.standard_normal((HIDDEN, CHANNELS)) / np.sqrt(CHANNELS),
         kappa_w=rng.standard_normal(HIDDEN) / np.sqrt(HIDDEN),
         kappa_b=0.0,
-        variant=HeadVariant.AGGREGATION,
     )
 
     def descriptor_path():
-        encoder.encode(aggregate(fms, head.gem_p)["g"])
+        encoder.encode(aggregate(fms))
 
     def combined_path():
-        g = aggregate(fms, head.gem_p)["g"]
+        g = aggregate(fms)
         encoder.encode(g)
         kappa_from_pooled(g, head)
 

@@ -163,7 +163,7 @@ def cmd_fit(args) -> int:
     dataset = fileio.read_scene(_paths(args.out)["scene"], resolved)
     head, history = fit_head(dataset, cfg=train_cfg, tau=resolved["tau"],
                              binning=fileio.binning_config_from(resolved))
-    dataset.bank.kappas = predict_kappas(dataset.head_inputs(head), head)
+    dataset.bank.kappas = predict_kappas(dataset.head_inputs(), head)
     paths = _write_artifacts(args.out, resolved, dataset, history, head=head,
                              extra={"mode": train_cfg.mode.value,
                                     "epochs": len(history)})
@@ -186,7 +186,7 @@ def cmd_train(args) -> int:
         binning=fileio.binning_config_from(resolved))
     dataset.bank.descriptors = encoder.encode(dataset.raw)
     if head is not None:
-        dataset.bank.kappas = predict_kappas(dataset.head_inputs(head), head)
+        dataset.bank.kappas = predict_kappas(dataset.head_inputs(), head)
     paths = _write_artifacts(args.out, resolved, dataset, history, head=head,
                              encoder=encoder, prototypes=prototypes,
                              extra={"mode": train_cfg.mode.value,

@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .calibration import BinningConfig
-from .head import HeadParams
+from .head import GEM_P, HeadParams
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                         RetrievalResult)
 from .anchors import PrototypeSet
@@ -649,13 +649,15 @@ def binning_config_from(resolved: dict) -> BinningConfig:
 def _head_to_dict(head: HeadParams | None) -> dict | None:
     if head is None:
         return None
+    # the one head's fixed settings stay in the record as constants, so
+    # its layout does not change
     return {
-        "variant": head.variant.value,
-        "gem_p": float(head.gem_p),
-        "proj_w": None if head.proj_w is None else head.proj_w.tolist(),
+        "variant": "aggregation",
+        "gem_p": GEM_P,
+        "proj_w": head.proj_w.tolist(),
         "kappa_w": np.asarray(head.kappa_w).tolist(),
         "kappa_b": np.asarray(head.kappa_b).tolist(),
-        "train_gem_p": bool(head.train_gem_p),
+        "train_gem_p": False,
     }
 
 

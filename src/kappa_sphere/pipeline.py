@@ -36,10 +36,10 @@ def binning_for(method: str,
     return replace(binning or BinningConfig(), clamp=clamp)
 
 
-def predict_kappas(features, head: HeadParams) -> np.ndarray:
-    """kappa per row of `features`: feature maps, or the rows
-    `SynthDataset.head_inputs` pooled from them (see `forward_batch`)."""
-    kappas, _ = forward_batch(np.asarray(features, dtype=np.float64), head)
+def predict_kappas(rows, head: HeadParams) -> np.ndarray:
+    """kappa per pooled (n, c) row, as `SynthDataset.head_inputs` gives
+    them."""
+    kappas, _ = forward_batch(rows, head)
     return kappas
 
 
@@ -52,16 +52,16 @@ def _validation_split(train_idx, seed: int):
     return train_idx[perm[n_val:]], train_idx[perm[:n_val]]
 
 
-def _fit_data(dataset: SynthDataset, seed: int, head: HeadParams | None):
+def _fit_data(dataset: SynthDataset, seed: int):
     """Training data restricted to the fit portion of the train split; the
-    validation portion stays held out.  Its features are the rows `head`
-    reads (`SynthDataset.head_inputs`; the maps without a head).
+    validation portion stays held out.  Its features are the pooled rows
+    the head reads (`SynthDataset.head_inputs`).
     Returns (data, val_idx)."""
     train_idx = dataset.splits["train"]
     fit_idx, val_idx = _validation_split(train_idx, seed)
     idx = train_idx[np.isin(train_idx, fit_idx)]
-    rows = dataset.features if head is None else dataset.head_inputs(head)
-    return TrainData(features=rows[idx], labels=dataset.bank.labels[idx],
+    return TrainData(features=dataset.head_inputs()[idx],
+                     labels=dataset.bank.labels[idx],
                      descriptors=dataset.bank.descriptors[idx],
                      raw=dataset.raw[idx]), val_idx
 
@@ -78,7 +78,7 @@ def _resultant_ece1(dataset, head, results, db_bank: DescriptorBank, db_idx,
     """Resultant-score ECE@1 of the marked top-1 `results` of the validation
     rows `val_idx` against `db_bank` (the rows `db_idx`), with kappas
     predicted by `head`; sets db_bank.kappas."""
-    rows = dataset.head_inputs(head)
+    rows = dataset.head_inputs()
     db_bank.kappas = predict_kappas(rows[db_idx], head)
     value, _ = sc.score_query(sc.METHOD_RESULTANT, results, db_bank,
                               kappa_q=predict_kappas(rows[val_idx], head))
@@ -112,7 +112,7 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
     """
     cfg = cfg or TrainConfig(seed=dataset.config.seed)
     head = init_head(dataset.config.feature_shape, rng=cfg.seed)
-    train, val_idx = _fit_data(dataset, cfg.seed, head)
+    train, val_idx = _fit_data(dataset, cfg.seed)
     db_idx = dataset.splits["db"]
     # descriptors are frozen: retrieve once, re-score kappas each epoch
     db_bank = dataset.bank.subset(db_idx)
@@ -142,7 +142,7 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
     encoder = LinearEncoder(rng.standard_normal((d, m)) / np.sqrt(m))
     head = (init_head(dataset.config.feature_shape, rng=cfg.seed)
             if with_head else None)
-    train, val_idx = _fit_data(dataset, cfg.seed, head)
+    train, val_idx = _fit_data(dataset, cfg.seed)
     db_idx = dataset.splits["db"]
 
     def hook(enc, protos, h):
@@ -279,7 +279,7 @@ def scene_banks(dataset: SynthDataset, head: HeadParams):
     """The scene's db and query banks, in that order, with kappas predicted
     by `head`: the inputs of `evaluate_queries` and `evaluate_matches`."""
     banks = []
-    rows = dataset.head_inputs(head)
+    rows = dataset.head_inputs()
     for split in ("db", "query"):
         idx = dataset.splits[split]
         bank = dataset.bank.subset(idx)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import PrototypeSet
-from .head import HeadParams, HeadVariant, aggregate
+from .head import aggregate
 from .retrieval import DescriptorBank
 from .vmf import sample_vmf
 
@@ -66,31 +66,22 @@ class SynthDataset:
     class_poses: np.ndarray            # (C, 2)
     aliased_pairs: list = field(default_factory=list)
     splits: dict = field(default_factory=dict)
-    # (features, gem_p, pooled rows) of the last `head_inputs` pooling
+    # (features, pooled rows) of the last `head_inputs` pooling
     _pooled: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
     def __len__(self):
         return len(self.bank)
 
-    def head_inputs(self, head: HeadParams) -> np.ndarray:
-        """What `head` reads for every image, in `features` row order.
-
-        While the head's GeM exponent is frozen, that is the (n, c) rows
-        `aggregate` pools from the feature maps, computed once and reused
-        for the same maps and exponent: the backbone is frozen, so a fit,
-        its epoch hooks and the final prediction all read one array.  A
-        head that trains gem_p, or the linear-only head, reads the maps.
+    def head_inputs(self) -> np.ndarray:
+        """The (n, c) rows the kappa head reads, in `features` row order:
+        `aggregate` pools the feature maps once and the rows are kept for
+        the same `features` array.  The backbone is frozen, so a fit, its
+        epoch hooks and the final prediction all read one array.
         """
-        if head.variant is not HeadVariant.AGGREGATION or head.train_gem_p:
-            return self.features
-        cached = self._pooled
-        if cached is None or cached[0] is not self.features \
-                or cached[1] != head.gem_p:
-            cached = (self.features, head.gem_p,
-                      aggregate(self.features, head.gem_p)["g"])
-            self._pooled = cached
-        return cached[2]
+        if self._pooled is None or self._pooled[0] is not self.features:
+            self._pooled = (self.features, aggregate(self.features))
+        return self._pooled[1]
 
 
 def ambiguity_to_kappa(ambiguity, config: SceneConfig):

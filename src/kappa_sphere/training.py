@@ -200,12 +200,11 @@ class TrainData:
     """Per-sample training inputs.
 
     descriptors are the frozen embeddings (post-training); raw features
-    feed the encoder in joint mode; features feed the kappa head, as
-    feature maps or, while its GeM exponent is frozen, as the rows pooled
-    from them once (`forward_batch` takes either).
+    feed the encoder in joint mode; features feed the kappa head, as the
+    (n, c) rows `head.aggregate` pooled once from the frozen feature maps.
     """
 
-    features: np.ndarray           # (n, c, h, w) maps or (n, c) pooled rows
+    features: np.ndarray           # (n, c) pooled rows
     labels: np.ndarray             # (n,) int
     descriptors: np.ndarray | None = None  # (n, d) unit rows
     raw: np.ndarray | None = None          # (n, m)
@@ -221,28 +220,17 @@ class TrainData:
         return len(self.labels)
 
 
-def _head_dict(values, head: HeadParams) -> dict:
-    """The trainable entries of `head` taken from `values` (the head's
-    HeadParams or HeadGrads), as a dict of arrays."""
-    out = {"kappa_w": values.kappa_w, "kappa_b": np.array([values.kappa_b])}
-    if head.proj_w is not None:
-        out["proj_w"] = values.proj_w
-    if head.train_gem_p:
-        out["gem_p"] = np.array([values.gem_p])
-    return out
+def _head_dict(values) -> dict:
+    """The head's trainable entries taken from `values` (its HeadParams
+    or HeadGrads), as a dict of arrays."""
+    return {"kappa_w": values.kappa_w, "kappa_b": np.array([values.kappa_b]),
+            "proj_w": values.proj_w}
 
 
-def _head_from_dict(head: HeadParams, params: dict) -> HeadParams:
-    """`head` with the trainable entries of `params` in place (arrays shared)."""
-    return HeadParams(
-        gem_p=max(float(params["gem_p"][0]), 1.0) if "gem_p" in params
-        else head.gem_p,
-        proj_w=params.get("proj_w", head.proj_w),
-        kappa_w=params["kappa_w"],
-        kappa_b=float(params["kappa_b"][0]),
-        variant=head.variant,
-        train_gem_p=head.train_gem_p,
-    )
+def _head_from_dict(params: dict) -> HeadParams:
+    """The head whose trainable entries are `params` (arrays shared)."""
+    return HeadParams(proj_w=params["proj_w"], kappa_w=params["kappa_w"],
+                      kappa_b=float(params["kappa_b"][0]))
 
 
 def _resolve_anchors(cfg: TrainConfig, prototype_weights: np.ndarray,
@@ -352,28 +340,27 @@ def _fit(params: dict, loss_and_grads, data: TrainData, cfg: TrainConfig,
     return best_params, history
 
 
-def post_loss_and_grads(params: dict, batch: TrainData, head: HeadParams,
+def post_loss_and_grads(params: dict, batch: TrainData,
                         prototype_weights: np.ndarray, cfg: TrainConfig):
     """The post-training loss on one batch and its gradient w.r.t. `params`.
 
     The loss is the stable vMF NLL of the frozen `batch.descriptors`
     around their anchors, with the head output as kappa; under
     GNLL_VARIANT it is the Gaussian NLL, the head output read as sigma^2.
-    `params` holds the head's trainable entries; `head` supplies its
-    fixed settings only.  Anchors come from `prototype_weights` (class
-    prototypes) or the batch's own descriptors (batch centroids); either
-    way they do not depend on `params`.
+    `params` holds the head's trainable entries.  Anchors come from
+    `prototype_weights` (class prototypes) or the batch's own descriptors
+    (batch centroids); either way they do not depend on `params`.
     Returns (loss, grads) with one gradient per entry of `params`.
     """
     z, d = batch.descriptors, batch.descriptors.shape[1]
     anchors = _resolve_anchors(cfg, prototype_weights, z, batch.labels)
-    head = _head_from_dict(head, params)
+    head = _head_from_dict(params)
     out, cache = forward_batch(batch.features, head)
     if cfg.mode is TrainMode.GNLL_VARIANT:
         loss, _, up = gnll_batch(z, anchors, out, d)
     else:
         loss, up = vmf_batch_nll(z, anchors, out, BesselOrder(d))[:2]
-    return loss, _head_dict(backward_batch(cache, head, up), head)
+    return loss, _head_dict(backward_batch(cache, head, up))
 
 
 def train_post(data: TrainData, prototypes: PrototypeSet, head: HeadParams,
@@ -392,19 +379,18 @@ def train_post(data: TrainData, prototypes: PrototypeSet, head: HeadParams,
         raise ValueError("post-training requires precomputed descriptors")
     if cfg.mode is TrainMode.JOINT_TRAINING:
         raise ValueError("use train_joint for joint mode")
-    head = head.copy()
-    params = _head_dict(head, head)
+    params = _head_dict(head.copy())
 
     def loss_and_grads(p, batch):
-        return post_loss_and_grads(p, batch, head, prototypes.weights, cfg)
+        return post_loss_and_grads(p, batch, prototypes.weights, cfg)
 
     def evaluate():
-        return (float(eval_hook(_head_from_dict(head, params))),)
+        return (float(eval_hook(_head_from_dict(params))),)
 
     best, history = _fit(params, loss_and_grads, data, cfg,
                          evaluate if eval_hook is not None else None,
                          (("metric", +1),))
-    return _head_from_dict(head, best), history
+    return _head_from_dict(best), history
 
 
 def joint_loss_and_grads(params: dict, batch: TrainData, head: HeadParams | None,
@@ -413,7 +399,7 @@ def joint_loss_and_grads(params: dict, batch: TrainData, head: HeadParams | None
 
     `params` holds "encoder" (d, m) and "prototypes" (C, d), plus the
     head's trainable entries when the vMF term is on (lam > 0 and a head
-    is given); `head` supplies the head's fixed settings only.  The
+    is given; `head` only switches the term on).  The
     encoder output is z = normalize(W x) of `batch.raw`; the kappa head
     reads `batch.features`.  Batch-centroid anchors are treated as
     constants w.r.t. z (stop-gradient).
@@ -428,12 +414,12 @@ def joint_loss_and_grads(params: dict, batch: TrainData, head: HeadParams | None
     grads = {}
     if cfg.lam > 0.0 and head is not None:
         anchors = _resolve_anchors(cfg, params["prototypes"], z, labels)
-        head = _head_from_dict(head, params)
+        head = _head_from_dict(params)
         kappas, cache = forward_batch(batch.features, head)
         vmf = vmf_batch_nll(z, anchors, kappas, BesselOrder(z.shape[1]))
         loss = loss + cfg.lam * vmf.loss
         grads.update(_head_dict(
-            backward_batch(cache, head, cfg.lam * vmf.kappa), head))
+            backward_batch(cache, head, cfg.lam * vmf.kappa)))
         d_z = d_z + cfg.lam * vmf.z
         if cfg.anchor_mode is AnchorMode.CLASS_PROTOTYPE:
             np.add.at(d_proto, labels, cfg.lam * vmf.mu)
@@ -470,10 +456,10 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
 
     params = {"encoder": encoder.weights, "prototypes": prototypes.weights}
     if use_vmf:
-        params.update(_head_dict(head, head))
+        params.update(_head_dict(head))
 
     def trained_head(p):
-        return _head_from_dict(head, p) if use_vmf else head
+        return _head_from_dict(p) if use_vmf else head
 
     def loss_and_grads(p, batch):
         return joint_loss_and_grads(p, batch, head, cfg, lmcl)

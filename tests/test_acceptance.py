@@ -24,7 +24,7 @@ from kappa_sphere.calibration import (BinningConfig, BinStrategy, ClampMode,
                                       clamp_values, ece_at_k,
                                       ece_bruteforce_oracle, expected_level,
                                       match_ece_at_k)
-from kappa_sphere.head import (HeadVariant, backward_batch, forward_batch,
+from kappa_sphere.head import (aggregate, backward_batch, forward_batch,
                                init_head)
 from kappa_sphere.pipeline import (evaluate_matches, fit_head, fit_joint,
                                    scene_banks)
@@ -137,42 +137,29 @@ def test_criterion_2_gradient_suite():
         a = float((raw - z * (z @ raw)) @ t)  # the tangent part of dL/dz
         assert abs(a - fd) / max(abs(a), abs(fd), 1e-6) <= GRAD_TOL
 
-    # head parameters (aggregation variant with trained GeM exponent
-    # covers every parameter; the linear-only ablation separately)
+    # head parameters, on the pooled row of one feature map
     shape = (5, 3, 3)
-    for variant in (HeadVariant.AGGREGATION, HeadVariant.LINEAR_ONLY):
-        for _ in range(N_INSTANCES):
-            head = init_head(shape, hidden=4, variant=variant, rng=rng)
-            if variant is HeadVariant.AGGREGATION:
-                head.train_gem_p = True
-                head.gem_p = float(rng.uniform(1.5, 4.0))
-            fm = rng.standard_normal(shape)
+    for _ in range(N_INSTANCES):
+        head = init_head(shape, hidden=4, rng=rng)
+        head.kappa_b = float(rng.uniform(-1.0, 1.0))
+        rows = aggregate(rng.standard_normal((1,) + shape))
 
-            def loss_and_grad(params, head=head, fm=fm):
-                head.kappa_w = params["kappa_w"]
-                head.kappa_b = float(params["kappa_b"][0])
-                if "proj_w" in params:
-                    head.proj_w = params["proj_w"]
-                if "gem_p" in params:
-                    head.gem_p = float(params["gem_p"][0])
-                kappas, cache = forward_batch(fm[None], head)
-                g = backward_batch(cache, head, kappas)
-                kappa = float(kappas[0])
-                out = {"kappa_w": g.kappa_w, "kappa_b": np.array([g.kappa_b])}
-                if "proj_w" in params:
-                    out["proj_w"] = g.proj_w
-                if "gem_p" in params:
-                    out["gem_p"] = np.array([g.gem_p])
-                return 0.5 * kappa * kappa, out
+        def loss_and_grad(params, head=head, rows=rows):
+            head.proj_w = params["proj_w"]
+            head.kappa_w = params["kappa_w"]
+            head.kappa_b = float(params["kappa_b"][0])
+            kappas, cache = forward_batch(rows, head)
+            g = backward_batch(cache, head, kappas)
+            kappa = float(kappas[0])
+            return 0.5 * kappa * kappa, {"proj_w": g.proj_w,
+                                         "kappa_w": g.kappa_w,
+                                         "kappa_b": np.array([g.kappa_b])}
 
-            params = {"kappa_w": head.kappa_w.copy(),
-                      "kappa_b": np.array([head.kappa_b])}
-            if variant is HeadVariant.AGGREGATION:
-                params["proj_w"] = head.proj_w.copy()
-                params["gem_p"] = np.array([head.gem_p])
-            report = finite_diff_check(loss_and_grad, params,
-                                       tolerance=GRAD_TOL)
-            assert report.passed, report.per_param
+        params = {"proj_w": head.proj_w.copy(),
+                  "kappa_w": head.kappa_w.copy(),
+                  "kappa_b": np.array([head.kappa_b])}
+        report = finite_diff_check(loss_and_grad, params, tolerance=GRAD_TOL)
+        assert report.passed, report.per_param
 
     # LMCL (moderate scale keeps finite-difference truncation negligible)
     for _ in range(N_INSTANCES):
@@ -252,17 +239,15 @@ def test_criterion_2_gradient_suite():
             cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=lam,
                               anchor_mode=anchor_mode)
             head = init_head(shape, hidden=4, rng=rng)
-            head.train_gem_p = True
-            head.gem_p = float(rng.uniform(1.5, 4.0))
-            batch = TrainData(features=rng.standard_normal((b,) + shape),
-                              labels=labels, raw=rng.standard_normal((b, m)))
+            batch = TrainData(
+                features=aggregate(rng.standard_normal((b,) + shape)),
+                labels=labels, raw=rng.standard_normal((b, m)))
             params = {"encoder": rng.standard_normal((d, m)),
                       "prototypes": unit_rows(rng, 3, d)}
             if with_vmf:
                 params.update(kappa_w=head.kappa_w.copy(),
                               kappa_b=np.array([head.kappa_b]),
-                              proj_w=head.proj_w.copy(),
-                              gem_p=np.array([head.gem_p]))
+                              proj_w=head.proj_w.copy())
             held = contextlib.nullcontext()
             if anchor_mode is AnchorMode.BATCH_CENTROID:
                 z = LinearEncoder(params["encoder"]).encode(batch.raw)
@@ -285,7 +270,7 @@ def test_criterion_2_gradient_suite():
     # the post-training objective, exactly as train_post evaluates it per
     # batch: the vMF NLL (GNLL_VARIANT: the Gaussian NLL) of frozen
     # descriptors with the head output as kappa (sigma^2), w.r.t. every
-    # head parameter, trained GeM p included.  Batch-centroid anchors are
+    # head parameter.  Batch-centroid anchors are
     # built from the frozen descriptors, so they are constant in the head.
     for mode in (TrainMode.POST_TRAINING, TrainMode.GNLL_VARIANT):
         for anchor_mode in (AnchorMode.CLASS_PROTOTYPE,
@@ -293,20 +278,16 @@ def test_criterion_2_gradient_suite():
             cfg = TrainConfig(mode=mode, anchor_mode=anchor_mode)
             for _ in range(N_INSTANCES):
                 head = init_head(shape, hidden=4, rng=rng)
-                head.train_gem_p = True
-                head.gem_p = float(rng.uniform(1.5, 4.0))
-                batch = TrainData(features=rng.standard_normal((b,) + shape),
-                                  labels=labels,
-                                  descriptors=unit_rows(rng, b, d))
+                batch = TrainData(
+                    features=aggregate(rng.standard_normal((b,) + shape)),
+                    labels=labels, descriptors=unit_rows(rng, b, d))
                 params = {"kappa_w": head.kappa_w.copy(),
                           "kappa_b": np.array([head.kappa_b]),
-                          "proj_w": head.proj_w.copy(),
-                          "gem_p": np.array([head.gem_p])}
+                          "proj_w": head.proj_w.copy()}
 
-                def loss_and_grad(params, batch=batch, head=head, cfg=cfg,
+                def loss_and_grad(params, batch=batch, cfg=cfg,
                                   protos=unit_rows(rng, 3, d)):
-                    return post_loss_and_grads(params, batch, head, protos,
-                                               cfg)
+                    return post_loss_and_grads(params, batch, protos, cfg)
 
                 assert set(loss_and_grad(params)[1]) == set(params)
                 report = finite_diff_check(loss_and_grad, params,

@@ -521,9 +521,9 @@ class TestPooling:
 
         original, rows = head.aggregate, []
 
-        def spy(fms, p):
+        def spy(fms):
             rows.append(len(fms))
-            return original(fms, p)
+            return original(fms)
 
         _patch_everywhere(monkeypatch, original, spy)
         out = tmp_path / "run"

@@ -21,7 +21,7 @@ from kappa_sphere.fileio import (REPORT_SCHEMA_VERSION, BankFormatError,
                                  write_model_state, write_retrieval,
                                  write_scene, history_csv)
 from kappa_sphere.calibration import BinningConfig, BinStrategy
-from kappa_sphere.head import HeadVariant, init_head
+from kappa_sphere.head import init_head
 from kappa_sphere.retrieval import DescriptorBank, batch_knn
 from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
 from kappa_sphere.training import (AnchorMode, LinearEncoder, LmclConfig,
@@ -316,24 +316,31 @@ class TestModelState:
         path = tmp_path / "model.json"
         write_model_state(path, head=head, extra={"note": "x"})
         doc = self.load(path)
-        assert doc["head"]["variant"] == HeadVariant.AGGREGATION.value
         for name in ("kappa_w", "proj_w"):
             assert _same_bits(np.asarray(doc["head"][name]),
                               getattr(head, name)), name
         assert doc["head"]["kappa_b"] == 0.3125
         assert isinstance(doc["head"]["kappa_b"], float)
-        assert doc["head"]["gem_p"] == head.gem_p
         assert doc["extra"] == {"note": "x"}
 
     def test_full_state_round_trip(self, rng, tmp_path):
-        head = init_head((8, 4, 4), variant=HeadVariant.LINEAR_ONLY, rng=rng)
+        head = init_head((8, 4, 4), hidden=5, rng=rng)
         head.kappa_b = -0.1  # no exact binary fraction: its repr round-trips
         encoder = LinearEncoder(rng.standard_normal((4, 6)))
         protos = unit_rows(rng, 3, 4)
         path = tmp_path / "model.json"
         write_model_state(path, head=head, encoder=encoder, prototypes=protos)
         doc = self.load(path)
-        assert doc["head"]["proj_w"] is None
+        # the head block keeps the one head's fixed settings as constants
+        assert set(doc["head"]) == {"variant", "gem_p", "proj_w", "kappa_w",
+                                    "kappa_b", "train_gem_p"}
+        assert doc["head"]["variant"] == "aggregation"
+        assert doc["head"]["gem_p"] == 3.0
+        assert isinstance(doc["head"]["gem_p"], float)
+        assert doc["head"]["train_gem_p"] is False
+        for name in ("kappa_w", "proj_w"):
+            assert _same_bits(np.asarray(doc["head"][name]),
+                              getattr(head, name)), name
         assert doc["head"]["kappa_b"] == -0.1
         assert _same_bits(np.asarray(doc["encoder"]), encoder.weights)
         assert _same_bits(np.asarray(doc["prototypes"]), protos)

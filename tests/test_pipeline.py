@@ -11,7 +11,7 @@ from scipy.stats import spearmanr
 from kappa_sphere import pipeline
 from kappa_sphere import scores as sc
 from kappa_sphere.retrieval import SUE_K, RetrievalResult
-from kappa_sphere.synth import SceneConfig, SynthDataset, generate_scene
+from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import TrainConfig, TrainMode
 
 SMALL = dict(num_classes=8, images_per_class=10, descriptor_dim=16,
@@ -38,33 +38,6 @@ def test_fit_head_retrieves_once():
             seed=3))
     assert len(history) == 5
     assert knn.call_count == 1
-
-
-class TestPooledOnce:
-    """fit_head and fit_joint pool the frozen maps once per scene; with
-    per-batch pooling restored they train the same head bit for bit."""
-
-    @staticmethod
-    def _fits(dataset):
-        common = dict(max_epochs=6, warmup=2, patience=3, seed=3)
-        post = pipeline.fit_head(dataset, cfg=TrainConfig(
-            mode=TrainMode.POST_TRAINING, lr=0.05, **common))
-        gnll = pipeline.fit_head(dataset, cfg=TrainConfig(
-            mode=TrainMode.GNLL_VARIANT, lr=0.05, **common))
-        *_, head, history = pipeline.fit_joint(dataset, cfg=TrainConfig(
-            mode=TrainMode.JOINT_TRAINING, lam=0.5, lr=0.01, **common))
-        return [post, gnll, (head, history)]
-
-    def test_same_heads_and_history_as_per_batch_maps(self):
-        pooled = self._fits(generate_scene(SceneConfig(**SMALL)))
-        with mock.patch.object(SynthDataset, "head_inputs",
-                               lambda self, head: self.features):
-            maps = self._fits(generate_scene(SceneConfig(**SMALL)))
-        for (h_a, hist_a), (h_b, hist_b) in zip(pooled, maps):
-            assert h_a.kappa_w.tobytes() == h_b.kappa_w.tobytes()
-            assert h_a.proj_w.tobytes() == h_b.proj_w.tobytes()
-            assert h_a.kappa_b == h_b.kappa_b
-            assert repr(hist_a) == repr(hist_b)
 
 
 class TestEvaluateQueries:

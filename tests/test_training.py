@@ -7,7 +7,7 @@ import pytest
 
 from kappa_sphere import pipeline
 from kappa_sphere.anchors import PrototypeSet
-from kappa_sphere.head import HeadVariant, init_head
+from kappa_sphere.head import aggregate, init_head
 from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import (AdamState, AnchorMode, LinearEncoder,
                                    LmclConfig, TrainConfig, TrainData,
@@ -215,7 +215,7 @@ class TestFiniteDiffCheck:
 
 def tiny_data(rng, n=24, c=3, h=2, w=2, d=6, num_classes=4, raw_dim=5):
     labels = np.arange(n) % num_classes
-    features = rng.standard_normal((n, c, h, w))
+    features = aggregate(rng.standard_normal((n, c, h, w)))
     descriptors = unit_rows(rng, n, d)
     raw = rng.standard_normal((n, raw_dim))
     protos = PrototypeSet(unit_rows(rng, num_classes, d))
@@ -295,7 +295,7 @@ class TestTrainPost:
     def test_batch_centroid_requires_positives(self, rng):
         # Every sample is its own class: excluding self leaves no positives.
         n = 8
-        data = TrainData(features=rng.standard_normal((n, 3, 2, 2)),
+        data = TrainData(features=rng.standard_normal((n, 3)),
                          labels=np.arange(n),
                          descriptors=unit_rows(rng, n, 6))
         protos = PrototypeSet(unit_rows(rng, n, 6))
@@ -306,7 +306,7 @@ class TestTrainPost:
             train_post(data, protos, head, cfg)
 
     def test_requires_descriptors(self, rng):
-        data = TrainData(features=rng.standard_normal((4, 3, 2, 2)),
+        data = TrainData(features=rng.standard_normal((4, 3)),
                          labels=np.zeros(4, dtype=int))
         protos = PrototypeSet(unit_rows(rng, 2, 6))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
@@ -426,7 +426,7 @@ class TestTrainJoint:
         assert len(history) == 8
 
     def test_requires_raw(self, rng):
-        data = TrainData(features=rng.standard_normal((4, 3, 2, 2)),
+        data = TrainData(features=rng.standard_normal((4, 3)),
                          labels=np.zeros(4, dtype=int),
                          descriptors=unit_rows(rng, 4, 6))
         encoder = LinearEncoder(rng.standard_normal((6, 5)))
