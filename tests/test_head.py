@@ -93,12 +93,11 @@ class TestForward:
         np.testing.assert_allclose(kappas, singles, rtol=1e-14)
 
     def test_shape_mismatch(self, rng):
-        # the head reads pooled (n, c) rows only: a map batch, or rows of
-        # another channel count, is refused with the shape it expects
+        # rows of another channel count, or a lone 1-D row, are refused
+        # with the shape the head expects
         head = random_head(rng)
         expected = rf"expected pooled rows of shape \(n, {SHAPE[0]}\)"
-        for bad in (rng.standard_normal((4,) + SHAPE),
-                    rng.standard_normal((4, SHAPE[0] + 1)),
+        for bad in (rng.standard_normal((4, SHAPE[0] + 1)),
                     rng.standard_normal(SHAPE[0])):
             with pytest.raises(ValueError, match=expected):
                 forward_batch(bad, head)
@@ -171,6 +170,18 @@ class TestPooledRows:
         idx = np.array(data.draw(st.permutations(range(n))))[:height]
         part = aggregate(fms[idx])
         assert part.tobytes() == whole[idx].tobytes()
+
+    def test_rows_rejected_where_the_maps_are_read(self, rng):
+        # the head reads pooled rows only: the (n, c, h, w) maps they come
+        # from, or rows missing a channel, are refused with the row shape
+        head = random_head(rng)
+        expected = rf"expected pooled rows of shape \(n, {SHAPE[0]}\)"
+        fms = rng.standard_normal((4,) + SHAPE)
+        with pytest.raises(ValueError, match=expected):
+            forward_batch(fms, head)
+        with pytest.raises(ValueError, match=expected):
+            forward_batch(aggregate(fms)[:, 1:], head)
+        forward_batch(aggregate(fms), head)
 
     def test_rows_pool_at_gem_p(self, rng):
         fms = rng.standard_normal((5,) + SHAPE)
