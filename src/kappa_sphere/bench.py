@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .head import HeadParams, aggregate, kappa_from_pooled
+from .head import aggregate, init_head, kappa_from_pooled
 from .training import LinearEncoder
 
 WARMUP_RUNS = 20
@@ -56,11 +56,7 @@ def run_bench(seed: int = 0) -> BenchResult:
     fms = rng.standard_normal((1, CHANNELS, GRID, GRID))
     encoder = LinearEncoder(
         rng.standard_normal((DESCRIPTOR_DIM, CHANNELS)) / np.sqrt(CHANNELS))
-    head = HeadParams(
-        proj_w=rng.standard_normal((HIDDEN, CHANNELS)) / np.sqrt(CHANNELS),
-        kappa_w=rng.standard_normal(HIDDEN) / np.sqrt(HIDDEN),
-        kappa_b=0.0,
-    )
+    head = init_head((CHANNELS, GRID, GRID), HIDDEN, rng)
 
     def descriptor_path():
         encoder.encode(aggregate(fms))

@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .calibration import BinningConfig
-from .head import GEM_P, HeadParams
+from .head import GEM_P
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                         RetrievalResult)
 from .anchors import PrototypeSet
@@ -646,7 +646,7 @@ def binning_config_from(resolved: dict) -> BinningConfig:
 # ---------------------------------------------------------------------------
 # model state
 
-def _head_to_dict(head: HeadParams | None) -> dict | None:
+def _head_to_dict(head: dict | None) -> dict | None:
     if head is None:
         return None
     # the one head's fixed settings stay in the record as constants, so
@@ -654,14 +654,14 @@ def _head_to_dict(head: HeadParams | None) -> dict | None:
     return {
         "variant": "aggregation",
         "gem_p": GEM_P,
-        "proj_w": head.proj_w.tolist(),
-        "kappa_w": np.asarray(head.kappa_w).tolist(),
-        "kappa_b": np.asarray(head.kappa_b).tolist(),
+        "proj_w": head["proj_w"].tolist(),
+        "kappa_w": head["kappa_w"].tolist(),
+        "kappa_b": head["kappa_b"].item(),
         "train_gem_p": False,
     }
 
 
-def write_model_state(path, head: HeadParams | None = None,
+def write_model_state(path, head: dict | None = None,
                       encoder: LinearEncoder | None = None,
                       prototypes=None, extra: dict | None = None) -> None:
     """Serialize trained parameters as JSON (floats round-trip exactly).

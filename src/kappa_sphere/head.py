@@ -11,13 +11,14 @@ maps once (``SynthDataset.head_inputs``), and ``forward_batch`` /
 ``backward_batch`` run the head proper on those (n, c) rows.  Each pooled
 row does not depend on the batch it was pooled in.
 
+A head is the dict of its trainable float64 arrays (``init_head``), the
+form Adam updates in place; its gradients come under the same keys.
+
 Forward and backward are hand-written numpy; every gradient is checked
 against central finite differences in the test suite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,38 +26,15 @@ _NORM_EPS = 1e-12
 GEM_P = 3.0   # the GeM exponent every head pools with
 
 
-@dataclass
-class HeadParams:
-    """Parameters of the kappa regressor."""
-
-    proj_w: np.ndarray          # (hidden, channels)
-    kappa_w: np.ndarray         # (hidden,)
-    kappa_b: float
-
-    def __post_init__(self):
-        self.proj_w = np.asarray(self.proj_w, dtype=np.float64)
-        self.kappa_w = np.asarray(self.kappa_w, dtype=np.float64)
-
-    def copy(self) -> "HeadParams":
-        return HeadParams(proj_w=self.proj_w.copy(),
-                          kappa_w=self.kappa_w.copy(),
-                          kappa_b=float(self.kappa_b))
-
-
-@dataclass
-class HeadGrads:
-    proj_w: np.ndarray
-    kappa_w: np.ndarray
-    kappa_b: float
-
-
-def init_head(feature_shape, hidden: int = 64, rng=None) -> HeadParams:
-    """Small random initialization scaled by fan-in."""
+def init_head(feature_shape, hidden: int = 64, rng=None) -> dict:
+    """A head at a small random initialization scaled by fan-in: the dict
+    of the float64 arrays Adam trains, "proj_w" (hidden, channels),
+    "kappa_w" (hidden,) and "kappa_b" (1,)."""
     rng = np.random.default_rng(rng)
     c = feature_shape[0]
     proj_w = rng.standard_normal((hidden, c)) / np.sqrt(c)
     kappa_w = rng.standard_normal(hidden) / np.sqrt(hidden)
-    return HeadParams(proj_w=proj_w, kappa_w=kappa_w, kappa_b=0.0)
+    return {"proj_w": proj_w, "kappa_w": kappa_w, "kappa_b": np.zeros(1)}
 
 
 def softplus(x):
@@ -84,34 +62,36 @@ def aggregate(fms) -> np.ndarray:
     return _gem(u, GEM_P)
 
 
-def kappa_from_pooled(g, params: HeadParams):
+def kappa_from_pooled(g, head: dict):
     """The head proper on pooled (n, c) vectors: project, map to a scalar,
     softplus.  Returns (kappas, hidden activations, pre-activations)."""
-    hid = g @ params.proj_w.T                          # (n, hidden)
-    pre = hid @ params.kappa_w + params.kappa_b        # (n,)
+    hid = g @ head["proj_w"].T                         # (n, hidden)
+    pre = hid @ head["kappa_w"] + head["kappa_b"]      # (n,)
     return softplus(pre), hid, pre
 
 
-def forward_batch(rows, params: HeadParams):
+def forward_batch(rows, head: dict):
     """Forward pass for the (n, c) rows `aggregate` pooled from feature
-    maps.  Returns (kappas, cache)."""
+    maps.  `head` may hold other entries too; only the head's are read.
+    Returns (kappas, cache)."""
     rows = np.asarray(rows, dtype=np.float64)
-    c = params.proj_w.shape[1]
+    c = head["proj_w"].shape[1]
     if rows.ndim != 2 or rows.shape[1] != c:
         raise ValueError(f"expected pooled rows of shape (n, {c}), "
                          f"got shape {rows.shape}")
-    kappas, hid, pre = kappa_from_pooled(rows, params)
+    kappas, hid, pre = kappa_from_pooled(rows, head)
     return kappas, {"g": rows, "hid": hid, "pre": pre}
 
 
-def backward_batch(cache, params: HeadParams, upstream) -> HeadGrads:
-    """Parameter gradients for a batch; `upstream` is dL/dkappa per sample.
+def backward_batch(cache, head: dict, upstream) -> dict:
+    """The head's gradients for a batch, under its keys; `upstream` is
+    dL/dkappa per sample.
 
     Gradients are summed over the batch (pass upstream/n for a mean loss).
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     d_pre = upstream * _sigmoid(cache["pre"])          # (n,)
-    d_hid = np.outer(d_pre, params.kappa_w)            # (n, hidden)
-    return HeadGrads(proj_w=d_hid.T @ cache["g"],      # (hidden, c)
-                     kappa_w=cache["hid"].T @ d_pre,
-                     kappa_b=float(d_pre.sum()))
+    d_hid = np.outer(d_pre, head["kappa_w"])           # (n, hidden)
+    return {"proj_w": d_hid.T @ cache["g"],            # (hidden, c)
+            "kappa_w": cache["hid"].T @ d_pre,
+            "kappa_b": d_pre.sum(keepdims=True)}

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import scores as sc
 from .calibration import BinningConfig, ClampMode, ece_at_k, match_ece_at_k
-from .head import HeadParams, forward_batch, init_head
+from .head import forward_batch, init_head
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, SUE_K, DescriptorBank,
                         RetrievalResult, batch_knn, mark_successes,
                         positive_mask, recall_at_k)
@@ -36,7 +36,7 @@ def binning_for(method: str,
     return replace(binning or BinningConfig(), clamp=clamp)
 
 
-def predict_kappas(rows, head: HeadParams) -> np.ndarray:
+def predict_kappas(rows, head: dict) -> np.ndarray:
     """kappa per pooled (n, c) row, as `SynthDataset.head_inputs` gives
     them."""
     kappas, _ = forward_batch(rows, head)
@@ -275,7 +275,7 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
                            positive=positive)
 
 
-def scene_banks(dataset: SynthDataset, head: HeadParams):
+def scene_banks(dataset: SynthDataset, head: dict):
     """The scene's db and query banks, in that order, with kappas predicted
     by `head`: the inputs of `evaluate_queries` and `evaluate_matches`."""
     banks = []

@@ -14,8 +14,8 @@ from enum import Enum
 import numpy as np
 
 from .anchors import PrototypeSet, batch_centroid_anchor
-from .head import HeadParams, backward_batch, forward_batch
-from .vmf import BesselOrder, vmf_batch_nll
+from .head import backward_batch, forward_batch
+from .vmf import vmf_batch_nll
 
 
 class TrainMode(str, Enum):
@@ -114,13 +114,15 @@ def lmcl_batch(z, prototype_weights, labels, cfg: LmclConfig):
     return loss, d_cos @ prototype_weights, d_cos.T @ z
 
 
-def gnll_batch(z, anchors, sigma_sq, d):
-    """Mean isotropic Gaussian NLL over a batch, in ambient space.
+def gnll_batch(z, anchors, sigma_sq):
+    """Mean isotropic Gaussian NLL over a batch of (n, d) rows, in ambient
+    space.
 
     loss_i = |z_i - mu_i|^2 / (2 s2_i) + (d/2) ln s2_i.  Returns (mean loss,
     grad wrt z, grad wrt sigma_sq); the sigma_sq gradient is zero exactly
     at s2_i = |z_i - mu_i|^2 / d.
     """
+    d = z.shape[1]
     diff = z - anchors
     sq = np.einsum("ij,ij->i", diff, diff)
     n = len(sigma_sq)
@@ -210,6 +212,9 @@ class TrainData:
     raw: np.ndarray | None = None          # (n, m)
 
     def __post_init__(self):
+        if np.ndim(self.features) != 2:
+            raise ValueError("features must be the pooled (n, c) rows, got "
+                             f"shape {np.shape(self.features)}")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.labels) != len(self.features):
             raise ValueError("features and labels length mismatch")
@@ -218,19 +223,6 @@ class TrainData:
 
     def __len__(self):
         return len(self.labels)
-
-
-def _head_dict(values) -> dict:
-    """The head's trainable entries taken from `values` (its HeadParams
-    or HeadGrads), as a dict of arrays."""
-    return {"kappa_w": values.kappa_w, "kappa_b": np.array([values.kappa_b]),
-            "proj_w": values.proj_w}
-
-
-def _head_from_dict(params: dict) -> HeadParams:
-    """The head whose trainable entries are `params` (arrays shared)."""
-    return HeadParams(proj_w=params["proj_w"], kappa_w=params["kappa_w"],
-                      kappa_b=float(params["kappa_b"][0]))
 
 
 def _resolve_anchors(cfg: TrainConfig, prototype_weights: np.ndarray,
@@ -344,26 +336,27 @@ def post_loss_and_grads(params: dict, batch: TrainData,
                         prototype_weights: np.ndarray, cfg: TrainConfig):
     """The post-training loss on one batch and its gradient w.r.t. `params`.
 
-    The loss is the stable vMF NLL of the frozen `batch.descriptors`
-    around their anchors, with the head output as kappa; under
-    GNLL_VARIANT it is the Gaussian NLL, the head output read as sigma^2.
-    `params` holds the head's trainable entries.  Anchors come from
-    `prototype_weights` (class prototypes) or the batch's own descriptors
-    (batch centroids); either way they do not depend on `params`.
-    Returns (loss, grads) with one gradient per entry of `params`.
+    The head predicts kappa.  The loss is the stable vMF NLL of the frozen
+    `batch.descriptors` around their anchors; under GNLL_VARIANT it is the
+    Gaussian NLL with sigma^2 = 1 / kappa.  `params` is the head.  Anchors
+    come from `prototype_weights` (class prototypes) or the batch's own
+    descriptors (batch centroids); either way they do not depend on
+    `params`.  Returns (loss, grads) with one gradient per entry of
+    `params`.
     """
-    z, d = batch.descriptors, batch.descriptors.shape[1]
+    z = batch.descriptors
     anchors = _resolve_anchors(cfg, prototype_weights, z, batch.labels)
-    head = _head_from_dict(params)
-    out, cache = forward_batch(batch.features, head)
+    kappas, cache = forward_batch(batch.features, params)
     if cfg.mode is TrainMode.GNLL_VARIANT:
-        loss, _, up = gnll_batch(z, anchors, out, d)
+        s2 = 1.0 / kappas
+        loss, _, g_s2 = gnll_batch(z, anchors, s2)
+        up = -g_s2 * s2**2                 # d(1 / kappa) / dkappa = -s2^2
     else:
-        loss, up = vmf_batch_nll(z, anchors, out, BesselOrder(d))[:2]
-    return loss, _head_dict(backward_batch(cache, head, up))
+        loss, up = vmf_batch_nll(z, anchors, kappas)[:2]
+    return loss, backward_batch(cache, params, up)
 
 
-def train_post(data: TrainData, prototypes: PrototypeSet, head: HeadParams,
+def train_post(data: TrainData, prototypes: PrototypeSet, head: dict,
                cfg: TrainConfig, eval_hook=None):
     """Train only the kappa head against frozen descriptors and prototypes.
 
@@ -372,36 +365,36 @@ def train_post(data: TrainData, prototypes: PrototypeSet, head: HeadParams,
     with the configured patience; the first cfg.warmup epochs are
     excluded from checkpoint selection (the untrained head can hit
     spurious calibration minima before it has learned any ordering).
-    The best checkpoint is returned.  `eval_hook(head) -> metric`.
+    A copy of `head` is trained; the caller's is left as it was.  The best
+    checkpoint is returned.  `eval_hook(head) -> metric`.
     Returns (trained head, history rows).
     """
     if data.descriptors is None:
         raise ValueError("post-training requires precomputed descriptors")
     if cfg.mode is TrainMode.JOINT_TRAINING:
         raise ValueError("use train_joint for joint mode")
-    params = _head_dict(head.copy())
+    params = {key: value.copy() for key, value in head.items()}
 
     def loss_and_grads(p, batch):
         return post_loss_and_grads(p, batch, prototypes.weights, cfg)
 
     def evaluate():
-        return (float(eval_hook(_head_from_dict(params))),)
+        return (float(eval_hook(params)),)
 
-    best, history = _fit(params, loss_and_grads, data, cfg,
-                         evaluate if eval_hook is not None else None,
-                         (("metric", +1),))
-    return _head_from_dict(best), history
+    return _fit(params, loss_and_grads, data, cfg,
+                evaluate if eval_hook is not None else None,
+                (("metric", +1),))
 
 
-def joint_loss_and_grads(params: dict, batch: TrainData, head: HeadParams | None,
-                         cfg: TrainConfig, lmcl: LmclConfig):
+def joint_loss_and_grads(params: dict, batch: TrainData, cfg: TrainConfig,
+                         lmcl: LmclConfig):
     """L_cls + lam * L_vMF on one batch and its gradient w.r.t. `params`.
 
-    `params` holds "encoder" (d, m) and "prototypes" (C, d), plus the
-    head's trainable entries when the vMF term is on (lam > 0 and a head
-    is given; `head` only switches the term on).  The
-    encoder output is z = normalize(W x) of `batch.raw`; the kappa head
-    reads `batch.features`.  Batch-centroid anchors are treated as
+    `params` holds "encoder" (d, m) and "prototypes" (C, d), and the
+    head's entries when it is trained too.  The vMF term runs when
+    lam > 0 and `params` holds the head.  The encoder output is
+    z = normalize(W x) of `batch.raw`; the kappa head reads
+    `batch.features`.  Batch-centroid anchors are treated as
     constants w.r.t. z (stop-gradient).
     Returns (loss, grads) with one gradient per trained entry.
     """
@@ -412,14 +405,12 @@ def joint_loss_and_grads(params: dict, batch: TrainData, head: HeadParams | None
     loss, d_z, d_proto = lmcl_batch(z, params["prototypes"], labels, lmcl)
 
     grads = {}
-    if cfg.lam > 0.0 and head is not None:
+    if cfg.lam > 0.0 and "proj_w" in params:
         anchors = _resolve_anchors(cfg, params["prototypes"], z, labels)
-        head = _head_from_dict(params)
-        kappas, cache = forward_batch(batch.features, head)
-        vmf = vmf_batch_nll(z, anchors, kappas, BesselOrder(z.shape[1]))
+        kappas, cache = forward_batch(batch.features, params)
+        vmf = vmf_batch_nll(z, anchors, kappas)
         loss = loss + cfg.lam * vmf.loss
-        grads.update(_head_dict(
-            backward_batch(cache, head, cfg.lam * vmf.kappa)))
+        grads.update(backward_batch(cache, params, cfg.lam * vmf.kappa))
         d_z = d_z + cfg.lam * vmf.z
         if cfg.anchor_mode is AnchorMode.CLASS_PROTOTYPE:
             np.add.at(d_proto, labels, cfg.lam * vmf.mu)
@@ -432,7 +423,7 @@ def joint_loss_and_grads(params: dict, batch: TrainData, head: HeadParams | None
 
 
 def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSet,
-                head: HeadParams | None, cfg: TrainConfig, lmcl: LmclConfig,
+                head: dict | None, cfg: TrainConfig, lmcl: LmclConfig,
                 eval_hook=None):
     """Jointly train encoder, prototypes, and (optionally) the kappa head.
 
@@ -444,28 +435,28 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
 
     Phased early stopping: phase 1 tracks Recall@1 until patience is
     exhausted, phase 2 continues while tracking ECE@1 with refreshed
-    patience.  `eval_hook(encoder, prototypes, head) -> (recall1, ece1)`.
+    patience.  `eval_hook(encoder, prototypes, head) -> (recall1, ece1)`
+    sees the live parameters.  Copies are trained; the caller's are left
+    as they were.  With an eval hook the checkpoint's are returned.
     Returns (encoder, prototypes, head, history).
     """
     if data.raw is None:
         raise ValueError("joint training requires raw features")
-    use_vmf = cfg.lam > 0.0 and head is not None
     encoder = encoder.copy()
     prototypes = PrototypeSet(prototypes.weights.copy())
-    head = head.copy() if head is not None else None
+    if head is not None:
+        head = {key: value.copy() for key, value in head.items()}
 
     params = {"encoder": encoder.weights, "prototypes": prototypes.weights}
+    use_vmf = cfg.lam > 0.0 and head is not None
     if use_vmf:
-        params.update(_head_dict(head))
-
-    def trained_head(p):
-        return _head_from_dict(p) if use_vmf else head
+        params.update(head)
 
     def loss_and_grads(p, batch):
-        return joint_loss_and_grads(p, batch, head, cfg, lmcl)
+        return joint_loss_and_grads(p, batch, cfg, lmcl)
 
     def evaluate():
-        return eval_hook(encoder, prototypes, trained_head(params))
+        return eval_hook(encoder, prototypes, head)
 
     best, history = _fit(params, loss_and_grads, data, cfg,
                          evaluate if eval_hook is not None else None,
@@ -475,4 +466,6 @@ def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSe
         encoder.weights = best["encoder"]
         prototypes.weights = best["prototypes"]
         prototypes.renormalize()
-    return encoder, prototypes, trained_head(best), history
+        if use_vmf:
+            head = {key: best[key] for key in head}
+    return encoder, prototypes, head, history

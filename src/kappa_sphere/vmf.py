@@ -132,12 +132,14 @@ class VmfBatchLoss(NamedTuple):
     mu: np.ndarray        # (n, d) ambient dL/dmu_i = -kappa_i z_i / n
 
 
-def vmf_batch_nll(z, mu, kappas, order: BesselOrder) -> VmfBatchLoss:
+def vmf_batch_nll(z, mu, kappas) -> VmfBatchLoss:
     """Mean stable vMF NLL over n samples, L = mean_i A(kappa_i) - kappa_i mu_i.z_i.
 
-    The single implementation of the loss: training runs it on whole
-    batches, and a single sample is the batch of one.
+    The dimension d is the width of the (n, d) rows `z`.  The single
+    implementation of the loss: training runs it on whole batches, and a
+    single sample is the batch of one.
     """
+    order = BesselOrder(z.shape[1])
     dots = np.einsum("ij,ij->i", mu, z)
     n = len(kappas)
     loss = float(stable_log_partition(kappas, order).sum() / n -

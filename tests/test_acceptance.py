@@ -97,9 +97,9 @@ N_INSTANCES = 50
 GRAD_TOL = 1e-4
 
 
-def _vmf_one(z, mu, kappa, order):
+def _vmf_one(z, mu, kappa):
     """The vMF NLL of one sample: `vmf_batch_nll` on one-row inputs."""
-    return vmf_batch_nll(z[None], mu[None], np.array([kappa]), order)
+    return vmf_batch_nll(z[None], mu[None], np.array([kappa]))
 
 
 def test_criterion_2_gradient_suite():
@@ -109,13 +109,12 @@ def test_criterion_2_gradient_suite():
     # vMF NLL w.r.t. kappa
     for _ in range(N_INSTANCES):
         d = int(rng.integers(3, 40))
-        order = BesselOrder(d)
         z, mu = unit(rng, d), unit(rng, d)
         kappa = float(rng.uniform(0.5, 300.0))
         h = 1e-5 * max(1.0, kappa)
-        fd = (_vmf_one(z, mu, kappa + h, order).loss
-              - _vmf_one(z, mu, kappa - h, order).loss) / (2 * h)
-        a = float(_vmf_one(z, mu, kappa, order).kappa[0])
+        fd = (_vmf_one(z, mu, kappa + h).loss
+              - _vmf_one(z, mu, kappa - h).loss) / (2 * h)
+        a = float(_vmf_one(z, mu, kappa).kappa[0])
         assert abs(a - fd) / max(abs(a), abs(fd), 1e-6) <= GRAD_TOL
 
     # vMF NLL w.r.t. z: directional derivative along a geodesic through z
@@ -123,17 +122,16 @@ def test_criterion_2_gradient_suite():
     # tangent direction t the analytic value is tangent . t.
     for _ in range(N_INSTANCES):
         d = int(rng.integers(3, 40))
-        order = BesselOrder(d)
         z, mu = unit(rng, d), unit(rng, d)
         kappa = float(rng.uniform(0.5, 100.0))
         t = rng.standard_normal(d)
         t -= z * (z @ t)
         t /= np.linalg.norm(t)
         h = 1e-5
-        fd = (_vmf_one(math.cos(h) * z + math.sin(h) * t, mu, kappa, order).loss
-              - _vmf_one(math.cos(h) * z - math.sin(h) * t, mu, kappa,
-                         order).loss) / (2 * h)
-        raw = _vmf_one(z, mu, kappa, order).z[0]
+        fd = (_vmf_one(math.cos(h) * z + math.sin(h) * t, mu, kappa).loss
+              - _vmf_one(math.cos(h) * z - math.sin(h) * t, mu, kappa).loss
+              ) / (2 * h)
+        raw = _vmf_one(z, mu, kappa).z[0]
         a = float((raw - z * (z @ raw)) @ t)  # the tangent part of dL/dz
         assert abs(a - fd) / max(abs(a), abs(fd), 1e-6) <= GRAD_TOL
 
@@ -141,24 +139,15 @@ def test_criterion_2_gradient_suite():
     shape = (5, 3, 3)
     for _ in range(N_INSTANCES):
         head = init_head(shape, hidden=4, rng=rng)
-        head.kappa_b = float(rng.uniform(-1.0, 1.0))
+        head["kappa_b"] = rng.uniform(-1.0, 1.0, 1)
         rows = aggregate(rng.standard_normal((1,) + shape))
 
-        def loss_and_grad(params, head=head, rows=rows):
-            head.proj_w = params["proj_w"]
-            head.kappa_w = params["kappa_w"]
-            head.kappa_b = float(params["kappa_b"][0])
+        def loss_and_grad(head, rows=rows):
             kappas, cache = forward_batch(rows, head)
-            g = backward_batch(cache, head, kappas)
             kappa = float(kappas[0])
-            return 0.5 * kappa * kappa, {"proj_w": g.proj_w,
-                                         "kappa_w": g.kappa_w,
-                                         "kappa_b": np.array([g.kappa_b])}
+            return 0.5 * kappa * kappa, backward_batch(cache, head, kappas)
 
-        params = {"proj_w": head.proj_w.copy(),
-                  "kappa_w": head.kappa_w.copy(),
-                  "kappa_b": np.array([head.kappa_b])}
-        report = finite_diff_check(loss_and_grad, params, tolerance=GRAD_TOL)
+        report = finite_diff_check(loss_and_grad, head, tolerance=GRAD_TOL)
         assert report.passed, report.per_param
 
     # LMCL (moderate scale keeps finite-difference truncation negligible)
@@ -183,9 +172,9 @@ def test_criterion_2_gradient_suite():
         d = int(rng.integers(3, 20))
         mu = rng.standard_normal(d)
 
-        def loss_and_grad(params, mu=mu, d=d):
+        def loss_and_grad(params, mu=mu):
             loss, gz, gs2 = gnll_batch(params["z"][None], mu[None],
-                                       params["s2"], d)
+                                       params["s2"])
             return loss, {"z": gz[0], "s2": gs2}
 
         report = finite_diff_check(
@@ -199,11 +188,9 @@ def test_criterion_2_gradient_suite():
     # kappa and the ambient z and mu, GNLL w.r.t. z and sigma^2
     for _ in range(N_INSTANCES):
         n, d = int(rng.integers(2, 8)), int(rng.integers(3, 40))
-        order = BesselOrder(d)
 
-        def loss_and_grad(params, order=order):
-            out = vmf_batch_nll(params["z"], params["mu"], params["kappa"],
-                                order)
+        def loss_and_grad(params):
+            out = vmf_batch_nll(params["z"], params["mu"], params["kappa"])
             return out.loss, {"kappa": out.kappa, "z": out.z, "mu": out.mu}
 
         report = finite_diff_check(
@@ -212,8 +199,8 @@ def test_criterion_2_gradient_suite():
             tolerance=GRAD_TOL)
         assert report.passed, report.per_param
 
-        def loss_and_grad(params, mu=rng.standard_normal((n, d)), d=d):
-            loss, gz, gs2 = gnll_batch(params["z"], mu, params["s2"], d)
+        def loss_and_grad(params, mu=rng.standard_normal((n, d))):
+            loss, gz, gs2 = gnll_batch(params["z"], mu, params["s2"])
             return loss, {"z": gz, "s2": gs2}
 
         report = finite_diff_check(
@@ -245,9 +232,7 @@ def test_criterion_2_gradient_suite():
             params = {"encoder": rng.standard_normal((d, m)),
                       "prototypes": unit_rows(rng, 3, d)}
             if with_vmf:
-                params.update(kappa_w=head.kappa_w.copy(),
-                              kappa_b=np.array([head.kappa_b]),
-                              proj_w=head.proj_w.copy())
+                params.update(head)
             held = contextlib.nullcontext()
             if anchor_mode is AnchorMode.BATCH_CENTROID:
                 z = LinearEncoder(params["encoder"]).encode(batch.raw)
@@ -258,8 +243,8 @@ def test_criterion_2_gradient_suite():
                 held = mock.patch("kappa_sphere.training._resolve_anchors",
                                   return_value=anchors)
 
-            def loss_and_grad(params, batch=batch, head=head, cfg=cfg):
-                return joint_loss_and_grads(params, batch, head, cfg, lmcl)
+            def loss_and_grad(params, batch=batch, cfg=cfg):
+                return joint_loss_and_grads(params, batch, cfg, lmcl)
 
             with held:
                 assert set(loss_and_grad(params)[1]) == set(params)
@@ -268,22 +253,19 @@ def test_criterion_2_gradient_suite():
             assert report.passed, (anchor_mode, with_vmf, report.per_param)
 
     # the post-training objective, exactly as train_post evaluates it per
-    # batch: the vMF NLL (GNLL_VARIANT: the Gaussian NLL) of frozen
-    # descriptors with the head output as kappa (sigma^2), w.r.t. every
-    # head parameter.  Batch-centroid anchors are
+    # batch: the vMF NLL (GNLL_VARIANT: the Gaussian NLL at sigma^2 =
+    # 1 / kappa) of frozen descriptors with the head output as kappa,
+    # w.r.t. every head parameter.  Batch-centroid anchors are
     # built from the frozen descriptors, so they are constant in the head.
     for mode in (TrainMode.POST_TRAINING, TrainMode.GNLL_VARIANT):
         for anchor_mode in (AnchorMode.CLASS_PROTOTYPE,
                             AnchorMode.BATCH_CENTROID):
             cfg = TrainConfig(mode=mode, anchor_mode=anchor_mode)
             for _ in range(N_INSTANCES):
-                head = init_head(shape, hidden=4, rng=rng)
+                params = init_head(shape, hidden=4, rng=rng)
                 batch = TrainData(
                     features=aggregate(rng.standard_normal((b,) + shape)),
                     labels=labels, descriptors=unit_rows(rng, b, d))
-                params = {"kappa_w": head.kappa_w.copy(),
-                          "kappa_b": np.array([head.kappa_b]),
-                          "proj_w": head.proj_w.copy()}
 
                 def loss_and_grad(params, batch=batch, cfg=cfg,
                                   protos=unit_rows(rng, 3, d)):
@@ -481,7 +463,7 @@ def test_criterion_9_joint_training_non_degradation():
     # tested, not checkpoint selection.
     rng = np.random.default_rng(0)
     idx = dataset.splits["train"]
-    data = TrainData(features=dataset.features[idx],
+    data = TrainData(features=dataset.head_inputs()[idx],
                      labels=dataset.bank.labels[idx],
                      descriptors=dataset.bank.descriptors[idx],
                      raw=dataset.raw[idx])

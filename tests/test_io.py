@@ -312,20 +312,20 @@ class TestModelState:
 
     def test_head_round_trip(self, rng, tmp_path):
         head = init_head((8, 4, 4), hidden=6, rng=rng)
-        head.kappa_b = 0.3125  # init_head's bias is 0.0; write a nonzero one
+        head["kappa_b"][0] = 0.3125  # init_head's bias is 0.0: write another
         path = tmp_path / "model.json"
         write_model_state(path, head=head, extra={"note": "x"})
         doc = self.load(path)
         for name in ("kappa_w", "proj_w"):
             assert _same_bits(np.asarray(doc["head"][name]),
-                              getattr(head, name)), name
+                              head[name]), name
         assert doc["head"]["kappa_b"] == 0.3125
         assert isinstance(doc["head"]["kappa_b"], float)
         assert doc["extra"] == {"note": "x"}
 
     def test_full_state_round_trip(self, rng, tmp_path):
         head = init_head((8, 4, 4), hidden=5, rng=rng)
-        head.kappa_b = -0.1  # no exact binary fraction: its repr round-trips
+        head["kappa_b"][0] = -0.1  # no exact binary fraction; repr round-trips
         encoder = LinearEncoder(rng.standard_normal((4, 6)))
         protos = unit_rows(rng, 3, 4)
         path = tmp_path / "model.json"
@@ -340,7 +340,7 @@ class TestModelState:
         assert doc["head"]["train_gem_p"] is False
         for name in ("kappa_w", "proj_w"):
             assert _same_bits(np.asarray(doc["head"][name]),
-                              getattr(head, name)), name
+                              head[name]), name
         assert doc["head"]["kappa_b"] == -0.1
         assert _same_bits(np.asarray(doc["encoder"]), encoder.weights)
         assert _same_bits(np.asarray(doc["prototypes"]), protos)

@@ -40,6 +40,19 @@ def test_fit_head_retrieves_once():
     assert knn.call_count == 1
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gnll_fit_predicts_kappa(seed):
+    # the Gaussian-NLL ablation trains the same head, read as kappa with
+    # sigma^2 = 1 / kappa: its kappas rank like the scene's kappa* and
+    # mostly clear the 1.0 floor the scores apply
+    dataset = generate_scene(SceneConfig(seed=seed))
+    head, _ = pipeline.fit_head(dataset, TrainConfig(
+        mode=TrainMode.GNLL_VARIANT, seed=seed))
+    kappas = pipeline.predict_kappas(dataset.head_inputs(), head)
+    assert spearmanr(kappas, dataset.bank.true_kappa).statistic > 0.9
+    assert np.median(kappas) > 1.0
+
+
 class TestEvaluateQueries:
     def test_rows_match_batches_of_one(self, fitted):
         # every method scores a query the same alone as inside the batch;

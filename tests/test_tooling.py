@@ -38,16 +38,54 @@ def _fresh_python(code: str) -> str:
     return proc.stdout.strip()
 
 
-def test_trace_targets_exist():
+def _trace_runner():
     spec = importlib.util.spec_from_file_location("trace_runner", TRACE_RUNNER)
     trace_runner = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace_runner)
+    return trace_runner
+
+
+def test_trace_targets_exist():
+    trace_runner = _trace_runner()
     missing = [f"{module}.{name}"
                for module, functions in trace_runner.TARGETS.items()
                for name in functions
                if not callable(getattr(importlib.import_module(module), name,
                                        None))]
     assert not missing, missing
+
+
+def test_trace_epoch_counters_read_the_history():
+    # The tracer counts training.epochs from a trainer's result by
+    # position; a reordered result would count the head's three entries.
+    # Without an eval hook every configured epoch runs.
+    import numpy as np
+
+    from kappa_sphere.anchors import PrototypeSet
+    from kappa_sphere.head import init_head
+    from kappa_sphere.training import (LinearEncoder, LmclConfig,
+                                       TrainConfig, TrainData, TrainMode,
+                                       train_joint, train_post)
+
+    targets = _trace_runner().TARGETS["kappa_sphere.training"]
+    rng = np.random.default_rng(0)
+    unit = rng.standard_normal((12, 6))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    data = TrainData(features=rng.random((12, 3)), labels=np.arange(12) % 4,
+                     descriptors=unit, raw=rng.standard_normal((12, 5)))
+    protos = PrototypeSet(unit[:4].copy())
+    head = init_head((3, 2, 2), hidden=4, rng=rng)
+    for name, mode, run in (
+            ("train_post", TrainMode.POST_TRAINING,
+             lambda cfg: train_post(data, protos, head, cfg)),
+            ("train_joint", TrainMode.JOINT_TRAINING,
+             lambda cfg: train_joint(
+                 data, LinearEncoder(rng.standard_normal((6, 5))), protos,
+                 head, cfg, LmclConfig()))):
+        cfg = TrainConfig(mode=mode, max_epochs=2, warmup=0)
+        _, counter, count = targets[name]
+        assert counter == "training.epochs"
+        assert count((), {}, run(cfg)) == cfg.max_epochs, name
 
 
 def test_harness_imports_exist():

@@ -1,6 +1,7 @@
 """Losses, Adam, gradient checking, and the training loops."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ def lmcl_one(z, weights, label, cfg):
     return loss, grad_z[0], grad_w
 
 
-def gnll_one(z, mu, sigma_sq, d):
+def gnll_one(z, mu, sigma_sq):
     """Gaussian NLL of one descriptor: the batch kernel on one row."""
     loss, grad_z, grad_s2 = gnll_batch(z[None], mu[None],
-                                       np.array([sigma_sq]), d)
+                                       np.array([sigma_sq]))
     return loss, grad_z[0], float(grad_s2[0])
 
 
@@ -84,11 +85,11 @@ class TestGnll:
         z = rng.standard_normal(d)
         mu = rng.standard_normal(d)
         s2_star = float(np.sum((z - mu) ** 2)) / d
-        _, _, grad_s2 = gnll_one(z, mu, s2_star, d)
+        _, _, grad_s2 = gnll_one(z, mu, s2_star)
         assert grad_s2 == pytest.approx(0.0, abs=1e-12)
         # and it is a minimum: gradient negative below, positive above
-        _, _, below = gnll_one(z, mu, 0.5 * s2_star, d)
-        _, _, above = gnll_one(z, mu, 2.0 * s2_star, d)
+        _, _, below = gnll_one(z, mu, 0.5 * s2_star)
+        _, _, above = gnll_one(z, mu, 2.0 * s2_star)
         assert below < 0.0 < above
 
     def test_gradients_finite_diff(self, rng):
@@ -97,8 +98,7 @@ class TestGnll:
         mu = rng.standard_normal(d)
 
         def loss_and_grad(params):
-            loss, gz, gs2 = gnll_one(params["z"], mu,
-                                     float(params["s2"][0]), d)
+            loss, gz, gs2 = gnll_one(params["z"], mu, float(params["s2"][0]))
             return loss, {"z": gz, "s2": np.array([gs2])}
 
         report = finite_diff_check(
@@ -223,6 +223,17 @@ def tiny_data(rng, n=24, c=3, h=2, w=2, d=6, num_classes=4, raw_dim=5):
                       descriptors=descriptors, raw=raw), protos)
 
 
+class TestTrainData:
+    def test_rejects_what_is_not_pooled_rows(self, rng):
+        # the head reads (n, c) rows: feature maps or a flat vector are
+        # refused with their shape
+        for bad in (rng.standard_normal((4, 3, 2, 2)),
+                    rng.standard_normal(4)):
+            with pytest.raises(ValueError, match=r"\(n, c\) rows, got shape "
+                               + re.escape(str(bad.shape))):
+                TrainData(features=bad, labels=np.zeros(4, dtype=int))
+
+
 class TestTrainPost:
     def test_descriptors_untouched(self, rng):
         data, protos = tiny_data(rng)
@@ -242,11 +253,12 @@ class TestTrainPost:
     def test_returns_copy_not_input_head(self, rng):
         data, protos = tiny_data(rng)
         head = init_head((3, 2, 2), hidden=4, rng=rng)
-        before = head.kappa_w.copy()
+        before = {key: value.copy() for key, value in head.items()}
         trained, _ = train_post(data, protos, head,
                                 TrainConfig(max_epochs=2, warmup=0))
-        np.testing.assert_array_equal(head.kappa_w, before)
-        assert trained is not head
+        for key in head:
+            np.testing.assert_array_equal(head[key], before[key])
+            assert trained[key] is not head[key]
 
     def test_deterministic(self, rng):
         data, protos = tiny_data(rng)
@@ -254,8 +266,8 @@ class TestTrainPost:
         cfg = TrainConfig(max_epochs=5, seed=7, warmup=0)
         a, _ = train_post(data, protos, head, cfg)
         b, _ = train_post(data, protos, head, cfg)
-        np.testing.assert_array_equal(a.kappa_w, b.kappa_w)
-        assert a.kappa_b == b.kappa_b
+        for key in head:
+            np.testing.assert_array_equal(a[key], b[key])
 
     def test_warmup_excluded_from_checkpointing(self, rng):
         # A hook that is best at epoch 0 and worst afterwards: with
@@ -267,13 +279,13 @@ class TestTrainPost:
 
         def hook(h):
             m = next(metrics)
-            seen.append((m, float(h.kappa_b)))
+            seen.append((m, float(h["kappa_b"][0])))
             return m
 
         cfg = TrainConfig(max_epochs=7, patience=3, warmup=2)
         trained, history = train_post(data, protos, head, cfg, eval_hook=hook)
         # best eligible metric is 0.3 at epoch index 2
-        assert trained.kappa_b == seen[2][1]
+        assert trained["kappa_b"][0] == seen[2][1]
         assert len(history) == 6  # epochs 3,4,5 are stale -> stop at epoch 5
 
     def test_gnll_variant_runs(self, rng):
@@ -424,6 +436,41 @@ class TestTrainJoint:
         assert phases[:4] == [1, 1, 1, 1]
         assert all(p == 2 for p in phases[4:])
         assert len(history) == 8
+
+    def test_returns_the_checkpoint(self, rng):
+        # With an eval hook and lam > 0 the encoder and head come back as
+        # they were at the selected epoch, not the last one; the hook sees
+        # the live parameters, and the caller's head is left as it was.
+        data, protos = tiny_data(rng)
+        encoder = LinearEncoder(rng.standard_normal((6, 5)))
+        head = init_head((3, 2, 2), hidden=4, rng=rng)
+        before = {key: value.copy() for key, value in head.items()}
+        # recall is best at epoch 1 and stale at 2, 3 -> phase 2 from
+        # epoch 4, where ECE is best; stale at 5, 6 -> stop after epoch 6
+        recalls = [0.5, 0.9, 0.4, 0.4, 0.4, 0.4, 0.4]
+        eces = [0.3, 0.3, 0.3, 0.3, 0.2, 0.3, 0.3]
+        seen = []
+
+        def hook(enc, pro, hd):
+            seen.append((enc.weights.copy(),
+                         {key: value.copy() for key, value in hd.items()}))
+            return recalls[len(seen) - 1], eces[len(seen) - 1]
+
+        cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.5, lr=0.05,
+                          max_epochs=20, patience=2, warmup=0)
+        enc, _, trained, history = train_joint(data, encoder, protos, head,
+                                               cfg, LmclConfig(),
+                                               eval_hook=hook)
+        assert len(history) == len(seen) == 7
+        best_enc, best_head = seen[4]
+        last_enc, last_head = seen[6]
+        np.testing.assert_array_equal(enc.weights, best_enc)
+        assert not np.array_equal(enc.weights, last_enc)
+        assert set(trained) == set(head)
+        for key in head:
+            np.testing.assert_array_equal(trained[key], best_head[key])
+            assert not np.array_equal(trained[key], last_head[key]), key
+            np.testing.assert_array_equal(head[key], before[key])
 
     def test_requires_raw(self, rng):
         data = TrainData(features=rng.standard_normal((4, 3)),

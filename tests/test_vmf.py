@@ -68,9 +68,9 @@ class TestStableLogPartition:
                 stable_log_partition(bad, order)
 
 
-def nll_one(z, mu, kappa, order):
+def nll_one(z, mu, kappa):
     """The vMF NLL of one sample: the batch kernel on one-row inputs."""
-    return vmf_batch_nll(z[None], mu[None], np.array([kappa]), order)
+    return vmf_batch_nll(z[None], mu[None], np.array([kappa]))
 
 
 class TestNll:
@@ -80,18 +80,18 @@ class TestNll:
         z = unit(rng.standard_normal(16))
         kappa = 12.5
         expected = stable_log_partition(kappa, order) - kappa * float(mu @ z)
-        assert nll_one(z, mu, kappa, order).loss == pytest.approx(expected, rel=1e-14)
+        assert nll_one(z, mu, kappa).loss == pytest.approx(expected, rel=1e-14)
 
         h = 1e-6 * kappa
-        fd = (nll_one(z, mu, kappa + h, order).loss
-              - nll_one(z, mu, kappa - h, order).loss) / (2 * h)
-        assert nll_one(z, mu, kappa, order).kappa[0] == pytest.approx(fd, rel=1e-6)
+        fd = (nll_one(z, mu, kappa + h).loss
+              - nll_one(z, mu, kappa - h).loss) / (2 * h)
+        assert nll_one(z, mu, kappa).kappa[0] == pytest.approx(fd, rel=1e-6)
 
     def test_grad_z(self, rng):
         # the ambient gradients: dL/dz = -kappa mu and dL/dmu = -kappa z
         mu = unit(rng.standard_normal(8))
         z = unit(rng.standard_normal(8))
-        grad = nll_one(z, mu, 4.0, BesselOrder(8))
+        grad = nll_one(z, mu, 4.0)
         np.testing.assert_allclose(grad.z[0], -4.0 * mu, rtol=1e-15)
         np.testing.assert_allclose(grad.mu[0], -4.0 * z, rtol=1e-15)
 
@@ -105,7 +105,7 @@ class TestNll:
         z = np.zeros(32)
         z[0] = target
         z[1] = math.sqrt(1.0 - target * target)
-        assert nll_one(z, mu, kappa, order).kappa[0] == pytest.approx(0.0, abs=1e-15)
+        assert nll_one(z, mu, kappa).kappa[0] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestLogDensity:
