@@ -13,8 +13,8 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset({
-    "anchors", "bench", "calibration", "cli", "fileio", "head",
-    "pipeline", "retrieval", "scores", "synth", "training", "vmf",
+    "bench", "calibration", "cli", "fileio", "head", "pipeline",
+    "retrieval", "scores", "synth", "training", "vmf",
 })
 
 

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .head import aggregate, init_head, kappa_from_pooled
-from .training import LinearEncoder
+from .training import encode
 
 WARMUP_RUNS = 20
 TIMED_RUNS = 200
@@ -54,16 +54,16 @@ def run_bench(seed: int = 0) -> BenchResult:
     """Time the descriptor path and the descriptor + kappa path."""
     rng = np.random.default_rng(seed)
     fms = rng.standard_normal((1, CHANNELS, GRID, GRID))
-    encoder = LinearEncoder(
-        rng.standard_normal((DESCRIPTOR_DIM, CHANNELS)) / np.sqrt(CHANNELS))
+    encoder = (rng.standard_normal((DESCRIPTOR_DIM, CHANNELS))
+               / np.sqrt(CHANNELS))
     head = init_head((CHANNELS, GRID, GRID), HIDDEN, rng)
 
     def descriptor_path():
-        encoder.encode(aggregate(fms))
+        encode(encoder, aggregate(fms))
 
     def combined_path():
         g = aggregate(fms)
-        encoder.encode(g)
+        encode(encoder, g)
         kappa_from_pooled(g, head)
 
     def block_ms(fn, runs):

@@ -174,7 +174,7 @@ def cmd_fit(args) -> int:
 def cmd_train(args) -> int:
     from . import fileio
     from .pipeline import fit_joint, predict_kappas
-    from .training import TrainMode
+    from .training import TrainMode, encode
 
     resolved = _config_for_out(args)
     train_cfg = dataclasses.replace(fileio.train_config_from(resolved),
@@ -184,7 +184,7 @@ def cmd_train(args) -> int:
     encoder, prototypes, head, history = fit_joint(
         dataset, cfg=train_cfg, lmcl=lmcl, tau=resolved["tau"],
         binning=fileio.binning_config_from(resolved))
-    dataset.bank.descriptors = encoder.encode(dataset.raw)
+    dataset.bank.descriptors = encode(encoder, dataset.raw)
     if head is not None:
         dataset.bank.kappas = predict_kappas(dataset.head_inputs(), head)
     paths = _write_artifacts(args.out, resolved, dataset, history, head=head,
@@ -340,6 +340,18 @@ def cmd_report(args) -> int:
     if doc.get("schema_version") != fileio.REPORT_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported report schema {doc.get('schema_version')!r}")
+    if type(doc.get("seed")) is not int:
+        raise ValueError("missing or non-integer field 'seed' (at $.seed)")
+    for field in ("recalls", "unsupported"):  # optional
+        if doc.get(field) is not None and not isinstance(doc[field], dict):
+            raise ValueError(f"non-object field {field!r} (at $.{field})")
+    for k, recall in (doc.get("recalls") or {}).items():
+        if not k.isdecimal() or type(recall) not in (int, float):
+            raise ValueError(f"malformed recall {k!r}: {recall!r} "
+                             f"(at $.recalls.{k})")
+    if type(doc.get("spearman_kappa")) not in (int, float, type(None)):
+        raise ValueError("malformed field 'spearman_kappa' "
+                         "(at $.spearman_kappa)")
     if not isinstance(doc.get("reports"), dict):
         raise ValueError("missing or non-object field 'reports' (at $.reports)")
     for name, rep in doc["reports"].items():

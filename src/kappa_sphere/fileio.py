@@ -28,9 +28,9 @@ from .calibration import BinningConfig
 from .head import GEM_P
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                         RetrievalResult)
-from .anchors import PrototypeSet
 from .synth import SceneConfig, SPLIT_NAMES, SynthDataset, raw_inputs
-from .training import LinearEncoder, LmclConfig, TrainConfig
+from .training import LmclConfig, TrainConfig
+from .vmf import check_unit_rows
 
 BANK_MAGIC = b"KPB1"
 BANK_VERSION = 1
@@ -346,7 +346,7 @@ def write_scene(path, dataset: SynthDataset, resolved: dict) -> None:
         path, scene=np.array(json.dumps(resolved["scene"], sort_keys=True)),
         descriptors=bank.descriptors, labels=bank.labels, poses=bank.poses,
         true_kappa=bank.true_kappa, features=dataset.features,
-        ambiguity=dataset.ambiguity, prototypes=dataset.prototypes.weights,
+        ambiguity=dataset.ambiguity, prototypes=dataset.prototypes,
         class_poses=dataset.class_poses,
         aliased_pairs=np.array(dataset.aliased_pairs,
                                dtype=np.int64).reshape(-1, 2),
@@ -392,8 +392,9 @@ def read_scene(path, resolved: dict) -> SynthDataset:
     A record of another section fails with a ConfigError at the first key
     that differs (`$.scene.seed`), naming the file; a missing file, or a
     file that is not such a record, with a RecordFileError naming the file
-    and the field.  `raw` is rebuilt by `raw_inputs`, as `generate_scene`
-    builds it, so every array has the generator's bits.
+    and the field (and the first descriptor or prototype row that is not
+    finite and unit-norm).  `raw` is rebuilt by `raw_inputs`, as
+    `generate_scene` builds it, so every array has the generator's bits.
     """
     cfg = scene_config_from(resolved)
     if not os.path.isfile(path):
@@ -411,18 +412,18 @@ def read_scene(path, resolved: dict) -> SynthDataset:
     if not np.array_equal(np.sort(np.concatenate(list(splits.values()))),
                           np.arange(n)):
         raise RecordFileError("the splits do not partition the rows", path)
-    try:
-        bank = DescriptorBank(descriptors=values["descriptors"],
-                              ids=np.arange(n),
-                              labels=values["labels"], poses=values["poses"],
-                              true_kappa=values["true_kappa"])
-        prototypes = PrototypeSet(values["prototypes"])
-    except ValueError as exc:
-        raise RecordFileError(str(exc), path) from exc
+    for name in ("descriptors", "prototypes"):
+        try:
+            check_unit_rows(values[name])
+        except ValueError as exc:
+            raise RecordFileError(str(exc), path, name) from exc
+    bank = DescriptorBank(descriptors=values["descriptors"], ids=np.arange(n),
+                          labels=values["labels"], poses=values["poses"],
+                          true_kappa=values["true_kappa"])
     return SynthDataset(
         config=cfg, bank=bank, features=values["features"],
         raw=raw_inputs(bank.descriptors, values["features"]),
-        ambiguity=values["ambiguity"], prototypes=prototypes,
+        ambiguity=values["ambiguity"], prototypes=values["prototypes"],
         class_poses=values["class_poses"],
         aliased_pairs=[(int(a), int(b)) for a, b in values["aliased_pairs"]],
         splits=splits)
@@ -662,16 +663,16 @@ def _head_to_dict(head: dict | None) -> dict | None:
 
 
 def write_model_state(path, head: dict | None = None,
-                      encoder: LinearEncoder | None = None,
-                      prototypes=None, extra: dict | None = None) -> None:
+                      encoder: np.ndarray | None = None,
+                      prototypes: np.ndarray | None = None,
+                      extra: dict | None = None) -> None:
     """Serialize trained parameters as JSON (floats round-trip exactly).
     A record of the run, like history.csv: no command reads it back."""
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "head": _head_to_dict(head),
-        "encoder": None if encoder is None else encoder.weights.tolist(),
-        "prototypes": None if prototypes is None
-        else np.asarray(getattr(prototypes, "weights", prototypes)).tolist(),
+        "encoder": None if encoder is None else encoder.tolist(),
+        "prototypes": None if prototypes is None else prototypes.tolist(),
         "extra": extra or {},
     }
     atomic_write_text(path, json.dumps(doc, sort_keys=True))

@@ -20,7 +20,7 @@ from .retrieval import (DEFAULT_KS, DEFAULT_TAU, SUE_K, DescriptorBank,
                         RetrievalResult, batch_knn, mark_successes,
                         positive_mask, recall_at_k)
 from .synth import SynthDataset
-from .training import (LinearEncoder, LmclConfig, TrainConfig, TrainData,
+from .training import (LmclConfig, TrainConfig, TrainData, encode,
                        train_joint, train_post)
 from .vmf import ResultantUncertainty
 
@@ -89,12 +89,13 @@ def _resultant_ece1(dataset, head, results, db_bank: DescriptorBank, db_idx,
 
 def _recall_and_ece1(dataset, encoder, head, val_idx, db_idx, tau, binning):
     """Joint-training hook: Recall@1 and resultant ECE@1 on validation
-    queries, with database descriptors recomputed from the live encoder."""
-    db_desc = encoder.encode(dataset.raw[db_idx])
+    queries, with database descriptors recomputed from the live encoder
+    weights."""
+    db_desc = encode(encoder, dataset.raw[db_idx])
     db_bank = DescriptorBank(
         descriptors=db_desc, ids=dataset.bank.ids[db_idx],
         labels=dataset.bank.labels[db_idx], poses=dataset.bank.poses[db_idx])
-    results = _marked_knn(encoder.encode(dataset.raw[val_idx]),
+    results = _marked_knn(encode(encoder, dataset.raw[val_idx]),
                           dataset.bank.poses[val_idx], db_bank, tau)
     ece1 = float("nan") if head is None else _resultant_ece1(
         dataset, head, results, db_bank, db_idx, val_idx, binning)
@@ -128,20 +129,22 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
 
 def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
               lmcl: LmclConfig | None = None, tau: float = DEFAULT_TAU,
-              binning: BinningConfig | None = None, with_head: bool = True):
-    """Jointly train encoder + prototypes (+ kappa head unless disabled).
+              binning: BinningConfig | None = None):
+    """Jointly train encoder + prototypes, and the kappa head when
+    cfg.lam > 0 (the vMF term is its only trainer; at lam = 0 no head is
+    built and the head returned is None).
 
-    Early stopping tracks validation Recall@1, then resultant ECE@1, with
-    positives within `tau` and ECE binned by `binning`.
-    Returns (encoder, prototypes, head, history).
+    Early stopping tracks validation Recall@1, then resultant ECE@1 (NaN
+    without a head), with positives within `tau` and ECE binned by
+    `binning`.  Returns (encoder weights, prototypes, head, history).
     """
     lmcl = lmcl or LmclConfig()
     d = dataset.config.descriptor_dim
     m = dataset.raw.shape[1]
     rng = np.random.default_rng(cfg.seed)
-    encoder = LinearEncoder(rng.standard_normal((d, m)) / np.sqrt(m))
+    encoder = rng.standard_normal((d, m)) / np.sqrt(m)
     head = (init_head(dataset.config.feature_shape, rng=cfg.seed)
-            if with_head else None)
+            if cfg.lam > 0 else None)
     train, val_idx = _fit_data(dataset, cfg.seed)
     db_idx = dataset.splits["db"]
 

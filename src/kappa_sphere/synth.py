@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchors import PrototypeSet
 from .head import aggregate
 from .retrieval import DescriptorBank
 from .vmf import sample_vmf
@@ -62,7 +61,7 @@ class SynthDataset:
     features: np.ndarray               # (n, c, h, w)
     raw: np.ndarray                    # (n, m) raw features for joint training
     ambiguity: np.ndarray              # (n,) in [0, 1]
-    prototypes: PrototypeSet           # effective (post-aliasing) prototypes
+    prototypes: np.ndarray             # (C, d) unit rows, post-aliasing
     class_poses: np.ndarray            # (C, 2)
     aliased_pairs: list = field(default_factory=list)
     splits: dict = field(default_factory=dict)
@@ -190,7 +189,7 @@ def generate_scene(config: SceneConfig) -> SynthDataset:
                           labels=labels, poses=poses, true_kappa=true_kappa)
     dataset = SynthDataset(
         config=config, bank=bank, features=features, raw=raw,
-        ambiguity=ambiguity, prototypes=PrototypeSet(prototypes),
+        ambiguity=ambiguity, prototypes=prototypes,
         class_poses=class_poses,
     )
     if config.aliasing_rate > 0.0:
@@ -227,7 +226,7 @@ def inject_aliasing(dataset: SynthDataset, rate: float, seed: int,
     else:
         raise ValueError("could not find geographically separated alias pairs")
 
-    protos = dataset.prototypes.weights
+    protos = dataset.prototypes
     bank = dataset.bank
     for a, b in pairs:
         protos[b] = protos[a]

@@ -1,8 +1,15 @@
-"""Optimization: margin-based classification loss, the Gaussian-NLL
-ablation, Adam, and the two training settings
-(post-training of the kappa head against a frozen embedding space, and
-joint training of encoder + prototypes + head), which share one epoch,
-Adam and early-stopping driver and differ in their per-batch objective.
+"""Optimization: the linear encoder, the vMF mean-direction anchors,
+margin-based classification loss, the Gaussian-NLL ablation, Adam, and
+the two training settings (post-training of the kappa head against a
+frozen embedding space, and joint training of encoder + prototypes +
+head), which share one epoch, Adam and early-stopping driver and differ
+in their per-batch objective.  Everything a trainer updates is a float64
+array: the (d, m) encoder weights, the (C, d) unit prototypes and the
+head's dict of arrays.
+
+Classification-style supervision anchors each sample to its class
+prototype; contrastive-style supervision anchors it to the normalized
+centroid of its positives in the batch.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from .anchors import PrototypeSet, batch_centroid_anchor
 from .head import backward_batch, forward_batch
 from .vmf import vmf_batch_nll
 
@@ -61,25 +67,41 @@ class LmclConfig:
             raise ValueError("require scale > 0 and 0 <= margin < 1")
 
 
-@dataclass
-class LinearEncoder:
-    """Desk-scale stand-in for a backbone: x -> L2-normalized W x."""
+def encode(weights: np.ndarray, raw) -> np.ndarray:
+    """The desk-scale stand-in for a backbone: an (n, m) batch of raw
+    features to the unit descriptors normalize(raw @ weights.T), (n, d),
+    under the (d, m) encoder `weights`."""
+    raw = np.atleast_2d(np.asarray(raw, dtype=np.float64))
+    z = raw @ weights.T
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
-    weights: np.ndarray  # (d, m)
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ValueError("encoder weights must be a (d, m) matrix")
+# --- anchors ----------------------------------------------------------------
 
-    def encode(self, raw) -> np.ndarray:
-        """Encode an (n, m) batch to unit descriptors (n, d)."""
-        raw = np.atleast_2d(np.asarray(raw, dtype=np.float64))
-        z = raw @ self.weights.T
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
+CENTROID_EPS = 1e-12
 
-    def copy(self) -> "LinearEncoder":
-        return LinearEncoder(self.weights.copy())
+
+class DegenerateCentroidError(ValueError):
+    """The positive set sums to (numerically) zero; no anchor direction exists."""
+
+
+def batch_centroid_anchor(positives) -> np.ndarray:
+    """Normalized sum of positive descriptors, the temporary anchor direction.
+
+    Raises DegenerateCentroidError when the positives cancel (e.g. two
+    antipodal descriptors): an arbitrary fallback direction would silently
+    corrupt the concentration supervision.
+    """
+    p = np.asarray(positives, dtype=np.float64)
+    if p.ndim == 1:
+        p = p[None, :]
+    if p.ndim != 2 or p.shape[0] < 1:
+        raise ValueError(f"positives must be an (n, d) array, got shape {p.shape}")
+    total = p.sum(axis=0)
+    norm = np.linalg.norm(total)
+    if norm < CENTROID_EPS:
+        raise DegenerateCentroidError("positive descriptors cancel; centroid undefined")
+    return total / norm
 
 
 # --- losses -----------------------------------------------------------------
@@ -356,9 +378,10 @@ def post_loss_and_grads(params: dict, batch: TrainData,
     return loss, backward_batch(cache, params, up)
 
 
-def train_post(data: TrainData, prototypes: PrototypeSet, head: dict,
+def train_post(data: TrainData, prototypes: np.ndarray, head: dict,
                cfg: TrainConfig, eval_hook=None):
-    """Train only the kappa head against frozen descriptors and prototypes.
+    """Train only the kappa head against frozen descriptors and the (C, d)
+    unit `prototypes`.
 
     The per-batch objective is `post_loss_and_grads`.  Early stopping
     tracks the eval_hook metric (lower is better, e.g. validation ECE@1)
@@ -376,7 +399,7 @@ def train_post(data: TrainData, prototypes: PrototypeSet, head: dict,
     params = {key: value.copy() for key, value in head.items()}
 
     def loss_and_grads(p, batch):
-        return post_loss_and_grads(p, batch, prototypes.weights, cfg)
+        return post_loss_and_grads(p, batch, prototypes, cfg)
 
     def evaluate():
         return (float(eval_hook(params)),)
@@ -422,50 +445,50 @@ def joint_loss_and_grads(params: dict, batch: TrainData, cfg: TrainConfig,
     return loss, grads
 
 
-def train_joint(data: TrainData, encoder: LinearEncoder, prototypes: PrototypeSet,
+def _renormalize(rows: np.ndarray) -> None:
+    """Re-project the rows onto the sphere, in place."""
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def train_joint(data: TrainData, encoder: np.ndarray, prototypes: np.ndarray,
                 head: dict | None, cfg: TrainConfig, lmcl: LmclConfig,
                 eval_hook=None):
-    """Jointly train encoder, prototypes, and (optionally) the kappa head.
+    """Jointly train the (d, m) `encoder` weights, the (C, d) unit
+    `prototypes`, and the kappa head when lam > 0 and `head` is given.
 
     Objective: L_cls + lam * L_vMF per batch (`joint_loss_and_grads`).
     With lam == 0 (or head is None) the vMF term is skipped entirely, so
     the encoder/prototype trajectory is bit-identical to
-    classification-only training.  Prototypes are renormalized after
-    every step.
+    classification-only training, and no head is trained or returned.
+    Prototypes are renormalized after every step.
 
     Phased early stopping: phase 1 tracks Recall@1 until patience is
     exhausted, phase 2 continues while tracking ECE@1 with refreshed
     patience.  `eval_hook(encoder, prototypes, head) -> (recall1, ece1)`
-    sees the live parameters.  Copies are trained; the caller's are left
-    as they were.  With an eval hook the checkpoint's are returned.
+    sees the live arrays (head None when it is not trained).  Copies are
+    trained; the caller's are left as they were.  With an eval hook the
+    checkpoint's are returned, its prototypes renormalized once more.
     Returns (encoder, prototypes, head, history).
     """
     if data.raw is None:
         raise ValueError("joint training requires raw features")
-    encoder = encoder.copy()
-    prototypes = PrototypeSet(prototypes.weights.copy())
-    if head is not None:
-        head = {key: value.copy() for key, value in head.items()}
-
-    params = {"encoder": encoder.weights, "prototypes": prototypes.weights}
-    use_vmf = cfg.lam > 0.0 and head is not None
-    if use_vmf:
-        params.update(head)
+    head = ({key: value.copy() for key, value in head.items()}
+            if cfg.lam > 0.0 and head is not None else None)
+    params = {"encoder": encoder.copy(), "prototypes": prototypes.copy(),
+              **(head or {})}
 
     def loss_and_grads(p, batch):
         return joint_loss_and_grads(p, batch, cfg, lmcl)
 
     def evaluate():
-        return eval_hook(encoder, prototypes, head)
+        return eval_hook(params["encoder"], params["prototypes"], head)
 
     best, history = _fit(params, loss_and_grads, data, cfg,
                          evaluate if eval_hook is not None else None,
                          (("recall1", -1), ("ece1", +1)),
-                         project=prototypes.renormalize)
+                         project=lambda: _renormalize(params["prototypes"]))
     if eval_hook is not None:
-        encoder.weights = best["encoder"]
-        prototypes.weights = best["prototypes"]
-        prototypes.renormalize()
-        if use_vmf:
-            head = {key: best[key] for key in head}
-    return encoder, prototypes, head, history
+        _renormalize(best["prototypes"])
+    return (best["encoder"], best["prototypes"],
+            None if head is None else {key: best[key] for key in head},
+            history)

@@ -43,13 +43,16 @@ def check_unit(values, tol=UNIT_NORM_TOL, name="vector"):
 
 
 def check_unit_rows(rows, tol=UNIT_NORM_TOL, name="rows") -> np.ndarray:
-    """Validate an (N, d) matrix of finite unit rows; return it as float64."""
+    """Validate an (N, d) matrix of finite unit rows; return it as float64.
+    A failure names the first bad row."""
     w = np.asarray(rows, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"{name} must be an (N, d) matrix, got shape {w.shape}")
     norms = np.linalg.norm(w, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= tol):  # NaN fails too
-        raise ValueError(f"{name} must be finite and unit-norm")
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))  # NaN fails too
+    if bad.size:
+        raise ValueError(f"{name} must be finite and unit-norm; row {bad[0]} "
+                         f"has norm {norms[bad[0]]:.6g}")
     return w
 
 

@@ -18,7 +18,6 @@ import pytest
 from scipy.stats import spearmanr
 
 from kappa_sphere import scores as sc
-from kappa_sphere.anchors import PrototypeSet, batch_centroid_anchor
 from kappa_sphere.bench import run_bench
 from kappa_sphere.calibration import (BinningConfig, BinStrategy, ClampMode,
                                       clamp_values, ece_at_k,
@@ -31,11 +30,11 @@ from kappa_sphere.pipeline import (evaluate_matches, fit_head, fit_joint,
 from kappa_sphere.retrieval import (DescriptorBank, batch_knn,
                                     mark_successes, recall_at_k)
 from kappa_sphere.synth import SceneConfig, generate_scene
-from kappa_sphere.training import (AnchorMode, LinearEncoder, LmclConfig,
-                                   TrainConfig, TrainData, TrainMode,
-                                   gnll_batch, joint_loss_and_grads,
-                                   lmcl_batch, post_loss_and_grads,
-                                   train_joint)
+from kappa_sphere.training import (AnchorMode, LmclConfig, TrainConfig,
+                                   TrainData, TrainMode,
+                                   batch_centroid_anchor, encode, gnll_batch,
+                                   joint_loss_and_grads, lmcl_batch,
+                                   post_loss_and_grads, train_joint)
 from kappa_sphere.vmf import (BesselOrder, VmfParams, mle_kappa, sample_vmf,
                               stable_log_partition, stable_log_partition_grad,
                               vmf_batch_nll)
@@ -153,7 +152,7 @@ def test_criterion_2_gradient_suite():
     # LMCL (moderate scale keeps finite-difference truncation negligible)
     for _ in range(N_INSTANCES):
         d, c = int(rng.integers(4, 16)), int(rng.integers(3, 8))
-        protos = PrototypeSet(unit_rows(rng, c, d))
+        protos = unit_rows(rng, c, d)
         cfg = LmclConfig(scale=float(rng.uniform(2.0, 12.0)), margin=0.2)
         label = int(rng.integers(c))
 
@@ -163,7 +162,7 @@ def test_criterion_2_gradient_suite():
             return loss, {"z": gz[0], "w": gw}
 
         report = finite_diff_check(
-            loss_and_grad, {"z": unit(rng, d), "w": protos.weights.copy()},
+            loss_and_grad, {"z": unit(rng, d), "w": protos},
             tolerance=GRAD_TOL)
         assert report.passed, report.per_param
 
@@ -235,7 +234,7 @@ def test_criterion_2_gradient_suite():
                 params.update(head)
             held = contextlib.nullcontext()
             if anchor_mode is AnchorMode.BATCH_CENTROID:
-                z = LinearEncoder(params["encoder"]).encode(batch.raw)
+                z = encode(params["encoder"], batch.raw)
                 anchors = np.array([
                     batch_centroid_anchor(z[(labels == labels[i])
                                             & (np.arange(b) != i)])
@@ -435,11 +434,11 @@ def _joint_cfg(lam):
 def _query_recall1(dataset, encoder):
     db_idx = dataset.splits["db"]
     q_idx = dataset.splits["query"]
-    db = DescriptorBank(descriptors=encoder.encode(dataset.raw[db_idx]),
+    db = DescriptorBank(descriptors=encode(encoder, dataset.raw[db_idx]),
                         ids=dataset.bank.ids[db_idx],
                         labels=dataset.bank.labels[db_idx],
                         poses=dataset.bank.poses[db_idx])
-    results = batch_knn(encoder.encode(dataset.raw[q_idx]), db, 1,
+    results = batch_knn(encode(encoder, dataset.raw[q_idx]), db, 1,
                         query_ids=dataset.bank.ids[q_idx])
     mark_successes(results, db, dataset.bank.poses[q_idx], tau=25.0)
     return recall_at_k(results, 1)
@@ -449,8 +448,7 @@ def test_criterion_9_joint_training_non_degradation():
     dataset = generate_scene(SceneConfig(seed=0))
 
     enc_vmf, _, head, _ = fit_joint(dataset, cfg=_joint_cfg(0.01))
-    enc_cls, _, _, _ = fit_joint(dataset, cfg=_joint_cfg(0.0),
-                                 with_head=False)
+    enc_cls, _, _, _ = fit_joint(dataset, cfg=_joint_cfg(0.0))
     assert head is not None
 
     recall_vmf = _query_recall1(dataset, enc_vmf)
@@ -467,8 +465,8 @@ def test_criterion_9_joint_training_non_degradation():
                      labels=dataset.bank.labels[idx],
                      descriptors=dataset.bank.descriptors[idx],
                      raw=dataset.raw[idx])
-    encoder = LinearEncoder(rng.standard_normal(
-        (dataset.config.descriptor_dim, dataset.raw.shape[1])))
+    encoder = rng.standard_normal(
+        (dataset.config.descriptor_dim, dataset.raw.shape[1]))
     head0 = init_head(dataset.config.feature_shape, hidden=8, rng=0)
     cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.0, lr=1e-4,
                       max_epochs=8, seed=0)
@@ -477,8 +475,8 @@ def test_criterion_9_joint_training_non_degradation():
                                           head0, cfg, lmcl)
     enc_b, pro_b, _, hist_b = train_joint(data, encoder, dataset.prototypes,
                                           None, cfg, lmcl)
-    np.testing.assert_array_equal(enc_a.weights, enc_b.weights)
-    np.testing.assert_array_equal(pro_a.weights, pro_b.weights)
+    np.testing.assert_array_equal(enc_a, enc_b)
+    np.testing.assert_array_equal(pro_a, pro_b)
     assert [r["loss"] for r in hist_a] == [r["loss"] for r in hist_b]
 
 

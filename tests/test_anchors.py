@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappa_sphere.anchors import (DegenerateCentroidError, PrototypeSet,
-                                  batch_centroid_anchor)
-from kappa_sphere.training import TrainConfig, _resolve_anchors
+from kappa_sphere.training import (DegenerateCentroidError, TrainConfig,
+                                   _resolve_anchors, batch_centroid_anchor)
 
 
 def unit_rows(rng, n, d):
@@ -16,31 +15,16 @@ def unit_rows(rng, n, d):
 
 
 class TestPrototypeSet:
-    def test_validates_unit_rows(self, rng):
-        with pytest.raises(ValueError):
-            PrototypeSet(rng.standard_normal((4, 8)) * 3.0)
-
-    def test_rejects_nonfinite_rows(self, rng):
-        w = unit_rows(rng, 4, 8)
-        w[1, 0] = np.nan
-        with pytest.raises(ValueError, match="unit-norm"):
-            PrototypeSet(w)
-
-    def test_renormalize(self, rng):
-        protos = PrototypeSet(unit_rows(rng, 5, 16))
-        protos.weights *= 1.5  # simulate an optimizer step off the sphere
-        protos.renormalize()
-        np.testing.assert_allclose(np.linalg.norm(protos.weights, axis=1), 1.0,
-                                   atol=1e-14)
+    """Class-prototype anchoring against the (C, d) prototype rows."""
 
     def test_unknown_label(self, rng):
         # class-prototype anchoring resolves every label of a batch before
         # a loss reads a prototype row
-        protos = PrototypeSet(unit_rows(rng, 3, 8))
+        protos = unit_rows(rng, 3, 8)
         z = unit_rows(rng, 2, 8)
         for labels in ([0, 3], [-1, 0]):
             with pytest.raises(KeyError):
-                _resolve_anchors(TrainConfig(), protos.weights, z,
+                _resolve_anchors(TrainConfig(), protos, z,
                                  np.array(labels))
 
 

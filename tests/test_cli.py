@@ -92,6 +92,28 @@ class TestFit:
             (b / "manifest.json").read_bytes()
 
 
+class TestTrain:
+    def test_lambda_zero_records_no_head(self, tmp_path):
+        # at lam = 0 nothing trains the kappa head, so train records no
+        # head and no kappas (replacing fit's), and eval files the kappa
+        # scores as unsupported instead of scoring an untrained head
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "train": {
+            **SMALL_CONFIG["train"], "lam": 0.0}}))
+        out = tmp_path / "run"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        for command in ("fit", "train", "eval"):
+            assert main([command, "--out", str(out)]) == 0, command
+        model = json.loads((out / "model.json").read_text())
+        assert model["head"] is None and model["extra"]["lam"] == 0.0
+        assert model["encoder"] and model["prototypes"]
+        assert json.loads((out / "manifest.json").read_text())["kappas"] \
+            is None
+        report = json.loads((out / "report.json").read_text())
+        assert report["spearman_kappa"] is None
+        assert set(report["unsupported"]) == {"resultant", "inv_kappa"}
+
+
 class TestSceneRecord:
     """fit and train read the scene gen recorded in scene.npz; they never
     generate it, and a record that is missing or not for the resolved
@@ -400,8 +422,21 @@ class TestReportCommand:
         (lambda doc: [doc], "(at $)"),
         (lambda doc: {k: v for k, v in doc.items() if k != "reports"},
          "(at $.reports)"),
-        (lambda doc: {**doc, "reports": []}, "(at $.reports)")],
-        ids=["array", "no reports", "reports not an object"])
+        (lambda doc: {**doc, "reports": []}, "(at $.reports)"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "seed"},
+         "(at $.seed)"),
+        (lambda doc: {**doc, "seed": "0"}, "(at $.seed)"),
+        (lambda doc: {**doc, "recalls": [1]}, "(at $.recalls)"),
+        (lambda doc: {**doc, "recalls": {**doc["recalls"], "5": "0.9"}},
+         "(at $.recalls.5)"),
+        (lambda doc: {**doc, "recalls": {"top": 0.5}}, "(at $.recalls.top)"),
+        (lambda doc: {**doc, "spearman_kappa": "0.9"},
+         "(at $.spearman_kappa)"),
+        (lambda doc: {**doc, "unsupported": ["pa"]}, "(at $.unsupported)")],
+        ids=["array", "no reports", "reports not an object", "no seed",
+             "string seed", "recalls an array", "string recall",
+             "recall key not a K", "string spearman",
+             "unsupported an array"])
     def test_rejects_a_malformed_document_before_printing(
             self, workdir, tmp_path, capsys, edit, where):
         out = workdir["out"]

@@ -24,8 +24,8 @@ from kappa_sphere.calibration import BinningConfig, BinStrategy
 from kappa_sphere.head import init_head
 from kappa_sphere.retrieval import DescriptorBank, batch_knn
 from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
-from kappa_sphere.training import (AnchorMode, LinearEncoder, LmclConfig,
-                                   TrainConfig, TrainMode)
+from kappa_sphere.training import (AnchorMode, LmclConfig, TrainConfig,
+                                   TrainMode)
 
 
 def unit_rows(rng, n, d):
@@ -326,7 +326,7 @@ class TestModelState:
     def test_full_state_round_trip(self, rng, tmp_path):
         head = init_head((8, 4, 4), hidden=5, rng=rng)
         head["kappa_b"][0] = -0.1  # no exact binary fraction; repr round-trips
-        encoder = LinearEncoder(rng.standard_normal((4, 6)))
+        encoder = rng.standard_normal((4, 6))
         protos = unit_rows(rng, 3, 4)
         path = tmp_path / "model.json"
         write_model_state(path, head=head, encoder=encoder, prototypes=protos)
@@ -342,7 +342,7 @@ class TestModelState:
             assert _same_bits(np.asarray(doc["head"][name]),
                               head[name]), name
         assert doc["head"]["kappa_b"] == -0.1
-        assert _same_bits(np.asarray(doc["encoder"]), encoder.weights)
+        assert _same_bits(np.asarray(doc["encoder"]), encoder)
         assert _same_bits(np.asarray(doc["prototypes"]), protos)
 
     def test_none_head(self, tmp_path):
@@ -398,9 +398,9 @@ class TestSceneRecord:
             assert _same_bits(getattr(got.bank, name),
                               getattr(want.bank, name)), name
         assert got.bank.kappas is None and want.bank.kappas is None
-        for name in ("features", "raw", "ambiguity", "class_poses"):
+        for name in ("features", "raw", "ambiguity", "class_poses",
+                     "prototypes"):
             assert _same_bits(getattr(got, name), getattr(want, name)), name
-        assert _same_bits(got.prototypes.weights, want.prototypes.weights)
         assert set(got.splits) == set(want.splits) == set(SPLIT_NAMES)
         for name in SPLIT_NAMES:
             assert _same_bits(got.splits[name], want.splits[name]), name
@@ -422,16 +422,26 @@ class TestSceneRecord:
         ("label out of range", "labels"),
         ("pickled features", "features"),
         ("no prototypes", "prototypes"),
+        ("prototype row 2 off the sphere", "prototypes"),
+        ("prototype row 5 NaN", "prototypes"),
+        ("descriptor row 3 off the sphere", "descriptors"),
+        ("descriptor row 7 NaN", "descriptors"),
         ("pair out of range", "aliased_pairs"),
         ("scene not JSON", "scene"),
         ("overlapping splits", None),
     ])
     def test_bad_record_fails_with_its_location(self, recorded, garble,
                                                 field):
+        # a row that is not finite and unit-norm is named with its field
         path, resolved = recorded
         with np.load(path) as npz:
             record = dict(npz)
-        if garble == "float32 descriptors":
+        row = None
+        if garble.startswith(("prototype row", "descriptor row")):
+            row = int(garble.split()[2])
+            name = garble.split()[0] + "s"
+            record[name][row] *= np.nan if garble.endswith("NaN") else 1.01
+        elif garble == "float32 descriptors":
             record["descriptors"] = record["descriptors"].astype(np.float32)
         elif garble == "one label short":
             record["labels"] = record["labels"][1:]
@@ -451,6 +461,8 @@ class TestSceneRecord:
         with pytest.raises(RecordFileError) as exc:
             read_scene(path, resolved)
         assert exc.value.path == str(path) and exc.value.field == field
+        if row is not None:
+            assert f"unit-norm; row {row} has norm" in str(exc.value)
 
     @pytest.mark.parametrize("scene, key", [
         ({"images_per_class": 20}, "images_per_class"),

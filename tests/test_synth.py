@@ -79,7 +79,7 @@ class TestScene:
 
     def test_prototypes_separated(self):
         ds = generate_scene(SceneConfig(seed=0, **SMALL))
-        gram = np.abs(ds.prototypes.weights @ ds.prototypes.weights.T)
+        gram = np.abs(ds.prototypes @ ds.prototypes.T)
         np.fill_diagonal(gram, 0.0)
         assert gram.max() < 0.5
 
@@ -133,8 +133,8 @@ class TestAliasing:
                                         num_classes=8, images_per_class=10,
                                         descriptor_dim=16))
         a, b = ds.aliased_pairs[0]
-        np.testing.assert_array_equal(ds.prototypes.weights[a],
-                                      ds.prototypes.weights[b])
+        np.testing.assert_array_equal(ds.prototypes[a],
+                                      ds.prototypes[b])
         # geographically distinct despite identical appearance
         assert np.linalg.norm(ds.class_poses[a] - ds.class_poses[b]) > 25.0
 

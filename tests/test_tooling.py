@@ -1,6 +1,7 @@
 """The layer tracer's targets and the names the benchmark harness imports
 from the package exist, so a rename fails here rather than in a benchmark
-run; no package module imports scipy, and the CLI's modules start without
+run; the package's submodule table lists its module files; no package
+module imports scipy, and the CLI's modules start without
 it; every module-level function and class of the package runs outside the
 tests; --help and argument errors return without loading numpy; every
 demo runs; and no CLI command leaves a temp file in its run directory."""
@@ -61,11 +62,9 @@ def test_trace_epoch_counters_read_the_history():
     # Without an eval hook every configured epoch runs.
     import numpy as np
 
-    from kappa_sphere.anchors import PrototypeSet
     from kappa_sphere.head import init_head
-    from kappa_sphere.training import (LinearEncoder, LmclConfig,
-                                       TrainConfig, TrainData, TrainMode,
-                                       train_joint, train_post)
+    from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
+                                       TrainMode, train_joint, train_post)
 
     targets = _trace_runner().TARGETS["kappa_sphere.training"]
     rng = np.random.default_rng(0)
@@ -73,19 +72,28 @@ def test_trace_epoch_counters_read_the_history():
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     data = TrainData(features=rng.random((12, 3)), labels=np.arange(12) % 4,
                      descriptors=unit, raw=rng.standard_normal((12, 5)))
-    protos = PrototypeSet(unit[:4].copy())
+    protos = unit[:4].copy()
     head = init_head((3, 2, 2), hidden=4, rng=rng)
     for name, mode, run in (
             ("train_post", TrainMode.POST_TRAINING,
              lambda cfg: train_post(data, protos, head, cfg)),
             ("train_joint", TrainMode.JOINT_TRAINING,
              lambda cfg: train_joint(
-                 data, LinearEncoder(rng.standard_normal((6, 5))), protos,
+                 data, rng.standard_normal((6, 5)), protos,
                  head, cfg, LmclConfig()))):
         cfg = TrainConfig(mode=mode, max_epochs=2, warmup=0)
         _, counter, count = targets[name]
         assert counter == "training.epochs"
         assert count((), {}, run(cfg)) == cfg.max_epochs, name
+
+
+def test_submodules_are_the_module_files():
+    # the package's lazy attribute table names exactly its module files,
+    # so a deleted module cannot stay listed
+    import kappa_sphere
+
+    assert kappa_sphere._SUBMODULES == {
+        path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
 
 
 def test_harness_imports_exist():

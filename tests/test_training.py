@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from kappa_sphere import pipeline
-from kappa_sphere.anchors import PrototypeSet
 from kappa_sphere.head import aggregate, init_head
 from kappa_sphere.synth import SceneConfig, generate_scene
-from kappa_sphere.training import (AdamState, AnchorMode, LinearEncoder,
-                                   LmclConfig, TrainConfig, TrainData,
-                                   TrainMode, _epoch_batches, adam_step,
-                                   gnll_batch, lmcl_batch, train_joint,
-                                   train_post)
+from kappa_sphere.training import (AdamState, AnchorMode, LmclConfig,
+                                   TrainConfig, TrainData, TrainMode,
+                                   _epoch_batches, adam_step, gnll_batch,
+                                   lmcl_batch, train_joint, train_post)
 from oracles import finite_diff_check
 
 
@@ -41,7 +39,7 @@ class TestLmcl:
         # Moderate scale keeps finite-difference truncation error (which
         # grows like scale^3) well below the 1e-4 tolerance.
         d, c = 10, 6
-        protos = PrototypeSet(unit_rows(rng, c, d))
+        protos = unit_rows(rng, c, d)
         z0 = unit_rows(rng, 1, d)[0]
         cfg = LmclConfig(scale=8.0, margin=0.2)
 
@@ -52,26 +50,26 @@ class TestLmcl:
             return loss, {"z": gz, "w": gw}
 
         report = finite_diff_check(
-            loss_and_grad, {"z": z0.copy(), "w": protos.weights.copy()})
+            loss_and_grad, {"z": z0.copy(), "w": protos.copy()})
         assert report.passed, report.per_param
 
     def test_margin_penalizes_true_class(self, rng):
         d, c = 8, 5
-        protos = PrototypeSet(unit_rows(rng, c, d))
-        z = protos.weights[1].copy()
-        with_margin, _, _ = lmcl_one(z, protos.weights, 1, LmclConfig(30.0, 0.35))
-        without, _, _ = lmcl_one(z, protos.weights, 1, LmclConfig(30.0, 0.0))
+        protos = unit_rows(rng, c, d)
+        z = protos[1].copy()
+        with_margin, _, _ = lmcl_one(z, protos, 1, LmclConfig(30.0, 0.35))
+        without, _, _ = lmcl_one(z, protos, 1, LmclConfig(30.0, 0.0))
         assert with_margin > without
 
     def test_shift_invariance_of_softmax(self, rng):
         # The implementation must match the naive formula computed in
         # extended precision even when logits are large.
         d, c = 6, 4
-        protos = PrototypeSet(unit_rows(rng, c, d))
+        protos = unit_rows(rng, c, d)
         z = unit_rows(rng, 1, d)[0]
         cfg = LmclConfig(scale=300.0, margin=0.35)
-        loss, _, _ = lmcl_one(z, protos.weights, 0, cfg)
-        logits = cfg.scale * (protos.weights @ z)
+        loss, _, _ = lmcl_one(z, protos, 0, cfg)
+        logits = cfg.scale * (protos @ z)
         logits[0] -= cfg.scale * cfg.margin
         big = np.array(logits, dtype=np.longdouble)
         expected = float(np.log(np.exp(big).sum()) - big[0])
@@ -218,7 +216,7 @@ def tiny_data(rng, n=24, c=3, h=2, w=2, d=6, num_classes=4, raw_dim=5):
     features = aggregate(rng.standard_normal((n, c, h, w)))
     descriptors = unit_rows(rng, n, d)
     raw = rng.standard_normal((n, raw_dim))
-    protos = PrototypeSet(unit_rows(rng, num_classes, d))
+    protos = unit_rows(rng, num_classes, d)
     return (TrainData(features=features, labels=labels,
                       descriptors=descriptors, raw=raw), protos)
 
@@ -310,7 +308,7 @@ class TestTrainPost:
         data = TrainData(features=rng.standard_normal((n, 3)),
                          labels=np.arange(n),
                          descriptors=unit_rows(rng, n, 6))
-        protos = PrototypeSet(unit_rows(rng, n, 6))
+        protos = unit_rows(rng, n, 6)
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         cfg = TrainConfig(max_epochs=1, warmup=0,
                           anchor_mode=AnchorMode.BATCH_CENTROID)
@@ -320,7 +318,7 @@ class TestTrainPost:
     def test_requires_descriptors(self, rng):
         data = TrainData(features=rng.standard_normal((4, 3)),
                          labels=np.zeros(4, dtype=int))
-        protos = PrototypeSet(unit_rows(rng, 2, 6))
+        protos = unit_rows(rng, 2, 6)
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         with pytest.raises(ValueError):
             train_post(data, protos, head, TrainConfig())
@@ -366,16 +364,18 @@ class TestEpochBatches:
 class TestTrainJoint:
     def test_lambda_zero_matches_classification_only(self, rng):
         data, protos = tiny_data(rng)
-        encoder = LinearEncoder(rng.standard_normal((6, 5)))
+        encoder = rng.standard_normal((6, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         cfg0 = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.0,
                            max_epochs=4, warmup=0)
-        enc_a, pro_a, _, _ = train_joint(data, encoder, protos, head, cfg0,
-                                         LmclConfig())
+        enc_a, pro_a, head_a, _ = train_joint(data, encoder, protos, head,
+                                              cfg0, LmclConfig())
         enc_b, pro_b, _, _ = train_joint(data, encoder, protos, None, cfg0,
                                          LmclConfig())
-        np.testing.assert_array_equal(enc_a.weights, enc_b.weights)
-        np.testing.assert_array_equal(pro_a.weights, pro_b.weights)
+        np.testing.assert_array_equal(enc_a, enc_b)
+        np.testing.assert_array_equal(pro_a, pro_b)
+        # at lam = 0 nothing trains the head, so none comes back
+        assert head_a is None
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_lambda_zero_rejects_a_label_outside_the_classes(self, rng, bad):
@@ -388,12 +388,12 @@ class TestTrainJoint:
         cfg0 = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.0,
                            max_epochs=2, warmup=0)
         with pytest.raises(ValueError, match=rf"label {bad} .*\[0, 4\)"):
-            train_joint(data, LinearEncoder(rng.standard_normal((6, 5))),
+            train_joint(data, rng.standard_normal((6, 5)),
                         protos, None, cfg0, LmclConfig())
 
     def test_loss_decreases(self, rng):
         data, protos = tiny_data(rng, n=48)
-        encoder = LinearEncoder(rng.standard_normal((6, 5)))
+        encoder = rng.standard_normal((6, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.01, lr=0.01,
                           max_epochs=30, warmup=0)
@@ -403,18 +403,18 @@ class TestTrainJoint:
 
     def test_prototypes_stay_unit(self, rng):
         data, protos = tiny_data(rng)
-        encoder = LinearEncoder(rng.standard_normal((6, 5)))
+        encoder = rng.standard_normal((6, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, max_epochs=3,
                           warmup=0)
         _, pro, _, _ = train_joint(data, encoder, protos, head, cfg,
                                    LmclConfig())
-        np.testing.assert_allclose(np.linalg.norm(pro.weights, axis=1), 1.0,
+        np.testing.assert_allclose(np.linalg.norm(pro, axis=1), 1.0,
                                    atol=1e-12)
 
     def test_phased_early_stopping(self, rng):
         data, protos = tiny_data(rng)
-        encoder = LinearEncoder(rng.standard_normal((6, 5)))
+        encoder = rng.standard_normal((6, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
 
         recalls = [0.5, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6]
@@ -440,11 +440,12 @@ class TestTrainJoint:
     def test_returns_the_checkpoint(self, rng):
         # With an eval hook and lam > 0 the encoder and head come back as
         # they were at the selected epoch, not the last one; the hook sees
-        # the live parameters, and the caller's head is left as it was.
+        # the live parameters, and the caller's arrays are left as they were.
         data, protos = tiny_data(rng)
-        encoder = LinearEncoder(rng.standard_normal((6, 5)))
+        encoder = rng.standard_normal((6, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         before = {key: value.copy() for key, value in head.items()}
+        before.update(encoder=encoder.copy(), prototypes=protos.copy())
         # recall is best at epoch 1 and stale at 2, 3 -> phase 2 from
         # epoch 4, where ECE is best; stale at 5, 6 -> stop after epoch 6
         recalls = [0.5, 0.9, 0.4, 0.4, 0.4, 0.4, 0.4]
@@ -452,7 +453,7 @@ class TestTrainJoint:
         seen = []
 
         def hook(enc, pro, hd):
-            seen.append((enc.weights.copy(),
+            seen.append((enc.copy(),
                          {key: value.copy() for key, value in hd.items()}))
             return recalls[len(seen) - 1], eces[len(seen) - 1]
 
@@ -464,20 +465,22 @@ class TestTrainJoint:
         assert len(history) == len(seen) == 7
         best_enc, best_head = seen[4]
         last_enc, last_head = seen[6]
-        np.testing.assert_array_equal(enc.weights, best_enc)
-        assert not np.array_equal(enc.weights, last_enc)
+        np.testing.assert_array_equal(enc, best_enc)
+        assert not np.array_equal(enc, last_enc)
         assert set(trained) == set(head)
         for key in head:
             np.testing.assert_array_equal(trained[key], best_head[key])
             assert not np.array_equal(trained[key], last_head[key]), key
             np.testing.assert_array_equal(head[key], before[key])
+        np.testing.assert_array_equal(encoder, before["encoder"])
+        np.testing.assert_array_equal(protos, before["prototypes"])
 
     def test_requires_raw(self, rng):
         data = TrainData(features=rng.standard_normal((4, 3)),
                          labels=np.zeros(4, dtype=int),
                          descriptors=unit_rows(rng, 4, 6))
-        encoder = LinearEncoder(rng.standard_normal((6, 5)))
-        protos = PrototypeSet(unit_rows(rng, 2, 6))
+        encoder = rng.standard_normal((6, 5))
+        protos = unit_rows(rng, 2, 6)
         with pytest.raises(ValueError):
             train_joint(data, encoder, protos, None,
                         TrainConfig(mode=TrainMode.JOINT_TRAINING),
