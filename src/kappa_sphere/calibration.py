@@ -38,6 +38,15 @@ class ClampMode(str, Enum):
     NONE = "none"
 
 
+class FieldError(ValueError):
+    """A config field whose value fails a check of that field alone;
+    carries the field's name, so a run config locates it at its key."""
+
+    def __init__(self, key: str, want: str, value):
+        super().__init__(f"{key} must be {want}, got {value!r}")
+        self.key = key
+
+
 @dataclass
 class BinningConfig:
     num_bins: int = 10
@@ -46,7 +55,7 @@ class BinningConfig:
 
     def __post_init__(self):
         if self.num_bins < 2:
-            raise ValueError("need at least 2 bins")
+            raise FieldError("num_bins", ">= 2", self.num_bins)
 
 
 def _clamp_indices(n: int) -> tuple:

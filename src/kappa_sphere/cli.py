@@ -18,7 +18,6 @@ argument errors return without loading numpy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -59,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bins", type=int, default=None, help="bin count M")
         p.add_argument("--binning", choices=["equal-width", "quantile"],
                        default=None)
-        p.add_argument("--method", default=None,
-                       help="comma-separated method subset")
+        if name == "eval":  # match-eval scores every pair it can
+            p.add_argument("--method", default=None,
+                           help="comma-separated method subset")
         p.add_argument("--svg", action="store_true",
                        help="write reliability diagrams")
 
@@ -80,8 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args):
+    """The run config: --config or, after gen, the config.json gen recorded
+    in --out, with the flags that override it."""
     from . import fileio
 
+    path = args.config
+    if path is None and args.command != "gen":
+        recorded = _paths(args.out)["config"]
+        path = recorded if os.path.exists(recorded) else None
     overrides = {}
     if args.seed is not None:
         overrides = {"scene": {"seed": args.seed}, "train": {"seed": args.seed}}
@@ -95,7 +101,7 @@ def _resolve(args):
         binning["strategy"] = args.binning.replace("-", "_")
     if binning:
         overrides["binning"] = binning
-    return fileio.load_run_config(args.config, overrides)
+    return fileio.load_run_config(path, overrides)
 
 
 def _paths(out):
@@ -110,8 +116,8 @@ def _paths(out):
     }
 
 
-def _write_artifacts(out, resolved, dataset, history=None, **model) -> dict:
-    """Write the scene's bank, manifest and resolved config into `out`;
+def _write_artifacts(out, run, dataset, history=None, **model) -> dict:
+    """Write the scene's bank, manifest and run config into `out`;
     with a training `history`, also the model state (`model` goes to
     `fileio.write_model_state`) and history.csv.  Returns the paths."""
     from . import fileio
@@ -123,8 +129,8 @@ def _write_artifacts(out, resolved, dataset, history=None, **model) -> dict:
         fileio.atomic_write_text(paths["history"], fileio.history_csv(history))
     fileio.write_bank(paths["bank"], dataset.bank.descriptors)
     fileio.write_manifest(paths["manifest"], dataset.bank, dataset.splits)
-    fileio.atomic_write_text(paths["config"],
-                             json.dumps(resolved, sort_keys=True, indent=2))
+    fileio.atomic_write_text(paths["config"], json.dumps(
+        run.to_json(), sort_keys=True, indent=2))
     return paths
 
 
@@ -132,40 +138,27 @@ def cmd_gen(args) -> int:
     from . import fileio
     from .synth import generate_scene
 
-    resolved = _resolve(args)
-    dataset = generate_scene(fileio.scene_config_from(resolved))
-    paths = _write_artifacts(args.out, resolved, dataset)
+    run = _resolve(args)
+    dataset = generate_scene(run.scene)
+    paths = _write_artifacts(args.out, run, dataset)
     # fit and train read this record instead of generating the scene again
-    fileio.write_scene(paths["scene"], dataset, resolved)
+    fileio.write_scene(paths["scene"], dataset)
     print(f"wrote {paths['bank']}, {paths['manifest']}, {paths['config']}, "
           f"{paths['scene']}")
     return 0
 
 
-def _config_for_out(args):
-    """Prefer the config.json recorded by gen unless --config was given."""
-    if args.config is None:
-        candidate = os.path.join(args.out, "config.json")
-        if os.path.exists(candidate):
-            args.config = candidate
-    return _resolve(args)
-
-
 def cmd_fit(args) -> int:
     from . import fileio
     from .pipeline import fit_head, predict_kappas
-    from .training import TrainMode
 
-    resolved = _config_for_out(args)
-    train_cfg = fileio.train_config_from(resolved)
-    if train_cfg.mode not in (TrainMode.POST_TRAINING, TrainMode.GNLL_VARIANT):
-        raise ValueError("fit expects train.mode post_training or gnll_variant")
-    dataset = fileio.read_scene(_paths(args.out)["scene"], resolved)
-    head, history = fit_head(dataset, cfg=train_cfg, tau=resolved["tau"],
-                             binning=fileio.binning_config_from(resolved))
+    run = _resolve(args)
+    dataset = fileio.read_scene(_paths(args.out)["scene"], run.scene)
+    head, history = fit_head(dataset, cfg=run.train, tau=run.tau,
+                             binning=run.binning)
     dataset.bank.kappas = predict_kappas(dataset.head_inputs(), head)
-    paths = _write_artifacts(args.out, resolved, dataset, history, head=head,
-                             extra={"mode": train_cfg.mode.value,
+    paths = _write_artifacts(args.out, run, dataset, history, head=head,
+                             extra={"mode": run.train.mode.value,
                                     "epochs": len(history)})
     print(f"fitted head in {len(history)} epochs; wrote {paths['model']}")
     return 0
@@ -174,23 +167,20 @@ def cmd_fit(args) -> int:
 def cmd_train(args) -> int:
     from . import fileio
     from .pipeline import fit_joint, predict_kappas
-    from .training import TrainMode, encode
+    from .training import encode
 
-    resolved = _config_for_out(args)
-    train_cfg = dataclasses.replace(fileio.train_config_from(resolved),
-                                    mode=TrainMode.JOINT_TRAINING)
-    lmcl = fileio.lmcl_config_from(resolved)
-    dataset = fileio.read_scene(_paths(args.out)["scene"], resolved)
+    run = _resolve(args)
+    dataset = fileio.read_scene(_paths(args.out)["scene"], run.scene)
     encoder, prototypes, head, history = fit_joint(
-        dataset, cfg=train_cfg, lmcl=lmcl, tau=resolved["tau"],
-        binning=fileio.binning_config_from(resolved))
+        dataset, cfg=run.train, lmcl=run.lmcl, tau=run.tau,
+        binning=run.binning)
     dataset.bank.descriptors = encode(encoder, dataset.raw)
     if head is not None:
         dataset.bank.kappas = predict_kappas(dataset.head_inputs(), head)
-    paths = _write_artifacts(args.out, resolved, dataset, history, head=head,
+    paths = _write_artifacts(args.out, run, dataset, history, head=head,
                              encoder=encoder, prototypes=prototypes,
-                             extra={"mode": train_cfg.mode.value,
-                                    "lam": train_cfg.lam,
+                             extra={"mode": "joint_training",
+                                    "lam": run.train.lam,
                                     "epochs": len(history)})
     print(f"joint training finished in {len(history)} epochs; "
           f"wrote {paths['model']}")
@@ -203,8 +193,8 @@ def _load_eval_inputs(args):
     paths = _paths(args.out)
     desc = fileio.read_bank(paths["bank"])
     bank, splits = fileio.read_manifest(paths["manifest"], desc)
-    resolved = _config_for_out(args)
-    return resolved, bank.subset(splits["db"]), bank.subset(splits["query"])
+    run = _resolve(args)
+    return run, bank.subset(splits["db"]), bank.subset(splits["query"])
 
 
 def _write_svgs(directory, reports) -> list:
@@ -227,17 +217,15 @@ def cmd_eval(args) -> int:
     from . import fileio, scores as sc
     from .pipeline import evaluate_queries
 
-    resolved, db, queries = _load_eval_inputs(args)
-    ks = resolved["ks"]
+    run, db, queries = _load_eval_inputs(args)
     methods = sc.ALL_METHODS
     if args.method:
         methods = tuple(str(args.method).split(","))
         unknown = sorted(set(methods) - set(sc.ALL_METHODS))
         if unknown:
             raise ValueError(f"unknown methods {unknown}")
-    ev = evaluate_queries(db, queries, ks=ks, methods=methods,
-                          binning=fileio.binning_config_from(resolved),
-                          tau=resolved["tau"])
+    ev = evaluate_queries(db, queries, ks=run.ks, methods=methods,
+                          binning=run.binning, tau=run.tau)
     body = {
         "level": "query",
         "recalls": {str(k): v for k, v in ev.recalls.items()},
@@ -247,15 +235,14 @@ def cmd_eval(args) -> int:
                     for (m, k), rep in sorted(ev.reports.items())},
     }
     out_path = os.path.join(args.out, "report.json")
-    fileio.atomic_write_text(out_path, fileio.report_document(
-        body, resolved, resolved["scene"]["seed"]))
+    fileio.atomic_write_text(out_path, fileio.report_document(body, run))
     # match-eval reads the first k columns of this search instead of
     # repeating it; eval itself never reads the file
     fileio.write_retrieval(_paths(args.out)["retrieval"], db, queries,
                            ev.results)
     if args.svg:
         _write_svgs(args.out, ev.reports.values())
-    _print_query_table(ev, ks)
+    _print_query_table(ev, run.ks)
     print(f"wrote {out_path}")
     return 0
 
@@ -264,22 +251,20 @@ def cmd_match_eval(args) -> int:
     from . import fileio
     from .pipeline import evaluate_matches
 
-    resolved, db, queries = _load_eval_inputs(args)
-    k = resolved["ks"][0]
+    run, db, queries = _load_eval_inputs(args)
+    k = run.ks[0]
     # the search eval recorded for these exact inputs, when at least k deep
     results = fileio.read_retrieval(_paths(args.out)["retrieval"], db,
                                     queries, k)
-    ev = evaluate_matches(db, queries, k=k,
-                          binning=fileio.binning_config_from(resolved),
-                          tau=resolved["tau"], results=results)
+    ev = evaluate_matches(db, queries, k=k, binning=run.binning, tau=run.tau,
+                          results=results)
     body = {
         "level": "match",
         "k": k,
         "reports": {m: rep.to_dict() for m, rep in sorted(ev.reports.items())},
     }
     out_path = os.path.join(args.out, "match_report.json")
-    fileio.atomic_write_text(out_path, fileio.report_document(
-        body, resolved, resolved["scene"]["seed"]))
+    fileio.atomic_write_text(out_path, fileio.report_document(body, run))
     if args.svg:
         _write_svgs(args.out, ev.reports.values())
     for m, rep in sorted(ev.reports.items()):

@@ -1,6 +1,6 @@
 """File formats: the binary descriptor-bank format, the JSON manifest,
-the scene record, the recorded retrieval, run configuration, model state,
-and report emission.
+the scene record, the recorded retrieval, the run configuration
+(`RunConfig`), model state, and report emission.
 
 Bank layout (little-endian): magic "KPB1", u32 version = 1, u32 dim,
 u64 count, then count*dim float32 values row-major.  The scene record and
@@ -18,13 +18,13 @@ import sys
 import tempfile
 import zipfile
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain
 
 import numpy as np
 
-from .calibration import BinningConfig
+from .calibration import BinningConfig, FieldError
 from .head import GEM_P
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                         RetrievalResult)
@@ -336,14 +336,15 @@ def _check_indices(value, upper: int, path, name: str) -> None:
 # scene record
 
 
-def write_scene(path, dataset: SynthDataset, resolved: dict) -> None:
-    """Record the float64 scene that `resolved`'s scene section generated:
-    every array of `dataset` but `raw` (`read_scene` derives it), its
-    aliased pairs and splits, and the section itself as JSON, the record's
-    key.  A numpy-only .npz archive, written atomically."""
+def write_scene(path, dataset: SynthDataset) -> None:
+    """Record the float64 scene `dataset`: every array but `raw`
+    (`read_scene` derives it), its aliased pairs and splits, and its
+    SceneConfig as JSON, the record's key.  A numpy-only .npz archive,
+    written atomically."""
     bank = dataset.bank
+    scene = _section_json("scene", dataset.config)
     _write_record(
-        path, scene=np.array(json.dumps(resolved["scene"], sort_keys=True)),
+        path, scene=np.array(json.dumps(scene, sort_keys=True)),
         descriptors=bank.descriptors, labels=bank.labels, poses=bank.poses,
         true_kappa=bank.true_kappa, features=dataset.features,
         ambiguity=dataset.ambiguity, prototypes=dataset.prototypes,
@@ -386,8 +387,8 @@ def _check_scene_key(archive, path, scene: dict) -> None:
                 f"$.scene.{key}")
 
 
-def read_scene(path, resolved: dict) -> SynthDataset:
-    """The scene `write_scene` recorded for `resolved`'s scene section.
+def read_scene(path, cfg: SceneConfig) -> SynthDataset:
+    """The scene `write_scene` recorded for the SceneConfig `cfg`.
 
     A record of another section fails with a ConfigError at the first key
     that differs (`$.scene.seed`), naming the file; a missing file, or a
@@ -396,11 +397,10 @@ def read_scene(path, resolved: dict) -> SynthDataset:
     finite and unit-norm).  `raw` is rebuilt by `raw_inputs`, as
     `generate_scene` builds it, so every array has the generator's bits.
     """
-    cfg = scene_config_from(resolved)
     if not os.path.isfile(path):
         raise RecordFileError("no scene record; run gen first", path)
     with _open_record(path) as archive:
-        _check_scene_key(archive, path, resolved["scene"])
+        _check_scene_key(archive, path, _section_json("scene", cfg))
         values = {name: _record_field(archive, name, path, dtype, shape)
                   for name, (dtype, shape) in _scene_fields(cfg).items()}
     n = len(values["labels"])
@@ -514,23 +514,34 @@ _TOP_KEYS = {*_SECTIONS, "ks", "tau"}
 _FLOAT_MAX = sys.float_info.max
 
 
-def _json_value(value):
-    """A config value as JSON holds it: an enum as its value, a tuple as a
-    list."""
-    if isinstance(value, Enum):
-        return value.value
-    return list(value) if isinstance(value, tuple) else value
+def _section_json(name: str, section) -> dict:
+    """The config keys of the section `name` as JSON holds them: an enum
+    as its value, a tuple as a list."""
+    values = {f.name: getattr(section, f.name) for f in fields(section)}
+    return {key: v.value if isinstance(v, Enum)
+            else list(v) if isinstance(v, tuple) else v
+            for key, v in values.items() if key in _SECTION_KEYS[name]}
 
 
-def default_run_config() -> dict:
-    """The run config that the section dataclasses' defaults, DEFAULT_KS and
-    DEFAULT_TAU make, as JSON values."""
-    resolved = {}
-    for name, cls in _SECTIONS.items():
-        defaults = cls()
-        resolved[name] = {f.name: _json_value(getattr(defaults, f.name))
-                          for f in fields(cls) if f.name in _SECTION_KEYS[name]}
-    return {**resolved, "ks": list(DEFAULT_KS), "tau": DEFAULT_TAU}
+@dataclass(frozen=True)
+class RunConfig:
+    """A resolved run config: one dataclass per section, the K of Recall@K
+    and ECE@K, and the positive radius tau.  The binning's clamp is the
+    default, which eval replaces per method."""
+
+    scene: SceneConfig = field(default_factory=SceneConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    lmcl: LmclConfig = field(default_factory=LmclConfig)
+    binning: BinningConfig = field(default_factory=BinningConfig)
+    ks: tuple = DEFAULT_KS
+    tau: float = DEFAULT_TAU
+
+    def to_json(self) -> dict:
+        """The config's one JSON form: config.json holds it and every
+        report embeds it."""
+        return {**{name: _section_json(name, getattr(self, name))
+                   for name in _SECTIONS},
+                "ks": list(self.ks), "tau": self.tau}
 
 
 def _check_keys(section: dict, allowed: set, path: str) -> None:
@@ -539,14 +550,14 @@ def _check_keys(section: dict, allowed: set, path: str) -> None:
         raise ConfigError(f"unknown keys {unknown}", path)
 
 
-def load_run_config(path=None, overrides: dict | None = None) -> dict:
+def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Resolve a run config: defaults, optional JSON file, optional overrides.
 
     Unknown keys anywhere are rejected so typos cannot silently fall back
-    to defaults, and every section is built once, so a bad value fails
-    here with its JSON path rather than in a later command.
+    to defaults, and every section is built once, from the keys all
+    layers give it, so a bad value fails here with its JSON path rather
+    than in a later command.
     """
-    resolved = default_run_config()
     layers = []
     if path is not None:
         with open(path) as fh:
@@ -557,6 +568,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> dict:
                                   f"line {exc.lineno}") from exc
     if overrides:
         layers.append(overrides)
+    given = {section: {} for section in _SECTIONS}
+    ks, tau = DEFAULT_KS, DEFAULT_TAU
     for layer in layers:
         if not isinstance(layer, dict):
             raise ConfigError("config must be a JSON object", "$")
@@ -567,24 +580,24 @@ def load_run_config(path=None, overrides: dict | None = None) -> dict:
                     raise ConfigError(f"{section} must be an object",
                                       f"$.{section}")
                 _check_keys(layer[section], allowed, f"$.{section}")
-                resolved[section].update(layer[section])
+                given[section].update(layer[section])
         if "ks" in layer:
             ks = layer["ks"]
             if (not isinstance(ks, list) or not ks
                     or not set(map(type, ks)) <= {int} or min(ks) < 1):
                 raise ConfigError("ks must be a non-empty array of positive "
                                   f"integers, got {ks!r}", "$.ks")
-            resolved["ks"] = list(ks)
+            ks = tuple(ks)
         if "tau" in layer:
             tau = layer["tau"]
             # false for NaN, infinity and an int beyond the float range
             if type(tau) not in (int, float) or not 0 < tau <= _FLOAT_MAX:
                 raise ConfigError("tau must be a finite positive number, got "
                                   f"{tau!r}", "$.tau")
-            resolved["tau"] = float(tau)
-    for section in _SECTIONS:
-        _section_config(resolved, section)
-    return resolved
+            tau = float(tau)
+    return RunConfig(**{section: _section_config(section, values)
+                        for section, values in given.items()},
+                     ks=ks, tau=tau)
 
 
 def _config_value(value, default, path: str):
@@ -612,36 +625,22 @@ def _config_value(value, default, path: str):
     return tuple(value) if kind is tuple else value
 
 
-def _section_config(resolved: dict, section: str):
-    """The dataclass of a resolved config section.  A bad value is located
-    at its key, a violated constraint between keys at the section."""
+def _section_config(section: str, values: dict):
+    """The dataclass of a config section from the `values` the config
+    gives it (the rest keep their defaults).  A bad value, or one that
+    fails a check of its own field, is located at its key; a violated
+    constraint between keys at the section."""
     cls = _SECTIONS[section]
     defaults = cls()
     values = {key: _config_value(value, getattr(defaults, key),
                                  f"$.{section}.{key}")
-              for key, value in resolved[section].items()}
+              for key, value in values.items()}
     try:
         return cls(**values)
+    except FieldError as exc:
+        raise ConfigError(str(exc), f"$.{section}.{exc.key}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc), f"$.{section}") from exc
-
-
-def scene_config_from(resolved: dict) -> SceneConfig:
-    return _section_config(resolved, "scene")
-
-
-def train_config_from(resolved: dict) -> TrainConfig:
-    return _section_config(resolved, "train")
-
-
-def lmcl_config_from(resolved: dict) -> LmclConfig:
-    return _section_config(resolved, "lmcl")
-
-
-def binning_config_from(resolved: dict) -> BinningConfig:
-    """The config's binning; its clamp is the default, which eval replaces
-    per method."""
-    return _section_config(resolved, "binning")
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +680,13 @@ def write_model_state(path, head: dict | None = None,
 # ---------------------------------------------------------------------------
 # reports
 
-def report_document(body: dict, resolved_config: dict, seed: int) -> str:
-    """Stable, versioned report JSON embedding the resolved config."""
+def report_document(body: dict, run: RunConfig) -> str:
+    """Stable, versioned report JSON embedding the run config and its
+    scene seed."""
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "seed": seed,
-        "config": resolved_config,
+        "seed": run.scene.seed,
+        "config": run.to_json(),
         **body,
     }
     # a NaN or infinity would be written as a bare token that is not JSON

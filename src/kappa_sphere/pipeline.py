@@ -88,18 +88,19 @@ def _resultant_ece1(dataset, head, results, db_bank: DescriptorBank, db_idx,
 
 
 def _recall_and_ece1(dataset, encoder, head, val_idx, db_idx, tau, binning):
-    """Joint-training hook: Recall@1 and resultant ECE@1 on validation
-    queries, with database descriptors recomputed from the live encoder
-    weights."""
+    """Joint-training hook: Recall@1 and, with a head, resultant ECE@1 on
+    validation queries, with database descriptors recomputed from the live
+    encoder weights."""
     db_desc = encode(encoder, dataset.raw[db_idx])
     db_bank = DescriptorBank(
         descriptors=db_desc, ids=dataset.bank.ids[db_idx],
         labels=dataset.bank.labels[db_idx], poses=dataset.bank.poses[db_idx])
     results = _marked_knn(encode(encoder, dataset.raw[val_idx]),
                           dataset.bank.poses[val_idx], db_bank, tau)
-    ece1 = float("nan") if head is None else _resultant_ece1(
+    if head is None:
+        return (recall_at_k(results, 1),)
+    return recall_at_k(results, 1), _resultant_ece1(
         dataset, head, results, db_bank, db_idx, val_idx, binning)
-    return recall_at_k(results, 1), ece1
 
 
 def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
@@ -134,8 +135,8 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
     cfg.lam > 0 (the vMF term is its only trainer; at lam = 0 no head is
     built and the head returned is None).
 
-    Early stopping tracks validation Recall@1, then resultant ECE@1 (NaN
-    without a head), with positives within `tau` and ECE binned by
+    Early stopping tracks validation Recall@1, then, with a head,
+    resultant ECE@1, with positives within `tau` and ECE binned by
     `binning`.  Returns (encoder weights, prototypes, head, history).
     """
     lmcl = lmcl or LmclConfig()

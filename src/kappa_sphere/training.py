@@ -20,13 +20,13 @@ from enum import Enum
 
 import numpy as np
 
+from .calibration import FieldError
 from .head import backward_batch, forward_batch
 from .vmf import vmf_batch_nll
 
 
-class TrainMode(str, Enum):
+class TrainMode(str, Enum):  # fit's objective; train has one of its own
     POST_TRAINING = "post_training"
-    JOINT_TRAINING = "joint_training"
     GNLL_VARIANT = "gnll_variant"
 
 
@@ -48,11 +48,12 @@ class TrainConfig:
     anchor_mode: AnchorMode = AnchorMode.CLASS_PROTOTYPE
 
     def __post_init__(self):
-        if (self.lam < 0 or self.lr <= 0 or self.patience < 1
-                or self.max_epochs < 1 or self.batch_size < 1):
-            raise ValueError("invalid training configuration")
-        if self.warmup < 0:
-            raise ValueError("warmup must be non-negative")
+        if self.lr <= 0:
+            raise FieldError("lr", "> 0", self.lr)
+        for key, low in (("lam", 0), ("warmup", 0), ("batch_size", 1),
+                         ("patience", 1), ("max_epochs", 1)):
+            if getattr(self, key) < low:
+                raise FieldError(key, f">= {low}", getattr(self, key))
 
 
 @dataclass
@@ -63,8 +64,10 @@ class LmclConfig:
     margin: float = 0.35
 
     def __post_init__(self):
-        if self.scale <= 0 or not 0 <= self.margin < 1:
-            raise ValueError("require scale > 0 and 0 <= margin < 1")
+        if self.scale <= 0:
+            raise FieldError("scale", "> 0", self.scale)
+        if not 0 <= self.margin < 1:
+            raise FieldError("margin", "in [0, 1)", self.margin)
 
 
 def encode(weights: np.ndarray, raw) -> np.ndarray:
@@ -394,8 +397,6 @@ def train_post(data: TrainData, prototypes: np.ndarray, head: dict,
     """
     if data.descriptors is None:
         raise ValueError("post-training requires precomputed descriptors")
-    if cfg.mode is TrainMode.JOINT_TRAINING:
-        raise ValueError("use train_joint for joint mode")
     params = {key: value.copy() for key, value in head.items()}
 
     def loss_and_grads(p, batch):
@@ -463,11 +464,12 @@ def train_joint(data: TrainData, encoder: np.ndarray, prototypes: np.ndarray,
     Prototypes are renormalized after every step.
 
     Phased early stopping: phase 1 tracks Recall@1 until patience is
-    exhausted, phase 2 continues while tracking ECE@1 with refreshed
-    patience.  `eval_hook(encoder, prototypes, head) -> (recall1, ece1)`
-    sees the live arrays (head None when it is not trained).  Copies are
-    trained; the caller's are left as they were.  With an eval hook the
-    checkpoint's are returned, its prototypes renormalized once more.
+    exhausted; with a head, phase 2 continues while tracking ECE@1 with
+    refreshed patience.  `eval_hook(encoder, prototypes, head)` sees the
+    live arrays and returns (recall1, ece1), or (recall1,) when no head
+    is trained (head None).  Copies are trained; the caller's are left as
+    they were.  With an eval hook the checkpoint's are returned, its
+    prototypes renormalized once more.
     Returns (encoder, prototypes, head, history).
     """
     if data.raw is None:
@@ -483,9 +485,10 @@ def train_joint(data: TrainData, encoder: np.ndarray, prototypes: np.ndarray,
     def evaluate():
         return eval_hook(params["encoder"], params["prototypes"], head)
 
+    watch = (("recall1", -1),) if head is None else \
+        (("recall1", -1), ("ece1", +1))
     best, history = _fit(params, loss_and_grads, data, cfg,
-                         evaluate if eval_hook is not None else None,
-                         (("recall1", -1), ("ece1", +1)),
+                         evaluate if eval_hook is not None else None, watch,
                          project=lambda: _renormalize(params["prototypes"]))
     if eval_hook is not None:
         _renormalize(best["prototypes"])

@@ -222,8 +222,7 @@ def test_criterion_2_gradient_suite():
     for anchor_mode, with_vmf in cases:
         for _ in range(N_INSTANCES):
             lam = float(rng.uniform(0.1, 1.0)) if with_vmf else 0.0
-            cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=lam,
-                              anchor_mode=anchor_mode)
+            cfg = TrainConfig(lam=lam, anchor_mode=anchor_mode)
             head = init_head(shape, hidden=4, rng=rng)
             batch = TrainData(
                 features=aggregate(rng.standard_normal((b,) + shape)),
@@ -427,8 +426,8 @@ def test_criterion_8_seed_stability(default_scene_sweep):
 # scene; the lambda=0 trajectory is bit-identical to classification-only.
 
 def _joint_cfg(lam):
-    return TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=lam, lr=1e-4,
-                       max_epochs=30, patience=6, warmup=3, seed=0)
+    return TrainConfig(lam=lam, lr=1e-4, max_epochs=30, patience=6, warmup=3,
+                       seed=0)
 
 
 def _query_recall1(dataset, encoder):
@@ -468,8 +467,7 @@ def test_criterion_9_joint_training_non_degradation():
     encoder = rng.standard_normal(
         (dataset.config.descriptor_dim, dataset.raw.shape[1]))
     head0 = init_head(dataset.config.feature_shape, hidden=8, rng=0)
-    cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.0, lr=1e-4,
-                      max_epochs=8, seed=0)
+    cfg = TrainConfig(lam=0.0, lr=1e-4, max_epochs=8, seed=0)
     lmcl = LmclConfig()
     enc_a, pro_a, _, hist_a = train_joint(data, encoder, dataset.prototypes,
                                           head0, cfg, lmcl)

@@ -249,6 +249,16 @@ class TestMatchEval:
         assert set(doc["reports"]) == {"resultant", "l2"}
         assert doc["reports"]["resultant"]["level"] == "match"
 
+    def test_method_flag_rejected(self, workdir, capsys):
+        # match-eval scores every pair it can; a method subset it would
+        # ignore is an argument error, not a run that scores l2 and
+        # resultant anyway
+        with pytest.raises(SystemExit) as exc:
+            main(["match-eval", "--out", str(workdir["out"]),
+                  "--method", "bogus,nothing"])
+        assert exc.value.code == 2
+        assert "--method" in capsys.readouterr().err
+
 
 class TestRecordedRetrieval:
     """eval records its top-K search in retrieval.npz; match-eval takes the
@@ -508,6 +518,16 @@ class TestErrors:
         ({"train": {"lr": float("inf")}}, "$.train.lr"),
         ({"lmcl": {"scale": float("nan")}}, "$.lmcl.scale"),
         ({"scene": {"pose_jitter": -10 ** 400}}, "$.scene.pose_jitter"),
+        # a check of one key alone is located at that key
+        ({"train": {"lr": 0}}, "$.train.lr"),
+        ({"train": {"patience": 0}}, "$.train.patience"),
+        ({"train": {"lam": -0.5}}, "$.train.lam"),
+        ({"train": {"warmup": -1}}, "$.train.warmup"),
+        ({"train": {"batch_size": 0}}, "$.train.batch_size"),
+        ({"train": {"max_epochs": 0}}, "$.train.max_epochs"),
+        ({"lmcl": {"margin": 1.5}}, "$.lmcl.margin"),
+        ({"lmcl": {"scale": -30}}, "$.lmcl.scale"),
+        ({"binning": {"num_bins": 1}}, "$.binning.num_bins"),
     ])
     def test_bad_config_value_located(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "config.json"
@@ -515,6 +535,21 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert f"(at {path})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"train": {"lr": 0}}, "lr must be > 0, got 0 (at $.train.lr)"),
+        ({"lmcl": {"margin": 1.5}},
+         "margin must be in [0, 1), got 1.5 (at $.lmcl.margin)"),
+        ({"binning": {"num_bins": 1}},
+         "num_bins must be >= 2, got 1 (at $.binning.num_bins)"),
+    ])
+    def test_single_key_check_names_its_value(self, tmp_path, capsys, config,
+                                              message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["gen", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("field, value, path", [
         ("poses", 5, "$.poses"),
@@ -535,15 +570,17 @@ class TestErrors:
         assert main(["eval", "--out", str(out)]) == 1
         assert f"(at {path})" in capsys.readouterr().err
 
-    def test_fit_rejects_joint_mode(self, workdir, tmp_path, capsys):
+    def test_gen_rejects_joint_mode(self, tmp_path, capsys):
+        # train.mode selects fit's objective; train always trains jointly,
+        # so a config that names joint training fails where it is loaded
         cfg = tmp_path / "config.json"
-        doc = dict(SMALL_CONFIG)
-        doc["train"] = {**SMALL_CONFIG["train"], "mode": "joint_training"}
-        cfg.write_text(json.dumps(doc))
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "train": {
+            **SMALL_CONFIG["train"], "mode": "joint_training"}}))
         out = tmp_path / "o"
-        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["fit", "--out", str(out)]) == 1
-        assert "post_training" in capsys.readouterr().err
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "post_training" in err and "(at $.train.mode)" in err
+        assert not out.exists()
 
 
 class TestPooling:

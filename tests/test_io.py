@@ -13,16 +13,16 @@ from hypothesis import strategies as st
 
 from kappa_sphere.fileio import (REPORT_SCHEMA_VERSION, BankFormatError,
                                  ConfigError, ManifestError, RecordFileError,
-                                 atomic_write_text, default_run_config,
+                                 RunConfig, atomic_write_text,
                                  load_run_config, read_bank, read_manifest,
                                  read_retrieval, read_scene, report_document,
-                                 scene_config_from, train_config_from,
                                  write_bank, write_manifest,
                                  write_model_state, write_retrieval,
                                  write_scene, history_csv)
 from kappa_sphere.calibration import BinningConfig, BinStrategy
 from kappa_sphere.head import init_head
-from kappa_sphere.retrieval import DescriptorBank, batch_knn
+from kappa_sphere.retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
+                                   batch_knn)
 from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
 from kappa_sphere.training import (AnchorMode, LmclConfig, TrainConfig,
                                    TrainMode)
@@ -223,27 +223,25 @@ class TestManifest:
 
 class TestRunConfig:
     def test_defaults_build_objects(self):
-        resolved = load_run_config()
-        assert resolved == default_run_config()
-        scene = scene_config_from(resolved)
-        train = train_config_from(resolved)
-        assert scene.num_classes == 32
-        assert train.mode is TrainMode.POST_TRAINING
+        run = load_run_config()
+        assert run == RunConfig()
+        assert run.scene.num_classes == 32
+        assert run.train.mode is TrainMode.POST_TRAINING
 
     def test_file_layer_overrides(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scene": {"num_classes": 8},
                                     "tau": 50.0}))
-        resolved = load_run_config(path)
-        assert resolved["scene"]["num_classes"] == 8
-        assert resolved["scene"]["descriptor_dim"] == 64  # untouched default
-        assert resolved["tau"] == 50.0
+        run = load_run_config(path)
+        assert run.scene.num_classes == 8
+        assert run.scene.descriptor_dim == 64  # untouched default
+        assert run.tau == 50.0
 
     def test_overrides_layer_wins(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scene": {"num_classes": 8}}))
-        resolved = load_run_config(path, overrides={"scene": {"num_classes": 16}})
-        assert resolved["scene"]["num_classes"] == 16
+        run = load_run_config(path, overrides={"scene": {"num_classes": 16}})
+        assert run.scene.num_classes == 16
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -265,14 +263,14 @@ class TestRunConfig:
 
     def test_defaults_round_trip(self, monkeypatch):
         # the section dataclasses are the one source of run defaults: the
-        # default config builds them back, and fit_head's fallback is it
-        from kappa_sphere import fileio, pipeline
+        # default config's JSON builds them back, and fit_head's fallback
+        # is it
+        from kappa_sphere import pipeline
 
-        resolved = default_run_config()
-        assert scene_config_from(resolved) == SceneConfig()
-        assert train_config_from(resolved) == TrainConfig()
-        assert fileio.lmcl_config_from(resolved) == LmclConfig()
-        assert fileio.binning_config_from(resolved) == BinningConfig()
+        run = load_run_config(overrides=RunConfig().to_json())
+        assert (run.scene, run.train, run.lmcl, run.binning) == (
+            SceneConfig(), TrainConfig(), LmclConfig(), BinningConfig())
+        assert (run.ks, run.tau) == (DEFAULT_KS, DEFAULT_TAU)
 
         seen = []
         monkeypatch.setattr(pipeline, "train_post",
@@ -280,8 +278,8 @@ class TestRunConfig:
         scene = SceneConfig(num_classes=8, images_per_class=10,
                             descriptor_dim=16, seed=3)
         pipeline.fit_head(generate_scene(scene))
-        assert seen == [train_config_from(load_run_config(
-            overrides={"train": {"seed": 3}}))]
+        assert seen == [load_run_config(
+            overrides={"train": {"seed": 3}}).train]
 
     @pytest.mark.parametrize("layer", ["file", "overrides"])
     def test_empty_ks_rejected(self, tmp_path, layer):
@@ -369,9 +367,8 @@ class TestArtifacts:
     def test_report_rejects_non_finite_values(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                report_document({"ece": bad}, default_run_config(), 0)
-        json.loads(report_document({"spearman_kappa": None},
-                                   default_run_config(), 0))
+                report_document({"ece": bad}, RunConfig())
+        json.loads(report_document({"spearman_kappa": None}, RunConfig()))
 
 
 def _same_bits(got, want) -> bool:
@@ -388,11 +385,11 @@ class TestSceneRecord:
     @pytest.mark.parametrize("scene", [{}, {"aliasing_rate": 0.0}],
                              ids=["default", "no aliasing"])
     def test_read_back_is_the_generated_scene(self, tmp_path, scene):
-        resolved = load_run_config(overrides={"scene": scene})
-        want = generate_scene(scene_config_from(resolved))
+        cfg = load_run_config(overrides={"scene": scene}).scene
+        want = generate_scene(cfg)
         path = tmp_path / "scene.npz"
-        write_scene(path, want, resolved)
-        got = read_scene(path, resolved)
+        write_scene(path, want)
+        got = read_scene(path, cfg)
         assert got.config == want.config
         for name in ("descriptors", "ids", "labels", "poses", "true_kappa"):
             assert _same_bits(getattr(got.bank, name),
@@ -410,11 +407,10 @@ class TestSceneRecord:
 
     @pytest.fixture()
     def recorded(self, tmp_path):
-        resolved = load_run_config(overrides={"scene": self.SMALL})
+        cfg = load_run_config(overrides={"scene": self.SMALL}).scene
         path = tmp_path / "scene.npz"
-        write_scene(path, generate_scene(scene_config_from(resolved)),
-                    resolved)
-        return path, resolved
+        write_scene(path, generate_scene(cfg))
+        return path, cfg
 
     @pytest.mark.parametrize("garble, field", [
         ("float32 descriptors", "descriptors"),
@@ -433,7 +429,7 @@ class TestSceneRecord:
     def test_bad_record_fails_with_its_location(self, recorded, garble,
                                                 field):
         # a row that is not finite and unit-norm is named with its field
-        path, resolved = recorded
+        path, cfg = recorded
         with np.load(path) as npz:
             record = dict(npz)
         row = None
@@ -459,7 +455,7 @@ class TestSceneRecord:
             record["split_db"] = record["split_query"]
         np.savez(path, **record)
         with pytest.raises(RecordFileError) as exc:
-            read_scene(path, resolved)
+            read_scene(path, cfg)
         assert exc.value.path == str(path) and exc.value.field == field
         if row is not None:
             assert f"unit-norm; row {row} has norm" in str(exc.value)
@@ -471,19 +467,19 @@ class TestSceneRecord:
         # a record is only ever read for the scene it holds: a config that
         # differs is an error, never a silent regeneration
         path, _ = recorded
-        resolved = load_run_config(overrides={"scene": {**self.SMALL,
-                                                        **scene}})
+        cfg = load_run_config(overrides={"scene": {**self.SMALL,
+                                                   **scene}}).scene
         with pytest.raises(ConfigError) as exc:
-            read_scene(path, resolved)
+            read_scene(path, cfg)
         assert exc.value.path == f"$.scene.{key}"
         assert str(path) in str(exc.value)
 
     def test_failed_write_keeps_the_old_file(self, recorded, monkeypatch):
         # a record streams into its temp file: a write that fails midway
         # removes the temp file and leaves the previous record in place
-        path, resolved = recorded
+        path, cfg = recorded
         before = path.read_bytes()
-        dataset = read_scene(path, resolved)
+        dataset = read_scene(path, cfg)
 
         def failing(fh, **arrays):
             fh.write(b"partial")
@@ -491,7 +487,7 @@ class TestSceneRecord:
 
         monkeypatch.setattr(np, "savez", failing)
         with pytest.raises(OSError, match="disk full"):
-            write_scene(path, dataset, resolved)
+            write_scene(path, dataset)
         assert path.read_bytes() == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["scene.npz"]
 
@@ -695,7 +691,7 @@ class TestBoundaryProperties:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_config_fields(self, data):
-        doc = default_run_config()
+        doc = RunConfig().to_json()
         keys = [(section, key) for section in ("scene", "train", "lmcl",
                                                "binning")
                 for key in sorted(doc[section])]

@@ -39,11 +39,22 @@ def _fresh_python(code: str) -> str:
     return proc.stdout.strip()
 
 
+def _load(path):
+    """The module at `path`, under a private name that is in sys.modules
+    only while the module runs (a dataclass looks its module up)."""
+    name = f"_tooling_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
 def _trace_runner():
-    spec = importlib.util.spec_from_file_location("trace_runner", TRACE_RUNNER)
-    trace_runner = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace_runner)
-    return trace_runner
+    return _load(TRACE_RUNNER)
 
 
 def test_trace_targets_exist():
@@ -64,7 +75,7 @@ def test_trace_epoch_counters_read_the_history():
 
     from kappa_sphere.head import init_head
     from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
-                                       TrainMode, train_joint, train_post)
+                                       train_joint, train_post)
 
     targets = _trace_runner().TARGETS["kappa_sphere.training"]
     rng = np.random.default_rng(0)
@@ -74,17 +85,15 @@ def test_trace_epoch_counters_read_the_history():
                      descriptors=unit, raw=rng.standard_normal((12, 5)))
     protos = unit[:4].copy()
     head = init_head((3, 2, 2), hidden=4, rng=rng)
-    for name, mode, run in (
-            ("train_post", TrainMode.POST_TRAINING,
-             lambda cfg: train_post(data, protos, head, cfg)),
-            ("train_joint", TrainMode.JOINT_TRAINING,
-             lambda cfg: train_joint(
-                 data, rng.standard_normal((6, 5)), protos,
-                 head, cfg, LmclConfig()))):
-        cfg = TrainConfig(mode=mode, max_epochs=2, warmup=0)
+    cfg = TrainConfig(max_epochs=2, warmup=0)
+    for name, run in (
+            ("train_post", lambda: train_post(data, protos, head, cfg)),
+            ("train_joint", lambda: train_joint(
+                data, rng.standard_normal((6, 5)), protos, head, cfg,
+                LmclConfig()))):
         _, counter, count = targets[name]
         assert counter == "training.epochs"
-        assert count((), {}, run(cfg)) == cfg.max_epochs, name
+        assert count((), {}, run()) == cfg.max_epochs, name
 
 
 def test_submodules_are_the_module_files():
@@ -110,6 +119,31 @@ def test_harness_imports_exist():
                if not hasattr(importlib.import_module(node.module),
                               alias.name)]
     assert not missing, missing
+
+
+def test_harness_configs_load(tmp_path):
+    # every run config the harness hands to gen, full size and smoke,
+    # loads; gen's config.json loads back to the same RunConfig, and gen
+    # run on it writes the same bytes again
+    from kappa_sphere.cli import main
+    from kappa_sphere.fileio import load_run_config
+
+    harness = _load(HARNESS)
+    configs = [w.config for w in harness.WORKLOADS.values()]
+    configs += [harness.smoke(w).config for w in harness.WORKLOADS.values()]
+    for i, config in enumerate(configs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(config))
+        run = load_run_config(path)
+        if run.scene.num_classes * run.scene.images_per_class > 1000:
+            continue  # the 30k-image scene: loading it is the check
+        first, second = tmp_path / f"gen{i}", tmp_path / f"regen{i}"
+        assert main(["gen", "--config", str(path), "--out", str(first)]) == 0
+        assert load_run_config(first / "config.json") == run
+        assert main(["gen", "--config", str(first / "config.json"),
+                     "--out", str(second)]) == 0
+        assert (second / "config.json").read_bytes() == \
+            (first / "config.json").read_bytes()
 
 
 def _parsed(paths):

@@ -356,7 +356,7 @@ class TestEpochBatches:
             mode=TrainMode.POST_TRAINING, lr=0.05, **common))
         assert len(history) == 2
         *_, history = pipeline.fit_joint(dataset, TrainConfig(
-            mode=TrainMode.JOINT_TRAINING, lam=0.01, lr=1e-4, **common))
+            lam=0.01, lr=1e-4, **common))
         assert len(history) == 2
         assert all(math.isfinite(row["loss"]) for row in history)
 
@@ -366,8 +366,7 @@ class TestTrainJoint:
         data, protos = tiny_data(rng)
         encoder = rng.standard_normal((6, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
-        cfg0 = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.0,
-                           max_epochs=4, warmup=0)
+        cfg0 = TrainConfig(lam=0.0, max_epochs=4, warmup=0)
         enc_a, pro_a, head_a, _ = train_joint(data, encoder, protos, head,
                                               cfg0, LmclConfig())
         enc_b, pro_b, _, _ = train_joint(data, encoder, protos, None, cfg0,
@@ -377,6 +376,22 @@ class TestTrainJoint:
         # at lam = 0 nothing trains the head, so none comes back
         assert head_a is None
 
+    def test_lambda_zero_watches_recall_only(self):
+        # without a head there is no ECE@1 to watch: one phase, which stops
+        # `patience` epochs after validation Recall@1 last improved, and no
+        # all-NaN ece1 column in the history
+        dataset = generate_scene(SceneConfig(num_classes=8, images_per_class=10,
+                                             descriptor_dim=16))
+        cfg = TrainConfig(lam=0.0, patience=5, warmup=2)
+        _, _, head, history = pipeline.fit_joint(dataset, cfg)
+        assert head is None
+        assert [list(row) for row in history] == \
+            [["epoch", "loss", "recall1", "phase"]] * len(history)
+        assert {row["phase"] for row in history} == {1}
+        recalls = [row["recall1"] for row in history[cfg.warmup:]]
+        best = cfg.warmup + int(np.argmax(recalls))
+        assert len(history) == best + cfg.patience + 1 < cfg.max_epochs
+
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_lambda_zero_rejects_a_label_outside_the_classes(self, rng, bad):
         # at lam = 0 no vMF anchor is resolved, so the LMCL term is the
@@ -385,8 +400,7 @@ class TestTrainJoint:
         data, protos = tiny_data(rng)  # 4 classes
         data.labels = data.labels.copy()
         data.labels[5] = bad
-        cfg0 = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.0,
-                           max_epochs=2, warmup=0)
+        cfg0 = TrainConfig(lam=0.0, max_epochs=2, warmup=0)
         with pytest.raises(ValueError, match=rf"label {bad} .*\[0, 4\)"):
             train_joint(data, rng.standard_normal((6, 5)),
                         protos, None, cfg0, LmclConfig())
@@ -395,8 +409,7 @@ class TestTrainJoint:
         data, protos = tiny_data(rng, n=48)
         encoder = rng.standard_normal((6, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
-        cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.01, lr=0.01,
-                          max_epochs=30, warmup=0)
+        cfg = TrainConfig(lam=0.01, lr=0.01, max_epochs=30, warmup=0)
         _, _, _, history = train_joint(data, encoder, protos, head, cfg,
                                        LmclConfig())
         assert history[-1]["loss"] < history[0]["loss"]
@@ -405,8 +418,7 @@ class TestTrainJoint:
         data, protos = tiny_data(rng)
         encoder = rng.standard_normal((6, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
-        cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, max_epochs=3,
-                          warmup=0)
+        cfg = TrainConfig(max_epochs=3, warmup=0)
         _, pro, _, _ = train_joint(data, encoder, protos, head, cfg,
                                    LmclConfig())
         np.testing.assert_allclose(np.linalg.norm(pro, axis=1), 1.0,
@@ -426,8 +438,7 @@ class TestTrainJoint:
             calls.append(i)
             return recalls[i], eces[i]
 
-        cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, max_epochs=10,
-                          patience=2, warmup=0)
+        cfg = TrainConfig(max_epochs=10, patience=2, warmup=0)
         _, _, _, history = train_joint(data, encoder, protos, head, cfg,
                                        LmclConfig(), eval_hook=hook)
         phases = [row["phase"] for row in history]
@@ -457,8 +468,8 @@ class TestTrainJoint:
                          {key: value.copy() for key, value in hd.items()}))
             return recalls[len(seen) - 1], eces[len(seen) - 1]
 
-        cfg = TrainConfig(mode=TrainMode.JOINT_TRAINING, lam=0.5, lr=0.05,
-                          max_epochs=20, patience=2, warmup=0)
+        cfg = TrainConfig(lam=0.5, lr=0.05, max_epochs=20, patience=2,
+                          warmup=0)
         enc, _, trained, history = train_joint(data, encoder, protos, head,
                                                cfg, LmclConfig(),
                                                eval_hook=hook)
@@ -482,8 +493,7 @@ class TestTrainJoint:
         encoder = rng.standard_normal((6, 5))
         protos = unit_rows(rng, 2, 6)
         with pytest.raises(ValueError):
-            train_joint(data, encoder, protos, None,
-                        TrainConfig(mode=TrainMode.JOINT_TRAINING),
+            train_joint(data, encoder, protos, None, TrainConfig(),
                         LmclConfig())
 
 
