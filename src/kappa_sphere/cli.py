@@ -8,7 +8,8 @@ Subcommands:
 * ``train``      joint training (margin loss + weighted vMF term) on it
 * ``eval``       query-level Recall@K + ECE@K reports for every method
 * ``match-eval`` match-level calibration reports
-* ``report``     render a report JSON as text tables (optionally SVG)
+* ``report``     render a report JSON as text tables (optionally the
+                 reliability diagrams as SVG)
 * ``bench``      latency benchmark of the kappa path
 
 Heavy imports happen inside the command functions, so ``--help`` and
@@ -61,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "eval":  # match-eval scores every pair it can
             p.add_argument("--method", default=None,
                            help="comma-separated method subset")
-        p.add_argument("--svg", action="store_true",
-                       help="write reliability diagrams")
 
     p = sub.add_parser("report", help="render a report JSON")
     p.add_argument("path", help="report JSON file")
@@ -197,22 +196,6 @@ def _load_eval_inputs(args):
     return run, bank.subset(splits["db"]), bank.subset(splits["query"])
 
 
-def _write_svgs(directory, reports) -> list:
-    """A reliability diagram per CalibrationReport in `directory`, named
-    from the report's own level, method and k.  Returns the paths."""
-    from . import fileio
-    from .calibration import reliability_svg
-
-    paths = []
-    for rep in reports:
-        level = "match_" if rep.level == "match" else ""
-        path = os.path.join(directory,
-                            f"reliability_{level}{rep.method}_k{rep.k}.svg")
-        fileio.atomic_write_text(path, reliability_svg(rep))
-        paths.append(path)
-    return paths
-
-
 def cmd_eval(args) -> int:
     from . import fileio, scores as sc
     from .pipeline import evaluate_queries
@@ -240,8 +223,6 @@ def cmd_eval(args) -> int:
     # repeating it; eval itself never reads the file
     fileio.write_retrieval(_paths(args.out)["retrieval"], db, queries,
                            ev.results)
-    if args.svg:
-        _write_svgs(args.out, ev.reports.values())
     _print_query_table(ev, run.ks)
     print(f"wrote {out_path}")
     return 0
@@ -265,8 +246,6 @@ def cmd_match_eval(args) -> int:
     }
     out_path = os.path.join(args.out, "match_report.json")
     fileio.atomic_write_text(out_path, fileio.report_document(body, run))
-    if args.svg:
-        _write_svgs(args.out, ev.reports.values())
     for m, rep in sorted(ev.reports.items()):
         print(f"match {m:12s} ECE@{k} = {rep.ece:.4f}  (T={rep.total})")
     print(f"wrote {out_path}")
@@ -315,7 +294,7 @@ def _check_report_entry(rep, where: str) -> None:
 
 def cmd_report(args) -> int:
     from . import fileio
-    from .calibration import CalibrationReport
+    from .calibration import CalibrationReport, reliability_svg
 
     with open(args.path) as fh:
         doc = json.load(fh)
@@ -360,9 +339,13 @@ def cmd_report(args) -> int:
     for m, reason in (doc.get("unsupported") or {}).items():
         print(f"{m:20s}  unsupported: {reason}")
     if args.svg:
+        # one diagram per entry, named from its own level, method and k
         base = os.path.dirname(os.path.abspath(args.path))
-        for path in _write_svgs(base, map(CalibrationReport.from_dict,
-                                          doc["reports"].values())):
+        for rep in map(CalibrationReport.from_dict, doc["reports"].values()):
+            level = "match_" if rep.level == "match" else ""
+            path = os.path.join(base,
+                                f"reliability_{level}{rep.method}_k{rep.k}.svg")
+            fileio.atomic_write_text(path, reliability_svg(rep))
             print(f"wrote {path}")
     return 0
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calibration import FieldError
 from .head import aggregate
 from .retrieval import DescriptorBank
 from .vmf import sample_vmf
@@ -44,11 +45,13 @@ class SceneConfig:
         if self.pose_spacing <= 2 * self.pose_jitter:
             raise ValueError("require pose_spacing > 2 * pose_jitter")
         if not 0.0 <= self.aliasing_rate <= 1.0:
-            raise ValueError("aliasing_rate must be in [0, 1]")
-        if self.num_classes < 2 or self.images_per_class < 1:
-            raise ValueError("need at least 2 classes and 1 image per class")
+            raise FieldError("aliasing_rate", "in [0, 1]", self.aliasing_rate)
+        if self.num_classes < 2:
+            raise FieldError("num_classes", ">= 2", self.num_classes)
+        if self.images_per_class < 1:
+            raise FieldError("images_per_class", ">= 1", self.images_per_class)
         if self.descriptor_dim < 2:
-            raise ValueError(f"descriptor_dim must be >= 2, got {self.descriptor_dim}")
+            raise FieldError("descriptor_dim", ">= 2", self.descriptor_dim)
         aliased_class_count(self.aliasing_rate, self.num_classes)
         stratified_counts(DEFAULT_SPLIT, self.images_per_class)
         self.feature_shape = tuple(int(x) for x in self.feature_shape)
@@ -109,14 +112,15 @@ def aliased_class_count(rate: float, num_classes: int) -> int:
 def stratified_counts(fractions, size: int) -> list:
     """Images of a class of `size` per split: floor(fraction * size), the
     remainder handed to train, db, query in that order.  Every
-    nonzero-fraction split must get at least one image."""
+    nonzero-fraction split must get at least one image; `size` is a
+    scene's images_per_class, so a failure names that key."""
     counts = [int(math.floor(f * size)) for f in fractions]
     for i in range(size - sum(counts)):
         counts[i % 3] += 1
     for f, cnt, name in zip(fractions, counts, SPLIT_NAMES):
         if f > 0.0 and cnt == 0:
-            raise ValueError(f"a class of {size} images is too small to "
-                             f"stratify: no images for {name!r}")
+            raise FieldError("images_per_class", "large enough to stratify "
+                             f"({name!r} gets no image)", size)
     return counts
 
 
@@ -138,9 +142,9 @@ def _sample_prototypes(rng, c: int, d: int, max_abs_cos: float = 0.5,
             return w
         w[bad] = rng.standard_normal((bad.size, d))
         w[bad] /= np.linalg.norm(w[bad], axis=1, keepdims=True)
-    raise RuntimeError(
-        f"could not separate {c} prototypes below |cos| = {max_abs_cos} in d={d}"
-    )
+    raise ValueError(
+        f"could not separate {c} prototypes below |cos| = {max_abs_cos} in "
+        f"d={d}; lower scene.num_classes or raise scene.descriptor_dim")
 
 
 def raw_inputs(descriptors, features) -> np.ndarray:
@@ -180,7 +184,7 @@ def generate_scene(config: SceneConfig) -> SynthDataset:
     poses = class_poses[labels] + rng.uniform(
         -config.pose_jitter, config.pose_jitter, size=(n, 2))
 
-    descriptors = sample_vmf((prototypes[labels], true_kappa), n, rng)
+    descriptors = sample_vmf(prototypes[labels], true_kappa, rng)
 
     features = _build_features(rng, ambiguity, config.feature_shape, config.noise_std)
     raw = raw_inputs(descriptors, features)
@@ -233,8 +237,8 @@ def inject_aliasing(dataset: SynthDataset, rate: float, seed: int,
     if pairs:
         # One draw for every resampled row, pair by pair, rows ascending.
         idx = np.concatenate([np.flatnonzero(bank.labels == b) for _, b in pairs])
-        bank.descriptors[idx] = sample_vmf(
-            (protos[bank.labels[idx]], bank.true_kappa[idx]), idx.size, rng)
+        bank.descriptors[idx] = sample_vmf(protos[bank.labels[idx]],
+                                           bank.true_kappa[idx], rng)
         dataset.raw[idx, :bank.descriptors.shape[1]] = bank.descriptors[idx]
     dataset.aliased_pairs = pairs
     return dataset

@@ -110,21 +110,27 @@ def batch_centroid_anchor(positives) -> np.ndarray:
 # --- losses -----------------------------------------------------------------
 
 
+def _check_labels(labels, c: int) -> np.ndarray:
+    """The labels of a batch as an array, or a ValueError naming the first
+    one outside [0, C) and its row: a negative label would index a
+    prototype row from the end."""
+    labels = np.asarray(labels)
+    bad = np.flatnonzero((labels < 0) | (labels >= c))
+    if bad.size:
+        raise ValueError(f"label {labels[bad[0]]} at row {bad[0]} outside "
+                         f"[0, {c})")
+    return labels
+
+
 def lmcl_batch(z, prototype_weights, labels, cfg: LmclConfig):
     """Mean large-margin cosine loss over a batch of n embeddings.
 
     Cross-entropy over s * (cos_j - m * [j == label]), with cos_j = w_j.z
     taken against the raw prototype rows.  Returns (loss, grad wrt the
     (n, d) embeddings, grad wrt the (C, d) prototype matrix).  A label
-    outside [0, C) raises ValueError: a negative one would index from the
-    end.
+    outside [0, C) raises `_check_labels`' ValueError.
     """
-    labels = np.asarray(labels)
-    c = len(prototype_weights)
-    bad = np.flatnonzero((labels < 0) | (labels >= c))
-    if bad.size:
-        raise ValueError(f"label {labels[bad[0]]} at row {bad[0]} outside "
-                         f"[0, {c})")
+    labels = _check_labels(labels, len(prototype_weights))
     b = len(labels)
     rows = np.arange(b)
     cos = z @ prototype_weights.T
@@ -254,9 +260,7 @@ def _resolve_anchors(cfg: TrainConfig, prototype_weights: np.ndarray,
                      descriptors: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Anchor direction per sample of a batch, as an (B, d) array."""
     if cfg.anchor_mode is AnchorMode.CLASS_PROTOTYPE:
-        if labels.max() >= len(prototype_weights) or labels.min() < 0:
-            raise KeyError("unresolvable anchor label in batch")
-        return prototype_weights[labels]
+        return prototype_weights[_check_labels(labels, len(prototype_weights))]
     anchors = np.empty_like(descriptors)
     for i, lab in enumerate(labels):
         mask = labels == lab

@@ -15,7 +15,6 @@ gradients are meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,19 +26,6 @@ RESULTANT_EPS = 1e-12
 
 class DegenerateConcentrationError(ValueError):
     """All samples coincide; the MLE concentration diverges."""
-
-
-def check_unit(values, tol=UNIT_NORM_TOL, name="vector"):
-    """Validate a unit descriptor and return it as a float64 array."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 2:
-        raise ValueError(f"{name} must be a 1-D vector with d >= 2, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"{name} is not unit-norm: |norm - 1| = {abs(norm - 1.0):.3e}")
-    return v
 
 
 def check_unit_rows(rows, tol=UNIT_NORM_TOL, name="rows") -> np.ndarray:
@@ -56,41 +42,6 @@ def check_unit_rows(rows, tol=UNIT_NORM_TOL, name="rows") -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class BesselOrder:
-    """Bessel order bookkeeping for dimension d: v = d/2 - 1, v_tilde = (d-1)/2."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
-
-    @property
-    def v(self) -> float:
-        return self.d / 2.0 - 1.0
-
-    @property
-    def v_tilde(self) -> float:
-        return (self.d - 1) / 2.0
-
-
-@dataclass(frozen=True)
-class VmfParams:
-    """A vMF distribution: unit mean direction mu and concentration kappa >= 0."""
-
-    mu: np.ndarray
-    kappa: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", check_unit(self.mu, name="mu"))
-        object.__setattr__(self, "kappa", float(_check_kappas(self.kappa)))
-
-    @property
-    def d(self) -> int:
-        return self.mu.shape[0]
-
-
 def _check_kappas(kappa) -> np.ndarray:
     """Validate one kappa or an array of them; a scalar gives a 0-d array."""
     k = np.asarray(kappa, dtype=np.float64)
@@ -99,30 +50,37 @@ def _check_kappas(kappa) -> np.ndarray:
     return k
 
 
-def stable_log_partition(kappa, order: BesselOrder):
-    """Stable log-partition surrogate A(kappa), elementwise.
+def _v_tilde(d: int) -> float:
+    """The Bessel order (d - 1) / 2 of the surrogate at dimension d >= 2."""
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    return (d - 1) / 2.0
+
+
+def stable_log_partition(kappa, d: int):
+    """Stable log-partition surrogate A(kappa) at dimension d, elementwise.
 
     A(k) = sqrt(k^2 + vt^2) - vt * log(vt + sqrt(k^2 + vt^2)), vt = (d-1)/2.
 
     This is the antiderivative of the Amos upper bound on the Bessel ratio
-    I_{v+1}/I_v, replacing log I_v(k) - v log k up to a constant.  Finite
-    for all kappa >= 0 at any dimension; no Bessel evaluation involved.
-    A scalar kappa gives a float, an array an array.
+    I_{v+1}/I_v, v = d/2 - 1, replacing log I_v(k) - v log k up to a
+    constant.  Finite for all kappa >= 0 at any dimension; no Bessel
+    evaluation involved.  A scalar kappa gives a float, an array an array.
     """
     k = _check_kappas(kappa)
-    vt = order.v_tilde
+    vt = _v_tilde(d)
     root = np.hypot(k, vt)
     return root - vt * np.log(vt + root)
 
 
-def stable_log_partition_grad(kappa, order: BesselOrder):
+def stable_log_partition_grad(kappa, d: int):
     """dA/dkappa = kappa / (vt + sqrt(kappa^2 + vt^2)), the Amos upper bound.
 
     Elementwise; lies in [0, 1) and upper-bounds the exact ratio
     I_{v+1}(kappa)/I_v(kappa).
     """
     k = _check_kappas(kappa)
-    vt = order.v_tilde
+    vt = _v_tilde(d)
     return k / (vt + np.hypot(k, vt))
 
 
@@ -142,51 +100,45 @@ def vmf_batch_nll(z, mu, kappas) -> VmfBatchLoss:
     implementation of the loss: training runs it on whole batches, and a
     single sample is the batch of one.
     """
-    order = BesselOrder(z.shape[1])
+    d = z.shape[1]
     dots = np.einsum("ij,ij->i", mu, z)
     n = len(kappas)
-    loss = float(stable_log_partition(kappas, order).sum() / n -
+    loss = float(stable_log_partition(kappas, d).sum() / n -
                  (kappas * dots).sum() / n)
-    grad = stable_log_partition_grad(kappas, order) - dots
+    grad = stable_log_partition_grad(kappas, d) - dots
     scale = (-1.0 / n) * kappas[:, None]
     return VmfBatchLoss(loss=loss, kappa=grad / n, z=scale * mu, mu=scale * z)
 
 
-def sample_vmf(params, count: int, rng_seed) -> np.ndarray:
-    """Draw `count` vMF samples, returned as a (count, d) array of unit rows.
+def sample_vmf(mu, kappas, rng_seed) -> np.ndarray:
+    """Draw one vMF sample per row of the (n, d) unit means `mu` and the
+    (n,) concentrations `kappas`, returned as an (n, d) array of unit rows.
 
-    `params` is one `VmfParams` shared by every row, or a pair
-    (mu, kappa) of per-row unit means (count, d) and concentrations
-    (count,).  Wood (1994): the mu-component w is drawn by beta rejection
-    sampling, the tangent component uniformly on the orthogonal sphere.
-    Deterministic for a fixed (seed, params, count).
+    Wood (1994): the mu-component w is drawn by beta rejection sampling,
+    the tangent component uniformly on the orthogonal sphere.
+    Deterministic for a fixed (seed, mu, kappas).
 
     Stream contract.  Row i consumes the generator in row order: its
     rejection draws (beta, then uniform, until accepted; none at kappa 0),
-    then d standard normals.  So n per-row draws in one call equal n
-    successive calls with count 1 on the same generator, bit for bit;
-    scene synthesis relies on this.  (Before the batched kernel, one
-    VmfParams with count > 1 drew every w first and then all the normals,
-    so that stream changed.)  The projection, the tilt by w and both
+    then d standard normals.  So one call on n rows equals n successive
+    one-row calls on the same generator, bit for bit; scene synthesis
+    relies on this.  The projection, the tilt by w and both
     normalisations run once over all rows; each row's mu.v is a stacked matmul,
     which gives the bits of a (1, d) @ (d,) product.  np.einsum and
     (v * mu).sum(1) sum in another order and change about two rows in
     three; np.vecdot keeps the bits but needs numpy >= 2.0.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if isinstance(params, VmfParams):
-        params = (np.tile(params.mu, (count, 1)), np.full(count, params.kappa))
-    mu = check_unit_rows(params[0], name="mu")
-    kappas = _check_kappas(params[1])
-    if mu.shape[0] != count or mu.shape[1] < 2 or kappas.shape != (count,):
-        raise ValueError(f"need mu (count, d >= 2) and kappa (count,) with "
-                         f"count={count}, got {mu.shape} and {kappas.shape}")
+    mu = check_unit_rows(mu, name="mu")
+    kappas = np.asarray(kappas, dtype=np.float64)
+    n, d = mu.shape
+    if n < 1 or d < 2 or kappas.shape != (n,):
+        raise ValueError(f"need mu (n >= 1, d >= 2) and kappa (n,), "
+                         f"got {mu.shape} and {kappas.shape}")
+    _check_kappas(kappas)
     rng = np.random.default_rng(rng_seed)
-    d = mu.shape[1]
     dim = d - 1
-    w = np.zeros(count)
-    x = np.empty((count, d))
+    w = np.zeros(n)
+    x = np.empty((n, d))
     for i, k in enumerate(kappas.tolist()):
         if k > 0.0:
             b = dim / (math.sqrt(4.0 * k * k + dim * dim) + 2.0 * k)

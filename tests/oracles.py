@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ive
 
-from kappa_sphere.vmf import BesselOrder, VmfParams, check_unit
+from kappa_sphere.vmf import check_unit_rows
 
 
 @dataclass
@@ -140,24 +140,24 @@ _LOG_DENSITY_MAX_D = 64
 _LOG_DENSITY_MAX_KAPPA = 1e4
 
 
-def log_density(z, params: VmfParams, order: BesselOrder) -> float:
-    """Exact vMF log-density log C_d(kappa) + kappa * mu.z.
+def log_density(z, mu, kappa) -> float:
+    """Exact vMF log-density log C_d(kappa) + kappa * mu.z of the unit
+    d-vector z under the unit mean mu and concentration kappa >= 0.
 
     Uses the exact log-Bessel oracle, so it is restricted to d <= 64 and
     kappa <= 1e4.
     """
-    z = check_unit(z, name="z")
-    if z.shape[0] != order.d or params.d != order.d:
-        raise ValueError("dimension mismatch between z, params and order")
-    d, k = order.d, params.kappa
-    if d > _LOG_DENSITY_MAX_D:
-        raise ValueError(f"log_density validated only for d <= {_LOG_DENSITY_MAX_D}")
-    if k > _LOG_DENSITY_MAX_KAPPA:
-        raise ValueError(f"log_density validated only for kappa <= {_LOG_DENSITY_MAX_KAPPA}")
+    z, mu = check_unit_rows(np.stack([z, mu]), name="z and mu")
+    d, k = z.shape[0], float(kappa)
+    if not 2 <= d <= _LOG_DENSITY_MAX_D:
+        raise ValueError(f"log_density validated only for 2 <= d <= {_LOG_DENSITY_MAX_D}")
+    if not 0.0 <= k <= _LOG_DENSITY_MAX_KAPPA:  # NaN fails too
+        raise ValueError("log_density validated only for 0 <= kappa <= "
+                         f"{_LOG_DENSITY_MAX_KAPPA}")
     if k == 0.0:
         # Uniform on the sphere: log(Gamma(d/2) / (2 pi^{d/2})).
         log_area = math.log(2.0) + (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0)
         return -log_area
-    v = order.v
+    v = d / 2 - 1
     log_c = v * math.log(k) - (d / 2.0) * math.log(2.0 * math.pi) - log_bessel_exact(v, k)
-    return log_c + k * float(params.mu @ z)
+    return log_c + k * float(mu @ z)

@@ -35,8 +35,7 @@ from kappa_sphere.training import (AnchorMode, LmclConfig, TrainConfig,
                                    batch_centroid_anchor, encode, gnll_batch,
                                    joint_loss_and_grads, lmcl_batch,
                                    post_loss_and_grads, train_joint)
-from kappa_sphere.vmf import (BesselOrder, VmfParams, mle_kappa, sample_vmf,
-                              stable_log_partition, stable_log_partition_grad,
+from kappa_sphere.vmf import (mle_kappa, sample_vmf, stable_log_partition_grad,
                               vmf_batch_nll)
 from oracles import bessel_ratio_exact, finite_diff_check
 
@@ -68,17 +67,15 @@ def _amos_bounds(d, kappa):
 def test_criterion_1_bessel_sandwich():
     start = time.perf_counter()
     for d in (4, 16, 64, 128):
-        order = BesselOrder(d)
         for kappa in (0.5, 5.0, 50.0, 500.0):
-            exact = bessel_ratio_exact(order.v, kappa)
+            exact = bessel_ratio_exact(d / 2 - 1, kappa)
             lower, upper = _amos_bounds(d, kappa)
             assert lower <= exact <= upper, (d, kappa)
-            grad = stable_log_partition_grad(kappa, order)
+            grad = stable_log_partition_grad(kappa, d)
             assert grad == pytest.approx(upper, rel=1e-14)
-    order = BesselOrder(512)
     for kappa in np.linspace(1.0, 1000.0, 60):
-        exact = bessel_ratio_exact(order.v, float(kappa))
-        approx = stable_log_partition_grad(float(kappa), order)
+        exact = bessel_ratio_exact(512 / 2 - 1, float(kappa))
+        approx = stable_log_partition_grad(float(kappa), 512)
         assert abs(approx - exact) / exact <= 0.01, kappa
     assert time.perf_counter() - start < 5.0
 
@@ -284,8 +281,9 @@ def test_criterion_2_gradient_suite():
 
 def test_criterion_3_kappa_recovery():
     start = time.perf_counter()
-    params = VmfParams(mu=unit(np.random.default_rng(0), 64), kappa=200.0)
-    samples = sample_vmf(params, 10_000, rng_seed=42)
+    mu = unit(np.random.default_rng(0), 64)
+    samples = sample_vmf(np.tile(mu, (10_000, 1)), np.full(10_000, 200.0),
+                         rng_seed=42)
     assert mle_kappa(samples) == pytest.approx(200.0, rel=0.05)
 
     cfg = SceneConfig(num_classes=4, images_per_class=200, descriptor_dim=64,

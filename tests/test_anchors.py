@@ -14,16 +14,17 @@ def unit_rows(rng, n, d):
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-class TestPrototypeSet:
+class TestClassPrototype:
     """Class-prototype anchoring against the (C, d) prototype rows."""
 
     def test_unknown_label(self, rng):
-        # class-prototype anchoring resolves every label of a batch before
-        # a loss reads a prototype row
+        # class-prototype anchoring checks every label of a batch before a
+        # loss reads a prototype row: -1 must not anchor to row C - 1
         protos = unit_rows(rng, 3, 8)
         z = unit_rows(rng, 2, 8)
-        for labels in ([0, 3], [-1, 0]):
-            with pytest.raises(KeyError):
+        for labels, message in (([0, 3], r"label 3 at row 1 outside \[0, 3\)"),
+                                ([-1, 0], r"label -1 at row 0 outside \[0, 3\)")):
+            with pytest.raises(ValueError, match=message):
                 _resolve_anchors(TrainConfig(), protos, z,
                                  np.array(labels))
 

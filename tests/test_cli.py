@@ -215,10 +215,13 @@ class TestEval:
         doc = json.loads((out / "report.json").read_text())
         assert sorted(doc["reports"]) == ["l2@1", "pa@1"]
 
-    def test_svg_emitted(self, workdir):
-        out = workdir["out"]
+    def test_svg_emitted(self, workdir, tmp_path):
+        # eval writes no diagram; `report --svg` renders its report's
+        out = _copy_scene(workdir, tmp_path / "o")
         assert main(["eval", "--out", str(out), "--k", "1", "--method",
-                     "resultant", "--svg"]) == 0
+                     "resultant"]) == 0
+        assert not sorted(out.glob("*.svg"))
+        assert main(["report", str(out / "report.json"), "--svg"]) == 0
         svg = (out / "reliability_resultant_k1.svg").read_text()
         assert svg.startswith("<svg")
 
@@ -407,20 +410,21 @@ class TestReportCommand:
         ("eval", "report.json"), ("match-eval", "match_report.json")])
     def test_svg_names_match_the_evaluating_command(self, workdir, tmp_path,
                                                     command, report):
-        # one naming rule: `report --svg` rewrites exactly the diagrams the
-        # command that wrote the report wrote
-        evaluated, rendered = tmp_path / "evaluated", tmp_path / "rendered"
-        _copy_scene(workdir, evaluated)
-        rendered.mkdir()
-        assert main([command, "--out", str(evaluated), "--svg"]) == 0
-        (rendered / report).write_bytes((evaluated / report).read_bytes())
-        assert main(["report", str(rendered / report), "--svg"]) == 0
-
-        def svgs(directory):
-            return {p.name: p.read_bytes() for p in directory.glob("*.svg")}
-
-        assert svgs(evaluated)
-        assert svgs(rendered) == svgs(evaluated)
+        # `report --svg` writes exactly one diagram per entry, named
+        # reliability_<method>_k<K>.svg for eval's "<method>@<K>" and
+        # reliability_match_<method>_k<K>.svg for match-eval's "<method>"
+        out = _copy_scene(workdir, tmp_path / "o")
+        assert main([command, "--out", str(out)]) == 0
+        assert main(["report", str(out / report), "--svg"]) == 0
+        doc = json.loads((out / report).read_text())
+        if command == "eval":
+            want = [f"reliability_{m}_k{k}.svg"
+                    for m, k in (name.split("@") for name in doc["reports"])]
+        else:
+            want = [f"reliability_match_{m}_k{doc['k']}.svg"
+                    for m in doc["reports"]]
+        assert len(want) > 1
+        assert sorted(p.name for p in out.glob("*.svg")) == sorted(want)
 
     def test_rejects_wrong_schema(self, tmp_path, capsys):
         bad = tmp_path / "r.json"
@@ -507,8 +511,9 @@ class TestErrors:
         ({"train": {"mode": "nope"}}, "$.train.mode"),
         ({"scene": {"num_classes": 4}}, "$.scene"),  # 1 aliased class
         ({"scene": {"aliasing_rate": 0.01}}, "$.scene"),  # 0 aliased classes
-        ({"scene": {"descriptor_dim": 1}}, "$.scene"),
-        ({"scene": {"images_per_class": 4}}, "$.scene"),  # cannot stratify
+        ({"scene": {"descriptor_dim": 1}}, "$.scene.descriptor_dim"),
+        # cannot stratify
+        ({"scene": {"images_per_class": 4}}, "$.scene.images_per_class"),
         ({"ks": []}, "$.ks"),  # eval and match-eval need a K
         ({"tau": 0}, "$.tau"),
         ({"tau": -5}, "$.tau"),
@@ -528,6 +533,9 @@ class TestErrors:
         ({"lmcl": {"margin": 1.5}}, "$.lmcl.margin"),
         ({"lmcl": {"scale": -30}}, "$.lmcl.scale"),
         ({"binning": {"num_bins": 1}}, "$.binning.num_bins"),
+        ({"scene": {"aliasing_rate": 1.5}}, "$.scene.aliasing_rate"),
+        ({"scene": {"num_classes": 1}}, "$.scene.num_classes"),
+        ({"scene": {"images_per_class": 0}}, "$.scene.images_per_class"),
     ])
     def test_bad_config_value_located(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "config.json"
@@ -542,6 +550,8 @@ class TestErrors:
          "margin must be in [0, 1), got 1.5 (at $.lmcl.margin)"),
         ({"binning": {"num_bins": 1}},
          "num_bins must be >= 2, got 1 (at $.binning.num_bins)"),
+        ({"scene": {"descriptor_dim": 1}},
+         "descriptor_dim must be >= 2, got 1 (at $.scene.descriptor_dim)"),
     ])
     def test_single_key_check_names_its_value(self, tmp_path, capsys, config,
                                               message):
@@ -550,6 +560,19 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_inseparable_prototypes_reported(self, tmp_path, capsys):
+        # 64 prototypes cannot all keep |cos| < 0.5 in d = 16; gen names
+        # the keys to change instead of ending in a traceback
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scene": {
+            "num_classes": 64, "images_per_class": 20, "descriptor_dim": 16}}))
+        out = tmp_path / "o"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not separate 64 prototypes")
+        assert "scene.num_classes" in err and "scene.descriptor_dim" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value, path", [
         ("poses", 5, "$.poses"),

@@ -3,8 +3,9 @@ from the package exist, so a rename fails here rather than in a benchmark
 run; the package's submodule table lists its module files; no package
 module imports scipy, and the CLI's modules start without
 it; every module-level function and class of the package runs outside the
-tests; --help and argument errors return without loading numpy; every
-demo runs; and no CLI command leaves a temp file in its run directory."""
+tests; every raise in the package is an exception the CLI reports; --help
+and argument errors return without loading numpy; every demo runs; and no
+CLI command leaves a temp file in its run directory."""
 
 import ast
 import importlib
@@ -192,6 +193,39 @@ def test_package_names_run_outside_the_tests():
     unused = {f"{module}.{name}" for module, name in defined
               if name not in used}
     assert unused == set()
+
+
+def test_package_raises_what_the_cli_reports():
+    # cli.main prints "error: ..." for ValueError, OSError and KeyError, so
+    # any other exception a command raises ends in a traceback.  Each
+    # raise is resolved in its module's namespace; a bare re-raise passes
+    # on what its handler caught.  The package __getattr__'s AttributeError
+    # is the attribute protocol, not a command error.
+    import builtins
+
+    reported = (ValueError, OSError, KeyError)
+    found = []
+    for path, tree in _parsed(sorted(PACKAGE.glob("*.py"))).items():
+        name = "kappa_sphere" if path.stem == "__init__" \
+            else f"kappa_sphere.{path.stem}"
+        namespace = {**vars(builtins), **vars(importlib.import_module(name))}
+        for top in tree.body:
+            if (path.stem, getattr(top, "name", None)) == ("__init__",
+                                                           "__getattr__"):
+                continue
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                try:
+                    cls = eval(ast.unparse(exc), namespace)
+                except NameError:
+                    cls = None
+                if not (isinstance(cls, type) and issubclass(cls, reported)):
+                    found.append(f"{path.name}:{node.lineno} "
+                                 f"{ast.unparse(exc)}")
+    assert not found, found
 
 
 def test_cli_modules_import_without_scipy():

@@ -11,8 +11,7 @@ from scipy.integrate import quad
 from scipy.special import ive
 
 from kappa_sphere import synth, vmf
-from kappa_sphere.vmf import (BesselOrder, DegenerateConcentrationError,
-                              VmfParams, check_unit, mle_kappa,
+from kappa_sphere.vmf import (DegenerateConcentrationError, mle_kappa,
                               resultant_uncertainty, sample_vmf,
                               stable_log_partition, stable_log_partition_grad,
                               vmf_batch_nll)
@@ -24,48 +23,54 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def tiled(mu, kappa, n):
+    """The sampler's inputs for n draws around one mean and kappa."""
+    return np.tile(mu, (n, 1)), np.full(n, kappa)
+
+
 class TestStableLogPartition:
     def test_closed_form_d3(self):
         # d=3: v_tilde = 1, A(2) = sqrt(5) - log(1 + sqrt(5)).
-        order = BesselOrder(3)
         expected = math.sqrt(5.0) - math.log(1.0 + math.sqrt(5.0))
-        assert stable_log_partition(2.0, order) == pytest.approx(expected, rel=1e-15)
+        assert stable_log_partition(2.0, 3) == pytest.approx(expected, rel=1e-15)
 
     def test_zero_kappa(self):
         for d in (3, 16, 130):
-            order = BesselOrder(d)
-            vt = order.v_tilde
+            vt = (d - 1) / 2.0
             expected = vt - vt * math.log(2.0 * vt)
-            assert stable_log_partition(0.0, order) == pytest.approx(expected)
-            assert stable_log_partition_grad(0.0, order) == 0.0
+            assert stable_log_partition(0.0, d) == pytest.approx(expected)
+            assert stable_log_partition_grad(0.0, d) == 0.0
 
     def test_grad_is_derivative(self):
         # A(k) - A(0) equals the integral of A'(t) dt from 0 to k.
-        order = BesselOrder(24)
         for kappa in (0.5, 7.0, 300.0):
             integral, err = quad(
-                lambda t: stable_log_partition_grad(t, order), 0.0, kappa)
-            diff = stable_log_partition(kappa, order) - stable_log_partition(0.0, order)
+                lambda t: stable_log_partition_grad(t, 24), 0.0, kappa)
+            diff = stable_log_partition(kappa, 24) - stable_log_partition(0.0, 24)
             assert diff == pytest.approx(integral, abs=max(1e-10, 10 * err))
 
     def test_grad_upper_bounds_exact_ratio(self):
         for d in (4, 16, 64):
-            order = BesselOrder(d)
             for kappa in (0.5, 5.0, 50.0, 500.0):
-                exact = bessel_ratio_exact(order.v, kappa)
-                upper = stable_log_partition_grad(kappa, order)
+                exact = bessel_ratio_exact(d / 2 - 1, kappa)
+                upper = stable_log_partition_grad(kappa, d)
                 assert 0.0 < exact < upper < 1.0
 
     def test_finite_at_extremes(self):
-        order = BesselOrder(2048)
-        assert math.isfinite(stable_log_partition(1e8, order))
-        assert 0.0 < stable_log_partition_grad(1e8, order) < 1.0
+        assert math.isfinite(stable_log_partition(1e8, 2048))
+        assert 0.0 < stable_log_partition_grad(1e8, 2048) < 1.0
 
     def test_rejects_bad_kappa(self):
-        order = BesselOrder(8)
         for bad in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                stable_log_partition(bad, order)
+                stable_log_partition(bad, 8)
+
+    @pytest.mark.parametrize("fn", [stable_log_partition,
+                                    stable_log_partition_grad])
+    def test_rejects_dimension_below_two(self, fn):
+        for d in (1, 0):
+            with pytest.raises(ValueError, match="dimension must be >= 2"):
+                fn(1.0, d)
 
 
 def nll_one(z, mu, kappa):
@@ -75,11 +80,10 @@ def nll_one(z, mu, kappa):
 
 class TestNll:
     def test_value_and_kappa_grad(self, rng):
-        order = BesselOrder(16)
         mu = unit(rng.standard_normal(16))
         z = unit(rng.standard_normal(16))
         kappa = 12.5
-        expected = stable_log_partition(kappa, order) - kappa * float(mu @ z)
+        expected = stable_log_partition(kappa, 16) - kappa * float(mu @ z)
         assert nll_one(z, mu, kappa).loss == pytest.approx(expected, rel=1e-14)
 
         h = 1e-6 * kappa
@@ -97,11 +101,10 @@ class TestNll:
 
     def test_minimized_at_matching_alignment(self):
         # dL/dkappa = 0 exactly where the Amos ratio equals mu.z.
-        order = BesselOrder(32)
         mu = np.zeros(32)
         mu[0] = 1.0
         kappa = 80.0
-        target = stable_log_partition_grad(kappa, order)
+        target = stable_log_partition_grad(kappa, 32)
         z = np.zeros(32)
         z[0] = target
         z[1] = math.sqrt(1.0 - target * target)
@@ -111,69 +114,64 @@ class TestNll:
 class TestLogDensity:
     def test_matches_scipy_formula(self, rng):
         d, kappa = 10, 35.0
-        order = BesselOrder(d)
         mu = unit(rng.standard_normal(d))
         z = unit(rng.standard_normal(d))
         v = d / 2.0 - 1.0
         log_c = (v * math.log(kappa) - (d / 2.0) * math.log(2.0 * math.pi)
                  - (math.log(ive(v, kappa)) + kappa))
         expected = log_c + kappa * float(mu @ z)
-        got = log_density(z, VmfParams(mu=mu, kappa=kappa), order)
+        got = log_density(z, mu, kappa)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_normalizes_on_s2(self):
         # d=3: integrate the density over the sphere via the polar angle.
-        order = BesselOrder(3)
         mu = np.array([0.0, 0.0, 1.0])
-        params = VmfParams(mu=mu, kappa=7.0)
 
         def integrand(theta):
             z = np.array([math.sin(theta), 0.0, math.cos(theta)])
-            return math.exp(log_density(z, params, order)) * 2 * math.pi * math.sin(theta)
+            return math.exp(log_density(z, mu, 7.0)) * 2 * math.pi * math.sin(theta)
 
         total, err = quad(integrand, 0.0, math.pi)
         assert total == pytest.approx(1.0, abs=max(1e-9, 10 * err))
 
     def test_uniform_at_zero_kappa(self):
-        order = BesselOrder(3)
-        params = VmfParams(mu=np.array([1.0, 0.0, 0.0]), kappa=0.0)
+        mu = np.array([1.0, 0.0, 0.0])
         z = unit([1.0, 2.0, 3.0])
         # Uniform density is 1 / (4 pi) on S^2.
-        assert log_density(z, params, order) == pytest.approx(
+        assert log_density(z, mu, 0.0) == pytest.approx(
             -math.log(4.0 * math.pi), rel=1e-14)
 
     def test_guards(self, rng):
         mu = unit(rng.standard_normal(128))
         with pytest.raises(ValueError):
-            log_density(mu, VmfParams(mu=mu, kappa=1.0), BesselOrder(128))
+            log_density(mu, mu, 1.0)
 
 
 class TestSampling:
     def test_deterministic(self):
-        params = VmfParams(mu=unit(np.arange(1, 9)), kappa=25.0)
-        a = sample_vmf(params, 64, rng_seed=3)
-        b = sample_vmf(params, 64, rng_seed=3)
+        mu, kappas = tiled(unit(np.arange(1, 9)), 25.0, 64)
+        a = sample_vmf(mu, kappas, rng_seed=3)
+        b = sample_vmf(mu, kappas, rng_seed=3)
         np.testing.assert_array_equal(a, b)
 
     def test_unit_rows(self):
-        params = VmfParams(mu=unit(np.ones(12)), kappa=3.0)
-        samples = sample_vmf(params, 200, rng_seed=0)
+        samples = sample_vmf(*tiled(unit(np.ones(12)), 3.0, 200), rng_seed=0)
         np.testing.assert_allclose(np.linalg.norm(samples, axis=1), 1.0,
                                    atol=1e-12)
 
     def test_mean_alignment_matches_bessel_ratio(self):
         # E[mu.z] = I_{d/2}(k) / I_{d/2-1}(k), checked by Monte Carlo.
         d, kappa, n = 16, 40.0, 40000
-        params = VmfParams(mu=unit(np.ones(d)), kappa=kappa)
-        samples = sample_vmf(params, n, rng_seed=11)
-        observed = float(np.mean(samples @ params.mu))
+        mu = unit(np.ones(d))
+        samples = sample_vmf(*tiled(mu, kappa, n), rng_seed=11)
+        observed = float(np.mean(samples @ mu))
         expected = bessel_ratio_exact(d / 2.0 - 1.0, kappa)
         assert observed == pytest.approx(expected, abs=4.0 / math.sqrt(n))
 
     def test_zero_kappa_is_isotropic(self):
-        params = VmfParams(mu=unit(np.ones(6)), kappa=0.0)
-        samples = sample_vmf(params, 20000, rng_seed=5)
-        assert abs(float(np.mean(samples @ params.mu))) < 0.02
+        mu = unit(np.ones(6))
+        samples = sample_vmf(*tiled(mu, 0.0, 20000), rng_seed=5)
+        assert abs(float(np.mean(samples @ mu))) < 0.02
 
     def test_per_row_mean_alignment_matches_bessel_ratio(self, rng):
         # Per-row means and kappas in one call: each kappa's rows have
@@ -183,7 +181,7 @@ class TestSampling:
         kappas = np.repeat(grid, per)
         mu = rng.standard_normal((kappas.size, d))
         mu /= np.linalg.norm(mu, axis=1, keepdims=True)
-        samples = sample_vmf((mu, kappas), kappas.size, rng_seed=13)
+        samples = sample_vmf(mu, kappas, rng_seed=13)
         dots = np.einsum("ij,ij->i", samples, mu).reshape(len(grid), per)
         for kappa, row in zip(grid, dots):
             expected = bessel_ratio_exact(d / 2.0 - 1.0, kappa)
@@ -191,27 +189,31 @@ class TestSampling:
             assert abs(row.mean() - expected) < tol, kappa
 
     def test_per_row_inputs_checked(self):
-        mu = np.tile(unit(np.ones(4)), (3, 1))
-        kappas = np.full(3, 2.0)
+        mu, kappas = tiled(unit(np.ones(4)), 2.0, 3)
         with pytest.raises(ValueError, match="unit-norm"):
-            sample_vmf((2.0 * mu, kappas), 3, rng_seed=0)
+            sample_vmf(2.0 * mu, kappas, rng_seed=0)
+        nan_row = mu.copy()
+        nan_row[1, 0] = math.nan
+        with pytest.raises(ValueError, match="finite and unit-norm; row 1"):
+            sample_vmf(nan_row, kappas, rng_seed=0)
         with pytest.raises(ValueError, match="kappa"):
-            sample_vmf((mu, -kappas), 3, rng_seed=0)
-        with pytest.raises(ValueError, match="count=2"):
-            sample_vmf((mu, kappas), 2, rng_seed=0)
+            sample_vmf(mu, -kappas, rng_seed=0)
+        with pytest.raises(ValueError, match=r"got \(3, 4\) and \(2,\)"):
+            sample_vmf(mu, kappas[:2], rng_seed=0)
         with pytest.raises(ValueError, match="d >= 2"):
-            sample_vmf((np.ones((3, 1)), kappas), 3, rng_seed=0)
-        with pytest.raises(ValueError, match="count must be >= 1"):
-            sample_vmf((mu[:0], kappas[:0]), 0, rng_seed=0)
+            sample_vmf(np.ones((3, 1)), kappas, rng_seed=0)
+        with pytest.raises(ValueError, match="n >= 1"):
+            sample_vmf(mu[:0], kappas[:0], rng_seed=0)
 
 
-def scalar_draw_oracle(params: VmfParams, count: int, rng_seed) -> np.ndarray:
+def scalar_draw_oracle(mu, kappa: float, count: int, rng_seed) -> np.ndarray:
     """The per-call sampler that scene synthesis ran before the batched
-    kernel, kept verbatim as the stream oracle (scenes call it with count 1)."""
+    kernel, kept verbatim as the stream oracle (scenes call it with count 1):
+    `count` draws around the unit d-vector `mu` at one `kappa`."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(rng_seed)
-    d, k, mu = params.d, params.kappa, params.mu
+    d, k = mu.shape[0], float(kappa)
 
     if k == 0.0:
         x = rng.standard_normal((count, d))
@@ -242,7 +244,7 @@ def scalar_draw_oracle(params: VmfParams, count: int, rng_seed) -> np.ndarray:
 
 def oracle_rows(mu, kappas, rng) -> np.ndarray:
     """n successive count-1 oracle draws on one shared generator."""
-    return np.stack([scalar_draw_oracle(VmfParams(mu=m, kappa=k), 1, rng)[0]
+    return np.stack([scalar_draw_oracle(m, k, 1, rng)[0]
                      for m, k in zip(mu, kappas)])
 
 
@@ -259,7 +261,7 @@ def stream_mismatches(sampler, d: int) -> int:
     mu = gen.standard_normal((kappas.size, d))
     mu /= np.linalg.norm(mu, axis=1, keepdims=True)
     rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-    got = sampler((mu, kappas), kappas.size, rng_a)
+    got = sampler(mu, kappas, rng_a)
     want = oracle_rows(mu, kappas, rng_b)
     return int(np.any(got != want, axis=1).sum()) + int(
         rng_a.bit_generator.state != rng_b.bit_generator.state)
@@ -272,13 +274,6 @@ class TestStream:
     @pytest.mark.parametrize("d", [2, 3, 16, 64])
     def test_batch_equals_successive_scalar_draws(self, d):
         assert stream_mismatches(sample_vmf, d) == 0
-
-    def test_vmf_params_count_one_equals_oracle(self):
-        for kappa in STREAM_KAPPAS:
-            params = VmfParams(mu=unit(np.arange(1.0, 10.0)), kappa=kappa)
-            np.testing.assert_array_equal(
-                sample_vmf(params, 1, rng_seed=4),
-                scalar_draw_oracle(params, 1, rng_seed=4))
 
     def test_einsum_projection_breaks_the_pin(self):
         # The pin bites: the same kernel with the dot product summed by
@@ -295,9 +290,9 @@ class TestStream:
     def test_scene_draws_in_one_call_per_pass(self, monkeypatch, rate, calls):
         seen = []
 
-        def counting(params, count, rng_seed):
-            seen.append(count)
-            return sample_vmf(params, count, rng_seed)
+        def counting(mu, kappas, rng_seed):
+            seen.append(len(kappas))
+            return sample_vmf(mu, kappas, rng_seed)
 
         monkeypatch.setattr(synth, "sample_vmf", counting)
         cfg = synth.SceneConfig(aliasing_rate=rate, seed=2)
@@ -314,9 +309,9 @@ class TestStream:
         batched = synth.generate_scene(cfg).bank.descriptors
         drawn = []
 
-        def oracle(params, count, rng):
-            drawn.append(params[1])
-            return oracle_rows(*params, rng)
+        def oracle(mu, kappas, rng):
+            drawn.append(kappas)
+            return oracle_rows(mu, kappas, rng)
 
         monkeypatch.setattr(synth, "sample_vmf", oracle)
         ds = synth.generate_scene(cfg)
@@ -329,8 +324,7 @@ class TestStream:
 class TestMle:
     def test_smoke_recovery(self):
         d, kappa = 8, 50.0
-        params = VmfParams(mu=unit(np.ones(d)), kappa=kappa)
-        samples = sample_vmf(params, 4000, rng_seed=2)
+        samples = sample_vmf(*tiled(unit(np.ones(d)), kappa, 4000), rng_seed=2)
         assert mle_kappa(samples) == pytest.approx(kappa, rel=0.1)
 
     def test_degenerate(self):
@@ -372,11 +366,3 @@ class TestResultant:
                   for c in np.linspace(-0.99, 1.0, 25)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-
-def test_check_unit_rejects():
-    with pytest.raises(ValueError):
-        check_unit([1.0, 1.0])
-    with pytest.raises(ValueError):
-        check_unit([math.nan, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        check_unit([1.0])
