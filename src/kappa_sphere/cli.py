@@ -197,7 +197,7 @@ def _load_eval_inputs(args):
 
 
 def cmd_eval(args) -> int:
-    from . import fileio, scores as sc
+    from . import fileio, retrieval, scores as sc
     from .pipeline import evaluate_queries
 
     run, db, queries = _load_eval_inputs(args)
@@ -213,6 +213,7 @@ def cmd_eval(args) -> int:
         "level": "query",
         "recalls": {str(k): v for k, v in ev.recalls.items()},
         "spearman_kappa": ev.spearman_kappa,
+        "sue_k": retrieval.SUE_K,
         "unsupported": ev.unsupported,
         "reports": {f"{m}@{k}": rep.to_dict()
                     for (m, k), rep in sorted(ev.reports.items())},

@@ -40,8 +40,10 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.kappa_min <= self.kappa_max:
-            raise ValueError("require 0 < kappa_min <= kappa_max")
+        if not self.kappa_min > 0:
+            raise FieldError("kappa_min", "> 0", self.kappa_min)
+        if not self.kappa_min <= self.kappa_max:
+            raise ValueError("require kappa_min <= kappa_max")
         if self.pose_spacing <= 2 * self.pose_jitter:
             raise ValueError("require pose_spacing > 2 * pose_jitter")
         if not 0.0 <= self.aliasing_rate <= 1.0:

@@ -1,15 +1,12 @@
-"""Optimization: the linear encoder, the vMF mean-direction anchors,
-margin-based classification loss, the Gaussian-NLL ablation, Adam, and
-the two training settings (post-training of the kappa head against a
-frozen embedding space, and joint training of encoder + prototypes +
-head), which share one epoch, Adam and early-stopping driver and differ
-in their per-batch objective.  Everything a trainer updates is a float64
-array: the (d, m) encoder weights, the (C, d) unit prototypes and the
-head's dict of arrays.
+"""Optimization: the linear encoder, margin-based classification loss,
+the Gaussian-NLL ablation, Adam, and the two training settings
+(post-training of the kappa head against a frozen embedding space, and
+joint training of encoder + prototypes + head), which share one epoch,
+Adam and early-stopping driver and differ in their per-batch objective.
+Everything a trainer updates is a float64 array: the (d, m) encoder
+weights, the (C, d) unit prototypes and the head's dict of arrays.
 
-Classification-style supervision anchors each sample to its class
-prototype; contrastive-style supervision anchors it to the normalized
-centroid of its positives in the batch.
+The vMF objective anchors each sample to its class prototype.
 """
 
 from __future__ import annotations
@@ -30,11 +27,6 @@ class TrainMode(str, Enum):  # fit's objective; train has one of its own
     GNLL_VARIANT = "gnll_variant"
 
 
-class AnchorMode(str, Enum):
-    CLASS_PROTOTYPE = "class_prototype"
-    BATCH_CENTROID = "batch_centroid"
-
-
 @dataclass
 class TrainConfig:
     mode: TrainMode = TrainMode.POST_TRAINING
@@ -45,7 +37,6 @@ class TrainConfig:
     max_epochs: int = 300
     warmup: int = 10           # epochs excluded from checkpoint selection
     seed: int = 0
-    anchor_mode: AnchorMode = AnchorMode.CLASS_PROTOTYPE
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -77,34 +68,6 @@ def encode(weights: np.ndarray, raw) -> np.ndarray:
     raw = np.atleast_2d(np.asarray(raw, dtype=np.float64))
     z = raw @ weights.T
     return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-# --- anchors ----------------------------------------------------------------
-
-CENTROID_EPS = 1e-12
-
-
-class DegenerateCentroidError(ValueError):
-    """The positive set sums to (numerically) zero; no anchor direction exists."""
-
-
-def batch_centroid_anchor(positives) -> np.ndarray:
-    """Normalized sum of positive descriptors, the temporary anchor direction.
-
-    Raises DegenerateCentroidError when the positives cancel (e.g. two
-    antipodal descriptors): an arbitrary fallback direction would silently
-    corrupt the concentration supervision.
-    """
-    p = np.asarray(positives, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[None, :]
-    if p.ndim != 2 or p.shape[0] < 1:
-        raise ValueError(f"positives must be an (n, d) array, got shape {p.shape}")
-    total = p.sum(axis=0)
-    norm = np.linalg.norm(total)
-    if norm < CENTROID_EPS:
-        raise DegenerateCentroidError("positive descriptors cancel; centroid undefined")
-    return total / norm
 
 
 # --- losses -----------------------------------------------------------------
@@ -256,51 +219,6 @@ class TrainData:
         return len(self.labels)
 
 
-def _resolve_anchors(cfg: TrainConfig, prototype_weights: np.ndarray,
-                     descriptors: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Anchor direction per sample of a batch, as an (B, d) array."""
-    if cfg.anchor_mode is AnchorMode.CLASS_PROTOTYPE:
-        return prototype_weights[_check_labels(labels, len(prototype_weights))]
-    anchors = np.empty_like(descriptors)
-    for i, lab in enumerate(labels):
-        mask = labels == lab
-        mask[i] = False  # a sample's centroid anchor excludes the sample
-        if not mask.any():
-            raise ValueError(
-                f"sample {i} (class {lab}) has no positives in its batch; "
-                "batch-centroid anchoring needs class-grouped batches"
-            )
-        anchors[i] = batch_centroid_anchor(descriptors[mask])
-    return anchors
-
-
-def _epoch_batches(labels: np.ndarray, cfg: TrainConfig,
-                   rng: np.random.Generator):
-    """Yield one epoch's batches as index arrays into `labels`.
-
-    Class-prototype anchoring slices one random permutation of the
-    samples.  Batch-centroid anchoring needs each sample's classmates in
-    its batch, so it shuffles the classes and packs whole classes into
-    batches of at most cfg.batch_size; a larger class is a batch alone.
-    """
-    if cfg.anchor_mode is AnchorMode.CLASS_PROTOTYPE:
-        perm = rng.permutation(len(labels))
-        for start in range(0, len(labels), cfg.batch_size):
-            yield perm[start:start + cfg.batch_size]
-        return
-    by_class = np.argsort(labels, kind="stable")
-    _, firsts = np.unique(labels[by_class], return_index=True)
-    classes = np.split(by_class, firsts[1:])
-    batch = []
-    for c in rng.permutation(len(classes)):
-        if batch and sum(map(len, batch)) + len(classes[c]) > cfg.batch_size:
-            yield np.concatenate(batch)
-            batch = []
-        batch.append(classes[c])
-    if batch:
-        yield np.concatenate(batch)
-
-
 def _take(data: TrainData, idx) -> TrainData:
     """The samples `idx` of `data`, as a batch of their own."""
     return TrainData(**{name: None if value is None else value[idx]
@@ -311,11 +229,12 @@ def _fit(params: dict, loss_and_grads, data: TrainData, cfg: TrainConfig,
          evaluate, watch: tuple, project=None):
     """The epoch loop both trainers run.
 
-    Each epoch walks `_epoch_batches`; per batch, `loss_and_grads(params,
-    batch) -> (loss, grads)` feeds one Adam step on `params` (in place),
-    followed by `project()` if given.  The epoch's history row holds
-    epoch, mean loss, one value per `watch` metric (`evaluate()` returns
-    them in order; NaN without `evaluate`) and the phase (1-based).
+    Each epoch slices one random permutation of the samples into batches
+    of cfg.batch_size.  Per batch, `loss_and_grads(params, batch) ->
+    (loss, grads)` feeds one Adam step on `params` (in place), followed by
+    `project()` if given.  The epoch's history row holds epoch, mean loss,
+    one value per `watch` metric (`evaluate()` returns them in order; NaN
+    without `evaluate`) and the phase (1-based).
 
     `watch` is the early-stopping schedule: a tuple of phases, each a
     (metric, sign) pair.  A phase keeps the checkpoint with the lowest
@@ -335,7 +254,9 @@ def _fit(params: dict, loss_and_grads, data: TrainData, cfg: TrainConfig,
         {k: v.copy() for k, v in params.items()}
     for epoch in range(cfg.max_epochs):
         epoch_loss = 0.0
-        for idx in _epoch_batches(data.labels, cfg, rng):
+        perm = rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
             loss, grads = loss_and_grads(params, _take(data, idx))
             adam_step(params, grads, state, cfg.lr)
             if project is not None:
@@ -367,14 +288,14 @@ def post_loss_and_grads(params: dict, batch: TrainData,
 
     The head predicts kappa.  The loss is the stable vMF NLL of the frozen
     `batch.descriptors` around their anchors; under GNLL_VARIANT it is the
-    Gaussian NLL with sigma^2 = 1 / kappa.  `params` is the head.  Anchors
-    come from `prototype_weights` (class prototypes) or the batch's own
-    descriptors (batch centroids); either way they do not depend on
-    `params`.  Returns (loss, grads) with one gradient per entry of
-    `params`.
+    Gaussian NLL with sigma^2 = 1 / kappa.  `params` is the head.  Each
+    sample's anchor is its class row of `prototype_weights`; a label
+    outside [0, C) raises `_check_labels`' ValueError.  Returns (loss,
+    grads) with one gradient per entry of `params`.
     """
     z = batch.descriptors
-    anchors = _resolve_anchors(cfg, prototype_weights, z, batch.labels)
+    anchors = prototype_weights[_check_labels(batch.labels,
+                                              len(prototype_weights))]
     kappas, cache = forward_batch(batch.features, params)
     if cfg.mode is TrainMode.GNLL_VARIANT:
         s2 = 1.0 / kappas
@@ -422,8 +343,8 @@ def joint_loss_and_grads(params: dict, batch: TrainData, cfg: TrainConfig,
     head's entries when it is trained too.  The vMF term runs when
     lam > 0 and `params` holds the head.  The encoder output is
     z = normalize(W x) of `batch.raw`; the kappa head reads
-    `batch.features`.  Batch-centroid anchors are treated as
-    constants w.r.t. z (stop-gradient).
+    `batch.features`.  The vMF term anchors each sample to its class
+    prototype, so it reaches the prototypes too.
     Returns (loss, grads) with one gradient per trained entry.
     """
     x, labels = batch.raw, batch.labels
@@ -434,14 +355,13 @@ def joint_loss_and_grads(params: dict, batch: TrainData, cfg: TrainConfig,
 
     grads = {}
     if cfg.lam > 0.0 and "proj_w" in params:
-        anchors = _resolve_anchors(cfg, params["prototypes"], z, labels)
+        anchors = params["prototypes"][labels]
         kappas, cache = forward_batch(batch.features, params)
         vmf = vmf_batch_nll(z, anchors, kappas)
         loss = loss + cfg.lam * vmf.loss
         grads.update(backward_batch(cache, params, cfg.lam * vmf.kappa))
         d_z = d_z + cfg.lam * vmf.z
-        if cfg.anchor_mode is AnchorMode.CLASS_PROTOTYPE:
-            np.add.at(d_proto, labels, cfg.lam * vmf.mu)
+        np.add.at(d_proto, labels, cfg.lam * vmf.mu)
 
     # through the L2 normalization of the encoder output
     d_zraw = (d_z - z * np.einsum("ij,ij->i", z, d_z)[:, None]) / norms

@@ -7,11 +7,9 @@ decisions ledger (docs/decisions.md) records the measurements behind that
 reading and a snippet that reproduces them.
 """
 
-import contextlib
 import hashlib
 import math
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +28,8 @@ from kappa_sphere.pipeline import (evaluate_matches, fit_head, fit_joint,
 from kappa_sphere.retrieval import (DescriptorBank, batch_knn,
                                     mark_successes, recall_at_k)
 from kappa_sphere.synth import SceneConfig, generate_scene
-from kappa_sphere.training import (AnchorMode, LmclConfig, TrainConfig,
-                                   TrainData, TrainMode,
-                                   batch_centroid_anchor, encode, gnll_batch,
+from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
+                                   TrainMode, encode, gnll_batch,
                                    joint_loss_and_grads, lmcl_batch,
                                    post_loss_and_grads, train_joint)
 from kappa_sphere.vmf import (mle_kappa, sample_vmf, stable_log_partition_grad,
@@ -206,20 +203,16 @@ def test_criterion_2_gradient_suite():
         assert report.passed, report.per_param
 
     # the joint objective, exactly as train_joint evaluates it per batch:
-    # LMCL through z = normalize(W x), plus lam * vMF with the kappa head.
-    # Class-prototype anchors at lam = 0 and lam > 0 (the vMF term reaches
-    # the prototypes through np.add.at); batch-centroid anchors held
-    # constant, the stop-gradient train_joint applies.
+    # LMCL through z = normalize(W x), plus lam * vMF with the kappa head,
+    # at lam = 0 and lam > 0 (the vMF term reaches the prototypes through
+    # np.add.at).
     d, m, b, shape = 6, 5, 6, (5, 3, 3)
     labels = np.array([0, 0, 1, 1, 2, 2])
     lmcl = LmclConfig(scale=6.0, margin=0.2)
-    cases = [(AnchorMode.CLASS_PROTOTYPE, False),
-             (AnchorMode.CLASS_PROTOTYPE, True),
-             (AnchorMode.BATCH_CENTROID, True)]
-    for anchor_mode, with_vmf in cases:
+    for with_vmf in (False, True):
         for _ in range(N_INSTANCES):
             lam = float(rng.uniform(0.1, 1.0)) if with_vmf else 0.0
-            cfg = TrainConfig(lam=lam, anchor_mode=anchor_mode)
+            cfg = TrainConfig(lam=lam)
             head = init_head(shape, hidden=4, rng=rng)
             batch = TrainData(
                 features=aggregate(rng.standard_normal((b,) + shape)),
@@ -228,48 +221,35 @@ def test_criterion_2_gradient_suite():
                       "prototypes": unit_rows(rng, 3, d)}
             if with_vmf:
                 params.update(head)
-            held = contextlib.nullcontext()
-            if anchor_mode is AnchorMode.BATCH_CENTROID:
-                z = encode(params["encoder"], batch.raw)
-                anchors = np.array([
-                    batch_centroid_anchor(z[(labels == labels[i])
-                                            & (np.arange(b) != i)])
-                    for i in range(b)])
-                held = mock.patch("kappa_sphere.training._resolve_anchors",
-                                  return_value=anchors)
 
             def loss_and_grad(params, batch=batch, cfg=cfg):
                 return joint_loss_and_grads(params, batch, cfg, lmcl)
 
-            with held:
-                assert set(loss_and_grad(params)[1]) == set(params)
-                report = finite_diff_check(loss_and_grad, params,
-                                           tolerance=GRAD_TOL)
-            assert report.passed, (anchor_mode, with_vmf, report.per_param)
+            assert set(loss_and_grad(params)[1]) == set(params)
+            report = finite_diff_check(loss_and_grad, params,
+                                       tolerance=GRAD_TOL)
+            assert report.passed, (with_vmf, report.per_param)
 
     # the post-training objective, exactly as train_post evaluates it per
     # batch: the vMF NLL (GNLL_VARIANT: the Gaussian NLL at sigma^2 =
     # 1 / kappa) of frozen descriptors with the head output as kappa,
-    # w.r.t. every head parameter.  Batch-centroid anchors are
-    # built from the frozen descriptors, so they are constant in the head.
+    # w.r.t. every head parameter.
     for mode in (TrainMode.POST_TRAINING, TrainMode.GNLL_VARIANT):
-        for anchor_mode in (AnchorMode.CLASS_PROTOTYPE,
-                            AnchorMode.BATCH_CENTROID):
-            cfg = TrainConfig(mode=mode, anchor_mode=anchor_mode)
-            for _ in range(N_INSTANCES):
-                params = init_head(shape, hidden=4, rng=rng)
-                batch = TrainData(
-                    features=aggregate(rng.standard_normal((b,) + shape)),
-                    labels=labels, descriptors=unit_rows(rng, b, d))
+        cfg = TrainConfig(mode=mode)
+        for _ in range(N_INSTANCES):
+            params = init_head(shape, hidden=4, rng=rng)
+            batch = TrainData(
+                features=aggregate(rng.standard_normal((b,) + shape)),
+                labels=labels, descriptors=unit_rows(rng, b, d))
 
-                def loss_and_grad(params, batch=batch, cfg=cfg,
-                                  protos=unit_rows(rng, 3, d)):
-                    return post_loss_and_grads(params, batch, protos, cfg)
+            def loss_and_grad(params, batch=batch, cfg=cfg,
+                              protos=unit_rows(rng, 3, d)):
+                return post_loss_and_grads(params, batch, protos, cfg)
 
-                assert set(loss_and_grad(params)[1]) == set(params)
-                report = finite_diff_check(loss_and_grad, params,
-                                           tolerance=GRAD_TOL)
-                assert report.passed, (mode, anchor_mode, report.per_param)
+            assert set(loss_and_grad(params)[1]) == set(params)
+            report = finite_diff_check(loss_and_grad, params,
+                                       tolerance=GRAD_TOL)
+            assert report.passed, (mode, report.per_param)
 
     assert time.perf_counter() - start < 30.0
 

@@ -204,6 +204,10 @@ class TestEval:
         assert "resultant@1" in doc["reports"]
         assert "l2@1" in doc["reports"]
         assert doc["spearman_kappa"] is not None
+        # SUE's neighbourhood is recorded in the report, not in the config
+        # (config.json is read back and rejects unknown keys)
+        assert doc["sue_k"] == retrieval.SUE_K == 10
+        assert "sue_k" not in doc["config"]
         rep = doc["reports"]["resultant@1"]
         assert sum(rep["bin_counts"]) == rep["total"]
         assert 0.0 <= rep["ece"] <= 1.0
@@ -214,6 +218,7 @@ class TestEval:
                      "--k", "1"]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert sorted(doc["reports"]) == ["l2@1", "pa@1"]
+        assert doc["sue_k"] == retrieval.SUE_K  # whatever ks lists
 
     def test_svg_emitted(self, workdir, tmp_path):
         # eval writes no diagram; `report --svg` renders its report's
@@ -536,6 +541,7 @@ class TestErrors:
         ({"scene": {"aliasing_rate": 1.5}}, "$.scene.aliasing_rate"),
         ({"scene": {"num_classes": 1}}, "$.scene.num_classes"),
         ({"scene": {"images_per_class": 0}}, "$.scene.images_per_class"),
+        ({"scene": {"kappa_min": 0}}, "$.scene.kappa_min"),
     ])
     def test_bad_config_value_located(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "config.json"
@@ -552,6 +558,8 @@ class TestErrors:
          "num_bins must be >= 2, got 1 (at $.binning.num_bins)"),
         ({"scene": {"descriptor_dim": 1}},
          "descriptor_dim must be >= 2, got 1 (at $.scene.descriptor_dim)"),
+        ({"scene": {"kappa_min": 0}},
+         "kappa_min must be > 0, got 0 (at $.scene.kappa_min)"),
     ])
     def test_single_key_check_names_its_value(self, tmp_path, capsys, config,
                                               message):

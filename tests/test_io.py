@@ -24,8 +24,7 @@ from kappa_sphere.head import init_head
 from kappa_sphere.retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                                    batch_knn)
 from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
-from kappa_sphere.training import (AnchorMode, LmclConfig, TrainConfig,
-                                   TrainMode)
+from kappa_sphere.training import LmclConfig, TrainConfig, TrainMode
 
 
 def unit_rows(rng, n, d):
@@ -250,10 +249,15 @@ class TestRunConfig:
             load_run_config(path)
 
     def test_unknown_section_key_rejected(self, tmp_path):
+        # the second is a train key that earlier versions wrote to
+        # config.json: such a run directory is rejected at the section
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"train": {"learning_rate": 0.1}}))
-        with pytest.raises(ConfigError, match="learning_rate"):
-            load_run_config(path)
+        for key, value in (("learning_rate", 0.1),
+                           ("anchor_mode", "class_prototype")):
+            path.write_text(json.dumps({"train": {key: value}}))
+            with pytest.raises(ConfigError, match=key) as exc:
+                load_run_config(path)
+            assert exc.value.path == "$.train"
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -697,8 +701,7 @@ class TestBoundaryProperties:
                 for key in sorted(doc[section])]
         target = data.draw(st.sampled_from(
             keys + [("ks",), ("tau",), ("file",)]), label="target")
-        enum_values = {m.value for e in (TrainMode, AnchorMode, BinStrategy)
-                       for m in e}
+        enum_values = {m.value for e in (TrainMode, BinStrategy) for m in e}
         expected = "$." + ".".join(target)
         if len(target) == 2:
             section, key = target

@@ -9,10 +9,11 @@ import pytest
 from kappa_sphere import pipeline
 from kappa_sphere.head import aggregate, init_head
 from kappa_sphere.synth import SceneConfig, generate_scene
-from kappa_sphere.training import (AdamState, AnchorMode, LmclConfig,
-                                   TrainConfig, TrainData, TrainMode,
-                                   _epoch_batches, adam_step, gnll_batch,
-                                   lmcl_batch, train_joint, train_post)
+from kappa_sphere.training import (AdamState, LmclConfig, TrainConfig,
+                                   TrainData, TrainMode, _fit, adam_step,
+                                   gnll_batch, lmcl_batch,
+                                   post_loss_and_grads, train_joint,
+                                   train_post)
 from oracles import finite_diff_check
 
 
@@ -294,26 +295,18 @@ class TestTrainPost:
         assert len(history) == 3
         assert all(math.isfinite(row["loss"]) for row in history)
 
-    def test_batch_centroid_anchoring(self, rng):
-        data, protos = tiny_data(rng, n=32, num_classes=2)
+    def test_unknown_label(self, rng):
+        # the loss checks every label of a batch before it reads a
+        # prototype row: -1 must not anchor to row C - 1
+        protos = unit_rows(rng, 3, 8)
         head = init_head((3, 2, 2), hidden=4, rng=rng)
-        cfg = TrainConfig(max_epochs=2, warmup=0,
-                          anchor_mode=AnchorMode.BATCH_CENTROID)
-        _, history = train_post(data, protos, head, cfg)
-        assert len(history) == 2
-
-    def test_batch_centroid_requires_positives(self, rng):
-        # Every sample is its own class: excluding self leaves no positives.
-        n = 8
-        data = TrainData(features=rng.standard_normal((n, 3)),
-                         labels=np.arange(n),
-                         descriptors=unit_rows(rng, n, 6))
-        protos = unit_rows(rng, n, 6)
-        head = init_head((3, 2, 2), hidden=4, rng=rng)
-        cfg = TrainConfig(max_epochs=1, warmup=0,
-                          anchor_mode=AnchorMode.BATCH_CENTROID)
-        with pytest.raises(ValueError, match="no positives"):
-            train_post(data, protos, head, cfg)
+        for labels, message in (([0, 3], r"label 3 at row 1 outside \[0, 3\)"),
+                                ([-1, 0], r"label -1 at row 0 outside \[0, 3\)")):
+            batch = TrainData(
+                features=aggregate(rng.standard_normal((2, 3, 2, 2))),
+                labels=np.array(labels), descriptors=unit_rows(rng, 2, 8))
+            with pytest.raises(ValueError, match=message):
+                post_loss_and_grads(head, batch, protos, TrainConfig())
 
     def test_requires_descriptors(self, rng):
         data = TrainData(features=rng.standard_normal((4, 3)),
@@ -326,39 +319,23 @@ class TestTrainPost:
 
 class TestEpochBatches:
     def test_class_prototype_slices_one_permutation(self):
-        labels = np.arange(70) % 6
-        cfg = TrainConfig(batch_size=32)
-        batches = list(_epoch_batches(labels, cfg, np.random.default_rng(5)))
-        perm = np.random.default_rng(5).permutation(70)
-        assert [len(b) for b in batches] == [32, 32, 6]
-        np.testing.assert_array_equal(np.concatenate(batches), perm)
+        # the batches _fit hands loss_and_grads slice one permutation of
+        # the samples, drawn from the config's seed; feature i is i
+        n = 70
+        data = TrainData(features=np.arange(n, dtype=np.float64)[:, None],
+                         labels=np.arange(n) % 6)
+        seen = []
 
-    def test_batch_centroid_packs_whole_classes(self, rng):
-        # class sizes 1..12 plus one class larger than a batch
-        labels = rng.permutation(np.repeat(np.arange(13),
-                                           [*range(1, 13), 40]))
-        cfg = TrainConfig(batch_size=16, anchor_mode=AnchorMode.BATCH_CENTROID)
-        batches = list(_epoch_batches(labels, cfg, rng))
-        np.testing.assert_array_equal(np.sort(np.concatenate(batches)),
-                                      np.arange(len(labels)))
-        for batch in batches:
-            classes = np.unique(labels[batch])
-            assert len(batch) <= cfg.batch_size or len(classes) == 1
-            for c in classes:
-                assert np.sum(labels[batch] == c) == np.sum(labels == c)
+        def loss_and_grads(params, batch):
+            seen.append(batch.features[:, 0].astype(np.int64))
+            return 0.0, {"w": np.zeros(1)}
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_batch_centroid_trains_on_default_scene(self, seed):
-        dataset = generate_scene(SceneConfig(seed=seed))
-        common = dict(max_epochs=2, warmup=0, seed=seed,
-                      anchor_mode=AnchorMode.BATCH_CENTROID)
-        _, history = pipeline.fit_head(dataset, TrainConfig(
-            mode=TrainMode.POST_TRAINING, lr=0.05, **common))
-        assert len(history) == 2
-        *_, history = pipeline.fit_joint(dataset, TrainConfig(
-            lam=0.01, lr=1e-4, **common))
-        assert len(history) == 2
-        assert all(math.isfinite(row["loss"]) for row in history)
+        _fit({"w": np.zeros(1)}, loss_and_grads, data,
+             TrainConfig(batch_size=32, max_epochs=1, seed=5), None,
+             (("metric", +1),))
+        perm = np.random.default_rng(5).permutation(n)
+        assert [len(b) for b in seen] == [32, 32, 6]
+        np.testing.assert_array_equal(np.concatenate(seen), perm)
 
 
 class TestTrainJoint:
