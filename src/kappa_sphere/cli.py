@@ -186,21 +186,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_inputs(args):
+def _load_eval_inputs(paths):
+    """The run's db and query banks: bank.kpb's rows with manifest.json's
+    fields."""
     from . import fileio
 
-    paths = _paths(args.out)
     desc = fileio.read_bank(paths["bank"])
     bank, splits = fileio.read_manifest(paths["manifest"], desc)
-    run = _resolve(args)
-    return run, bank.subset(splits["db"]), bank.subset(splits["query"])
+    return bank.subset(splits["db"]), bank.subset(splits["query"])
 
 
 def cmd_eval(args) -> int:
     from . import fileio, retrieval, scores as sc
     from .pipeline import evaluate_queries
 
-    run, db, queries = _load_eval_inputs(args)
+    paths = _paths(args.out)
+    # hashed before either file is parsed: a file replaced in between
+    # leaves the record keyed by bytes the file no longer holds, so
+    # match-eval misses it rather than reuse a search of other bytes
+    key = fileio.inputs_key(paths["bank"], paths["manifest"])
+    db, queries = _load_eval_inputs(paths)
+    run = _resolve(args)
     methods = sc.ALL_METHODS
     if args.method:
         methods = tuple(str(args.method).split(","))
@@ -220,10 +226,10 @@ def cmd_eval(args) -> int:
     }
     out_path = os.path.join(args.out, "report.json")
     fileio.atomic_write_text(out_path, fileio.report_document(body, run))
-    # match-eval reads the first k columns of this search instead of
-    # repeating it; eval itself never reads the file
-    fileio.write_retrieval(_paths(args.out)["retrieval"], db, queries,
-                           ev.results)
+    # match-eval scores the first k columns of this search, with the poses
+    # and kappas recorded beside it, instead of parsing the inputs and
+    # searching again; eval itself never reads the file
+    fileio.write_retrieval(paths["retrieval"], key, db, queries, ev.results)
     _print_query_table(ev, run.ks)
     print(f"wrote {out_path}")
     return 0
@@ -233,13 +239,18 @@ def cmd_match_eval(args) -> int:
     from . import fileio
     from .pipeline import evaluate_matches
 
-    run, db, queries = _load_eval_inputs(args)
+    paths = _paths(args.out)
+    key = fileio.inputs_key(paths["bank"], paths["manifest"])
+    run = _resolve(args)
     k = run.ks[0]
-    # the search eval recorded for these exact inputs, when at least k deep
-    results = fileio.read_retrieval(_paths(args.out)["retrieval"], db,
-                                    queries, k)
+    # eval's record of a search of these exact input bytes, at least k deep
+    recorded = fileio.read_retrieval(paths["retrieval"], key, k)
+    if recorded is None:
+        db, queries = _load_eval_inputs(paths)
+    else:
+        db, queries = recorded.db, recorded.queries
     ev = evaluate_matches(db, queries, k=k, binning=run.binning, tau=run.tau,
-                          results=results)
+                          results=recorded)
     body = {
         "level": "match",
         "k": k,

@@ -432,74 +432,127 @@ def read_scene(path, cfg: SceneConfig) -> SynthDataset:
 # ---------------------------------------------------------------------------
 # recorded retrieval
 
-# Names the search that wrote a record; change it when batch_knn's results
-# change, so older records stop matching.
-_RETRIEVAL_FORMAT = b"kappa-sphere retrieval 1"
+# Names the record's layout and the search that wrote it; change it when
+# either changes (batch_knn's results, say), so older records stop matching.
+_RETRIEVAL_FORMAT = b"kappa-sphere retrieval 2"
 
 
-def retrieval_key(bank: DescriptorBank, query_bank: DescriptorBank) -> str:
-    """sha256 of exactly what `batch_knn(query_bank.descriptors, bank, K,
-    query_ids=query_bank.ids)` reads besides K: both descriptor blocks and
-    both id arrays, each with its dtype and shape.  Kappas, poses, tau and
-    binning are not search inputs, so they are not hashed."""
+def inputs_key(bank_path, manifest_path) -> str:
+    """The key of a recorded retrieval: sha256 of `_RETRIEVAL_FORMAT`, then
+    of each file's length (u64) and exact bytes, bank first.  Neither file
+    is parsed; `eval` takes the key before it parses them."""
     import hashlib  # here: loading OpenSSL costs every command a few ms
 
     h = hashlib.sha256(_RETRIEVAL_FORMAT)
-    for arr in (bank.descriptors, bank.ids, query_bank.descriptors,
-                query_bank.ids):
-        arr = np.ascontiguousarray(arr)
-        h.update(f"{arr.dtype.str}{arr.shape}".encode())
-        h.update(arr)  # the buffer itself, no tobytes() copy
+    for path in (bank_path, manifest_path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        h.update(struct.pack("<Q", len(data)))
+        h.update(data)
     return h.hexdigest()
 
 
-def write_retrieval(path, bank: DescriptorBank, query_bank: DescriptorBank,
+@dataclass(frozen=True)
+class RecordedRows:
+    """What match-level scoring reads of one side's bank: its poses, and
+    its kappas when the manifest has them."""
+
+    poses: np.ndarray                  # (rows, 2)
+    kappas: np.ndarray | None = None   # (rows,)
+
+    def __len__(self):
+        return len(self.poses)
+
+
+@dataclass(frozen=True)
+class RecordedRetrieval:
+    """A top-k search read back by `read_retrieval`: row i of the (n, k)
+    arrays holds query i's ranked db row indices and cosines."""
+
+    queries: RecordedRows
+    db: RecordedRows
+    ref_indices: np.ndarray
+    similarities: np.ndarray
+
+
+def write_retrieval(path, key: str, bank: DescriptorBank,
+                    query_bank: DescriptorBank,
                     results: RetrievalResult) -> None:
-    """Record a top-K search of `query_bank` against `bank`: its (n, K)
-    bank row indices and cosines, keyed by `retrieval_key`.  A numpy-only
-    .npz archive, written atomically."""
+    """Record a top-K search of `query_bank` against `bank` under `key`
+    (`inputs_key` of the files the banks were read from): its (n, K) bank
+    row indices and cosines, and both banks' poses and kappas (none when
+    the bank has none).  A numpy-only .npz archive, written atomically."""
+    sides = {"query": query_bank, "db": bank}
     _write_record(
-        path, key=np.array(retrieval_key(bank, query_bank)),
+        path, key=np.array(key),
         ref_indices=np.asarray(results.ref_indices, dtype=np.int64),
-        similarities=np.asarray(results.similarities, dtype=np.float64))
+        similarities=np.asarray(results.similarities, dtype=np.float64),
+        **{f"{side}_poses": b.poses for side, b in sides.items()},
+        **{f"{side}_kappas": b.kappas for side, b in sides.items()
+           if b.kappas is not None})
 
 
-def read_retrieval(path, bank: DescriptorBank, query_bank: DescriptorBank,
-                   k: int) -> RetrievalResult | None:
-    """The first k columns of the search recorded by `write_retrieval`.
+def _check_finite(value, path, name: str, nonneg: bool = False) -> None:
+    """Every entry of the float field `name` is finite (and >= 0)."""
+    ok = (value >= 0) & (value < np.inf) if nonneg else np.isfinite(value)
+    if not ok.all():
+        at = np.argwhere(~ok)[0]
+        want = "a finite number" + (" >= 0" if nonneg else "")
+        raise RecordFileError(f"expected {want}, got {value[tuple(at)]} at "
+                              f"row {at[0]}", path, name)
 
-    None when there is no file, when it was recorded for other search
-    inputs (its key differs from `retrieval_key(bank, query_bank)`), or
-    when it holds fewer than k columns.  A file that is not such a record
-    raises RecordFileError naming the file and the field.
+
+def read_retrieval(path, key: str, k: int) -> RecordedRetrieval | None:
+    """The first k columns of the search `write_retrieval` recorded under
+    `key`, with the poses and kappas of the rows they index.
+
+    None when there is no file, when it was recorded under another key
+    (other input bytes, or an older format), or when it holds fewer than k
+    columns.  A file that is not an .npz archive, or a record under `key`
+    that is not a valid one, raises RecordFileError naming the file and
+    the field.  The query poses give n >= 1 and the db poses N:
+    ref_indices must be (n, K), 1 <= K <= N, with every entry in [0, N);
+    similarities must have its shape; a kappa field must be as long as its
+    side's poses; poses and cosines must be finite, and kappas finite and
+    >= 0.
     """
+    f8 = np.float64
     try:
         with _open_record(path) as archive:
-            key = _record_field(archive, "key", path, str, ())
+            if str(_record_field(archive, "key", path, str, ())) != key:
+                return None
+            values = {name: _record_field(archive, name, path, f8, (None, 2))
+                      for name in ("query_poses", "db_poses")}
+            n, rows = len(values["query_poses"]), len(values["db_poses"])
             order = _record_field(archive, "ref_indices", path, np.int64,
-                                  (None, None))
-            sims = _record_field(archive, "similarities", path, np.float64,
-                                 (None, None))
+                                  (n, None))
+            values["similarities"] = _record_field(
+                archive, "similarities", path, f8, order.shape)
+            for side, length in (("query", n), ("db", rows)):
+                name = f"{side}_kappas"
+                if name in archive.files:
+                    values[name] = _record_field(archive, name, path, f8,
+                                                 (length,))
     except FileNotFoundError:
         return None
-    if str(key) != retrieval_key(bank, query_bank):
-        return None
-    n, depth = order.shape
-    if n != len(query_bank) or not 1 <= depth <= len(bank):
+    if n == 0 or not 1 <= order.shape[1] <= rows:
         raise RecordFileError(
-            f"shape {order.shape} does not fit {len(query_bank)} queries "
-            f"against {len(bank)} references", path, "ref_indices")
-    _check_indices(order, len(bank), path, "ref_indices")
-    if sims.shape != order.shape:
-        raise RecordFileError(f"shape {sims.shape} != ref_indices shape "
-                              f"{order.shape}", path, "similarities")
-    if k > depth:
+            f"shape {order.shape} does not fit {n} queries against the "
+            f"{rows} rows of db_poses", path, "ref_indices")
+    if order.min() < 0 or order.max() >= rows:
+        raise RecordFileError(f"index outside [0, {rows}), the rows of "
+                              "db_poses", path, "ref_indices")
+    for name, value in values.items():
+        _check_finite(value, path, name, nonneg=name.endswith("kappas"))
+    if k > order.shape[1]:
         return None
     # contiguous, as batch_knn returns them
-    order = np.ascontiguousarray(order[:, :k])
-    sims = np.ascontiguousarray(sims[:, :k])
-    return RetrievalResult(query_ids=query_bank.ids, ref_ids=bank.ids[order],
-                           ref_indices=order, similarities=sims)
+    return RecordedRetrieval(
+        queries=RecordedRows(values["query_poses"],
+                             values.get("query_kappas")),
+        db=RecordedRows(values["db_poses"], values.get("db_kappas")),
+        ref_indices=np.ascontiguousarray(order[:, :k]),
+        similarities=np.ascontiguousarray(values["similarities"][:, :k]))
 
 
 # ---------------------------------------------------------------------------

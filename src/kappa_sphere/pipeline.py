@@ -237,7 +237,7 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
 class MatchEvaluation:
     reports: dict               # method -> CalibrationReport (match level)
     pairs: dict                 # method -> (value, degenerate), (n, K) each
-    results: RetrievalResult    # (n, K) retrieval
+    results: RetrievalResult    # (n, K) retrieval, or the record it came from
     positive: np.ndarray        # (n, K) ground-truth positive pairs
 
 
@@ -250,7 +250,11 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
     Scores each pair with the resultant-fusion kernel (when both banks
     carry kappas) and with the pairwise L2 distance baseline.  `results`
     is the top-k search of `query_bank` against `bank` when the caller
-    already has it (see `fileio.read_retrieval`); otherwise it is run here.
+    already has it; otherwise it is run here.  Scoring reads only the
+    search's `ref_indices` and `similarities` and each side's `poses` and
+    `kappas`, so with `results` given the banks may be any rows carrying
+    those: `match-eval` passes the `fileio.RecordedRetrieval` of eval's
+    record as `results` and its `db` and `queries` as the banks.
     """
     if results is None:
         results = batch_knn(query_bank.descriptors, bank, k,

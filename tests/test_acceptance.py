@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
 
 from kappa_sphere import scores as sc
 from kappa_sphere.bench import run_bench

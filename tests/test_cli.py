@@ -269,9 +269,10 @@ class TestMatchEval:
 
 
 class TestRecordedRetrieval:
-    """eval records its top-K search in retrieval.npz; match-eval takes the
-    first k columns when the record's key matches its own search inputs
-    and k is at most K, and searches otherwise."""
+    """eval records its top-K search in retrieval.npz, with the poses and
+    kappas it scores, keyed by the bytes of bank.kpb and manifest.json;
+    match-eval takes the first k columns when the files hash to the key
+    and k is at most K, and parses the files and searches otherwise."""
 
     @pytest.fixture()
     def evaluated(self, workdir, tmp_path):
@@ -292,29 +293,58 @@ class TestRecordedRetrieval:
         _patch_everywhere(monkeypatch, original, spy)
         return ks
 
-    @pytest.mark.parametrize("k", [None, "5", "10"])
-    def test_match_eval_reads_the_record(self, evaluated, tmp_path,
-                                         monkeypatch, k):
-        # the record's prefix gives the bytes a search gives
-        flags = [] if k is None else ["--k", k]
-        searched = tmp_path / "searched"
-        shutil.copytree(evaluated, searched)
-        (searched / "retrieval.npz").unlink()
-        assert main(["match-eval", "--out", str(searched), *flags]) == 0
+    @staticmethod
+    def _searched_copy(out, dest, argv_tail) -> bytes:
+        """The match_report.json bytes of a copy of the run `out` without
+        the record, so match-eval parses the inputs and searches."""
+        shutil.copytree(out, dest)
+        (dest / "retrieval.npz").unlink(missing_ok=True)
+        assert main(["match-eval", "--out", str(dest), *argv_tail]) == 0
+        return (dest / "match_report.json").read_bytes()
 
-        def no_search(*args, **kwargs):
-            raise AssertionError("match-eval searched")
+    @pytest.mark.parametrize("case", [None, "5", "10", "quantile binning",
+                                      "another tau", "no kappas"])
+    def test_match_eval_reads_the_record(self, evaluated, workdir, tmp_path,
+                                         monkeypatch, case):
+        # a hit decodes neither input file and runs no search; its
+        # positives and bins follow match-eval's own tau and binning, and
+        # its report has the bytes a search gives
+        out, flags = evaluated, []
+        if case in ("5", "10"):
+            flags = ["--k", case]
+        elif case == "quantile binning":
+            flags = ["--binning", "quantile", "--bins", "4"]
+        elif case == "another tau":
+            config = tmp_path / "tau.json"
+            config.write_text(json.dumps({**SMALL_CONFIG, "tau": 10.0}))
+            flags = ["--config", str(config)]
+        elif case == "no kappas":
+            out = tmp_path / "gen-only"
+            assert main(["gen", "--config", str(workdir["cfg"]), "--out",
+                         str(out)]) == 0
+            assert main(["eval", "--out", str(out)]) == 0
+            with np.load(out / "retrieval.npz") as record:
+                assert not {"query_kappas", "db_kappas"} & set(record.files)
+        searched = self._searched_copy(out, tmp_path / "searched", flags)
 
-        _patch_everywhere(monkeypatch, retrieval.batch_knn, no_search)
-        assert main(["match-eval", "--out", str(evaluated), *flags]) == 0
-        assert (evaluated / "match_report.json").read_bytes() == \
-            (searched / "match_report.json").read_bytes()
+        def refuse(*args, **kwargs):
+            raise AssertionError("match-eval parsed an input or searched")
+
+        for original in (fileio.read_bank, fileio.read_manifest,
+                         retrieval.batch_knn):
+            _patch_everywhere(monkeypatch, original, refuse)
+        assert main(["match-eval", "--out", str(out), *flags]) == 0
+        assert (out / "match_report.json").read_bytes() == searched
 
     @pytest.mark.parametrize("change", ["train", "perturbed row",
-                                        "deeper k", "no file"])
+                                        "deeper k", "no file",
+                                        "edited kappas", "old format"])
     def test_match_eval_searches_when_the_record_does_not_fit(
-            self, evaluated, monkeypatch, change):
-        argv = ["match-eval", "--out", str(evaluated)]
+            self, evaluated, tmp_path, monkeypatch, change):
+        # any change to either file's bytes is a miss, kappas included:
+        # fit followed by match-eval without eval searches again
+        flags = []
+        record = evaluated / "retrieval.npz"
         if change == "train":
             assert main(["train", "--out", str(evaluated)]) == 0
         elif change == "perturbed row":
@@ -325,35 +355,31 @@ class TestRecordedRetrieval:
             desc[i] /= np.linalg.norm(desc[i])
             fileio.write_bank(evaluated / "bank.kpb", desc)
         elif change == "deeper k":
-            with np.load(evaluated / "retrieval.npz") as record:
-                depth = record["ref_indices"].shape[1]
-            argv += ["--k", str(depth + 1)]
+            with np.load(record) as npz:
+                depth = npz["ref_indices"].shape[1]
+            flags = ["--k", str(depth + 1)]
+        elif change == "no file":
+            record.unlink()
+        elif change == "edited kappas":
+            doc = json.loads((evaluated / "manifest.json").read_text())
+            doc["kappas"] = [2.0 * v for v in doc["kappas"]]
+            (evaluated / "manifest.json").write_text(json.dumps(doc))
         else:
-            (evaluated / "retrieval.npz").unlink()
-        searches = self._count_searches(monkeypatch)
-        assert main(argv) == 0
-        assert len(searches) == 1
-
-    def test_changes_outside_the_search_keep_the_record(
-            self, evaluated, tmp_path, monkeypatch):
-        # kappas, train rows, tau and binning are not search inputs
-        doc = json.loads((evaluated / "manifest.json").read_text())
-        doc["kappas"] = [2.0 * v for v in doc["kappas"]]
-        (evaluated / "manifest.json").write_text(json.dumps(doc))
-        desc = fileio.read_bank(evaluated / "bank.kpb")
-        i = doc["split"].index("train")
-        desc[i] = desc[i - 1]
-        fileio.write_bank(evaluated / "bank.kpb", desc)
-        flags = ["--binning", "quantile", "--bins", "4"]
-        searched = tmp_path / "searched"
-        shutil.copytree(evaluated, searched)
-        (searched / "retrieval.npz").unlink()
-        assert main(["match-eval", "--out", str(searched), *flags]) == 0
+            # the layout of format 1: the search alone, under its own tag
+            with monkeypatch.context() as m:
+                m.setattr(fileio, "_RETRIEVAL_FORMAT",
+                          b"kappa-sphere retrieval 1")
+                old_key = fileio.inputs_key(evaluated / "bank.kpb",
+                                            evaluated / "manifest.json")
+            with np.load(record) as npz:
+                np.savez(record, key=np.array(old_key),
+                         ref_indices=npz["ref_indices"],
+                         similarities=npz["similarities"])
+        fresh = self._searched_copy(evaluated, tmp_path / "fresh", flags)
         searches = self._count_searches(monkeypatch)
         assert main(["match-eval", "--out", str(evaluated), *flags]) == 0
-        assert searches == []
-        assert (evaluated / "match_report.json").read_bytes() == \
-            (searched / "match_report.json").read_bytes()
+        assert len(searches) == 1
+        assert (evaluated / "match_report.json").read_bytes() == fresh
 
     @pytest.mark.parametrize("garble, field", [
         ("truncated", None),
@@ -364,6 +390,13 @@ class TestRecordedRetrieval:
         ("one query short", "ref_indices"),
         ("short similarities", "similarities"),
         ("pickled similarities", "similarities"),
+        ("NaN query kappa", "query_kappas"),
+        ("negative db kappa", "db_kappas"),
+        ("infinite query pose", "query_poses"),
+        ("NaN db pose", "db_poses"),
+        ("one query kappa short", "query_kappas"),
+        ("db kappas short of the largest index", "db_kappas"),
+        ("db rows short of the largest index", "ref_indices"),
     ])
     def test_bad_record_fails_with_its_location(self, evaluated, capsys,
                                                 garble, field):
@@ -387,8 +420,25 @@ class TestRecordedRetrieval:
                 record.update(ref_indices=order[1:], similarities=sims[1:])
             elif garble == "short similarities":
                 record["similarities"] = sims[:, :-1]
-            else:
+            elif garble == "pickled similarities":
                 record["similarities"] = sims.astype(object)
+            elif garble == "NaN query kappa":
+                record["query_kappas"][3] = np.nan
+            elif garble == "negative db kappa":
+                record["db_kappas"][order[2, 0]] = -1.0
+            elif garble == "infinite query pose":
+                record["query_poses"][1, 0] = np.inf
+            elif garble == "NaN db pose":
+                record["db_poses"][order[0, 1], 1] = np.nan
+            elif garble == "one query kappa short":
+                record["query_kappas"] = record["query_kappas"][:-1]
+            else:
+                # the db fields stop before the row ref_indices reaches
+                top = order.max()
+                names = ["db_kappas"] + (["db_poses"] if garble.startswith(
+                    "db rows") else [])
+                for name in names:
+                    record[name] = record[name][:top]
             np.savez(path, **record)
         assert main(["match-eval", "--out", str(evaluated)]) == 1
         err = capsys.readouterr().err

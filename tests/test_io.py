@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kappa_sphere.fileio import (REPORT_SCHEMA_VERSION, BankFormatError,
                                  ConfigError, ManifestError, RecordFileError,
-                                 RunConfig, atomic_write_text,
+                                 RunConfig, atomic_write_text, inputs_key,
                                  load_run_config, read_bank, read_manifest,
                                  read_retrieval, read_scene, report_document,
                                  write_bank, write_manifest,
@@ -507,48 +507,81 @@ class TestRetrievalRecord:
                                   kappas=rng.uniform(1, 9, n))
         return bank(30, 100), bank(7, 0)
 
+    @staticmethod
+    def _key(tmp_path, db, queries) -> str:
+        """inputs_key of the bank and manifest holding `db` then
+        `queries`."""
+        both = {name: np.concatenate([getattr(db, name),
+                                      getattr(queries, name)])
+                for name in ("descriptors", "ids", "labels", "poses",
+                             "kappas")}
+        rows = np.arange(len(db) + len(queries))
+        splits = {"db": rows[:len(db)], "query": rows[len(db):]}
+        bank, manifest = tmp_path / "bank.kpb", tmp_path / "manifest.json"
+        write_bank(bank, both["descriptors"])
+        write_manifest(manifest, DescriptorBank(**both), splits)
+        return inputs_key(bank, manifest)
+
     def test_prefix_round_trip(self, banks, tmp_path):
         db, queries = banks
         path = tmp_path / "retrieval.npz"
-        write_retrieval(path, db, queries, batch_knn(queries.descriptors, db,
-                                                     10, query_ids=queries.ids))
+        write_retrieval(path, "key", db, queries,
+                        batch_knn(queries.descriptors, db, 10,
+                                  query_ids=queries.ids))
         for k in (1, 4, 10):
-            got = read_retrieval(path, db, queries, k)
+            got = read_retrieval(path, "key", k)
             want = batch_knn(queries.descriptors, db, k,
                              query_ids=queries.ids)
-            for name in ("query_ids", "ref_ids", "ref_indices",
-                         "similarities"):
+            for name in ("ref_indices", "similarities"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(want, name))
-        assert read_retrieval(path, db, queries, 11) is None
-        assert read_retrieval(tmp_path / "none.npz", db, queries, 1) is None
+            for side, bank in ((got.db, db), (got.queries, queries)):
+                np.testing.assert_array_equal(side.poses, bank.poses)
+                np.testing.assert_array_equal(side.kappas, bank.kappas)
+        assert read_retrieval(path, "key", 11) is None
+        assert read_retrieval(path, "another key", 1) is None
+        assert read_retrieval(tmp_path / "none.npz", "key", 1) is None
 
     @pytest.mark.parametrize("field", ["descriptors", "ids"])
     @pytest.mark.parametrize("side", [0, 1])
     def test_key_covers_every_search_input(self, banks, tmp_path, field,
                                            side):
-        path = tmp_path / "retrieval.npz"
-        write_retrieval(path, *banks, batch_knn(banks[1].descriptors,
-                                                banks[0], 3))
+        key = self._key(tmp_path, *banks)
         changed = list(banks)
         values = getattr(banks[side], field)[::-1].copy()
         changed[side] = DescriptorBank(**{**vars(banks[side]), field: values})
-        assert read_retrieval(path, *changed, 1) is None
+        assert self._key(tmp_path, *changed) != key
 
-    def test_key_ignores_what_is_not_searched(self, banks, tmp_path):
-        path = tmp_path / "retrieval.npz"
-        write_retrieval(path, *banks, batch_knn(banks[1].descriptors,
-                                                banks[0], 3))
-        changed = [DescriptorBank(**{**vars(b), "kappas": None, "poses": None,
-                                     "labels": b.labels + 1}) for b in banks]
-        assert read_retrieval(path, *changed, 3) is not None
+    @pytest.mark.parametrize("field", ["poses", "kappas"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_key_covers_what_match_eval_scores(self, banks, tmp_path, field,
+                                               side):
+        # a hit scores the recorded poses and kappas, so they are keyed too
+        key = self._key(tmp_path, *banks)
+        changed = list(banks)
+        values = getattr(banks[side], field).copy()
+        values[-1] += 1.0
+        changed[side] = DescriptorBank(**{**vars(banks[side]), field: values})
+        assert self._key(tmp_path, *changed) != key
 
-    def test_not_an_archive(self, banks, tmp_path):
+    def test_key_hashes_bytes_without_parsing_them(self, tmp_path):
+        # any bytes hash, and a byte moved across the two files' boundary
+        # changes the key
+        bank, manifest = tmp_path / "bank.kpb", tmp_path / "manifest.json"
+        bank.write_bytes(b"not a bank")
+        manifest.write_bytes(b"{not json")
+        key = inputs_key(bank, manifest)
+        assert len(key) == 64
+        bank.write_bytes(b"not a bank{")
+        manifest.write_bytes(b"not json")
+        assert inputs_key(bank, manifest) != key
+
+    def test_not_an_archive(self, tmp_path):
         path = tmp_path / "retrieval.npz"
         np.save(path, np.zeros(3))
         os.replace(str(path) + ".npy", path)
         with pytest.raises(RecordFileError) as exc:
-            read_retrieval(path, *banks, 1)
+            read_retrieval(path, "key", 1)
         assert exc.value.path == str(path) and exc.value.field is None
 
 
