@@ -200,8 +200,7 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
     if not ks or ks[0] < 1:
         raise ValueError(f"ks must list at least one K >= 1, got {ks}")
     results = batch_knn(query_bank.descriptors, bank,
-                        min(max(ks[-1], SUE_K), len(bank)),
-                        query_ids=query_bank.ids)
+                        min(max(ks[-1], SUE_K), len(bank)))
     mark_successes(results, bank, query_bank.poses, tau)
 
     scored = {}
@@ -257,8 +256,7 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
     record as `results` and its `db` and `queries` as the banks.
     """
     if results is None:
-        results = batch_knn(query_bank.descriptors, bank, k,
-                            query_ids=query_bank.ids)
+        results = batch_knn(query_bank.descriptors, bank, k)
     elif results.ref_indices.shape != (len(query_bank), k):
         raise ValueError(f"results of shape {results.ref_indices.shape} are "
                          f"not a top-{k} search of {len(query_bank)} queries")

@@ -78,18 +78,15 @@ def positive_mask(query_poses, bank: DescriptorBank, ref_indices,
 class RetrievalResult:
     """Top-K retrieval of n queries; row i holds query i's ranked matches."""
 
-    query_ids: np.ndarray          # (n,)
-    ref_ids: np.ndarray            # (n, K) ranked reference ids
-    ref_indices: np.ndarray        # (n, K) bank row indices
+    ref_indices: np.ndarray        # (n, K) ranked bank row indices
     similarities: np.ndarray       # (n, K) descending cosines
     success: np.ndarray | None = None  # (n, K) any-positive-in-prefix flags
 
     def __len__(self):
-        return len(self.query_ids)
+        return len(self.ref_indices)
 
 
-def batch_knn(queries, bank: DescriptorBank, k: int,
-              query_ids=None) -> RetrievalResult:
+def batch_knn(queries, bank: DescriptorBank, k: int) -> RetrievalResult:
     """Exact top-k under cosine similarity for an (n, d) block of queries.
 
     Ranking is by descending cosine, ties broken by ascending reference id.
@@ -109,8 +106,6 @@ def batch_knn(queries, bank: DescriptorBank, k: int,
     benchmark pin (d = 64, N = 288 and 9,216), though not at every N.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if query_ids is None:
-        query_ids = np.arange(len(queries))
     if not 1 <= k <= len(bank):
         raise ValueError(f"K={k} out of range for bank of {len(bank)}")
     if not np.isfinite(queries).all():
@@ -141,12 +136,7 @@ def batch_knn(queries, bank: DescriptorBank, k: int,
         top = ranked[first[:, None] + np.arange(k)]
         order[start:start + h] = cols[top]
         similarities[start:start + h] = sims[top]
-    return RetrievalResult(
-        query_ids=np.asarray(query_ids, dtype=np.int64),
-        ref_ids=bank.ids[order],
-        ref_indices=order,
-        similarities=similarities,
-    )
+    return RetrievalResult(ref_indices=order, similarities=similarities)
 
 
 def mark_successes(results: RetrievalResult, bank: DescriptorBank,

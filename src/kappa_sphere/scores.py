@@ -118,7 +118,7 @@ def score_query(method: str, result: RetrievalResult, bank: DescriptorBank,
             raise MissingInputError("resultant score requires predicted kappas")
         return match_uncertainty(kappa_q, bank.kappas[result.ref_indices[:, 0]],
                                  result.similarities[:, 0])
-    k = k if k is not None else result.ref_ids.shape[1]
+    k = k if k is not None else result.ref_indices.shape[1]
     if method == METHOD_INV_KAPPA:
         if kappa_q is None:
             raise MissingInputError("inverse-kappa score requires a predicted kappa")

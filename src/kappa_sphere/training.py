@@ -74,10 +74,9 @@ def encode(weights: np.ndarray, raw) -> np.ndarray:
 
 
 def _check_labels(labels, c: int) -> np.ndarray:
-    """The labels of a batch as an array, or a ValueError naming the first
-    one outside [0, C) and its row: a negative label would index a
-    prototype row from the end."""
-    labels = np.asarray(labels)
+    """The labels, or a ValueError naming the first one outside [0, C) and
+    its row: a negative label would index a prototype row from the end.
+    Each trainer calls it once, on the fit's data, before its first step."""
     bad = np.flatnonzero((labels < 0) | (labels >= c))
     if bad.size:
         raise ValueError(f"label {labels[bad[0]]} at row {bad[0]} outside "
@@ -90,10 +89,9 @@ def lmcl_batch(z, prototype_weights, labels, cfg: LmclConfig):
 
     Cross-entropy over s * (cos_j - m * [j == label]), with cos_j = w_j.z
     taken against the raw prototype rows.  Returns (loss, grad wrt the
-    (n, d) embeddings, grad wrt the (C, d) prototype matrix).  A label
-    outside [0, C) raises `_check_labels`' ValueError.
+    (n, d) embeddings, grad wrt the (C, d) prototype matrix).  Each label
+    must lie in [0, C), as `train_joint` checks once per fit.
     """
-    labels = _check_labels(labels, len(prototype_weights))
     b = len(labels)
     rows = np.arange(b)
     cos = z @ prototype_weights.T
@@ -210,27 +208,24 @@ class TrainData:
             raise ValueError("features must be the pooled (n, c) rows, got "
                              f"shape {np.shape(self.features)}")
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.labels) != len(self.features):
-            raise ValueError("features and labels length mismatch")
-        if len(self.labels) == 0:
+        n = len(self.features)
+        for name in ("labels", "descriptors", "raw"):
+            value = getattr(self, name)
+            if value is not None and len(value) != n:
+                raise ValueError(f"{name} has {len(value)} rows, not {n}")
+        if n == 0:
             raise ValueError("empty dataset")
 
     def __len__(self):
         return len(self.labels)
 
 
-def _take(data: TrainData, idx) -> TrainData:
-    """The samples `idx` of `data`, as a batch of their own."""
-    return TrainData(**{name: None if value is None else value[idx]
-                        for name, value in vars(data).items()})
-
-
-def _fit(params: dict, loss_and_grads, data: TrainData, cfg: TrainConfig,
+def _fit(params: dict, loss_and_grads, n: int, cfg: TrainConfig,
          evaluate, watch: tuple, project=None):
-    """The epoch loop both trainers run.
+    """The epoch loop both trainers run over their n samples.
 
-    Each epoch slices one random permutation of the samples into batches
-    of cfg.batch_size.  Per batch, `loss_and_grads(params, batch) ->
+    Each epoch slices one random permutation of the sample rows into index
+    batches of cfg.batch_size.  Per batch, `loss_and_grads(params, idx) ->
     (loss, grads)` feeds one Adam step on `params` (in place), followed by
     `project()` if given.  The epoch's history row holds epoch, mean loss,
     one value per `watch` metric (`evaluate()` returns them in order; NaN
@@ -254,16 +249,16 @@ def _fit(params: dict, loss_and_grads, data: TrainData, cfg: TrainConfig,
         {k: v.copy() for k, v in params.items()}
     for epoch in range(cfg.max_epochs):
         epoch_loss = 0.0
-        perm = rng.permutation(len(data))
-        for start in range(0, len(data), cfg.batch_size):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            loss, grads = loss_and_grads(params, _take(data, idx))
+            loss, grads = loss_and_grads(params, idx)
             adam_step(params, grads, state, cfg.lr)
             if project is not None:
                 project()
             epoch_loss += loss * len(idx)
         values = evaluate() if evaluate is not None else [math.nan] * len(names)
-        history.append({"epoch": epoch, "loss": epoch_loss / len(data),
+        history.append({"epoch": epoch, "loss": epoch_loss / n,
                         **dict(zip(names, values)), "phase": phase + 1})
 
         if evaluate is None or epoch < cfg.warmup:
@@ -282,21 +277,17 @@ def _fit(params: dict, loss_and_grads, data: TrainData, cfg: TrainConfig,
     return best_params, history
 
 
-def post_loss_and_grads(params: dict, batch: TrainData,
-                        prototype_weights: np.ndarray, cfg: TrainConfig):
+def post_loss_and_grads(params: dict, features, z, anchors,
+                        cfg: TrainConfig):
     """The post-training loss on one batch and its gradient w.r.t. `params`.
 
-    The head predicts kappa.  The loss is the stable vMF NLL of the frozen
-    `batch.descriptors` around their anchors; under GNLL_VARIANT it is the
-    Gaussian NLL with sigma^2 = 1 / kappa.  `params` is the head.  Each
-    sample's anchor is its class row of `prototype_weights`; a label
-    outside [0, C) raises `_check_labels`' ValueError.  Returns (loss,
-    grads) with one gradient per entry of `params`.
+    The head predicts kappa from the (n, c) `features`.  The loss is the
+    stable vMF NLL of the frozen (n, d) descriptors `z` around their
+    (n, d) `anchors`, each sample's class prototype; under GNLL_VARIANT it
+    is the Gaussian NLL with sigma^2 = 1 / kappa.  `params` is the head.
+    Returns (loss, grads) with one gradient per entry of `params`.
     """
-    z = batch.descriptors
-    anchors = prototype_weights[_check_labels(batch.labels,
-                                              len(prototype_weights))]
-    kappas, cache = forward_batch(batch.features, params)
+    kappas, cache = forward_batch(features, params)
     if cfg.mode is TrainMode.GNLL_VARIANT:
         s2 = 1.0 / kappas
         loss, _, g_s2 = gnll_batch(z, anchors, s2)
@@ -311,7 +302,8 @@ def train_post(data: TrainData, prototypes: np.ndarray, head: dict,
     """Train only the kappa head against frozen descriptors and the (C, d)
     unit `prototypes`.
 
-    The per-batch objective is `post_loss_and_grads`.  Early stopping
+    The per-batch objective is `post_loss_and_grads`, on anchors gathered
+    once per fit after one label check (`_check_labels`).  Early stopping
     tracks the eval_hook metric (lower is better, e.g. validation ECE@1)
     with the configured patience; the first cfg.warmup epochs are
     excluded from checkpoint selection (the untrained head can hit
@@ -322,32 +314,33 @@ def train_post(data: TrainData, prototypes: np.ndarray, head: dict,
     """
     if data.descriptors is None:
         raise ValueError("post-training requires precomputed descriptors")
+    anchors = prototypes[_check_labels(data.labels, len(prototypes))]
     params = {key: value.copy() for key, value in head.items()}
 
-    def loss_and_grads(p, batch):
-        return post_loss_and_grads(p, batch, prototypes, cfg)
+    def loss_and_grads(p, idx):
+        return post_loss_and_grads(p, data.features[idx],
+                                   data.descriptors[idx], anchors[idx], cfg)
 
     def evaluate():
         return (float(eval_hook(params)),)
 
-    return _fit(params, loss_and_grads, data, cfg,
+    return _fit(params, loss_and_grads, len(data), cfg,
                 evaluate if eval_hook is not None else None,
                 (("metric", +1),))
 
 
-def joint_loss_and_grads(params: dict, batch: TrainData, cfg: TrainConfig,
-                         lmcl: LmclConfig):
+def joint_loss_and_grads(params: dict, features, x, labels,
+                         cfg: TrainConfig, lmcl: LmclConfig):
     """L_cls + lam * L_vMF on one batch and its gradient w.r.t. `params`.
 
     `params` holds "encoder" (d, m) and "prototypes" (C, d), and the
     head's entries when it is trained too.  The vMF term runs when
     lam > 0 and `params` holds the head.  The encoder output is
-    z = normalize(W x) of `batch.raw`; the kappa head reads
-    `batch.features`.  The vMF term anchors each sample to its class
-    prototype, so it reaches the prototypes too.
+    z = normalize(W x) of the (n, m) raw rows `x`; the kappa head reads
+    the (n, c) `features`.  The vMF term anchors each sample to its class
+    prototype, so it reaches the prototypes too.  Labels lie in [0, C).
     Returns (loss, grads) with one gradient per trained entry.
     """
-    x, labels = batch.raw, batch.labels
     zraw = x @ params["encoder"].T
     norms = np.linalg.norm(zraw, axis=1, keepdims=True)
     z = zraw / norms
@@ -356,7 +349,7 @@ def joint_loss_and_grads(params: dict, batch: TrainData, cfg: TrainConfig,
     grads = {}
     if cfg.lam > 0.0 and "proj_w" in params:
         anchors = params["prototypes"][labels]
-        kappas, cache = forward_batch(batch.features, params)
+        kappas, cache = forward_batch(features, params)
         vmf = vmf_batch_nll(z, anchors, kappas)
         loss = loss + cfg.lam * vmf.loss
         grads.update(backward_batch(cache, params, cfg.lam * vmf.kappa))
@@ -385,7 +378,7 @@ def train_joint(data: TrainData, encoder: np.ndarray, prototypes: np.ndarray,
     With lam == 0 (or head is None) the vMF term is skipped entirely, so
     the encoder/prototype trajectory is bit-identical to
     classification-only training, and no head is trained or returned.
-    Prototypes are renormalized after every step.
+    Prototypes are renormalized after every step; labels are checked once.
 
     Phased early stopping: phase 1 tracks Recall@1 until patience is
     exhausted; with a head, phase 2 continues while tracking ECE@1 with
@@ -398,20 +391,22 @@ def train_joint(data: TrainData, encoder: np.ndarray, prototypes: np.ndarray,
     """
     if data.raw is None:
         raise ValueError("joint training requires raw features")
+    _check_labels(data.labels, len(prototypes))
     head = ({key: value.copy() for key, value in head.items()}
             if cfg.lam > 0.0 and head is not None else None)
     params = {"encoder": encoder.copy(), "prototypes": prototypes.copy(),
               **(head or {})}
 
-    def loss_and_grads(p, batch):
-        return joint_loss_and_grads(p, batch, cfg, lmcl)
+    def loss_and_grads(p, idx):
+        return joint_loss_and_grads(p, data.features[idx], data.raw[idx],
+                                    data.labels[idx], cfg, lmcl)
 
     def evaluate():
         return eval_hook(params["encoder"], params["prototypes"], head)
 
     watch = (("recall1", -1),) if head is None else \
         (("recall1", -1), ("ece1", +1))
-    best, history = _fit(params, loss_and_grads, data, cfg,
+    best, history = _fit(params, loss_and_grads, len(data), cfg,
                          evaluate if eval_hook is not None else None, watch,
                          project=lambda: _renormalize(params["prototypes"]))
     if eval_hook is not None:

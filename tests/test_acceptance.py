@@ -213,16 +213,16 @@ def test_criterion_2_gradient_suite():
             lam = float(rng.uniform(0.1, 1.0)) if with_vmf else 0.0
             cfg = TrainConfig(lam=lam)
             head = init_head(shape, hidden=4, rng=rng)
-            batch = TrainData(
-                features=aggregate(rng.standard_normal((b,) + shape)),
-                labels=labels, raw=rng.standard_normal((b, m)))
+            features = aggregate(rng.standard_normal((b,) + shape))
+            x = rng.standard_normal((b, m))
             params = {"encoder": rng.standard_normal((d, m)),
                       "prototypes": unit_rows(rng, 3, d)}
             if with_vmf:
                 params.update(head)
 
-            def loss_and_grad(params, batch=batch, cfg=cfg):
-                return joint_loss_and_grads(params, batch, cfg, lmcl)
+            def loss_and_grad(params, features=features, x=x, cfg=cfg):
+                return joint_loss_and_grads(params, features, x, labels, cfg,
+                                            lmcl)
 
             assert set(loss_and_grad(params)[1]) == set(params)
             report = finite_diff_check(loss_and_grad, params,
@@ -230,20 +230,19 @@ def test_criterion_2_gradient_suite():
             assert report.passed, (with_vmf, report.per_param)
 
     # the post-training objective, exactly as train_post evaluates it per
-    # batch: the vMF NLL (GNLL_VARIANT: the Gaussian NLL at sigma^2 =
+    # batch (each sample anchored on its class prototype): the vMF NLL (GNLL_VARIANT: the Gaussian NLL at sigma^2 =
     # 1 / kappa) of frozen descriptors with the head output as kappa,
     # w.r.t. every head parameter.
     for mode in (TrainMode.POST_TRAINING, TrainMode.GNLL_VARIANT):
         cfg = TrainConfig(mode=mode)
         for _ in range(N_INSTANCES):
             params = init_head(shape, hidden=4, rng=rng)
-            batch = TrainData(
-                features=aggregate(rng.standard_normal((b,) + shape)),
-                labels=labels, descriptors=unit_rows(rng, b, d))
+            features = aggregate(rng.standard_normal((b,) + shape))
+            z = unit_rows(rng, b, d)
 
-            def loss_and_grad(params, batch=batch, cfg=cfg,
-                              protos=unit_rows(rng, 3, d)):
-                return post_loss_and_grads(params, batch, protos, cfg)
+            def loss_and_grad(params, features=features, z=z, cfg=cfg,
+                              anchors=unit_rows(rng, 3, d)[labels]):
+                return post_loss_and_grads(params, features, z, anchors, cfg)
 
             assert set(loss_and_grad(params)[1]) == set(params)
             report = finite_diff_check(loss_and_grad, params,
@@ -335,10 +334,10 @@ def test_criterion_5_protocol_exactness(rng):
 def _rankings_digest(dataset, k=10):
     db = dataset.bank.subset(dataset.splits["db"])
     q_idx = dataset.splits["query"]
-    results = batch_knn(dataset.bank.descriptors[q_idx], db,
-                        min(k, len(db)), query_ids=dataset.bank.ids[q_idx])
+    results = batch_knn(dataset.bank.descriptors[q_idx], db, min(k, len(db)))
     h = hashlib.sha256()
-    for ref_ids, sims in zip(results.ref_ids, results.similarities):
+    for ref_ids, sims in zip(db.ids[results.ref_indices],
+                             results.similarities):
         h.update(ref_ids.tobytes())
         h.update(sims.tobytes())
     return h.hexdigest()
@@ -414,8 +413,7 @@ def _query_recall1(dataset, encoder):
                         ids=dataset.bank.ids[db_idx],
                         labels=dataset.bank.labels[db_idx],
                         poses=dataset.bank.poses[db_idx])
-    results = batch_knn(encode(encoder, dataset.raw[q_idx]), db, 1,
-                        query_ids=dataset.bank.ids[q_idx])
+    results = batch_knn(encode(encoder, dataset.raw[q_idx]), db, 1)
     mark_successes(results, db, dataset.bank.poses[q_idx], tau=25.0)
     return recall_at_k(results, 1)
 

@@ -526,12 +526,10 @@ class TestRetrievalRecord:
         db, queries = banks
         path = tmp_path / "retrieval.npz"
         write_retrieval(path, "key", db, queries,
-                        batch_knn(queries.descriptors, db, 10,
-                                  query_ids=queries.ids))
+                        batch_knn(queries.descriptors, db, 10))
         for k in (1, 4, 10):
             got = read_retrieval(path, "key", k)
-            want = batch_knn(queries.descriptors, db, k,
-                             query_ids=queries.ids)
+            want = batch_knn(queries.descriptors, db, k)
             for name in ("ref_indices", "similarities"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(want, name))

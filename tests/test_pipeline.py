@@ -66,8 +66,6 @@ class TestEvaluateQueries:
             assert value.shape == degenerate.shape == (n,)
             for i in (0, n // 2, n - 1):
                 row = RetrievalResult(
-                    query_ids=res.query_ids[i:i + 1],
-                    ref_ids=res.ref_ids[i:i + 1],
                     ref_indices=res.ref_indices[i:i + 1],
                     similarities=res.similarities[i:i + 1])
                 one = sc.score_query(method, row, db,

@@ -10,14 +10,12 @@ from kappa_sphere.retrieval import DescriptorBank, RetrievalResult
 from kappa_sphere.vmf import resultant_uncertainty
 
 
-def make_result(similarities, ref_indices=None, query_id=0):
+def make_result(similarities, ref_indices=None):
     """A batch of one query's ranked matches."""
     sims = np.asarray(similarities, dtype=np.float64)
     idx = (np.arange(len(sims)) if ref_indices is None
            else np.asarray(ref_indices))
-    return RetrievalResult(query_ids=np.array([query_id]),
-                           ref_ids=idx[None].copy(), ref_indices=idx[None],
-                           similarities=sims[None])
+    return RetrievalResult(ref_indices=idx[None], similarities=sims[None])
 
 
 def make_bank(rng, n=6, d=4, poses=True, kappas=None):
@@ -135,7 +133,7 @@ class TestScoreQuery:
     def test_dispatch_consistency(self, rng):
         kappas = np.full(6, 20.0)
         bank = make_bank(rng, n=6, kappas=kappas)
-        res = make_result([0.9, 0.7, 0.5], ref_indices=[2, 0, 1], query_id=42)
+        res = make_result([0.9, 0.7, 0.5], ref_indices=[2, 0, 1])
 
         kq = np.array([10.0])
         got = sc.score_query(sc.METHOD_RESULTANT, res, bank, kappa_q=kq)
@@ -207,8 +205,7 @@ class TestElementwise:
         bank = make_bank(rng, n=12, kappas=rng.uniform(0.1, 300.0, 12))
         sims = -np.sort(-rng.uniform(-1.0, 1.0, (7, 3)), axis=1)
         idx = np.stack([rng.permutation(12)[:3] for _ in range(7)])
-        res = RetrievalResult(query_ids=np.arange(7), ref_ids=idx,
-                              ref_indices=idx, similarities=sims)
+        res = RetrievalResult(ref_indices=idx, similarities=sims)
         kq = rng.uniform(0.1, 300.0, 7)
         got = sc.score_query(sc.METHOD_RESULTANT, res, bank, kappa_q=kq)
         pair = sc.match_uncertainty(kq, bank.kappas[idx[:, 0]], sims[:, 0])
@@ -219,8 +216,7 @@ class TestElementwise:
         bank = make_bank(rng, n=12)
         sims = -np.sort(-rng.uniform(-1.0, 1.0, (7, 5)), axis=1)
         idx = np.stack([rng.permutation(12)[:5] for _ in range(7)])
-        res = RetrievalResult(query_ids=np.arange(7), ref_ids=idx,
-                              ref_indices=idx, similarities=sims)
+        res = RetrievalResult(ref_indices=idx, similarities=sims)
         got = sc.baseline_sue(res, bank, k=5)
         for i in range(7):
             w = np.exp(sims[i] - sims[i].max())

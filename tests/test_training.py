@@ -11,8 +11,7 @@ from kappa_sphere.head import aggregate, init_head
 from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import (AdamState, LmclConfig, TrainConfig,
                                    TrainData, TrainMode, _fit, adam_step,
-                                   gnll_batch, lmcl_batch,
-                                   post_loss_and_grads, train_joint,
+                                   gnll_batch, lmcl_batch, train_joint,
                                    train_post)
 from oracles import finite_diff_check
 
@@ -232,6 +231,18 @@ class TestTrainData:
                                + re.escape(str(bad.shape))):
                 TrainData(features=bad, labels=np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("name", ["labels", "descriptors", "raw"])
+    def test_rejects_a_field_of_another_length(self, rng, name):
+        # a short descriptor block would otherwise fail mid-fit with a bare
+        # IndexError, which the CLI does not report
+        fields = {"features": rng.standard_normal((10, 3)),
+                  "labels": np.zeros(10, dtype=int),
+                  "descriptors": unit_rows(rng, 10, 6),
+                  "raw": rng.standard_normal((10, 5))}
+        fields[name] = fields[name][:8]
+        with pytest.raises(ValueError, match=rf"^{name} has 8 rows, not 10$"):
+            TrainData(**fields)
+
 
 class TestTrainPost:
     def test_descriptors_untouched(self, rng):
@@ -296,17 +307,16 @@ class TestTrainPost:
         assert all(math.isfinite(row["loss"]) for row in history)
 
     def test_unknown_label(self, rng):
-        # the loss checks every label of a batch before it reads a
-        # prototype row: -1 must not anchor to row C - 1
-        protos = unit_rows(rng, 3, 8)
+        # every label is checked before the first step, and a bad one is
+        # located by its row in the fit's data, not in a shuffled batch:
+        # -1 must not anchor to row C - 1
         head = init_head((3, 2, 2), hidden=4, rng=rng)
-        for labels, message in (([0, 3], r"label 3 at row 1 outside \[0, 3\)"),
-                                ([-1, 0], r"label -1 at row 0 outside \[0, 3\)")):
-            batch = TrainData(
-                features=aggregate(rng.standard_normal((2, 3, 2, 2))),
-                labels=np.array(labels), descriptors=unit_rows(rng, 2, 8))
-            with pytest.raises(ValueError, match=message):
-                post_loss_and_grads(head, batch, protos, TrainConfig())
+        for bad in (-1, 4):
+            data, protos = tiny_data(rng)  # 4 classes
+            data.labels[5] = bad
+            with pytest.raises(ValueError, match=rf"label {bad} at row 5 "
+                               r"outside \[0, 4\)"):
+                train_post(data, protos, head, TrainConfig(max_epochs=2))
 
     def test_requires_descriptors(self, rng):
         data = TrainData(features=rng.standard_normal((4, 3)),
@@ -318,19 +328,17 @@ class TestTrainPost:
 
 
 class TestEpochBatches:
-    def test_class_prototype_slices_one_permutation(self):
-        # the batches _fit hands loss_and_grads slice one permutation of
-        # the samples, drawn from the config's seed; feature i is i
+    def test_index_batches_slice_one_permutation(self):
+        # the index batches _fit hands loss_and_grads slice one permutation
+        # of the n sample rows, drawn from the config's seed
         n = 70
-        data = TrainData(features=np.arange(n, dtype=np.float64)[:, None],
-                         labels=np.arange(n) % 6)
         seen = []
 
-        def loss_and_grads(params, batch):
-            seen.append(batch.features[:, 0].astype(np.int64))
+        def loss_and_grads(params, idx):
+            seen.append(idx)
             return 0.0, {"w": np.zeros(1)}
 
-        _fit({"w": np.zeros(1)}, loss_and_grads, data,
+        _fit({"w": np.zeros(1)}, loss_and_grads, n,
              TrainConfig(batch_size=32, max_epochs=1, seed=5), None,
              (("metric", +1),))
         perm = np.random.default_rng(5).permutation(n)
@@ -378,7 +386,8 @@ class TestTrainJoint:
         data.labels = data.labels.copy()
         data.labels[5] = bad
         cfg0 = TrainConfig(lam=0.0, max_epochs=2, warmup=0)
-        with pytest.raises(ValueError, match=rf"label {bad} .*\[0, 4\)"):
+        with pytest.raises(ValueError,
+                           match=rf"label {bad} at row 5 outside \[0, 4\)"):
             train_joint(data, rng.standard_normal((6, 5)),
                         protos, None, cfg0, LmclConfig())
 
