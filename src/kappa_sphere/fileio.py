@@ -28,7 +28,7 @@ from .calibration import BinningConfig, FieldError
 from .head import GEM_P
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                         RetrievalResult)
-from .synth import SceneConfig, SPLIT_NAMES, SynthDataset, raw_inputs
+from .synth import SceneConfig, SPLIT_NAMES, SynthDataset
 from .training import LmclConfig, TrainConfig
 from .vmf import check_unit_rows
 
@@ -161,11 +161,10 @@ def write_manifest(path, bank: DescriptorBank, splits: dict) -> None:
     ids, labels, poses, the kappas it has, and each row's split."""
     if bank.poses is None:
         raise ValueError("a manifest records poses; the bank has none")
-    split_list = [None] * len(bank)
-    for name in SPLIT_NAMES:
-        for i in splits.get(name, ()):
-            split_list[int(i)] = name
-    if any(s is None for s in split_list):
+    which = np.full(len(bank), len(SPLIT_NAMES))  # no split yet
+    for k, name in enumerate(SPLIT_NAMES):
+        which[np.asarray(splits.get(name, ()), dtype=np.intp)] = k
+    if (which == len(SPLIT_NAMES)).any():
         raise ValueError("splits do not cover every bank row")
     doc = {
         "ids": bank.ids.tolist(),
@@ -174,7 +173,7 @@ def write_manifest(path, bank: DescriptorBank, splits: dict) -> None:
         "true_kappa": None if bank.true_kappa is None
         else bank.true_kappa.tolist(),
         "kappas": None if bank.kappas is None else bank.kappas.tolist(),
-        "split": split_list,
+        "split": np.array(SPLIT_NAMES)[which].tolist(),
     }
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
@@ -337,8 +336,8 @@ def _check_indices(value, upper: int, path, name: str) -> None:
 
 
 def write_scene(path, dataset: SynthDataset) -> None:
-    """Record the float64 scene `dataset`: every array but `raw`
-    (`read_scene` derives it), its aliased pairs and splits, and its
+    """Record the float64 scene `dataset`: every array it holds (`raw`
+    is derived from them on use), its aliased pairs and splits, and its
     SceneConfig as JSON, the record's key.  A numpy-only .npz archive,
     written atomically."""
     bank = dataset.bank
@@ -394,8 +393,8 @@ def read_scene(path, cfg: SceneConfig) -> SynthDataset:
     that differs (`$.scene.seed`), naming the file; a missing file, or a
     file that is not such a record, with a RecordFileError naming the file
     and the field (and the first descriptor or prototype row that is not
-    finite and unit-norm).  `raw` is rebuilt by `raw_inputs`, as
-    `generate_scene` builds it, so every array has the generator's bits.
+    finite and unit-norm).  Every array has the generator's bits; `raw`
+    is derived from them only when joint training reads it.
     """
     if not os.path.isfile(path):
         raise RecordFileError("no scene record; run gen first", path)
@@ -412,17 +411,19 @@ def read_scene(path, cfg: SceneConfig) -> SynthDataset:
     if not np.array_equal(np.sort(np.concatenate(list(splits.values()))),
                           np.arange(n)):
         raise RecordFileError("the splits do not partition the rows", path)
-    for name in ("descriptors", "prototypes"):
-        try:
-            check_unit_rows(values[name])
-        except ValueError as exc:
-            raise RecordFileError(str(exc), path, name) from exc
-    bank = DescriptorBank(descriptors=values["descriptors"], ids=np.arange(n),
-                          labels=values["labels"], poses=values["poses"],
-                          true_kappa=values["true_kappa"])
+    try:  # the bank checks its descriptor rows
+        bank = DescriptorBank(descriptors=values["descriptors"],
+                              ids=np.arange(n), labels=values["labels"],
+                              poses=values["poses"],
+                              true_kappa=values["true_kappa"])
+    except ValueError as exc:
+        raise RecordFileError(str(exc), path, "descriptors") from exc
+    try:
+        check_unit_rows(values["prototypes"], name="prototype rows")
+    except ValueError as exc:
+        raise RecordFileError(str(exc), path, "prototypes") from exc
     return SynthDataset(
         config=cfg, bank=bank, features=values["features"],
-        raw=raw_inputs(bank.descriptors, values["features"]),
         ambiguity=values["ambiguity"], prototypes=values["prototypes"],
         class_poses=values["class_poses"],
         aliased_pairs=[(int(a), int(b)) for a, b in values["aliased_pairs"]],

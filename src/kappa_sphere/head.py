@@ -49,7 +49,9 @@ def _sigmoid(x):
 def _gem(x, p: float):
     """GeM at exponent `p` over the spatial axes of an (n, c, h, w) batch:
     the per-channel mean of max(x, 0)^p, to the power 1/p."""
-    mean_sp = np.mean(np.maximum(x, 0.0) ** p, axis=(2, 3))
+    y = np.maximum(x, 0.0)
+    y **= p   # in place: the bits of np.maximum(x, 0.0) ** p
+    mean_sp = np.mean(y, axis=(2, 3))
     return mean_sp ** (1.0 / p)
 
 

@@ -52,18 +52,12 @@ def _validation_split(train_idx, seed: int):
     return train_idx[perm[n_val:]], train_idx[perm[:n_val]]
 
 
-def _fit_data(dataset: SynthDataset, seed: int):
-    """Training data restricted to the fit portion of the train split; the
-    validation portion stays held out.  Its features are the pooled rows
-    the head reads (`SynthDataset.head_inputs`).
-    Returns (data, val_idx)."""
+def _fit_rows(dataset: SynthDataset, seed: int):
+    """The fit portion of the train split, in split order, and the
+    validation portion that stays held out.  Returns (fit_idx, val_idx)."""
     train_idx = dataset.splits["train"]
     fit_idx, val_idx = _validation_split(train_idx, seed)
-    idx = train_idx[np.isin(train_idx, fit_idx)]
-    return TrainData(features=dataset.head_inputs()[idx],
-                     labels=dataset.bank.labels[idx],
-                     descriptors=dataset.bank.descriptors[idx],
-                     raw=dataset.raw[idx]), val_idx
+    return train_idx[np.isin(train_idx, fit_idx)], val_idx
 
 
 def _marked_knn(queries, query_poses, db_bank: DescriptorBank, tau: float):
@@ -114,7 +108,10 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
     """
     cfg = cfg or TrainConfig(seed=dataset.config.seed)
     head = init_head(dataset.config.feature_shape, rng=cfg.seed)
-    train, val_idx = _fit_data(dataset, cfg.seed)
+    idx, val_idx = _fit_rows(dataset, cfg.seed)
+    train = TrainData(features=dataset.head_inputs()[idx],
+                      labels=dataset.bank.labels[idx],
+                      descriptors=dataset.bank.descriptors[idx])
     db_idx = dataset.splits["db"]
     # descriptors are frozen: retrieve once, re-score kappas each epoch
     db_bank = dataset.bank.subset(db_idx)
@@ -146,7 +143,9 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
     encoder = rng.standard_normal((d, m)) / np.sqrt(m)
     head = (init_head(dataset.config.feature_shape, rng=cfg.seed)
             if cfg.lam > 0 else None)
-    train, val_idx = _fit_data(dataset, cfg.seed)
+    idx, val_idx = _fit_rows(dataset, cfg.seed)
+    train = TrainData(features=dataset.head_inputs()[idx],
+                      labels=dataset.bank.labels[idx], raw=dataset.raw[idx])
     db_idx = dataset.splits["db"]
 
     def hook(enc, protos, h):

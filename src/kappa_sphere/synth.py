@@ -64,7 +64,6 @@ class SynthDataset:
     config: SceneConfig
     bank: DescriptorBank               # every image
     features: np.ndarray               # (n, c, h, w)
-    raw: np.ndarray                    # (n, m) raw features for joint training
     ambiguity: np.ndarray              # (n,) in [0, 1]
     prototypes: np.ndarray             # (C, d) unit rows, post-aliasing
     class_poses: np.ndarray            # (C, 2)
@@ -73,6 +72,9 @@ class SynthDataset:
     # (features, pooled rows) of the last `head_inputs` pooling
     _pooled: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    # (features, raw rows) of the last `raw` derivation
+    _raw: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __len__(self):
         return len(self.bank)
@@ -86,6 +88,21 @@ class SynthDataset:
         if self._pooled is None or self._pooled[0] is not self.features:
             self._pooled = (self.features, aggregate(self.features))
         return self._pooled[1]
+
+    @property
+    def raw(self) -> np.ndarray:
+        """The (n, m) joint-training input, `raw_inputs` of the bank's
+        descriptors and `features`: derived on first use and kept for the
+        same `features` array, as `head_inputs` keeps its pooled rows.
+        Only joint training reads it, so a scene that is generated,
+        recorded or post-trained never builds it.  Bank descriptors
+        replaced after that (`train` writes its encoded ones) leave it the
+        scene's input, and the replaced array is not kept alive.
+        """
+        if self._raw is None or self._raw[0] is not self.features:
+            self._raw = (self.features,
+                         raw_inputs(self.bank.descriptors, self.features))
+        return self._raw[1]
 
 
 def ambiguity_to_kappa(ambiguity, config: SceneConfig):
@@ -159,7 +176,8 @@ def raw_inputs(descriptors, features) -> np.ndarray:
 def _build_features(rng, ambiguity, shape, noise_std):
     n = len(ambiguity)
     c, h, w = shape
-    fm = rng.standard_normal((n, c, h, w)) * noise_std
+    fm = rng.standard_normal((n, c, h, w))
+    fm *= noise_std
     fm[:, 0, :, :] = _ambiguity_embedding(ambiguity)[:, None, None]
     return fm
 
@@ -189,12 +207,11 @@ def generate_scene(config: SceneConfig) -> SynthDataset:
     descriptors = sample_vmf(prototypes[labels], true_kappa, rng)
 
     features = _build_features(rng, ambiguity, config.feature_shape, config.noise_std)
-    raw = raw_inputs(descriptors, features)
 
     bank = DescriptorBank(descriptors=descriptors, ids=np.arange(n),
                           labels=labels, poses=poses, true_kappa=true_kappa)
     dataset = SynthDataset(
-        config=config, bank=bank, features=features, raw=raw,
+        config=config, bank=bank, features=features,
         ambiguity=ambiguity, prototypes=prototypes,
         class_poses=class_poses,
     )
@@ -241,7 +258,6 @@ def inject_aliasing(dataset: SynthDataset, rate: float, seed: int,
         idx = np.concatenate([np.flatnonzero(bank.labels == b) for _, b in pairs])
         bank.descriptors[idx] = sample_vmf(protos[bank.labels[idx]],
                                            bank.true_kappa[idx], rng)
-        dataset.raw[idx, :bank.descriptors.shape[1]] = bank.descriptors[idx]
     dataset.aliased_pairs = pairs
     return dataset
 
@@ -249,7 +265,9 @@ def inject_aliasing(dataset: SynthDataset, rate: float, seed: int,
 def split(dataset: SynthDataset, fractions, seed: int) -> dict:
     """Class-stratified split into train/db/query; stored on the dataset.
 
-    Each class's counts come from `stratified_counts`.
+    Each class's counts come from `stratified_counts`.  Its rows, ascending,
+    are a run of one stable argsort of the labels; each class's shuffle is
+    drawn in class order.
     """
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
@@ -257,14 +275,18 @@ def split(dataset: SynthDataset, fractions, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     parts = {name: [] for name in SPLIT_NAMES}
     labels = dataset.bank.labels
-    for cls in range(dataset.config.num_classes):
-        idx = np.flatnonzero(labels == cls)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order],
+                             np.arange(dataset.config.num_classes + 1))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        idx = order[lo:hi]
         idx = idx[rng.permutation(len(idx))]
         counts = stratified_counts(fractions, len(idx))
         start = 0
         for cnt, name in zip(counts, SPLIT_NAMES):
-            parts[name].extend(idx[start:start + cnt].tolist())
+            parts[name].append(idx[start:start + cnt])
             start += cnt
-    splits = {name: np.array(sorted(v), dtype=np.int64) for name, v in parts.items()}
+    splits = {name: np.sort(np.concatenate(v)).astype(np.int64, copy=False)
+              for name, v in parts.items()}
     dataset.splits = splits
     return splits

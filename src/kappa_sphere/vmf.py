@@ -122,11 +122,18 @@ def sample_vmf(mu, kappas, rng_seed) -> np.ndarray:
     rejection draws (beta, then uniform, until accepted; none at kappa 0),
     then d standard normals.  So one call on n rows equals n successive
     one-row calls on the same generator, bit for bit; scene synthesis
-    relies on this.  The projection, the tilt by w and both
-    normalisations run once over all rows; each row's mu.v is a stacked matmul,
-    which gives the bits of a (1, d) @ (d,) product.  np.einsum and
-    (v * mu).sum(1) sum in another order and change about two rows in
-    three; np.vecdot keeps the bits but needs numpy >= 2.0.
+    relies on this.  The uniform is `rng.random()`: `rng.uniform()` returns
+    0 + 1 * next_double, one double of the stream, so both give the same
+    bits, and `random` skips the low/high handling (a scalar call costs a
+    third of `uniform`'s or less).  The generator's methods are bound once
+    before the row loop; the scalar logs and roots stay `math.log` and
+    `math.sqrt`, which a numpy SIMD path need not round alike.
+
+    The projection, the tilt by w and both normalisations run once over
+    all rows; each row's mu.v is a stacked matmul, which gives the bits of
+    a (1, d) @ (d,) product.  np.einsum and (v * mu).sum(1) sum in another
+    order and change about two rows in three; np.vecdot keeps the bits but
+    needs numpy >= 2.0.
     """
     mu = check_unit_rows(mu, name="mu")
     kappas = np.asarray(kappas, dtype=np.float64)
@@ -136,22 +143,24 @@ def sample_vmf(mu, kappas, rng_seed) -> np.ndarray:
                          f"got {mu.shape} and {kappas.shape}")
     _check_kappas(kappas)
     rng = np.random.default_rng(rng_seed)
+    beta, uniform, normal = rng.beta, rng.random, rng.standard_normal
     dim = d - 1
+    half = dim / 2.0
+    log, sqrt = math.log, math.sqrt
     w = np.zeros(n)
     x = np.empty((n, d))
     for i, k in enumerate(kappas.tolist()):
         if k > 0.0:
-            b = dim / (math.sqrt(4.0 * k * k + dim * dim) + 2.0 * k)
+            b = dim / (sqrt(4.0 * k * k + dim * dim) + 2.0 * k)
             x0 = (1.0 - b) / (1.0 + b)
-            c = k * x0 + dim * math.log(1.0 - x0 * x0)
+            c = k * x0 + dim * log(1.0 - x0 * x0)
             while True:
-                zb = rng.beta(dim / 2.0, dim / 2.0)
+                zb = beta(half, half)
                 wi = (1.0 - (1.0 + b) * zb) / (1.0 - (1.0 - b) * zb)
-                u = rng.uniform()
-                if k * wi + dim * math.log(1.0 - x0 * wi) - c >= math.log(u):
+                if k * wi + dim * log(1.0 - x0 * wi) - c >= log(uniform()):
                     w[i] = wi
                     break
-        rng.standard_normal(out=x[i])
+        normal(out=x[i])
 
     # Rows with kappa > 0: a uniform direction in the hyperplane orthogonal
     # to mu, tilted by w.  Rows with kappa = 0 stay isotropic normals.

@@ -162,6 +162,32 @@ class TestSceneRecord:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+class TestRawInputs:
+    def test_only_train_builds_raw(self, workdir, tmp_path, monkeypatch):
+        # raw (descriptors and flattened feature maps) feeds joint training
+        # alone: gen and fit never build it, and train builds it once
+        out = tmp_path / "run"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("raw built outside joint training")
+
+        with monkeypatch.context() as m:
+            _patch_everywhere(m, synth.raw_inputs, refuse)
+            assert main(["gen", "--config", str(workdir["cfg"]),
+                         "--out", str(out)]) == 0
+            assert main(["fit", "--out", str(out)]) == 0
+
+        original, calls = synth.raw_inputs, []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        _patch_everywhere(monkeypatch, original, spy)
+        assert main(["train", "--out", str(out)]) == 0
+        assert len(calls) == 1
+
+
 class TestCheckpointSelection:
     # 8 validation queries: enough for a changed ECE or Recall@1 to show
     CONFIG = {"scene": {"num_classes": 16, "images_per_class": 10,

@@ -205,6 +205,19 @@ class TestManifest:
             write_manifest(tmp_path / "m.json", bank,
                            {"train": np.arange(0, 5)})
 
+    def test_split_column_names_each_row(self, rng, tmp_path):
+        # the column equals the per-row assignment it replaced
+        bank = self.make_bank(rng)
+        perm = rng.permutation(len(bank))
+        splits = {"train": perm[:4], "db": perm[4:7], "query": perm[7:]}
+        path = tmp_path / "manifest.json"
+        write_manifest(path, bank, splits)
+        want = [None] * len(bank)
+        for name in ("train", "db", "query"):
+            for i in splits[name]:
+                want[int(i)] = name
+        assert json.loads(path.read_text())["split"] == want
+
     def test_length_mismatch(self, rng, tmp_path):
         bank = self.make_bank(rng)
         path = tmp_path / "manifest.json"

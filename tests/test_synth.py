@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from kappa_sphere.retrieval import batch_knn
-from kappa_sphere.synth import (SceneConfig, ambiguity_to_kappa,
-                                generate_scene, inject_aliasing, split)
+from kappa_sphere.synth import (DEFAULT_SPLIT, SPLIT_NAMES, SceneConfig,
+                                ambiguity_to_kappa, generate_scene,
+                                inject_aliasing, split, stratified_counts)
 from kappa_sphere.vmf import mle_kappa
 
 SMALL = dict(num_classes=8, images_per_class=10, descriptor_dim=16,
@@ -184,3 +185,42 @@ class TestSplit:
         with pytest.raises(ValueError, match="stratify"):
             generate_scene(SceneConfig(num_classes=4, images_per_class=2,
                                        descriptor_dim=8, aliasing_rate=0.0))
+
+    @pytest.mark.parametrize("shuffle_seed", [0, 1, 2])
+    def test_labels_in_any_order(self, monkeypatch, shuffle_seed):
+        # split finds each class's rows with one stable argsort; the
+        # per-class flatnonzero loop it replaced, kept verbatim below,
+        # gives the same splits and leaves the generator in the same state
+        ds = generate_scene(SceneConfig(seed=0, **SMALL))
+        ds.bank.labels = np.random.default_rng(shuffle_seed).permutation(
+            ds.bank.labels)
+        real, made = np.random.default_rng, []
+
+        def capture(seed):
+            made.append(real(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", capture)
+        got = split(ds, DEFAULT_SPLIT, seed=4)
+        monkeypatch.undo()
+
+        rng = np.random.default_rng(4)
+        parts = {name: [] for name in SPLIT_NAMES}
+        labels = ds.bank.labels
+        for cls in range(ds.config.num_classes):
+            idx = np.flatnonzero(labels == cls)
+            idx = idx[rng.permutation(len(idx))]
+            counts = stratified_counts(DEFAULT_SPLIT, len(idx))
+            start = 0
+            for cnt, name in zip(counts, SPLIT_NAMES):
+                parts[name].extend(idx[start:start + cnt].tolist())
+                start += cnt
+        want = {name: np.array(sorted(v), dtype=np.int64)
+                for name, v in parts.items()}
+
+        assert set(got) == set(want)
+        for name in SPLIT_NAMES:
+            assert got[name].dtype == want[name].dtype
+            np.testing.assert_array_equal(got[name], want[name])
+        assert len(made) == 1
+        assert made[0].bit_generator.state == rng.bit_generator.state
