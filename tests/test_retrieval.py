@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappa_sphere.retrieval import (_GROUP_FLOOR, _ROW_BLOCK, DescriptorBank,
-                                    batch_knn, mark_successes, positive_mask,
-                                    recall_at_k)
+from kappa_sphere.retrieval import (_GROUP_FLOOR, _ROW_BLOCK, _TWO_PASS_FLOOR,
+                                    DescriptorBank, batch_knn, mark_successes,
+                                    positive_mask, recall_at_k)
 
 
 def unit_rows(rng, n, d):
     w = rng.standard_normal((n, d))
     return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
+def lexsort_top(sims, ids, k):
+    """Each row's top k columns by (-cosine, id)."""
+    return np.stack([np.lexsort((ids, -row))[:k] for row in sims])
 
 
 def make_bank(rng, n=20, d=8, with_poses=True):
@@ -206,6 +211,119 @@ class TestKnn:
         finally:
             tracemalloc.stop()
         assert peak < n * N * 8 / 2
+
+    @pytest.mark.parametrize("n", [_ROW_BLOCK, _ROW_BLOCK + 1, 300])
+    def test_wide_bank_cosines_equal_one_full_gemm(self, n):
+        # eval-30k's shape: above _TWO_PASS_FLOOR the ranked cosines come
+        # from a GEMM over candidate columns only, and must still equal one
+        # full Q @ D.T bit for bit, tail blocks included.  Cosines computed
+        # per pair (ROADMAP item 6's pass 2) would fail this; that change
+        # re-pins it.
+        N = 9216
+        r = np.random.default_rng(n)
+        bank = DescriptorBank(descriptors=unit_rows(r, N, 64),
+                              ids=np.arange(N), labels=np.zeros(N))
+        queries = unit_rows(r, n, 64)
+        sims = queries @ bank.descriptors.T
+        expected = lexsort_top(sims, bank.ids, 10)
+        res = batch_knn(queries, bank, 10)
+        np.testing.assert_array_equal(res.ref_indices, expected)
+        np.testing.assert_array_equal(
+            res.similarities, np.take_along_axis(sims, expected, axis=1))
+
+    @pytest.mark.parametrize("k", [1, 10, 40])
+    def test_float32_margin_keeps_every_candidate(self, k):
+        # Wide banks whose best columns, normalize(b + delta*e) for delta
+        # from 1e-8 to 1e-6, lie within float32 rounding of each other: the
+        # float32 pass alone would rank them by its rounding error, so its
+        # bound must be lowered by 2*eps to keep every one of the exact top
+        # k.  N is a multiple of 8, so one full GEMM is the oracle.
+        N = _TWO_PASS_FLOOR + 8 * 67
+        r = np.random.default_rng(k)
+        x = unit_rows(r, N, 64)
+        b, e = unit_rows(r, 2, 64)
+        e -= (e @ b) * b
+        e /= np.linalg.norm(e)
+        near = b + np.geomspace(1e-8, 1e-6, N // 3)[:, None] * e
+        x[r.permutation(N)[:N // 3]] = near / np.linalg.norm(
+            near, axis=1, keepdims=True)
+        ids = r.permutation(N)
+        bank = DescriptorBank(descriptors=x, ids=ids, labels=np.zeros(N))
+        close = b + 0.3 * unit_rows(r, 6, 64)
+        close /= np.linalg.norm(close, axis=1, keepdims=True)
+        queries = np.concatenate([
+            b[None], close, np.rint(20 * close[:2]),
+            r.integers(-3, 4, (2, 64)), np.zeros((1, 64)),
+            1e200 * close[2:4], 1e-200 * close[4:]]).astype(float)
+        for n in (1, len(queries)):
+            sims = queries[:n] @ x.T
+            expected = lexsort_top(sims, ids, k)
+            res = batch_knn(queries[:n], bank, k)
+            np.testing.assert_array_equal(res.ref_indices, expected)
+            np.testing.assert_array_equal(
+                res.similarities, np.take_along_axis(sims, expected, axis=1))
+
+    @pytest.mark.parametrize("N", [_TWO_PASS_FLOOR + 1, 2049, 4096])
+    def test_prefix_and_batch_of_one_on_wide_banks(self, N):
+        # Above _TWO_PASS_FLOOR the float64 GEMM holds only the candidate
+        # columns, which depend on k.  A cosine must not depend on them:
+        # for k < K <= 40 the top k are the first k columns of the top K,
+        # bit for bit, and a query searched alone gets the indices it gets
+        # within its batch.  As in gen's scenes, rows cluster 9 to a class
+        # and the queries come class by class, so a shallow search of a
+        # few rows holds few columns and a deep one many; BLAS sums such a
+        # narrow GEMM of unpadded rows in another order.  Duplicated rows
+        # make exact ties.
+        r = np.random.default_rng(N)
+        centres = unit_rows(r, N // 9 + 1, 64)
+        x = centres[np.arange(N) // 9] + 0.3 * unit_rows(r, N, 64)
+        x[r.integers(0, N, N // 8)] = x[r.integers(0, N, N // 8)]
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        ids = r.permutation(3 * N)[:N]
+        bank = DescriptorBank(descriptors=x, ids=ids, labels=np.zeros(N))
+        queries = centres[np.arange(257) // 6] + 0.3 * unit_rows(r, 257, 64)
+        for n in (1, 2, 37, 256, 257):
+            q = queries[:n]
+            deep = [batch_knn(q, bank, K) for K in range(1, 41)]
+            for K in range(2, 41):
+                for k in range(1, K):
+                    for name in ("ref_indices", "similarities"):
+                        np.testing.assert_array_equal(
+                            getattr(deep[k - 1], name),
+                            getattr(deep[K - 1], name)[:, :k],
+                            err_msg=f"n={n} k={k} K={K}")
+            for i in range(n):
+                alone = batch_knn(q[i], bank, 10)
+                np.testing.assert_array_equal(deep[9].ref_indices[i],
+                                              alone.ref_indices[0])
+                np.testing.assert_allclose(deep[9].similarities[i],
+                                           alone.similarities[0], rtol=1e-14)
+
+    def test_memory_stays_below_one_float64_block(self):
+        # The float32 pass frees its block before the float64 pass, whose
+        # GEMM holds only candidate columns: the peak stays below one
+        # float64 block of _ROW_BLOCK rows against the whole bank.
+        r = np.random.default_rng(0)
+        n, N = 2048, 4096
+        bank = DescriptorBank(descriptors=unit_rows(r, N, 64),
+                              ids=np.arange(N), labels=np.zeros(N))
+        queries = unit_rows(r, n, 64)
+        tracemalloc.start()
+        try:
+            batch_knn(queries, bank, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _ROW_BLOCK * N * 8
+
+    @pytest.mark.parametrize("N", [40, _TWO_PASS_FLOOR])
+    def test_rejects_query_width_of_another_bank(self, N):
+        r = np.random.default_rng(N)
+        bank = DescriptorBank(descriptors=unit_rows(r, N, 64),
+                              ids=np.arange(N), labels=np.zeros(N))
+        with pytest.raises(ValueError,
+                           match="queries have d=5, bank rows d=64"):
+            batch_knn(unit_rows(r, 3, 5), bank, k=2)
 
     def test_rejects_non_finite_queries(self, rng):
         bank = make_bank(rng, n=5, d=3)
