@@ -18,7 +18,7 @@ exactly idempotent.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -149,7 +149,14 @@ class CalibrationReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CalibrationReport":
-        """Inverse of `to_dict`."""
+        """Inverse of `to_dict`.  A missing or unknown key, or a strategy
+        or clamp that names no mode, raises ValueError."""
+        names = {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        for what, keys in (("missing", required - set(doc)),
+                           ("unknown", set(doc) - names)):
+            if keys:
+                raise ValueError(f"{what} key {sorted(keys)[0]!r}")
         return cls(**{**doc, "strategy": BinStrategy(doc["strategy"]),
                       "clamp": ClampMode(doc["clamp"]),
                       "clamp_bounds": tuple(doc["clamp_bounds"])})

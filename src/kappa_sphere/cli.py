@@ -7,7 +7,8 @@ Subcommands:
 * ``fit``        post-train the kappa head on the scene gen recorded
 * ``train``      joint training (margin loss + weighted vMF term) on it
 * ``eval``       query-level Recall@K + ECE@K reports for every method
-* ``match-eval`` match-level calibration reports
+* ``match-eval`` match-level calibration reports of the search eval
+                 recorded
 * ``report``     render a report JSON as text tables (optionally the
                  reliability diagrams as SVG)
 * ``bench``      latency benchmark of the kappa path
@@ -51,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     for name, help_text in (("eval", "query-level evaluation"),
-                            ("match-eval", "match-level evaluation")):
+                            ("match-eval",
+                             "match-level evaluation of eval's search")):
         p = sub.add_parser(name, help=help_text)
         common(p)
         p.add_argument("--k", type=_int_list, default=None,
@@ -186,16 +188,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_inputs(paths):
-    """The run's db and query banks: bank.kpb's rows with manifest.json's
-    fields."""
-    from . import fileio
-
-    desc = fileio.read_bank(paths["bank"])
-    bank, splits = fileio.read_manifest(paths["manifest"], desc)
-    return bank.subset(splits["db"]), bank.subset(splits["query"])
-
-
 def cmd_eval(args) -> int:
     from . import fileio, retrieval, scores as sc
     from .pipeline import evaluate_queries
@@ -205,7 +197,9 @@ def cmd_eval(args) -> int:
     # leaves the record keyed by bytes the file no longer holds, so
     # match-eval misses it rather than reuse a search of other bytes
     key = fileio.inputs_key(paths["bank"], paths["manifest"])
-    db, queries = _load_eval_inputs(paths)
+    desc = fileio.read_bank(paths["bank"])
+    bank, splits = fileio.read_manifest(paths["manifest"], desc)
+    db, queries = bank.subset(splits["db"]), bank.subset(splits["query"])
     run = _resolve(args)
     methods = sc.ALL_METHODS
     if args.method:
@@ -227,8 +221,8 @@ def cmd_eval(args) -> int:
     out_path = os.path.join(args.out, "report.json")
     fileio.atomic_write_text(out_path, fileio.report_document(body, run))
     # match-eval scores the first k columns of this search, with the poses
-    # and kappas recorded beside it, instead of parsing the inputs and
-    # searching again; eval itself never reads the file
+    # and kappas recorded beside it: it parses neither input and never
+    # searches.  eval itself never reads the file
     fileio.write_retrieval(paths["retrieval"], key, db, queries, ev.results)
     _print_query_table(ev, run.ks)
     print(f"wrote {out_path}")
@@ -243,14 +237,11 @@ def cmd_match_eval(args) -> int:
     key = fileio.inputs_key(paths["bank"], paths["manifest"])
     run = _resolve(args)
     k = run.ks[0]
-    # eval's record of a search of these exact input bytes, at least k deep
-    recorded = fileio.read_retrieval(paths["retrieval"], key, k)
-    if recorded is None:
-        db, queries = _load_eval_inputs(paths)
-    else:
-        db, queries = recorded.db, recorded.queries
-    ev = evaluate_matches(db, queries, k=k, binning=run.binning, tau=run.tau,
-                          results=recorded)
+    # eval's record of a search of these exact input bytes, at least k
+    # deep; a miss is an error that names the command to run
+    queries, db, results = fileio.read_retrieval(paths["retrieval"], key, k)
+    ev = evaluate_matches(db, queries, results, binning=run.binning,
+                          tau=run.tau)
     body = {
         "level": "match",
         "k": k,
@@ -330,8 +321,14 @@ def cmd_report(args) -> int:
                          "(at $.spearman_kappa)")
     if not isinstance(doc.get("reports"), dict):
         raise ValueError("missing or non-object field 'reports' (at $.reports)")
+    diagrams = []
     for name, rep in doc["reports"].items():
         _check_report_entry(rep, f"$.reports.{name}")
+        if args.svg:  # a diagram reads every field of its entry
+            try:
+                diagrams.append(CalibrationReport.from_dict(rep))
+            except ValueError as exc:
+                raise ValueError(f"{exc} (at $.reports.{name})") from exc
     print(f"seed {doc['seed']}  level {doc.get('level')}")
     if doc.get("recalls"):
         print("recall: " + "  ".join(f"R@{k}={v:.3f}"
@@ -350,15 +347,15 @@ def cmd_report(args) -> int:
             print(f"  {i:3d}  {cnt:5d}  {obs_s:>8s}  {exp:8.3f}")
     for m, reason in (doc.get("unsupported") or {}).items():
         print(f"{m:20s}  unsupported: {reason}")
-    if args.svg:
-        # one diagram per entry, named from its own level, method and k
-        base = os.path.dirname(os.path.abspath(args.path))
-        for rep in map(CalibrationReport.from_dict, doc["reports"].values()):
-            level = "match_" if rep.level == "match" else ""
-            path = os.path.join(base,
-                                f"reliability_{level}{rep.method}_k{rep.k}.svg")
-            fileio.atomic_write_text(path, reliability_svg(rep))
-            print(f"wrote {path}")
+    # with --svg, one diagram per entry, named from its own level, method
+    # and k
+    base = os.path.dirname(os.path.abspath(args.path))
+    for rep in diagrams:
+        level = "match_" if rep.level == "match" else ""
+        path = os.path.join(base,
+                            f"reliability_{level}{rep.method}_k{rep.k}.svg")
+        fileio.atomic_write_text(path, reliability_svg(rep))
+        print(f"wrote {path}")
     return 0
 
 

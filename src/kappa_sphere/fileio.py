@@ -465,17 +465,6 @@ class RecordedRows:
         return len(self.poses)
 
 
-@dataclass(frozen=True)
-class RecordedRetrieval:
-    """A top-k search read back by `read_retrieval`: row i of the (n, k)
-    arrays holds query i's ranked db row indices and cosines."""
-
-    queries: RecordedRows
-    db: RecordedRows
-    ref_indices: np.ndarray
-    similarities: np.ndarray
-
-
 def write_retrieval(path, key: str, bank: DescriptorBank,
                     query_bank: DescriptorBank,
                     results: RetrievalResult) -> None:
@@ -503,39 +492,40 @@ def _check_finite(value, path, name: str, nonneg: bool = False) -> None:
                               f"row {at[0]}", path, name)
 
 
-def read_retrieval(path, key: str, k: int) -> RecordedRetrieval | None:
-    """The first k columns of the search `write_retrieval` recorded under
-    `key`, with the poses and kappas of the rows they index.
+def read_retrieval(path, key: str, k: int) -> tuple:
+    """(queries, db, results): the first k columns of the search
+    `write_retrieval` recorded under `key`, as a RetrievalResult, and the
+    RecordedRows of the rows it ranks.
 
-    None when there is no file, when it was recorded under another key
-    (other input bytes, or an older format), or when it holds fewer than k
-    columns.  A file that is not an .npz archive, or a record under `key`
-    that is not a valid one, raises RecordFileError naming the file and
-    the field.  The query poses give n >= 1 and the db poses N:
-    ref_indices must be (n, K), 1 <= K <= N, with every entry in [0, N);
-    similarities must have its shape; a kappa field must be as long as its
-    side's poses; poses and cosines must be finite, and kappas finite and
-    >= 0.
+    A miss is a RecordFileError naming the file and the command to run:
+    no file (run eval first), a record under another key (other input
+    bytes, or an older format: run eval again), or fewer than k columns
+    (run eval with a K of at least k, unless k exceeds the db).  So is a file that is not an .npz
+    archive, or a record under `key` that is not a valid one, with the
+    field.  The query poses give n >= 1 and the db poses N: ref_indices
+    must be (n, K), 1 <= K <= N, with every entry in [0, N); similarities
+    must have its shape; a kappa field must be as long as its side's
+    poses; poses and cosines must be finite, and kappas finite and >= 0.
     """
+    if not os.path.isfile(path):
+        raise RecordFileError("no recorded search; run eval first", path)
     f8 = np.float64
-    try:
-        with _open_record(path) as archive:
-            if str(_record_field(archive, "key", path, str, ())) != key:
-                return None
-            values = {name: _record_field(archive, name, path, f8, (None, 2))
-                      for name in ("query_poses", "db_poses")}
-            n, rows = len(values["query_poses"]), len(values["db_poses"])
-            order = _record_field(archive, "ref_indices", path, np.int64,
-                                  (n, None))
-            values["similarities"] = _record_field(
-                archive, "similarities", path, f8, order.shape)
-            for side, length in (("query", n), ("db", rows)):
-                name = f"{side}_kappas"
-                if name in archive.files:
-                    values[name] = _record_field(archive, name, path, f8,
-                                                 (length,))
-    except FileNotFoundError:
-        return None
+    with _open_record(path) as archive:
+        if str(_record_field(archive, "key", path, str, ())) != key:
+            raise RecordFileError("a search of other inputs; run eval again",
+                                  path)
+        values = {name: _record_field(archive, name, path, f8, (None, 2))
+                  for name in ("query_poses", "db_poses")}
+        n, rows = len(values["query_poses"]), len(values["db_poses"])
+        order = _record_field(archive, "ref_indices", path, np.int64,
+                              (n, None))
+        values["similarities"] = _record_field(
+            archive, "similarities", path, f8, order.shape)
+        for side, length in (("query", n), ("db", rows)):
+            name = f"{side}_kappas"
+            if name in archive.files:
+                values[name] = _record_field(archive, name, path, f8,
+                                             (length,))
     if n == 0 or not 1 <= order.shape[1] <= rows:
         raise RecordFileError(
             f"shape {order.shape} does not fit {n} queries against the "
@@ -546,14 +536,17 @@ def read_retrieval(path, key: str, k: int) -> RecordedRetrieval | None:
     for name, value in values.items():
         _check_finite(value, path, name, nonneg=name.endswith("kappas"))
     if k > order.shape[1]:
-        return None
+        raise RecordFileError(
+            f"a top-{order.shape[1]} search of {rows} db rows; " + (
+                f"k = {k} exceeds the db" if k > rows
+                else f"run eval with a K of at least {k}"), path)
     # contiguous, as batch_knn returns them
-    return RecordedRetrieval(
-        queries=RecordedRows(values["query_poses"],
-                             values.get("query_kappas")),
-        db=RecordedRows(values["db_poses"], values.get("db_kappas")),
-        ref_indices=np.ascontiguousarray(order[:, :k]),
-        similarities=np.ascontiguousarray(values["similarities"][:, :k]))
+    return (RecordedRows(values["query_poses"], values.get("query_kappas")),
+            RecordedRows(values["db_poses"], values.get("db_kappas")),
+            RetrievalResult(
+                ref_indices=np.ascontiguousarray(order[:, :k]),
+                similarities=np.ascontiguousarray(
+                    values["similarities"][:, :k])))
 
 
 # ---------------------------------------------------------------------------

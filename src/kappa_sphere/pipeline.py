@@ -235,30 +235,26 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
 class MatchEvaluation:
     reports: dict               # method -> CalibrationReport (match level)
     pairs: dict                 # method -> (value, degenerate), (n, K) each
-    results: RetrievalResult    # (n, K) retrieval, or the record it came from
     positive: np.ndarray        # (n, K) ground-truth positive pairs
 
 
 def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
-                     k: int = 1, binning: BinningConfig | None = None,
-                     tau: float = DEFAULT_TAU,
-                     results: RetrievalResult | None = None) -> MatchEvaluation:
-    """Match-level calibration over the T = K * N retrieved pairs.
+                     results: RetrievalResult,
+                     binning: BinningConfig | None = None,
+                     tau: float = DEFAULT_TAU) -> MatchEvaluation:
+    """Match-level calibration over the T = K * n pairs of `results`, the
+    (n, K) top-K search of `query_bank` against `bank`.
 
     Scores each pair with the resultant-fusion kernel (when both banks
-    carry kappas) and with the pairwise L2 distance baseline.  `results`
-    is the top-k search of `query_bank` against `bank` when the caller
-    already has it; otherwise it is run here.  Scoring reads only the
-    search's `ref_indices` and `similarities` and each side's `poses` and
-    `kappas`, so with `results` given the banks may be any rows carrying
-    those: `match-eval` passes the `fileio.RecordedRetrieval` of eval's
-    record as `results` and its `db` and `queries` as the banks.
+    carry kappas) and with the pairwise L2 distance baseline.  Scoring
+    reads only the search's `ref_indices` and `similarities` and each
+    side's `poses` and `kappas`, so the banks may be any rows carrying
+    those: `match-eval` passes the `fileio.read_retrieval` of eval's
+    record, search and RecordedRows both.
     """
-    if results is None:
-        results = batch_knn(query_bank.descriptors, bank, k)
-    elif results.ref_indices.shape != (len(query_bank), k):
-        raise ValueError(f"results of shape {results.ref_indices.shape} are "
-                         f"not a top-{k} search of {len(query_bank)} queries")
+    if len(results) != len(query_bank):
+        raise ValueError(f"a search of {len(results)} queries cannot score "
+                         f"{len(query_bank)}")
     positive = positive_mask(query_bank.poses, bank, results.ref_indices,
                              tau)
 
@@ -276,8 +272,7 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
         reports[method] = match_ece_at_k(value, positive,
                                          binning_for(method, binning),
                                          method=method)
-    return MatchEvaluation(reports=reports, pairs=pairs, results=results,
-                           positive=positive)
+    return MatchEvaluation(reports=reports, pairs=pairs, positive=positive)
 
 
 def scene_banks(dataset: SynthDataset, head: dict):

@@ -18,11 +18,15 @@ import numpy as np
 
 from .calibration import FieldError
 from .head import aggregate
-from .retrieval import DescriptorBank
+from .retrieval import DEFAULT_TAU, DescriptorBank
 from .vmf import sample_vmf
 
 DEFAULT_SPLIT = (0.5, 0.3, 0.2)
 SPLIT_NAMES = ("train", "db", "query")
+# prototypes are resampled until no two have |cos| >= this, for at most
+# PROTOTYPE_ROUNDS rounds
+PROTOTYPE_MAX_ABS_COS = 0.5
+PROTOTYPE_ROUNDS = 200
 
 
 @dataclass
@@ -55,7 +59,7 @@ class SceneConfig:
         if self.descriptor_dim < 2:
             raise FieldError("descriptor_dim", ">= 2", self.descriptor_dim)
         aliased_class_count(self.aliasing_rate, self.num_classes)
-        stratified_counts(DEFAULT_SPLIT, self.images_per_class)
+        stratified_counts(self.images_per_class)
         self.feature_shape = tuple(int(x) for x in self.feature_shape)
 
 
@@ -128,16 +132,16 @@ def aliased_class_count(rate: float, num_classes: int) -> int:
     return involved
 
 
-def stratified_counts(fractions, size: int) -> list:
-    """Images of a class of `size` per split: floor(fraction * size), the
-    remainder handed to train, db, query in that order.  Every
-    nonzero-fraction split must get at least one image; `size` is a
+def stratified_counts(size: int) -> list:
+    """Images of a class of `size` per split: floor(fraction * size) for
+    each DEFAULT_SPLIT fraction, the remainder handed to train, db, query
+    in that order.  Every split must get at least one image; `size` is a
     scene's images_per_class, so a failure names that key."""
-    counts = [int(math.floor(f * size)) for f in fractions]
+    counts = [int(math.floor(f * size)) for f in DEFAULT_SPLIT]
     for i in range(size - sum(counts)):
         counts[i % 3] += 1
-    for f, cnt, name in zip(fractions, counts, SPLIT_NAMES):
-        if f > 0.0 and cnt == 0:
+    for cnt, name in zip(counts, SPLIT_NAMES):
+        if cnt == 0:
             raise FieldError("images_per_class", "large enough to stratify "
                              f"({name!r} gets no image)", size)
     return counts
@@ -148,22 +152,22 @@ def _ambiguity_embedding(a):
     return 0.25 + 1.75 * (1.0 - a)
 
 
-def _sample_prototypes(rng, c: int, d: int, max_abs_cos: float = 0.5,
-                       max_rounds: int = 200) -> np.ndarray:
+def _sample_prototypes(rng, c: int, d: int) -> np.ndarray:
     """Uniform unit prototypes, resampled until min pairwise separation holds."""
     w = rng.standard_normal((c, d))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    for _ in range(max_rounds):
+    for _ in range(PROTOTYPE_ROUNDS):
         gram = np.abs(w @ w.T)
         np.fill_diagonal(gram, 0.0)
-        bad = np.unique(np.argwhere(gram >= max_abs_cos).ravel())
+        bad = np.unique(np.argwhere(gram >= PROTOTYPE_MAX_ABS_COS).ravel())
         if bad.size == 0:
             return w
         w[bad] = rng.standard_normal((bad.size, d))
         w[bad] /= np.linalg.norm(w[bad], axis=1, keepdims=True)
     raise ValueError(
-        f"could not separate {c} prototypes below |cos| = {max_abs_cos} in "
-        f"d={d}; lower scene.num_classes or raise scene.descriptor_dim")
+        f"could not separate {c} prototypes below |cos| = "
+        f"{PROTOTYPE_MAX_ABS_COS} in d={d}; lower scene.num_classes or "
+        "raise scene.descriptor_dim")
 
 
 def raw_inputs(descriptors, features) -> np.ndarray:
@@ -218,16 +222,17 @@ def generate_scene(config: SceneConfig) -> SynthDataset:
     if config.aliasing_rate > 0.0:
         dataset = inject_aliasing(dataset, config.aliasing_rate,
                                   seed=int(rng.integers(2**31)))
-    split(dataset, DEFAULT_SPLIT, seed=config.seed)
+    split(dataset, seed=config.seed)
     return dataset
 
 
-def inject_aliasing(dataset: SynthDataset, rate: float, seed: int,
-                    min_pose_distance: float = 25.0) -> SynthDataset:
+def inject_aliasing(dataset: SynthDataset, rate: float,
+                    seed: int) -> SynthDataset:
     """Make a fraction of class pairs perceptually aliased.
 
     For each selected pair (a, b) with class poses farther apart than
-    `min_pose_distance`, class b adopts class a's prototype direction and
+    DEFAULT_TAU, the default radius within which a reference is a
+    positive, class b adopts class a's prototype direction and
     its descriptors are re-sampled around it (same per-image kappa).
     Mutates and returns the dataset.
     """
@@ -244,7 +249,7 @@ def inject_aliasing(dataset: SynthDataset, rate: float, seed: int,
                  for i in range(involved // 2)]
         dists = [np.linalg.norm(dataset.class_poses[a] - dataset.class_poses[b])
                  for a, b in pairs]
-        if all(dist > min_pose_distance for dist in dists):
+        if all(dist > DEFAULT_TAU for dist in dists):
             break
     else:
         raise ValueError("could not find geographically separated alias pairs")
@@ -262,16 +267,14 @@ def inject_aliasing(dataset: SynthDataset, rate: float, seed: int,
     return dataset
 
 
-def split(dataset: SynthDataset, fractions, seed: int) -> dict:
-    """Class-stratified split into train/db/query; stored on the dataset.
+def split(dataset: SynthDataset, seed: int) -> dict:
+    """Class-stratified DEFAULT_SPLIT into train/db/query; stored on the
+    dataset.
 
     Each class's counts come from `stratified_counts`.  Its rows, ascending,
     are a run of one stable argsort of the labels; each class's shuffle is
     drawn in class order.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("need 3 fractions summing to 1")
     rng = np.random.default_rng(seed)
     parts = {name: [] for name in SPLIT_NAMES}
     labels = dataset.bank.labels
@@ -281,7 +284,7 @@ def split(dataset: SynthDataset, fractions, seed: int) -> dict:
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         idx = order[lo:hi]
         idx = idx[rng.permutation(len(idx))]
-        counts = stratified_counts(fractions, len(idx))
+        counts = stratified_counts(len(idx))
         start = 0
         for cnt, name in zip(counts, SPLIT_NAMES):
             parts[name].append(idx[start:start + cnt])

@@ -463,12 +463,13 @@ def test_criterion_9_joint_training_non_degradation():
 def test_criterion_10_match_level_discrimination(default_scene_sweep):
     row = default_scene_sweep[0]
     db, queries = scene_banks(row["dataset"], row["head"])
-    ev = evaluate_matches(db, queries, k=1)
+    ev = evaluate_matches(db, queries, batch_knn(queries.descriptors, db, 1))
     assert ev.reports[sc.METHOD_RESULTANT].ece <= ev.reports[sc.METHOD_L2].ece
 
     # decile analysis over k=10 retrieved pairs
-    ev10 = evaluate_matches(db, queries, k=10)
-    sims = ev10.results.similarities.ravel()
+    top10 = batch_knn(queries.descriptors, db, 10)
+    ev10 = evaluate_matches(db, queries, top10)
+    sims = top10.similarities.ravel()
     scores = ev10.pairs[sc.METHOD_RESULTANT].value.ravel()
     flags = ev10.positive.ravel()
 

@@ -276,6 +276,22 @@ class TestReport:
                            k=5, method="resultant")
             assert CalibrationReport.from_dict(rep.to_dict()) == rep
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("clamp"), "missing key 'clamp'"),
+        (lambda doc: doc.update(foo=1), "unknown key 'foo'"),
+        (lambda doc: doc.update(strategy="bogus"), "'bogus'")])
+    def test_from_dict_rejects_a_malformed_entry(self, edit, message):
+        # a ValueError the CLI reports, not a TypeError or KeyError
+        doc = ece_at_k([0.1, 0.9], [1, 0], BinningConfig(num_bins=2)).to_dict()
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            CalibrationReport.from_dict(doc)
+
+    def test_from_dict_defaults_the_level(self):
+        doc = ece_at_k([0.1, 0.9], [1, 0], BinningConfig(num_bins=2)).to_dict()
+        del doc["level"]
+        assert CalibrationReport.from_dict(doc).level == "query"
+
     def test_svg_is_deterministic_and_wellformed(self):
         cfg = BinningConfig(num_bins=3, clamp=ClampMode.NONE)
         rep = ece_at_k([0.1, 0.5, 0.9], [1, 1, 0], cfg, method="l2")

@@ -2,14 +2,14 @@
 
 import json
 import os
-import shutil
 import sys
 
 import numpy as np
 import pytest
 
 from kappa_sphere import fileio, retrieval, synth
-from kappa_sphere.cli import main
+from kappa_sphere.cli import _resolve, build_parser, main
+from kappa_sphere.pipeline import evaluate_matches
 
 SMALL_CONFIG = {
     "scene": {"num_classes": 8, "images_per_class": 10, "descriptor_dim": 16,
@@ -277,6 +277,7 @@ class TestEval:
 class TestMatchEval:
     def test_match_report(self, workdir):
         out = workdir["out"]
+        assert main(["eval", "--out", str(out)]) == 0
         assert main(["match-eval", "--out", str(out), "--k", "1"]) == 0
         doc = json.loads((out / "match_report.json").read_text())
         assert doc["level"] == "match"
@@ -297,8 +298,10 @@ class TestMatchEval:
 class TestRecordedRetrieval:
     """eval records its top-K search in retrieval.npz, with the poses and
     kappas it scores, keyed by the bytes of bank.kpb and manifest.json;
-    match-eval takes the first k columns when the files hash to the key
-    and k is at most K, and parses the files and searches otherwise."""
+    match-eval scores the first k columns when the files hash to the key
+    and k is at most K.  Any other record is an error that names the file
+    and the command to run: match-eval never parses the inputs or
+    searches."""
 
     @pytest.fixture()
     def evaluated(self, workdir, tmp_path):
@@ -320,13 +323,22 @@ class TestRecordedRetrieval:
         return ks
 
     @staticmethod
-    def _searched_copy(out, dest, argv_tail) -> bytes:
-        """The match_report.json bytes of a copy of the run `out` without
-        the record, so match-eval parses the inputs and searches."""
-        shutil.copytree(out, dest)
-        (dest / "retrieval.npz").unlink(missing_ok=True)
-        assert main(["match-eval", "--out", str(dest), *argv_tail]) == 0
-        return (dest / "match_report.json").read_bytes()
+    def _searched_reports(out, argv_tail) -> tuple:
+        """(k, reports) that match-eval with `argv_tail` should write for
+        the run `out`: its inputs parsed and searched afresh at k, then
+        scored by evaluate_matches."""
+        run = _resolve(build_parser().parse_args(
+            ["match-eval", "--out", str(out), *argv_tail]))
+        k = run.ks[0]
+        bank, splits = fileio.read_manifest(
+            out / "manifest.json", fileio.read_bank(out / "bank.kpb"))
+        db, queries = bank.subset(splits["db"]), bank.subset(splits["query"])
+        ev = evaluate_matches(db, queries,
+                              retrieval.batch_knn(queries.descriptors, db, k),
+                              binning=run.binning, tau=run.tau)
+        # as the report's JSON reads back
+        return k, json.loads(json.dumps(
+            {m: rep.to_dict() for m, rep in ev.reports.items()}))
 
     @pytest.mark.parametrize("case", [None, "5", "10", "quantile binning",
                                       "another tau", "no kappas"])
@@ -334,7 +346,7 @@ class TestRecordedRetrieval:
                                          monkeypatch, case):
         # a hit decodes neither input file and runs no search; its
         # positives and bins follow match-eval's own tau and binning, and
-        # its report has the bytes a search gives
+        # its report is the one a fresh search at k gives
         out, flags = evaluated, []
         if case in ("5", "10"):
             flags = ["--k", case]
@@ -351,7 +363,7 @@ class TestRecordedRetrieval:
             assert main(["eval", "--out", str(out)]) == 0
             with np.load(out / "retrieval.npz") as record:
                 assert not {"query_kappas", "db_kappas"} & set(record.files)
-        searched = self._searched_copy(out, tmp_path / "searched", flags)
+        k, searched = self._searched_reports(out, flags)
 
         def refuse(*args, **kwargs):
             raise AssertionError("match-eval parsed an input or searched")
@@ -360,17 +372,28 @@ class TestRecordedRetrieval:
                          retrieval.batch_knn):
             _patch_everywhere(monkeypatch, original, refuse)
         assert main(["match-eval", "--out", str(out), *flags]) == 0
-        assert (out / "match_report.json").read_bytes() == searched
+        doc = json.loads((out / "match_report.json").read_text())
+        assert doc["k"] == k
+        assert doc["reports"] == searched
 
-    @pytest.mark.parametrize("change", ["train", "perturbed row",
-                                        "deeper k", "no file",
-                                        "edited kappas", "old format"])
-    def test_match_eval_searches_when_the_record_does_not_fit(
-            self, evaluated, tmp_path, monkeypatch, change):
-        # any change to either file's bytes is a miss, kappas included:
-        # fit followed by match-eval without eval searches again
+    @pytest.mark.parametrize("change, command", [
+        ("train", "run eval again"),
+        ("perturbed row", "run eval again"),
+        ("deeper k", "run eval with a K of at least 11"),
+        ("no file", "run eval first"),
+        ("edited kappas", "run eval again"),
+        ("old format", "run eval again")],
+        ids=["train", "perturbed row", "deeper k", "no file", "edited kappas",
+             "old format"])
+    def test_a_miss_is_an_error_that_names_the_command(
+            self, evaluated, capsys, monkeypatch, change, command):
+        # any change to either file's bytes is a miss, kappas included (fit
+        # writes new ones): match-eval without eval again fails, and
+        # neither searches nor touches the last match report
         flags = []
         record = evaluated / "retrieval.npz"
+        assert main(["match-eval", "--out", str(evaluated)]) == 0
+        report = (evaluated / "match_report.json").read_bytes()
         if change == "train":
             assert main(["train", "--out", str(evaluated)]) == 0
         elif change == "perturbed row":
@@ -383,6 +406,7 @@ class TestRecordedRetrieval:
         elif change == "deeper k":
             with np.load(record) as npz:
                 depth = npz["ref_indices"].shape[1]
+            assert depth == 10
             flags = ["--k", str(depth + 1)]
         elif change == "no file":
             record.unlink()
@@ -401,11 +425,17 @@ class TestRecordedRetrieval:
                 np.savez(record, key=np.array(old_key),
                          ref_indices=npz["ref_indices"],
                          similarities=npz["similarities"])
-        fresh = self._searched_copy(evaluated, tmp_path / "fresh", flags)
+        files = sorted(p.name for p in evaluated.iterdir())
         searches = self._count_searches(monkeypatch)
-        assert main(["match-eval", "--out", str(evaluated), *flags]) == 0
-        assert len(searches) == 1
-        assert (evaluated / "match_report.json").read_bytes() == fresh
+        capsys.readouterr()
+        assert main(["match-eval", "--out", str(evaluated), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert f"{command} (in {record})" in captured.err
+        assert searches == []
+        assert sorted(p.name for p in evaluated.iterdir()) == files
+        assert (evaluated / "match_report.json").read_bytes() == report
 
     @pytest.mark.parametrize("garble, field", [
         ("truncated", None),
@@ -495,7 +525,9 @@ class TestReportCommand:
         # reliability_<method>_k<K>.svg for eval's "<method>@<K>" and
         # reliability_match_<method>_k<K>.svg for match-eval's "<method>"
         out = _copy_scene(workdir, tmp_path / "o")
-        assert main([command, "--out", str(out)]) == 0
+        assert main(["eval", "--out", str(out)]) == 0
+        if command == "match-eval":  # it scores eval's recorded search
+            assert main([command, "--out", str(out)]) == 0
         assert main(["report", str(out / report), "--svg"]) == 0
         doc = json.loads((out / report).read_text())
         if command == "eval":
@@ -569,6 +601,32 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"(at $.reports.{second}.{field})" in captured.err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rep: rep.update(foo=1), "unknown key 'foo'"),
+        (lambda rep: rep.update(strategy="bogus"), "'bogus'"),
+        (lambda rep: rep.pop("clamp"), "missing key 'clamp'")],
+        ids=["extra key", "unknown strategy", "no clamp"])
+    def test_svg_decodes_every_entry_before_printing(
+            self, workdir, tmp_path, capsys, edit, message):
+        # a diagram reads fields the table does not print; with --svg they
+        # are decoded before the first line too
+        out = workdir["out"]
+        assert main(["eval", "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        second = sorted(doc["reports"])[1]
+        edit(doc["reports"][second])
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["report", str(bad)]) == 0  # the table reads fine
+        capsys.readouterr()
+        assert main(["report", str(bad), "--svg"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert f"(at $.reports.{second})" in captured.err
+        assert not sorted(tmp_path.glob("*.svg"))
 
 
 class TestErrors:

@@ -541,17 +541,23 @@ class TestRetrievalRecord:
         write_retrieval(path, "key", db, queries,
                         batch_knn(queries.descriptors, db, 10))
         for k in (1, 4, 10):
-            got = read_retrieval(path, "key", k)
+            got_queries, got_db, got = read_retrieval(path, "key", k)
             want = batch_knn(queries.descriptors, db, k)
             for name in ("ref_indices", "similarities"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(want, name))
-            for side, bank in ((got.db, db), (got.queries, queries)):
+            for side, bank in ((got_db, db), (got_queries, queries)):
                 np.testing.assert_array_equal(side.poses, bank.poses)
                 np.testing.assert_array_equal(side.kappas, bank.kappas)
-        assert read_retrieval(path, "key", 11) is None
-        assert read_retrieval(path, "another key", 1) is None
-        assert read_retrieval(tmp_path / "none.npz", "key", 1) is None
+        # a miss names the file and the command that writes a record
+        for where, key, k, command in (
+                (path, "key", 11, "run eval with a K of at least 11"),
+                (path, "key", 31, "k = 31 exceeds the db"),  # of 30 rows
+                (path, "another key", 1, "run eval again"),
+                (tmp_path / "none.npz", "key", 1, "run eval first")):
+            with pytest.raises(RecordFileError, match=command) as exc:
+                read_retrieval(where, key, k)
+            assert exc.value.path == str(where) and exc.value.field is None
 
     @pytest.mark.parametrize("field", ["descriptors", "ids"])
     @pytest.mark.parametrize("side", [0, 1])

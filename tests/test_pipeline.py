@@ -10,7 +10,7 @@ from scipy.stats import spearmanr
 
 from kappa_sphere import pipeline
 from kappa_sphere import scores as sc
-from kappa_sphere.retrieval import SUE_K, RetrievalResult
+from kappa_sphere.retrieval import SUE_K, RetrievalResult, batch_knn
 from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import TrainConfig, TrainMode
 
@@ -123,8 +123,8 @@ def test_spearman_equals_scipy_bit_for_bit(n, ties):
 class TestEvaluateMatches:
     def test_pairs_are_the_elementwise_scores(self, fitted):
         _, _, db, query = fitted
-        ev = pipeline.evaluate_matches(db, query, k=3)
-        res = ev.results
+        res = batch_knn(query.descriptors, db, 3)
+        ev = pipeline.evaluate_matches(db, query, res)
         n = len(query)
         assert ev.positive.shape == res.similarities.shape == (n, 3)
         value, degenerate = ev.pairs[sc.METHOD_RESULTANT]
@@ -143,19 +143,28 @@ class TestEvaluateMatches:
     def test_without_kappas_only_l2(self, fitted):
         _, _, db, query = fitted
         query = replace(query, kappas=None)
-        ev = pipeline.evaluate_matches(db, query, k=2)
+        ev = pipeline.evaluate_matches(db, query,
+                                       batch_knn(query.descriptors, db, 2))
         assert set(ev.pairs) == set(ev.reports) == {sc.METHOD_L2}
 
     def test_given_results_are_scored_as_searched(self, fitted):
-        # a caller's top-k search (match-eval's recorded one) replaces the
-        # search; one of another depth is refused, not scored
+        # the caller's search is scored as given and never run again: the
+        # first k columns of a deeper one (match-eval's recorded search)
+        # score as a top-k search; a search of other queries is refused
         _, _, db, query = fitted
-        searched = pipeline.evaluate_matches(db, query, k=2)
+        deep = batch_knn(query.descriptors, db, 5)
+        prefix = RetrievalResult(
+            ref_indices=np.ascontiguousarray(deep.ref_indices[:, :2]),
+            similarities=np.ascontiguousarray(deep.similarities[:, :2]))
+        searched = pipeline.evaluate_matches(
+            db, query, batch_knn(query.descriptors, db, 2))
         with mock.patch.object(pipeline, "batch_knn",
                                side_effect=AssertionError("searched")):
-            given = pipeline.evaluate_matches(db, query, k=2,
-                                              results=searched.results)
+            given = pipeline.evaluate_matches(db, query, prefix)
             assert given.reports == searched.reports
-            with pytest.raises(ValueError, match="top-1"):
-                pipeline.evaluate_matches(db, query, k=1,
-                                          results=searched.results)
+            short = RetrievalResult(ref_indices=deep.ref_indices[1:],
+                                    similarities=deep.similarities[1:])
+            with pytest.raises(ValueError, match=(
+                    f"a search of {len(query) - 1} queries cannot score "
+                    f"{len(query)}")):
+                pipeline.evaluate_matches(db, query, short)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from kappa_sphere.retrieval import batch_knn
-from kappa_sphere.synth import (DEFAULT_SPLIT, SPLIT_NAMES, SceneConfig,
-                                ambiguity_to_kappa, generate_scene,
-                                inject_aliasing, split, stratified_counts)
+from kappa_sphere.retrieval import DEFAULT_TAU, batch_knn
+from kappa_sphere.synth import (SPLIT_NAMES, SceneConfig, ambiguity_to_kappa,
+                                generate_scene, inject_aliasing, split,
+                                stratified_counts)
 from kappa_sphere.vmf import mle_kappa
 
 SMALL = dict(num_classes=8, images_per_class=10, descriptor_dim=16,
@@ -137,7 +137,8 @@ class TestAliasing:
         np.testing.assert_array_equal(ds.prototypes[a],
                                       ds.prototypes[b])
         # geographically distinct despite identical appearance
-        assert np.linalg.norm(ds.class_poses[a] - ds.class_poses[b]) > 25.0
+        assert np.linalg.norm(ds.class_poses[a] - ds.class_poses[b]) \
+            > DEFAULT_TAU
 
     def test_aliasing_degrades_top1_label_accuracy(self):
         # Retrieval by descriptor confuses the aliased twin classes.
@@ -174,11 +175,6 @@ class TestSplit:
             # per-class proportions within one image of the target
             assert np.all(np.abs(counts - frac * cfg.images_per_class) <= 1)
 
-    def test_fractions_validated(self):
-        ds = generate_scene(SceneConfig(seed=0, **SMALL))
-        with pytest.raises(ValueError):
-            split(ds, (0.5, 0.5, 0.5), seed=0)
-
     def test_tiny_class_rejected(self):
         # 2 images per class cannot stratify into 3 nonzero splits; the
         # scene config is refused before generate_scene runs the split.
@@ -201,7 +197,7 @@ class TestSplit:
             return made[-1]
 
         monkeypatch.setattr(np.random, "default_rng", capture)
-        got = split(ds, DEFAULT_SPLIT, seed=4)
+        got = split(ds, seed=4)
         monkeypatch.undo()
 
         rng = np.random.default_rng(4)
@@ -210,7 +206,7 @@ class TestSplit:
         for cls in range(ds.config.num_classes):
             idx = np.flatnonzero(labels == cls)
             idx = idx[rng.permutation(len(idx))]
-            counts = stratified_counts(DEFAULT_SPLIT, len(idx))
+            counts = stratified_counts(len(idx))
             start = 0
             for cnt, name in zip(counts, SPLIT_NAMES):
                 parts[name].extend(idx[start:start + cnt].tolist())

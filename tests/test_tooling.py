@@ -1,6 +1,7 @@
 """The layer tracer's targets and the names the benchmark harness imports
 from the package exist, so a rename fails here rather than in a benchmark
-run; the package's submodule table lists its module files; no package
+run; the benchmark runs eval before every match-eval; the package's
+submodule table lists its module files; no package
 module imports scipy, and the CLI's modules start without
 it; every module-level function and class of the package runs outside the
 tests; every raise in the package is an exception the CLI reports; --help
@@ -252,6 +253,27 @@ def test_help_and_argument_errors_skip_numpy():
             "        raise AssertionError(argv)\n"
             "print('numpy' in sys.modules)")
     assert _fresh_python(code).splitlines()[-1] == "False"
+
+
+def test_harness_runs_eval_before_every_match_eval():
+    # match-eval scores the search eval recorded, and gen, fit and train
+    # rewrite the inputs that search is keyed by; a workload that reached
+    # match-eval otherwise would fail every benchmark check.  Walked over
+    # a set-up and two rounds, so a round's end meets the next one's start.
+    harness = _load(HARNESS)
+    workloads = list(harness.WORKLOADS.values())
+    workloads += [harness.smoke(w) for w in workloads]
+    for workload in workloads:
+        commands = workload.setup + 2 * workload.measured
+        assert "match-eval" in commands, workload.name
+        recorded = False
+        for i, command in enumerate(commands):
+            if command in ("gen", "fit", "train"):
+                recorded = False
+            elif command == "eval":
+                recorded = True
+            elif command == "match-eval":
+                assert recorded, (workload.name, commands[:i + 1])
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
