@@ -18,6 +18,7 @@ exactly idempotent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 
@@ -39,12 +40,40 @@ class ClampMode(str, Enum):
 
 
 class FieldError(ValueError):
-    """A config field whose value fails a check of that field alone;
-    carries the field's name, so a run config locates it at its key."""
+    """A field whose value fails a check of that field alone: `key` must be
+    `want` but is `value` (with no `value`, `want` is the whole message).
+    Carries the key, so a run config or a report locates the failure at it."""
 
-    def __init__(self, key: str, want: str, value):
-        super().__init__(f"{key} must be {want}, got {value!r}")
+    def __init__(self, key: str, want: str, value=MISSING):
+        super().__init__(want if value is MISSING
+                         else f"{key} must be {want}, got {value!r}")
         self.key = key
+
+
+def json_value(key: str, value, like):
+    """`value`, as JSON holds the field `key` of the type of `like`,
+    checked: an enum is built from its value, a tuple takes an array of
+    len(like) positive integers, a number keeps its JSON type (an int may
+    stand for a float; a bool is no number) and a float is finite.  Any
+    other value is a FieldError at `key`."""
+    kind = type(like)
+    if isinstance(like, Enum):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise FieldError(key, f"one of {[m.value for m in kind]}",
+                             value) from None
+    if kind is tuple:
+        want = f"an array of {len(like)} positive integers"
+        ok = (isinstance(value, list) and len(value) == len(like)
+              and set(map(type, value)) <= {int} and min(value) >= 1)
+    else:
+        want = "a finite float" if kind is float else kind.__name__
+        ok = (type(value) in {float: (int, float)}.get(kind, (kind,))
+              and (kind is not float or abs(value) <= sys.float_info.max))
+    if not ok:
+        raise FieldError(key, want, value)
+    return tuple(value) if kind is tuple else value
 
 
 @dataclass
@@ -149,17 +178,40 @@ class CalibrationReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CalibrationReport":
-        """Inverse of `to_dict`.  A missing or unknown key, or a strategy
-        or clamp that names no mode, raises ValueError."""
+        """Inverse of `to_dict`, for an entry as JSON holds it.  A missing
+        or unknown key, a field not of the type of `_LIKE`'s (`json_value`),
+        num_bins < 2, or a list field not of `_LISTS`'s items (2 in
+        clamp_bounds, num_bins in a bin list) is a FieldError at its key."""
         names = {f.name for f in fields(cls)}
         required = {f.name for f in fields(cls) if f.default is MISSING}
         for what, keys in (("missing", required - set(doc)),
                            ("unknown", set(doc) - names)):
             if keys:
-                raise ValueError(f"{what} key {sorted(keys)[0]!r}")
-        return cls(**{**doc, "strategy": BinStrategy(doc["strategy"]),
-                      "clamp": ClampMode(doc["clamp"]),
+                key = sorted(keys)[0]
+                raise FieldError(key, f"{what} key {key!r}")
+        values = {key: json_value(key, value, getattr(_LIKE, key))
+                  for key, value in doc.items() if key not in _LISTS}
+        BinningConfig(values["num_bins"])  # num_bins >= 2
+        for key, (types, want) in _LISTS.items():
+            n = 2 if key == "clamp_bounds" else values["num_bins"]
+            if (not isinstance(doc[key], list) or len(doc[key]) != n
+                    or not set(map(type, doc[key])) <= types):
+                raise FieldError(key, f"a list of {n} {want}", doc[key])
+        return cls(**{**doc, **values,
                       "clamp_bounds": tuple(doc["clamp_bounds"])})
+
+
+# a report whose fields other than the lists have the types `from_dict`
+# takes for them
+_LIKE = CalibrationReport("", 1, 2, BinStrategy.EQUAL_WIDTH, ClampMode.NONE,
+                          (), [], [], [], 0.0, 0)
+# a list field's item types (a bool is no number; null is an empty bin's
+# observed recall, or an open clamp bound) and their name
+_NUMBER = {int, float}
+_LISTS = {"clamp_bounds": (_NUMBER | {type(None)}, "numbers or nulls"),
+          "bin_counts": ({int}, "integers"),
+          "bin_observed": (_NUMBER | {type(None)}, "numbers or nulls"),
+          "bin_expected": (_NUMBER, "numbers")}
 
 
 def _ece_report(scores, flags, config: BinningConfig, k: int, method: str,

@@ -201,6 +201,10 @@ def cmd_eval(args) -> int:
     bank, splits = fileio.read_manifest(paths["manifest"], desc)
     db, queries = bank.subset(splits["db"]), bank.subset(splits["query"])
     run = _resolve(args)
+    # the config cannot check K against the database, known only here
+    if max(run.ks) > len(db):
+        raise ValueError(f"K = {max(run.ks)} exceeds the {len(db)} rows "
+                         "of the database (at $.ks)")
     methods = sc.ALL_METHODS
     if args.method:
         methods = tuple(str(args.method).split(","))
@@ -269,66 +273,12 @@ def _print_query_table(ev, ks) -> None:
         print(f"{m:12s}  unsupported: {reason}")
 
 
-# what `report` prints of each entry: field -> allowed item types (a bin
-# list's observed accuracy is None for an empty bin; a bool is no number)
-_REPORT_ENTRY = {"ece": (int, float), "total": (int,)}
-_REPORT_BINS = {"bin_counts": (int,), "bin_observed": (int, float, type(None)),
-                "bin_expected": (int, float)}
-
-
-def _check_report_entry(rep, where: str) -> None:
-    """One entry of a report's `reports`, checked for every field `report`
-    prints; a failure is located at `where`.<field>."""
-    if not isinstance(rep, dict):
-        raise ValueError(f"a report entry must be an object (at {where})")
-    for field, types in {**_REPORT_ENTRY, **_REPORT_BINS}.items():
-        if field not in rep:
-            raise ValueError(f"missing field {field!r} (at {where}.{field})")
-        items = [rep[field]] if field in _REPORT_ENTRY else rep[field]
-        if not isinstance(items, list) or not set(map(type, items)) <= set(types):
-            raise ValueError(f"malformed field {field!r} "
-                             f"(at {where}.{field})")
-    for field in _REPORT_BINS:
-        if len(rep[field]) != len(rep["bin_counts"]):
-            raise ValueError(f"{field} has {len(rep[field])} bins, "
-                             f"bin_counts {len(rep['bin_counts'])} "
-                             f"(at {where}.{field})")
-
-
 def cmd_report(args) -> int:
     from . import fileio
-    from .calibration import CalibrationReport, reliability_svg
+    from .calibration import reliability_svg
 
-    with open(args.path) as fh:
-        doc = json.load(fh)
-    # checked before anything is printed, so a bad file prints no half table
-    if not isinstance(doc, dict):
-        raise ValueError("a report must be a JSON object (at $)")
-    if doc.get("schema_version") != fileio.REPORT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported report schema {doc.get('schema_version')!r}")
-    if type(doc.get("seed")) is not int:
-        raise ValueError("missing or non-integer field 'seed' (at $.seed)")
-    for field in ("recalls", "unsupported"):  # optional
-        if doc.get(field) is not None and not isinstance(doc[field], dict):
-            raise ValueError(f"non-object field {field!r} (at $.{field})")
-    for k, recall in (doc.get("recalls") or {}).items():
-        if not k.isdecimal() or type(recall) not in (int, float):
-            raise ValueError(f"malformed recall {k!r}: {recall!r} "
-                             f"(at $.recalls.{k})")
-    if type(doc.get("spearman_kappa")) not in (int, float, type(None)):
-        raise ValueError("malformed field 'spearman_kappa' "
-                         "(at $.spearman_kappa)")
-    if not isinstance(doc.get("reports"), dict):
-        raise ValueError("missing or non-object field 'reports' (at $.reports)")
-    diagrams = []
-    for name, rep in doc["reports"].items():
-        _check_report_entry(rep, f"$.reports.{name}")
-        if args.svg:  # a diagram reads every field of its entry
-            try:
-                diagrams.append(CalibrationReport.from_dict(rep))
-            except ValueError as exc:
-                raise ValueError(f"{exc} (at $.reports.{name})") from exc
+    # read and checked whole, so a bad file prints no half table
+    doc = fileio.read_report(args.path)
     print(f"seed {doc['seed']}  level {doc.get('level')}")
     if doc.get("recalls"):
         print("recall: " + "  ".join(f"R@{k}={v:.3f}"
@@ -338,11 +288,11 @@ def cmd_report(args) -> int:
         print(f"spearman(kappa_hat, kappa*): {doc['spearman_kappa']:.4f}")
     print(f"{'report':20s}  {'ECE':>8s}  {'N':>6s}")
     for name, rep in sorted(doc["reports"].items()):
-        print(f"{name:20s}  {rep['ece']:8.4f}  {rep['total']:6d}")
+        print(f"{name:20s}  {rep.ece:8.4f}  {rep.total:6d}")
         print("  bin  count  observed  expected")
-        for i, (cnt, obs, exp) in enumerate(zip(rep["bin_counts"],
-                                                rep["bin_observed"],
-                                                rep["bin_expected"]), start=1):
+        for i, (cnt, obs, exp) in enumerate(zip(rep.bin_counts,
+                                                rep.bin_observed,
+                                                rep.bin_expected), start=1):
             obs_s = "   --" if obs is None else f"{obs:.3f}"
             print(f"  {i:3d}  {cnt:5d}  {obs_s:>8s}  {exp:8.3f}")
     for m, reason in (doc.get("unsupported") or {}).items():
@@ -350,7 +300,7 @@ def cmd_report(args) -> int:
     # with --svg, one diagram per entry, named from its own level, method
     # and k
     base = os.path.dirname(os.path.abspath(args.path))
-    for rep in diagrams:
+    for rep in doc["reports"].values() if args.svg else ():
         level = "match_" if rep.level == "match" else ""
         path = os.path.join(base,
                             f"reliability_{level}{rep.method}_k{rep.k}.svg")

@@ -1,6 +1,6 @@
 """File formats: the binary descriptor-bank format, the JSON manifest,
 the scene record, the recorded retrieval, the run configuration
-(`RunConfig`), model state, and report emission.
+(`RunConfig`), model state, and the report document.
 
 Bank layout (little-endian): magic "KPB1", u32 version = 1, u32 dim,
 u64 count, then count*dim float32 values row-major.  The scene record and
@@ -24,7 +24,8 @@ from itertools import chain
 
 import numpy as np
 
-from .calibration import BinningConfig, FieldError
+from .calibration import (BinningConfig, CalibrationReport, FieldError,
+                          json_value)
 from .head import GEM_P
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                         RetrievalResult)
@@ -647,31 +648,6 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
                      ks=ks, tau=tau)
 
 
-def _config_value(value, default, path: str):
-    """`value` checked against the type of its field's `default`: an enum is
-    built from its value, a tuple takes an array of positive integers, and
-    a number keeps its JSON type (an int may stand for a float; a bool is
-    no number), and a float is finite."""
-    kind = type(default)
-    if isinstance(default, Enum):
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"expected one of {[m.value for m in kind]}, "
-                              f"got {value!r}", path) from None
-    if kind is tuple:
-        expected = f"an array of {len(default)} positive integers"
-        ok = (isinstance(value, list) and len(value) == len(default)
-              and set(map(type, value)) <= {int} and min(value) >= 1)
-    else:
-        expected = "a finite float" if kind is float else kind.__name__
-        ok = (type(value) in {bool: (bool,), int: (int,), float: (int, float)}[kind]
-              and (kind is not float or abs(value) <= _FLOAT_MAX))
-    if not ok:
-        raise ConfigError(f"expected {expected}, got {value!r}", path)
-    return tuple(value) if kind is tuple else value
-
-
 def _section_config(section: str, values: dict):
     """The dataclass of a config section from the `values` the config
     gives it (the rest keep their defaults).  A bad value, or one that
@@ -679,11 +655,9 @@ def _section_config(section: str, values: dict):
     constraint between keys at the section."""
     cls = _SECTIONS[section]
     defaults = cls()
-    values = {key: _config_value(value, getattr(defaults, key),
-                                 f"$.{section}.{key}")
-              for key, value in values.items()}
     try:
-        return cls(**values)
+        return cls(**{key: json_value(key, value, getattr(defaults, key))
+                      for key, value in values.items()})
     except FieldError as exc:
         raise ConfigError(str(exc), f"$.{section}.{exc.key}") from exc
     except ValueError as exc:
@@ -738,6 +712,45 @@ def report_document(body: dict, run: RunConfig) -> str:
     }
     # a NaN or infinity would be written as a bare token that is not JSON
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+def read_report(path) -> dict:
+    """The report document at `path` as JSON holds it, with each entry of
+    its `reports` decoded by `CalibrationReport.from_dict`.  Checked whole,
+    so a malformed document fails, located at its line (invalid JSON) or
+    its JSON path, before a caller reads any of it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON: {exc.msg} "
+                             f"(at line {exc.lineno})") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("a report must be a JSON object (at $)")
+    if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported report schema {doc.get('schema_version')!r}")
+    for key, types in (("seed", {int}), ("reports", {dict}),
+                       ("recalls", {dict, type(None)}),
+                       ("unsupported", {dict, type(None)}),
+                       ("spearman_kappa", {int, float, type(None)})):
+        if type(doc.get(key)) not in types:
+            raise ValueError(f"missing or malformed field {key!r} "
+                             f"(at $.{key})")
+    for k, recall in (doc.get("recalls") or {}).items():
+        if not k.isdecimal() or type(recall) not in (int, float):
+            raise ValueError(f"malformed recall {k!r}: {recall!r} "
+                             f"(at $.recalls.{k})")
+    reports = {}
+    for name, entry in doc["reports"].items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"a report entry must be an object "
+                             f"(at $.reports.{name})")
+        try:
+            reports[name] = CalibrationReport.from_dict(entry)
+        except FieldError as exc:
+            raise ValueError(f"{exc} (at $.reports.{name}.{exc.key})") from exc
+    return {**doc, "reports": reports}
 
 
 def history_csv(history) -> str:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from kappa_sphere.calibration import (BinningConfig, BinStrategy,
                                       CalibrationReport, ClampMode,
-                                      clamp_values, bin_assign, ece_at_k,
-                                      ece_bruteforce_oracle, expected_level,
+                                      FieldError, clamp_values, bin_assign,
+                                      ece_at_k, ece_bruteforce_oracle,
+                                      expected_level,
                                       match_ece_at_k, reliability_svg)
 
 
@@ -279,13 +280,36 @@ class TestReport:
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.pop("clamp"), "missing key 'clamp'"),
         (lambda doc: doc.update(foo=1), "unknown key 'foo'"),
-        (lambda doc: doc.update(strategy="bogus"), "'bogus'")])
+        (lambda doc: doc.update(strategy="bogus"), "'bogus'"),
+        (lambda doc: doc.update(clamp_bounds=5),
+         "clamp_bounds must be a list of 2 numbers or nulls, got 5"),
+        (lambda doc: doc.update(clamp_bounds=[0.1]), "clamp_bounds must be"),
+        (lambda doc: doc.update(num_bins=3),
+         r"bin_counts must be a list of 3 integers, got \[2, 0\]"),
+        (lambda doc: doc.update(num_bins="2"),
+         "num_bins must be int, got '2'"),
+        (lambda doc: doc.update(num_bins=1), "num_bins must be >= 2, got 1"),
+        (lambda doc: doc.update(total=True),
+         "total must be int, got True"),
+        (lambda doc: doc.update(ece=False),
+         "ece must be a finite float, got False"),
+        (lambda doc: doc.update(k=1.0), "k must be int, got 1.0"),
+        (lambda doc: doc.update(method=None), "method must be str, got None"),
+        (lambda doc: doc.update(level=["query"]),
+         r"level must be str, got \['query'\]"),
+        (lambda doc: doc.update(bin_observed=[1.0, "0"]),
+         "bin_observed must be a list of 2 numbers or nulls"),
+        (lambda doc: doc.update(bin_expected=[1.0, None]),
+         "bin_expected must be a list of 2 numbers"),
+        (lambda doc: doc.update(clamp="both"), "clamp must be one of")])
     def test_from_dict_rejects_a_malformed_entry(self, edit, message):
-        # a ValueError the CLI reports, not a TypeError or KeyError
+        # a FieldError the CLI locates at the field, not a TypeError or
+        # KeyError
         doc = ece_at_k([0.1, 0.9], [1, 0], BinningConfig(num_bins=2)).to_dict()
         edit(doc)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(FieldError, match=message) as exc:
             CalibrationReport.from_dict(doc)
+        assert exc.value.key in str(exc.value)  # names the field
 
     def test_from_dict_defaults_the_level(self):
         doc = ece_at_k([0.1, 0.9], [1, 0], BinningConfig(num_bins=2)).to_dict()

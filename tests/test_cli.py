@@ -506,6 +506,27 @@ class TestRecordedRetrieval:
         assert path.read_bytes() == payload
         assert main(["match-eval", "--out", str(evaluated)]) == 0
 
+    def test_eval_rejects_a_k_deeper_than_the_db_before_searching(
+            self, evaluated, capsys, monkeypatch):
+        # the config cannot know the database size; eval checks K against
+        # it before the search, at $.ks, and keeps its last outputs
+        rows = json.loads((evaluated / "manifest.json").read_text()
+                          )["split"].count("db")
+        outputs = {name: (evaluated / name).read_bytes()
+                   for name in ("report.json", "retrieval.npz")}
+        searches = self._count_searches(monkeypatch)
+        capsys.readouterr()
+        assert main(["eval", "--out", str(evaluated), "--k",
+                     f"1,{rows + 1}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and searches == []
+        assert captured.err == (f"error: K = {rows + 1} exceeds the {rows} "
+                                "rows of the database (at $.ks)\n")
+        for name, payload in outputs.items():
+            assert (evaluated / name).read_bytes() == payload
+        assert main(["eval", "--out", str(evaluated), "--k", str(rows)]) == 0
+        assert searches == [rows]
+
 
 class TestReportCommand:
     def test_renders_tables(self, workdir, capsys):
@@ -578,55 +599,95 @@ class TestReportCommand:
         assert captured.err.startswith("error:") and where in captured.err
 
 
+    @staticmethod
+    def _rejects_the_second_entry(out, tmp_path, capsys, edit) -> tuple:
+        """(name, error) of `report`, with and without --svg, on a copy of
+        `out`'s report.json whose second entry `edit` changed: the same
+        error both times, with nothing printed or written."""
+        doc = json.loads((out / "report.json").read_text())
+        second = sorted(doc["reports"])[1]
+        edit(doc["reports"][second])
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(doc))
+        errors = []
+        for flags in ([], ["--svg"]):
+            capsys.readouterr()
+            assert main(["report", str(bad), *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert not sorted(tmp_path.glob("*.svg"))
+        return second, errors[0]
+
     @pytest.mark.parametrize("edit, field", [
         (lambda rep: rep.pop("bin_counts"), "bin_counts"),
         (lambda rep: rep.pop("ece"), "ece"),
         (lambda rep: rep["bin_observed"].pop(), "bin_observed"),
         (lambda rep: rep["bin_expected"].append(0.5), "bin_expected"),
         (lambda rep: rep.update(total="9"), "total"),
-        (lambda rep: rep["bin_counts"].__setitem__(0, 1.5), "bin_counts")],
+        (lambda rep: rep["bin_counts"].__setitem__(0, 1.5), "bin_counts"),
+        (lambda rep: rep.update(clamp_bounds=5), "clamp_bounds"),
+        (lambda rep: rep.update(num_bins=rep["num_bins"] + 2), "bin_counts"),
+        (lambda rep: rep.update(num_bins=str(rep["num_bins"])), "num_bins"),
+        (lambda rep: rep.update(total=True), "total")],
         ids=["no bin_counts", "no ece", "short bin_observed",
-             "long bin_expected", "string total", "float count"])
+             "long bin_expected", "string total", "float count",
+             "number clamp_bounds", "num_bins beyond the bins",
+             "string num_bins", "bool total"])
     def test_checks_every_entry_before_printing(self, workdir, tmp_path,
                                                 capsys, edit, field):
         out = workdir["out"]
         assert main(["eval", "--out", str(out)]) == 0
-        doc = json.loads((out / "report.json").read_text())
-        second = sorted(doc["reports"])[1]
-        edit(doc["reports"][second])
+        second, err = self._rejects_the_second_entry(out, tmp_path, capsys,
+                                                     edit)
+        assert f"(at $.reports.{second}.{field})" in err
+
+    @pytest.mark.parametrize("edit, message, field", [
+        (lambda rep: rep.update(foo=1), "unknown key 'foo'", "foo"),
+        (lambda rep: rep.update(strategy="bogus"), "'bogus'", "strategy"),
+        (lambda rep: rep.pop("clamp"), "missing key 'clamp'", "clamp")],
+        ids=["extra key", "unknown strategy", "no clamp"])
+    def test_svg_decodes_every_entry_before_printing(
+            self, workdir, tmp_path, capsys, edit, message, field):
+        # a diagram reads fields the table does not print; the table
+        # rejects them too, so both decode every entry before the first line
+        out = workdir["out"]
+        assert main(["eval", "--out", str(out)]) == 0
+        second, err = self._rejects_the_second_entry(out, tmp_path, capsys,
+                                                     edit)
+        assert message in err
+        assert f"(at $.reports.{second}.{field})" in err
+
+    def test_invalid_json_is_located_at_its_line(self, tmp_path, capsys):
         bad = tmp_path / "r.json"
-        bad.write_text(json.dumps(doc))
-        capsys.readouterr()
+        bad.write_text('{"schema_version": 1,\n "seed": }\n')
         assert main(["report", str(bad)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"(at $.reports.{second}.{field})" in captured.err
+        assert captured.err == ("error: invalid JSON: Expecting value "
+                                "(at line 2)\n")
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda rep: rep.update(foo=1), "unknown key 'foo'"),
-        (lambda rep: rep.update(strategy="bogus"), "'bogus'"),
-        (lambda rep: rep.pop("clamp"), "missing key 'clamp'")],
-        ids=["extra key", "unknown strategy", "no clamp"])
-    def test_svg_decodes_every_entry_before_printing(
-            self, workdir, tmp_path, capsys, edit, message):
-        # a diagram reads fields the table does not print; with --svg they
-        # are decoded before the first line too
-        out = workdir["out"]
-        assert main(["eval", "--out", str(out)]) == 0
-        doc = json.loads((out / "report.json").read_text())
-        second = sorted(doc["reports"])[1]
-        edit(doc["reports"][second])
-        bad = tmp_path / "r.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["report", str(bad)]) == 0  # the table reads fine
-        capsys.readouterr()
-        assert main(["report", str(bad), "--svg"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert message in captured.err
-        assert f"(at $.reports.{second})" in captured.err
-        assert not sorted(tmp_path.glob("*.svg"))
+    def test_reads_every_report_the_cli_writes(self, tmp_path):
+        # fileio.read_report decodes each entry the writer wrote back into
+        # the same JSON, so a writer change the reader rejects fails here
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scene": {"descriptor_dim": 64},
+                                   "train": {"max_epochs": 40}}))
+        out = tmp_path / "run"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["fit", "--out", str(out)]) == 0
+        for command, report in (
+                (["eval"], "report.json"),
+                (["eval", "--binning", "quantile"], "report.json"),
+                (["eval", "--method", "l2"], "report.json"),
+                (["match-eval"], "match_report.json")):
+            assert main([*command, "--out", str(out)]) == 0
+            written = json.loads((out / report).read_text())
+            doc = fileio.read_report(out / report)
+            assert sorted(doc["reports"]) == sorted(written["reports"])
+            for name, entry in written["reports"].items():
+                assert doc["reports"][name].to_dict() == entry
 
 
 class TestErrors:
