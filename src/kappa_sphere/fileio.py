@@ -29,6 +29,7 @@ from .calibration import (BinningConfig, CalibrationReport, FieldError,
 from .head import GEM_P
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                         RetrievalResult)
+from .scores import ALL_METHODS
 from .synth import SceneConfig, SPLIT_NAMES, SynthDataset
 from .training import LmclConfig, TrainConfig
 from .vmf import check_unit_rows
@@ -40,6 +41,9 @@ _HEADER = struct.Struct("<4sIIQ")
 REJECT_TOL = 1e-3      # rows whose norm deviates beyond this are corrupt
 
 REPORT_SCHEMA_VERSION = 1
+# what a report entry's method and level may be: `report --svg` names each
+# diagram after them
+_REPORT_VALUES = {"method": ALL_METHODS, "level": ("query", "match")}
 
 
 class BankFormatError(ValueError):
@@ -125,7 +129,9 @@ def read_bank(path) -> np.ndarray:
 
     Rows with non-finite values, or whose norm deviates from 1 beyond
     REJECT_TOL (far above float32 quantization), are rejected as corrupt
-    with the row's byte offset.
+    with the row's byte offset.  A row is non-finite exactly when its
+    norm is: a finite float32 row cannot overflow its float64 sum of
+    squares.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -143,18 +149,19 @@ def read_bank(path) -> np.ndarray:
             f"= {count * dim * 4}", min(len(raw), expected))
     flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
     desc = flat.astype(np.float64).reshape(count, dim)
-    bad = np.flatnonzero(~np.all(np.isfinite(desc), axis=1))
+    norms = np.linalg.norm(desc, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise BankFormatError(f"row {bad[0]} has non-finite values",
                               _HEADER.size + int(bad[0]) * dim * 4)
-    norms = np.linalg.norm(desc, axis=1)
     bad = np.flatnonzero(np.abs(norms - 1.0) > REJECT_TOL)
     if bad.size:
         offset = _HEADER.size + int(bad[0]) * dim * 4
         raise BankFormatError(
             f"row {bad[0]} norm {norms[bad[0]]:.6f} deviates beyond "
             f"{REJECT_TOL}", offset)
-    return desc / norms[:, None]
+    desc /= norms[:, None]
+    return desc
 
 
 def write_manifest(path, bank: DescriptorBank, splits: dict) -> None:
@@ -226,14 +233,16 @@ def _manifest_array(doc: dict, key: str, n: int, dtype, required: bool):
                 i = next(i for i, k in enumerate(lengths) if k != 2)
                 raise ManifestError(f"pose must be [x, y], got {val[i]!r}",
                                     f"$.poses[{i}]")
-            _check_types(list(chain.from_iterable(val)), number,
-                         lambda i: f"$.poses[{i // 2}][{i % 2}]")
+            val = list(chain.from_iterable(val))
+            _check_types(val, number, lambda i: f"$.poses[{i // 2}][{i % 2}]")
     if val is None:
         return None
-    try:
-        arr = np.asarray(val, dtype=dtype)
+    try:  # poses flattened, as their types were checked
+        arr = np.fromiter(val, dtype, len(val))
     except OverflowError as exc:
         raise ManifestError(f"value out of range: {exc}", f"$.{key}") from exc
+    if key == "poses":
+        arr = arr.reshape(n, 2)
     if dtype is np.float64:
         # json loads the NaN and Infinity tokens as floats
         ok = np.isfinite(arr) if key == "poses" else (arr >= 0) & (arr < np.inf)
@@ -268,8 +277,8 @@ def read_manifest(path, descriptors) -> tuple:
     if unknown:
         i = next(i for i, name in enumerate(names) if name in unknown)
         raise ManifestError(f"unknown split name {names[i]!r}", f"$.split[{i}]")
-    return bank, {name: np.flatnonzero(np.asarray([s == name for s in names]))
-                  for name in SPLIT_NAMES}
+    names = np.asarray(names, dtype=str)
+    return bank, {name: np.flatnonzero(names == name) for name in SPLIT_NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +446,33 @@ def read_scene(path, cfg: SceneConfig) -> SynthDataset:
 # Names the record's layout and the search that wrote it; change it when
 # either changes (batch_knn's results, say), so older records stop matching.
 _RETRIEVAL_FORMAT = b"kappa-sphere retrieval 2"
+_KEY_CHUNK = 1 << 20  # most bytes of a file hashed per read
 
 
 def inputs_key(bank_path, manifest_path) -> str:
     """The key of a recorded retrieval: sha256 of `_RETRIEVAL_FORMAT`, then
     of each file's length (u64) and exact bytes, bank first.  Neither file
-    is parsed; `eval` takes the key before it parses them."""
+    is parsed; `eval` takes the key before it parses them.
+
+    Each file streams through one buffer of at most _KEY_CHUNK bytes.  Its
+    length is the size fstat gives when it is opened; a file that then
+    reads another number of bytes (it grew or shrank meanwhile) is an
+    OSError naming it."""
     import hashlib  # here: loading OpenSSL costs every command a few ms
 
     h = hashlib.sha256(_RETRIEVAL_FORMAT)
     for path in (bank_path, manifest_path):
         with open(path, "rb") as fh:
-            data = fh.read()
-        h.update(struct.pack("<Q", len(data)))
-        h.update(data)
+            size = os.fstat(fh.fileno()).st_size
+            h.update(struct.pack("<Q", size))
+            buf = memoryview(bytearray(min(size, _KEY_CHUNK) or 1))
+            read = 0
+            while got := fh.readinto(buf):
+                h.update(buf[:got])
+                read += got
+        if read != size:
+            raise OSError(f"{os.fspath(path)} changed while it was hashed: "
+                          f"read {read} bytes, its size was {size}")
     return h.hexdigest()
 
 
@@ -716,9 +738,10 @@ def report_document(body: dict, run: RunConfig) -> str:
 
 def read_report(path) -> dict:
     """The report document at `path` as JSON holds it, with each entry of
-    its `reports` decoded by `CalibrationReport.from_dict`.  Checked whole,
-    so a malformed document fails, located at its line (invalid JSON) or
-    its JSON path, before a caller reads any of it."""
+    its `reports` decoded by `CalibrationReport.from_dict`, each entry's
+    method one of scores.ALL_METHODS and its level "query" or "match".
+    Checked whole, so a malformed document fails, located at its line
+    (invalid JSON) or its JSON path, before a caller reads any of it."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -748,6 +771,10 @@ def read_report(path) -> dict:
                              f"(at $.reports.{name})")
         try:
             reports[name] = CalibrationReport.from_dict(entry)
+            for key, allowed in _REPORT_VALUES.items():
+                if getattr(reports[name], key) not in allowed:
+                    raise FieldError(key, f"one of {list(allowed)}",
+                                     getattr(reports[name], key))
         except FieldError as exc:
             raise ValueError(f"{exc} (at $.reports.{name}.{exc.key})") from exc
     return {**doc, "reports": reports}

@@ -47,10 +47,13 @@ def _sigmoid(x):
 
 
 def _gem(x, p: float):
-    """GeM at exponent `p` over the spatial axes of an (n, c, h, w) batch:
-    the per-channel mean of max(x, 0)^p, to the power 1/p."""
-    y = np.maximum(x, 0.0)
-    y **= p   # in place: the bits of np.maximum(x, 0.0) ** p
+    """GeM at exponent `p` over the spatial axes of an (n, c, h, w) float64
+    batch: the per-channel mean of max(x, 0)^p, to the power 1/p.  Pools
+    in place: `x` is overwritten."""
+    y = np.maximum(x, 0.0, out=x)
+    # the bits of y ** p: a zero (or -0.0) powers to itself, a NaN is no
+    # entry > 0 and stays NaN
+    np.power(y, p, out=y, where=y > 0.0)
     mean_sp = np.mean(y, axis=(2, 3))
     return mean_sp ** (1.0 / p)
 
@@ -60,8 +63,7 @@ def aggregate(fms) -> np.ndarray:
     the channel vector at every position of an (n, c, h, w) batch, then
     GeM-pool at GEM_P.  Returns the pooled (n, c) rows."""
     norms = np.linalg.norm(fms, axis=1, keepdims=True)
-    u = fms / np.maximum(norms, _NORM_EPS)
-    return _gem(u, GEM_P)
+    return _gem(fms / np.maximum(norms, _NORM_EPS), GEM_P)
 
 
 def kappa_from_pooled(g, head: dict):

@@ -108,7 +108,9 @@ def batch_knn(queries, bank: DescriptorBank, k: int) -> RetrievalResult:
        the bank and of the block's rows, each scaled to unit length (a
        positive scale keeps a row's order, and a huge, tiny or zero row
        cannot overflow the cast), with each row's bound lowered by 2*eps
-       and rounded down.  Let u32 = 2**-24, u64 = 2**-53, gamma_d =
+       and rounded down.  The queries are scaled and cast once per call,
+       each row on its own, so a block's rows have the bits they would
+       have alone.  Let u32 = 2**-24, u64 = 2**-53, gamma_d =
        d*u/(1 - d*u) the error bound of a d-term dot product (Higham, 2nd
        ed., section 3.1), s > 0 a row's scale, q_s its scaled float64 row,
        c32 a float32 cosine and c64 the float64 one.  The float32 GEMM's
@@ -126,6 +128,9 @@ def batch_knn(queries, bank: DescriptorBank, k: int) -> RetrievalResult:
     2. Float64 cosines of the candidates.  One GEMM of the block's rows
        against the union of its rows' candidate columns, padded to a
        multiple of 8 by repeating a column, gives the cosines ranked.  The
+       union, in ascending column order, is read from one bool mask over
+       the bank's columns, allocated once per call: set at the block's
+       candidates, read with flatnonzero, then cleared at them again.  The
        float32 block is freed first, so the peak stays below one float64
        block of _ROW_BLOCK rows against the whole bank.
 
@@ -159,6 +164,8 @@ def batch_knn(queries, bank: DescriptorBank, k: int) -> RetrievalResult:
     two_pass = N >= _TWO_PASS_FLOOR
     if two_pass:
         D32 = D.astype(np.float32)
+        q32 = _unit_rows32(queries)
+        seen = np.zeros(N, dtype=bool)  # a block's candidate columns
         eps = 1.01 * (d + 2) * (2.0**-24 + 2.0**-53)
         margin = np.nextafter(np.float32(2 * eps), np.float32(np.inf))
     g = min(N, max(k, _GROUP_FLOOR))
@@ -168,9 +175,12 @@ def batch_knn(queries, bank: DescriptorBank, k: int) -> RetrievalResult:
         q = queries[start:start + _ROW_BLOCK]
         h = len(q)
         if two_pass:
-            flat = _candidates(_unit_rows32(q) @ D32.T, k, g, margin)
+            flat = _candidates(q32[start:start + _ROW_BLOCK] @ D32.T, k, g,
+                               margin)
             rows, cols = np.divmod(flat, N)
-            union = np.unique(cols)
+            seen[cols] = True
+            union = np.flatnonzero(seen)  # sorted, each column once
+            seen[union] = False  # cleared for the next block
             slot = np.searchsorted(union, cols)  # each column's position
             union = np.pad(union, (0, -len(union) % 8), mode="edge")
             sims = (_pad_rows(q, n > 1) @ D[union].T)[rows, slot]
@@ -202,7 +212,10 @@ def _unit_rows32(q) -> np.ndarray:
     top = np.abs(q).max(axis=1, keepdims=True)
     q = q / np.where(top > 0, top, 1.0)
     norm = np.linalg.norm(q, axis=1, keepdims=True)
-    return (q / np.where(norm > 0, norm, 1.0)).astype(np.float32)
+    # in place: a third copy of a whole call's queries would raise the
+    # search's peak memory
+    q /= np.where(norm > 0, norm, 1.0)
+    return q.astype(np.float32)
 
 
 def _candidates(block, k: int, g: int, margin=0) -> np.ndarray:

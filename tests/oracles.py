@@ -6,6 +6,9 @@
   values log I_v and I_{v+1}/I_v that the stable surrogate is tested
   against, and `log_density` is the exact vMF log-density built on them.
   They are the only code of the project that needs scipy.
+* `whole_file_key` is the key of a recorded retrieval computed from each
+  input file read whole, as `fileio.inputs_key` computed it before it
+  streamed the files.
 
 log I_v is computed from the exponentially scaled Bessel function, with a
 power-series fallback where the scaled value underflows (large order,
@@ -15,12 +18,16 @@ with either the log path or the Amos-bound surrogate.  Validated range of
 both: 0 <= v <= 300, 0 < kappa <= 1e4.
 """
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ive
 
+from kappa_sphere import fileio
 from kappa_sphere.vmf import check_unit_rows
 
 
@@ -161,3 +168,14 @@ def log_density(z, mu, kappa) -> float:
     v = d / 2 - 1
     log_c = v * math.log(k) - (d / 2.0) * math.log(2.0 * math.pi) - log_bessel_exact(v, k)
     return log_c + k * float(mu @ z)
+
+
+def whole_file_key(bank_path, manifest_path) -> str:
+    """sha256 of the record format's tag, then of each file's u64 length
+    and bytes, bank first, each file read whole."""
+    h = hashlib.sha256(fileio._RETRIEVAL_FORMAT)
+    for path in (bank_path, manifest_path):
+        data = Path(path).read_bytes()
+        h.update(struct.pack("<Q", len(data)))
+        h.update(data)
+    return h.hexdigest()

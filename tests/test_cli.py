@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from kappa_sphere import fileio, retrieval, synth
 from kappa_sphere.cli import _resolve, build_parser, main
 from kappa_sphere.pipeline import evaluate_matches
+from oracles import whole_file_key
 
 SMALL_CONFIG = {
     "scene": {"num_classes": 8, "images_per_class": 10, "descriptor_dim": 16,
@@ -341,14 +343,23 @@ class TestRecordedRetrieval:
             {m: rep.to_dict() for m, rep in ev.reports.items()}))
 
     @pytest.mark.parametrize("case", [None, "5", "10", "quantile binning",
-                                      "another tau", "no kappas"])
+                                      "another tau", "no kappas",
+                                      "keyed by whole-file reads"])
     def test_match_eval_reads_the_record(self, evaluated, workdir, tmp_path,
                                          monkeypatch, case):
         # a hit decodes neither input file and runs no search; its
         # positives and bins follow match-eval's own tau and binning, and
-        # its report is the one a fresh search at k gives
+        # its report is the one a fresh search at k gives.  A record keyed
+        # as before the key streamed its files (each read whole) still hits
         out, flags = evaluated, []
-        if case in ("5", "10"):
+        if case == "keyed by whole-file reads":
+            record = out / "retrieval.npz"
+            with np.load(record) as npz:
+                arrays = {name: npz[name] for name in npz.files}
+            arrays["key"] = np.array(whole_file_key(out / "bank.kpb",
+                                                    out / "manifest.json"))
+            np.savez(record, **arrays)
+        elif case in ("5", "10"):
             flags = ["--k", case]
         elif case == "quantile binning":
             flags = ["--binning", "quantile", "--bins", "4"]
@@ -668,15 +679,42 @@ class TestReportCommand:
         assert captured.err == ("error: invalid JSON: Expecting value "
                                 "(at line 2)\n")
 
-    def test_reads_every_report_the_cli_writes(self, tmp_path):
-        # fileio.read_report decodes each entry the writer wrote back into
-        # the same JSON, so a writer change the reader rejects fails here
-        cfg = tmp_path / "config.json"
+    @pytest.fixture(scope="class")
+    def cli_default(self, tmp_path_factory):
+        """A run directory of the shipped scene, fitted and evaluated."""
+        root = tmp_path_factory.mktemp("cli-default")
+        cfg = root / "config.json"
         cfg.write_text(json.dumps({"scene": {"descriptor_dim": 64},
                                    "train": {"max_epochs": 40}}))
-        out = tmp_path / "run"
+        out = root / "run"
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["fit", "--out", str(out)]) == 0
+        assert main(["eval", "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("field, value", [
+        ("method", "x/y"), ("method", "../x"), ("level", "other")])
+    def test_rejects_a_method_or_level_a_diagram_cannot_be_named_by(
+            self, cli_default, tmp_path, capsys, field, value):
+        # `report --svg` names each diagram after its entry's level and
+        # method, so an entry of another method or level is refused before
+        # anything is printed or any diagram written
+        where = tmp_path / "a" / "b"
+        where.mkdir(parents=True)
+        (where / "report.json").write_bytes(
+            (cli_default / "report.json").read_bytes())
+        second, err = self._rejects_the_second_entry(
+            where, where, capsys, lambda rep: rep.update({field: value}))
+        assert f"{field} must be one of" in err and repr(value) in err
+        assert f"(at $.reports.{second}.{field})" in err
+        assert not sorted(tmp_path.rglob("*.svg"))
+        assert not sorted(cli_default.rglob("*.svg"))
+
+    def test_reads_every_report_the_cli_writes(self, cli_default, tmp_path):
+        # fileio.read_report decodes each entry the writer wrote back into
+        # the same JSON, so a writer change the reader rejects fails here
+        out = tmp_path / "run"
+        shutil.copytree(cli_default, out)
         for command, report in (
                 (["eval"], "report.json"),
                 (["eval", "--binning", "quantile"], "report.json"),

@@ -15,8 +15,9 @@ SHAPE = (6, 3, 3)
 
 
 def gem(fm, p):
-    """GeM of one (c, h, w) map, as `aggregate` pools each row."""
-    return _gem(np.asarray(fm)[None], p)[0]
+    """GeM of one (c, h, w) map, as `aggregate` pools each row; `fm` is
+    left as it was (`_gem` pools in place)."""
+    return _gem(np.array(fm, dtype=np.float64)[None], p)[0]
 
 
 def pooled(rng, n=None):
@@ -59,6 +60,21 @@ class TestGemPool:
     def test_negative_values_clipped(self):
         fm = np.full((1, 1, 2), -5.0)
         assert gem(fm, 2.0)[0] == 0.0
+
+    def test_pools_in_place_with_the_bits_of_the_power(self, rng):
+        # _gem overwrites its batch and powers only the entries > 0: an
+        # exact zero or -0.0 powers to itself and a NaN stays NaN, so the
+        # pooled rows keep the bits of max(x, 0) ** p
+        x = rng.standard_normal((3, 4, 5, 5))
+        x[0, 0, 0, :2] = [0.0, -0.0]
+        x[1, 2, 3, 4] = np.nan
+        for p in (GEM_P, 2.5):
+            want = np.mean(np.maximum(x, 0.0) ** p, axis=(2, 3)) ** (1 / p)
+            got = _gem(x.copy(), p)
+            np.testing.assert_array_equal(got, want)
+            finite = np.isfinite(want)
+            assert got[finite].tobytes() == want[finite].tobytes()
+            assert np.isnan(got[1, 2])
 
     def test_monotone_in_p(self, rng):
         fm = np.abs(rng.standard_normal((3, 4, 4)))

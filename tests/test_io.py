@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappa_sphere.fileio import (REPORT_SCHEMA_VERSION, BankFormatError,
+from kappa_sphere.fileio import (_KEY_CHUNK, REPORT_SCHEMA_VERSION,
+                                 BankFormatError,
                                  ConfigError, ManifestError, RecordFileError,
                                  RunConfig, atomic_write_text, inputs_key,
                                  load_run_config, read_bank, read_manifest,
@@ -25,6 +26,7 @@ from kappa_sphere.retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                                    batch_knn)
 from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
 from kappa_sphere.training import LmclConfig, TrainConfig, TrainMode
+from oracles import whole_file_key
 
 
 def unit_rows(rng, n, d):
@@ -58,6 +60,34 @@ class TestBankFormat:
         np.testing.assert_allclose(np.linalg.norm(loaded, axis=1), 1.0,
                                    atol=1e-15)
         np.testing.assert_allclose(loaded, desc, atol=1e-6)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (17, 8), (3000, 64)])
+    def test_load_has_the_bits_of_dividing_by_the_norms(self, rng, tmp_path,
+                                                        n, d):
+        # rows off unit length by up to the tolerance's half, normalized
+        # in place with the bits of a division by their float64 norms
+        desc = unit_rows(rng, n, d) * rng.uniform(1 - 5e-4, 1 + 5e-4, (n, 1))
+        path = tmp_path / "bank.kpb"
+        write_bank(path, desc)
+        stored = desc.astype(np.float32).astype(np.float64)
+        want = stored / np.linalg.norm(stored, axis=1)[:, None]
+        assert read_bank(path).tobytes() == want.tobytes()
+
+    def test_largest_finite_row_fails_the_norm_check(self, rng, tmp_path):
+        # float32's largest value squares far inside the float64 range, so
+        # a row of it has a finite norm: it is rejected as a norm beyond
+        # the tolerance, at its offset, not as a non-finite row
+        path = tmp_path / "bank.kpb"
+        write_bank(path, unit_rows(rng, 5, 4))
+        raw = bytearray(path.read_bytes())
+        row_off = 20 + 2 * 4 * 4
+        big = float(np.finfo(np.float32).max)
+        raw[row_off:row_off + 16] = struct.pack("<4f", big, -big, big, big)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(BankFormatError, match="row 2 norm") as exc:
+            read_bank(path)
+        assert exc.value.offset == row_off
+        assert "non-finite" not in str(exc.value)
 
     def test_bad_magic_offset_zero(self, rng, tmp_path):
         path = tmp_path / "bank.kpb"
@@ -588,10 +618,54 @@ class TestRetrievalRecord:
         bank.write_bytes(b"not a bank")
         manifest.write_bytes(b"{not json")
         key = inputs_key(bank, manifest)
-        assert len(key) == 64
+        # the key these bytes had when each file was read whole: a record
+        # written then is still a hit
+        assert key == ("b4269678f8280c0a4790ed0901f3b3be"
+                       "47e249949085a165acda3b21b6253fb4")
         bank.write_bytes(b"not a bank{")
         manifest.write_bytes(b"not json")
         assert inputs_key(bank, manifest) != key
+
+    @pytest.mark.parametrize("sizes", [
+        (0, 1), (20, 4096), (_KEY_CHUNK + 1, 3 * _KEY_CHUNK + 7)],
+        ids=["empty", "shorter than a chunk", "several chunks"])
+    def test_key_streams_the_whole_files(self, tmp_path, sizes):
+        # streamed through one bounded buffer, each file hashes as if read
+        # whole
+        rng = np.random.default_rng(sizes[1])
+        paths = tmp_path / "bank.kpb", tmp_path / "manifest.json"
+        for path, size in zip(paths, sizes):
+            path.write_bytes(rng.bytes(size))
+        assert inputs_key(*paths) == whole_file_key(*paths)
+        assert inputs_key(*paths[::-1]) == whole_file_key(*paths[::-1])
+
+    @pytest.mark.parametrize("size", [100, _KEY_CHUNK + 100])
+    @pytest.mark.parametrize("delta", [-3, 5], ids=["grew", "shrank"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["bank", "manifest"])
+    def test_a_file_that_changes_while_hashed_fails(self, tmp_path,
+                                                    monkeypatch, size, delta,
+                                                    which):
+        # the length hashed is the size fstat gave; a file that then reads
+        # more or fewer bytes is an OSError naming it
+        paths = tmp_path / "bank.kpb", tmp_path / "manifest.json"
+        for path in paths:
+            path.write_bytes(b"x" * size)
+        real, changed = os.fstat, os.stat(paths[which]).st_ino
+
+        def fstat(fd):
+            st = real(fd)
+            if st.st_ino != changed:
+                return st
+            values = list(st[:10])
+            values[stat.ST_SIZE] += delta
+            return os.stat_result(values)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fstat", fstat)
+            with pytest.raises(OSError) as exc:
+                inputs_key(*paths)
+        assert str(paths[which]) in str(exc.value)
+        assert f"its size was {size + delta}" in str(exc.value)
 
     def test_not_an_archive(self, tmp_path):
         path = tmp_path / "retrieval.npz"

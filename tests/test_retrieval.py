@@ -263,6 +263,38 @@ class TestKnn:
             np.testing.assert_array_equal(
                 res.similarities, np.take_along_axis(sims, expected, axis=1))
 
+    @pytest.mark.parametrize("N", [_TWO_PASS_FLOOR, 2072])
+    def test_two_pass_search_keeps_no_state_between_calls(self, N):
+        # The float32 queries are made once per call, and each block's
+        # candidate union is read from one mask over the bank, cleared
+        # after the block.  Run again after other searches, each search
+        # gives the bits it gave the first time; a shallower one is a
+        # prefix of a deeper one, and a lone query ranks as in its batch.
+        r = np.random.default_rng(N)
+        bank = DescriptorBank(descriptors=unit_rows(r, N, 64),
+                              ids=r.permutation(N), labels=np.zeros(N))
+        queries = unit_rows(r, 2 * _ROW_BLOCK + 37, 64)
+        calls = [(queries, 10), (queries, 3), (queries[5], 10),
+                 (queries[:_ROW_BLOCK + 1], 10)]
+        first = [batch_knn(q, bank, k) for q, k in calls]
+        for (q, k), want in zip(calls[::-1], first[::-1]):
+            again = batch_knn(q, bank, k)
+            for name in ("ref_indices", "similarities"):
+                assert (getattr(again, name).tobytes()
+                        == getattr(want, name).tobytes())
+        full, shallow, alone, head = first
+        for name in ("ref_indices", "similarities"):
+            np.testing.assert_array_equal(getattr(shallow, name),
+                                          getattr(full, name)[:, :3])
+            np.testing.assert_array_equal(getattr(head, name),
+                                          getattr(full, name)[:len(head)])
+        np.testing.assert_array_equal(alone.ref_indices[0],
+                                      full.ref_indices[5])
+        np.testing.assert_allclose(alone.similarities[0],
+                                   full.similarities[5], rtol=1e-14)
+        expected = lexsort_top(queries @ bank.descriptors.T, bank.ids, 10)
+        np.testing.assert_array_equal(full.ref_indices, expected)
+
     @pytest.mark.parametrize("N", [_TWO_PASS_FLOOR + 1, 2049, 4096])
     def test_prefix_and_batch_of_one_on_wide_banks(self, N):
         # Above _TWO_PASS_FLOOR the float64 GEMM holds only the candidate
