@@ -13,6 +13,11 @@ Subcommands:
                  reliability diagrams as SVG)
 * ``bench``      latency benchmark of the kappa path
 
+A run's settings have one source, its config: ``--config`` or, after
+``gen``, the ``config.json`` in ``--out``.  ``--seed`` overrides its seeds;
+K (``ks``), the bins (``binning``) and tau are set there alone, so a
+report's ``config`` block is the config its run read.
+
 Heavy imports happen inside the command functions, so ``--help`` and
 argument errors return without loading numpy.
 """
@@ -25,10 +30,6 @@ import os
 import sys
 
 
-def _int_list(text: str) -> list:
-    return [int(v) for v in text.split(",")]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kappa-sphere",
@@ -37,33 +38,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "scores, and rank-based calibration.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # the commands of a run directory, each set up by the run config
+    for name, help_text in (
+            ("gen", "generate a synthetic scene"),
+            ("fit", "post-train the kappa head"),
+            ("train", "joint training of encoder + head"),
+            ("eval", "query-level evaluation"),
+            ("match-eval", "match-level evaluation of eval's search")):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="run-config JSON path")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", required=True, help="artifact directory")
-
-    p = sub.add_parser("gen", help="generate a synthetic scene")
-    common(p)
-
-    p = sub.add_parser("fit", help="post-train the kappa head")
-    common(p)
-
-    p = sub.add_parser("train", help="joint training of encoder + head")
-    common(p)
-
-    for name, help_text in (("eval", "query-level evaluation"),
-                            ("match-eval",
-                             "match-level evaluation of eval's search")):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.add_argument("--k", type=_int_list, default=None,
-                       help="comma-separated K values, e.g. 1,5,10")
-        p.add_argument("--bins", type=int, default=None, help="bin count M")
-        p.add_argument("--binning", choices=["equal-width", "quantile"],
-                       default=None)
-        if name == "eval":  # match-eval scores every pair it can
-            p.add_argument("--method", default=None,
-                           help="comma-separated method subset")
 
     p = sub.add_parser("report", help="render a report JSON")
     p.add_argument("path", help="report JSON file")
@@ -82,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args):
     """The run config: --config or, after gen, the config.json gen recorded
-    in --out, with the flags that override it."""
+    in --out, with --seed overriding its seeds."""
     from . import fileio
 
     path = args.config
@@ -92,16 +77,6 @@ def _resolve(args):
     overrides = {}
     if args.seed is not None:
         overrides = {"scene": {"seed": args.seed}, "train": {"seed": args.seed}}
-    # eval's flags override the config, so a report's config block records them
-    if getattr(args, "k", None) is not None:
-        overrides["ks"] = args.k
-    binning = {}
-    if getattr(args, "bins", None) is not None:
-        binning["num_bins"] = args.bins
-    if getattr(args, "binning", None) is not None:
-        binning["strategy"] = args.binning.replace("-", "_")
-    if binning:
-        overrides["binning"] = binning
     return fileio.load_run_config(path, overrides)
 
 
@@ -189,7 +164,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import fileio, retrieval, scores as sc
+    from . import fileio, retrieval
     from .pipeline import evaluate_queries
 
     paths = _paths(args.out)
@@ -205,14 +180,8 @@ def cmd_eval(args) -> int:
     if max(run.ks) > len(db):
         raise ValueError(f"K = {max(run.ks)} exceeds the {len(db)} rows "
                          "of the database (at $.ks)")
-    methods = sc.ALL_METHODS
-    if args.method:
-        methods = tuple(str(args.method).split(","))
-        unknown = sorted(set(methods) - set(sc.ALL_METHODS))
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}")
-    ev = evaluate_queries(db, queries, ks=run.ks, methods=methods,
-                          binning=run.binning, tau=run.tau)
+    ev = evaluate_queries(db, queries, ks=run.ks, binning=run.binning,
+                          tau=run.tau)
     body = {
         "level": "query",
         "recalls": {str(k): v for k, v in ev.recalls.items()},
@@ -279,7 +248,7 @@ def cmd_report(args) -> int:
 
     # read and checked whole, so a bad file prints no half table
     doc = fileio.read_report(args.path)
-    print(f"seed {doc['seed']}  level {doc.get('level')}")
+    print(f"seed {doc['seed']}  level {doc['level']}")
     if doc.get("recalls"):
         print("recall: " + "  ".join(f"R@{k}={v:.3f}"
                                      for k, v in sorted(doc["recalls"].items(),

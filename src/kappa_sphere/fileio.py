@@ -41,9 +41,8 @@ _HEADER = struct.Struct("<4sIIQ")
 REJECT_TOL = 1e-3      # rows whose norm deviates beyond this are corrupt
 
 REPORT_SCHEMA_VERSION = 1
-# what a report entry's method and level may be: `report --svg` names each
-# diagram after them
-_REPORT_VALUES = {"method": ALL_METHODS, "level": ("query", "match")}
+# the levels a report document may have
+_REPORT_LEVELS = ("query", "match")
 
 
 class BankFormatError(ValueError):
@@ -738,10 +737,14 @@ def report_document(body: dict, run: RunConfig) -> str:
 
 def read_report(path) -> dict:
     """The report document at `path` as JSON holds it, with each entry of
-    its `reports` decoded by `CalibrationReport.from_dict`, each entry's
-    method one of scores.ALL_METHODS and its level "query" or "match".
-    Checked whole, so a malformed document fails, located at its line
-    (invalid JSON) or its JSON path, before a caller reads any of it."""
+    its `reports` decoded by `CalibrationReport.from_dict`.  Every number
+    is one the writer can produce, and each entry is the one its name and
+    the document say: its method one of scores.ALL_METHODS, its level the
+    document's ("query" or "match"), and its name "<method>@<k>" (query
+    level) or "<method>" with the document's k (match level), so `report
+    --svg` names each diagram after a distinct entry.  Checked whole, so
+    a malformed document fails, located at its line (invalid JSON) or its
+    JSON path, before a caller reads any of it."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -753,30 +756,51 @@ def read_report(path) -> dict:
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported report schema {doc.get('schema_version')!r}")
-    for key, types in (("seed", {int}), ("reports", {dict}),
-                       ("recalls", {dict, type(None)}),
-                       ("unsupported", {dict, type(None)}),
-                       ("spearman_kappa", {int, float, type(None)})):
+    for key, types in (("reports", {dict}), ("recalls", {dict, type(None)}),
+                       ("unsupported", {dict, type(None)})):
         if type(doc.get(key)) not in types:
             raise ValueError(f"missing or malformed field {key!r} "
                              f"(at $.{key})")
-    for k, recall in (doc.get("recalls") or {}).items():
-        if not k.isdecimal() or type(recall) not in (int, float):
-            raise ValueError(f"malformed recall {k!r}: {recall!r} "
-                             f"(at $.recalls.{k})")
+    level = doc.get("level")
+    try:
+        json_value("seed", doc.get("seed"), 0)
+        if level not in _REPORT_LEVELS:
+            raise FieldError("level", f"one of {list(_REPORT_LEVELS)}", level)
+        if level == "match":
+            json_value("k", doc.get("k"), 0)
+        if doc.get("spearman_kappa") is not None:
+            json_value("spearman_kappa", doc["spearman_kappa"], 0.0)
+        for k, recall in (doc.get("recalls") or {}).items():
+            if not (k.isdecimal() and str(int(k)) == k and int(k) >= 1):
+                raise FieldError(f"recalls.{k}", "a recall key must be a "
+                                 f"positive integer, got {k!r}")
+            json_value(f"recalls.{k}", recall, 0.0)
+    except FieldError as exc:
+        raise ValueError(f"{exc} (at $.{exc.key})") from exc
+    # `report --svg` names each diagram after its entry's method and level
+    allowed = {"method": ALL_METHODS, "level": (level,)}
     reports = {}
     for name, entry in doc["reports"].items():
         if not isinstance(entry, dict):
             raise ValueError(f"a report entry must be an object "
                              f"(at $.reports.{name})")
         try:
-            reports[name] = CalibrationReport.from_dict(entry)
-            for key, allowed in _REPORT_VALUES.items():
-                if getattr(reports[name], key) not in allowed:
-                    raise FieldError(key, f"one of {list(allowed)}",
-                                     getattr(reports[name], key))
+            rep = reports[name] = CalibrationReport.from_dict(entry)
+            for key, values in allowed.items():
+                if getattr(rep, key) not in values:
+                    raise FieldError(key, f"one of {list(values)}",
+                                     getattr(rep, key))
         except FieldError as exc:
             raise ValueError(f"{exc} (at $.reports.{name}.{exc.key})") from exc
+        want = f"{rep.method}@{rep.k}" if level == "query" else rep.method
+        if name != want:
+            raise ValueError(f"an entry of method {rep.method!r} at k "
+                             f"{rep.k} must be named {want!r} "
+                             f"(at $.reports.{name})")
+        if level == "match" and rep.k != doc["k"]:
+            raise ValueError(f"a match-level entry must be at the "
+                             f"document's k {doc['k']}, got {rep.k} "
+                             f"(at $.reports.{name})")
     return {**doc, "reports": reports}
 
 

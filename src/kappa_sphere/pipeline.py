@@ -180,10 +180,10 @@ class QueryEvaluation:
 
 
 def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
-                     ks=DEFAULT_KS, methods=sc.ALL_METHODS,
-                     binning: BinningConfig | None = None,
+                     ks=DEFAULT_KS, binning: BinningConfig | None = None,
                      tau: float = DEFAULT_TAU) -> QueryEvaluation:
-    """The query-level evaluation protocol.
+    """The query-level evaluation protocol, of every method in
+    `scores.ALL_METHODS`.
 
     `bank` is the reference database (poses, and kappas for the kappa-based
     methods); `query_bank` carries query descriptors, poses, and kappas.
@@ -204,7 +204,7 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
 
     scored = {}
     unsupported = {}
-    for method in methods:
+    for method in sc.ALL_METHODS:
         try:
             scored[method] = sc.score_query(method, results, bank,
                                             kappa_q=query_bank.kappas,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,40 +74,33 @@ class SynthDataset:
     class_poses: np.ndarray            # (C, 2)
     aliased_pairs: list = field(default_factory=list)
     splits: dict = field(default_factory=dict)
-    # (features, pooled rows) of the last `head_inputs` pooling
-    _pooled: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
-    # (features, raw rows) of the last `raw` derivation
-    _raw: tuple | None = field(default=None, init=False, repr=False,
-                               compare=False)
 
     def __len__(self):
         return len(self.bank)
 
     def head_inputs(self) -> np.ndarray:
         """The (n, c) rows the kappa head reads, in `features` row order:
-        `aggregate` pools the feature maps once and the rows are kept for
-        the same `features` array.  The backbone is frozen, so a fit, its
-        epoch hooks and the final prediction all read one array.
+        `aggregate` pools the feature maps on first use and the rows are
+        kept.  The backbone is frozen, so a fit, its epoch hooks and the
+        final prediction all read one array.
         """
-        if self._pooled is None or self._pooled[0] is not self.features:
-            self._pooled = (self.features, aggregate(self.features))
-        return self._pooled[1]
+        return self._pooled
 
-    @property
+    @cached_property
+    def _pooled(self) -> np.ndarray:
+        return aggregate(self.features)
+
+    @cached_property
     def raw(self) -> np.ndarray:
         """The (n, m) joint-training input, `raw_inputs` of the bank's
-        descriptors and `features`: derived on first use and kept for the
-        same `features` array, as `head_inputs` keeps its pooled rows.
-        Only joint training reads it, so a scene that is generated,
-        recorded or post-trained never builds it.  Bank descriptors
-        replaced after that (`train` writes its encoded ones) leave it the
-        scene's input, and the replaced array is not kept alive.
+        descriptors and `features`: derived on first use and kept, as
+        `head_inputs` keeps its pooled rows.  Only joint training reads
+        it, so a scene that is generated, recorded or post-trained never
+        builds it.  Bank descriptors replaced after that (`train` writes
+        its encoded ones) leave it the scene's input, and the replaced
+        array is not kept alive.
         """
-        if self._raw is None or self._raw[0] is not self.features:
-            self._raw = (self.features,
-                         raw_inputs(self.bank.descriptors, self.features))
-        return self._raw[1]
+        return raw_inputs(self.bank.descriptors, self.features)
 
 
 def ambiguity_to_kappa(ambiguity, config: SceneConfig):

@@ -37,8 +37,7 @@ def default_scene_sweep():
         db = dataset.bank.subset(dataset.splits["db"])
         query = dataset.bank.subset(dataset.splits["query"])
         db.kappas, query.kappas = db.true_kappa, query.true_kappa
-        truth = evaluate_queries(db, query, ks=(1,),
-                                 methods=(sc.METHOD_RESULTANT,))
+        truth = evaluate_queries(db, query, ks=(1,))
         rows.append({
             "elapsed": elapsed,
             "seed": seed,

@@ -1,14 +1,16 @@
 """CLI surface: artifact generation, determinism, error paths."""
 
+import argparse
 import json
 import os
 import shutil
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kappa_sphere import fileio, retrieval, synth
+from kappa_sphere import fileio, retrieval, scores as sc, synth
 from kappa_sphere.cli import _resolve, build_parser, main
 from kappa_sphere.pipeline import evaluate_matches
 from oracles import whole_file_key
@@ -26,6 +28,15 @@ def _patch_everywhere(monkeypatch, original, replacement):
         if getattr(module, "__name__", "").startswith("kappa_sphere") \
                 and getattr(module, original.__name__, None) is original:
             monkeypatch.setattr(module, original.__name__, replacement)
+
+
+def _config_with(out, path, **keys) -> list:
+    """["--config", path] for a copy of `out`'s config.json with `keys`
+    set at its top level: the one way to give eval and match-eval their
+    K, bins or binning."""
+    config = json.loads((out / "config.json").read_text())
+    path.write_text(json.dumps({**config, **keys}))
+    return ["--config", str(path)]
 
 
 def _copy_scene(workdir, out):
@@ -240,49 +251,95 @@ class TestEval:
         assert sum(rep["bin_counts"]) == rep["total"]
         assert 0.0 <= rep["ece"] <= 1.0
 
-    def test_method_and_k_filters(self, workdir):
+    def test_k_filter(self, workdir, tmp_path):
         out = workdir["out"]
-        assert main(["eval", "--out", str(out), "--method", "l2,pa",
-                     "--k", "1"]) == 0
+        config = _config_with(out, tmp_path / "k1.json", ks=[1])
+        assert main(["eval", "--out", str(out), *config]) == 0
         doc = json.loads((out / "report.json").read_text())
-        assert sorted(doc["reports"]) == ["l2@1", "pa@1"]
+        assert sorted(doc["reports"]) == [f"{m}@1"
+                                          for m in sorted(sc.ALL_METHODS)]
         assert doc["sue_k"] == retrieval.SUE_K  # whatever ks lists
 
     def test_svg_emitted(self, workdir, tmp_path):
         # eval writes no diagram; `report --svg` renders its report's
         out = _copy_scene(workdir, tmp_path / "o")
-        assert main(["eval", "--out", str(out), "--k", "1", "--method",
-                     "resultant"]) == 0
+        config = _config_with(out, tmp_path / "k1.json", ks=[1])
+        assert main(["eval", "--out", str(out), *config]) == 0
         assert not sorted(out.glob("*.svg"))
         assert main(["report", str(out / "report.json"), "--svg"]) == 0
         svg = (out / "reliability_resultant_k1.svg").read_text()
         assert svg.startswith("<svg")
 
-    def test_unknown_method_fails(self, workdir, capsys):
-        assert main(["eval", "--out", str(workdir["out"]),
-                     "--method", "entropy"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_quantile_strategy_recorded(self, workdir):
+    def test_quantile_strategy_recorded(self, workdir, tmp_path):
         out = workdir["out"]
-        assert main(["eval", "--out", str(out), "--binning", "quantile",
-                     "--k", "1", "--bins", "5"]) == 0
+        config = _config_with(out, tmp_path / "quantile.json", ks=[1],
+                              binning={"num_bins": 5,
+                                       "strategy": "quantile"})
+        assert main(["eval", "--out", str(out), *config]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["reports"]["resultant@1"]["strategy"] == "quantile"
         assert doc["reports"]["resultant@1"]["num_bins"] == 5
-        # the flags are part of the run's config, and recorded as such
+        # the report records the config the run read
+        assert doc["config"] == json.loads(Path(config[1]).read_text())
         assert doc["config"]["ks"] == [1]
         assert doc["config"]["binning"] == {"num_bins": 5,
                                             "strategy": "quantile"}
+
+
+class TestRunConfig:
+    """The run config is the one source of a run's settings: eval and
+    match-eval read K, the bins, the binning and tau from it alone."""
+
+    def test_each_command_takes_only_its_own_options(self):
+        parser = build_parser()
+        sub, = (a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+        options = {name: sorted(a.dest for a in p._actions
+                                if not isinstance(a, argparse._HelpAction))
+                   for name, p in sub.choices.items()}
+        run = ["config", "out", "seed"]
+        assert options == {"gen": run, "fit": run, "train": run,
+                           "eval": run, "match-eval": run,
+                           "report": ["path", "svg"],
+                           "bench": ["out", "seed"]}
+        assert sum(map(len, options.values())) == 19
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--k", "1"], ["eval", "--bins", "5"],
+        ["eval", "--binning", "quantile"], ["eval", "--method", "l2"],
+        ["match-eval", "--k", "1"], ["match-eval", "--bins", "5"],
+        ["match-eval", "--binning", "quantile"]],
+        ids=" ".join)
+    def test_a_setting_flag_is_an_argument_error(self, workdir, capsys,
+                                                 argv):
+        out = workdir["out"]
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in \
+            capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+    def test_reports_record_the_config_json_beside_them(self, workdir,
+                                                        tmp_path):
+        out = tmp_path / "run"
+        assert main(["gen", "--config", str(workdir["cfg"]),
+                     "--out", str(out)]) == 0
+        for command in ("fit", "eval", "match-eval"):
+            assert main([command, "--out", str(out)]) == 0
+        config = json.loads((out / "config.json").read_text())
+        for report in ("report.json", "match_report.json"):
+            assert json.loads((out / report).read_text())["config"] == config
 
 
 class TestMatchEval:
     def test_match_report(self, workdir):
         out = workdir["out"]
         assert main(["eval", "--out", str(out)]) == 0
-        assert main(["match-eval", "--out", str(out), "--k", "1"]) == 0
+        assert main(["match-eval", "--out", str(out)]) == 0
         doc = json.loads((out / "match_report.json").read_text())
-        assert doc["level"] == "match"
+        assert doc["level"] == "match" and doc["k"] == 1
         assert set(doc["reports"]) == {"resultant", "l2"}
         assert doc["reports"]["resultant"]["level"] == "match"
 
@@ -360,9 +417,11 @@ class TestRecordedRetrieval:
                                                     out / "manifest.json"))
             np.savez(record, **arrays)
         elif case in ("5", "10"):
-            flags = ["--k", case]
+            flags = _config_with(out, tmp_path / "k.json", ks=[int(case)])
         elif case == "quantile binning":
-            flags = ["--binning", "quantile", "--bins", "4"]
+            flags = _config_with(out, tmp_path / "quantile.json",
+                                 binning={"num_bins": 4,
+                                          "strategy": "quantile"})
         elif case == "another tau":
             config = tmp_path / "tau.json"
             config.write_text(json.dumps({**SMALL_CONFIG, "tau": 10.0}))
@@ -397,7 +456,7 @@ class TestRecordedRetrieval:
         ids=["train", "perturbed row", "deeper k", "no file", "edited kappas",
              "old format"])
     def test_a_miss_is_an_error_that_names_the_command(
-            self, evaluated, capsys, monkeypatch, change, command):
+            self, evaluated, tmp_path, capsys, monkeypatch, change, command):
         # any change to either file's bytes is a miss, kappas included (fit
         # writes new ones): match-eval without eval again fails, and
         # neither searches nor touches the last match report
@@ -418,7 +477,8 @@ class TestRecordedRetrieval:
             with np.load(record) as npz:
                 depth = npz["ref_indices"].shape[1]
             assert depth == 10
-            flags = ["--k", str(depth + 1)]
+            flags = _config_with(evaluated, tmp_path / "deeper.json",
+                                 ks=[depth + 1])
         elif change == "no file":
             record.unlink()
         elif change == "edited kappas":
@@ -518,7 +578,7 @@ class TestRecordedRetrieval:
         assert main(["match-eval", "--out", str(evaluated)]) == 0
 
     def test_eval_rejects_a_k_deeper_than_the_db_before_searching(
-            self, evaluated, capsys, monkeypatch):
+            self, evaluated, tmp_path, capsys, monkeypatch):
         # the config cannot know the database size; eval checks K against
         # it before the search, at $.ks, and keeps its last outputs
         rows = json.loads((evaluated / "manifest.json").read_text()
@@ -527,15 +587,18 @@ class TestRecordedRetrieval:
                    for name in ("report.json", "retrieval.npz")}
         searches = self._count_searches(monkeypatch)
         capsys.readouterr()
-        assert main(["eval", "--out", str(evaluated), "--k",
-                     f"1,{rows + 1}"]) == 1
+        assert main(["eval", "--out", str(evaluated),
+                     *_config_with(evaluated, tmp_path / "deep.json",
+                                   ks=[1, rows + 1])]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and searches == []
         assert captured.err == (f"error: K = {rows + 1} exceeds the {rows} "
                                 "rows of the database (at $.ks)\n")
         for name, payload in outputs.items():
             assert (evaluated / name).read_bytes() == payload
-        assert main(["eval", "--out", str(evaluated), "--k", str(rows)]) == 0
+        assert main(["eval", "--out", str(evaluated),
+                     *_config_with(evaluated, tmp_path / "db.json",
+                                   ks=[rows])]) == 0
         assert searches == [rows]
 
 
@@ -591,11 +654,25 @@ class TestReportCommand:
         (lambda doc: {**doc, "recalls": {"top": 0.5}}, "(at $.recalls.top)"),
         (lambda doc: {**doc, "spearman_kappa": "0.9"},
          "(at $.spearman_kappa)"),
-        (lambda doc: {**doc, "unsupported": ["pa"]}, "(at $.unsupported)")],
+        (lambda doc: {**doc, "unsupported": ["pa"]}, "(at $.unsupported)"),
+        # numbers the writer (allow_nan=False) cannot produce
+        (lambda doc: {**doc, "seed": True}, "(at $.seed)"),
+        (lambda doc: {**doc, "spearman_kappa": float("nan")},
+         "(at $.spearman_kappa)"),
+        (lambda doc: {**doc, "recalls": {**doc["recalls"],
+                                         "5": float("inf")}},
+         "(at $.recalls.5)"),
+        (lambda doc: {**doc, "recalls": {"0": 0.5}}, "(at $.recalls.0)"),
+        (lambda doc: {**doc, "recalls": {"05": 0.5}}, "(at $.recalls.05)"),
+        (lambda doc: {**doc, "level": "other"}, "(at $.level)"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "level"},
+         "(at $.level)")],
         ids=["array", "no reports", "reports not an object", "no seed",
              "string seed", "recalls an array", "string recall",
              "recall key not a K", "string spearman",
-             "unsupported an array"])
+             "unsupported an array", "bool seed", "NaN spearman",
+             "infinite recall", "recall key 0", "padded recall key",
+             "unknown level", "no level"])
     def test_rejects_a_malformed_document_before_printing(
             self, workdir, tmp_path, capsys, edit, where):
         out = workdir["out"]
@@ -690,7 +767,46 @@ class TestReportCommand:
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["fit", "--out", str(out)]) == 0
         assert main(["eval", "--out", str(out)]) == 0
+        assert main(["match-eval", "--out", str(out)]) == 0
         return out
+
+    @pytest.mark.parametrize("report, edit, message, where", [
+        ("report.json", lambda doc: doc["reports"]["inv_kappa@10"].update(
+            k=1), "must be named 'inv_kappa@1'", "$.reports.inv_kappa@10"),
+        ("report.json", lambda doc: doc["reports"]["l2@1"].update(
+            level="match"), "level must be one of ['query']",
+         "$.reports.l2@1.level"),
+        ("match_report.json", lambda doc: doc["reports"]["l2"].update(k=5),
+         "the document's k 1, got 5", "$.reports.l2"),
+        ("match_report.json", lambda doc: doc["reports"].update(
+            {"l2@1": doc["reports"].pop("l2")}), "must be named 'l2'",
+         "$.reports.l2@1"),
+        ("match_report.json", lambda doc: doc["reports"]["l2"].update(
+            level="query"), "level must be one of ['match']",
+         "$.reports.l2.level"),
+        ("match_report.json", lambda doc: doc.pop("k"), "k must be int",
+         "$.k")],
+        ids=["query k", "query entry of match level", "match k",
+             "match name", "match entry of query level", "no match k"])
+    def test_rejects_an_entry_its_name_and_document_do_not_describe(
+            self, cli_default, tmp_path, capsys, report, edit, message,
+            where):
+        # `report --svg` names each diagram after its entry's level,
+        # method and k, so an entry that another could share a file with
+        # is refused before anything is printed or any diagram written
+        doc = json.loads((cli_default / report).read_text())
+        edit(doc)
+        bad = tmp_path / report
+        bad.write_text(json.dumps(doc))
+        for flags in ([], ["--svg"]):
+            capsys.readouterr()
+            assert main(["report", str(bad), *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert message in captured.err
+            assert captured.err.endswith(f"(at {where})\n")
+        assert not sorted(tmp_path.rglob("*.svg"))
 
     @pytest.mark.parametrize("field, value", [
         ("method", "x/y"), ("method", "../x"), ("level", "other")])
@@ -715,10 +831,11 @@ class TestReportCommand:
         # the same JSON, so a writer change the reader rejects fails here
         out = tmp_path / "run"
         shutil.copytree(cli_default, out)
+        quantile = _config_with(out, tmp_path / "quantile.json",
+                                binning={"strategy": "quantile"})
         for command, report in (
                 (["eval"], "report.json"),
-                (["eval", "--binning", "quantile"], "report.json"),
-                (["eval", "--method", "l2"], "report.json"),
+                (["eval", *quantile], "report.json"),
                 (["match-eval"], "match_report.json")):
             assert main([*command, "--out", str(out)]) == 0
             written = json.loads((out / report).read_text())

@@ -244,7 +244,7 @@ def test_help_and_argument_errors_skip_numpy():
     code = ("import sys\n"
             "from kappa_sphere.cli import main\n"
             "for argv in (['--help'], ['eval', '--help'], ['eval'],\n"
-            "             ['eval', '--out', 'o', '--k', 'x'], ['nope']):\n"
+            "             ['eval', '--out', 'o', '--seed', 'x'], ['nope']):\n"
             "    try:\n"
             "        main(argv)\n"
             "    except SystemExit:\n"
@@ -253,6 +253,26 @@ def test_help_and_argument_errors_skip_numpy():
             "        raise AssertionError(argv)\n"
             "print('numpy' in sys.modules)")
     assert _fresh_python(code).splitlines()[-1] == "False"
+
+
+def test_harness_commands_parse(tmp_path):
+    # every command a workload runs, full size and smoke, parses as the
+    # harness builds it, so removing an option the benchmark passes fails
+    # here rather than in every benchmark run
+    from kappa_sphere.cli import build_parser
+
+    harness = _load(HARNESS)
+    parser = build_parser()
+    workloads = list(harness.WORKLOADS.values())
+    workloads += [harness.smoke(w) for w in workloads]
+    for i, workload in enumerate(workloads):
+        run = harness.Run(tmp_path / str(i), workload, 0, {}, {})
+        for command in workload.setup + workload.measured:
+            argv = run.argv(command)
+            assert argv[:3] == [sys.executable, "-c", harness.CLI_ENTRY]
+            args = parser.parse_args(argv[3:])
+            assert (args.command, args.out, args.seed) == \
+                (command, str(run.run_dir), 0)
 
 
 def test_harness_runs_eval_before_every_match_eval():
