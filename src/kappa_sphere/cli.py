@@ -74,10 +74,7 @@ def _resolve(args):
     if path is None and args.command != "gen":
         recorded = _paths(args.out)["config"]
         path = recorded if os.path.exists(recorded) else None
-    overrides = {}
-    if args.seed is not None:
-        overrides = {"scene": {"seed": args.seed}, "train": {"seed": args.seed}}
-    return fileio.load_run_config(path, overrides)
+    return fileio.load_run_config(path, args.seed)
 
 
 def _paths(out):
@@ -168,6 +165,10 @@ def cmd_eval(args) -> int:
     from .pipeline import evaluate_queries
 
     paths = _paths(args.out)
+    run = _resolve(args)
+    # a report records its run's scene: a config (or --seed) of another
+    # scene than the bank's fails here, as fit and train fail
+    fileio.check_scene(paths["scene"], run.scene)
     # hashed before either file is parsed: a file replaced in between
     # leaves the record keyed by bytes the file no longer holds, so
     # match-eval misses it rather than reuse a search of other bytes
@@ -175,7 +176,6 @@ def cmd_eval(args) -> int:
     desc = fileio.read_bank(paths["bank"])
     bank, splits = fileio.read_manifest(paths["manifest"], desc)
     db, queries = bank.subset(splits["db"]), bank.subset(splits["query"])
-    run = _resolve(args)
     # the config cannot check K against the database, known only here
     if max(run.ks) > len(db):
         raise ValueError(f"K = {max(run.ks)} exceeds the {len(db)} rows "
@@ -207,8 +207,9 @@ def cmd_match_eval(args) -> int:
     from .pipeline import evaluate_matches
 
     paths = _paths(args.out)
-    key = fileio.inputs_key(paths["bank"], paths["manifest"])
     run = _resolve(args)
+    fileio.check_scene(paths["scene"], run.scene)
+    key = fileio.inputs_key(paths["bank"], paths["manifest"])
     k = run.ks[0]
     # eval's record of a search of these exact input bytes, at least k
     # deep; a miss is an error that names the command to run

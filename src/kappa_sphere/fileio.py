@@ -53,20 +53,31 @@ class BankFormatError(ValueError):
         self.offset = offset
 
 
-class ManifestError(ValueError):
-    """Malformed manifest; carries the failing JSON path."""
+class JsonError(ValueError):
+    """Malformed JSON document (manifest, run config or report), or a run
+    config that contradicts the scene record; carries the failing location:
+    a JSON path, a line of invalid JSON or a byte that is not UTF-8."""
 
     def __init__(self, message: str, path: str):
         super().__init__(f"{message} (at {path})")
         self.path = path
 
 
-class ConfigError(ValueError):
-    """Malformed run configuration; carries the failing JSON path."""
-
-    def __init__(self, message: str, path: str):
-        super().__init__(f"{message} (at {path})")
-        self.path = path
+def _read_json(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at `path`, the document `what`
+    names; a JsonError at the first byte that is not UTF-8, the line of
+    invalid JSON, or `$` for a document that is not an object."""
+    with open(path, "rb") as fh:
+        try:
+            doc = json.loads(fh.read().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise JsonError("not UTF-8 text", f"byte {exc.start}") from exc
+        except json.JSONDecodeError as exc:
+            raise JsonError(f"invalid JSON: {exc.msg}",
+                            f"line {exc.lineno}") from exc
+    if not isinstance(doc, dict):
+        raise JsonError(f"{what} must be a JSON object", "$")
+    return doc
 
 
 class RecordFileError(ValueError):
@@ -193,13 +204,12 @@ _MANIFEST_ARRAYS = {"ids": (np.int64, True), "labels": (np.int64, True),
 
 
 def _check_types(items, types: set, path_of) -> None:
-    """A ManifestError at `path_of(i)` for the first item whose type is not
+    """A JsonError at `path_of(i)` for the first item whose type is not
     in `types` (a bool is not an int here)."""
     if not set(map(type, items)) <= types:
         i = next(i for i, v in enumerate(items) if type(v) not in types)
         expected = " or ".join(sorted(t.__name__ for t in types))
-        raise ManifestError(f"expected {expected}, got {items[i]!r}",
-                            path_of(i))
+        raise JsonError(f"expected {expected}, got {items[i]!r}", path_of(i))
 
 
 def _manifest_list(doc: dict, key: str, n: int, types: set,
@@ -210,10 +220,10 @@ def _manifest_list(doc: dict, key: str, n: int, types: set,
     if val is None and not required:
         return None
     if not isinstance(val, list):
-        raise ManifestError(f"missing or non-array field {key!r}", f"$.{key}")
+        raise JsonError(f"missing or non-array field {key!r}", f"$.{key}")
     if len(val) != n:
-        raise ManifestError(f"{key} length {len(val)} != bank count {n}",
-                            f"$.{key}")
+        raise JsonError(f"{key} length {len(val)} != bank count {n}",
+                        f"$.{key}")
     _check_types(val, types, lambda i: f"$.{key}[{i}]")
     return val
 
@@ -230,8 +240,8 @@ def _manifest_array(doc: dict, key: str, n: int, dtype, required: bool):
             lengths = list(map(len, val))
             if lengths.count(2) != n:
                 i = next(i for i, k in enumerate(lengths) if k != 2)
-                raise ManifestError(f"pose must be [x, y], got {val[i]!r}",
-                                    f"$.poses[{i}]")
+                raise JsonError(f"pose must be [x, y], got {val[i]!r}",
+                                f"$.poses[{i}]")
             val = list(chain.from_iterable(val))
             _check_types(val, number, lambda i: f"$.poses[{i // 2}][{i % 2}]")
     if val is None:
@@ -239,7 +249,7 @@ def _manifest_array(doc: dict, key: str, n: int, dtype, required: bool):
     try:  # poses flattened, as their types were checked
         arr = np.fromiter(val, dtype, len(val))
     except OverflowError as exc:
-        raise ManifestError(f"value out of range: {exc}", f"$.{key}") from exc
+        raise JsonError(f"value out of range: {exc}", f"$.{key}") from exc
     if key == "poses":
         arr = arr.reshape(n, 2)
     if dtype is np.float64:
@@ -248,8 +258,8 @@ def _manifest_array(doc: dict, key: str, n: int, dtype, required: bool):
         if not ok.all():
             at = np.argwhere(~ok)[0]
             want = "a finite number" + ("" if key == "poses" else " >= 0")
-            raise ManifestError(f"expected {want}, got {arr[tuple(at)]}",
-                                f"$.{key}" + "".join(f"[{i}]" for i in at))
+            raise JsonError(f"expected {want}, got {arr[tuple(at)]}",
+                            f"$.{key}" + "".join(f"[{i}]" for i in at))
     return arr
 
 
@@ -259,14 +269,7 @@ def read_manifest(path, descriptors) -> tuple:
     Returns (bank, splits) where splits maps split name -> index array.
     `poses` and `split` are required: every evaluation reads both.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"invalid JSON: {exc.msg}",
-                                f"line {exc.lineno}") from exc
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest must be a JSON object", "$")
+    doc = _read_json(path, "manifest")
     n = len(descriptors)
     bank = DescriptorBank(descriptors=descriptors, **{
         key: _manifest_array(doc, key, n, dtype, required)
@@ -275,7 +278,7 @@ def read_manifest(path, descriptors) -> tuple:
     unknown = set(names) - set(SPLIT_NAMES)
     if unknown:
         i = next(i for i, name in enumerate(names) if name in unknown)
-        raise ManifestError(f"unknown split name {names[i]!r}", f"$.split[{i}]")
+        raise JsonError(f"unknown split name {names[i]!r}", f"$.split[{i}]")
     names = np.asarray(names, dtype=str)
     return bank, {name: np.flatnonzero(names == name) for name in SPLIT_NAMES}
 
@@ -375,40 +378,50 @@ def _scene_fields(cfg: SceneConfig) -> dict:
             **{f"split_{name}": (i8, (None,)) for name in SPLIT_NAMES}}
 
 
-def _check_scene_key(archive, path, scene: dict) -> None:
-    """The record's scene section equals `scene`, or a ConfigError at the
-    first key that differs."""
-    try:
-        recorded = json.loads(str(_record_field(archive, "scene", path, str,
-                                                ())))
-    except json.JSONDecodeError as exc:
-        raise RecordFileError(f"invalid JSON: {exc.msg}", path,
-                              "scene") from exc
-    if not isinstance(recorded, dict):
-        raise RecordFileError("not a JSON object", path, "scene")
-    for key in sorted(set(recorded) | set(scene)):
-        if recorded.get(key) != scene.get(key):
-            raise ConfigError(
-                f"{os.fspath(path)} holds a scene with {key} = "
-                f"{recorded.get(key)!r}, but the config gives "
-                f"{scene.get(key)!r}; run gen with this config",
-                f"$.scene.{key}")
+@contextmanager
+def _scene_record(path, cfg: SceneConfig):
+    """The scene record at `path`, open once its scene section is found
+    equal to `cfg`'s; a JsonError at the first key that differs."""
+    if not os.path.isfile(path):
+        raise RecordFileError("no scene record; run gen first", path)
+    scene = _section_json("scene", cfg)
+    with _open_record(path) as archive:
+        text = str(_record_field(archive, "scene", path, str, ()))
+        try:
+            recorded = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise RecordFileError(f"invalid JSON: {exc.msg}", path,
+                                  "scene") from exc
+        if not isinstance(recorded, dict):
+            raise RecordFileError("not a JSON object", path, "scene")
+        for key in sorted(set(recorded) | set(scene)):
+            if recorded.get(key) != scene.get(key):
+                raise JsonError(
+                    f"{os.fspath(path)} holds a scene with {key} = "
+                    f"{recorded.get(key)!r}, but the config gives "
+                    f"{scene.get(key)!r}; run gen with this config",
+                    f"$.scene.{key}")
+        yield archive
+
+
+def check_scene(path, cfg: SceneConfig) -> None:
+    """`read_scene`'s first check alone, which eval and match-eval make:
+    the record at `path` holds the scene of `cfg`."""
+    with _scene_record(path, cfg):
+        pass
 
 
 def read_scene(path, cfg: SceneConfig) -> SynthDataset:
     """The scene `write_scene` recorded for the SceneConfig `cfg`.
 
-    A record of another section fails with a ConfigError at the first key
+    A record of another section fails with a JsonError at the first key
     that differs (`$.scene.seed`), naming the file; a missing file, or a
     file that is not such a record, with a RecordFileError naming the file
     and the field (and the first descriptor or prototype row that is not
     finite and unit-norm).  Every array has the generator's bits; `raw`
     is derived from them only when joint training reads it.
     """
-    if not os.path.isfile(path):
-        raise RecordFileError("no scene record; run gen first", path)
-    with _open_record(path) as archive:
-        _check_scene_key(archive, path, _section_json("scene", cfg))
+    with _scene_record(path, cfg) as archive:
         values = {name: _record_field(archive, name, path, dtype, shape)
                   for name, (dtype, shape) in _scene_fields(cfg).items()}
     n = len(values["labels"])
@@ -616,57 +629,39 @@ class RunConfig:
 def _check_keys(section: dict, allowed: set, path: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
-        raise ConfigError(f"unknown keys {unknown}", path)
+        raise JsonError(f"unknown keys {unknown}", path)
 
 
-def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Resolve a run config: defaults, optional JSON file, optional overrides.
+def load_run_config(path=None, seed: int | None = None) -> RunConfig:
+    """Resolve a run config: the defaults, the JSON document at `path` if
+    given, and `seed`, if given, as the seed of its scene and its training.
 
     Unknown keys anywhere are rejected so typos cannot silently fall back
-    to defaults, and every section is built once, from the keys all
-    layers give it, so a bad value fails here with its JSON path rather
-    than in a later command.
+    to defaults, and every section is built once, so a bad value fails
+    here with its JSON path rather than in a later command.
     """
-    layers = []
-    if path is not None:
-        with open(path) as fh:
-            try:
-                layers.append(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON: {exc.msg}",
-                                  f"line {exc.lineno}") from exc
-    if overrides:
-        layers.append(overrides)
-    given = {section: {} for section in _SECTIONS}
-    ks, tau = DEFAULT_KS, DEFAULT_TAU
-    for layer in layers:
-        if not isinstance(layer, dict):
-            raise ConfigError("config must be a JSON object", "$")
-        _check_keys(layer, _TOP_KEYS, "$")
-        for section, allowed in _SECTION_KEYS.items():
-            if section in layer:
-                if not isinstance(layer[section], dict):
-                    raise ConfigError(f"{section} must be an object",
-                                      f"$.{section}")
-                _check_keys(layer[section], allowed, f"$.{section}")
-                given[section].update(layer[section])
-        if "ks" in layer:
-            ks = layer["ks"]
-            if (not isinstance(ks, list) or not ks
-                    or not set(map(type, ks)) <= {int} or min(ks) < 1):
-                raise ConfigError("ks must be a non-empty array of positive "
-                                  f"integers, got {ks!r}", "$.ks")
-            ks = tuple(ks)
-        if "tau" in layer:
-            tau = layer["tau"]
-            # false for NaN, infinity and an int beyond the float range
-            if type(tau) not in (int, float) or not 0 < tau <= _FLOAT_MAX:
-                raise ConfigError("tau must be a finite positive number, got "
-                                  f"{tau!r}", "$.tau")
-            tau = float(tau)
+    doc = {} if path is None else _read_json(path, "config")
+    _check_keys(doc, _TOP_KEYS, "$")
+    given = {section: doc.get(section, {}) for section in _SECTIONS}
+    for section, allowed in _SECTION_KEYS.items():
+        if not isinstance(given[section], dict):
+            raise JsonError(f"{section} must be an object", f"$.{section}")
+        _check_keys(given[section], allowed, f"$.{section}")
+    if seed is not None:
+        for section in ("scene", "train"):
+            given[section] = {**given[section], "seed": seed}
+    ks, tau = doc.get("ks", list(DEFAULT_KS)), doc.get("tau", DEFAULT_TAU)
+    if (not isinstance(ks, list) or not ks
+            or not set(map(type, ks)) <= {int} or min(ks) < 1):
+        raise JsonError("ks must be a non-empty array of positive integers, "
+                        f"got {ks!r}", "$.ks")
+    # false for NaN, infinity and an int beyond the float range
+    if type(tau) not in (int, float) or not 0 < tau <= _FLOAT_MAX:
+        raise JsonError(f"tau must be a finite positive number, got {tau!r}",
+                        "$.tau")
     return RunConfig(**{section: _section_config(section, values)
                         for section, values in given.items()},
-                     ks=ks, tau=tau)
+                     ks=tuple(ks), tau=float(tau))
 
 
 def _section_config(section: str, values: dict):
@@ -680,9 +675,9 @@ def _section_config(section: str, values: dict):
         return cls(**{key: json_value(key, value, getattr(defaults, key))
                       for key, value in values.items()})
     except FieldError as exc:
-        raise ConfigError(str(exc), f"$.{section}.{exc.key}") from exc
+        raise JsonError(str(exc), f"$.{section}.{exc.key}") from exc
     except ValueError as exc:
-        raise ConfigError(str(exc), f"$.{section}") from exc
+        raise JsonError(str(exc), f"$.{section}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -743,24 +738,16 @@ def read_report(path) -> dict:
     document's ("query" or "match"), and its name "<method>@<k>" (query
     level) or "<method>" with the document's k (match level), so `report
     --svg` names each diagram after a distinct entry.  Checked whole, so
-    a malformed document fails, located at its line (invalid JSON) or its
-    JSON path, before a caller reads any of it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc.msg} "
-                             f"(at line {exc.lineno})") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("a report must be a JSON object (at $)")
+    a malformed document fails with a located JsonError before a caller
+    reads any of it."""
+    doc = _read_json(path, "report")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported report schema {doc.get('schema_version')!r}")
+        raise JsonError("unsupported report schema "
+                        f"{doc.get('schema_version')!r}", "$.schema_version")
     for key, types in (("reports", {dict}), ("recalls", {dict, type(None)}),
                        ("unsupported", {dict, type(None)})):
         if type(doc.get(key)) not in types:
-            raise ValueError(f"missing or malformed field {key!r} "
-                             f"(at $.{key})")
+            raise JsonError(f"missing or malformed field {key!r}", f"$.{key}")
     level = doc.get("level")
     try:
         json_value("seed", doc.get("seed"), 0)
@@ -776,14 +763,14 @@ def read_report(path) -> dict:
                                  f"positive integer, got {k!r}")
             json_value(f"recalls.{k}", recall, 0.0)
     except FieldError as exc:
-        raise ValueError(f"{exc} (at $.{exc.key})") from exc
+        raise JsonError(str(exc), f"$.{exc.key}") from exc
     # `report --svg` names each diagram after its entry's method and level
     allowed = {"method": ALL_METHODS, "level": (level,)}
     reports = {}
     for name, entry in doc["reports"].items():
         if not isinstance(entry, dict):
-            raise ValueError(f"a report entry must be an object "
-                             f"(at $.reports.{name})")
+            raise JsonError("a report entry must be an object",
+                            f"$.reports.{name}")
         try:
             rep = reports[name] = CalibrationReport.from_dict(entry)
             for key, values in allowed.items():
@@ -791,30 +778,21 @@ def read_report(path) -> dict:
                     raise FieldError(key, f"one of {list(values)}",
                                      getattr(rep, key))
         except FieldError as exc:
-            raise ValueError(f"{exc} (at $.reports.{name}.{exc.key})") from exc
+            raise JsonError(str(exc), f"$.reports.{name}.{exc.key}") from exc
         want = f"{rep.method}@{rep.k}" if level == "query" else rep.method
         if name != want:
-            raise ValueError(f"an entry of method {rep.method!r} at k "
-                             f"{rep.k} must be named {want!r} "
-                             f"(at $.reports.{name})")
+            raise JsonError(f"an entry of method {rep.method!r} at k "
+                            f"{rep.k} must be named {want!r}",
+                            f"$.reports.{name}")
         if level == "match" and rep.k != doc["k"]:
-            raise ValueError(f"a match-level entry must be at the "
-                             f"document's k {doc['k']}, got {rep.k} "
-                             f"(at $.reports.{name})")
+            raise JsonError("a match-level entry must be at the document's "
+                            f"k {doc['k']}, got {rep.k}", f"$.reports.{name}")
     return {**doc, "reports": reports}
 
 
 def history_csv(history) -> str:
-    """Training history as CSV; column set is the union over rows."""
-    if not history:
-        return ""
-    cols = []
-    for row in history:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
-    lines = [",".join(cols)]
-    for row in history:
-        lines.append(",".join("" if row.get(c) is None else str(row.get(c))
-                              for c in cols))
-    return "\n".join(lines) + "\n"
+    """Training history as CSV: a header of the first row's keys, which
+    every row of one fit has, then one line per epoch."""
+    cols = list(history[0])
+    lines = [cols, *([row[col] for col in cols] for row in history)]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)

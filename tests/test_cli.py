@@ -577,6 +577,40 @@ class TestRecordedRetrieval:
         assert path.read_bytes() == payload
         assert main(["match-eval", "--out", str(evaluated)]) == 0
 
+    @pytest.mark.parametrize("command, option, key", [
+        ("eval", "--seed", "seed"), ("match-eval", "--seed", "seed"),
+        ("eval", "--config", "num_classes"),
+        ("match-eval", "--config", "num_classes")])
+    def test_another_scene_fails_before_anything_is_read(
+            self, evaluated, tmp_path, capsys, monkeypatch, command, option,
+            key):
+        # a report records its run's scene: eval and match-eval check the
+        # run config's scene against scene.npz first, as fit and train do,
+        # and hash, search and write nothing for another scene
+        assert main(["match-eval", "--out", str(evaluated)]) == 0
+        files = {p.name: p.read_bytes() for p in evaluated.iterdir()}
+        original, hashed = fileio.inputs_key, []
+        _patch_everywhere(monkeypatch, original,
+                          lambda *paths: hashed.append(paths)
+                          or original(*paths))
+        searches = self._count_searches(monkeypatch)
+        scene = json.loads((evaluated / "config.json").read_text())["scene"]
+        argv = ["--seed", "5"] if option == "--seed" else _config_with(
+            evaluated, tmp_path / "other.json",
+            scene={**scene, "num_classes": 16})
+        capsys.readouterr()
+        assert main([command, "--out", str(evaluated), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and hashed == [] and searches == []
+        assert captured.err.startswith("error: ") and \
+            captured.err.endswith(f"(at $.scene.{key})\n")
+        assert {p.name: p.read_bytes() for p in evaluated.iterdir()} == files
+        # the recorded seed, which the benchmark passes to every command
+        for name in ("eval", "match-eval"):
+            assert main([name, "--out", str(evaluated),
+                         "--seed", str(scene["seed"])]) == 0
+        assert {p.name: p.read_bytes() for p in evaluated.iterdir()} == files
+
     def test_eval_rejects_a_k_deeper_than_the_db_before_searching(
             self, evaluated, tmp_path, capsys, monkeypatch):
         # the config cannot know the database size; eval checks K against
@@ -940,16 +974,37 @@ class TestErrors:
     ])
     def test_bad_manifest_value_located(self, workdir, tmp_path, capsys,
                                         field, value, path):
-        out = tmp_path / "o"
-        out.mkdir()
-        for name in ("bank.kpb", "config.json"):
-            (out / name).write_bytes((workdir["out"] / name).read_bytes())
+        out = _copy_scene(workdir, tmp_path / "o")
         doc = json.loads((workdir["out"] / "manifest.json").read_text())
         doc[field] = value if not isinstance(value, list) \
             else value + doc[field][len(value):]
         (out / "manifest.json").write_text(json.dumps(doc))
         assert main(["eval", "--out", str(out)]) == 1
         assert f"(at {path})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken, message", [
+        (b'{"tau": 1,\n "ks": }\n',
+         "invalid JSON: Expecting value (at line 2)"),
+        (b"[1, 2]", "must be a JSON object (at $)"),
+        (b'{"tau": "\xff"}', "not UTF-8 text (at byte 9)")],
+        ids=["invalid JSON", "array", "not UTF-8"])
+    @pytest.mark.parametrize("document", ["manifest.json", "config.json",
+                                          "report.json"])
+    def test_a_broken_document_is_located(self, workdir, tmp_path, capsys,
+                                          document, broken, message):
+        # the run directory's three JSON documents share one decoder: each
+        # fails at its location, with nothing printed or written
+        out = _copy_scene(workdir, tmp_path / "o")
+        (out / document).write_bytes(broken)
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        argv = ["report", str(out / document), "--svg"] \
+            if document == "report.json" else ["eval", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and \
+            captured.err.endswith(f"{message}\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
     def test_gen_rejects_joint_mode(self, tmp_path, capsys):
         # train.mode selects fit's objective; train always trains jointly,

@@ -1,5 +1,7 @@
 """Binary bank format, manifest, run config, and model state I/O."""
 
+import csv
+import io
 import json
 import os
 import stat
@@ -12,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_sphere.fileio import (_KEY_CHUNK, REPORT_SCHEMA_VERSION,
-                                 BankFormatError,
-                                 ConfigError, ManifestError, RecordFileError,
+                                 BankFormatError, JsonError, RecordFileError,
                                  RunConfig, atomic_write_text, inputs_key,
                                  load_run_config, read_bank, read_manifest,
                                  read_retrieval, read_scene, report_document,
@@ -25,7 +26,8 @@ from kappa_sphere.head import init_head
 from kappa_sphere.retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                                    batch_knn)
 from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
-from kappa_sphere.training import LmclConfig, TrainConfig, TrainMode
+from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
+                                   TrainMode, train_joint, train_post)
 from oracles import whole_file_key
 
 
@@ -199,7 +201,7 @@ class TestManifest:
         for absent in (lambda d: d.pop(field), lambda d: d.update({field: None})):
             absent(doc)
             path.write_text(json.dumps(doc))
-            with pytest.raises(ManifestError) as exc:
+            with pytest.raises(JsonError) as exc:
                 read_manifest(path, bank.descriptors)
             assert exc.value.path == f"$.{field}"
 
@@ -225,7 +227,7 @@ class TestManifest:
             getattr(bank, field)[index] = value
         manifest = tmp_path / "manifest.json"
         write_manifest(manifest, bank, self.SPLITS)
-        with pytest.raises(ManifestError) as exc:
+        with pytest.raises(JsonError) as exc:
             read_manifest(manifest, bank.descriptors)
         assert exc.value.path == path
 
@@ -252,14 +254,14 @@ class TestManifest:
         bank = self.make_bank(rng)
         path = tmp_path / "manifest.json"
         write_manifest(path, bank, self.SPLITS)
-        with pytest.raises(ManifestError) as exc:
+        with pytest.raises(JsonError) as exc:
             read_manifest(path, bank.descriptors[:5])
         assert "$." in str(exc.value)
 
     def test_invalid_json(self, rng, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{not json")
-        with pytest.raises(ManifestError):
+        with pytest.raises(JsonError):
             read_manifest(path, unit_rows(rng, 2, 4))
 
 
@@ -279,16 +281,22 @@ class TestRunConfig:
         assert run.scene.descriptor_dim == 64  # untouched default
         assert run.tau == 50.0
 
-    def test_overrides_layer_wins(self, tmp_path):
+    def test_seed_overrides_both_seeds(self, tmp_path):
+        # --seed sets the scene's and the training's seed; the rest of the
+        # file stands
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"scene": {"num_classes": 8}}))
-        run = load_run_config(path, overrides={"scene": {"num_classes": 16}})
-        assert run.scene.num_classes == 16
+        path.write_text(json.dumps({"scene": {"num_classes": 8, "seed": 1},
+                                    "train": {"seed": 2, "lr": 0.05}}))
+        run = load_run_config(path, seed=5)
+        assert (run.scene.seed, run.train.seed) == (5, 5)
+        assert (run.scene.num_classes, run.train.lr) == (8, 0.05)
+        assert load_run_config(seed=5) == RunConfig(
+            scene=SceneConfig(seed=5), train=TrainConfig(seed=5))
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scne": {}}))
-        with pytest.raises(ConfigError, match="scne"):
+        with pytest.raises(JsonError, match="scne"):
             load_run_config(path)
 
     def test_unknown_section_key_rejected(self, tmp_path):
@@ -298,23 +306,25 @@ class TestRunConfig:
         for key, value in (("learning_rate", 0.1),
                            ("anchor_mode", "class_prototype")):
             path.write_text(json.dumps({"train": {key: value}}))
-            with pytest.raises(ConfigError, match=key) as exc:
+            with pytest.raises(JsonError, match=key) as exc:
                 load_run_config(path)
             assert exc.value.path == "$.train"
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("[1, 2")
-        with pytest.raises(ConfigError):
+        with pytest.raises(JsonError):
             load_run_config(path)
 
-    def test_defaults_round_trip(self, monkeypatch):
+    def test_defaults_round_trip(self, monkeypatch, tmp_path):
         # the section dataclasses are the one source of run defaults: the
         # default config's JSON builds them back, and fit_head's fallback
         # is it
         from kappa_sphere import pipeline
 
-        run = load_run_config(overrides=RunConfig().to_json())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(RunConfig().to_json()))
+        run = load_run_config(path)
         assert (run.scene, run.train, run.lmcl, run.binning) == (
             SceneConfig(), TrainConfig(), LmclConfig(), BinningConfig())
         assert (run.ks, run.tau) == (DEFAULT_KS, DEFAULT_TAU)
@@ -325,24 +335,21 @@ class TestRunConfig:
         scene = SceneConfig(num_classes=8, images_per_class=10,
                             descriptor_dim=16, seed=3)
         pipeline.fit_head(generate_scene(scene))
-        assert seen == [load_run_config(
-            overrides={"train": {"seed": 3}}).train]
+        assert seen == [load_run_config(seed=3).train]
 
-    @pytest.mark.parametrize("layer", ["file", "overrides"])
-    def test_empty_ks_rejected(self, tmp_path, layer):
+    def test_empty_ks_rejected(self, tmp_path):
         # eval has no K to report and match-eval none to score
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"ks": []} if layer == "file" else {}))
-        overrides = {"ks": []} if layer == "overrides" else None
-        with pytest.raises(ConfigError, match="non-empty") as exc:
-            load_run_config(path, overrides)
+        path.write_text(json.dumps({"ks": []}))
+        with pytest.raises(JsonError, match="non-empty") as exc:
+            load_run_config(path)
         assert exc.value.path == "$.ks"
 
     def test_binning_clamp_rejected(self, tmp_path):
         # eval clamps per method, so a config clamp would be ignored
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"binning": {"clamp": "none"}}))
-        with pytest.raises(ConfigError, match=r"clamp.*\$\.binning"):
+        with pytest.raises(JsonError, match=r"clamp.*\$\.binning"):
             load_run_config(path)
 
 
@@ -432,7 +439,7 @@ class TestSceneRecord:
     @pytest.mark.parametrize("scene", [{}, {"aliasing_rate": 0.0}],
                              ids=["default", "no aliasing"])
     def test_read_back_is_the_generated_scene(self, tmp_path, scene):
-        cfg = load_run_config(overrides={"scene": scene}).scene
+        cfg = SceneConfig(**scene)
         want = generate_scene(cfg)
         path = tmp_path / "scene.npz"
         write_scene(path, want)
@@ -454,7 +461,7 @@ class TestSceneRecord:
 
     @pytest.fixture()
     def recorded(self, tmp_path):
-        cfg = load_run_config(overrides={"scene": self.SMALL}).scene
+        cfg = SceneConfig(**self.SMALL)
         path = tmp_path / "scene.npz"
         write_scene(path, generate_scene(cfg))
         return path, cfg
@@ -509,14 +516,13 @@ class TestSceneRecord:
 
     @pytest.mark.parametrize("scene, key", [
         ({"images_per_class": 20}, "images_per_class"),
-        ({"feature_shape": [4, 4, 4]}, "feature_shape")])
+        ({"feature_shape": (4, 4, 4)}, "feature_shape")])
     def test_another_scene_fails_at_its_key(self, recorded, scene, key):
         # a record is only ever read for the scene it holds: a config that
         # differs is an error, never a silent regeneration
         path, _ = recorded
-        cfg = load_run_config(overrides={"scene": {**self.SMALL,
-                                                   **scene}}).scene
-        with pytest.raises(ConfigError) as exc:
+        cfg = SceneConfig(**{**self.SMALL, **scene})
+        with pytest.raises(JsonError) as exc:
             read_scene(path, cfg)
         assert exc.value.path == f"$.scene.{key}"
         assert str(path) in str(exc.value)
@@ -677,17 +683,38 @@ class TestRetrievalRecord:
 
 
 class TestHistoryCsv:
-    def test_union_of_columns(self):
-        rows = [{"epoch": 0, "loss": 1.5}, {"epoch": 1, "loss": 1.2,
-                                            "metric": 0.3}]
-        text = history_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "epoch,loss,metric"
-        assert lines[1] == "0,1.5,"
-        assert lines[2] == "1,1.2,0.3"
+    def test_reads_back_every_trainer_history(self):
+        # history.csv holds the rows `_fit` makes: every row of one fit has
+        # the first row's keys, a watched metric NaN when nothing is
+        # evaluated; at lam = 0 joint training watches no ece1
+        rng = np.random.default_rng(0)
+        unit = rng.standard_normal((12, 6))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        data = TrainData(features=rng.random((12, 3)),
+                         labels=np.arange(12) % 4, descriptors=unit,
+                         raw=rng.standard_normal((12, 5)))
+        head = init_head((3, 2, 2), hidden=4, rng=rng)
+        encoder = rng.standard_normal((6, 5))
+        cfg = TrainConfig(max_epochs=6, warmup=0, patience=1)
 
-    def test_empty(self):
-        assert history_csv([]) == ""
+        def joint(lam, hook):
+            return train_joint(data, encoder, unit[:4], head,
+                               TrainConfig(**{**vars(cfg), "lam": lam}),
+                               LmclConfig(), eval_hook=hook)[3]
+
+        cases = [
+            (["metric"], train_post(data, unit[:4], head, cfg)[1]),
+            (["metric"], train_post(data, unit[:4], head, cfg,
+                                    lambda h: h["kappa_b"][0])[1]),
+            (["recall1", "ece1"], joint(0.5, lambda e, p, h: (
+                e[0, 0], p[0, 0]))),
+            (["recall1"], joint(0.0, lambda e, p, h: (e[0, 0],)))]
+        for watched, history in cases:
+            rows = list(csv.DictReader(io.StringIO(history_csv(history))))
+            assert list(rows[0]) == ["epoch", "loss", *watched, "phase"]
+            assert rows == [{key: str(value) for key, value in row.items()}
+                            for row in history]
+        assert {row["phase"] for row in cases[2][1]} == {1, 2}
 
 
 # JSON values of every type; `_not_of` keeps those of other types
@@ -708,7 +735,7 @@ _NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 class TestBoundaryProperties:
     """Type-substituted and truncated manifest and config fields raise the
-    located error (ManifestError or ConfigError at the field's JSON path,
+    located error (JsonError or JsonError at the field's JSON path,
     or at the line of a truncated file), and a corrupted bank raises
     BankFormatError at its byte offset, never anything else."""
 
@@ -812,7 +839,7 @@ class TestBoundaryProperties:
                 payload = json.dumps(doc)
             with open(path, "w") as fh:
                 fh.write(payload)
-            with pytest.raises(ManifestError) as exc:
+            with pytest.raises(JsonError) as exc:
                 read_manifest(path, bank.descriptors)
         assert exc.value.path.startswith(expected), (how, exc.value.path)
 
@@ -860,6 +887,6 @@ class TestBoundaryProperties:
             path = os.path.join(tmp, "config.json")
             with open(path, "w") as fh:
                 fh.write(text)
-            with pytest.raises(ConfigError) as exc:
+            with pytest.raises(JsonError) as exc:
                 load_run_config(path)
         assert exc.value.path.startswith(expected), (target, exc.value.path)

@@ -11,6 +11,7 @@ CLI command leaves a temp file in its run directory."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -67,6 +68,22 @@ def test_trace_targets_exist():
                if not callable(getattr(importlib.import_module(module), name,
                                        None))]
     assert not missing, missing
+
+
+def test_trace_path_counters_read_the_first_parameter():
+    # The tracer counts fileio.bytes_read from a target's first argument or
+    # its `path` keyword; a target that took its file elsewhere would count
+    # 0 bytes without failing.
+    trace_runner = _trace_runner()
+    counted = {f"{module}.{name}": getattr(importlib.import_module(module),
+                                           name)
+               for module, functions in trace_runner.TARGETS.items()
+               for name, (_, _, count) in functions.items()
+               if count is trace_runner._path_size}
+    assert counted
+    wrong = [name for name, fn in counted.items()
+             if list(inspect.signature(fn).parameters)[:1] != ["path"]]
+    assert not wrong, wrong
 
 
 def test_trace_epoch_counters_read_the_history():
