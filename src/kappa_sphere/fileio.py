@@ -29,7 +29,7 @@ from .calibration import (BinningConfig, CalibrationReport, FieldError,
 from .head import GEM_P
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
                         RetrievalResult)
-from .scores import ALL_METHODS
+from .scores import LEVELS, methods_at
 from .synth import SceneConfig, SPLIT_NAMES, SynthDataset
 from .training import LmclConfig, TrainConfig
 from .vmf import check_unit_rows
@@ -41,8 +41,6 @@ _HEADER = struct.Struct("<4sIIQ")
 REJECT_TOL = 1e-3      # rows whose norm deviates beyond this are corrupt
 
 REPORT_SCHEMA_VERSION = 1
-# the levels a report document may have
-_REPORT_LEVELS = ("query", "match")
 
 
 class BankFormatError(ValueError):
@@ -398,8 +396,9 @@ def _scene_record(path, cfg: SceneConfig):
             if recorded.get(key) != scene.get(key):
                 raise JsonError(
                     f"{os.fspath(path)} holds a scene with {key} = "
-                    f"{recorded.get(key)!r}, but the config gives "
-                    f"{scene.get(key)!r}; run gen with this config",
+                    f"{recorded.get(key)!r}, but this run's config and "
+                    f"--seed give {scene.get(key)!r}; give gen's --config "
+                    "and --seed, or run gen with these",
                     f"$.scene.{key}")
         yield archive
 
@@ -734,12 +733,13 @@ def read_report(path) -> dict:
     """The report document at `path` as JSON holds it, with each entry of
     its `reports` decoded by `CalibrationReport.from_dict`.  Every number
     is one the writer can produce, and each entry is the one its name and
-    the document say: its method one of scores.ALL_METHODS, its level the
-    document's ("query" or "match"), and its name "<method>@<k>" (query
-    level) or "<method>" with the document's k (match level), so `report
-    --svg` names each diagram after a distinct entry.  Checked whole, so
-    a malformed document fails with a located JsonError before a caller
-    reads any of it."""
+    the document say: its level the document's ("query" or "match"), its
+    method one that scores.METHODS has at that level, and its name
+    "<method>@<k>" (query level) or "<method>" with the document's k
+    (match level), so `report --svg` names each diagram after a distinct
+    entry.  Each `unsupported` entry is a method of that level with no
+    report and a string reason.  Checked whole, so a malformed document
+    fails with a located JsonError before a caller reads any of it."""
     doc = _read_json(path, "report")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise JsonError("unsupported report schema "
@@ -751,8 +751,8 @@ def read_report(path) -> dict:
     level = doc.get("level")
     try:
         json_value("seed", doc.get("seed"), 0)
-        if level not in _REPORT_LEVELS:
-            raise FieldError("level", f"one of {list(_REPORT_LEVELS)}", level)
+        if level not in LEVELS:
+            raise FieldError("level", f"one of {list(LEVELS)}", level)
         if level == "match":
             json_value("k", doc.get("k"), 0)
         if doc.get("spearman_kappa") is not None:
@@ -765,7 +765,8 @@ def read_report(path) -> dict:
     except FieldError as exc:
         raise JsonError(str(exc), f"$.{exc.key}") from exc
     # `report --svg` names each diagram after its entry's method and level
-    allowed = {"method": ALL_METHODS, "level": (level,)}
+    methods = methods_at(level)
+    allowed = {"method": methods, "level": (level,)}
     reports = {}
     for name, entry in doc["reports"].items():
         if not isinstance(entry, dict):
@@ -787,6 +788,13 @@ def read_report(path) -> dict:
         if level == "match" and rep.k != doc["k"]:
             raise JsonError("a match-level entry must be at the document's "
                             f"k {doc['k']}, got {rep.k}", f"$.reports.{name}")
+    reported = {rep.method for rep in reports.values()}
+    for name, reason in (doc.get("unsupported") or {}).items():
+        if name not in methods or name in reported or type(reason) is not str:
+            raise JsonError(f"an unsupported entry must name one of "
+                            f"{list(methods)} that has no report and give a "
+                            f"string, got {name!r}: {reason!r}",
+                            f"$.unsupported.{name}")
     return {**doc, "reports": reports}
 
 

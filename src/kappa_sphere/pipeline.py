@@ -2,9 +2,9 @@
 concentrations, score queries, and produce calibration reports.
 
 The evaluation protocol mirrors the training-time conventions: kappas are
-floored at 1.0 when scores are built, kappa-derived scores are clamped
-two-sided at the 1st/99th percentiles, naturally one-sided baselines
-(L2, PA, SUE) are clamped on the high tail only.
+floored at 1.0 when scores are built, and each score is clamped at the
+1st/99th percentiles on the tails `scores.METHODS` gives it (both for the
+kappa-derived scores, the high one for the naturally one-sided baselines).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import scores as sc
-from .calibration import BinningConfig, ClampMode, ece_at_k, match_ece_at_k
+from .calibration import BinningConfig, ece_at_k, match_ece_at_k
 from .head import forward_batch, init_head
 from .retrieval import (DEFAULT_KS, DEFAULT_TAU, SUE_K, DescriptorBank,
                         RetrievalResult, batch_knn, mark_successes,
@@ -22,7 +22,6 @@ from .retrieval import (DEFAULT_KS, DEFAULT_TAU, SUE_K, DescriptorBank,
 from .synth import SynthDataset
 from .training import (LmclConfig, TrainConfig, TrainData, encode,
                        train_joint, train_post)
-from .vmf import ResultantUncertainty
 
 VALIDATION_FRACTION = 0.1
 
@@ -30,10 +29,9 @@ VALIDATION_FRACTION = 0.1
 def binning_for(method: str,
                 binning: BinningConfig | None = None) -> BinningConfig:
     """`binning` (the BinningConfig defaults when None) with the clamp
-    `method` takes: two-sided for kappa scores, high tail otherwise."""
-    clamp = (ClampMode.TWO_SIDED if method in sc.TWO_SIDED_METHODS
-             else ClampMode.ONE_SIDED_HIGH)
-    return replace(binning or BinningConfig(), clamp=clamp)
+    `scores.METHODS` gives `method`."""
+    return replace(binning or BinningConfig(),
+                   clamp=sc.METHODS[sc.ALL_METHODS.index(method)].clamp)
 
 
 def predict_kappas(rows, head: dict) -> np.ndarray:
@@ -182,8 +180,8 @@ class QueryEvaluation:
 def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
                      ks=DEFAULT_KS, binning: BinningConfig | None = None,
                      tau: float = DEFAULT_TAU) -> QueryEvaluation:
-    """The query-level evaluation protocol, of every method in
-    `scores.ALL_METHODS`.
+    """The query-level evaluation protocol, of every query-level method of
+    `scores.METHODS`.
 
     `bank` is the reference database (poses, and kappas for the kappa-based
     methods); `query_bank` carries query descriptors, poses, and kappas.
@@ -204,7 +202,7 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
 
     scored = {}
     unsupported = {}
-    for method in sc.ALL_METHODS:
+    for method in sc.methods_at(sc.QUERY):
         try:
             scored[method] = sc.score_query(method, results, bank,
                                             kappa_q=query_bank.kappas,
@@ -245,8 +243,9 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
     """Match-level calibration over the T = K * n pairs of `results`, the
     (n, K) top-K search of `query_bank` against `bank`.
 
-    Scores each pair with the resultant-fusion kernel (when both banks
-    carry kappas) and with the pairwise L2 distance baseline.  Scoring
+    Scores each pair with every match-level method of `scores.METHODS`
+    whose inputs are there (resultant fusion needs both banks' kappas,
+    the L2 distance nothing).  Scoring
     reads only the search's `ref_indices` and `similarities` and each
     side's `poses` and `kappas`, so the banks may be any rows carrying
     those: `match-eval` passes the `fileio.read_retrieval` of eval's
@@ -259,13 +258,12 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
                              tau)
 
     pairs = {}
-    if query_bank.kappas is not None and bank.kappas is not None:
-        pairs[sc.METHOD_RESULTANT] = sc.match_uncertainty(
-            query_bank.kappas[:, None], bank.kappas[results.ref_indices],
-            results.similarities)
-    pairs[sc.METHOD_L2] = ResultantUncertainty(
-        sc.l2_distance(results.similarities),
-        np.zeros(positive.shape, dtype=bool))
+    for method in sc.methods_at(sc.MATCH):
+        try:
+            pairs[method] = sc.score_pairs(method, results, bank,
+                                           query_bank.kappas)
+        except sc.MissingInputError:
+            pass  # a match report has no unsupported list
 
     reports = {}
     for method, (value, _) in pairs.items():

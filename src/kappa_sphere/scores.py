@@ -1,4 +1,5 @@
-"""Per-query and per-pair uncertainty scores.
+"""Per-query and per-pair uncertainty scores, and METHODS, the one table
+of them: each score's levels, inputs, clamp and batched scorer.
 
 All methods emit "higher = more uncertain".  Concentrations are floored
 at 1.0 before any fusion, matching the evaluation protocol.
@@ -7,28 +8,19 @@ at 1.0 before any fusion, matching the evaluation protocol.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .calibration import ClampMode
 from .retrieval import DescriptorBank, RetrievalResult
 from .vmf import ResultantUncertainty, resultant_uncertainty
 
 KAPPA_FLOOR = 1.0
 
-# method tags used in reports and the CLI
-METHOD_RESULTANT = "resultant"       # kappa-fused resultant-vector score
-METHOD_INV_KAPPA = "inv_kappa"       # naive 1/kappa ablation
-METHOD_L2 = "l2"
-METHOD_PA = "pa"
-METHOD_SUE = "sue"
-METHOD_SUE_LOG = "sue_log"
-
-ALL_METHODS = (METHOD_RESULTANT, METHOD_INV_KAPPA, METHOD_L2, METHOD_PA,
-               METHOD_SUE, METHOD_SUE_LOG)
-
-# two-sided clamping for the kappa-derived scores, one-sided for the
-# naturally one-sided baselines
-TWO_SIDED_METHODS = frozenset({METHOD_RESULTANT, METHOD_INV_KAPPA})
+# the levels a score can have a form at: per query, per query-reference pair
+LEVELS = QUERY, MATCH = ("query", "match")
 
 
 class MissingInputError(ValueError):
@@ -58,16 +50,9 @@ def l2_distance(cos):
     return np.sqrt(np.maximum(2.0 - 2.0 * np.clip(cos, -1.0, 1.0), 0.0))
 
 
-def baseline_l2(result: RetrievalResult) -> np.ndarray:
-    """Top-match L2 distance per query, strictly decreasing in cosine."""
-    return l2_distance(result.similarities[:, 0])
-
-
 def baseline_pa(result: RetrievalResult) -> np.ndarray:
     """Nearest-neighbor distance ratio d1/d2 per query, in [0, 1]; ties
     give 1."""
-    if result.similarities.shape[1] < 2:
-        raise MissingInputError("PA score needs at least 2 retrieved neighbors")
     d1 = l2_distance(result.similarities[:, 0])
     d2 = l2_distance(result.similarities[:, 1])
     # both distances zero: maximal ambiguity
@@ -83,10 +68,6 @@ def baseline_sue(result: RetrievalResult, bank: DescriptorBank,
     Zero iff all top-k poses coincide.  Invariant to a uniform additive
     shift of the similarities (softmax shift invariance).
     """
-    if bank.poses is None:
-        raise MissingInputError("SUE requires reference poses")
-    if k < 2 or result.ref_indices.shape[1] < k:
-        raise MissingInputError("SUE needs at least 2 retrieved neighbors")
     sims = result.similarities[:, :k]
     poses = bank.poses[result.ref_indices[:, :k]]          # (n, k, 2)
     w = np.exp(sims - sims.max(axis=1, keepdims=True))
@@ -106,32 +87,85 @@ def sue_log(value):
     return _log1p(value)[()]
 
 
+class Method(NamedTuple):
+    """A score of the table."""
+
+    name: str           # its tag in reports and the CLI
+    levels: tuple       # the levels it has a form at
+    needs: dict         # input it reads -> why it is unsupported without it
+    clamp: ClampMode    # of its binning
+    score: Callable     # batched scorer of the inputs `_score` gathers
+
+
+_SUE = {"poses": "SUE requires reference poses",
+        "neighbours": "SUE needs at least 2 retrieved neighbors"}
+_TWO, _HIGH = ClampMode.TWO_SIDED, ClampMode.ONE_SIDED_HIGH
+
+# Two-sided clamping for the kappa-derived scores, high tail only for the
+# naturally one-sided baselines.  A scorer looks this module's functions up
+# by name when it runs, so a tracer that replaces one here sees its calls.
+METHODS = (
+    Method("resultant", LEVELS, dict.fromkeys(  # kappa-fused resultant vector
+        ("kappa_q", "kappa_r"), "resultant score requires predicted kappas"),
+        _TWO, lambda x: match_uncertainty(x.kappa_q, x.kappa_r, x.cos)),
+    Method("inv_kappa", (QUERY,),  # the naive 1/kappa ablation
+           {"kappa_q": "inverse-kappa score requires a predicted kappa"},
+           _TWO, lambda x: query_uncertainty_inverse_kappa(x.kappa_q)),
+    Method("l2", LEVELS, {}, _HIGH, lambda x: l2_distance(x.cos)),
+    Method("pa", (QUERY,),
+           {"neighbours": "PA score needs at least 2 retrieved neighbors"},
+           _HIGH, lambda x: baseline_pa(x.result)),
+    Method("sue", (QUERY,), _SUE, _HIGH,
+           lambda x: baseline_sue(x.result, x.bank, x.neighbours)),
+    Method("sue_log", (QUERY,), _SUE, _HIGH,
+           lambda x: sue_log(baseline_sue(x.result, x.bank, x.neighbours))),
+)
+(METHOD_RESULTANT, METHOD_INV_KAPPA, METHOD_L2, METHOD_PA, METHOD_SUE,
+ METHOD_SUE_LOG) = ALL_METHODS = tuple(m.name for m in METHODS)
+
+
+def methods_at(level: str) -> tuple:
+    """The names of the methods with a `level` form, in table order."""
+    return tuple(m.name for m in METHODS if level in m.levels)
+
+
+def _score(level, name, result, bank, kappa_q, cols, k=None):
+    """Method `name`'s `level` scores of the columns `cols` of `result`,
+    or the MissingInputError of the first input it needs that is None."""
+    if name not in methods_at(level):
+        raise ValueError(f"unknown {level}-level method {name!r}")
+    record = METHODS[ALL_METHODS.index(name)]
+    k = result.ref_indices.shape[1] if k is None else k
+    x = SimpleNamespace(  # a neighbourhood of fewer than 2 neighbours is None
+        cos=result.similarities[:, cols], kappa_q=kappa_q, poses=bank.poses,
+        kappa_r=None if bank.kappas is None
+        else bank.kappas[result.ref_indices[:, cols]],
+        neighbours=k if 2 <= k <= result.ref_indices.shape[1] else None,
+        result=result, bank=bank)
+    for need, reason in record.needs.items():
+        if getattr(x, need) is None:
+            raise MissingInputError(reason)
+    value = record.score(x)
+    if isinstance(value, ResultantUncertainty):
+        return value
+    value = np.asarray(value, dtype=np.float64)
+    return ResultantUncertainty(value, np.zeros(value.shape, dtype=bool))
+
+
 def score_query(method: str, result: RetrievalResult, bank: DescriptorBank,
                 kappa_q=None, k: int | None = None) -> ResultantUncertainty:
     """Score every query of `result` under the given method tag.
 
-    `kappa_q` holds the (n,) query kappas.  Returns the (n,) value and
-    degenerate arrays; only the resultant score can be degenerate.
+    `kappa_q` holds the (n,) query kappas; SUE spreads the top `k` poses
+    (all K when None).  Returns the (n,) value and degenerate arrays; only
+    the resultant score can be degenerate.
     """
-    if method == METHOD_RESULTANT:
-        if bank.kappas is None or kappa_q is None:
-            raise MissingInputError("resultant score requires predicted kappas")
-        return match_uncertainty(kappa_q, bank.kappas[result.ref_indices[:, 0]],
-                                 result.similarities[:, 0])
-    k = k if k is not None else result.ref_indices.shape[1]
-    if method == METHOD_INV_KAPPA:
-        if kappa_q is None:
-            raise MissingInputError("inverse-kappa score requires a predicted kappa")
-        value = query_uncertainty_inverse_kappa(kappa_q)
-    elif method == METHOD_L2:
-        value = baseline_l2(result)
-    elif method == METHOD_PA:
-        value = baseline_pa(result)
-    elif method == METHOD_SUE:
-        value = baseline_sue(result, bank, k)
-    elif method == METHOD_SUE_LOG:
-        value = sue_log(baseline_sue(result, bank, k))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    value = np.asarray(value, dtype=np.float64)
-    return ResultantUncertainty(value, np.zeros(value.shape, dtype=bool))
+    return _score(QUERY, method, result, bank, kappa_q, 0, k)
+
+
+def score_pairs(method: str, result: RetrievalResult, bank: DescriptorBank,
+                kappa_q=None) -> ResultantUncertainty:
+    """Score every query-reference pair of `result` under the given method
+    tag; `kappa_q` holds the (n,) query kappas.  Returns (n, K) arrays."""
+    return _score(MATCH, method, result, bank,
+                  None if kappa_q is None else kappa_q[:, None], slice(None))

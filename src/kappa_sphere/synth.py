@@ -153,7 +153,8 @@ def _sample_prototypes(rng, c: int, d: int) -> np.ndarray:
     for _ in range(PROTOTYPE_ROUNDS):
         gram = np.abs(w @ w.T)
         np.fill_diagonal(gram, 0.0)
-        bad = np.unique(np.argwhere(gram >= PROTOTYPE_MAX_ABS_COS).ravel())
+        close = gram >= PROTOTYPE_MAX_ABS_COS
+        bad = np.flatnonzero(close.any(axis=0) | close.any(axis=1))
         if bad.size == 0:
             return w
         w[bad] = rng.standard_normal((bad.size, d))

@@ -604,6 +604,11 @@ class TestRecordedRetrieval:
         assert captured.out == "" and hashed == [] and searches == []
         assert captured.err.startswith("error: ") and \
             captured.err.endswith(f"(at $.scene.{key})\n")
+        # true whichever of --config and --seed gave the value, and its
+        # remedy names both
+        given = "5" if option == "--seed" else "16"
+        assert f"but this run's config and --seed give {given}; give gen's " \
+            "--config and --seed, or run gen with these" in captured.err
         assert {p.name: p.read_bytes() for p in evaluated.iterdir()} == files
         # the recorded seed, which the benchmark passes to every command
         for name in ("eval", "match-eval"):
@@ -765,6 +770,39 @@ class TestReportCommand:
                                                      edit)
         assert f"(at $.reports.{second}.{field})" in err
 
+    @pytest.mark.parametrize("unsupported, name, message", [
+        ({"bogus": "x"}, "bogus", "got 'bogus': 'x'"),
+        ({"pa": 3}, "pa", "got 'pa': 3"),
+        ({"l2": ["x"]}, "l2", "got 'l2': ['x']"),
+        ({"l2": "x"}, "l2", "got 'l2': 'x'")],
+        ids=["unknown method", "number reason", "reported, list reason",
+             "reported"])
+    def test_checks_every_unsupported_entry_before_printing(
+            self, workdir, tmp_path, capsys, unsupported, name, message):
+        # an unsupported entry names a query-level method that has no
+        # report, with its reason as a string; pa's reports are dropped so
+        # that it may be listed
+        out = workdir["out"]
+        assert main(["eval", "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        doc["reports"] = {key: rep for key, rep in doc["reports"].items()
+                          if rep["method"] != "pa"}
+        bad = tmp_path / "r.json"
+        for value, status in ((unsupported, 1), ({"pa": "no PA"}, 0)):
+            bad.write_text(json.dumps({**doc, "unsupported": value}))
+            for flags in ([], ["--svg"]):
+                capsys.readouterr()
+                assert main(["report", str(bad), *flags]) == status
+                captured = capsys.readouterr()
+                if status:
+                    assert captured.out == ""
+                    assert "that has no report and give a string, " \
+                        f"{message} " in captured.err
+                    assert captured.err.endswith(
+                        f"(at $.unsupported.{name})\n")
+                    assert not sorted(tmp_path.glob("*.svg"))
+        assert "pa                    unsupported: no PA" in captured.out
+
     @pytest.mark.parametrize("edit, message, field", [
         (lambda rep: rep.update(foo=1), "unknown key 'foo'", "foo"),
         (lambda rep: rep.update(strategy="bogus"), "'bogus'", "strategy"),
@@ -819,9 +857,17 @@ class TestReportCommand:
             level="query"), "level must be one of ['match']",
          "$.reports.l2.level"),
         ("match_report.json", lambda doc: doc.pop("k"), "k must be int",
-         "$.k")],
+         "$.k"),
+        # PA and SUE have no match-level form, which match-eval never writes
+        ("match_report.json", lambda doc: doc["reports"]["l2"].update(
+            method="pa"), "method must be one of ['resultant', 'l2'], got "
+         "'pa'", "$.reports.l2.method"),
+        ("match_report.json", lambda doc: doc["reports"]["l2"].update(
+            method="sue"), "method must be one of ['resultant', 'l2'], got "
+         "'sue'", "$.reports.l2.method")],
         ids=["query k", "query entry of match level", "match k",
-             "match name", "match entry of query level", "no match k"])
+             "match name", "match entry of query level", "no match k",
+             "match pa", "match sue"])
     def test_rejects_an_entry_its_name_and_document_do_not_describe(
             self, cli_default, tmp_path, capsys, report, edit, message,
             where):

@@ -62,19 +62,20 @@ class TestResultantScores:
 
 
 class TestL2:
-    def test_closed_form(self):
+    # a query's L2 score is the distance of its top match
+    def test_closed_form(self, rng):
         res = make_result([0.5, 0.1])
-        assert sc.baseline_l2(res)[0] == pytest.approx(1.0, rel=1e-15)  # sqrt(2-1)
+        got = sc.score_query(sc.METHOD_L2, res, make_bank(rng)).value[0]
+        assert got == pytest.approx(1.0, rel=1e-15)  # sqrt(2-1)
 
     def test_perfect_match_is_zero(self):
-        assert sc.baseline_l2(make_result([1.0]))[0] == 0.0
+        assert sc.l2_distance(1.0) == 0.0
 
     def test_clamps_float_noise(self):
-        assert sc.baseline_l2(make_result([1.0 + 1e-15]))[0] == 0.0
+        assert sc.l2_distance(1.0 + 1e-15) == 0.0
 
     def test_decreasing_in_cosine(self):
-        values = [sc.baseline_l2(make_result([c]))[0]
-                  for c in np.linspace(-1.0, 1.0, 11)]
+        values = sc.l2_distance(np.linspace(-1.0, 1.0, 11))
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -90,9 +91,10 @@ class TestPa:
     def test_both_perfect_gives_one(self):
         assert sc.baseline_pa(make_result([1.0, 1.0]))[0] == 1.0
 
-    def test_needs_two_neighbors(self):
-        with pytest.raises(ValueError):
-            sc.baseline_pa(make_result([0.9]))
+    def test_needs_two_neighbors(self, rng):
+        # the table's input check, before the scorer runs
+        with pytest.raises(sc.MissingInputError, match="2 retrieved"):
+            sc.score_query(sc.METHOD_PA, make_result([0.9]), make_bank(rng))
 
 
 class TestSue:
@@ -121,8 +123,9 @@ class TestSue:
     def test_missing_poses(self, rng):
         bank = make_bank(rng, poses=False)
         res = make_result([0.9, 0.8], ref_indices=[0, 1])
-        with pytest.raises(sc.MissingInputError, match="poses"):
-            sc.baseline_sue(res, bank, k=2)
+        for method in (sc.METHOD_SUE, sc.METHOD_SUE_LOG):
+            with pytest.raises(sc.MissingInputError, match="poses"):
+                sc.score_query(method, res, bank, k=2)
 
     def test_sue_log_compression(self):
         assert sc.sue_log(0.0) == 0.0
@@ -143,7 +146,7 @@ class TestScoreQuery:
         assert sc.score_query(sc.METHOD_INV_KAPPA, res, bank,
                               kappa_q=kq).value[0] == pytest.approx(0.1)
         assert sc.score_query(sc.METHOD_L2, res, bank).value == \
-            sc.baseline_l2(res)
+            sc.l2_distance(0.9)
         assert sc.score_query(sc.METHOD_PA, res, bank).value == \
             sc.baseline_pa(res)
         assert sc.score_query(sc.METHOD_SUE, res, bank, k=3).value == \
@@ -170,6 +173,9 @@ class TestScoreQuery:
         bank = make_bank(rng)
         with pytest.raises(ValueError):
             sc.score_query("entropy", make_result([0.5, 0.4]), bank)
+        # PA has no match-level form
+        with pytest.raises(ValueError, match="match-level method 'pa'"):
+            sc.score_pairs(sc.METHOD_PA, make_result([0.5, 0.4]), bank)
 
     def test_degenerate_flag_propagates(self, rng):
         kappas = np.array([5.0] * 6)

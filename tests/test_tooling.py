@@ -5,8 +5,10 @@ submodule table lists its module files; no package
 module imports scipy, and the CLI's modules start without
 it; every module-level function and class of the package runs outside the
 tests; every raise in the package is an exception the CLI reports; --help
-and argument errors return without loading numpy; every demo runs; and no
-CLI command leaves a temp file in its run directory."""
+and argument errors return without loading numpy; every demo runs; no
+CLI command leaves a temp file in its run directory; no module but scores
+spells a method's name; traced scores keep their spans; and gen does not
+load numpy.ma."""
 
 import ast
 import importlib
@@ -115,6 +117,45 @@ def test_trace_epoch_counters_read_the_history():
         assert count((), {}, run()) == cfg.max_epochs, name
 
 
+def test_traced_scores_keep_their_spans(tmp_path):
+    # The tracer replaces scores.score_query and scores.match_uncertainty
+    # in every package module as it is imported; a caller that reached one
+    # through a reference stored elsewhere (a method table) would drop its
+    # calls out of the scores.* spans.  eval scores each query-level
+    # method once and fuses kappas once, inside the resultant's call;
+    # match-eval fuses them once more, for the pairs.
+    from kappa_sphere import scores as sc
+    from kappa_sphere.cli import main
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "scene": {"num_classes": 8, "images_per_class": 10,
+                  "descriptor_dim": 16},
+        "train": {"max_epochs": 2, "warmup": 0}}))
+    out = tmp_path / "run"
+    for argv in (["gen", "--config", str(cfg)], ["fit"]):
+        assert main([*argv, "--out", str(out)]) == 0
+    want = {"eval": {"score_query": (len(sc.methods_at(sc.QUERY)),
+                                     "pipeline.evaluate_queries"),
+                     "match_uncertainty": (1, "scores.score_query")},
+            "match-eval": {"score_query": (0, None),
+                           "match_uncertainty": (1,
+                                                 "pipeline.evaluate_matches")}}
+    for command, functions in want.items():
+        spans = tmp_path / f"{command}.json"
+        proc = _run_python([str(TRACE_RUNNER), str(spans), "--", command,
+                            "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        trace = json.loads(spans.read_text())
+        names = trace["names"]
+        for function, (calls, parent) in functions.items():
+            found = [span for span in trace["spans"]
+                     if names[span[0]] == f"scores.{function}"]
+            assert len(found) == calls, (command, function)
+            assert {names[trace["spans"][span[3]][0]] for span in found} \
+                <= {parent}, (command, function)
+
+
 def test_submodules_are_the_module_files():
     # the package's lazy attribute table names exactly its module files,
     # so a deleted module cannot stay listed
@@ -167,6 +208,20 @@ def test_harness_configs_load(tmp_path):
 
 def _parsed(paths):
     return {path: ast.parse(path.read_text()) for path in paths}
+
+
+def test_method_names_are_spelled_only_in_scores():
+    # scores.METHODS is the one table of the methods; a module that spelled
+    # a method's name would be a second place to change with it
+    from kappa_sphere import scores as sc
+
+    found = [f"{path.name}:{node.lineno} {node.value!r}"
+             for path, tree in _parsed(sorted(PACKAGE.glob("*.py"))).items()
+             if path.name != "scores.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in sc.ALL_METHODS]
+    assert len(sc.ALL_METHODS) == 6
+    assert not found, found
 
 
 def test_no_package_module_imports_scipy():
@@ -269,6 +324,21 @@ def test_help_and_argument_errors_skip_numpy():
             "    else:\n"
             "        raise AssertionError(argv)\n"
             "print('numpy' in sys.modules)")
+    assert _fresh_python(code).splitlines()[-1] == "False"
+
+
+def test_gen_skips_numpy_ma(tmp_path):
+    # numpy.ma costs about 17 ms to import, and np.unique loads it; no
+    # command needs it, gen included
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scene": {"num_classes": 8,
+                                         "images_per_class": 10,
+                                         "descriptor_dim": 16}}))
+    code = ("import sys\n"
+            "from kappa_sphere.cli import main\n"
+            f"assert main(['gen', '--config', {str(cfg)!r}, '--out',\n"
+            f"             {str(tmp_path / 'run')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
     assert _fresh_python(code).splitlines()[-1] == "False"
 
 
