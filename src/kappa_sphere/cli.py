@@ -20,6 +20,10 @@ report's ``config`` block is the config its run read.
 
 Heavy imports happen inside the command functions, so ``--help`` and
 argument errors return without loading numpy.
+
+Run as the program (the ``kappa-sphere`` console script, or
+``sys.exit(main())``), a command ends the process at its last flush and
+skips the interpreter's finalization; ``main(argv)`` returns its status.
 """
 
 from __future__ import annotations
@@ -219,12 +223,15 @@ def cmd_match_eval(args) -> int:
     body = {
         "level": "match",
         "k": k,
+        "unsupported": ev.unsupported,
         "reports": {m: rep.to_dict() for m, rep in sorted(ev.reports.items())},
     }
     out_path = os.path.join(args.out, "match_report.json")
     fileio.atomic_write_text(out_path, fileio.report_document(body, run))
     for m, rep in sorted(ev.reports.items()):
         print(f"match {m:12s} ECE@{k} = {rep.ece:.4f}  (T={rep.total})")
+    for m, reason in ev.unsupported.items():
+        print(f"match {m:12s} unsupported: {reason}")
     print(f"wrote {out_path}")
     return 0
 
@@ -308,13 +315,46 @@ _COMMANDS = {
 }
 
 
+def _end(status: int) -> None:
+    """End the process with `status` once stdout and stderr are flushed,
+    skipping the interpreter's finalization.  A flush that fails (a
+    closed pipe or stream) returns instead, and the interpreter's own
+    exit reports it as it would without this."""
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when started with the fd closed
+                stream.flush()
+    except (OSError, ValueError):
+        return
+    os._exit(status)
+
+
 def main(argv=None) -> int:
+    """Run the command `argv` (sys.argv[1:] when None) and return its exit
+    status: 0, or 1 after an `error:` line on stderr.
+
+    With `argv` None, the call is the program's (the console script and
+    ``sys.exit(main())``), and once the command has returned or printed
+    its error, `main` ends the process at the last flush of stdout and
+    stderr: finalizing numpy's and the package's modules costs tens of
+    milliseconds per command, and nothing reads its result.  That is safe
+    because every artifact is closed and renamed into place inside its
+    command (`fileio._atomic_file`, `fileio.atomic_write_*`), no module of
+    the package starts a thread or registers an `atexit` hook, and no
+    write waits for finalization.  An uncaught exception, an argparse
+    exit and a flush that raises take the interpreter's usual exit, and
+    an in-process call `main(argv)` (the tests, the layer tracer) always
+    returns.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status = 1
+    if argv is None:
+        _end(status)
+    return status
 
 
 if __name__ == "__main__":

@@ -79,15 +79,17 @@ def _resultant_ece1(dataset, head, results, db_bank: DescriptorBank, db_idx,
                     k=1, method=sc.METHOD_RESULTANT).ece
 
 
-def _recall_and_ece1(dataset, encoder, head, val_idx, db_idx, tau, binning):
+def _recall_and_ece1(dataset, encoder, head, val_idx, db_idx, val_raw,
+                     db_raw, tau, binning):
     """Joint-training hook: Recall@1 and, with a head, resultant ECE@1 on
     validation queries, with database descriptors recomputed from the live
-    encoder weights."""
-    db_desc = encode(encoder, dataset.raw[db_idx])
+    encoder weights; `val_raw` and `db_raw` are the raw rows `val_idx`
+    and `db_idx`, gathered once per fit."""
+    db_desc = encode(encoder, db_raw)
     db_bank = DescriptorBank(
         descriptors=db_desc, ids=dataset.bank.ids[db_idx],
         labels=dataset.bank.labels[db_idx], poses=dataset.bank.poses[db_idx])
-    results = _marked_knn(encode(encoder, dataset.raw[val_idx]),
+    results = _marked_knn(encode(encoder, val_raw),
                           dataset.bank.poses[val_idx], db_bank, tau)
     if head is None:
         return (recall_at_k(results, 1),)
@@ -145,9 +147,11 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
     train = TrainData(features=dataset.head_inputs()[idx],
                       labels=dataset.bank.labels[idx], raw=dataset.raw[idx])
     db_idx = dataset.splits["db"]
+    val_raw, db_raw = dataset.raw[val_idx], dataset.raw[db_idx]
 
     def hook(enc, protos, h):
-        return _recall_and_ece1(dataset, enc, h, val_idx, db_idx, tau, binning)
+        return _recall_and_ece1(dataset, enc, h, val_idx, db_idx, val_raw,
+                                db_raw, tau, binning)
 
     return train_joint(train, encoder, dataset.prototypes, head, cfg, lmcl,
                        eval_hook=hook)
@@ -234,6 +238,7 @@ class MatchEvaluation:
     reports: dict               # method -> CalibrationReport (match level)
     pairs: dict                 # method -> (value, degenerate), (n, K) each
     positive: np.ndarray        # (n, K) ground-truth positive pairs
+    unsupported: dict = field(default_factory=dict)  # method -> reason
 
 
 def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
@@ -245,7 +250,8 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
 
     Scores each pair with every match-level method of `scores.METHODS`
     whose inputs are there (resultant fusion needs both banks' kappas,
-    the L2 distance nothing).  Scoring
+    the L2 distance nothing) and files the others as unsupported, with
+    the table's reason, as `evaluate_queries` does.  Scoring
     reads only the search's `ref_indices` and `similarities` and each
     side's `poses` and `kappas`, so the banks may be any rows carrying
     those: `match-eval` passes the `fileio.read_retrieval` of eval's
@@ -258,19 +264,21 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
                              tau)
 
     pairs = {}
+    unsupported = {}
     for method in sc.methods_at(sc.MATCH):
         try:
             pairs[method] = sc.score_pairs(method, results, bank,
                                            query_bank.kappas)
-        except sc.MissingInputError:
-            pass  # a match report has no unsupported list
+        except sc.MissingInputError as exc:
+            unsupported[method] = str(exc)
 
     reports = {}
     for method, (value, _) in pairs.items():
         reports[method] = match_ece_at_k(value, positive,
                                          binning_for(method, binning),
                                          method=method)
-    return MatchEvaluation(reports=reports, pairs=pairs, positive=positive)
+    return MatchEvaluation(reports=reports, pairs=pairs, positive=positive,
+                           unsupported=unsupported)
 
 
 def scene_banks(dataset: SynthDataset, head: dict):

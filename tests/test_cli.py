@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -342,6 +343,28 @@ class TestMatchEval:
         assert doc["level"] == "match" and doc["k"] == 1
         assert set(doc["reports"]) == {"resultant", "l2"}
         assert doc["reports"]["resultant"]["level"] == "match"
+        assert doc["unsupported"] == {}
+
+    def test_files_a_method_without_kappas_as_unsupported(self, workdir,
+                                                          tmp_path, capsys):
+        # before fit, the manifest holds no kappas: match-eval scores l2
+        # alone and says, in its report and on stdout, why the pair score
+        # is missing, with the reason the method table gives
+        out = tmp_path / "unfitted"
+        assert main(["gen", "--config", str(workdir["cfg"]),
+                     "--out", str(out)]) == 0
+        assert main(["eval", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["match-eval", "--out", str(out)]) == 0
+        reason = sc.METHODS[sc.ALL_METHODS.index("resultant")].needs["kappa_r"]
+        assert f"match resultant    unsupported: {reason}\n" in \
+            capsys.readouterr().out
+        doc = json.loads((out / "match_report.json").read_text())
+        assert set(doc["reports"]) == {"l2"}
+        assert doc["unsupported"] == {"resultant": reason}
+        assert main(["report", str(out / "match_report.json")]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"resultant             unsupported: {reason}\n")
 
     def test_method_flag_rejected(self, workdir, capsys):
         # match-eval scores every pair it can; a method subset it would
@@ -1063,6 +1086,88 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "post_training" in err and "(at $.train.mode)" in err
         assert not out.exists()
+
+
+# the benchmark harness's entry, after an atexit hook that prints a marker
+# when the interpreter finalizes
+_FINALIZED = "finalized"
+_ENTRY = ("import atexit, sys\n"
+          f"atexit.register(print, {_FINALIZED!r})\n"
+          "from kappa_sphere.cli import main\n"
+          "sys.exit(main())")
+
+
+def _program(argv, **popen) -> subprocess.Popen:
+    """`argv` run by a fresh interpreter as the program, stdout and stderr
+    piped; without PYTHONUNBUFFERED, stdout is block-buffered, so a
+    command that ended before flushing would lose its output."""
+    src = os.path.dirname(os.path.dirname(fileio.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-c", _ENTRY, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, **popen)
+
+
+def _run_program(argv, **popen):
+    """(status, stdout, stderr) of `argv` run as the program."""
+    proc = _program(argv, **popen)
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err
+
+
+class TestProgramExit:
+    """Run as the program, a command ends the process at its last flush,
+    skipping finalization; main(argv) returns."""
+
+    def test_each_command_prints_what_it_prints_in_process(self, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        for argv in (["gen", "--config", str(cfg), "--out", str(out)],
+                     *([command, "--out", str(out)] for command in
+                       ("fit", "eval", "match-eval", "train")),
+                     ["report", str(out / "report.json")]):
+            capsys.readouterr()
+            assert main(argv) == 0, argv
+            printed = capsys.readouterr().out
+            assert _run_program(argv) == (0, printed, ""), argv
+
+    def test_statuses(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"ks": []}))
+        status, out, err = _run_program(
+            ["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith("(at $.ks)\n")
+        # an argparse exit takes the interpreter's usual exit
+        status, out, err = _run_program(
+            ["eval", "--out", str(tmp_path / "o"), "--seed", "x"])
+        assert (status, out) == (2, f"{_FINALIZED}\n")
+        assert "invalid int value: 'x'" in err
+        # started with its stdout closed, Python has no sys.stdout to flush
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        assert _run_program(
+            ["gen", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            preexec_fn=lambda: os.close(1)) == (0, "", "")
+        assert (tmp_path / "o" / "scene.npz").is_file()
+
+    def test_a_reader_that_closes_early_fails_the_report(self, workdir,
+                                                         tmp_path):
+        # 2,000 bins print far more than a pipe holds, so the reader's
+        # close meets a write still to come, which fails the command
+        out = _copy_scene(workdir, tmp_path / "o")
+        bins = _config_with(out, tmp_path / "bins.json",
+                            binning={"num_bins": 2000})
+        assert main(["eval", *bins, "--out", str(out)]) == 0
+        proc = _program(["report", str(out / "report.json")])
+        assert proc.stdout.readline().startswith("seed 0")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) != 0
+        assert "Broken pipe" in err
 
 
 class TestPooling:

@@ -7,8 +7,9 @@ it; every module-level function and class of the package runs outside the
 tests; every raise in the package is an exception the CLI reports; --help
 and argument errors return without loading numpy; every demo runs; no
 CLI command leaves a temp file in its run directory; no module but scores
-spells a method's name; traced scores keep their spans; and gen does not
-load numpy.ma."""
+spells a method's name; traced scores keep their spans; gen does not
+load numpy.ma; and no package module leaves work to interpreter
+finalization."""
 
 import ast
 import importlib
@@ -224,9 +225,9 @@ def test_method_names_are_spelled_only_in_scores():
     assert not found, found
 
 
-def test_no_package_module_imports_scipy():
-    # scipy is a test dependency; the oracles that need it live in
-    # tests/oracles.py.  Function-level imports count too.
+def _package_imports(top_level) -> list:
+    """"<file>:<line> <module>" for each import, function-level ones too,
+    in the package of a module whose top-level name is in `top_level`."""
     found = []
     for path, tree in _parsed(sorted(PACKAGE.glob("*.py"))).items():
         for node in ast.walk(tree):
@@ -237,7 +238,23 @@ def test_no_package_module_imports_scipy():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {module}" for module in modules
-                      if module.split(".")[0] == "scipy"]
+                      if module.split(".")[0] in top_level]
+    return found
+
+
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency; the oracles that need it live in
+    # tests/oracles.py.
+    found = _package_imports({"scipy"})
+    assert not found, found
+
+
+def test_package_leaves_no_work_to_finalization():
+    # run as the program, a command ends with os._exit once stdout and
+    # stderr are flushed (cli.main), which would cut short a thread, a
+    # child process, an atexit hook or a signal handler
+    found = _package_imports({"_thread", "atexit", "concurrent",
+                              "multiprocessing", "signal", "threading"})
     assert not found, found
 
 
