@@ -130,15 +130,10 @@ def bin_assign(values, config: BinningConfig) -> np.ndarray:
         raise ValueError("no values to bin")
     m = config.num_bins
     if config.strategy is BinStrategy.QUANTILE:
-        order = np.argsort(v, kind="stable")
+        sizes = len(v) // m + (np.arange(m) < len(v) % m)
         bins = np.empty(len(v), dtype=np.int64)
-        n = len(v)
-        base, extra = divmod(n, m)
-        start = 0
-        for i in range(m):
-            size = base + (1 if i < extra else 0)
-            bins[order[start:start + size]] = i + 1
-            start += size
+        bins[np.argsort(v, kind="stable")] = np.repeat(np.arange(1, m + 1),
+                                                       sizes)
         return bins
     lo = float(v.min())
     hi = float(v.max())
@@ -149,10 +144,11 @@ def bin_assign(values, config: BinningConfig) -> np.ndarray:
 
 
 def expected_level(i: int, m: int) -> float:
-    """Rank-anchored expectation C(B_i) = (M - i)/(M - 1); C(1)=1, C(M)=0."""
+    """Rank-anchored expectation C(B_i) = (M - i)/(M - 1); C(1)=1, C(M)=0.
+    An array of bin indices `i` gives the array of their levels."""
     if m < 2:
         raise ValueError("need at least 2 bins")
-    if not 1 <= i <= m:
+    if np.min(i) < 1 or np.max(i) > m:
         raise ValueError(f"bin index {i} out of range 1..{m}")
     return (m - i) / (m - 1)
 
@@ -225,25 +221,18 @@ def _ece_report(scores, flags, config: BinningConfig, k: int, method: str,
     bins = bin_assign(clamped, config)
     m = config.num_bins
     n = len(scores)
-    counts, observed, expected = [], [], []
-    ece = 0.0
-    for i in range(1, m + 1):
-        mask = bins == i
-        cnt = int(mask.sum())
-        exp = expected_level(i, m)
-        counts.append(cnt)
-        expected.append(exp)
-        if cnt == 0:
-            observed.append(None)
-            continue
-        obs = float(flags[mask].mean())
-        observed.append(obs)
-        ece += (cnt / n) * abs(obs - exp)
+    counts = np.bincount(bins, minlength=m + 1)[1:]
+    hits = np.bincount(bins, weights=flags, minlength=m + 1)[1:]
+    filled = counts > 0
+    observed = np.divide(hits, counts, out=np.zeros(m), where=filled)
+    expected = expected_level(np.arange(1, m + 1), m)
+    # an empty bin adds 0.0; cumsum adds the terms in bin order
+    ece = np.cumsum(counts / n * np.abs(observed - expected))[-1]
     return CalibrationReport(
         method=method, k=k, num_bins=m, strategy=config.strategy,
-        clamp=config.clamp, clamp_bounds=bounds, bin_counts=counts,
-        bin_observed=observed, bin_expected=expected, ece=ece, total=n,
-        level=level,
+        clamp=config.clamp, clamp_bounds=bounds, bin_counts=counts.tolist(),
+        bin_observed=np.where(filled, observed, None).tolist(),
+        bin_expected=expected.tolist(), ece=float(ece), total=n, level=level,
     )
 
 

@@ -41,21 +41,14 @@ def predict_kappas(rows, head: dict) -> np.ndarray:
     return kappas
 
 
-def _validation_split(train_idx, seed: int):
-    """Carve a fixed 10% of training samples out as calibration validation."""
-    rng = np.random.default_rng(seed + 7919)
-    train_idx = np.asarray(train_idx)
-    perm = rng.permutation(len(train_idx))
-    n_val = max(1, int(round(VALIDATION_FRACTION * len(train_idx))))
-    return train_idx[perm[n_val:]], train_idx[perm[:n_val]]
-
-
 def _fit_rows(dataset: SynthDataset, seed: int):
-    """The fit portion of the train split, in split order, and the
-    validation portion that stays held out.  Returns (fit_idx, val_idx)."""
+    """The fit portion of the train split, in split order, and a fixed 10%
+    of it (in a permutation drawn from `seed`) held out as calibration
+    validation.  Returns (fit_idx, val_idx)."""
     train_idx = dataset.splits["train"]
-    fit_idx, val_idx = _validation_split(train_idx, seed)
-    return train_idx[np.isin(train_idx, fit_idx)], val_idx
+    perm = np.random.default_rng(seed + 7919).permutation(len(train_idx))
+    n_val = max(1, int(round(VALIDATION_FRACTION * len(train_idx))))
+    return train_idx[np.sort(perm[n_val:])], train_idx[perm[:n_val]]
 
 
 def _marked_knn(queries, query_poses, db_bank: DescriptorBank, tau: float):

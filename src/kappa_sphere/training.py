@@ -45,6 +45,10 @@ class TrainConfig:
                          ("patience", 1), ("max_epochs", 1)):
             if getattr(self, key) < low:
                 raise FieldError(key, f">= {low}", getattr(self, key))
+        if self.warmup >= self.max_epochs:
+            # no epoch would be selectable: the fit would keep its start
+            raise ValueError(f"require warmup < max_epochs, got warmup "
+                             f"{self.warmup} and max_epochs {self.max_epochs}")
 
 
 @dataclass

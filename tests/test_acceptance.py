@@ -442,7 +442,7 @@ def test_criterion_9_joint_training_non_degradation():
     encoder = rng.standard_normal(
         (dataset.config.descriptor_dim, dataset.raw.shape[1]))
     head0 = init_head(dataset.config.feature_shape, hidden=8, rng=0)
-    cfg = TrainConfig(lam=0.0, lr=1e-4, max_epochs=8, seed=0)
+    cfg = TrainConfig(lam=0.0, lr=1e-4, max_epochs=8, warmup=0, seed=0)
     lmcl = LmclConfig()
     enc_a, pro_a, _, hist_a = train_joint(data, encoder, dataset.prototypes,
                                           head0, cfg, lmcl)

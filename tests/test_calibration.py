@@ -234,25 +234,67 @@ class TestMatchEce:
                            config=BinningConfig())
 
 
+def _draws():
+    """The 1000 random instances the oracle tests share: both strategies,
+    every clamp mode, ties, and n < M (empty bins) among them."""
+    r = np.random.default_rng(999)
+    strategies = list(BinStrategy)
+    modes = list(ClampMode)
+    for trial in range(1000):
+        n = int(r.integers(5, 60))
+        m = int(r.integers(2, 12))
+        scores = r.uniform(-2.0, 2.0, n)
+        if r.random() < 0.2:  # exercise ties
+            scores = np.round(scores, 1)
+        flags = r.integers(0, 2, n)
+        yield trial, scores, flags, BinningConfig(
+            num_bins=m, strategy=strategies[trial % 2], clamp=modes[trial % 3])
+
+
+def _recount(scores, flags, cfg):
+    """(bin_counts, bin_observed) by one mask per bin over the clamp and
+    the bin assignment of the fast path."""
+    bins = bin_assign(clamp_values(scores, cfg)[0], cfg)
+    flags = np.asarray(flags, dtype=np.float64)
+    masks = [bins == i for i in range(1, cfg.num_bins + 1)]
+    return ([int(mask.sum()) for mask in masks],
+            [float(flags[mask].mean()) if mask.any() else None
+             for mask in masks])
+
+
 class TestOracleEquivalence:
     def test_randomized_exact_equality(self):
         # 1000 instances across both strategies and all clamp modes.
-        r = np.random.default_rng(999)
-        strategies = list(BinStrategy)
-        modes = list(ClampMode)
-        for trial in range(1000):
-            n = int(r.integers(5, 60))
-            m = int(r.integers(2, 12))
-            scores = r.uniform(-2.0, 2.0, n)
-            if r.random() < 0.2:  # exercise ties
-                scores = np.round(scores, 1)
-            flags = r.integers(0, 2, n)
-            cfg = BinningConfig(num_bins=m,
-                                strategy=strategies[trial % 2],
-                                clamp=modes[trial % 3])
+        for trial, scores, flags, cfg in _draws():
             fast = ece_at_k(scores, flags, cfg).ece
             oracle = ece_bruteforce_oracle(scores, flags, cfg)
             assert fast == oracle, (trial, cfg)
+
+    def test_bin_lists_match_a_recount(self):
+        # the per-bin lists, not only the ECE, equal a mask-per-bin
+        # recount, with None exactly where a bin is empty
+        short = dict.fromkeys(BinStrategy, 0)
+        for trial, scores, flags, cfg in _draws():
+            rep = ece_at_k(scores, flags, cfg)
+            counts, observed = _recount(scores, flags, cfg)
+            assert rep.bin_counts == counts, (trial, cfg)
+            assert rep.bin_observed == observed, (trial, cfg)
+            assert [obs is None for obs in rep.bin_observed] == \
+                [count == 0 for count in counts]
+            assert {type(count) for count in rep.bin_counts} == {int}
+            short[cfg.strategy] += len(scores) < cfg.num_bins
+        assert min(short.values()) > 0, short  # empty bins under both
+
+    def test_match_bin_lists_match_a_recount(self):
+        # bool positives in (n, K) blocks: the lists are the recount of
+        # the row-major pairs
+        for trial, scores, flags, cfg in _draws():
+            k = 1 + trial % 3
+            t = len(scores) // k * k
+            rep = match_ece_at_k(scores[:t].reshape(-1, k),
+                                 flags[:t].reshape(-1, k).astype(bool), cfg)
+            assert (rep.bin_counts, rep.bin_observed) == \
+                _recount(scores[:t], flags[:t], cfg), (trial, cfg)
 
     def test_single_bin_edge_case(self):
         cfg = BinningConfig(num_bins=2, clamp=ClampMode.NONE)

@@ -995,6 +995,9 @@ class TestErrors:
         ({"scene": {"num_classes": 1}}, "$.scene.num_classes"),
         ({"scene": {"images_per_class": 0}}, "$.scene.images_per_class"),
         ({"scene": {"kappa_min": 0}}, "$.scene.kappa_min"),
+        # a constraint between keys: no epoch past the warmup, so the fit
+        # would keep its starting parameters
+        ({"train": {"max_epochs": 5}}, "$.train"),
     ])
     def test_bad_config_value_located(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "config.json"
@@ -1002,6 +1005,7 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert f"(at {path})" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # failed before any write
 
     @pytest.mark.parametrize("config, message", [
         ({"train": {"lr": 0}}, "lr must be > 0, got 0 (at $.train.lr)"),

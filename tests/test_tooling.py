@@ -1,15 +1,14 @@
 """The layer tracer's targets and the names the benchmark harness imports
 from the package exist, so a rename fails here rather than in a benchmark
-run; the benchmark runs eval before every match-eval; the package's
-submodule table lists its module files; no package
-module imports scipy, and the CLI's modules start without
-it; every module-level function and class of the package runs outside the
-tests; every raise in the package is an exception the CLI reports; --help
-and argument errors return without loading numpy; every demo runs; no
-CLI command leaves a temp file in its run directory; no module but scores
-spells a method's name; traced scores keep their spans; gen does not
-load numpy.ma; and no package module leaves work to interpreter
-finalization."""
+run; the benchmark runs eval before every match-eval; the ECE oracle
+shares no code with the fast path; no package module imports scipy, and
+the CLI's modules start without it; every module-level function and class
+of the package runs outside the tests; every raise in the package is an
+exception the CLI reports; --help and argument errors return without
+loading numpy; every demo runs; no CLI command leaves a temp file in its
+run directory; no module but scores spells a method's name; traced scores
+keep their spans; gen does not load numpy.ma; and no package module leaves
+work to interpreter finalization."""
 
 import ast
 import importlib
@@ -157,13 +156,19 @@ def test_traced_scores_keep_their_spans(tmp_path):
                 <= {parent}, (command, function)
 
 
-def test_submodules_are_the_module_files():
-    # the package's lazy attribute table names exactly its module files,
-    # so a deleted module cannot stay listed
-    import kappa_sphere
-
-    assert kappa_sphere._SUBMODULES == {
-        path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+def test_ece_oracle_shares_no_code_with_the_fast_path():
+    # criterion 4 and the benchmark's eval check compare the ECE with
+    # ece_bruteforce_oracle exactly; an oracle that called the fast path's
+    # clamp, binning or anchors would agree with a bug in them
+    tree = ast.parse((PACKAGE / "calibration.py").read_text())
+    oracle, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "ece_bruteforce_oracle"]
+    used = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(oracle)
+             if isinstance(node, ast.Attribute)}
+    assert not used & {"clamp_values", "bin_assign", "_ece_report",
+                       "expected_level", "_clamp_indices", "CLAMP_LOW_PCT",
+                       "CLAMP_HIGH_PCT"}, used
 
 
 def test_harness_imports_exist():
@@ -262,7 +267,6 @@ def test_package_names_run_outside_the_tests():
     # What the tests exercise is what production runs: every module-level
     # function and class of the package is referenced by code outside
     # tests/ (a package module, a demo or the benchmark), not only defined.
-    # Dunders such as a module's __getattr__ are called by the interpreter.
     # A reference is matched by name alone, so the check errs toward passing.
     production = sorted(PACKAGE.glob("*.py")) + DEMOS + sorted(
         (ROOT / "perfbench").glob("*.py"))
@@ -278,8 +282,7 @@ def test_package_names_run_outside_the_tests():
     defined = [(path.stem, node.name)
                for path, tree in _parsed(sorted(PACKAGE.glob("*.py"))).items()
                for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not node.name.startswith("__")]
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     unused = {f"{module}.{name}" for module, name in defined
               if name not in used}
     assert unused == set()
@@ -289,8 +292,7 @@ def test_package_raises_what_the_cli_reports():
     # cli.main prints "error: ..." for ValueError, OSError and KeyError, so
     # any other exception a command raises ends in a traceback.  Each
     # raise is resolved in its module's namespace; a bare re-raise passes
-    # on what its handler caught.  The package __getattr__'s AttributeError
-    # is the attribute protocol, not a command error.
+    # on what its handler caught.
     import builtins
 
     reported = (ValueError, OSError, KeyError)
@@ -299,22 +301,17 @@ def test_package_raises_what_the_cli_reports():
         name = "kappa_sphere" if path.stem == "__init__" \
             else f"kappa_sphere.{path.stem}"
         namespace = {**vars(builtins), **vars(importlib.import_module(name))}
-        for top in tree.body:
-            if (path.stem, getattr(top, "name", None)) == ("__init__",
-                                                           "__getattr__"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
-            for node in ast.walk(top):
-                if not isinstance(node, ast.Raise) or node.exc is None:
-                    continue
-                exc = node.exc.func if isinstance(node.exc, ast.Call) \
-                    else node.exc
-                try:
-                    cls = eval(ast.unparse(exc), namespace)
-                except NameError:
-                    cls = None
-                if not (isinstance(cls, type) and issubclass(cls, reported)):
-                    found.append(f"{path.name}:{node.lineno} "
-                                 f"{ast.unparse(exc)}")
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            try:
+                cls = eval(ast.unparse(exc), namespace)
+            except NameError:
+                cls = None
+            if not (isinstance(cls, type) and issubclass(cls, reported)):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(exc)}")
     assert not found, found
 
 

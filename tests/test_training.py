@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kappa_sphere import pipeline
+from kappa_sphere.calibration import FieldError
 from kappa_sphere.head import aggregate, init_head
 from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import (AdamState, LmclConfig, TrainConfig,
@@ -316,7 +317,8 @@ class TestTrainPost:
             data.labels[5] = bad
             with pytest.raises(ValueError, match=rf"label {bad} at row 5 "
                                r"outside \[0, 4\)"):
-                train_post(data, protos, head, TrainConfig(max_epochs=2))
+                train_post(data, protos, head,
+                           TrainConfig(max_epochs=2, warmup=0))
 
     def test_requires_descriptors(self, rng):
         data = TrainData(features=rng.standard_normal((4, 3)),
@@ -339,7 +341,7 @@ class TestEpochBatches:
             return 0.0, {"w": np.zeros(1)}
 
         _fit({"w": np.zeros(1)}, loss_and_grads, n,
-             TrainConfig(batch_size=32, max_epochs=1, seed=5), None,
+             TrainConfig(batch_size=32, max_epochs=1, warmup=0, seed=5), None,
              (("metric", +1),))
         perm = np.random.default_rng(5).permutation(n)
         assert [len(b) for b in seen] == [32, 32, 6]
@@ -497,3 +499,18 @@ class TestConfigValidation:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             LmclConfig(margin=1.0)
+
+    def test_warmup_below_max_epochs(self):
+        # with no epoch past the warmup no checkpoint is ever selected, and
+        # the fit would hand back its starting parameters as trained
+        for warmup, max_epochs in ((10, 5), (3, 3), (0, 0)):
+            with pytest.raises(ValueError) as info:
+                TrainConfig(warmup=warmup, max_epochs=max_epochs)
+            # a constraint between keys (located at the section) only once
+            # each key passes its own check
+            assert isinstance(info.value, FieldError) == (max_epochs == 0)
+        assert str(info.value) == "max_epochs must be >= 1, got 0"
+        with pytest.raises(ValueError, match=r"^require warmup < max_epochs, "
+                           r"got warmup 10 and max_epochs 5$"):
+            TrainConfig(max_epochs=5)
+        TrainConfig(warmup=4, max_epochs=5)
