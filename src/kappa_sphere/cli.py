@@ -170,15 +170,21 @@ def cmd_eval(args) -> int:
 
     paths = _paths(args.out)
     run = _resolve(args)
-    # a report records its run's scene: a config (or --seed) of another
-    # scene than the bank's fails here, as fit and train fail
-    fileio.check_scene(paths["scene"], run.scene)
+    # each row field from the file that writes it: the scene's rows from
+    # gen's record, which a config (or --seed) of another scene fails, as
+    # fit and train fail; the bank's descriptors; the manifest's kappas
+    rows, splits = fileio.read_scene_rows(paths["scene"], run.scene)
     # hashed before either file is parsed: a file replaced in between
     # leaves the record keyed by bytes the file no longer holds, so
     # match-eval misses it rather than reuse a search of other bytes
     key = fileio.inputs_key(paths["bank"], paths["manifest"])
     desc = fileio.read_bank(paths["bank"])
-    bank, splits = fileio.read_manifest(paths["manifest"], desc)
+    shape = (len(rows["ids"]), run.scene.descriptor_dim)
+    if desc.shape != shape:
+        raise ValueError(f"{paths['bank']} holds descriptors of shape "
+                         f"{desc.shape}, but the scene's are {shape}")
+    kappas = fileio.read_manifest(paths["manifest"], shape[0])
+    bank = retrieval.DescriptorBank(descriptors=desc, kappas=kappas, **rows)
     db, queries = bank.subset(splits["db"]), bank.subset(splits["query"])
     # the config cannot check K against the database, known only here
     if max(run.ks) > len(db):

@@ -20,7 +20,6 @@ import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -194,91 +193,33 @@ def write_manifest(path, bank: DescriptorBank, splits: dict) -> None:
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
-# manifest field -> (dtype, required); poses are (n, 2), the rest (n,)
-_MANIFEST_ARRAYS = {"ids": (np.int64, True), "labels": (np.int64, True),
-                    "poses": (np.float64, True),
-                    "true_kappa": (np.float64, False),
-                    "kappas": (np.float64, False)}
-
-
-def _check_types(items, types: set, path_of) -> None:
-    """A JsonError at `path_of(i)` for the first item whose type is not
-    in `types` (a bool is not an int here)."""
-    if not set(map(type, items)) <= types:
-        i = next(i for i, v in enumerate(items) if type(v) not in types)
-        expected = " or ".join(sorted(t.__name__ for t in types))
-        raise JsonError(f"expected {expected}, got {items[i]!r}", path_of(i))
-
-
-def _manifest_list(doc: dict, key: str, n: int, types: set,
-                   required: bool = False):
-    """`doc[key]` checked to be an n-long array of `types` items; None when
-    absent and optional."""
-    val = doc.get(key)
-    if val is None and not required:
-        return None
-    if not isinstance(val, list):
-        raise JsonError(f"missing or non-array field {key!r}", f"$.{key}")
-    if len(val) != n:
-        raise JsonError(f"{key} length {len(val)} != bank count {n}",
-                        f"$.{key}")
-    _check_types(val, types, lambda i: f"$.{key}[{i}]")
-    return val
-
-
-def _manifest_array(doc: dict, key: str, n: int, dtype, required: bool):
-    """A numeric manifest field as an array, located on any failure.  A
-    float field must be finite, and a kappa field also >= 0."""
-    number = {int} if dtype is np.int64 else {int, float}
-    if key != "poses":
-        val = _manifest_list(doc, key, n, number, required)
-    else:
-        val = _manifest_list(doc, key, n, {list}, required)
-        if val is not None:
-            lengths = list(map(len, val))
-            if lengths.count(2) != n:
-                i = next(i for i, k in enumerate(lengths) if k != 2)
-                raise JsonError(f"pose must be [x, y], got {val[i]!r}",
-                                f"$.poses[{i}]")
-            val = list(chain.from_iterable(val))
-            _check_types(val, number, lambda i: f"$.poses[{i // 2}][{i % 2}]")
+def read_manifest(path, n: int):
+    """The (n,) kappas of the manifest at `path`, or None when it holds
+    none (before fit).  Each must be a finite number >= 0; a bad one is a
+    JsonError at `$.kappas` or `$.kappas[i]`.  The manifest's other fields
+    repeat the scene record, whose rows `read_scene_rows` reads."""
+    val = _read_json(path, "manifest").get("kappas")
     if val is None:
         return None
-    try:  # poses flattened, as their types were checked
-        arr = np.fromiter(val, dtype, len(val))
+    if not isinstance(val, list):
+        raise JsonError("missing or non-array field 'kappas'", "$.kappas")
+    if len(val) != n:
+        raise JsonError(f"kappas length {len(val)} != bank count {n}",
+                        "$.kappas")
+    if not set(map(type, val)) <= {int, float}:  # a bool is not an int here
+        i = next(i for i, v in enumerate(val) if type(v) not in (int, float))
+        raise JsonError(f"expected float or int, got {val[i]!r}",
+                        f"$.kappas[{i}]")
+    try:
+        kappas = np.fromiter(val, np.float64, n)
     except OverflowError as exc:
-        raise JsonError(f"value out of range: {exc}", f"$.{key}") from exc
-    if key == "poses":
-        arr = arr.reshape(n, 2)
-    if dtype is np.float64:
-        # json loads the NaN and Infinity tokens as floats
-        ok = np.isfinite(arr) if key == "poses" else (arr >= 0) & (arr < np.inf)
-        if not ok.all():
-            at = np.argwhere(~ok)[0]
-            want = "a finite number" + ("" if key == "poses" else " >= 0")
-            raise JsonError(f"expected {want}, got {arr[tuple(at)]}",
-                            f"$.{key}" + "".join(f"[{i}]" for i in at))
-    return arr
-
-
-def read_manifest(path, descriptors) -> tuple:
-    """Build a DescriptorBank from a manifest plus its descriptor block.
-
-    Returns (bank, splits) where splits maps split name -> index array.
-    `poses` and `split` are required: every evaluation reads both.
-    """
-    doc = _read_json(path, "manifest")
-    n = len(descriptors)
-    bank = DescriptorBank(descriptors=descriptors, **{
-        key: _manifest_array(doc, key, n, dtype, required)
-        for key, (dtype, required) in _MANIFEST_ARRAYS.items()})
-    names = _manifest_list(doc, "split", n, {str}, required=True)
-    unknown = set(names) - set(SPLIT_NAMES)
-    if unknown:
-        i = next(i for i, name in enumerate(names) if name in unknown)
-        raise JsonError(f"unknown split name {names[i]!r}", f"$.split[{i}]")
-    names = np.asarray(names, dtype=str)
-    return bank, {name: np.flatnonzero(names == name) for name in SPLIT_NAMES}
+        raise JsonError(f"value out of range: {exc}", "$.kappas") from exc
+    # json loads the NaN and Infinity tokens as floats
+    bad = np.flatnonzero(~((kappas >= 0) & (kappas < np.inf)))
+    if bad.size:
+        raise JsonError(f"expected a finite number >= 0, got {kappas[bad[0]]}",
+                        f"$.kappas[{bad[0]}]")
+    return kappas
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +280,16 @@ def _check_indices(value, upper: int, path, name: str) -> None:
     """Every entry of the index field `name` lies in [0, upper)."""
     if value.size and (value.min() < 0 or value.max() >= upper):
         raise RecordFileError(f"index outside [0, {upper})", path, name)
+
+
+def _check_finite(value, path, name: str, nonneg: bool = False) -> None:
+    """Every entry of the float field `name` is finite (and >= 0)."""
+    ok = (value >= 0) & (value < np.inf) if nonneg else np.isfinite(value)
+    if not ok.all():
+        at = np.argwhere(~ok)[0]
+        want = "a finite number" + (" >= 0" if nonneg else "")
+        raise RecordFileError(f"expected {want}, got {value[tuple(at)]} at "
+                              f"row {at[0]}", path, name)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +355,50 @@ def _scene_record(path, cfg: SceneConfig):
 
 
 def check_scene(path, cfg: SceneConfig) -> None:
-    """`read_scene`'s first check alone, which eval and match-eval make:
-    the record at `path` holds the scene of `cfg`."""
+    """`read_scene`'s first check alone, which match-eval makes: the
+    record at `path` holds the scene of `cfg`."""
     with _scene_record(path, cfg):
         pass
+
+
+# the fields of a scene record that give its rows' ground truth and splits
+_ROW_FIELDS = ("labels", "poses", "true_kappa",
+               *(f"split_{name}" for name in SPLIT_NAMES))
+
+
+def _scene_rows(values: dict, cfg: SceneConfig, path) -> tuple:
+    """(rows, splits) of a scene record's `values`: the DescriptorBank
+    fields besides descriptors and kappas (ids 0..n-1), and the split
+    name -> row indices.  Labels and split rows must be in range, each
+    split strictly ascending and the splits a partition of the rows; poses
+    finite, and true kappas finite and >= 0."""
+    n = len(values["labels"])
+    splits = {name: values[f"split_{name}"] for name in SPLIT_NAMES}
+    _check_indices(values["labels"], cfg.num_classes, path, "labels")
+    for name, rows in splits.items():
+        _check_indices(rows, n, path, f"split_{name}")
+        if (np.diff(rows) <= 0).any():
+            raise RecordFileError("rows not strictly ascending", path,
+                                  f"split_{name}")
+    if not np.array_equal(np.sort(np.concatenate(list(splits.values()))),
+                          np.arange(n)):
+        raise RecordFileError("the splits do not partition the rows", path)
+    _check_finite(values["poses"], path, "poses")
+    _check_finite(values["true_kappa"], path, "true_kappa", nonneg=True)
+    return {"ids": np.arange(n), "labels": values["labels"],
+            "poses": values["poses"],
+            "true_kappa": values["true_kappa"]}, splits
+
+
+def read_scene_rows(path, cfg: SceneConfig) -> tuple:
+    """`_scene_rows` of the scene record at `path`, which eval reads: the
+    record's key and its row fields alone, checked as `read_scene` checks
+    them."""
+    spec = _scene_fields(cfg)
+    with _scene_record(path, cfg) as archive:
+        values = {name: _record_field(archive, name, path, *spec[name])
+                  for name in _ROW_FIELDS}
+    return _scene_rows(values, cfg, path)
 
 
 def read_scene(path, cfg: SceneConfig) -> SynthDataset:
@@ -417,26 +408,20 @@ def read_scene(path, cfg: SceneConfig) -> SynthDataset:
     that differs (`$.scene.seed`), naming the file; a missing file, or a
     file that is not such a record, with a RecordFileError naming the file
     and the field (and the first descriptor or prototype row that is not
-    finite and unit-norm).  Every array has the generator's bits; `raw`
-    is derived from them only when joint training reads it.
+    finite and unit-norm, or the first pose, true kappa or feature row
+    that is not finite).  Every array has the generator's bits; `raw` is
+    derived from them only when joint training reads it.
     """
     with _scene_record(path, cfg) as archive:
         values = {name: _record_field(archive, name, path, dtype, shape)
                   for name, (dtype, shape) in _scene_fields(cfg).items()}
-    n = len(values["labels"])
-    splits = {name: values[f"split_{name}"] for name in SPLIT_NAMES}
-    for name, upper in (("labels", cfg.num_classes),
-                        ("aliased_pairs", cfg.num_classes),
-                        *((f"split_{s}", n) for s in SPLIT_NAMES)):
-        _check_indices(values[name], upper, path, name)
-    if not np.array_equal(np.sort(np.concatenate(list(splits.values()))),
-                          np.arange(n)):
-        raise RecordFileError("the splits do not partition the rows", path)
+    rows, splits = _scene_rows(values, cfg, path)
+    _check_indices(values["aliased_pairs"], cfg.num_classes, path,
+                   "aliased_pairs")
+    # the head's input; ambiguity and class_poses are gen's alone
+    _check_finite(values["features"], path, "features")
     try:  # the bank checks its descriptor rows
-        bank = DescriptorBank(descriptors=values["descriptors"],
-                              ids=np.arange(n), labels=values["labels"],
-                              poses=values["poses"],
-                              true_kappa=values["true_kappa"])
+        bank = DescriptorBank(descriptors=values["descriptors"], **rows)
     except ValueError as exc:
         raise RecordFileError(str(exc), path, "descriptors") from exc
     try:
@@ -514,16 +499,6 @@ def write_retrieval(path, key: str, bank: DescriptorBank,
         **{f"{side}_poses": b.poses for side, b in sides.items()},
         **{f"{side}_kappas": b.kappas for side, b in sides.items()
            if b.kappas is not None})
-
-
-def _check_finite(value, path, name: str, nonneg: bool = False) -> None:
-    """Every entry of the float field `name` is finite (and >= 0)."""
-    ok = (value >= 0) & (value < np.inf) if nonneg else np.isfinite(value)
-    if not ok.all():
-        at = np.argwhere(~ok)[0]
-        want = "a finite number" + (" >= 0" if nonneg else "")
-        raise RecordFileError(f"expected {want}, got {value[tuple(at)]} at "
-                              f"row {at[0]}", path, name)
 
 
 def read_retrieval(path, key: str, k: int) -> tuple:

@@ -61,6 +61,21 @@ def workdir(tmp_path_factory):
     return {"root": root, "cfg": cfg, "out": out}
 
 
+@pytest.fixture(scope="module")
+def cli_default(tmp_path_factory):
+    """A run directory of the shipped scene, fitted and evaluated."""
+    root = tmp_path_factory.mktemp("cli-default")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps({"scene": {"descriptor_dim": 64},
+                               "train": {"max_epochs": 40}}))
+    out = root / "run"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["fit", "--out", str(out)]) == 0
+    assert main(["eval", "--out", str(out)]) == 0
+    assert main(["match-eval", "--out", str(out)]) == 0
+    return out
+
+
 class TestGen:
     def test_writes_artifacts(self, workdir):
         out = workdir["out"]
@@ -144,12 +159,32 @@ class TestSceneRecord:
         _patch_everywhere(monkeypatch, synth.generate_scene, no_generation)
         assert main([command, "--out", str(out)]) == 0
 
+    @staticmethod
+    def _garble(path, fault) -> None:
+        """Rewrite the scene record at `path` with `fault`."""
+        with np.load(path) as npz:
+            record = dict(npz)
+        if fault == "float32 features":
+            record["features"] = record["features"].astype(np.float32)
+        elif fault == "NaN pose":
+            record["poses"][3, 0] = np.nan
+        elif fault == "negative true kappa":
+            record["true_kappa"][5] = -2.0
+        elif fault == "inf feature":
+            record["features"][7, 0, 0, 0] = np.inf
+        else:
+            record["split_db"] = record["split_db"][::-1]
+        np.savez(path, **record)
+
     @pytest.mark.parametrize("command", ["fit", "train"])
     @pytest.mark.parametrize("fault, where", [
         ("missing", "run gen first"),
         ("another seed", "(at $.scene.seed)"),
         ("truncated", "not a readable .npz archive"),
         ("float32 features", "field 'features'"),
+        ("NaN pose", "field 'poses'"),
+        ("negative true kappa", "field 'true_kappa'"),
+        ("inf feature", "field 'features'"),
     ])
     def test_bad_record_fails_with_its_location(self, workdir, tmp_path,
                                                 capsys, command, fault,
@@ -164,15 +199,35 @@ class TestSceneRecord:
         elif fault == "truncated":
             path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
         else:
-            with np.load(path) as npz:
-                record = dict(npz)
-            record["features"] = record["features"].astype(np.float32)
-            np.savez(path, **record)
+            self._garble(path, fault)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert str(path) in err and where in err
-        # a rejected command writes nothing
+        # a rejected command writes nothing: no non-finite row of the
+        # record reaches manifest.json
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("fault, where", [
+        ("NaN pose", "at row 3 (in {path}, field 'poses')"),
+        ("negative true kappa", "at row 5 (in {path}, field 'true_kappa')"),
+        ("split out of order", "rows not strictly ascending (in {path}, "
+         "field 'split_db')")],
+        ids=["NaN pose", "negative true kappa", "split out of order"])
+    def test_eval_reads_the_rows_from_the_record(self, workdir, tmp_path,
+                                                 capsys, fault, where):
+        # eval takes the scene's rows from scene.npz, checked as fit and
+        # train check them: a bad one fails with its field and first row,
+        # and nothing is printed or written
+        out = _copy_scene(workdir, tmp_path / "run")
+        path = out / "scene.npz"
+        self._garble(path, fault)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["eval", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and \
+            captured.err.endswith(where.format(path=path) + "\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -285,6 +340,39 @@ class TestEval:
         assert doc["config"]["ks"] == [1]
         assert doc["config"]["binning"] == {"num_bins": 5,
                                             "strategy": "quantile"}
+
+    def test_the_manifest_rows_are_not_inputs(self, cli_default, tmp_path):
+        # eval reads the rows from scene.npz and only the kappas from the
+        # manifest: its other fields, reversed, leave the report's bytes
+        out = tmp_path / "run"
+        shutil.copytree(cli_default, out)
+        doc = json.loads((out / "manifest.json").read_text())
+        for name in ("ids", "labels", "poses", "true_kappa", "split"):
+            doc[name].reverse()
+        (out / "manifest.json").write_text(json.dumps(doc, sort_keys=True))
+        assert main(["eval", "--out", str(out)]) == 0
+        assert (out / "report.json").read_bytes() == \
+            (cli_default / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("shape", ["width", "rows"])
+    def test_a_bank_of_another_shape_fails(self, workdir, tmp_path, capsys,
+                                           monkeypatch, shape):
+        # the bank must hold the scene's rows at its descriptor width,
+        # checked before the search: nothing is printed or written
+        out = _copy_scene(workdir, tmp_path / "o")
+        desc = fileio.read_bank(out / "bank.kpb")
+        other = desc[:-1] if shape == "rows" else desc[:, ::2] / \
+            np.linalg.norm(desc[:, ::2], axis=1, keepdims=True)
+        fileio.write_bank(out / "bank.kpb", other)
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        searches = TestRecordedRetrieval._count_searches(monkeypatch)
+        assert main(["eval", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and searches == []
+        assert captured.err == (
+            f"error: {out / 'bank.kpb'} holds descriptors of shape "
+            f"{other.shape}, but the scene's are {desc.shape}\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
 
 class TestRunConfig:
@@ -412,8 +500,11 @@ class TestRecordedRetrieval:
         run = _resolve(build_parser().parse_args(
             ["match-eval", "--out", str(out), *argv_tail]))
         k = run.ks[0]
-        bank, splits = fileio.read_manifest(
-            out / "manifest.json", fileio.read_bank(out / "bank.kpb"))
+        rows, splits = fileio.read_scene_rows(out / "scene.npz", run.scene)
+        desc = fileio.read_bank(out / "bank.kpb")
+        bank = retrieval.DescriptorBank(
+            descriptors=desc, **rows,
+            kappas=fileio.read_manifest(out / "manifest.json", len(desc)))
         db, queries = bank.subset(splits["db"]), bank.subset(splits["query"])
         ev = evaluate_matches(db, queries,
                               retrieval.batch_knn(queries.descriptors, db, k),
@@ -461,8 +552,8 @@ class TestRecordedRetrieval:
         def refuse(*args, **kwargs):
             raise AssertionError("match-eval parsed an input or searched")
 
-        for original in (fileio.read_bank, fileio.read_manifest,
-                         retrieval.batch_knn):
+        for original in (fileio.read_scene_rows, fileio.read_bank,
+                         fileio.read_manifest, retrieval.batch_knn):
             _patch_everywhere(monkeypatch, original, refuse)
         assert main(["match-eval", "--out", str(out), *flags]) == 0
         doc = json.loads((out / "match_report.json").read_text())
@@ -851,20 +942,6 @@ class TestReportCommand:
         assert captured.err == ("error: invalid JSON: Expecting value "
                                 "(at line 2)\n")
 
-    @pytest.fixture(scope="class")
-    def cli_default(self, tmp_path_factory):
-        """A run directory of the shipped scene, fitted and evaluated."""
-        root = tmp_path_factory.mktemp("cli-default")
-        cfg = root / "config.json"
-        cfg.write_text(json.dumps({"scene": {"descriptor_dim": 64},
-                                   "train": {"max_epochs": 40}}))
-        out = root / "run"
-        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["fit", "--out", str(out)]) == 0
-        assert main(["eval", "--out", str(out)]) == 0
-        assert main(["match-eval", "--out", str(out)]) == 0
-        return out
-
     @pytest.mark.parametrize("report, edit, message, where", [
         ("report.json", lambda doc: doc["reports"]["inv_kappa@10"].update(
             k=1), "must be named 'inv_kappa@1'", "$.reports.inv_kappa@10"),
@@ -1039,21 +1116,27 @@ class TestErrors:
         assert "scene.num_classes" in err and "scene.descriptor_dim" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field, value, path", [
-        ("poses", 5, "$.poses"),
-        ("split", [[1]], "$.split[0]"),
-        ("poses", [[1, 2, 3]], "$.poses[0]"),
-        ("ids", ["x"], "$.ids[0]"),
-    ])
+    @pytest.mark.parametrize("edit, path", [
+        (lambda kappas: 5, "$.kappas"),
+        (lambda kappas: ["x", *kappas[1:]], "$.kappas[0]"),
+        (lambda kappas: [True, *kappas[1:]], "$.kappas[0]"),
+        (lambda kappas: [kappas[0], -1.0, *kappas[2:]], "$.kappas[1]"),
+        (lambda kappas: kappas[:2], "$.kappas")],
+        ids=["number", "string item", "bool item", "negative item",
+             "short"])
     def test_bad_manifest_value_located(self, workdir, tmp_path, capsys,
-                                        field, value, path):
+                                        edit, path):
+        # eval reads the manifest's kappas alone (the scene record gives
+        # the other rows): a bad one fails at its path, and nothing is
+        # written
         out = _copy_scene(workdir, tmp_path / "o")
         doc = json.loads((workdir["out"] / "manifest.json").read_text())
-        doc[field] = value if not isinstance(value, list) \
-            else value + doc[field][len(value):]
+        doc["kappas"] = edit(doc["kappas"])
         (out / "manifest.json").write_text(json.dumps(doc))
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(["eval", "--out", str(out)]) == 1
         assert f"(at {path})" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
     @pytest.mark.parametrize("broken, message", [
         (b'{"tau": 1,\n "ks": }\n',

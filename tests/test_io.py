@@ -17,8 +17,8 @@ from kappa_sphere.fileio import (_KEY_CHUNK, REPORT_SCHEMA_VERSION,
                                  BankFormatError, JsonError, RecordFileError,
                                  RunConfig, atomic_write_text, inputs_key,
                                  load_run_config, read_bank, read_manifest,
-                                 read_retrieval, read_scene, report_document,
-                                 write_bank, write_manifest,
+                                 read_retrieval, read_scene, read_scene_rows,
+                                 report_document, write_bank, write_manifest,
                                  write_model_state, write_retrieval,
                                  write_scene, history_csv)
 from kappa_sphere.calibration import BinningConfig, BinStrategy
@@ -158,6 +158,9 @@ class TestBankFormat:
 
 
 class TestManifest:
+    """write_manifest records every row field of the bank; read_manifest
+    reads back its kappas alone, as the scene record gives the others."""
+
     SPLITS = {"train": np.arange(0, 5), "db": np.arange(5, 7),
               "query": np.arange(7, 9)}  # of make_bank's 9 rows
 
@@ -168,42 +171,23 @@ class TestManifest:
             true_kappa=rng.uniform(5, 500, n), kappas=rng.uniform(1, 100, n))
 
     def test_round_trip(self, rng, tmp_path):
+        # JSON's float repr round-trips, so the kappas keep their bits, and
+        # the rows the package no longer reads keep theirs for other readers
         bank = self.make_bank(rng)
-        splits = self.SPLITS
         path = tmp_path / "manifest.json"
-        write_manifest(path, bank, splits)
-        loaded, loaded_splits = read_manifest(path, bank.descriptors)
-        np.testing.assert_array_equal(loaded.ids, bank.ids)
-        np.testing.assert_array_equal(loaded.labels, bank.labels)
-        np.testing.assert_allclose(loaded.poses, bank.poses, rtol=1e-15)
-        np.testing.assert_allclose(loaded.true_kappa, bank.true_kappa,
-                                   rtol=1e-15)
-        np.testing.assert_allclose(loaded.kappas, bank.kappas, rtol=1e-15)
-        for name in splits:
-            np.testing.assert_array_equal(loaded_splits[name], splits[name])
+        write_manifest(path, bank, self.SPLITS)
+        assert _same_bits(read_manifest(path, len(bank)), bank.kappas)
+        doc = json.loads(path.read_text())
+        for name in ("ids", "labels", "poses", "true_kappa"):
+            assert _same_bits(np.asarray(doc[name]), getattr(bank, name))
 
     def test_optional_fields_absent(self, rng, tmp_path):
-        # only the kappas are optional: a bank has no kappa before fit
+        # a bank has no kappa before fit
         bank = self.make_bank(rng)
         bank.true_kappa = bank.kappas = None
         path = tmp_path / "manifest.json"
         write_manifest(path, bank, self.SPLITS)
-        loaded, _ = read_manifest(path, bank.descriptors)
-        assert loaded.true_kappa is None and loaded.kappas is None
-
-    @pytest.mark.parametrize("field", ["poses", "split"])
-    def test_required_fields_located(self, rng, tmp_path, field):
-        # every evaluation reads the poses (its ground truth) and the split
-        bank = self.make_bank(rng)
-        path = tmp_path / "manifest.json"
-        write_manifest(path, bank, self.SPLITS)
-        doc = json.loads(path.read_text())
-        for absent in (lambda d: d.pop(field), lambda d: d.update({field: None})):
-            absent(doc)
-            path.write_text(json.dumps(doc))
-            with pytest.raises(JsonError) as exc:
-                read_manifest(path, bank.descriptors)
-            assert exc.value.path == f"$.{field}"
+        assert read_manifest(path, len(bank)) is None
 
     def test_pose_less_bank_rejected_on_write(self, rng, tmp_path):
         bank = self.make_bank(rng)
@@ -211,24 +195,43 @@ class TestManifest:
         with pytest.raises(ValueError, match="poses"):
             write_manifest(tmp_path / "m.json", bank, self.SPLITS)
 
-    @pytest.mark.parametrize("field, values, path", [
-        ("poses", {(1, 0): np.nan}, "$.poses[1][0]"),  # would be a negative
-        ("poses", {(8, 1): -np.inf}, "$.poses[8][1]"),
-        ("true_kappa", {3: np.inf}, "$.true_kappa[3]"),
-        ("kappas", {1: np.inf, 2: -3.0}, "$.kappas[1]"),  # the first bad one
-        ("kappas", {2: -3.0}, "$.kappas[2]"),  # would be floored to 1.0
-        ("kappas", {0: np.nan}, "$.kappas[0]"),
-    ])
-    def test_non_finite_or_negative_value_located(self, rng, tmp_path, field,
+    @pytest.mark.parametrize("values, path", [
+        ({1: np.inf, 2: -3.0}, "$.kappas[1]"),  # the first bad one
+        ({2: -3.0}, "$.kappas[2]"),  # would be floored to 1.0
+        ({0: np.nan}, "$.kappas[0]"),
+    ], ids=["inf before negative", "negative", "NaN"])
+    def test_non_finite_or_negative_value_located(self, rng, tmp_path,
                                                   values, path):
         # json writes and loads NaN and Infinity as bare tokens
         bank = self.make_bank(rng)
         for index, value in values.items():
-            getattr(bank, field)[index] = value
+            bank.kappas[index] = value
         manifest = tmp_path / "manifest.json"
         write_manifest(manifest, bank, self.SPLITS)
         with pytest.raises(JsonError) as exc:
-            read_manifest(manifest, bank.descriptors)
+            read_manifest(manifest, len(bank))
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("at, value, path", [
+        (None, 5, "$.kappas"), (None, {"0": 1.0}, "$.kappas"),
+        (4, "x", "$.kappas[4]"), (4, True, "$.kappas[4]"),
+        (4, [1.0], "$.kappas[4]"), (4, None, "$.kappas[4]"),
+        (4, 10**400, "$.kappas")],  # fails the conversion, at the field
+        ids=["number", "object", "string item", "bool item", "array item",
+             "null item", "int beyond float"])
+    def test_item_type_located(self, rng, tmp_path, at, value, path):
+        # the field is null or an array of numbers, and a bool is no number
+        bank = self.make_bank(rng)
+        manifest = tmp_path / "manifest.json"
+        write_manifest(manifest, bank, self.SPLITS)
+        doc = json.loads(manifest.read_text())
+        if at is None:
+            doc["kappas"] = value
+        else:
+            doc["kappas"][at] = value
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(JsonError) as exc:
+            read_manifest(manifest, len(bank))
         assert exc.value.path == path
 
     def test_incomplete_split_rejected_on_write(self, rng, tmp_path):
@@ -255,14 +258,15 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         write_manifest(path, bank, self.SPLITS)
         with pytest.raises(JsonError) as exc:
-            read_manifest(path, bank.descriptors[:5])
-        assert "$." in str(exc.value)
+            read_manifest(path, 5)
+        assert exc.value.path == "$.kappas"
+        assert "kappas length 9 != bank count 5" in str(exc.value)
 
-    def test_invalid_json(self, rng, tmp_path):
+    def test_invalid_json(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{not json")
         with pytest.raises(JsonError):
-            read_manifest(path, unit_rows(rng, 2, 4))
+            read_manifest(path, 2)
 
 
 class TestRunConfig:
@@ -458,6 +462,14 @@ class TestSceneRecord:
         assert got.aliased_pairs == want.aliased_pairs
         assert {type(v) for pair in got.aliased_pairs for v in pair} <= {int}
         assert (want.aliased_pairs == []) == ("aliasing_rate" in scene)
+        # eval's reader of the rows gives the same bits
+        rows, splits = read_scene_rows(path, cfg)
+        assert sorted(rows) == ["ids", "labels", "poses", "true_kappa"]
+        for name, value in rows.items():
+            assert _same_bits(value, getattr(want.bank, name)), name
+        assert set(splits) == set(SPLIT_NAMES)
+        for name in SPLIT_NAMES:
+            assert _same_bits(splits[name], want.splits[name]), name
 
     @pytest.fixture()
     def recorded(self, tmp_path):
@@ -479,10 +491,17 @@ class TestSceneRecord:
         ("pair out of range", "aliased_pairs"),
         ("scene not JSON", "scene"),
         ("overlapping splits", None),
+        ("split out of order", "split_db"),
+        ("poses row 3 nan", "poses"),
+        ("poses row 8 -inf", "poses"),
+        ("true_kappa row 5 -2", "true_kappa"),
+        ("true_kappa row 3 inf", "true_kappa"),
+        ("features row 7 inf", "features"),
     ])
     def test_bad_record_fails_with_its_location(self, recorded, garble,
                                                 field):
-        # a row that is not finite and unit-norm is named with its field
+        # a row that is not finite (and unit-norm) is named with its field;
+        # eval's reader of the rows fails as read_scene does on them
         path, cfg = recorded
         with np.load(path) as npz:
             record = dict(npz)
@@ -491,6 +510,10 @@ class TestSceneRecord:
             row = int(garble.split()[2])
             name = garble.split()[0] + "s"
             record[name][row] *= np.nan if garble.endswith("NaN") else 1.01
+        elif " row " in garble:  # "<field> row <row> <value>"
+            row = int(garble.split()[2])
+            value = record[field]
+            value[(row,) + (0,) * (value.ndim - 1)] = float(garble.split()[3])
         elif garble == "float32 descriptors":
             record["descriptors"] = record["descriptors"].astype(np.float32)
         elif garble == "one label short":
@@ -505,14 +528,22 @@ class TestSceneRecord:
             record["aliased_pairs"][0, 1] = -1
         elif garble == "scene not JSON":
             record["scene"] = np.array("{seed")
+        elif garble == "split out of order":
+            record["split_db"] = record["split_db"][::-1]
         else:
             record["split_db"] = record["split_query"]
         np.savez(path, **record)
-        with pytest.raises(RecordFileError) as exc:
-            read_scene(path, cfg)
-        assert exc.value.path == str(path) and exc.value.field == field
-        if row is not None:
-            assert f"unit-norm; row {row} has norm" in str(exc.value)
+        readers = [read_scene] + [read_scene_rows] * (field in {
+            None, "scene", "labels", "poses", "true_kappa", "split_db"})
+        for reader in readers:
+            with pytest.raises(RecordFileError) as exc:
+                reader(path, cfg)
+            assert exc.value.path == str(path) and exc.value.field == field
+            if field in ("prototypes", "descriptors") and row is not None:
+                assert f"unit-norm; row {row} has norm" in str(exc.value)
+            elif row is not None:
+                assert str(exc.value).endswith(
+                    f" at row {row} (in {path}, field {field!r})")
 
     @pytest.mark.parametrize("scene, key", [
         ({"images_per_class": 20}, "images_per_class"),
@@ -734,10 +765,10 @@ _NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 
 class TestBoundaryProperties:
-    """Type-substituted and truncated manifest and config fields raise the
-    located error (JsonError or JsonError at the field's JSON path,
-    or at the line of a truncated file), and a corrupted bank raises
-    BankFormatError at its byte offset, never anything else."""
+    """Type-substituted and truncated manifest kappas and config fields
+    raise a JsonError at the field's JSON path, or at the line of a
+    truncated file, and a corrupted bank raises BankFormatError at its
+    byte offset, never anything else."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -793,6 +824,8 @@ class TestBoundaryProperties:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_manifest_fields(self, data):
+        # the kappas fail at their JSON path; a change to any other field
+        # leaves them as they were, as read_manifest reads them alone
         rng = np.random.default_rng(0)
         bank = TestManifest().make_bank(rng, n=6)
         splits = {"train": np.arange(0, 2), "db": np.arange(2, 4),
@@ -805,33 +838,18 @@ class TestBoundaryProperties:
             field = data.draw(st.sampled_from(sorted(doc)), label="field")
             how = data.draw(st.sampled_from(["field", "truncate", "item",
                                              "file"]), label="how")
-            expected = f"$.{field}"
+            expected = "$.kappas"
             if how == "field":
-                required = field in ("ids", "labels", "poses", "split")
-                doc[field] = data.draw(_not_of(list) if required
-                                       else _not_of(list, type(None)))
+                doc[field] = data.draw(_not_of(list, type(None)))
             elif how == "truncate":
                 doc[field] = doc[field][:data.draw(st.integers(0, 5))]
             elif how == "item":
                 i = data.draw(st.integers(0, 5), label="i")
-                expected = f"$.{field}[{i}]"
-                if field in ("ids", "labels"):
-                    doc[field][i] = data.draw(_not_of(int))
-                elif field == "split":
-                    doc[field][i] = data.draw(_not_of(str) | st.text(
-                        max_size=5).filter(lambda v: v not in SPLIT_NAMES))
-                elif field == "poses" and data.draw(st.booleans()):
-                    doc[field][i] = data.draw(_not_of(list) | st.lists(
-                        st.integers(0, 9), max_size=4).filter(
-                            lambda row: len(row) != 2))
-                elif field == "poses":
-                    doc[field][i][data.draw(st.integers(0, 1))] = \
-                        data.draw(_not_of(int, float) | _NON_FINITE)
-                else:                           # a kappa is also >= 0
-                    doc[field][i] = data.draw(
-                        _not_of(int, float) | _NON_FINITE
-                        | st.integers(max_value=-1)
-                        | st.floats(max_value=-1e-300))
+                expected = f"$.kappas[{i}]"
+                doc[field][i] = data.draw(
+                    _not_of(int, float) | _NON_FINITE
+                    | st.integers(max_value=-1)
+                    | st.floats(max_value=-1e-300))
             if how == "file":
                 expected = "line "
                 payload = text[:data.draw(st.integers(0, len(text) - 1))]
@@ -839,8 +857,12 @@ class TestBoundaryProperties:
                 payload = json.dumps(doc)
             with open(path, "w") as fh:
                 fh.write(payload)
+            if field != "kappas" and how != "file":
+                assert _same_bits(read_manifest(path, len(bank)),
+                                  bank.kappas)
+                return
             with pytest.raises(JsonError) as exc:
-                read_manifest(path, bank.descriptors)
+                read_manifest(path, len(bank))
         assert exc.value.path.startswith(expected), (how, exc.value.path)
 
     @settings(max_examples=200, deadline=None)
