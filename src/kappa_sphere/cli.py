@@ -133,7 +133,7 @@ def cmd_fit(args) -> int:
     dataset = fileio.read_scene(_paths(args.out)["scene"], run.scene)
     head, history = fit_head(dataset, cfg=run.train, tau=run.tau,
                              binning=run.binning)
-    dataset.bank.kappas = predict_kappas(dataset.head_inputs(), head)
+    dataset.bank.kappas = predict_kappas(dataset.head_inputs, head)
     paths = _write_artifacts(args.out, run, dataset, history, head=head,
                              extra={"mode": run.train.mode.value,
                                     "epochs": len(history)})
@@ -153,7 +153,7 @@ def cmd_train(args) -> int:
         binning=run.binning)
     dataset.bank.descriptors = encode(encoder, dataset.raw)
     if head is not None:
-        dataset.bank.kappas = predict_kappas(dataset.head_inputs(), head)
+        dataset.bank.kappas = predict_kappas(dataset.head_inputs, head)
     paths = _write_artifacts(args.out, run, dataset, history, head=head,
                              encoder=encoder, prototypes=prototypes,
                              extra={"mode": "joint_training",
@@ -179,7 +179,7 @@ def cmd_eval(args) -> int:
     # match-eval misses it rather than reuse a search of other bytes
     key = fileio.inputs_key(paths["bank"], paths["manifest"])
     desc = fileio.read_bank(paths["bank"])
-    shape = (len(rows["ids"]), run.scene.descriptor_dim)
+    shape = (len(rows["labels"]), run.scene.descriptor_dim)
     if desc.shape != shape:
         raise ValueError(f"{paths['bank']} holds descriptors of shape "
                          f"{desc.shape}, but the scene's are {shape}")

@@ -173,7 +173,8 @@ def read_bank(path) -> np.ndarray:
 
 def write_manifest(path, bank: DescriptorBank, splits: dict) -> None:
     """JSON manifest carrying everything about the bank except descriptors:
-    ids, labels, poses, the kappas it has, and each row's split."""
+    ids (each row's index), labels, poses, the kappas it has, and each
+    row's split."""
     if bank.poses is None:
         raise ValueError("a manifest records poses; the bank has none")
     which = np.full(len(bank), len(SPLIT_NAMES))  # no split yet
@@ -182,7 +183,7 @@ def write_manifest(path, bank: DescriptorBank, splits: dict) -> None:
     if (which == len(SPLIT_NAMES)).any():
         raise ValueError("splits do not cover every bank row")
     doc = {
-        "ids": bank.ids.tolist(),
+        "ids": list(range(len(bank))),
         "labels": bank.labels.tolist(),
         "poses": bank.poses.tolist(),
         "true_kappa": None if bank.true_kappa is None
@@ -368,10 +369,10 @@ _ROW_FIELDS = ("labels", "poses", "true_kappa",
 
 def _scene_rows(values: dict, cfg: SceneConfig, path) -> tuple:
     """(rows, splits) of a scene record's `values`: the DescriptorBank
-    fields besides descriptors and kappas (ids 0..n-1), and the split
-    name -> row indices.  Labels and split rows must be in range, each
-    split strictly ascending and the splits a partition of the rows; poses
-    finite, and true kappas finite and >= 0."""
+    fields besides descriptors and kappas, and the split name -> row
+    indices.  Labels and split rows must be in range, each split strictly
+    ascending and the splits a partition of the rows; poses finite, and
+    true kappas finite and >= 0."""
     n = len(values["labels"])
     splits = {name: values[f"split_{name}"] for name in SPLIT_NAMES}
     _check_indices(values["labels"], cfg.num_classes, path, "labels")
@@ -385,8 +386,7 @@ def _scene_rows(values: dict, cfg: SceneConfig, path) -> tuple:
         raise RecordFileError("the splits do not partition the rows", path)
     _check_finite(values["poses"], path, "poses")
     _check_finite(values["true_kappa"], path, "true_kappa", nonneg=True)
-    return {"ids": np.arange(n), "labels": values["labels"],
-            "poses": values["poses"],
+    return {"labels": values["labels"], "poses": values["poses"],
             "true_kappa": values["true_kappa"]}, splits
 
 

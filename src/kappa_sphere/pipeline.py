@@ -35,7 +35,7 @@ def binning_for(method: str,
 
 
 def predict_kappas(rows, head: dict) -> np.ndarray:
-    """kappa per pooled (n, c) row, as `SynthDataset.head_inputs` gives
+    """kappa per pooled (n, c) row, as `SynthDataset.head_inputs` holds
     them."""
     kappas, _ = forward_batch(rows, head)
     return kappas
@@ -51,43 +51,36 @@ def _fit_rows(dataset: SynthDataset, seed: int):
     return train_idx[np.sort(perm[n_val:])], train_idx[perm[:n_val]]
 
 
-def _marked_knn(queries, query_poses, db_bank: DescriptorBank, tau: float):
-    """Top-1 retrieval of `queries` against `db_bank`, successes marked."""
-    results = batch_knn(queries, db_bank, 1)
-    mark_successes(results, db_bank, query_poses, tau)
-    return results
+class _Validation:
+    """One fit's calibration validation: the validation rows `val_idx`
+    searched against the db split, positives within `tau`, ECE binned by
+    `binning`.  Every row the checks read is gathered once per fit."""
 
+    def __init__(self, dataset: SynthDataset, val_idx, tau: float,
+                 binning: BinningConfig | None):
+        db_idx = dataset.splits["db"]
+        self.db = dataset.bank.subset(db_idx)  # kappas set on each check
+        self.poses = dataset.bank.poses[val_idx]
+        rows = dataset.head_inputs
+        self.rows, self.db_rows = rows[val_idx], rows[db_idx]
+        self.tau = tau
+        self.binning = binning_for(sc.METHOD_RESULTANT, binning)
 
-def _resultant_ece1(dataset, head, results, db_bank: DescriptorBank, db_idx,
-                    val_idx, binning: BinningConfig | None) -> float:
-    """Resultant-score ECE@1 of the marked top-1 `results` of the validation
-    rows `val_idx` against `db_bank` (the rows `db_idx`), with kappas
-    predicted by `head`; sets db_bank.kappas."""
-    rows = dataset.head_inputs()
-    db_bank.kappas = predict_kappas(rows[db_idx], head)
-    value, _ = sc.score_query(sc.METHOD_RESULTANT, results, db_bank,
-                              kappa_q=predict_kappas(rows[val_idx], head))
-    return ece_at_k(value, results.success[:, 0],
-                    binning_for(sc.METHOD_RESULTANT, binning),
-                    k=1, method=sc.METHOD_RESULTANT).ece
+    def search(self, val_desc, db_desc) -> RetrievalResult:
+        """Top-1 search of validation descriptors against db descriptors,
+        successes marked."""
+        results = batch_knn(val_desc, db_desc, 1)
+        mark_successes(results, self.db, self.poses, self.tau)
+        return results
 
-
-def _recall_and_ece1(dataset, encoder, head, val_idx, db_idx, val_raw,
-                     db_raw, tau, binning):
-    """Joint-training hook: Recall@1 and, with a head, resultant ECE@1 on
-    validation queries, with database descriptors recomputed from the live
-    encoder weights; `val_raw` and `db_raw` are the raw rows `val_idx`
-    and `db_idx`, gathered once per fit."""
-    db_desc = encode(encoder, db_raw)
-    db_bank = DescriptorBank(
-        descriptors=db_desc, ids=dataset.bank.ids[db_idx],
-        labels=dataset.bank.labels[db_idx], poses=dataset.bank.poses[db_idx])
-    results = _marked_knn(encode(encoder, val_raw),
-                          dataset.bank.poses[val_idx], db_bank, tau)
-    if head is None:
-        return (recall_at_k(results, 1),)
-    return recall_at_k(results, 1), _resultant_ece1(
-        dataset, head, results, db_bank, db_idx, val_idx, binning)
+    def ece1(self, results: RetrievalResult, head: dict) -> float:
+        """Resultant-score ECE@1 of a `search`, with kappas predicted by
+        `head`."""
+        self.db.kappas = predict_kappas(self.db_rows, head)
+        value, _ = sc.score_query(sc.METHOD_RESULTANT, results, self.db,
+                                  kappa_q=predict_kappas(self.rows, head))
+        return ece_at_k(value, results.success[:, 0], self.binning, k=1,
+                        method=sc.METHOD_RESULTANT).ece
 
 
 def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
@@ -102,20 +95,15 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
     cfg = cfg or TrainConfig(seed=dataset.config.seed)
     head = init_head(dataset.config.feature_shape, rng=cfg.seed)
     idx, val_idx = _fit_rows(dataset, cfg.seed)
-    train = TrainData(features=dataset.head_inputs()[idx],
+    train = TrainData(features=dataset.head_inputs[idx],
                       labels=dataset.bank.labels[idx],
                       descriptors=dataset.bank.descriptors[idx])
-    db_idx = dataset.splits["db"]
+    val = _Validation(dataset, val_idx, tau, binning)
     # descriptors are frozen: retrieve once, re-score kappas each epoch
-    db_bank = dataset.bank.subset(db_idx)
-    results = _marked_knn(dataset.bank.descriptors[val_idx],
-                          dataset.bank.poses[val_idx], db_bank, tau)
-
-    def hook(h):
-        return _resultant_ece1(dataset, h, results, db_bank, db_idx, val_idx,
-                               binning)
-
-    return train_post(train, dataset.prototypes, head, cfg, eval_hook=hook)
+    results = val.search(dataset.bank.descriptors[val_idx],
+                         val.db.descriptors)
+    return train_post(train, dataset.prototypes, head, cfg,
+                      eval_hook=lambda h: val.ece1(results, h))
 
 
 def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
@@ -127,7 +115,9 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
 
     Early stopping tracks validation Recall@1, then, with a head,
     resultant ECE@1, with positives within `tau` and ECE binned by
-    `binning`.  Returns (encoder weights, prototypes, head, history).
+    `binning`; database descriptors are recomputed from the live encoder
+    weights each epoch.  Returns (encoder weights, prototypes, head,
+    history).
     """
     lmcl = lmcl or LmclConfig()
     d = dataset.config.descriptor_dim
@@ -137,14 +127,16 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
     head = (init_head(dataset.config.feature_shape, rng=cfg.seed)
             if cfg.lam > 0 else None)
     idx, val_idx = _fit_rows(dataset, cfg.seed)
-    train = TrainData(features=dataset.head_inputs()[idx],
+    train = TrainData(features=dataset.head_inputs[idx],
                       labels=dataset.bank.labels[idx], raw=dataset.raw[idx])
-    db_idx = dataset.splits["db"]
-    val_raw, db_raw = dataset.raw[val_idx], dataset.raw[db_idx]
+    val = _Validation(dataset, val_idx, tau, binning)
+    val_raw, db_raw = dataset.raw[val_idx], dataset.raw[dataset.splits["db"]]
 
     def hook(enc, protos, h):
-        return _recall_and_ece1(dataset, enc, h, val_idx, db_idx, val_raw,
-                                db_raw, tau, binning)
+        results = val.search(encode(enc, val_raw), encode(enc, db_raw))
+        if h is None:
+            return (recall_at_k(results, 1),)
+        return recall_at_k(results, 1), val.ece1(results, h)
 
     return train_joint(train, encoder, dataset.prototypes, head, cfg, lmcl,
                        eval_hook=hook)
@@ -193,7 +185,7 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise ValueError(f"ks must list at least one K >= 1, got {ks}")
-    results = batch_knn(query_bank.descriptors, bank,
+    results = batch_knn(query_bank.descriptors, bank.descriptors,
                         min(max(ks[-1], SUE_K), len(bank)))
     mark_successes(results, bank, query_bank.poses, tau)
 
@@ -278,7 +270,7 @@ def scene_banks(dataset: SynthDataset, head: dict):
     """The scene's db and query banks, in that order, with kappas predicted
     by `head`: the inputs of `evaluate_queries` and `evaluate_matches`."""
     banks = []
-    rows = dataset.head_inputs()
+    rows = dataset.head_inputs
     for split in ("db", "query"):
         idx = dataset.splits[split]
         bank = dataset.bank.subset(idx)

@@ -27,7 +27,6 @@ class DescriptorBank:
     """
 
     descriptors: np.ndarray            # (N, d), unit rows
-    ids: np.ndarray                    # (N,) int
     labels: np.ndarray                 # (N,) int
     poses: np.ndarray | None = None    # (N, 2) scene units
     true_kappa: np.ndarray | None = None
@@ -36,13 +35,12 @@ class DescriptorBank:
     def __post_init__(self):
         self.descriptors = check_unit_rows(self.descriptors,
                                            name="descriptor rows")
-        self.ids = np.asarray(self.ids, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         n = len(self.descriptors)
-        for name in ("ids", "labels", "poses", "true_kappa", "kappas"):
+        for name in ("labels", "poses", "true_kappa", "kappas"):
             arr = getattr(self, name)
             if arr is not None:
-                arr = np.asarray(arr, dtype=np.int64 if name in ("ids", "labels")
+                arr = np.asarray(arr, dtype=np.int64 if name == "labels"
                                  else np.float64)
                 if len(arr) != n:
                     raise ValueError(f"{name} length {len(arr)} != descriptor count {n}")
@@ -57,7 +55,7 @@ class DescriptorBank:
         return DescriptorBank(**{
             name: None if getattr(self, name) is None
             else getattr(self, name)[indices]
-            for name in ("descriptors", "ids", "labels", "poses", "true_kappa",
+            for name in ("descriptors", "labels", "poses", "true_kappa",
                          "kappas")})
 
 
@@ -87,10 +85,11 @@ class RetrievalResult:
         return len(self.ref_indices)
 
 
-def batch_knn(queries, bank: DescriptorBank, k: int) -> RetrievalResult:
-    """Exact top-k under cosine similarity for an (n, d) block of queries.
+def batch_knn(queries, refs, k: int) -> RetrievalResult:
+    """Exact top-k under cosine similarity of an (n, d) block of queries
+    against the (N, d) unit reference rows `refs`.
 
-    Ranking is by descending cosine, ties broken by ascending reference id.
+    Ranking is by descending cosine, ties broken by ascending reference row.
     Rows are scored and ranked _ROW_BLOCK at a time, so no (n, N) matrix
     exists.  A GEMM gives the block's cosines.  Its N columns are folded
     into g = min(N, max(k, _GROUP_FLOOR)) disjoint groups by elementwise
@@ -152,10 +151,11 @@ def batch_knn(queries, bank: DescriptorBank, k: int) -> RetrievalResult:
     differ from the two-pass ones in the last bit.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if not 1 <= k <= len(bank):
-        raise ValueError(f"K={k} out of range for bank of {len(bank)}")
-    D = bank.descriptors
-    n, N, d = len(queries), len(bank), D.shape[1]
+    # the two-pass eps bound assumes unit rows
+    D = check_unit_rows(refs, name="reference rows")
+    n, (N, d) = len(queries), D.shape
+    if not 1 <= k <= N:
+        raise ValueError(f"K={k} out of range for bank of {N}")
     if queries.shape[1] != d:
         raise ValueError(f"queries have d={queries.shape[1]}, "
                          f"bank rows d={d}")
@@ -189,7 +189,7 @@ def batch_knn(queries, bank: DescriptorBank, k: int) -> RetrievalResult:
             flat = _candidates(block, k, g)
             rows, cols = np.divmod(flat, N)
             sims = block.ravel()[flat]
-        ranked = np.lexsort((bank.ids[cols], -sims, rows))
+        ranked = np.lexsort((cols, -sims, rows))
         # `rows` is ascending and is the lexsort's primary key, so
         # row i's candidates start at the same offset in both
         first = np.searchsorted(rows, np.arange(h))

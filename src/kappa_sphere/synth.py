@@ -78,16 +78,13 @@ class SynthDataset:
     def __len__(self):
         return len(self.bank)
 
+    @cached_property
     def head_inputs(self) -> np.ndarray:
         """The (n, c) rows the kappa head reads, in `features` row order:
         `aggregate` pools the feature maps on first use and the rows are
         kept.  The backbone is frozen, so a fit, its epoch hooks and the
         final prediction all read one array.
         """
-        return self._pooled
-
-    @cached_property
-    def _pooled(self) -> np.ndarray:
         return aggregate(self.features)
 
     @cached_property
@@ -207,8 +204,8 @@ def generate_scene(config: SceneConfig) -> SynthDataset:
 
     features = _build_features(rng, ambiguity, config.feature_shape, config.noise_std)
 
-    bank = DescriptorBank(descriptors=descriptors, ids=np.arange(n),
-                          labels=labels, poses=poses, true_kappa=true_kappa)
+    bank = DescriptorBank(descriptors=descriptors, labels=labels, poses=poses,
+                          true_kappa=true_kappa)
     dataset = SynthDataset(
         config=config, bank=bank, features=features,
         ambiguity=ambiguity, prototypes=prototypes,

@@ -329,16 +329,15 @@ def test_criterion_5_protocol_exactness(rng):
 # --------------------------------------------------------------------------
 # Criterion 6: recall preservation.  After train_post, retrieval rankings
 # over the database are bit-identical to the pre-training baseline;
-# checked by hashing every query's ranked ids and similarities.
+# checked by hashing every query's ranked scene rows and similarities.
 
 def _rankings_digest(dataset, k=10):
-    db = dataset.bank.subset(dataset.splits["db"])
-    q_idx = dataset.splits["query"]
-    results = batch_knn(dataset.bank.descriptors[q_idx], db, min(k, len(db)))
+    db_idx, q_idx = dataset.splits["db"], dataset.splits["query"]
+    desc = dataset.bank.descriptors
+    results = batch_knn(desc[q_idx], desc[db_idx], min(k, len(db_idx)))
     h = hashlib.sha256()
-    for ref_ids, sims in zip(db.ids[results.ref_indices],
-                             results.similarities):
-        h.update(ref_ids.tobytes())
+    for refs, sims in zip(db_idx[results.ref_indices], results.similarities):
+        h.update(refs.tobytes())
         h.update(sims.tobytes())
     return h.hexdigest()
 
@@ -410,10 +409,10 @@ def _query_recall1(dataset, encoder):
     db_idx = dataset.splits["db"]
     q_idx = dataset.splits["query"]
     db = DescriptorBank(descriptors=encode(encoder, dataset.raw[db_idx]),
-                        ids=dataset.bank.ids[db_idx],
                         labels=dataset.bank.labels[db_idx],
                         poses=dataset.bank.poses[db_idx])
-    results = batch_knn(encode(encoder, dataset.raw[q_idx]), db, 1)
+    results = batch_knn(encode(encoder, dataset.raw[q_idx]), db.descriptors,
+                        1)
     mark_successes(results, db, dataset.bank.poses[q_idx], tau=25.0)
     return recall_at_k(results, 1)
 
@@ -435,7 +434,7 @@ def test_criterion_9_joint_training_non_degradation():
     # tested, not checkpoint selection.
     rng = np.random.default_rng(0)
     idx = dataset.splits["train"]
-    data = TrainData(features=dataset.head_inputs()[idx],
+    data = TrainData(features=dataset.head_inputs[idx],
                      labels=dataset.bank.labels[idx],
                      descriptors=dataset.bank.descriptors[idx],
                      raw=dataset.raw[idx])
@@ -463,11 +462,12 @@ def test_criterion_9_joint_training_non_degradation():
 def test_criterion_10_match_level_discrimination(default_scene_sweep):
     row = default_scene_sweep[0]
     db, queries = scene_banks(row["dataset"], row["head"])
-    ev = evaluate_matches(db, queries, batch_knn(queries.descriptors, db, 1))
+    ev = evaluate_matches(db, queries,
+                          batch_knn(queries.descriptors, db.descriptors, 1))
     assert ev.reports[sc.METHOD_RESULTANT].ece <= ev.reports[sc.METHOD_L2].ece
 
     # decile analysis over k=10 retrieved pairs
-    top10 = batch_knn(queries.descriptors, db, 10)
+    top10 = batch_knn(queries.descriptors, db.descriptors, 10)
     ev10 = evaluate_matches(db, queries, top10)
     sims = top10.similarities.ravel()
     scores = ev10.pairs[sc.METHOD_RESULTANT].value.ravel()

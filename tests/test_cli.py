@@ -485,9 +485,9 @@ class TestRecordedRetrieval:
         """Patch batch_knn to record the k of every search it runs."""
         original, ks = retrieval.batch_knn, []
 
-        def spy(queries, bank, k, **kwargs):
+        def spy(queries, refs, k, **kwargs):
             ks.append(k)
-            return original(queries, bank, k, **kwargs)
+            return original(queries, refs, k, **kwargs)
 
         _patch_everywhere(monkeypatch, original, spy)
         return ks
@@ -507,7 +507,8 @@ class TestRecordedRetrieval:
             kappas=fileio.read_manifest(out / "manifest.json", len(desc)))
         db, queries = bank.subset(splits["db"]), bank.subset(splits["query"])
         ev = evaluate_matches(db, queries,
-                              retrieval.batch_knn(queries.descriptors, db, k),
+                              retrieval.batch_knn(queries.descriptors,
+                                                  db.descriptors, k),
                               binning=run.binning, tau=run.tau)
         # as the report's JSON reads back
         return k, json.loads(json.dumps(
@@ -1299,11 +1300,9 @@ class TestUnsupportedMethods:
 
         w = rng.standard_normal((12, 8))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
-        bank = DescriptorBank(descriptors=w[:8], ids=np.arange(8),
-                              labels=np.zeros(8),
+        bank = DescriptorBank(descriptors=w[:8], labels=np.zeros(8),
                               kappas=rng.uniform(2, 50, 8))
-        queries = DescriptorBank(descriptors=w[8:], ids=np.arange(8, 12),
-                                 labels=np.zeros(4),
+        queries = DescriptorBank(descriptors=w[8:], labels=np.zeros(4),
                                  poses=rng.uniform(0, 100, (4, 2)),
                                  kappas=rng.uniform(2, 50, 4))
         with pytest.raises(ValueError, match="poses"):
@@ -1317,12 +1316,10 @@ class TestUnsupportedMethods:
         w = rng.standard_normal((4, 8))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         poses = rng.uniform(0, 100, (4, 2))
-        bank = DescriptorBank(descriptors=w[:1], ids=np.arange(1),
-                              labels=np.zeros(1), poses=poses[:1],
-                              kappas=rng.uniform(2, 50, 1))
-        queries = DescriptorBank(descriptors=w[1:], ids=np.arange(1, 4),
-                                 labels=np.zeros(3), poses=poses[1:],
-                                 kappas=rng.uniform(2, 50, 3))
+        bank = DescriptorBank(descriptors=w[:1], labels=np.zeros(1),
+                              poses=poses[:1], kappas=rng.uniform(2, 50, 1))
+        queries = DescriptorBank(descriptors=w[1:], labels=np.zeros(3),
+                                 poses=poses[1:], kappas=rng.uniform(2, 50, 3))
         ev = evaluate_queries(bank, queries, ks=(1,))
         assert set(ev.unsupported) == {"pa", "sue", "sue_log"}
         assert "2 retrieved neighbors" in ev.unsupported["pa"]
@@ -1338,13 +1335,11 @@ class TestUnsupportedMethods:
         w = rng.standard_normal((12, 8))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         poses = rng.uniform(0, 100, (12, 2))
-        bank = DescriptorBank(descriptors=w[:8], ids=np.arange(8),
-                              labels=np.zeros(8), poses=poses[:8],
-                              kappas=rng.uniform(2, 50, 8))
+        bank = DescriptorBank(descriptors=w[:8], labels=np.zeros(8),
+                              poses=poses[:8], kappas=rng.uniform(2, 50, 8))
         q_kappas = rng.uniform(2, 50, 4)
         q_kappas[2] = np.nan
-        queries = DescriptorBank(descriptors=w[8:], ids=np.arange(8, 12),
-                                 labels=np.zeros(4), poses=poses[8:],
-                                 kappas=q_kappas)
+        queries = DescriptorBank(descriptors=w[8:], labels=np.zeros(4),
+                                 poses=poses[8:], kappas=q_kappas)
         with pytest.raises(ValueError, match="finite"):
             evaluate_queries(bank, queries, ks=(1,))

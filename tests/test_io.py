@@ -149,8 +149,7 @@ class TestBankFormat:
         desc = unit_rows(rng, 4, 3)
         desc[1, 0] = np.nan
         with pytest.raises(ValueError, match="unit-norm"):
-            DescriptorBank(descriptors=desc, ids=np.arange(4),
-                           labels=np.zeros(4))
+            DescriptorBank(descriptors=desc, labels=np.zeros(4))
 
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
@@ -166,8 +165,8 @@ class TestManifest:
 
     def make_bank(self, rng, n=9, d=4):
         return DescriptorBank(
-            descriptors=unit_rows(rng, n, d), ids=np.arange(n),
-            labels=np.arange(n) % 3, poses=rng.uniform(0, 10, (n, 2)),
+            descriptors=unit_rows(rng, n, d), labels=np.arange(n) % 3,
+            poses=rng.uniform(0, 10, (n, 2)),
             true_kappa=rng.uniform(5, 500, n), kappas=rng.uniform(1, 100, n))
 
     def test_round_trip(self, rng, tmp_path):
@@ -178,7 +177,8 @@ class TestManifest:
         write_manifest(path, bank, self.SPLITS)
         assert _same_bits(read_manifest(path, len(bank)), bank.kappas)
         doc = json.loads(path.read_text())
-        for name in ("ids", "labels", "poses", "true_kappa"):
+        assert doc["ids"] == list(range(len(bank)))
+        for name in ("labels", "poses", "true_kappa"):
             assert _same_bits(np.asarray(doc[name]), getattr(bank, name))
 
     def test_optional_fields_absent(self, rng, tmp_path):
@@ -449,7 +449,7 @@ class TestSceneRecord:
         write_scene(path, want)
         got = read_scene(path, cfg)
         assert got.config == want.config
-        for name in ("descriptors", "ids", "labels", "poses", "true_kappa"):
+        for name in ("descriptors", "labels", "poses", "true_kappa"):
             assert _same_bits(getattr(got.bank, name),
                               getattr(want.bank, name)), name
         assert got.bank.kappas is None and want.bank.kappas is None
@@ -464,7 +464,7 @@ class TestSceneRecord:
         assert (want.aliased_pairs == []) == ("aliasing_rate" in scene)
         # eval's reader of the rows gives the same bits
         rows, splits = read_scene_rows(path, cfg)
-        assert sorted(rows) == ["ids", "labels", "poses", "true_kappa"]
+        assert sorted(rows) == ["labels", "poses", "true_kappa"]
         for name, value in rows.items():
             assert _same_bits(value, getattr(want.bank, name)), name
         assert set(splits) == set(SPLIT_NAMES)
@@ -579,13 +579,12 @@ class TestSceneRecord:
 class TestRetrievalRecord:
     @pytest.fixture()
     def banks(self, rng):
-        def bank(n, start):
+        def bank(n):
             return DescriptorBank(descriptors=unit_rows(rng, n, 6),
-                                  ids=np.arange(start, start + n),
                                   labels=np.zeros(n),
                                   poses=rng.uniform(0, 9, (n, 2)),
                                   kappas=rng.uniform(1, 9, n))
-        return bank(30, 100), bank(7, 0)
+        return bank(30), bank(7)
 
     @staticmethod
     def _key(tmp_path, db, queries) -> str:
@@ -593,8 +592,7 @@ class TestRetrievalRecord:
         `queries`."""
         both = {name: np.concatenate([getattr(db, name),
                                       getattr(queries, name)])
-                for name in ("descriptors", "ids", "labels", "poses",
-                             "kappas")}
+                for name in ("descriptors", "labels", "poses", "kappas")}
         rows = np.arange(len(db) + len(queries))
         splits = {"db": rows[:len(db)], "query": rows[len(db):]}
         bank, manifest = tmp_path / "bank.kpb", tmp_path / "manifest.json"
@@ -606,10 +604,10 @@ class TestRetrievalRecord:
         db, queries = banks
         path = tmp_path / "retrieval.npz"
         write_retrieval(path, "key", db, queries,
-                        batch_knn(queries.descriptors, db, 10))
+                        batch_knn(queries.descriptors, db.descriptors, 10))
         for k in (1, 4, 10):
             got_queries, got_db, got = read_retrieval(path, "key", k)
-            want = batch_knn(queries.descriptors, db, k)
+            want = batch_knn(queries.descriptors, db.descriptors, k)
             for name in ("ref_indices", "similarities"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(want, name))
@@ -626,7 +624,7 @@ class TestRetrievalRecord:
                 read_retrieval(where, key, k)
             assert exc.value.path == str(where) and exc.value.field is None
 
-    @pytest.mark.parametrize("field", ["descriptors", "ids"])
+    @pytest.mark.parametrize("field", ["descriptors"])
     @pytest.mark.parametrize("side", [0, 1])
     def test_key_covers_every_search_input(self, banks, tmp_path, field,
                                            side):

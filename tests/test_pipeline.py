@@ -48,7 +48,7 @@ def test_gnll_fit_predicts_kappa(seed):
     dataset = generate_scene(SceneConfig(seed=seed))
     head, _ = pipeline.fit_head(dataset, TrainConfig(
         mode=TrainMode.GNLL_VARIANT, seed=seed))
-    kappas = pipeline.predict_kappas(dataset.head_inputs(), head)
+    kappas = pipeline.predict_kappas(dataset.head_inputs, head)
     assert spearmanr(kappas, dataset.bank.true_kappa).statistic > 0.9
     assert np.median(kappas) > 1.0
 
@@ -123,7 +123,7 @@ def test_spearman_equals_scipy_bit_for_bit(n, ties):
 class TestEvaluateMatches:
     def test_pairs_are_the_elementwise_scores(self, fitted):
         _, _, db, query = fitted
-        res = batch_knn(query.descriptors, db, 3)
+        res = batch_knn(query.descriptors, db.descriptors, 3)
         ev = pipeline.evaluate_matches(db, query, res)
         n = len(query)
         assert ev.positive.shape == res.similarities.shape == (n, 3)
@@ -143,8 +143,8 @@ class TestEvaluateMatches:
     def test_without_kappas_only_l2(self, fitted):
         _, _, db, query = fitted
         query = replace(query, kappas=None)
-        ev = pipeline.evaluate_matches(db, query,
-                                       batch_knn(query.descriptors, db, 2))
+        ev = pipeline.evaluate_matches(
+            db, query, batch_knn(query.descriptors, db.descriptors, 2))
         assert set(ev.pairs) == set(ev.reports) == {sc.METHOD_L2}
 
     def test_given_results_are_scored_as_searched(self, fitted):
@@ -152,12 +152,12 @@ class TestEvaluateMatches:
         # first k columns of a deeper one (match-eval's recorded search)
         # score as a top-k search; a search of other queries is refused
         _, _, db, query = fitted
-        deep = batch_knn(query.descriptors, db, 5)
+        deep = batch_knn(query.descriptors, db.descriptors, 5)
         prefix = RetrievalResult(
             ref_indices=np.ascontiguousarray(deep.ref_indices[:, :2]),
             similarities=np.ascontiguousarray(deep.similarities[:, :2]))
         searched = pipeline.evaluate_matches(
-            db, query, batch_knn(query.descriptors, db, 2))
+            db, query, batch_knn(query.descriptors, db.descriptors, 2))
         with mock.patch.object(pipeline, "batch_knn",
                                side_effect=AssertionError("searched")):
             given = pipeline.evaluate_matches(db, query, prefix)

@@ -17,15 +17,17 @@ def unit_rows(rng, n, d):
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-def lexsort_top(sims, ids, k):
-    """Each row's top k columns by (-cosine, id)."""
-    return np.stack([np.lexsort((ids, -row))[:k] for row in sims])
+def lexsort_top(sims, k):
+    """Each row's top k columns by (-cosine, column): the rule
+    perfbench's `top_k` applies with the manifest's ids, which are the
+    rows."""
+    return np.stack([np.lexsort((np.arange(len(row)), -row))[:k]
+                     for row in sims])
 
 
 def make_bank(rng, n=20, d=8, with_poses=True):
     return DescriptorBank(
         descriptors=unit_rows(rng, n, d),
-        ids=np.arange(100, 100 + n),
         labels=np.arange(n) % 4,
         poses=rng.uniform(0, 500, (n, 2)) if with_poses else None,
     )
@@ -35,47 +37,42 @@ class TestBank:
     def test_rejects_non_unit_rows(self, rng):
         with pytest.raises(ValueError):
             DescriptorBank(descriptors=rng.standard_normal((4, 6)) * 2.0,
-                           ids=np.arange(4), labels=np.zeros(4))
+                           labels=np.zeros(4))
 
     def test_rejects_length_mismatch(self, rng):
         bank = make_bank(rng, n=5)
         with pytest.raises(ValueError):
-            DescriptorBank(descriptors=bank.descriptors, ids=np.arange(5),
+            DescriptorBank(descriptors=bank.descriptors,
                            labels=np.zeros(5), poses=np.zeros((4, 2)))
 
 
 class TestKnn:
     def test_exhaustive_agreement(self, rng):
-        # Ranked ids must equal a brute-force argsort of the full
+        # Ranked rows must equal a brute-force argsort of the full
         # similarity vector for every query.
-        bank = make_bank(rng, n=30, d=6)
+        D = unit_rows(rng, 30, 6)
         queries = rng.standard_normal((10, 6))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         for q in queries:
-            res = batch_knn(q[None], bank, k=30)
-            sims = bank.descriptors @ q
-            expected = bank.ids[np.lexsort((bank.ids, -sims))]
-            np.testing.assert_array_equal(bank.ids[res.ref_indices],
-                                          [expected])
+            res = batch_knn(q[None], D, k=30)
+            np.testing.assert_array_equal(res.ref_indices,
+                                          lexsort_top([D @ q], 30))
             assert np.all(np.diff(res.similarities) <= 1e-15)
 
-    def test_tie_broken_by_ascending_id(self):
+    def test_tie_broken_by_ascending_row(self):
         z = np.array([1.0, 0.0])
-        bank = DescriptorBank(descriptors=np.stack([z, z, -z]),
-                              ids=np.array([7, 3, 1]),
-                              labels=np.zeros(3))
-        res = batch_knn(z[None], bank, k=2)
-        np.testing.assert_array_equal(bank.ids[res.ref_indices], [[3, 7]])
+        res = batch_knn(z[None], np.stack([-z, z, z, -z]), k=4)
+        np.testing.assert_array_equal(res.ref_indices, [[1, 2, 0, 3]])
 
     def test_batch_matches_single(self, rng):
-        bank = make_bank(rng, n=25, d=5)
+        D = unit_rows(rng, 25, 5)
         queries = rng.standard_normal((6, 5))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
-        batch = batch_knn(queries, bank, k=4)
+        batch = batch_knn(queries, D, k=4)
         assert batch.ref_indices.shape == batch.similarities.shape == (6, 4)
         assert len(batch) == 6
         for i in range(6):
-            single = batch_knn(queries[i:i + 1], bank, k=4)
+            single = batch_knn(queries[i:i + 1], D, k=4)
             np.testing.assert_array_equal(batch.ref_indices[i],
                                           single.ref_indices[0])
             # a one-row GEMM may sum in another order: 1 ulp
@@ -87,26 +84,23 @@ class TestKnn:
            n=st.sampled_from([1, 5, _ROW_BLOCK, _ROW_BLOCK + 1,
                               2 * _ROW_BLOCK + 37]),
            size=st.integers(1, 40), dim=st.integers(2, 5),
-           levels=st.integers(1, 3), unique_ids=st.booleans(),
-           data=st.data())
+           levels=st.integers(1, 3), data=st.data())
     def test_matches_full_lexsort_under_heavy_ties(self, seed, n, size, dim,
-                                                   levels, unique_ids, data):
+                                                   levels, data):
         # Quantised and duplicated rows make many exact cosine ties; the
-        # ranking must equal a full per-row lexsort by (-cosine, id).
+        # ranking must equal a full per-row lexsort by (-cosine, row).
         r = np.random.default_rng(seed)
         x = r.integers(-levels, levels + 1, (size, dim)).astype(float)
         x[~x.any(axis=1), 0] = 1.0
         x[r.integers(0, size, size // 3)] = x[r.integers(0, size, size // 3)]
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        ids = r.choice(4 * size, size, replace=not unique_ids)
-        bank = DescriptorBank(descriptors=x, ids=ids, labels=np.zeros(size))
         queries = np.concatenate([x, r.integers(-levels, levels + 1,
                                                 (n, dim)).astype(float)])[:n]
         k = data.draw(st.integers(1, size), label="k")
 
-        res = batch_knn(queries, bank, k)
-        sims = queries @ bank.descriptors.T
-        expected = np.stack([np.lexsort((ids, -row))[:k] for row in sims])
+        res = batch_knn(queries, x, k)
+        sims = queries @ x.T
+        expected = lexsort_top(sims, k)
         np.testing.assert_array_equal(res.ref_indices, expected)
         np.testing.assert_array_equal(
             res.similarities, np.take_along_axis(sims, expected, axis=1))
@@ -123,23 +117,20 @@ class TestKnn:
         # has 1, 4 or 16 entries of +-1, +-1/2 or +-1/4, and the queries
         # are integer, so every cosine is exact in any summation order and
         # one full GEMM is the reference whatever the blocking.  Cosines
-        # take few values and rows repeat, so ties are everywhere; ids are
-        # a permutation, so the tie order is not the column order.
+        # take few values and rows repeat, so ties are everywhere.
         r = np.random.default_rng(seed)
         m = r.choice([1, 4, 16], (size, 1))
         on = r.random((size, 16)).argsort(axis=1) < m
         x = np.where(on, r.choice([-1.0, 1.0], (size, 16)) / np.sqrt(m), 0.0)
         x[r.integers(0, size, size // 2)] = x[r.integers(0, size, size // 2)]
-        ids = r.permutation(3 * size)[:size]
-        bank = DescriptorBank(descriptors=x, ids=ids, labels=np.zeros(size))
         queries = np.concatenate([x[r.integers(0, size, n // 2)],
                                   r.integers(-2, 3, (n - n // 2, 16))])
         k = data.draw(st.integers(1, size) | st.sampled_from([1, size]),
                       label="k")
 
-        res = batch_knn(queries, bank, k)
+        res = batch_knn(queries, x, k)
         sims = queries @ x.T
-        expected = np.stack([np.lexsort((ids, -row))[:k] for row in sims])
+        expected = lexsort_top(sims, k)
         np.testing.assert_array_equal(res.ref_indices, expected)
         np.testing.assert_array_equal(
             res.similarities, np.take_along_axis(sims, expected, axis=1))
@@ -162,8 +153,6 @@ class TestKnn:
         if duplicated:
             x[r.integers(0, size, size // 2)] = x[r.integers(0, size,
                                                            size // 2)]
-        ids = r.permutation(3 * size)[:size]
-        bank = DescriptorBank(descriptors=x, ids=ids, labels=np.zeros(size))
         queries = np.concatenate([x[r.integers(0, size, n // 2)],
                                   unit_rows(r, n - n // 2, 16)])
         deep = data.draw(st.integers(1, size)
@@ -172,8 +161,7 @@ class TestKnn:
         k = data.draw(st.integers(1, deep) | st.sampled_from([1, deep]),
                       label="k")
 
-        shallow, full = batch_knn(queries, bank, k), batch_knn(queries, bank,
-                                                               deep)
+        shallow, full = batch_knn(queries, x, k), batch_knn(queries, x, deep)
         for name in ("ref_indices", "similarities"):
             np.testing.assert_array_equal(getattr(shallow, name),
                                           getattr(full, name)[:, :k])
@@ -185,13 +173,11 @@ class TestKnn:
         # N = 288 and d = 64, OpenBLAS 0.3.31 sums a GEMM of 1-4 rows in
         # another order, so every tail height up to 8 is pinned here.
         r = np.random.default_rng(n)
-        bank = DescriptorBank(descriptors=unit_rows(r, 288, 64),
-                              ids=np.arange(288), labels=np.zeros(288))
+        D = unit_rows(r, 288, 64)
         queries = unit_rows(r, n, 64)
-        sims = queries @ bank.descriptors.T
-        expected = np.stack([np.lexsort((bank.ids, -row))[:10]
-                             for row in sims])
-        res = batch_knn(queries, bank, 10)
+        sims = queries @ D.T
+        expected = lexsort_top(sims, 10)
+        res = batch_knn(queries, D, 10)
         np.testing.assert_array_equal(res.ref_indices, expected)
         np.testing.assert_array_equal(
             res.similarities, np.take_along_axis(sims, expected, axis=1))
@@ -201,12 +187,11 @@ class TestKnn:
         # allocation stays below half of it.
         r = np.random.default_rng(0)
         n, N = 2048, 4096
-        bank = DescriptorBank(descriptors=unit_rows(r, N, 64),
-                              ids=np.arange(N), labels=np.zeros(N))
+        D = unit_rows(r, N, 64)
         queries = unit_rows(r, n, 64)
         tracemalloc.start()
         try:
-            batch_knn(queries, bank, 10)
+            batch_knn(queries, D, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -221,12 +206,11 @@ class TestKnn:
         # re-pins it.
         N = 9216
         r = np.random.default_rng(n)
-        bank = DescriptorBank(descriptors=unit_rows(r, N, 64),
-                              ids=np.arange(N), labels=np.zeros(N))
+        D = unit_rows(r, N, 64)
         queries = unit_rows(r, n, 64)
-        sims = queries @ bank.descriptors.T
-        expected = lexsort_top(sims, bank.ids, 10)
-        res = batch_knn(queries, bank, 10)
+        sims = queries @ D.T
+        expected = lexsort_top(sims, 10)
+        res = batch_knn(queries, D, 10)
         np.testing.assert_array_equal(res.ref_indices, expected)
         np.testing.assert_array_equal(
             res.similarities, np.take_along_axis(sims, expected, axis=1))
@@ -247,8 +231,6 @@ class TestKnn:
         near = b + np.geomspace(1e-8, 1e-6, N // 3)[:, None] * e
         x[r.permutation(N)[:N // 3]] = near / np.linalg.norm(
             near, axis=1, keepdims=True)
-        ids = r.permutation(N)
-        bank = DescriptorBank(descriptors=x, ids=ids, labels=np.zeros(N))
         close = b + 0.3 * unit_rows(r, 6, 64)
         close /= np.linalg.norm(close, axis=1, keepdims=True)
         queries = np.concatenate([
@@ -257,11 +239,31 @@ class TestKnn:
             1e200 * close[2:4], 1e-200 * close[4:]]).astype(float)
         for n in (1, len(queries)):
             sims = queries[:n] @ x.T
-            expected = lexsort_top(sims, ids, k)
-            res = batch_knn(queries[:n], bank, k)
+            expected = lexsort_top(sims, k)
+            res = batch_knn(queries[:n], x, k)
             np.testing.assert_array_equal(res.ref_indices, expected)
             np.testing.assert_array_equal(
                 res.similarities, np.take_along_axis(sims, expected, axis=1))
+
+    @pytest.mark.parametrize("N", [288, 2048])
+    def test_repeated_rows_tie_by_ascending_row(self, N):
+        # A bank of a few distinct rows, each repeated at scattered
+        # columns: every cosine ties with many others, and each query's
+        # ranking must be one full Q @ D.T lexsorted by (-cosine, row).
+        # N = 288 is searched in one pass, 2,048 in two; both are
+        # multiples of 8, so no column is summed in a partial tile.
+        r = np.random.default_rng(N)
+        D = unit_rows(r, 24, 64)[r.integers(0, 24, N)]
+        queries = np.concatenate([D[:19], unit_rows(r, _ROW_BLOCK, 64)])
+        for n in (1, 19, len(queries)):
+            sims = queries[:n] @ D.T
+            for k in (1, 10, 40):
+                expected = lexsort_top(sims, k)
+                res = batch_knn(queries[:n], D, k)
+                np.testing.assert_array_equal(res.ref_indices, expected)
+                np.testing.assert_array_equal(
+                    res.similarities,
+                    np.take_along_axis(sims, expected, axis=1))
 
     @pytest.mark.parametrize("N", [_TWO_PASS_FLOOR, 2072])
     def test_two_pass_search_keeps_no_state_between_calls(self, N):
@@ -271,14 +273,13 @@ class TestKnn:
         # gives the bits it gave the first time; a shallower one is a
         # prefix of a deeper one, and a lone query ranks as in its batch.
         r = np.random.default_rng(N)
-        bank = DescriptorBank(descriptors=unit_rows(r, N, 64),
-                              ids=r.permutation(N), labels=np.zeros(N))
+        D = unit_rows(r, N, 64)
         queries = unit_rows(r, 2 * _ROW_BLOCK + 37, 64)
         calls = [(queries, 10), (queries, 3), (queries[5], 10),
                  (queries[:_ROW_BLOCK + 1], 10)]
-        first = [batch_knn(q, bank, k) for q, k in calls]
+        first = [batch_knn(q, D, k) for q, k in calls]
         for (q, k), want in zip(calls[::-1], first[::-1]):
-            again = batch_knn(q, bank, k)
+            again = batch_knn(q, D, k)
             for name in ("ref_indices", "similarities"):
                 assert (getattr(again, name).tobytes()
                         == getattr(want, name).tobytes())
@@ -292,7 +293,7 @@ class TestKnn:
                                       full.ref_indices[5])
         np.testing.assert_allclose(alone.similarities[0],
                                    full.similarities[5], rtol=1e-14)
-        expected = lexsort_top(queries @ bank.descriptors.T, bank.ids, 10)
+        expected = lexsort_top(queries @ D.T, 10)
         np.testing.assert_array_equal(full.ref_indices, expected)
 
     @pytest.mark.parametrize("N", [_TWO_PASS_FLOOR + 1, 2049, 4096])
@@ -311,12 +312,10 @@ class TestKnn:
         x = centres[np.arange(N) // 9] + 0.3 * unit_rows(r, N, 64)
         x[r.integers(0, N, N // 8)] = x[r.integers(0, N, N // 8)]
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        ids = r.permutation(3 * N)[:N]
-        bank = DescriptorBank(descriptors=x, ids=ids, labels=np.zeros(N))
         queries = centres[np.arange(257) // 6] + 0.3 * unit_rows(r, 257, 64)
         for n in (1, 2, 37, 256, 257):
             q = queries[:n]
-            deep = [batch_knn(q, bank, K) for K in range(1, 41)]
+            deep = [batch_knn(q, x, K) for K in range(1, 41)]
             for K in range(2, 41):
                 for k in range(1, K):
                     for name in ("ref_indices", "similarities"):
@@ -325,7 +324,7 @@ class TestKnn:
                             getattr(deep[K - 1], name)[:, :k],
                             err_msg=f"n={n} k={k} K={K}")
             for i in range(n):
-                alone = batch_knn(q[i], bank, 10)
+                alone = batch_knn(q[i], x, 10)
                 np.testing.assert_array_equal(deep[9].ref_indices[i],
                                               alone.ref_indices[0])
                 np.testing.assert_allclose(deep[9].similarities[i],
@@ -337,12 +336,11 @@ class TestKnn:
         # float64 block of _ROW_BLOCK rows against the whole bank.
         r = np.random.default_rng(0)
         n, N = 2048, 4096
-        bank = DescriptorBank(descriptors=unit_rows(r, N, 64),
-                              ids=np.arange(N), labels=np.zeros(N))
+        D = unit_rows(r, N, 64)
         queries = unit_rows(r, n, 64)
         tracemalloc.start()
         try:
-            batch_knn(queries, bank, 10)
+            batch_knn(queries, D, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,32 +349,43 @@ class TestKnn:
     @pytest.mark.parametrize("N", [40, _TWO_PASS_FLOOR])
     def test_rejects_query_width_of_another_bank(self, N):
         r = np.random.default_rng(N)
-        bank = DescriptorBank(descriptors=unit_rows(r, N, 64),
-                              ids=np.arange(N), labels=np.zeros(N))
         with pytest.raises(ValueError,
                            match="queries have d=5, bank rows d=64"):
-            batch_knn(unit_rows(r, 3, 5), bank, k=2)
+            batch_knn(unit_rows(r, 3, 5), unit_rows(r, N, 64), k=2)
+
+    @pytest.mark.parametrize("case", ["NaN row", "norm 1.5", "1-D"])
+    def test_rejects_what_is_not_a_matrix_of_unit_rows(self, case):
+        # the two-pass eps bound assumes unit rows; a row of norm 1.5 on
+        # a bank searched in two passes would break it
+        r = np.random.default_rng(0)
+        D = unit_rows(r, _TWO_PASS_FLOOR, 64)
+        if case == "NaN row":
+            D[7, 3] = np.nan
+        elif case == "norm 1.5":
+            D[7] *= 1.5
+        else:
+            D = D[0]
+        with pytest.raises(ValueError, match="reference rows"):
+            batch_knn(unit_rows(r, 3, 64), D, k=2)
 
     def test_rejects_non_finite_queries(self, rng):
-        bank = make_bank(rng, n=5, d=3)
         with pytest.raises(ValueError, match="non-finite"):
-            batch_knn([[1.0, np.nan, 0.0]], bank, k=2)
+            batch_knn([[1.0, np.nan, 0.0]], unit_rows(rng, 5, 3), k=2)
 
     def test_result_owns_only_its_k_columns(self, rng):
         # The index block is allocated (n, k); no row is a view of a full
         # N-long sort that would keep it alive.
-        bank = make_bank(rng, n=25, d=5)
-        res = batch_knn(bank.descriptors[:3], bank, k=4)
+        D = unit_rows(rng, 25, 5)
+        res = batch_knn(D[:3], D, k=4)
         for arr in (res.ref_indices, res.similarities):
             assert arr.shape == (3, 4) and arr.base is None
 
     def test_k_out_of_range(self, rng):
-        bank = make_bank(rng, n=5)
-        q = bank.descriptors[0]
+        D = unit_rows(rng, 5, 8)
         with pytest.raises(ValueError):
-            batch_knn(q[None], bank, k=0)
+            batch_knn(D[:1], D, k=0)
         with pytest.raises(ValueError):
-            batch_knn(q[None], bank, k=6)
+            batch_knn(D[:1], D, k=6)
 
 
 class TestGroundTruth:
@@ -427,7 +436,7 @@ class TestRecall:
         bank = make_bank(rng, n=40, d=6)
         queries = bank.descriptors[:8] + 0.05 * rng.standard_normal((8, 6))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
-        results = batch_knn(queries, bank, k=10)
+        results = batch_knn(queries, bank.descriptors, k=10)
         mark_successes(results, bank, bank.poses[:8], tau=1.0)
         recalls = [recall_at_k(results, k) for k in (1, 5, 10)]
         assert recalls[0] <= recalls[1] <= recalls[2]
@@ -436,13 +445,12 @@ class TestRecall:
         # 3 queries over a 3-item bank; positives chosen so that
         # Recall@1 = 1/3 and Recall@2 = 1.
         e = np.eye(3)
-        bank = DescriptorBank(descriptors=e, ids=np.arange(3),
-                              labels=np.arange(3),
+        bank = DescriptorBank(descriptors=e, labels=np.arange(3),
                               poses=[[0.0, 0.0], [100.0, 0.0], [200.0, 0.0]])
         queries = np.array([e[0], e[1], e[2]])
-        results = batch_knn(queries, bank, k=2)
-        # rank 2 for every query is id 0 (tie among the two zero-cosine
-        # candidates broken by ascending id), so id 0, the one reference
+        results = batch_knn(queries, e, k=2)
+        # rank 2 for every query is row 0 (tie among the two zero-cosine
+        # candidates broken by ascending row), so row 0, the one reference
         # within tau of every query, hits at rank 1 only for query 0 and
         # at rank 2 for the others.
         mark_successes(results, bank, np.zeros((3, 2)), tau=25.0)
@@ -451,7 +459,7 @@ class TestRecall:
 
     def test_success_is_prefix_cumulative(self, rng):
         bank = make_bank(rng, n=10, d=4)
-        res = batch_knn(bank.descriptors[0], bank, k=10)
+        res = batch_knn(bank.descriptors[0], bank.descriptors, k=10)
         # the query stands at row 5's pose, and no other row is that close
         mark_successes(res, bank, bank.poses[5:6], tau=1e-6)
         assert np.all(np.diff(res.success.astype(int), axis=1) >= 0)
@@ -460,7 +468,7 @@ class TestRecall:
 
     def test_requires_marked_successes(self, rng):
         bank = make_bank(rng, n=4, d=4)
-        res = batch_knn(bank.descriptors[0], bank, k=2)
+        res = batch_knn(bank.descriptors[0], bank.descriptors, k=2)
         with pytest.raises(ValueError):
             recall_at_k(res, 1)
         with pytest.raises(ValueError):
@@ -469,7 +477,7 @@ class TestRecall:
     def test_rejects_k_below_one(self, rng):
         # k = 0 would index the last column, the recall at the deepest rank
         bank = make_bank(rng, n=4, d=4)
-        res = batch_knn(bank.descriptors, bank, k=2)
+        res = batch_knn(bank.descriptors, bank.descriptors, k=2)
         mark_successes(res, bank, bank.poses, tau=1.0)
         for k in (0, -1):
             with pytest.raises(ValueError, match="k must be >= 1"):

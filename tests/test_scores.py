@@ -22,7 +22,7 @@ def make_bank(rng, n=6, d=4, poses=True, kappas=None):
     w = rng.standard_normal((n, d))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     return DescriptorBank(
-        descriptors=w, ids=np.arange(n), labels=np.zeros(n),
+        descriptors=w, labels=np.zeros(n),
         poses=rng.uniform(0, 100, (n, 2)) if poses else None,
         kappas=kappas,
     )

@@ -154,7 +154,7 @@ class TestAliasing:
         def top1_label_accuracy(ds):
             db = ds.bank.subset(ds.splits["db"])
             q = ds.splits["query"]
-            results = batch_knn(ds.bank.descriptors[q], db, 1)
+            results = batch_knn(ds.bank.descriptors[q], db.descriptors, 1)
             hits = db.labels[results.ref_indices[:, 0]] == ds.bank.labels[q]
             return float(np.mean(hits))
 

@@ -117,6 +117,28 @@ def test_trace_epoch_counters_read_the_history():
         assert count((), {}, run()) == cfg.max_epochs, name
 
 
+def test_trace_pair_counter_reads_the_search_shape():
+    # The tracer counts retrieval.batch_knn.pairs, n*N, from a search's
+    # first two arguments by position: the queries, then the reference
+    # rows.  A reordered signature would count something else unseen.
+    import inspect
+
+    import numpy as np
+
+    from kappa_sphere.retrieval import batch_knn
+
+    traced, counter, count = _trace_runner().TARGETS[
+        "kappa_sphere.retrieval"]["batch_knn"]
+    assert traced and counter == "retrieval.batch_knn.pairs"
+    assert list(inspect.signature(batch_knn).parameters)[:2] == [
+        "queries", "refs"]
+    refs = np.random.default_rng(0).standard_normal((40, 6))
+    refs /= np.linalg.norm(refs, axis=1, keepdims=True)
+    args = (refs[:7], refs, 3)
+    result = batch_knn(*args)
+    assert count(args, {}, result) == len(result) * len(refs) == 7 * 40
+
+
 def test_traced_scores_keep_their_spans(tmp_path):
     # The tracer replaces scores.score_query and scores.match_uncertainty
     # in every package module as it is imported; a caller that reached one
