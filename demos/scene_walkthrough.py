@@ -11,7 +11,8 @@ baseline, and writes a reliability diagram as SVG.
 import numpy as np
 
 from kappa_sphere.calibration import reliability_svg
-from kappa_sphere.pipeline import evaluate_queries, fit_head, scene_banks
+from kappa_sphere.pipeline import (evaluate_queries, fit_head, scene_rows,
+                                   search_splits)
 from kappa_sphere.synth import SceneConfig, generate_scene
 
 # Generate a scene with known per-class ground-truth kappa.  Aliased class
@@ -28,9 +29,11 @@ head, history = fit_head(dataset)
 print(f"fit: {len(history)} epochs, final loss {history[-1]['loss']:.4f}")
 
 # Evaluate the query split against the database split, both with the
-# kappas the head predicts.
-db, queries = scene_banks(dataset, head)
-ev = evaluate_queries(db, queries, ks=(1, 5))
+# kappas the head predicts.  The search reads descriptors alone; scoring
+# reads each side's poses and kappas.
+db, queries = scene_rows(dataset, head)
+results = search_splits(dataset.descriptors, dataset.splits, ks=(1, 5))
+ev = evaluate_queries(db, queries, results, ks=(1, 5))
 print(f"\nRecall@1 = {ev.recalls[1]:.3f}   Recall@5 = {ev.recalls[5]:.3f}")
 print(f"Spearman rho (predicted vs true kappa) = {ev.spearman_kappa:.3f}")
 

@@ -104,8 +104,8 @@ def _write_artifacts(out, run, dataset, history=None, **model) -> dict:
     if history is not None:
         fileio.write_model_state(paths["model"], **model)
         fileio.atomic_write_text(paths["history"], fileio.history_csv(history))
-    fileio.write_bank(paths["bank"], dataset.bank.descriptors)
-    fileio.write_manifest(paths["manifest"], dataset.bank, dataset.splits)
+    fileio.write_bank(paths["bank"], dataset.descriptors)
+    fileio.write_manifest(paths["manifest"], dataset.rows, dataset.splits)
     fileio.atomic_write_text(paths["config"], json.dumps(
         run.to_json(), sort_keys=True, indent=2))
     return paths
@@ -133,7 +133,8 @@ def cmd_fit(args) -> int:
     dataset = fileio.read_scene(_paths(args.out)["scene"], run.scene)
     head, history = fit_head(dataset, cfg=run.train, tau=run.tau,
                              binning=run.binning)
-    dataset.bank.kappas = predict_kappas(dataset.head_inputs, head)
+    dataset.rows = dataset.rows.with_kappas(
+        predict_kappas(dataset.head_inputs, head))
     paths = _write_artifacts(args.out, run, dataset, history, head=head,
                              extra={"mode": run.train.mode.value,
                                     "epochs": len(history)})
@@ -151,9 +152,10 @@ def cmd_train(args) -> int:
     encoder, prototypes, head, history = fit_joint(
         dataset, cfg=run.train, lmcl=run.lmcl, tau=run.tau,
         binning=run.binning)
-    dataset.bank.descriptors = encode(encoder, dataset.raw)
+    dataset.descriptors = encode(encoder, dataset.raw)
     if head is not None:
-        dataset.bank.kappas = predict_kappas(dataset.head_inputs, head)
+        dataset.rows = dataset.rows.with_kappas(
+            predict_kappas(dataset.head_inputs, head))
     paths = _write_artifacts(args.out, run, dataset, history, head=head,
                              encoder=encoder, prototypes=prototypes,
                              extra={"mode": "joint_training",
@@ -166,7 +168,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import fileio, retrieval
-    from .pipeline import evaluate_queries
+    from .pipeline import evaluate_queries, search_splits
 
     paths = _paths(args.out)
     run = _resolve(args)
@@ -179,19 +181,18 @@ def cmd_eval(args) -> int:
     # match-eval misses it rather than reuse a search of other bytes
     key = fileio.inputs_key(paths["bank"], paths["manifest"])
     desc = fileio.read_bank(paths["bank"])
-    shape = (len(rows["labels"]), run.scene.descriptor_dim)
+    shape = (len(rows), run.scene.descriptor_dim)
     if desc.shape != shape:
         raise ValueError(f"{paths['bank']} holds descriptors of shape "
                          f"{desc.shape}, but the scene's are {shape}")
-    kappas = fileio.read_manifest(paths["manifest"], shape[0])
-    bank = retrieval.DescriptorBank(descriptors=desc, kappas=kappas, **rows)
-    db, queries = bank.subset(splits["db"]), bank.subset(splits["query"])
+    rows = rows.with_kappas(fileio.read_manifest(paths["manifest"], shape[0]))
+    db, queries = rows.subset(splits["db"]), rows.subset(splits["query"])
     # the config cannot check K against the database, known only here
     if max(run.ks) > len(db):
         raise ValueError(f"K = {max(run.ks)} exceeds the {len(db)} rows "
                          "of the database (at $.ks)")
-    ev = evaluate_queries(db, queries, ks=run.ks, binning=run.binning,
-                          tau=run.tau)
+    ev = evaluate_queries(db, queries, search_splits(desc, splits, run.ks),
+                          ks=run.ks, binning=run.binning, tau=run.tau)
     body = {
         "level": "query",
         "recalls": {str(k): v for k, v in ev.recalls.items()},
@@ -223,7 +224,7 @@ def cmd_match_eval(args) -> int:
     k = run.ks[0]
     # eval's record of a search of these exact input bytes, at least k
     # deep; a miss is an error that names the command to run
-    queries, db, results = fileio.read_retrieval(paths["retrieval"], key, k)
+    db, queries, results = fileio.read_retrieval(paths["retrieval"], key, k)
     ev = evaluate_matches(db, queries, results, binning=run.binning,
                           tau=run.tau)
     body = {

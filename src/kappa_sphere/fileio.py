@@ -26,8 +26,7 @@ import numpy as np
 from .calibration import (BinningConfig, CalibrationReport, FieldError,
                           json_value)
 from .head import GEM_P
-from .retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
-                        RetrievalResult)
+from .retrieval import DEFAULT_KS, DEFAULT_TAU, RetrievalResult, Rows
 from .scores import LEVELS, methods_at
 from .synth import SceneConfig, SPLIT_NAMES, SynthDataset
 from .training import LmclConfig, TrainConfig
@@ -171,24 +170,22 @@ def read_bank(path) -> np.ndarray:
     return desc
 
 
-def write_manifest(path, bank: DescriptorBank, splits: dict) -> None:
-    """JSON manifest carrying everything about the bank except descriptors:
+def write_manifest(path, rows: Rows, splits: dict) -> None:
+    """JSON manifest of a bank's `rows`, everything but its descriptors:
     ids (each row's index), labels, poses, the kappas it has, and each
     row's split."""
-    if bank.poses is None:
-        raise ValueError("a manifest records poses; the bank has none")
-    which = np.full(len(bank), len(SPLIT_NAMES))  # no split yet
+    which = np.full(len(rows), len(SPLIT_NAMES))  # no split yet
     for k, name in enumerate(SPLIT_NAMES):
         which[np.asarray(splits.get(name, ()), dtype=np.intp)] = k
     if (which == len(SPLIT_NAMES)).any():
         raise ValueError("splits do not cover every bank row")
     doc = {
-        "ids": list(range(len(bank))),
-        "labels": bank.labels.tolist(),
-        "poses": bank.poses.tolist(),
-        "true_kappa": None if bank.true_kappa is None
-        else bank.true_kappa.tolist(),
-        "kappas": None if bank.kappas is None else bank.kappas.tolist(),
+        "ids": list(range(len(rows))),
+        "labels": rows.labels.tolist(),
+        "poses": rows.poses.tolist(),
+        "true_kappa": None if rows.true_kappa is None
+        else rows.true_kappa.tolist(),
+        "kappas": None if rows.kappas is None else rows.kappas.tolist(),
         "split": np.array(SPLIT_NAMES)[which].tolist(),
     }
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
@@ -302,12 +299,12 @@ def write_scene(path, dataset: SynthDataset) -> None:
     is derived from them on use), its aliased pairs and splits, and its
     SceneConfig as JSON, the record's key.  A numpy-only .npz archive,
     written atomically."""
-    bank = dataset.bank
+    rows = dataset.rows
     scene = _section_json("scene", dataset.config)
     _write_record(
         path, scene=np.array(json.dumps(scene, sort_keys=True)),
-        descriptors=bank.descriptors, labels=bank.labels, poses=bank.poses,
-        true_kappa=bank.true_kappa, features=dataset.features,
+        descriptors=dataset.descriptors, labels=rows.labels, poses=rows.poses,
+        true_kappa=rows.true_kappa, features=dataset.features,
         ambiguity=dataset.ambiguity, prototypes=dataset.prototypes,
         class_poses=dataset.class_poses,
         aliased_pairs=np.array(dataset.aliased_pairs,
@@ -368,11 +365,11 @@ _ROW_FIELDS = ("labels", "poses", "true_kappa",
 
 
 def _scene_rows(values: dict, cfg: SceneConfig, path) -> tuple:
-    """(rows, splits) of a scene record's `values`: the DescriptorBank
-    fields besides descriptors and kappas, and the split name -> row
-    indices.  Labels and split rows must be in range, each split strictly
-    ascending and the splits a partition of the rows; poses finite, and
-    true kappas finite and >= 0."""
+    """(rows, splits) of a scene record's `values`: the Rows of its poses,
+    true kappas and labels, and the split name -> row indices.  Labels
+    and split rows must be in range, each split strictly ascending and the
+    splits a partition of the rows; poses finite, and true kappas finite
+    and >= 0."""
     n = len(values["labels"])
     splits = {name: values[f"split_{name}"] for name in SPLIT_NAMES}
     _check_indices(values["labels"], cfg.num_classes, path, "labels")
@@ -386,8 +383,8 @@ def _scene_rows(values: dict, cfg: SceneConfig, path) -> tuple:
         raise RecordFileError("the splits do not partition the rows", path)
     _check_finite(values["poses"], path, "poses")
     _check_finite(values["true_kappa"], path, "true_kappa", nonneg=True)
-    return {"labels": values["labels"], "poses": values["poses"],
-            "true_kappa": values["true_kappa"]}, splits
+    return Rows(poses=values["poses"], true_kappa=values["true_kappa"],
+                labels=values["labels"]), splits
 
 
 def read_scene_rows(path, cfg: SceneConfig) -> tuple:
@@ -420,16 +417,15 @@ def read_scene(path, cfg: SceneConfig) -> SynthDataset:
                    "aliased_pairs")
     # the head's input; ambiguity and class_poses are gen's alone
     _check_finite(values["features"], path, "features")
-    try:  # the bank checks its descriptor rows
-        bank = DescriptorBank(descriptors=values["descriptors"], **rows)
-    except ValueError as exc:
-        raise RecordFileError(str(exc), path, "descriptors") from exc
-    try:
-        check_unit_rows(values["prototypes"], name="prototype rows")
-    except ValueError as exc:
-        raise RecordFileError(str(exc), path, "prototypes") from exc
+    for name, rows_name in (("descriptors", "descriptor rows"),
+                            ("prototypes", "prototype rows")):
+        try:
+            check_unit_rows(values[name], name=rows_name)
+        except ValueError as exc:
+            raise RecordFileError(str(exc), path, name) from exc
     return SynthDataset(
-        config=cfg, bank=bank, features=values["features"],
+        config=cfg, descriptors=values["descriptors"], rows=rows,
+        features=values["features"],
         ambiguity=values["ambiguity"], prototypes=values["prototypes"],
         class_poses=values["class_poses"],
         aliased_pairs=[(int(a), int(b)) for a, b in values["aliased_pairs"]],
@@ -472,26 +468,13 @@ def inputs_key(bank_path, manifest_path) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class RecordedRows:
-    """What match-level scoring reads of one side's bank: its poses, and
-    its kappas when the manifest has them."""
-
-    poses: np.ndarray                  # (rows, 2)
-    kappas: np.ndarray | None = None   # (rows,)
-
-    def __len__(self):
-        return len(self.poses)
-
-
-def write_retrieval(path, key: str, bank: DescriptorBank,
-                    query_bank: DescriptorBank,
+def write_retrieval(path, key: str, db: Rows, queries: Rows,
                     results: RetrievalResult) -> None:
-    """Record a top-K search of `query_bank` against `bank` under `key`
-    (`inputs_key` of the files the banks were read from): its (n, K) bank
-    row indices and cosines, and both banks' poses and kappas (none when
-    the bank has none).  A numpy-only .npz archive, written atomically."""
-    sides = {"query": query_bank, "db": bank}
+    """Record a top-K search of `queries` against `db` under `key`
+    (`inputs_key` of the files their rows were read from): its (n, K) db
+    row indices and cosines, and both sides' poses and kappas (none when
+    a side has none).  A numpy-only .npz archive, written atomically."""
+    sides = {"query": queries, "db": db}
     _write_record(
         path, key=np.array(key),
         ref_indices=np.asarray(results.ref_indices, dtype=np.int64),
@@ -502,9 +485,9 @@ def write_retrieval(path, key: str, bank: DescriptorBank,
 
 
 def read_retrieval(path, key: str, k: int) -> tuple:
-    """(queries, db, results): the first k columns of the search
-    `write_retrieval` recorded under `key`, as a RetrievalResult, and the
-    RecordedRows of the rows it ranks.
+    """(db, queries, results): the Rows, poses and kappas, of the two
+    sides of the search `write_retrieval` recorded under `key`, and its
+    first k columns as a RetrievalResult.
 
     A miss is a RecordFileError naming the file and the command to run:
     no file (run eval first), a record under another key (other input
@@ -550,8 +533,8 @@ def read_retrieval(path, key: str, k: int) -> tuple:
                 f"k = {k} exceeds the db" if k > rows
                 else f"run eval with a K of at least {k}"), path)
     # contiguous, as batch_knn returns them
-    return (RecordedRows(values["query_poses"], values.get("query_kappas")),
-            RecordedRows(values["db_poses"], values.get("db_kappas")),
+    return (Rows(values["db_poses"], values.get("db_kappas")),
+            Rows(values["query_poses"], values.get("query_kappas")),
             RetrievalResult(
                 ref_indices=np.ascontiguousarray(order[:, :k]),
                 similarities=np.ascontiguousarray(

@@ -16,9 +16,9 @@ import numpy as np
 from . import scores as sc
 from .calibration import BinningConfig, ece_at_k, match_ece_at_k
 from .head import forward_batch, init_head
-from .retrieval import (DEFAULT_KS, DEFAULT_TAU, SUE_K, DescriptorBank,
-                        RetrievalResult, batch_knn, mark_successes,
-                        positive_mask, recall_at_k)
+from .retrieval import (DEFAULT_KS, DEFAULT_TAU, SUE_K, RetrievalResult,
+                        Rows, batch_knn, mark_successes, positive_mask,
+                        recall_at_k)
 from .synth import SynthDataset
 from .training import (LmclConfig, TrainConfig, TrainData, encode,
                        train_joint, train_post)
@@ -54,15 +54,15 @@ def _fit_rows(dataset: SynthDataset, seed: int):
 class _Validation:
     """One fit's calibration validation: the validation rows `val_idx`
     searched against the db split, positives within `tau`, ECE binned by
-    `binning`.  Every row the checks read is gathered once per fit."""
+    `binning`.  The poses and pooled rows the checks read are gathered
+    once per fit; the descriptors are the caller's."""
 
     def __init__(self, dataset: SynthDataset, val_idx, tau: float,
                  binning: BinningConfig | None):
         db_idx = dataset.splits["db"]
-        self.db = dataset.bank.subset(db_idx)  # kappas set on each check
-        self.poses = dataset.bank.poses[val_idx]
-        rows = dataset.head_inputs
-        self.rows, self.db_rows = rows[val_idx], rows[db_idx]
+        poses, pooled = dataset.rows.poses, dataset.head_inputs
+        self.db, self.queries = Rows(poses[db_idx]), Rows(poses[val_idx])
+        self.pooled, self.db_pooled = pooled[val_idx], pooled[db_idx]
         self.tau = tau
         self.binning = binning_for(sc.METHOD_RESULTANT, binning)
 
@@ -70,15 +70,15 @@ class _Validation:
         """Top-1 search of validation descriptors against db descriptors,
         successes marked."""
         results = batch_knn(val_desc, db_desc, 1)
-        mark_successes(results, self.db, self.poses, self.tau)
+        mark_successes(results, self.db, self.queries, self.tau)
         return results
 
     def ece1(self, results: RetrievalResult, head: dict) -> float:
         """Resultant-score ECE@1 of a `search`, with kappas predicted by
         `head`."""
-        self.db.kappas = predict_kappas(self.db_rows, head)
-        value, _ = sc.score_query(sc.METHOD_RESULTANT, results, self.db,
-                                  kappa_q=predict_kappas(self.rows, head))
+        db = self.db.with_kappas(predict_kappas(self.db_pooled, head))
+        value, _ = sc.score_query(sc.METHOD_RESULTANT, results, db,
+                                  kappa_q=predict_kappas(self.pooled, head))
         return ece_at_k(value, results.success[:, 0], self.binning, k=1,
                         method=sc.METHOD_RESULTANT).ece
 
@@ -95,13 +95,12 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
     cfg = cfg or TrainConfig(seed=dataset.config.seed)
     head = init_head(dataset.config.feature_shape, rng=cfg.seed)
     idx, val_idx = _fit_rows(dataset, cfg.seed)
+    desc = dataset.descriptors
     train = TrainData(features=dataset.head_inputs[idx],
-                      labels=dataset.bank.labels[idx],
-                      descriptors=dataset.bank.descriptors[idx])
+                      labels=dataset.rows.labels[idx], descriptors=desc[idx])
     val = _Validation(dataset, val_idx, tau, binning)
     # descriptors are frozen: retrieve once, re-score kappas each epoch
-    results = val.search(dataset.bank.descriptors[val_idx],
-                         val.db.descriptors)
+    results = val.search(desc[val_idx], desc[dataset.splits["db"]])
     return train_post(train, dataset.prototypes, head, cfg,
                       eval_hook=lambda h: val.ece1(results, h))
 
@@ -128,7 +127,7 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
             if cfg.lam > 0 else None)
     idx, val_idx = _fit_rows(dataset, cfg.seed)
     train = TrainData(features=dataset.head_inputs[idx],
-                      labels=dataset.bank.labels[idx], raw=dataset.raw[idx])
+                      labels=dataset.rows.labels[idx], raw=dataset.raw[idx])
     val = _Validation(dataset, val_idx, tau, binning)
     val_raw, db_raw = dataset.raw[val_idx], dataset.raw[dataset.splits["db"]]
 
@@ -166,36 +165,65 @@ class QueryEvaluation:
     unsupported: dict = field(default_factory=dict)  # method -> reason
 
 
-def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
+def search_depth(ks, n: int) -> int:
+    """How deep `evaluate_queries` reads a search of a database of `n`
+    rows for the K of `ks`: max(max(ks), SUE_K), clipped to n."""
+    return min(max(max(ks), SUE_K), n)
+
+
+def search_splits(descriptors, splits: dict, ks) -> RetrievalResult:
+    """The search `evaluate_queries` scores for the K of `ks`: the query
+    split's rows of the (N, d) `descriptors` against the db split's,
+    `search_depth` deep."""
+    db = descriptors[splits["db"]]
+    return batch_knn(descriptors[splits["query"]], db,
+                     search_depth(ks, len(db)))
+
+
+def _check_search(results: RetrievalResult, queries: Rows,
+                  depth: int) -> None:
+    """`results` ranks every row of `queries`, at least `depth` deep."""
+    if len(results) != len(queries):
+        raise ValueError(f"a search of {len(results)} queries cannot score "
+                         f"{len(queries)}")
+    if results.ref_indices.shape[1] < depth:
+        raise ValueError(f"a top-{results.ref_indices.shape[1]} search is "
+                         f"shallower than the search depth {depth}")
+
+
+def evaluate_queries(db: Rows, queries: Rows, results: RetrievalResult,
                      ks=DEFAULT_KS, binning: BinningConfig | None = None,
                      tau: float = DEFAULT_TAU) -> QueryEvaluation:
     """The query-level evaluation protocol, of every query-level method of
-    `scores.METHODS`.
+    `scores.METHODS`, on `results`, the search of `queries` against `db`.
 
-    `bank` is the reference database (poses, and kappas for the kappa-based
-    methods); `query_bank` carries query descriptors, poses, and kappas.
-    A reference is a positive of a query within `tau` of its pose.
-    Methods that lack their inputs (a kappa score without kappas, PA or
-    SUE on a one-row database) are reported as unsupported and the
-    evaluation continues; any other scorer error propagates.  The search
-    goes max(max(ks), SUE_K) deep, clipped to the bank, and SUE spreads
-    the top SUE_K poses whatever `ks` lists, so no method's ECE@K depends
-    on the other K.  `ks` must list at least one K, each at least 1.
+    `db` holds the database's poses, and kappas for the kappa-based
+    methods; `queries` the queries' poses and kappas (and kappa*, which
+    Spearman reads).  A reference is a positive of a query within `tau`
+    of its pose.  Methods that lack their inputs (a kappa score without
+    kappas, PA or SUE on a one-row database) are reported as unsupported
+    and the evaluation continues; any other scorer error propagates.  The
+    search must rank every query at least `search_depth(ks, len(db))`
+    deep, as `search_splits` does, and SUE spreads the top SUE_K poses
+    whatever `ks` lists, so no method's ECE@K depends on the other K.
+    The search is scored as given and left unchanged, so one search
+    serves every kappa source.  `ks` must list at least one K, each at
+    least 1.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise ValueError(f"ks must list at least one K >= 1, got {ks}")
-    results = batch_knn(query_bank.descriptors, bank.descriptors,
-                        min(max(ks[-1], SUE_K), len(bank)))
-    mark_successes(results, bank, query_bank.poses, tau)
+    _check_search(results, queries, search_depth(ks, len(db)))
+    results = replace(results)  # the copy is marked, not the caller's
+    mark_successes(results, db, queries, tau)
 
     scored = {}
     unsupported = {}
     for method in sc.methods_at(sc.QUERY):
         try:
-            scored[method] = sc.score_query(method, results, bank,
-                                            kappa_q=query_bank.kappas,
-                                            k=min(SUE_K, len(bank)))
+            scored[method] = sc.score_query(method, results, db,
+                                            kappa_q=queries.kappas,
+                                            k=min(SUE_K, len(db)))
         except sc.MissingInputError as exc:
             unsupported[method] = str(exc)
 
@@ -209,7 +237,7 @@ def evaluate_queries(bank: DescriptorBank, query_bank: DescriptorBank,
                                             k=k, method=method)
 
     spear = None
-    kq, kt = query_bank.kappas, query_bank.true_kappa
+    kq, kt = queries.kappas, queries.true_kappa
     # undefined, not NaN, when either side is constant
     if kq is not None and kt is not None and np.ptp(kq) > 0 and np.ptp(kt) > 0:
         spear = _spearman(kq, kt)
@@ -226,34 +254,28 @@ class MatchEvaluation:
     unsupported: dict = field(default_factory=dict)  # method -> reason
 
 
-def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
-                     results: RetrievalResult,
+def evaluate_matches(db: Rows, queries: Rows, results: RetrievalResult,
                      binning: BinningConfig | None = None,
                      tau: float = DEFAULT_TAU) -> MatchEvaluation:
     """Match-level calibration over the T = K * n pairs of `results`, the
-    (n, K) top-K search of `query_bank` against `bank`.
+    (n, K) top-K search of `queries` against `db`.
 
     Scores each pair with every match-level method of `scores.METHODS`
-    whose inputs are there (resultant fusion needs both banks' kappas,
+    whose inputs are there (resultant fusion needs both sides' kappas,
     the L2 distance nothing) and files the others as unsupported, with
-    the table's reason, as `evaluate_queries` does.  Scoring
-    reads only the search's `ref_indices` and `similarities` and each
-    side's `poses` and `kappas`, so the banks may be any rows carrying
-    those: `match-eval` passes the `fileio.read_retrieval` of eval's
-    record, search and RecordedRows both.
+    the table's reason, as `evaluate_queries` does.  Scoring reads only
+    the search's `ref_indices` and `similarities` and each side's Rows:
+    `match-eval` passes the `fileio.read_retrieval` of eval's record.
     """
-    if len(results) != len(query_bank):
-        raise ValueError(f"a search of {len(results)} queries cannot score "
-                         f"{len(query_bank)}")
-    positive = positive_mask(query_bank.poses, bank, results.ref_indices,
-                             tau)
+    _check_search(results, queries, 1)
+    positive = positive_mask(db, queries, results.ref_indices, tau)
 
     pairs = {}
     unsupported = {}
     for method in sc.methods_at(sc.MATCH):
         try:
-            pairs[method] = sc.score_pairs(method, results, bank,
-                                           query_bank.kappas)
+            pairs[method] = sc.score_pairs(method, results, db,
+                                           queries.kappas)
         except sc.MissingInputError as exc:
             unsupported[method] = str(exc)
 
@@ -266,14 +288,10 @@ def evaluate_matches(bank: DescriptorBank, query_bank: DescriptorBank,
                            unsupported=unsupported)
 
 
-def scene_banks(dataset: SynthDataset, head: dict):
-    """The scene's db and query banks, in that order, with kappas predicted
-    by `head`: the inputs of `evaluate_queries` and `evaluate_matches`."""
-    banks = []
-    rows = dataset.head_inputs
-    for split in ("db", "query"):
-        idx = dataset.splits[split]
-        bank = dataset.bank.subset(idx)
-        bank.kappas = predict_kappas(rows[idx], head)
-        banks.append(bank)
-    return banks
+def scene_rows(dataset: SynthDataset, head: dict) -> list:
+    """The scene's db and query Rows, in that order, with kappas predicted
+    by `head`: with `search_splits` of its descriptors, the inputs of
+    `evaluate_queries` and `evaluate_matches`."""
+    return [dataset.rows.subset(idx).with_kappas(
+                predict_kappas(dataset.head_inputs[idx], head))
+            for idx in (dataset.splits["db"], dataset.splits["query"])]

@@ -1,9 +1,10 @@
-"""Exact cosine nearest-neighbor retrieval over a descriptor bank,
-ground truth (references within tau of the query's pose), and Recall@K."""
+"""Exact cosine nearest-neighbor retrieval over a matrix of reference
+descriptors, the row record scoring reads, ground truth (references
+within tau of the query's pose), and Recall@K."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -18,58 +19,48 @@ DEFAULT_TAU = 25.0       # pose distance within which a reference is positive
 SUE_K = 10               # top-k references whose pose spread is SUE's score
 
 
-@dataclass
-class DescriptorBank:
-    """Parallel arrays describing the reference database.
-
-    true_kappa is filled only by the synthetic generator; kappas holds
-    predicted concentrations once a head has been fitted.
+@dataclass(frozen=True)
+class Rows:
+    """What scoring reads of a set of images, row i of each field image
+    i's: its pose, and the predicted kappa, generative kappa* and class
+    label its producer has.  Descriptors are not a field: they travel as
+    bare (N, d) matrices, which only the search and the trainers read.
     """
 
-    descriptors: np.ndarray            # (N, d), unit rows
-    labels: np.ndarray                 # (N,) int
-    poses: np.ndarray | None = None    # (N, 2) scene units
-    true_kappa: np.ndarray | None = None
-    kappas: np.ndarray | None = None
+    poses: np.ndarray                      # (N, 2) scene units
+    kappas: np.ndarray | None = None       # (N,) once a head is fitted
+    true_kappa: np.ndarray | None = None   # (N,) synthetic scenes only
+    labels: np.ndarray | None = None       # (N,) int
 
     def __post_init__(self):
-        self.descriptors = check_unit_rows(self.descriptors,
-                                           name="descriptor rows")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        n = len(self.descriptors)
-        for name in ("labels", "poses", "true_kappa", "kappas"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=np.int64 if name == "labels"
-                                 else np.float64)
-                if len(arr) != n:
-                    raise ValueError(f"{name} length {len(arr)} != descriptor count {n}")
-                setattr(self, name, arr)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and len(value) != len(self.poses):
+                raise ValueError(f"{f.name} length {len(value)} != pose "
+                                 f"count {len(self.poses)}")
 
     def __len__(self):
-        return len(self.descriptors)
+        return len(self.poses)
 
-    def subset(self, indices) -> "DescriptorBank":
-        """The rows at `indices`, every per-row field included."""
-        indices = np.asarray(indices)
-        return DescriptorBank(**{
-            name: None if getattr(self, name) is None
-            else getattr(self, name)[indices]
-            for name in ("descriptors", "labels", "poses", "true_kappa",
-                         "kappas")})
+    def subset(self, indices) -> "Rows":
+        """The rows at `indices`, every field included."""
+        return Rows(**{f.name: None if getattr(self, f.name) is None
+                       else getattr(self, f.name)[indices]
+                       for f in fields(self)})
+
+    def with_kappas(self, kappas) -> "Rows":
+        """These rows with `kappas` as their predicted kappas."""
+        return replace(self, kappas=kappas)
 
 
-def positive_mask(query_poses, bank: DescriptorBank, ref_indices,
+def positive_mask(db: Rows, queries: Rows, ref_indices,
                   tau: float) -> np.ndarray:
-    """(n, K) mask: is bank row ref_indices[i, j] within `tau` of query i's
-    pose (the threshold inclusive)?  `query_poses` is (n, 2), `ref_indices`
-    (n, K); `tau` is finite and positive."""
+    """(n, K) mask: is db row ref_indices[i, j] within `tau` of query i's
+    pose (the threshold inclusive)?  `ref_indices` is (n, K); `tau` is
+    finite and positive."""
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    if bank.poses is None or query_poses is None:
-        raise ValueError("ground truth requires query and reference poses")
-    diffs = (bank.poses[np.asarray(ref_indices)]
-             - np.asarray(query_poses, dtype=np.float64)[:, None, :])
+    diffs = db.poses[np.asarray(ref_indices)] - queries.poses[:, None, :]
     return np.linalg.norm(diffs, axis=2) <= tau
 
 
@@ -235,14 +226,12 @@ def _candidates(block, k: int, g: int, margin=0) -> np.ndarray:
     return np.flatnonzero(block >= bound)
 
 
-def mark_successes(results: RetrievalResult, bank: DescriptorBank,
-                   query_poses, tau: float) -> None:
-    """Fill the (n, K) prefix success flags in place.
-
-    success[i, j] is true when any of query i's ranks 1..j+1 is within
-    `tau` of its pose; `query_poses` is (n, 2), row i the pose of query i.
-    """
-    mask = positive_mask(query_poses, bank, results.ref_indices, tau)
+def mark_successes(results: RetrievalResult, db: Rows, queries: Rows,
+                   tau: float) -> None:
+    """Fill the (n, K) prefix success flags of a search of `queries`
+    against `db` in place: success[i, j] is true when any of query i's
+    ranks 1..j+1 is within `tau` of its pose."""
+    mask = positive_mask(db, queries, results.ref_indices, tau)
     results.success = np.maximum.accumulate(mask, axis=1)
 
 

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .calibration import ClampMode
-from .retrieval import DescriptorBank, RetrievalResult
+from .retrieval import RetrievalResult, Rows
 from .vmf import ResultantUncertainty, resultant_uncertainty
 
 KAPPA_FLOOR = 1.0
@@ -24,7 +24,7 @@ LEVELS = QUERY, MATCH = ("query", "match")
 
 
 class MissingInputError(ValueError):
-    """A score's input is absent: poses, kappas, or a second neighbor."""
+    """A score's input is absent: kappas, or a second neighbor."""
 
 
 def floor_kappa(kappa):
@@ -59,8 +59,7 @@ def baseline_pa(result: RetrievalResult) -> np.ndarray:
     return np.divide(d1, d2, out=np.ones_like(d1), where=d2 != 0.0)
 
 
-def baseline_sue(result: RetrievalResult, bank: DescriptorBank,
-                 k: int) -> np.ndarray:
+def baseline_sue(result: RetrievalResult, db: Rows, k: int) -> np.ndarray:
     """Spatial spread of each query's top-k poses: trace of the
     similarity-weighted pose covariance, with softmax weights over the
     cosines (temperature 1).
@@ -69,7 +68,7 @@ def baseline_sue(result: RetrievalResult, bank: DescriptorBank,
     shift of the similarities (softmax shift invariance).
     """
     sims = result.similarities[:, :k]
-    poses = bank.poses[result.ref_indices[:, :k]]          # (n, k, 2)
+    poses = db.poses[result.ref_indices[:, :k]]            # (n, k, 2)
     w = np.exp(sims - sims.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
     mean = (w[:, None, :] @ poses)[:, 0]
@@ -97,8 +96,7 @@ class Method(NamedTuple):
     score: Callable     # batched scorer of the inputs `_score` gathers
 
 
-_SUE = {"poses": "SUE requires reference poses",
-        "neighbours": "SUE needs at least 2 retrieved neighbors"}
+_SUE = {"neighbours": "SUE needs at least 2 retrieved neighbors"}
 _TWO, _HIGH = ClampMode.TWO_SIDED, ClampMode.ONE_SIDED_HIGH
 
 # Two-sided clamping for the kappa-derived scores, high tail only for the
@@ -116,9 +114,9 @@ METHODS = (
            {"neighbours": "PA score needs at least 2 retrieved neighbors"},
            _HIGH, lambda x: baseline_pa(x.result)),
     Method("sue", (QUERY,), _SUE, _HIGH,
-           lambda x: baseline_sue(x.result, x.bank, x.neighbours)),
+           lambda x: baseline_sue(x.result, x.db, x.neighbours)),
     Method("sue_log", (QUERY,), _SUE, _HIGH,
-           lambda x: sue_log(baseline_sue(x.result, x.bank, x.neighbours))),
+           lambda x: sue_log(baseline_sue(x.result, x.db, x.neighbours))),
 )
 (METHOD_RESULTANT, METHOD_INV_KAPPA, METHOD_L2, METHOD_PA, METHOD_SUE,
  METHOD_SUE_LOG) = ALL_METHODS = tuple(m.name for m in METHODS)
@@ -129,19 +127,20 @@ def methods_at(level: str) -> tuple:
     return tuple(m.name for m in METHODS if level in m.levels)
 
 
-def _score(level, name, result, bank, kappa_q, cols, k=None):
-    """Method `name`'s `level` scores of the columns `cols` of `result`,
-    or the MissingInputError of the first input it needs that is None."""
+def _score(level, name, result, db, kappa_q, cols, k=None):
+    """Method `name`'s `level` scores of the columns `cols` of `result`, a
+    search against the rows `db`, or the MissingInputError of the first
+    input it needs that is None."""
     if name not in methods_at(level):
         raise ValueError(f"unknown {level}-level method {name!r}")
     record = METHODS[ALL_METHODS.index(name)]
     k = result.ref_indices.shape[1] if k is None else k
     x = SimpleNamespace(  # a neighbourhood of fewer than 2 neighbours is None
-        cos=result.similarities[:, cols], kappa_q=kappa_q, poses=bank.poses,
-        kappa_r=None if bank.kappas is None
-        else bank.kappas[result.ref_indices[:, cols]],
+        cos=result.similarities[:, cols], kappa_q=kappa_q,
+        kappa_r=None if db.kappas is None
+        else db.kappas[result.ref_indices[:, cols]],
         neighbours=k if 2 <= k <= result.ref_indices.shape[1] else None,
-        result=result, bank=bank)
+        result=result, db=db)
     for need, reason in record.needs.items():
         if getattr(x, need) is None:
             raise MissingInputError(reason)
@@ -152,20 +151,22 @@ def _score(level, name, result, bank, kappa_q, cols, k=None):
     return ResultantUncertainty(value, np.zeros(value.shape, dtype=bool))
 
 
-def score_query(method: str, result: RetrievalResult, bank: DescriptorBank,
+def score_query(method: str, result: RetrievalResult, db: Rows,
                 kappa_q=None, k: int | None = None) -> ResultantUncertainty:
-    """Score every query of `result` under the given method tag.
+    """Score every query of `result`, a search against `db`, under the
+    given method tag.
 
-    `kappa_q` holds the (n,) query kappas; SUE spreads the top `k` poses
-    (all K when None).  Returns the (n,) value and degenerate arrays; only
-    the resultant score can be degenerate.
+    `kappa_q` holds the (n,) query kappas; SUE spreads the top `k` db
+    poses (all K when None).  Returns the (n,) value and degenerate
+    arrays; only the resultant score can be degenerate.
     """
-    return _score(QUERY, method, result, bank, kappa_q, 0, k)
+    return _score(QUERY, method, result, db, kappa_q, 0, k)
 
 
-def score_pairs(method: str, result: RetrievalResult, bank: DescriptorBank,
+def score_pairs(method: str, result: RetrievalResult, db: Rows,
                 kappa_q=None) -> ResultantUncertainty:
-    """Score every query-reference pair of `result` under the given method
-    tag; `kappa_q` holds the (n,) query kappas.  Returns (n, K) arrays."""
-    return _score(MATCH, method, result, bank,
+    """Score every query-reference pair of `result`, a search against
+    `db`, under the given method tag; `kappa_q` holds the (n,) query
+    kappas.  Returns (n, K) arrays."""
+    return _score(MATCH, method, result, db,
                   None if kappa_q is None else kappa_q[:, None], slice(None))

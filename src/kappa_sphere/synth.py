@@ -19,7 +19,7 @@ import numpy as np
 
 from .calibration import FieldError
 from .head import aggregate
-from .retrieval import DEFAULT_TAU, DescriptorBank
+from .retrieval import DEFAULT_TAU, Rows
 from .vmf import sample_vmf
 
 DEFAULT_SPLIT = (0.5, 0.3, 0.2)
@@ -67,7 +67,8 @@ class SceneConfig:
 @dataclass
 class SynthDataset:
     config: SceneConfig
-    bank: DescriptorBank               # every image
+    descriptors: np.ndarray            # (n, d) unit rows, every image
+    rows: Rows                         # every image's poses, kappa*, labels
     features: np.ndarray               # (n, c, h, w)
     ambiguity: np.ndarray              # (n,) in [0, 1]
     prototypes: np.ndarray             # (C, d) unit rows, post-aliasing
@@ -76,7 +77,7 @@ class SynthDataset:
     splits: dict = field(default_factory=dict)
 
     def __len__(self):
-        return len(self.bank)
+        return len(self.descriptors)
 
     @cached_property
     def head_inputs(self) -> np.ndarray:
@@ -89,15 +90,15 @@ class SynthDataset:
 
     @cached_property
     def raw(self) -> np.ndarray:
-        """The (n, m) joint-training input, `raw_inputs` of the bank's
-        descriptors and `features`: derived on first use and kept, as
-        `head_inputs` keeps its pooled rows.  Only joint training reads
-        it, so a scene that is generated, recorded or post-trained never
-        builds it.  Bank descriptors replaced after that (`train` writes
-        its encoded ones) leave it the scene's input, and the replaced
-        array is not kept alive.
+        """The (n, m) joint-training input, `raw_inputs` of `descriptors`
+        and `features`: derived on first use and kept, as `head_inputs`
+        keeps its pooled rows.  Only joint training reads it, so a scene
+        that is generated, recorded or post-trained never builds it.
+        Descriptors replaced after that (`train` writes its encoded ones)
+        leave it the scene's input, and the replaced array is not kept
+        alive.
         """
-        return raw_inputs(self.bank.descriptors, self.features)
+        return raw_inputs(self.descriptors, self.features)
 
 
 def ambiguity_to_kappa(ambiguity, config: SceneConfig):
@@ -204,10 +205,10 @@ def generate_scene(config: SceneConfig) -> SynthDataset:
 
     features = _build_features(rng, ambiguity, config.feature_shape, config.noise_std)
 
-    bank = DescriptorBank(descriptors=descriptors, labels=labels, poses=poses,
-                          true_kappa=true_kappa)
     dataset = SynthDataset(
-        config=config, bank=bank, features=features,
+        config=config, descriptors=descriptors,
+        rows=Rows(poses=poses, true_kappa=true_kappa, labels=labels),
+        features=features,
         ambiguity=ambiguity, prototypes=prototypes,
         class_poses=class_poses,
     )
@@ -247,14 +248,14 @@ def inject_aliasing(dataset: SynthDataset, rate: float,
         raise ValueError("could not find geographically separated alias pairs")
 
     protos = dataset.prototypes
-    bank = dataset.bank
+    labels = dataset.rows.labels
     for a, b in pairs:
         protos[b] = protos[a]
     if pairs:
         # One draw for every resampled row, pair by pair, rows ascending.
-        idx = np.concatenate([np.flatnonzero(bank.labels == b) for _, b in pairs])
-        bank.descriptors[idx] = sample_vmf(protos[bank.labels[idx]],
-                                           bank.true_kappa[idx], rng)
+        idx = np.concatenate([np.flatnonzero(labels == b) for _, b in pairs])
+        dataset.descriptors[idx] = sample_vmf(
+            protos[labels[idx]], dataset.rows.true_kappa[idx], rng)
     dataset.aliased_pairs = pairs
     return dataset
 
@@ -269,7 +270,7 @@ def split(dataset: SynthDataset, seed: int) -> dict:
     """
     rng = np.random.default_rng(seed)
     parts = {name: [] for name in SPLIT_NAMES}
-    labels = dataset.bank.labels
+    labels = dataset.rows.labels
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order],
                              np.arange(dataset.config.num_classes + 1))

@@ -23,9 +23,8 @@ from kappa_sphere.calibration import (BinningConfig, BinStrategy, ClampMode,
 from kappa_sphere.head import (aggregate, backward_batch, forward_batch,
                                init_head)
 from kappa_sphere.pipeline import (evaluate_matches, fit_head, fit_joint,
-                                   scene_banks)
-from kappa_sphere.retrieval import (DescriptorBank, batch_knn,
-                                    mark_successes, recall_at_k)
+                                   scene_rows)
+from kappa_sphere.retrieval import batch_knn, mark_successes, recall_at_k
 from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
                                    TrainMode, encode, gnll_batch,
@@ -269,7 +268,7 @@ def test_criterion_3_kappa_recovery():
                       seed=7)
     ds = generate_scene(cfg)
     for cls in range(cfg.num_classes):
-        est = mle_kappa(ds.bank.descriptors[ds.bank.labels == cls])
+        est = mle_kappa(ds.descriptors[ds.rows.labels == cls])
         assert est == pytest.approx(120.0, rel=0.10)
     assert time.perf_counter() - start < 10.0
 
@@ -333,7 +332,7 @@ def test_criterion_5_protocol_exactness(rng):
 
 def _rankings_digest(dataset, k=10):
     db_idx, q_idx = dataset.splits["db"], dataset.splits["query"]
-    desc = dataset.bank.descriptors
+    desc = dataset.descriptors
     results = batch_knn(desc[q_idx], desc[db_idx], min(k, len(db_idx)))
     h = hashlib.sha256()
     for refs, sims in zip(db_idx[results.ref_indices], results.similarities):
@@ -408,12 +407,10 @@ def _joint_cfg(lam):
 def _query_recall1(dataset, encoder):
     db_idx = dataset.splits["db"]
     q_idx = dataset.splits["query"]
-    db = DescriptorBank(descriptors=encode(encoder, dataset.raw[db_idx]),
-                        labels=dataset.bank.labels[db_idx],
-                        poses=dataset.bank.poses[db_idx])
-    results = batch_knn(encode(encoder, dataset.raw[q_idx]), db.descriptors,
-                        1)
-    mark_successes(results, db, dataset.bank.poses[q_idx], tau=25.0)
+    results = batch_knn(encode(encoder, dataset.raw[q_idx]),
+                        encode(encoder, dataset.raw[db_idx]), 1)
+    mark_successes(results, dataset.rows.subset(db_idx),
+                   dataset.rows.subset(q_idx), tau=25.0)
     return recall_at_k(results, 1)
 
 
@@ -435,8 +432,8 @@ def test_criterion_9_joint_training_non_degradation():
     rng = np.random.default_rng(0)
     idx = dataset.splits["train"]
     data = TrainData(features=dataset.head_inputs[idx],
-                     labels=dataset.bank.labels[idx],
-                     descriptors=dataset.bank.descriptors[idx],
+                     labels=dataset.rows.labels[idx],
+                     descriptors=dataset.descriptors[idx],
                      raw=dataset.raw[idx])
     encoder = rng.standard_normal(
         (dataset.config.descriptor_dim, dataset.raw.shape[1]))
@@ -461,13 +458,15 @@ def test_criterion_9_joint_training_non_degradation():
 
 def test_criterion_10_match_level_discrimination(default_scene_sweep):
     row = default_scene_sweep[0]
-    db, queries = scene_banks(row["dataset"], row["head"])
-    ev = evaluate_matches(db, queries,
-                          batch_knn(queries.descriptors, db.descriptors, 1))
+    dataset = row["dataset"]
+    db, queries = scene_rows(dataset, row["head"])
+    db_desc, q_desc = (dataset.descriptors[dataset.splits[name]]
+                       for name in ("db", "query"))
+    ev = evaluate_matches(db, queries, batch_knn(q_desc, db_desc, 1))
     assert ev.reports[sc.METHOD_RESULTANT].ece <= ev.reports[sc.METHOD_L2].ece
 
     # decile analysis over k=10 retrieved pairs
-    top10 = batch_knn(queries.descriptors, db.descriptors, 10)
+    top10 = batch_knn(q_desc, db_desc, 10)
     ev10 = evaluate_matches(db, queries, top10)
     sims = top10.similarities.ravel()
     scores = ev10.pairs[sc.METHOD_RESULTANT].value.ravel()

@@ -502,13 +502,12 @@ class TestRecordedRetrieval:
         k = run.ks[0]
         rows, splits = fileio.read_scene_rows(out / "scene.npz", run.scene)
         desc = fileio.read_bank(out / "bank.kpb")
-        bank = retrieval.DescriptorBank(
-            descriptors=desc, **rows,
-            kappas=fileio.read_manifest(out / "manifest.json", len(desc)))
-        db, queries = bank.subset(splits["db"]), bank.subset(splits["query"])
+        rows = rows.with_kappas(
+            fileio.read_manifest(out / "manifest.json", len(desc)))
+        db, queries = rows.subset(splits["db"]), rows.subset(splits["query"])
         ev = evaluate_matches(db, queries,
-                              retrieval.batch_knn(queries.descriptors,
-                                                  db.descriptors, k),
+                              retrieval.batch_knn(desc[splits["query"]],
+                                                  desc[splits["db"]], k),
                               binning=run.binning, tau=run.tau)
         # as the report's JSON reads back
         return k, json.loads(json.dumps(
@@ -1293,34 +1292,25 @@ class TestBench:
 class TestUnsupportedMethods:
     def test_pose_less_bank_fails_evaluation(self, rng):
         # Positives are references within tau of the query's pose, so a
-        # bank without poses has no ground truth: an error, not a run that
-        # files SUE as unsupported.
-        from kappa_sphere.pipeline import evaluate_queries
-        from kappa_sphere.retrieval import DescriptorBank
+        # bank without poses has no ground truth: its rows cannot be built,
+        # so no evaluation files SUE as unsupported for want of them.
+        from kappa_sphere.retrieval import Rows
 
-        w = rng.standard_normal((12, 8))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        bank = DescriptorBank(descriptors=w[:8], labels=np.zeros(8),
-                              kappas=rng.uniform(2, 50, 8))
-        queries = DescriptorBank(descriptors=w[8:], labels=np.zeros(4),
-                                 poses=rng.uniform(0, 100, (4, 2)),
-                                 kappas=rng.uniform(2, 50, 4))
-        with pytest.raises(ValueError, match="poses"):
-            evaluate_queries(bank, queries, ks=(1,))
+        with pytest.raises(TypeError, match="poses"):
+            Rows(kappas=rng.uniform(2, 50, 8))
 
     def test_one_row_database_files_pa_and_sue_unsupported(self, rng):
         # PA and SUE need a second neighbor; the other methods still run.
         from kappa_sphere.pipeline import evaluate_queries
-        from kappa_sphere.retrieval import DescriptorBank
+        from kappa_sphere.retrieval import Rows, batch_knn
 
         w = rng.standard_normal((4, 8))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         poses = rng.uniform(0, 100, (4, 2))
-        bank = DescriptorBank(descriptors=w[:1], labels=np.zeros(1),
-                              poses=poses[:1], kappas=rng.uniform(2, 50, 1))
-        queries = DescriptorBank(descriptors=w[1:], labels=np.zeros(3),
-                                 poses=poses[1:], kappas=rng.uniform(2, 50, 3))
-        ev = evaluate_queries(bank, queries, ks=(1,))
+        bank = Rows(poses[:1], kappas=rng.uniform(2, 50, 1))
+        queries = Rows(poses[1:], kappas=rng.uniform(2, 50, 3))
+        ev = evaluate_queries(bank, queries, batch_knn(w[1:], w[:1], 1),
+                              ks=(1,))
         assert set(ev.unsupported) == {"pa", "sue", "sue_log"}
         assert "2 retrieved neighbors" in ev.unsupported["pa"]
         assert ("resultant", 1) in ev.reports
@@ -1330,16 +1320,15 @@ class TestUnsupportedMethods:
         # A NaN kappa is a fault in the inputs, not a missing input: it
         # must surface instead of turning the method into "unsupported".
         from kappa_sphere.pipeline import evaluate_queries
-        from kappa_sphere.retrieval import DescriptorBank
+        from kappa_sphere.retrieval import Rows, batch_knn
 
         w = rng.standard_normal((12, 8))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         poses = rng.uniform(0, 100, (12, 2))
-        bank = DescriptorBank(descriptors=w[:8], labels=np.zeros(8),
-                              poses=poses[:8], kappas=rng.uniform(2, 50, 8))
+        bank = Rows(poses[:8], kappas=rng.uniform(2, 50, 8))
         q_kappas = rng.uniform(2, 50, 4)
         q_kappas[2] = np.nan
-        queries = DescriptorBank(descriptors=w[8:], labels=np.zeros(4),
-                                 poses=poses[8:], kappas=q_kappas)
+        queries = Rows(poses[8:], kappas=q_kappas)
         with pytest.raises(ValueError, match="finite"):
-            evaluate_queries(bank, queries, ks=(1,))
+            evaluate_queries(bank, queries, batch_knn(w[8:], w[:8], 8),
+                             ks=(1,))

@@ -23,8 +23,7 @@ from kappa_sphere.fileio import (_KEY_CHUNK, REPORT_SCHEMA_VERSION,
                                  write_scene, history_csv)
 from kappa_sphere.calibration import BinningConfig, BinStrategy
 from kappa_sphere.head import init_head
-from kappa_sphere.retrieval import (DEFAULT_KS, DEFAULT_TAU, DescriptorBank,
-                                   batch_knn)
+from kappa_sphere.retrieval import DEFAULT_KS, DEFAULT_TAU, Rows, batch_knn
 from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
 from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
                                    TrainMode, train_joint, train_post)
@@ -146,10 +145,11 @@ class TestBankFormat:
         assert "row 3" in str(exc.value) and "non-finite" in str(exc.value)
 
     def test_descriptor_bank_rejects_nonfinite_rows(self, rng):
+        # a bank travels as a bare matrix, checked where it is searched
         desc = unit_rows(rng, 4, 3)
         desc[1, 0] = np.nan
-        with pytest.raises(ValueError, match="unit-norm"):
-            DescriptorBank(descriptors=desc, labels=np.zeros(4))
+        with pytest.raises(ValueError, match="unit-norm; row 1"):
+            batch_knn(desc[:1], desc, 1)
 
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
@@ -157,17 +157,16 @@ class TestBankFormat:
 
 
 class TestManifest:
-    """write_manifest records every row field of the bank; read_manifest
+    """write_manifest records every field of the bank's Rows; read_manifest
     reads back its kappas alone, as the scene record gives the others."""
 
     SPLITS = {"train": np.arange(0, 5), "db": np.arange(5, 7),
               "query": np.arange(7, 9)}  # of make_bank's 9 rows
 
-    def make_bank(self, rng, n=9, d=4):
-        return DescriptorBank(
-            descriptors=unit_rows(rng, n, d), labels=np.arange(n) % 3,
-            poses=rng.uniform(0, 10, (n, 2)),
-            true_kappa=rng.uniform(5, 500, n), kappas=rng.uniform(1, 100, n))
+    def make_bank(self, rng, n=9):
+        return Rows(labels=np.arange(n) % 3, poses=rng.uniform(0, 10, (n, 2)),
+                    true_kappa=rng.uniform(5, 500, n),
+                    kappas=rng.uniform(1, 100, n))
 
     def test_round_trip(self, rng, tmp_path):
         # JSON's float repr round-trips, so the kappas keep their bits, and
@@ -183,17 +182,19 @@ class TestManifest:
 
     def test_optional_fields_absent(self, rng, tmp_path):
         # a bank has no kappa before fit
-        bank = self.make_bank(rng)
-        bank.true_kappa = bank.kappas = None
+        bank = Rows(self.make_bank(rng).poses, labels=np.arange(9) % 3)
         path = tmp_path / "manifest.json"
         write_manifest(path, bank, self.SPLITS)
         assert read_manifest(path, len(bank)) is None
 
     def test_pose_less_bank_rejected_on_write(self, rng, tmp_path):
+        # poses are the record's one required field: no pose-less rows
+        # reach the writer
         bank = self.make_bank(rng)
-        bank.poses = None
-        with pytest.raises(ValueError, match="poses"):
-            write_manifest(tmp_path / "m.json", bank, self.SPLITS)
+        with pytest.raises(TypeError, match="poses"):
+            write_manifest(tmp_path / "m.json",
+                           Rows(labels=bank.labels, kappas=bank.kappas),
+                           self.SPLITS)
 
     @pytest.mark.parametrize("values, path", [
         ({1: np.inf, 2: -3.0}, "$.kappas[1]"),  # the first bad one
@@ -449,12 +450,12 @@ class TestSceneRecord:
         write_scene(path, want)
         got = read_scene(path, cfg)
         assert got.config == want.config
-        for name in ("descriptors", "labels", "poses", "true_kappa"):
-            assert _same_bits(getattr(got.bank, name),
-                              getattr(want.bank, name)), name
-        assert got.bank.kappas is None and want.bank.kappas is None
-        for name in ("features", "raw", "ambiguity", "class_poses",
-                     "prototypes"):
+        for name in ("labels", "poses", "true_kappa"):
+            assert _same_bits(getattr(got.rows, name),
+                              getattr(want.rows, name)), name
+        assert got.rows.kappas is None and want.rows.kappas is None
+        for name in ("descriptors", "features", "raw", "ambiguity",
+                     "class_poses", "prototypes"):
             assert _same_bits(getattr(got, name), getattr(want, name)), name
         assert set(got.splits) == set(want.splits) == set(SPLIT_NAMES)
         for name in SPLIT_NAMES:
@@ -464,9 +465,10 @@ class TestSceneRecord:
         assert (want.aliased_pairs == []) == ("aliasing_rate" in scene)
         # eval's reader of the rows gives the same bits
         rows, splits = read_scene_rows(path, cfg)
-        assert sorted(rows) == ["labels", "poses", "true_kappa"]
-        for name, value in rows.items():
-            assert _same_bits(value, getattr(want.bank, name)), name
+        assert rows.kappas is None
+        for name in ("labels", "poses", "true_kappa"):
+            assert _same_bits(getattr(rows, name),
+                              getattr(want.rows, name)), name
         assert set(splits) == set(SPLIT_NAMES)
         for name in SPLIT_NAMES:
             assert _same_bits(splits[name], want.splits[name]), name
@@ -576,44 +578,49 @@ class TestSceneRecord:
         assert sorted(p.name for p in path.parent.iterdir()) == ["scene.npz"]
 
 
+def _side_rows(side) -> Rows:
+    """The Rows of a side of TestRetrievalRecord's `banks`."""
+    return Rows(**{k: v for k, v in side.items() if k != "descriptors"})
+
+
 class TestRetrievalRecord:
     @pytest.fixture()
     def banks(self, rng):
-        def bank(n):
-            return DescriptorBank(descriptors=unit_rows(rng, n, 6),
-                                  labels=np.zeros(n),
-                                  poses=rng.uniform(0, 9, (n, 2)),
-                                  kappas=rng.uniform(1, 9, n))
+        def bank(n):  # a side's descriptors, then the fields of its Rows
+            return {"descriptors": unit_rows(rng, n, 6),
+                    "labels": np.zeros(n, dtype=np.int64),
+                    "poses": rng.uniform(0, 9, (n, 2)),
+                    "kappas": rng.uniform(1, 9, n)}
         return bank(30), bank(7)
 
     @staticmethod
     def _key(tmp_path, db, queries) -> str:
         """inputs_key of the bank and manifest holding `db` then
         `queries`."""
-        both = {name: np.concatenate([getattr(db, name),
-                                      getattr(queries, name)])
-                for name in ("descriptors", "labels", "poses", "kappas")}
-        rows = np.arange(len(db) + len(queries))
-        splits = {"db": rows[:len(db)], "query": rows[len(db):]}
+        both = {name: np.concatenate([db[name], queries[name]])
+                for name in db}
+        rows, n = np.arange(len(both["poses"])), len(db["poses"])
+        splits = {"db": rows[:n], "query": rows[n:]}
         bank, manifest = tmp_path / "bank.kpb", tmp_path / "manifest.json"
         write_bank(bank, both["descriptors"])
-        write_manifest(manifest, DescriptorBank(**both), splits)
+        write_manifest(manifest, _side_rows(both), splits)
         return inputs_key(bank, manifest)
 
     def test_prefix_round_trip(self, banks, tmp_path):
         db, queries = banks
         path = tmp_path / "retrieval.npz"
-        write_retrieval(path, "key", db, queries,
-                        batch_knn(queries.descriptors, db.descriptors, 10))
+        write_retrieval(path, "key", _side_rows(db), _side_rows(queries),
+                        batch_knn(queries["descriptors"], db["descriptors"],
+                                  10))
         for k in (1, 4, 10):
-            got_queries, got_db, got = read_retrieval(path, "key", k)
-            want = batch_knn(queries.descriptors, db.descriptors, k)
+            got_db, got_queries, got = read_retrieval(path, "key", k)
+            want = batch_knn(queries["descriptors"], db["descriptors"], k)
             for name in ("ref_indices", "similarities"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(want, name))
             for side, bank in ((got_db, db), (got_queries, queries)):
-                np.testing.assert_array_equal(side.poses, bank.poses)
-                np.testing.assert_array_equal(side.kappas, bank.kappas)
+                np.testing.assert_array_equal(side.poses, bank["poses"])
+                np.testing.assert_array_equal(side.kappas, bank["kappas"])
         # a miss names the file and the command that writes a record
         for where, key, k, command in (
                 (path, "key", 11, "run eval with a K of at least 11"),
@@ -630,8 +637,8 @@ class TestRetrievalRecord:
                                            side):
         key = self._key(tmp_path, *banks)
         changed = list(banks)
-        values = getattr(banks[side], field)[::-1].copy()
-        changed[side] = DescriptorBank(**{**vars(banks[side]), field: values})
+        values = banks[side][field][::-1].copy()
+        changed[side] = {**banks[side], field: values}
         assert self._key(tmp_path, *changed) != key
 
     @pytest.mark.parametrize("field", ["poses", "kappas"])
@@ -641,9 +648,9 @@ class TestRetrievalRecord:
         # a hit scores the recorded poses and kappas, so they are keyed too
         key = self._key(tmp_path, *banks)
         changed = list(banks)
-        values = getattr(banks[side], field).copy()
+        values = banks[side][field].copy()
         values[-1] += 1.0
-        changed[side] = DescriptorBank(**{**vars(banks[side]), field: values})
+        changed[side] = {**banks[side], field: values}
         assert self._key(tmp_path, *changed) != key
 
     def test_key_hashes_bytes_without_parsing_them(self, tmp_path):

@@ -1,7 +1,6 @@
 """Evaluation on (n, K) arrays: batched retrieval, scores and reports."""
 
 import warnings
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,8 +22,18 @@ def fitted():
     dataset = generate_scene(SceneConfig(**SMALL))
     head, _ = pipeline.fit_head(dataset, cfg=TrainConfig(
         mode=TrainMode.POST_TRAINING, lr=0.05, max_epochs=6, warmup=2, seed=3))
-    db, query = pipeline.scene_banks(dataset, head)
+    db, query = pipeline.scene_rows(dataset, head)
     return dataset, head, db, query
+
+
+def split_desc(dataset):
+    """The scene's db and query descriptors, in that order."""
+    return (dataset.descriptors[dataset.splits[name]]
+            for name in ("db", "query"))
+
+
+def default_search(dataset, ks=pipeline.DEFAULT_KS):
+    return pipeline.search_splits(dataset.descriptors, dataset.splits, ks)
 
 
 def test_fit_head_retrieves_once():
@@ -49,7 +58,7 @@ def test_gnll_fit_predicts_kappa(seed):
     head, _ = pipeline.fit_head(dataset, TrainConfig(
         mode=TrainMode.GNLL_VARIANT, seed=seed))
     kappas = pipeline.predict_kappas(dataset.head_inputs, head)
-    assert spearmanr(kappas, dataset.bank.true_kappa).statistic > 0.9
+    assert spearmanr(kappas, dataset.rows.true_kappa).statistic > 0.9
     assert np.median(kappas) > 1.0
 
 
@@ -57,8 +66,10 @@ class TestEvaluateQueries:
     def test_rows_match_batches_of_one(self, fitted):
         # every method scores a query the same alone as inside the batch;
         # the search goes SUE_K deep even when ks stops at 5
-        _, _, db, query = fitted
-        ev = pipeline.evaluate_queries(db, query, ks=(1, 5))
+        dataset, _, db, query = fitted
+        ev = pipeline.evaluate_queries(db, query,
+                                       default_search(dataset, (1, 5)),
+                                       ks=(1, 5))
         res = ev.results
         n = len(query)
         assert res.success.shape == (n, SUE_K)
@@ -78,29 +89,52 @@ class TestEvaluateQueries:
                              ids=["empty", "zero", "negative"])
     def test_rejects_empty_or_nonpositive_ks(self, fitted, ks):
         # ks = (0, 1) would report the deepest rank as "Recall@0"
-        _, _, db, query = fitted
+        dataset, _, db, query = fitted
         with pytest.raises(ValueError, match="ks"):
-            pipeline.evaluate_queries(db, query, ks=ks)
+            pipeline.evaluate_queries(db, query, default_search(dataset),
+                                      ks=ks)
 
     def test_ece_at_k_does_not_depend_on_the_other_ks(self, fitted):
         # SUE's neighbourhood is SUE_K whatever ks lists, so adding K
         # values leaves every method's report at the others unchanged
-        _, _, db, query = fitted
-        full = pipeline.evaluate_queries(db, query, ks=(1, 5, 10))
+        dataset, _, db, query = fitted
+        full = pipeline.evaluate_queries(db, query, default_search(dataset),
+                                         ks=(1, 5, 10))
         for ks in ((1,), (5,), (10,), (1, 5)):
-            part = pipeline.evaluate_queries(db, query, ks=ks)
+            part = pipeline.evaluate_queries(
+                db, query, default_search(dataset, ks), ks=ks)
             assert set(part.reports) == {(m, k) for m in sc.ALL_METHODS
                                          for k in ks}
             for key, rep in part.reports.items():
                 assert rep.to_dict() == full.reports[key].to_dict(), key
 
+    def test_one_search_serves_every_kappa_source(self, fitted):
+        # kappa-hat, then kappa*, then kappa-hat again, all scored on one
+        # search: the search keeps no state between scorings, and the
+        # kappa* reports are those of a search of their own
+        dataset, _, db, query = fitted
+        truth = db.with_kappas(db.true_kappa), \
+            query.with_kappas(query.true_kappa)
+        results = default_search(dataset)
+        first, swapped, again = (
+            pipeline.evaluate_queries(*rows, results)
+            for rows in ((db, query), truth, (db, query)))
+        assert again.reports == first.reports
+        assert again.spearman_kappa == first.spearman_kappa
+        assert swapped.reports == pipeline.evaluate_queries(
+            *truth, default_search(dataset)).reports
+        key = (sc.METHOD_RESULTANT, 1)
+        assert swapped.reports[key] != first.reports[key]
+        assert results.success is None  # the evaluation marks a copy
+
     def test_constant_kappa_gives_no_spearman(self, fitted):
         # Spearman is undefined for a constant vector: None, not NaN
-        _, _, db, query = fitted
-        query = replace(query, kappas=np.ones(len(query)))
+        dataset, _, db, query = fitted
+        query = query.with_kappas(np.ones(len(query)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ev = pipeline.evaluate_queries(db, query, ks=(1,))
+            ev = pipeline.evaluate_queries(db, query, default_search(dataset),
+                                           ks=(1,))
         assert ev.spearman_kappa is None
         assert (sc.METHOD_RESULTANT, 1) in ev.reports
 
@@ -122,8 +156,9 @@ def test_spearman_equals_scipy_bit_for_bit(n, ties):
 
 class TestEvaluateMatches:
     def test_pairs_are_the_elementwise_scores(self, fitted):
-        _, _, db, query = fitted
-        res = batch_knn(query.descriptors, db.descriptors, 3)
+        dataset, _, db, query = fitted
+        db_desc, q_desc = split_desc(dataset)
+        res = batch_knn(q_desc, db_desc, 3)
         ev = pipeline.evaluate_matches(db, query, res)
         n = len(query)
         assert ev.positive.shape == res.similarities.shape == (n, 3)
@@ -141,30 +176,45 @@ class TestEvaluateMatches:
         assert ev.reports[sc.METHOD_RESULTANT].total == 3 * n
 
     def test_without_kappas_only_l2(self, fitted):
-        _, _, db, query = fitted
-        query = replace(query, kappas=None)
-        ev = pipeline.evaluate_matches(
-            db, query, batch_knn(query.descriptors, db.descriptors, 2))
+        dataset, _, db, query = fitted
+        db_desc, q_desc = split_desc(dataset)
+        query = query.with_kappas(None)
+        ev = pipeline.evaluate_matches(db, query,
+                                       batch_knn(q_desc, db_desc, 2))
         assert set(ev.pairs) == set(ev.reports) == {sc.METHOD_L2}
 
     def test_given_results_are_scored_as_searched(self, fitted):
         # the caller's search is scored as given and never run again: the
         # first k columns of a deeper one (match-eval's recorded search)
-        # score as a top-k search; a search of other queries is refused
-        _, _, db, query = fitted
-        deep = batch_knn(query.descriptors, db.descriptors, 5)
-        prefix = RetrievalResult(
-            ref_indices=np.ascontiguousarray(deep.ref_indices[:, :2]),
-            similarities=np.ascontiguousarray(deep.similarities[:, :2]))
-        searched = pipeline.evaluate_matches(
-            db, query, batch_knn(query.descriptors, db.descriptors, 2))
+        # score as a top-k search; a search of other queries is refused,
+        # and so is one that evaluate_queries would read past the end of
+        dataset, _, db, query = fitted
+        db_desc, q_desc = split_desc(dataset)
+        deep = batch_knn(q_desc, db_desc, SUE_K + 2)
+
+        def prefix(k, rows=slice(None)):
+            return RetrievalResult(
+                ref_indices=np.ascontiguousarray(deep.ref_indices[rows, :k]),
+                similarities=np.ascontiguousarray(deep.similarities[rows, :k]))
+
+        score = {  # each evaluation, and the depth its search has
+            "matches": (lambda res: pipeline.evaluate_matches(db, query, res),
+                        2),
+            "queries": (lambda res: pipeline.evaluate_queries(
+                db, query, res, ks=(1, 5)), SUE_K)}
+        searched = {name: run(batch_knn(q_desc, db_desc, k))
+                    for name, (run, k) in score.items()}
         with mock.patch.object(pipeline, "batch_knn",
                                side_effect=AssertionError("searched")):
-            given = pipeline.evaluate_matches(db, query, prefix)
-            assert given.reports == searched.reports
-            short = RetrievalResult(ref_indices=deep.ref_indices[1:],
-                                    similarities=deep.similarities[1:])
+            for name, (run, k) in score.items():
+                assert run(prefix(k)).reports == searched[name].reports
+                short = prefix(k, slice(1, None))
+                with pytest.raises(ValueError, match=(
+                        f"a search of {len(query) - 1} queries cannot score "
+                        f"{len(query)}")):
+                    run(short)
+            assert pipeline.search_depth((1, 5), len(db)) == SUE_K
             with pytest.raises(ValueError, match=(
-                    f"a search of {len(query) - 1} queries cannot score "
-                    f"{len(query)}")):
-                pipeline.evaluate_matches(db, query, short)
+                    f"a top-{SUE_K - 1} search is shallower than the search "
+                    f"depth {SUE_K}")):
+                score["queries"][0](prefix(SUE_K - 1))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_sphere.retrieval import (_GROUP_FLOOR, _ROW_BLOCK, _TWO_PASS_FLOOR,
-                                    DescriptorBank, batch_knn, mark_successes,
+                                    Rows, batch_knn, mark_successes,
                                     positive_mask, recall_at_k)
 
 
@@ -25,25 +25,33 @@ def lexsort_top(sims, k):
                      for row in sims])
 
 
-def make_bank(rng, n=20, d=8, with_poses=True):
-    return DescriptorBank(
-        descriptors=unit_rows(rng, n, d),
-        labels=np.arange(n) % 4,
-        poses=rng.uniform(0, 500, (n, 2)) if with_poses else None,
-    )
+def make_bank(rng, n=20, d=8):
+    """A bank: its (n, d) unit rows and the Rows of their poses."""
+    return unit_rows(rng, n, d), Rows(poses=rng.uniform(0, 500, (n, 2)))
 
 
 class TestBank:
+    # a bank is a bare matrix of unit rows, checked where it enters the
+    # search, and a Rows record of what scoring reads of each row
     def test_rejects_non_unit_rows(self, rng):
-        with pytest.raises(ValueError):
-            DescriptorBank(descriptors=rng.standard_normal((4, 6)) * 2.0,
-                           labels=np.zeros(4))
+        with pytest.raises(ValueError, match="reference rows must be"):
+            batch_knn(unit_rows(rng, 1, 6),
+                      rng.standard_normal((4, 6)) * 2.0, 1)
 
-    def test_rejects_length_mismatch(self, rng):
-        bank = make_bank(rng, n=5)
-        with pytest.raises(ValueError):
-            DescriptorBank(descriptors=bank.descriptors,
-                           labels=np.zeros(5), poses=np.zeros((4, 2)))
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="kappas length 4 != pose"):
+            Rows(poses=np.zeros((5, 2)), kappas=np.ones(4))
+
+    def test_subset_and_kappa_replacement(self):
+        rows = Rows(poses=np.arange(8.0).reshape(4, 2),
+                    true_kappa=np.arange(4.0), labels=np.arange(4) % 2)
+        part = rows.subset([3, 1])
+        assert part.poses.tolist() == [[6.0, 7.0], [2.0, 3.0]]
+        assert part.true_kappa.tolist() == [3.0, 1.0]
+        assert part.labels.tolist() == [1, 1] and part.kappas is None
+        swapped = part.with_kappas(np.array([5.0, 6.0]))
+        assert swapped.kappas.tolist() == [5.0, 6.0] and part.kappas is None
+        assert swapped.poses is part.poses
 
 
 class TestKnn:
@@ -388,56 +396,54 @@ class TestKnn:
             batch_knn(D[:1], D, k=6)
 
 
+ORIGIN = Rows(np.zeros((1, 2)))  # one query at the origin
+
+
 class TestGroundTruth:
-    def test_distance_threshold(self, rng):
-        bank = make_bank(rng, n=10)
-        bank.poses = np.zeros((10, 2))
-        bank.poses[:5, 0] = 100.0  # far group
-        mask = positive_mask(np.zeros((1, 2)), bank, np.arange(10)[None],
+    def test_distance_threshold(self):
+        poses = np.zeros((10, 2))
+        poses[:5, 0] = 100.0  # far group
+        mask = positive_mask(Rows(poses), ORIGIN, np.arange(10)[None],
                              tau=25.0)
         np.testing.assert_array_equal(mask, [[False] * 5 + [True] * 5])
 
     def test_batched_rows_match_single_rows(self, rng):
-        bank = make_bank(rng, n=30)
-        q_poses = rng.uniform(0, 500, (5, 2))
+        _, db = make_bank(rng, n=30)
+        queries = Rows(rng.uniform(0, 500, (5, 2)))
         idx = rng.integers(0, 30, (5, 7))
-        mask = positive_mask(q_poses, bank, idx, tau=150.0)
+        mask = positive_mask(db, queries, idx, tau=150.0)
         assert mask.shape == (5, 7) and mask.any() and not mask.all()
         for i in range(5):
             np.testing.assert_array_equal(
-                mask[i], positive_mask(q_poses[i:i + 1], bank, idx[i:i + 1],
+                mask[i], positive_mask(db, queries.subset([i]), idx[i:i + 1],
                                        tau=150.0)[0])
 
-    def test_threshold_is_inclusive(self, rng):
-        bank = make_bank(rng, n=2)
-        bank.poses = np.array([[25.0, 0.0], [25.0 + 1e-9, 0.0]])
-        mask = positive_mask(np.zeros((1, 2)), bank, np.arange(2)[None],
-                             tau=25.0)
+    def test_threshold_is_inclusive(self):
+        db = Rows(np.array([[25.0, 0.0], [25.0 + 1e-9, 0.0]]))
+        mask = positive_mask(db, ORIGIN, np.arange(2)[None], tau=25.0)
         np.testing.assert_array_equal(mask, [[True, False]])
 
-    def test_requires_poses(self, rng):
-        bank = make_bank(rng, with_poses=False)
-        with pytest.raises(ValueError, match="poses"):
-            positive_mask(np.zeros((1, 2)), bank, np.arange(3)[None],
-                          tau=25.0)
-        with pytest.raises(ValueError, match="poses"):
-            positive_mask(None, make_bank(rng), np.arange(3)[None], tau=25.0)
+    def test_requires_poses(self):
+        # poses are the record's one required field, so ground truth never
+        # meets rows without them
+        with pytest.raises(TypeError, match="poses"):
+            Rows(kappas=np.ones(3))
 
     def test_validation(self, rng):
         # a NaN tau would make every reference a negative
         for tau in (0.0, -5.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="tau"):
-                positive_mask(np.zeros((1, 2)), make_bank(rng),
-                              np.arange(3)[None], tau=tau)
+                positive_mask(make_bank(rng)[1], ORIGIN, np.arange(3)[None],
+                              tau=tau)
 
 
 class TestRecall:
     def test_recall_monotone_in_k(self, rng):
-        bank = make_bank(rng, n=40, d=6)
-        queries = bank.descriptors[:8] + 0.05 * rng.standard_normal((8, 6))
+        desc, db = make_bank(rng, n=40, d=6)
+        queries = desc[:8] + 0.05 * rng.standard_normal((8, 6))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
-        results = batch_knn(queries, bank.descriptors, k=10)
-        mark_successes(results, bank, bank.poses[:8], tau=1.0)
+        results = batch_knn(queries, desc, k=10)
+        mark_successes(results, db, db.subset(np.arange(8)), tau=1.0)
         recalls = [recall_at_k(results, k) for k in (1, 5, 10)]
         assert recalls[0] <= recalls[1] <= recalls[2]
 
@@ -445,30 +451,29 @@ class TestRecall:
         # 3 queries over a 3-item bank; positives chosen so that
         # Recall@1 = 1/3 and Recall@2 = 1.
         e = np.eye(3)
-        bank = DescriptorBank(descriptors=e, labels=np.arange(3),
-                              poses=[[0.0, 0.0], [100.0, 0.0], [200.0, 0.0]])
+        db = Rows(np.array([[0.0, 0.0], [100.0, 0.0], [200.0, 0.0]]))
         queries = np.array([e[0], e[1], e[2]])
         results = batch_knn(queries, e, k=2)
         # rank 2 for every query is row 0 (tie among the two zero-cosine
         # candidates broken by ascending row), so row 0, the one reference
         # within tau of every query, hits at rank 1 only for query 0 and
         # at rank 2 for the others.
-        mark_successes(results, bank, np.zeros((3, 2)), tau=25.0)
+        mark_successes(results, db, Rows(np.zeros((3, 2))), tau=25.0)
         assert recall_at_k(results, 1) == pytest.approx(1 / 3)
         assert recall_at_k(results, 2) == pytest.approx(1.0)
 
     def test_success_is_prefix_cumulative(self, rng):
-        bank = make_bank(rng, n=10, d=4)
-        res = batch_knn(bank.descriptors[0], bank.descriptors, k=10)
+        desc, db = make_bank(rng, n=10, d=4)
+        res = batch_knn(desc[0], desc, k=10)
         # the query stands at row 5's pose, and no other row is that close
-        mark_successes(res, bank, bank.poses[5:6], tau=1e-6)
+        mark_successes(res, db, db.subset([5]), tau=1e-6)
         assert np.all(np.diff(res.success.astype(int), axis=1) >= 0)
         rank = int(np.flatnonzero(res.ref_indices[0] == 5)[0])
         assert res.success[0].tolist() == [False] * rank + [True] * (10 - rank)
 
     def test_requires_marked_successes(self, rng):
-        bank = make_bank(rng, n=4, d=4)
-        res = batch_knn(bank.descriptors[0], bank.descriptors, k=2)
+        desc, _ = make_bank(rng, n=4, d=4)
+        res = batch_knn(desc[0], desc, k=2)
         with pytest.raises(ValueError):
             recall_at_k(res, 1)
         with pytest.raises(ValueError):
@@ -476,9 +481,9 @@ class TestRecall:
 
     def test_rejects_k_below_one(self, rng):
         # k = 0 would index the last column, the recall at the deepest rank
-        bank = make_bank(rng, n=4, d=4)
-        res = batch_knn(bank.descriptors, bank.descriptors, k=2)
-        mark_successes(res, bank, bank.poses, tau=1.0)
+        desc, db = make_bank(rng, n=4, d=4)
+        res = batch_knn(desc, desc, k=2)
+        mark_successes(res, db, db, tau=1.0)
         for k in (0, -1):
             with pytest.raises(ValueError, match="k must be >= 1"):
                 recall_at_k(res, k)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kappa_sphere import scores as sc
-from kappa_sphere.retrieval import DescriptorBank, RetrievalResult
+from kappa_sphere.retrieval import RetrievalResult, Rows
 from kappa_sphere.vmf import resultant_uncertainty
 
 
@@ -18,14 +18,9 @@ def make_result(similarities, ref_indices=None):
     return RetrievalResult(ref_indices=idx[None], similarities=sims[None])
 
 
-def make_bank(rng, n=6, d=4, poses=True, kappas=None):
-    w = rng.standard_normal((n, d))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    return DescriptorBank(
-        descriptors=w, labels=np.zeros(n),
-        poses=rng.uniform(0, 100, (n, 2)) if poses else None,
-        kappas=kappas,
-    )
+def make_rows(rng, n=6, kappas=None):
+    """n reference rows at random poses; scorers read no descriptor."""
+    return Rows(poses=rng.uniform(0, 100, (n, 2)), kappas=kappas)
 
 
 class TestFlooring:
@@ -65,7 +60,7 @@ class TestL2:
     # a query's L2 score is the distance of its top match
     def test_closed_form(self, rng):
         res = make_result([0.5, 0.1])
-        got = sc.score_query(sc.METHOD_L2, res, make_bank(rng)).value[0]
+        got = sc.score_query(sc.METHOD_L2, res, make_rows(rng)).value[0]
         assert got == pytest.approx(1.0, rel=1e-15)  # sqrt(2-1)
 
     def test_perfect_match_is_zero(self):
@@ -94,18 +89,17 @@ class TestPa:
     def test_needs_two_neighbors(self, rng):
         # the table's input check, before the scorer runs
         with pytest.raises(sc.MissingInputError, match="2 retrieved"):
-            sc.score_query(sc.METHOD_PA, make_result([0.9]), make_bank(rng))
+            sc.score_query(sc.METHOD_PA, make_result([0.9]), make_rows(rng))
 
 
 class TestSue:
     def test_zero_when_poses_coincide(self, rng):
-        bank = make_bank(rng, n=4)
-        bank.poses = np.tile([10.0, 20.0], (4, 1))
+        bank = Rows(poses=np.tile([10.0, 20.0], (4, 1)))
         res = make_result([0.9, 0.8, 0.7], ref_indices=[0, 1, 2])
         assert sc.baseline_sue(res, bank, k=3)[0] == pytest.approx(0.0, abs=1e-20)
 
     def test_shift_invariance(self, rng):
-        bank = make_bank(rng, n=5)
+        bank = make_rows(rng, n=5)
         res_a = make_result([0.9, 0.5, 0.1], ref_indices=[0, 1, 2])
         res_b = make_result([0.9 - 0.3, 0.5 - 0.3, 0.1 - 0.3],
                             ref_indices=[0, 1, 2])
@@ -114,18 +108,10 @@ class TestSue:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_hand_computed_two_point(self, rng):
-        bank = make_bank(rng, n=2)
-        bank.poses = np.array([[0.0, 0.0], [10.0, 0.0]])
+        bank = Rows(poses=np.array([[0.0, 0.0], [10.0, 0.0]]))
         res = make_result([0.2, 0.2], ref_indices=[0, 1])
         # equal weights: mean (5, 0), spread = 2 * 0.5 * 25 = 25
         assert sc.baseline_sue(res, bank, k=2)[0] == pytest.approx(25.0, rel=1e-12)
-
-    def test_missing_poses(self, rng):
-        bank = make_bank(rng, poses=False)
-        res = make_result([0.9, 0.8], ref_indices=[0, 1])
-        for method in (sc.METHOD_SUE, sc.METHOD_SUE_LOG):
-            with pytest.raises(sc.MissingInputError, match="poses"):
-                sc.score_query(method, res, bank, k=2)
 
     def test_sue_log_compression(self):
         assert sc.sue_log(0.0) == 0.0
@@ -135,7 +121,7 @@ class TestSue:
 class TestScoreQuery:
     def test_dispatch_consistency(self, rng):
         kappas = np.full(6, 20.0)
-        bank = make_bank(rng, n=6, kappas=kappas)
+        bank = make_rows(rng, n=6, kappas=kappas)
         res = make_result([0.9, 0.7, 0.5], ref_indices=[2, 0, 1])
 
         kq = np.array([10.0])
@@ -155,7 +141,7 @@ class TestScoreQuery:
             sc.sue_log(sc.baseline_sue(res, bank, 3))
 
     def test_resultant_needs_kappas(self, rng):
-        bank = make_bank(rng, kappas=None)
+        bank = make_rows(rng, kappas=None)
         res = make_result([0.9], ref_indices=[0])
         with pytest.raises(ValueError):
             sc.score_query(sc.METHOD_RESULTANT, res, bank,
@@ -164,13 +150,13 @@ class TestScoreQuery:
     def test_missing_kappas_error_type(self, rng):
         res = make_result([0.9], ref_indices=[0])
         with pytest.raises(sc.MissingInputError, match="kappas"):
-            sc.score_query(sc.METHOD_RESULTANT, res, make_bank(rng, kappas=None),
+            sc.score_query(sc.METHOD_RESULTANT, res, make_rows(rng),
                            kappa_q=np.array([5.0]))
         with pytest.raises(sc.MissingInputError, match="kappa"):
-            sc.score_query(sc.METHOD_INV_KAPPA, res, make_bank(rng))
+            sc.score_query(sc.METHOD_INV_KAPPA, res, make_rows(rng))
 
     def test_unknown_method(self, rng):
-        bank = make_bank(rng)
+        bank = make_rows(rng)
         with pytest.raises(ValueError):
             sc.score_query("entropy", make_result([0.5, 0.4]), bank)
         # PA has no match-level form
@@ -179,7 +165,7 @@ class TestScoreQuery:
 
     def test_degenerate_flag_propagates(self, rng):
         kappas = np.array([5.0] * 6)
-        bank = make_bank(rng, kappas=kappas)
+        bank = make_rows(rng, kappas=kappas)
         res = make_result([-1.0, 0.0], ref_indices=[0, 1])
         got = sc.score_query(sc.METHOD_RESULTANT, res, bank,
                              kappa_q=np.array([5.0]))
@@ -208,7 +194,7 @@ class TestElementwise:
 
     def test_query_and_match_share_one_kernel(self, rng):
         # a query's resultant score is the match score of its top-1 pair
-        bank = make_bank(rng, n=12, kappas=rng.uniform(0.1, 300.0, 12))
+        bank = make_rows(rng, n=12, kappas=rng.uniform(0.1, 300.0, 12))
         sims = -np.sort(-rng.uniform(-1.0, 1.0, (7, 3)), axis=1)
         idx = np.stack([rng.permutation(12)[:3] for _ in range(7)])
         res = RetrievalResult(ref_indices=idx, similarities=sims)
@@ -219,7 +205,7 @@ class TestElementwise:
         np.testing.assert_array_equal(got.degenerate, pair.degenerate)
 
     def test_sue_rows_match_single_query_formula(self, rng):
-        bank = make_bank(rng, n=12)
+        bank = make_rows(rng, n=12)
         sims = -np.sort(-rng.uniform(-1.0, 1.0, (7, 5)), axis=1)
         idx = np.stack([rng.permutation(12)[:5] for _ in range(7)])
         res = RetrievalResult(ref_indices=idx, similarities=sims)

@@ -1,5 +1,7 @@
 """Synthetic scene generator: determinism, aliasing, splits, recovery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,16 +56,16 @@ class TestDeterminism:
     def test_same_seed_same_scene(self):
         a = generate_scene(SceneConfig(seed=3, **SMALL))
         b = generate_scene(SceneConfig(seed=3, **SMALL))
-        np.testing.assert_array_equal(a.bank.descriptors, b.bank.descriptors)
+        np.testing.assert_array_equal(a.descriptors, b.descriptors)
         np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.bank.true_kappa, b.bank.true_kappa)
+        np.testing.assert_array_equal(a.rows.true_kappa, b.rows.true_kappa)
         for name in a.splits:
             np.testing.assert_array_equal(a.splits[name], b.splits[name])
 
     def test_different_seed_differs(self):
         a = generate_scene(SceneConfig(seed=0, **SMALL))
         b = generate_scene(SceneConfig(seed=1, **SMALL))
-        assert not np.array_equal(a.bank.descriptors, b.bank.descriptors)
+        assert not np.array_equal(a.descriptors, b.descriptors)
 
 
 class TestScene:
@@ -74,9 +76,9 @@ class TestScene:
         assert len(ds) == n
         assert ds.features.shape == (n,) + cfg.feature_shape
         np.testing.assert_allclose(
-            np.linalg.norm(ds.bank.descriptors, axis=1), 1.0, atol=1e-12)
-        assert ds.bank.true_kappa.min() >= cfg.kappa_min
-        assert ds.bank.true_kappa.max() <= cfg.kappa_max
+            np.linalg.norm(ds.descriptors, axis=1), 1.0, atol=1e-12)
+        assert ds.rows.true_kappa.min() >= cfg.kappa_min
+        assert ds.rows.true_kappa.max() <= cfg.kappa_max
 
     def test_prototypes_separated(self):
         ds = generate_scene(SceneConfig(seed=0, **SMALL))
@@ -87,8 +89,8 @@ class TestScene:
     def test_poses_near_class_grid(self):
         cfg = SceneConfig(seed=0, **SMALL)
         ds = generate_scene(cfg)
-        expected = ds.class_poses[ds.bank.labels]
-        dev = np.abs(ds.bank.poses - expected)
+        expected = ds.class_poses[ds.rows.labels]
+        dev = np.abs(ds.rows.poses - expected)
         assert dev.max() <= cfg.pose_jitter
 
     def test_per_class_kappa_recovery(self):
@@ -99,8 +101,8 @@ class TestScene:
                           aliasing_rate=0.0, seed=1)
         ds = generate_scene(cfg)
         for cls in range(cfg.num_classes):
-            idx = ds.bank.labels == cls
-            est = mle_kappa(ds.bank.descriptors[idx])
+            idx = ds.rows.labels == cls
+            est = mle_kappa(ds.descriptors[idx])
             assert est == pytest.approx(80.0, rel=0.10)
 
 
@@ -152,10 +154,10 @@ class TestAliasing:
                                              aliasing_rate=0.5))
 
         def top1_label_accuracy(ds):
-            db = ds.bank.subset(ds.splits["db"])
-            q = ds.splits["query"]
-            results = batch_knn(ds.bank.descriptors[q], db.descriptors, 1)
-            hits = db.labels[results.ref_indices[:, 0]] == ds.bank.labels[q]
+            db, q = ds.splits["db"], ds.splits["query"]
+            results = batch_knn(ds.descriptors[q], ds.descriptors[db], 1)
+            labels = ds.rows.labels
+            hits = labels[db][results.ref_indices[:, 0]] == labels[q]
             return float(np.mean(hits))
 
         assert top1_label_accuracy(aliased) < top1_label_accuracy(base) - 0.1
@@ -169,7 +171,7 @@ class TestSplit:
         assert len(all_idx) == len(ds)
         assert len(np.unique(all_idx)) == len(ds)
         for name, frac in zip(("train", "db", "query"), (0.5, 0.3, 0.2)):
-            labels = ds.bank.labels[ds.splits[name]]
+            labels = ds.rows.labels[ds.splits[name]]
             counts = np.bincount(labels, minlength=cfg.num_classes)
             assert counts.min() >= 1
             # per-class proportions within one image of the target
@@ -188,8 +190,8 @@ class TestSplit:
         # per-class flatnonzero loop it replaced, kept verbatim below,
         # gives the same splits and leaves the generator in the same state
         ds = generate_scene(SceneConfig(seed=0, **SMALL))
-        ds.bank.labels = np.random.default_rng(shuffle_seed).permutation(
-            ds.bank.labels)
+        ds.rows = replace(ds.rows, labels=np.random.default_rng(
+            shuffle_seed).permutation(ds.rows.labels))
         real, made = np.random.default_rng, []
 
         def capture(seed):
@@ -202,7 +204,7 @@ class TestSplit:
 
         rng = np.random.default_rng(4)
         parts = {name: [] for name in SPLIT_NAMES}
-        labels = ds.bank.labels
+        labels = ds.rows.labels
         for cls in range(ds.config.num_classes):
             idx = np.flatnonzero(labels == cls)
             idx = idx[rng.permutation(len(idx))]

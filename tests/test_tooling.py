@@ -7,8 +7,8 @@ of the package runs outside the tests; every raise in the package is an
 exception the CLI reports; --help and argument errors return without
 loading numpy; every demo runs; no CLI command leaves a temp file in its
 run directory; no module but scores spells a method's name; traced scores
-keep their spans; gen does not load numpy.ma; and no package module leaves
-work to interpreter finalization."""
+keep their spans; gen does not load numpy.ma; no package module leaves
+work to interpreter finalization; and no scorer receives a descriptor."""
 
 import ast
 import importlib
@@ -250,6 +250,30 @@ def test_method_names_are_spelled_only_in_scores():
              if isinstance(node, ast.Constant) and node.value in sc.ALL_METHODS]
     assert len(sc.ALL_METHODS) == 6
     assert not found, found
+
+
+def test_no_scorer_receives_a_descriptor():
+    # descriptors travel as bare matrices to the search and the trainers;
+    # the scores, ground truth and success marking read a Rows record of
+    # poses and kappas, which has no descriptor field to carry one
+    from dataclasses import fields
+
+    from kappa_sphere.retrieval import Rows
+
+    trees = _parsed([PACKAGE / "scores.py", PACKAGE / "retrieval.py"])
+    readers = {"scores.py": trees[PACKAGE / "scores.py"]}
+    readers.update({f"retrieval.{node.name}": node
+                    for node in trees[PACKAGE / "retrieval.py"].body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name in ("positive_mask", "mark_successes")})
+    assert len(readers) == 3
+    found = [f"{where}:{node.lineno}" for where, tree in readers.items()
+             for node in ast.walk(tree)
+             if "descriptors" in (getattr(node, "id", None),
+                                  getattr(node, "attr", None),
+                                  getattr(node, "arg", None))]
+    assert not found, found
+    assert "descriptors" not in {f.name for f in fields(Rows)}
 
 
 def _package_imports(top_level) -> list:

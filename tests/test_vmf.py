@@ -306,7 +306,7 @@ class TestStream:
         # and the aliased rows are drawn pair by pair, rows ascending.
         cfg = synth.SceneConfig(num_classes=16, images_per_class=5,
                                 descriptor_dim=16, aliasing_rate=0.5, seed=5)
-        batched = synth.generate_scene(cfg).bank.descriptors
+        batched = synth.generate_scene(cfg).descriptors
         drawn = []
 
         def oracle(mu, kappas, rng):
@@ -315,10 +315,10 @@ class TestStream:
 
         monkeypatch.setattr(synth, "sample_vmf", oracle)
         ds = synth.generate_scene(cfg)
-        np.testing.assert_array_equal(ds.bank.descriptors, batched)
-        rows = [np.flatnonzero(ds.bank.labels == b) for _, b in ds.aliased_pairs]
+        np.testing.assert_array_equal(ds.descriptors, batched)
+        rows = [np.flatnonzero(ds.rows.labels == b) for _, b in ds.aliased_pairs]
         np.testing.assert_array_equal(
-            drawn[1], ds.bank.true_kappa[np.concatenate(rows)])
+            drawn[1], ds.rows.true_kappa[np.concatenate(rows)])
 
 
 class TestMle:
