@@ -93,9 +93,11 @@ def _paths(out):
     }
 
 
-def _write_artifacts(out, run, dataset, history=None, **model) -> dict:
-    """Write the scene's bank, manifest and run config into `out`;
-    with a training `history`, also the model state (`model` goes to
+def _write_artifacts(out, run, descriptors, rows, splits, history=None,
+                     **model) -> dict:
+    """Write the bank of the (n, d) `descriptors`, the manifest of the
+    Rows `rows` and their `splits`, and the run config into `out`; with a
+    training `history`, also the model state (`model` goes to
     `fileio.write_model_state`) and history.csv.  Returns the paths."""
     from . import fileio
 
@@ -104,8 +106,8 @@ def _write_artifacts(out, run, dataset, history=None, **model) -> dict:
     if history is not None:
         fileio.write_model_state(paths["model"], **model)
         fileio.atomic_write_text(paths["history"], fileio.history_csv(history))
-    fileio.write_bank(paths["bank"], dataset.descriptors)
-    fileio.write_manifest(paths["manifest"], dataset.rows, dataset.splits)
+    fileio.write_bank(paths["bank"], descriptors)
+    fileio.write_manifest(paths["manifest"], rows, splits)
     fileio.atomic_write_text(paths["config"], json.dumps(
         run.to_json(), sort_keys=True, indent=2))
     return paths
@@ -117,7 +119,8 @@ def cmd_gen(args) -> int:
 
     run = _resolve(args)
     dataset = generate_scene(run.scene)
-    paths = _write_artifacts(args.out, run, dataset)
+    paths = _write_artifacts(args.out, run, dataset.descriptors,
+                             dataset.rows, dataset.splits)
     # fit and train read this record instead of generating the scene again
     fileio.write_scene(paths["scene"], dataset)
     print(f"wrote {paths['bank']}, {paths['manifest']}, {paths['config']}, "
@@ -133,9 +136,9 @@ def cmd_fit(args) -> int:
     dataset = fileio.read_scene(_paths(args.out)["scene"], run.scene)
     head, history = fit_head(dataset, cfg=run.train, tau=run.tau,
                              binning=run.binning)
-    dataset.rows = dataset.rows.with_kappas(
-        predict_kappas(dataset.head_inputs, head))
-    paths = _write_artifacts(args.out, run, dataset, history, head=head,
+    rows = dataset.rows.with_kappas(predict_kappas(dataset.head_inputs, head))
+    paths = _write_artifacts(args.out, run, dataset.descriptors, rows,
+                             dataset.splits, history, head=head,
                              extra={"mode": run.train.mode.value,
                                     "epochs": len(history)})
     print(f"fitted head in {len(history)} epochs; wrote {paths['model']}")
@@ -152,12 +155,13 @@ def cmd_train(args) -> int:
     encoder, prototypes, head, history = fit_joint(
         dataset, cfg=run.train, lmcl=run.lmcl, tau=run.tau,
         binning=run.binning)
-    dataset.descriptors = encode(encoder, dataset.raw)
-    if head is not None:
-        dataset.rows = dataset.rows.with_kappas(
-            predict_kappas(dataset.head_inputs, head))
-    paths = _write_artifacts(args.out, run, dataset, history, head=head,
-                             encoder=encoder, prototypes=prototypes,
+    rows = dataset.rows if head is None else dataset.rows.with_kappas(
+        predict_kappas(dataset.head_inputs, head))
+    descriptors, splits = encode(encoder, dataset.raw), dataset.splits
+    del dataset  # none of its arrays is written: freed before the writes
+    paths = _write_artifacts(args.out, run, descriptors, rows, splits,
+                             history, head=head, encoder=encoder,
+                             prototypes=prototypes,
                              extra={"mode": "joint_training",
                                     "lam": run.train.lam,
                                     "epochs": len(history)})

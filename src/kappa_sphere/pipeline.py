@@ -66,20 +66,20 @@ class _Validation:
         self.tau = tau
         self.binning = binning_for(sc.METHOD_RESULTANT, binning)
 
-    def search(self, val_desc, db_desc) -> RetrievalResult:
+    def search(self, val_desc, db_desc) -> tuple:
         """Top-1 search of validation descriptors against db descriptors,
-        successes marked."""
+        and its (n, 1) success flags."""
         results = batch_knn(val_desc, db_desc, 1)
-        mark_successes(results, self.db, self.queries, self.tau)
-        return results
+        return results, mark_successes(results, self.db, self.queries,
+                                       self.tau)
 
-    def ece1(self, results: RetrievalResult, head: dict) -> float:
-        """Resultant-score ECE@1 of a `search`, with kappas predicted by
-        `head`."""
+    def ece1(self, results: RetrievalResult, success, head: dict) -> float:
+        """Resultant-score ECE@1 of a `search`, its `results` and
+        `success` flags, with kappas predicted by `head`."""
         db = self.db.with_kappas(predict_kappas(self.db_pooled, head))
         value, _ = sc.score_query(sc.METHOD_RESULTANT, results, db,
                                   kappa_q=predict_kappas(self.pooled, head))
-        return ece_at_k(value, results.success[:, 0], self.binning, k=1,
+        return ece_at_k(value, success[:, 0], self.binning, k=1,
                         method=sc.METHOD_RESULTANT).ece
 
 
@@ -100,9 +100,9 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
                       labels=dataset.rows.labels[idx], descriptors=desc[idx])
     val = _Validation(dataset, val_idx, tau, binning)
     # descriptors are frozen: retrieve once, re-score kappas each epoch
-    results = val.search(desc[val_idx], desc[dataset.splits["db"]])
+    results, success = val.search(desc[val_idx], desc[dataset.splits["db"]])
     return train_post(train, dataset.prototypes, head, cfg,
-                      eval_hook=lambda h: val.ece1(results, h))
+                      eval_hook=lambda h: val.ece1(results, success, h))
 
 
 def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
@@ -132,10 +132,11 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
     val_raw, db_raw = dataset.raw[val_idx], dataset.raw[dataset.splits["db"]]
 
     def hook(enc, protos, h):
-        results = val.search(encode(enc, val_raw), encode(enc, db_raw))
+        results, success = val.search(encode(enc, val_raw),
+                                      encode(enc, db_raw))
         if h is None:
-            return (recall_at_k(results, 1),)
-        return recall_at_k(results, 1), val.ece1(results, h)
+            return (recall_at_k(success, 1),)
+        return recall_at_k(success, 1), val.ece1(results, success, h)
 
     return train_joint(train, encoder, dataset.prototypes, head, cfg, lmcl,
                        eval_hook=hook)
@@ -159,7 +160,8 @@ def _spearman(a, b) -> float:
 class QueryEvaluation:
     reports: dict                      # (method, k) -> CalibrationReport
     recalls: dict                      # k -> overall Recall@K
-    results: RetrievalResult           # (n, K) retrieval, successes marked
+    results: RetrievalResult           # (n, K) retrieval, as given
+    success: np.ndarray                # (n, K) mark_successes flags
     scored: dict                       # method -> (value, degenerate), (n,) each
     spearman_kappa: float | None       # rank corr of predicted vs true kappa
     unsupported: dict = field(default_factory=dict)  # method -> reason
@@ -206,16 +208,14 @@ def evaluate_queries(db: Rows, queries: Rows, results: RetrievalResult,
     search must rank every query at least `search_depth(ks, len(db))`
     deep, as `search_splits` does, and SUE spreads the top SUE_K poses
     whatever `ks` lists, so no method's ECE@K depends on the other K.
-    The search is scored as given and left unchanged, so one search
-    serves every kappa source.  `ks` must list at least one K, each at
-    least 1.
+    The search is scored as given, so one search serves every kappa
+    source.  `ks` must list at least one K, each at least 1.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise ValueError(f"ks must list at least one K >= 1, got {ks}")
     _check_search(results, queries, search_depth(ks, len(db)))
-    results = replace(results)  # the copy is marked, not the caller's
-    mark_successes(results, db, queries, tau)
+    success = mark_successes(results, db, queries, tau)
 
     scored = {}
     unsupported = {}
@@ -230,9 +230,9 @@ def evaluate_queries(db: Rows, queries: Rows, results: RetrievalResult,
     reports = {}
     recalls = {}
     for k in ks:
-        recalls[k] = recall_at_k(results, k)
+        recalls[k] = recall_at_k(success, k)
         for method, (value, _) in scored.items():
-            reports[(method, k)] = ece_at_k(value, results.success[:, k - 1],
+            reports[(method, k)] = ece_at_k(value, success[:, k - 1],
                                             binning_for(method, binning),
                                             k=k, method=method)
 
@@ -242,8 +242,8 @@ def evaluate_queries(db: Rows, queries: Rows, results: RetrievalResult,
     if kq is not None and kt is not None and np.ptp(kq) > 0 and np.ptp(kt) > 0:
         spear = _spearman(kq, kt)
     return QueryEvaluation(reports=reports, recalls=recalls, results=results,
-                           scored=scored, spearman_kappa=spear,
-                           unsupported=unsupported)
+                           success=success, scored=scored,
+                           spearman_kappa=spear, unsupported=unsupported)
 
 
 @dataclass

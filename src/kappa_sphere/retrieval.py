@@ -64,13 +64,12 @@ def positive_mask(db: Rows, queries: Rows, ref_indices,
     return np.linalg.norm(diffs, axis=2) <= tau
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetrievalResult:
     """Top-K retrieval of n queries; row i holds query i's ranked matches."""
 
     ref_indices: np.ndarray        # (n, K) ranked bank row indices
     similarities: np.ndarray       # (n, K) descending cosines
-    success: np.ndarray | None = None  # (n, K) any-positive-in-prefix flags
 
     def __len__(self):
         return len(self.ref_indices)
@@ -227,22 +226,21 @@ def _candidates(block, k: int, g: int, margin=0) -> np.ndarray:
 
 
 def mark_successes(results: RetrievalResult, db: Rows, queries: Rows,
-                   tau: float) -> None:
-    """Fill the (n, K) prefix success flags of a search of `queries`
-    against `db` in place: success[i, j] is true when any of query i's
-    ranks 1..j+1 is within `tau` of its pose."""
+                   tau: float) -> np.ndarray:
+    """The (n, K) prefix success flags of a search of `queries` against
+    `db`: success[i, j] is true when any of query i's ranks 1..j+1 is
+    within `tau` of its pose."""
     mask = positive_mask(db, queries, results.ref_indices, tau)
-    results.success = np.maximum.accumulate(mask, axis=1)
+    return np.maximum.accumulate(mask, axis=1)
 
 
-def recall_at_k(results: RetrievalResult, k: int) -> float:
-    """Fraction of queries with a positive among the top k ranks, k >= 1."""
+def recall_at_k(success: np.ndarray, k: int) -> float:
+    """Fraction of queries with a positive among the top k ranks, k >= 1,
+    of the (n, K) `mark_successes` flags `success`."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if len(results) == 0:
+    if len(success) == 0:
         raise ValueError("no retrieval results")
-    if results.success is None:
-        raise ValueError("call mark_successes before recall_at_k")
-    if results.success.shape[1] < k:
+    if success.shape[1] < k:
         raise ValueError(f"results have fewer than {k} ranks")
-    return float(results.success[:, k - 1].mean())
+    return float(success[:, k - 1].mean())

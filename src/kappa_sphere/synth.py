@@ -12,7 +12,7 @@ pooling + linear head has sufficient signal to recover kappa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +64,7 @@ class SceneConfig:
         self.feature_shape = tuple(int(x) for x in self.feature_shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthDataset:
     config: SceneConfig
     descriptors: np.ndarray            # (n, d) unit rows, every image
@@ -73,8 +73,8 @@ class SynthDataset:
     ambiguity: np.ndarray              # (n,) in [0, 1]
     prototypes: np.ndarray             # (C, d) unit rows, post-aliasing
     class_poses: np.ndarray            # (C, 2)
-    aliased_pairs: list = field(default_factory=list)
-    splits: dict = field(default_factory=dict)
+    aliased_pairs: list                # (a, b) class pairs, b aliased to a
+    splits: dict                       # split name -> ascending row indices
 
     def __len__(self):
         return len(self.descriptors)
@@ -94,9 +94,8 @@ class SynthDataset:
         and `features`: derived on first use and kept, as `head_inputs`
         keeps its pooled rows.  Only joint training reads it, so a scene
         that is generated, recorded or post-trained never builds it.
-        Descriptors replaced after that (`train` writes its encoded ones)
-        leave it the scene's input, and the replaced array is not kept
-        alive.
+        (A `cached_property` writes the instance dict, not a field, so it
+        works on this frozen dataclass.)
         """
         return raw_inputs(self.descriptors, self.features)
 
@@ -205,64 +204,58 @@ def generate_scene(config: SceneConfig) -> SynthDataset:
 
     features = _build_features(rng, ambiguity, config.feature_shape, config.noise_std)
 
-    dataset = SynthDataset(
+    aliased_pairs = [] if config.aliasing_rate == 0.0 else inject_aliasing(
+        prototypes, descriptors, labels, true_kappa, class_poses,
+        config.aliasing_rate, seed=int(rng.integers(2**31)))
+    return SynthDataset(
         config=config, descriptors=descriptors,
         rows=Rows(poses=poses, true_kappa=true_kappa, labels=labels),
         features=features,
         ambiguity=ambiguity, prototypes=prototypes,
-        class_poses=class_poses,
+        class_poses=class_poses, aliased_pairs=aliased_pairs,
+        splits=split(labels, c_cls, seed=config.seed),
     )
-    if config.aliasing_rate > 0.0:
-        dataset = inject_aliasing(dataset, config.aliasing_rate,
-                                  seed=int(rng.integers(2**31)))
-    split(dataset, seed=config.seed)
-    return dataset
 
 
-def inject_aliasing(dataset: SynthDataset, rate: float,
-                    seed: int) -> SynthDataset:
-    """Make a fraction of class pairs perceptually aliased.
+def inject_aliasing(prototypes, descriptors, labels, true_kappa, class_poses,
+                    rate: float, seed: int) -> list:
+    """Make a fraction `rate` > 0 of the classes perceptually aliased, in
+    pairs, and return the pairs.
 
     For each selected pair (a, b) with class poses farther apart than
     DEFAULT_TAU, the default radius within which a reference is a
     positive, class b adopts class a's prototype direction and
     its descriptors are re-sampled around it (same per-image kappa).
-    Mutates and returns the dataset.
+    Writes the (C, d) `prototypes` and (n, d) `descriptors` in place;
+    `labels` and `true_kappa` give each descriptor row's class and kappa.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0, 1]")
-    if rate == 0.0:
-        return dataset
-    c_cls = dataset.config.num_classes
+    c_cls = len(class_poses)
     involved = aliased_class_count(rate, c_cls)
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         chosen = rng.permutation(c_cls)[:involved]
         pairs = [(int(chosen[2 * i]), int(chosen[2 * i + 1]))
                  for i in range(involved // 2)]
-        dists = [np.linalg.norm(dataset.class_poses[a] - dataset.class_poses[b])
+        dists = [np.linalg.norm(class_poses[a] - class_poses[b])
                  for a, b in pairs]
         if all(dist > DEFAULT_TAU for dist in dists):
             break
     else:
         raise ValueError("could not find geographically separated alias pairs")
 
-    protos = dataset.prototypes
-    labels = dataset.rows.labels
     for a, b in pairs:
-        protos[b] = protos[a]
-    if pairs:
-        # One draw for every resampled row, pair by pair, rows ascending.
-        idx = np.concatenate([np.flatnonzero(labels == b) for _, b in pairs])
-        dataset.descriptors[idx] = sample_vmf(
-            protos[labels[idx]], dataset.rows.true_kappa[idx], rng)
-    dataset.aliased_pairs = pairs
-    return dataset
+        prototypes[b] = prototypes[a]
+    # One draw for every resampled row, pair by pair, rows ascending.
+    idx = np.concatenate([np.flatnonzero(labels == b) for _, b in pairs])
+    descriptors[idx] = sample_vmf(prototypes[labels[idx]], true_kappa[idx],
+                                  rng)
+    return pairs
 
 
-def split(dataset: SynthDataset, seed: int) -> dict:
-    """Class-stratified DEFAULT_SPLIT into train/db/query; stored on the
-    dataset.
+def split(labels, num_classes: int, seed: int) -> dict:
+    """Class-stratified DEFAULT_SPLIT of the rows of `labels`, each in
+    [0, num_classes), into train/db/query: split name -> ascending row
+    indices.
 
     Each class's counts come from `stratified_counts`.  Its rows, ascending,
     are a run of one stable argsort of the labels; each class's shuffle is
@@ -270,10 +263,8 @@ def split(dataset: SynthDataset, seed: int) -> dict:
     """
     rng = np.random.default_rng(seed)
     parts = {name: [] for name in SPLIT_NAMES}
-    labels = dataset.rows.labels
     order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order],
-                             np.arange(dataset.config.num_classes + 1))
+    bounds = np.searchsorted(labels[order], np.arange(num_classes + 1))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         idx = order[lo:hi]
         idx = idx[rng.permutation(len(idx))]
@@ -282,7 +273,5 @@ def split(dataset: SynthDataset, seed: int) -> dict:
         for cnt, name in zip(counts, SPLIT_NAMES):
             parts[name].append(idx[start:start + cnt])
             start += cnt
-    splits = {name: np.sort(np.concatenate(v)).astype(np.int64, copy=False)
-              for name, v in parts.items()}
-    dataset.splits = splits
-    return splits
+    return {name: np.sort(np.concatenate(v)).astype(np.int64, copy=False)
+            for name, v in parts.items()}

@@ -3,8 +3,9 @@ the Gaussian-NLL ablation, Adam, and the two training settings
 (post-training of the kappa head against a frozen embedding space, and
 joint training of encoder + prototypes + head), which share one epoch,
 Adam and early-stopping driver and differ in their per-batch objective.
-Everything a trainer updates is a float64 array: the (d, m) encoder
-weights, the (C, d) unit prototypes and the head's dict of arrays.
+A trainer's arrays (the (d, m) encoder weights, the (C, d) unit
+prototypes and the head's dict of arrays) are copied once into one flat
+float64 vector, and each array it updates is a view of that vector.
 
 The vMF objective anchors each sample to its class prototype.
 """
@@ -12,7 +13,7 @@ The vMF objective anchors each sample to its class prototype.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -130,64 +131,47 @@ def gnll_batch(z, anchors, sigma_sq):
 # --- Adam -------------------------------------------------------------------
 
 
-@dataclass
+# Kingma & Ba's moment decay rates and denominator guard; no caller sets them
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
-    """Adam's step count and moments.  The first step lays the moments of
-    its keys out in one flat buffer each (`m` and `v` map every key to its
-    view); every later step updates the same keys."""
+    """Adam's step count and its buffers over `size` parameters: the
+    moments m and v, the gradient the next step reads, and two scratch
+    arrays."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    t: int = 0
-    _slices: dict = field(default_factory=dict, repr=False)
-    _flat: tuple = field(default=(), repr=False)  # m, v, grad, step, denom
+    def __init__(self, size: int):
+        self.t = 0
+        self.m, self.v, self.grad, self.step, self.denom = (
+            np.zeros(size) for _ in range(5))
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam update, in place on the `params` dict of float64 arrays.
+def adam_step(theta: np.ndarray, state: AdamState, lr: float) -> None:
+    """One Adam update of the flat float64 vector `theta`, in place, with
+    the gradient in `state.grad`.
 
-    Per key, m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g
-    and p -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps).
-    All keys update at once, in place in the flat buffers of `state`, one
-    operation at a time in that order: every key gets the bits of the
-    per-key formula, without its temporary arrays.
+    m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
+    theta -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps),
+    in place in the buffers of `state`, one operation at a time in that
+    order: every entry gets the bits of the formula, without its
+    temporary arrays.
     """
-    grads = {key: np.asarray(g, dtype=np.float64) for key, g in grads.items()}
-    for key, g in grads.items():
-        if g.shape != params[key].shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape "
-                             f"{params[key].shape} for {key!r}")
-    if not state._slices:
-        bounds = np.cumsum([0] + [g.size for g in grads.values()])
-        state._slices = {key: slice(a, b)
-                         for key, a, b in zip(grads, bounds, bounds[1:])}
-        state._flat = tuple(np.zeros(bounds[-1]) for _ in range(5))
-        for moments, buf in zip((state.m, state.v), state._flat):
-            moments.update({key: buf[sl].reshape(grads[key].shape)
-                            for key, sl in state._slices.items()})
-    elif grads.keys() != state._slices.keys():
-        raise ValueError(f"Adam state holds keys {sorted(state._slices)}, "
-                         f"got gradients for {sorted(grads)}")
     state.t += 1
-    m, v, g, step, den = state._flat
-    for key, sl in state._slices.items():
-        g[sl] = grads[key].reshape(-1)
-    m *= beta1
-    np.multiply(1 - beta1, g, out=step)
+    m, v, g, step, den = state.m, state.v, state.grad, state.step, state.denom
+    m *= ADAM_BETA1
+    np.multiply(1 - ADAM_BETA1, g, out=step)
     m += step
-    v *= beta2
-    np.multiply(1 - beta2, g, out=step)
+    v *= ADAM_BETA2
+    np.multiply(1 - ADAM_BETA2, g, out=step)
     step *= g
     v += step
-    np.divide(v, 1 - beta2 ** state.t, out=den)
+    np.divide(v, 1 - ADAM_BETA2 ** state.t, out=den)
     np.sqrt(den, out=den)
-    den += eps
-    np.divide(m, 1 - beta1 ** state.t, out=step)
+    den += ADAM_EPS
+    np.divide(m, 1 - ADAM_BETA1 ** state.t, out=step)
     step *= lr
     step /= den
-    for key, sl in state._slices.items():
-        params[key] -= step[sl].reshape(params[key].shape)
+    theta -= step
 
 
 # --- training loops ----------------------------------------------------------
@@ -224,16 +208,20 @@ class TrainData:
         return len(self.labels)
 
 
-def _fit(params: dict, loss_and_grads, n: int, cfg: TrainConfig,
+def _fit(arrays: dict, loss_and_grads, n: int, cfg: TrainConfig,
          evaluate, watch: tuple, project=None):
     """The epoch loop both trainers run over their n samples.
 
-    Each epoch slices one random permutation of the sample rows into index
-    batches of cfg.batch_size.  Per batch, `loss_and_grads(params, idx) ->
-    (loss, grads)` feeds one Adam step on `params` (in place), followed by
-    `project()` if given.  The epoch's history row holds epoch, mean loss,
-    one value per `watch` metric (`evaluate()` returns them in order; NaN
-    without `evaluate`) and the phase (1-based).
+    The caller's `arrays` are copied once, in key order, into one flat
+    float64 vector theta; `params` maps each key to its view of theta.
+    Each epoch slices one random permutation of the sample rows into
+    index batches of cfg.batch_size.  Per batch, `loss_and_grads(params,
+    idx) -> (loss, grads)`, one gradient of each array's shape per key
+    (else a ValueError before theta moves), feeds one Adam step on theta,
+    followed by `project(params)` if given.  The epoch's history row holds
+    epoch, mean loss, one value per `watch` metric (`evaluate(params)`
+    returns them in order; NaN without `evaluate`) and the phase
+    (1-based).
 
     `watch` is the early-stopping schedule: a tuple of phases, each a
     (metric, sign) pair.  A phase keeps the checkpoint with the lowest
@@ -242,26 +230,44 @@ def _fit(params: dict, loss_and_grads, n: int, cfg: TrainConfig,
     carries over), or training stops after the last phase.  The first
     cfg.warmup epochs are never selected.  Without `evaluate` every epoch
     runs and the final parameters are the result.
-    Returns (best params, history rows).
+    Returns (best params, as views of one vector, history rows).
     """
+    shapes = {key: np.shape(value) for key, value in arrays.items()}
+    theta = np.concatenate([np.ravel(value) for value in arrays.values()],
+                           dtype=np.float64)
+    cuts = np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1]
+
+    def views(vector):
+        return {key: part.reshape(shape) for (key, shape), part
+                in zip(shapes.items(), np.split(vector, cuts))}
+
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState()
+    state = AdamState(len(theta))
+    params, grad = views(theta), views(state.grad)
     history = []
     names = [name for name, _ in watch]
     phase, stale, best = 0, 0, math.inf
-    best_params = params if evaluate is None else \
-        {k: v.copy() for k, v in params.items()}
+    checkpoint = theta if evaluate is None else theta.copy()
     for epoch in range(cfg.max_epochs):
         epoch_loss = 0.0
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             loss, grads = loss_and_grads(params, idx)
-            adam_step(params, grads, state, cfg.lr)
+            if grads.keys() != shapes.keys():
+                raise ValueError(f"Adam state holds keys {sorted(shapes)}, "
+                                 f"got gradients for {sorted(grads)}")
+            for key, g in grads.items():
+                if np.shape(g) != shapes[key]:
+                    raise ValueError(f"gradient shape {np.shape(g)} != param "
+                                     f"shape {shapes[key]} for {key!r}")
+                grad[key][...] = g
+            adam_step(theta, state, cfg.lr)
             if project is not None:
-                project()
+                project(params)
             epoch_loss += loss * len(idx)
-        values = evaluate() if evaluate is not None else [math.nan] * len(names)
+        values = (evaluate(params) if evaluate is not None
+                  else [math.nan] * len(names))
         history.append({"epoch": epoch, "loss": epoch_loss / n,
                         **dict(zip(names, values)), "phase": phase + 1})
 
@@ -271,14 +277,14 @@ def _fit(params: dict, loss_and_grads, n: int, cfg: TrainConfig,
         value = sign * history[-1][name]  # exact: negation never rounds
         if value < best - 1e-12:
             best, stale = value, 0
-            best_params = {k: v.copy() for k, v in params.items()}
+            checkpoint = theta.copy()
         else:
             stale += 1
             if stale >= cfg.patience:
                 if phase + 1 == len(watch):
                     break
                 phase, stale, best = phase + 1, 0, math.inf
-    return best_params, history
+    return views(checkpoint), history
 
 
 def post_loss_and_grads(params: dict, features, z, anchors,
@@ -319,16 +325,15 @@ def train_post(data: TrainData, prototypes: np.ndarray, head: dict,
     if data.descriptors is None:
         raise ValueError("post-training requires precomputed descriptors")
     anchors = prototypes[_check_labels(data.labels, len(prototypes))]
-    params = {key: value.copy() for key, value in head.items()}
 
     def loss_and_grads(p, idx):
         return post_loss_and_grads(p, data.features[idx],
                                    data.descriptors[idx], anchors[idx], cfg)
 
-    def evaluate():
-        return (float(eval_hook(params)),)
+    def evaluate(p):
+        return (float(eval_hook(p)),)
 
-    return _fit(params, loss_and_grads, len(data), cfg,
+    return _fit(head, loss_and_grads, len(data), cfg,
                 evaluate if eval_hook is not None else None,
                 (("metric", +1),))
 
@@ -387,34 +392,34 @@ def train_joint(data: TrainData, encoder: np.ndarray, prototypes: np.ndarray,
     Phased early stopping: phase 1 tracks Recall@1 until patience is
     exhausted; with a head, phase 2 continues while tracking ECE@1 with
     refreshed patience.  `eval_hook(encoder, prototypes, head)` sees the
-    live arrays and returns (recall1, ece1), or (recall1,) when no head
-    is trained (head None).  Copies are trained; the caller's are left as
-    they were.  With an eval hook the checkpoint's are returned, its
-    prototypes renormalized once more.
+    live arrays, views of the fit's vector, and returns (recall1, ece1),
+    or (recall1,) when no head is trained (head None).  `_fit` trains a
+    copy; the caller's arrays are left as they were.  With an eval hook
+    the checkpoint's are returned, its prototypes renormalized once more.
     Returns (encoder, prototypes, head, history).
     """
     if data.raw is None:
         raise ValueError("joint training requires raw features")
     _check_labels(data.labels, len(prototypes))
-    head = ({key: value.copy() for key, value in head.items()}
-            if cfg.lam > 0.0 and head is not None else None)
-    params = {"encoder": encoder.copy(), "prototypes": prototypes.copy(),
-              **(head or {})}
+    head = head if cfg.lam > 0.0 else None
 
     def loss_and_grads(p, idx):
         return joint_loss_and_grads(p, data.features[idx], data.raw[idx],
                                     data.labels[idx], cfg, lmcl)
 
-    def evaluate():
-        return eval_hook(params["encoder"], params["prototypes"], head)
+    def head_of(p):
+        return None if head is None else {key: p[key] for key in head}
+
+    def evaluate(p):
+        return eval_hook(p["encoder"], p["prototypes"], head_of(p))
 
     watch = (("recall1", -1),) if head is None else \
         (("recall1", -1), ("ece1", +1))
-    best, history = _fit(params, loss_and_grads, len(data), cfg,
-                         evaluate if eval_hook is not None else None, watch,
-                         project=lambda: _renormalize(params["prototypes"]))
+    best, history = _fit(
+        {"encoder": encoder, "prototypes": prototypes, **(head or {})},
+        loss_and_grads, len(data), cfg,
+        evaluate if eval_hook is not None else None, watch,
+        project=lambda p: _renormalize(p["prototypes"]))
     if eval_hook is not None:
         _renormalize(best["prototypes"])
-    return (best["encoder"], best["prototypes"],
-            None if head is None else {key: best[key] for key in head},
-            history)
+    return best["encoder"], best["prototypes"], head_of(best), history

@@ -6,6 +6,8 @@
   values log I_v and I_{v+1}/I_v that the stable surrogate is tested
   against, and `log_density` is the exact vMF log-density built on them.
   They are the only code of the project that needs scipy.
+* `unit_rows` draws an (n, d) matrix of random unit rows, the shape of a
+  reference bank, a batch of descriptors and a prototype matrix.
 * `whole_file_key` is the key of a recorded retrieval computed from each
   input file read whole, as `fileio.inputs_key` computed it before it
   streamed the files.
@@ -29,6 +31,13 @@ from scipy.special import ive
 
 from kappa_sphere import fileio
 from kappa_sphere.vmf import check_unit_rows
+
+
+def unit_rows(rng, n, d):
+    """n rows of d standard normal draws from `rng`, each scaled to unit
+    length."""
+    w = rng.standard_normal((n, d))
+    return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
 @dataclass

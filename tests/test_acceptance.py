@@ -32,17 +32,12 @@ from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
                                    post_loss_and_grads, train_joint)
 from kappa_sphere.vmf import (mle_kappa, sample_vmf, stable_log_partition_grad,
                               vmf_batch_nll)
-from oracles import bessel_ratio_exact, finite_diff_check
+from oracles import bessel_ratio_exact, finite_diff_check, unit_rows
 
 
 def unit(rng, d):
     v = rng.standard_normal(d)
     return v / np.linalg.norm(v)
-
-
-def unit_rows(rng, n, d):
-    w = rng.standard_normal((n, d))
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
 # --------------------------------------------------------------------------
@@ -409,9 +404,9 @@ def _query_recall1(dataset, encoder):
     q_idx = dataset.splits["query"]
     results = batch_knn(encode(encoder, dataset.raw[q_idx]),
                         encode(encoder, dataset.raw[db_idx]), 1)
-    mark_successes(results, dataset.rows.subset(db_idx),
-                   dataset.rows.subset(q_idx), tau=25.0)
-    return recall_at_k(results, 1)
+    return recall_at_k(mark_successes(results, dataset.rows.subset(db_idx),
+                                      dataset.rows.subset(q_idx), tau=25.0),
+                       1)
 
 
 def test_criterion_9_joint_training_non_degradation():

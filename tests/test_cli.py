@@ -1290,15 +1290,6 @@ class TestBench:
 
 
 class TestUnsupportedMethods:
-    def test_pose_less_bank_fails_evaluation(self, rng):
-        # Positives are references within tau of the query's pose, so a
-        # bank without poses has no ground truth: its rows cannot be built,
-        # so no evaluation files SUE as unsupported for want of them.
-        from kappa_sphere.retrieval import Rows
-
-        with pytest.raises(TypeError, match="poses"):
-            Rows(kappas=rng.uniform(2, 50, 8))
-
     def test_one_row_database_files_pa_and_sue_unsupported(self, rng):
         # PA and SUE need a second neighbor; the other methods still run.
         from kappa_sphere.pipeline import evaluate_queries

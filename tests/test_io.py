@@ -27,12 +27,7 @@ from kappa_sphere.retrieval import DEFAULT_KS, DEFAULT_TAU, Rows, batch_knn
 from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
 from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
                                    TrainMode, train_joint, train_post)
-from oracles import whole_file_key
-
-
-def unit_rows(rng, n, d):
-    w = rng.standard_normal((n, d))
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
+from oracles import unit_rows, whole_file_key
 
 
 class TestBankFormat:
@@ -144,13 +139,6 @@ class TestBankFormat:
         assert exc.value.offset == row_off
         assert "row 3" in str(exc.value) and "non-finite" in str(exc.value)
 
-    def test_descriptor_bank_rejects_nonfinite_rows(self, rng):
-        # a bank travels as a bare matrix, checked where it is searched
-        desc = unit_rows(rng, 4, 3)
-        desc[1, 0] = np.nan
-        with pytest.raises(ValueError, match="unit-norm; row 1"):
-            batch_knn(desc[:1], desc, 1)
-
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
             write_bank(tmp_path / "x.kpb", np.empty((0, 4)))
@@ -186,15 +174,6 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         write_manifest(path, bank, self.SPLITS)
         assert read_manifest(path, len(bank)) is None
-
-    def test_pose_less_bank_rejected_on_write(self, rng, tmp_path):
-        # poses are the record's one required field: no pose-less rows
-        # reach the writer
-        bank = self.make_bank(rng)
-        with pytest.raises(TypeError, match="poses"):
-            write_manifest(tmp_path / "m.json",
-                           Rows(labels=bank.labels, kappas=bank.kappas),
-                           self.SPLITS)
 
     @pytest.mark.parametrize("values, path", [
         ({1: np.inf, 2: -3.0}, "$.kappas[1]"),  # the first bad one
@@ -724,8 +703,7 @@ class TestHistoryCsv:
         # the first row's keys, a watched metric NaN when nothing is
         # evaluated; at lam = 0 joint training watches no ece1
         rng = np.random.default_rng(0)
-        unit = rng.standard_normal((12, 6))
-        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        unit = unit_rows(rng, 12, 6)
         data = TrainData(features=rng.random((12, 3)),
                          labels=np.arange(12) % 4, descriptors=unit,
                          raw=rng.standard_normal((12, 5)))

@@ -72,7 +72,7 @@ class TestEvaluateQueries:
                                        ks=(1, 5))
         res = ev.results
         n = len(query)
-        assert res.success.shape == (n, SUE_K)
+        assert ev.success.shape == (n, SUE_K)
         for method, (value, degenerate) in ev.scored.items():
             assert value.shape == degenerate.shape == (n,)
             for i in (0, n // 2, n - 1):
@@ -83,7 +83,7 @@ class TestEvaluateQueries:
                                      kappa_q=query.kappas[i:i + 1], k=SUE_K)
                 assert one.value[0] == value[i], (method, i)
         for k in (1, 5):
-            assert ev.recalls[k] == float(np.mean(res.success[:, k - 1]))
+            assert ev.recalls[k] == float(np.mean(ev.success[:, k - 1]))
 
     @pytest.mark.parametrize("ks", [(), (0, 1), (-1, 5)],
                              ids=["empty", "zero", "negative"])
@@ -125,7 +125,7 @@ class TestEvaluateQueries:
             *truth, default_search(dataset)).reports
         key = (sc.METHOD_RESULTANT, 1)
         assert swapped.reports[key] != first.reports[key]
-        assert results.success is None  # the evaluation marks a copy
+        assert first.results is results  # scored as given, not copied
 
     def test_constant_kappa_gives_no_spearman(self, fitted):
         # Spearman is undefined for a constant vector: None, not NaN

@@ -1,5 +1,6 @@
 """Exact cosine retrieval, ground truth, and Recall@K."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,7 @@ from hypothesis import strategies as st
 from kappa_sphere.retrieval import (_GROUP_FLOOR, _ROW_BLOCK, _TWO_PASS_FLOOR,
                                     Rows, batch_knn, mark_successes,
                                     positive_mask, recall_at_k)
-
-
-def unit_rows(rng, n, d):
-    w = rng.standard_normal((n, d))
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
+from oracles import unit_rows
 
 
 def lexsort_top(sims, k):
@@ -33,11 +30,6 @@ def make_bank(rng, n=20, d=8):
 class TestBank:
     # a bank is a bare matrix of unit rows, checked where it enters the
     # search, and a Rows record of what scoring reads of each row
-    def test_rejects_non_unit_rows(self, rng):
-        with pytest.raises(ValueError, match="reference rows must be"):
-            batch_knn(unit_rows(rng, 1, 6),
-                      rng.standard_normal((4, 6)) * 2.0, 1)
-
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="kappas length 4 != pose"):
             Rows(poses=np.zeros((5, 2)), kappas=np.ones(4))
@@ -361,24 +353,39 @@ class TestKnn:
                            match="queries have d=5, bank rows d=64"):
             batch_knn(unit_rows(r, 3, 5), unit_rows(r, N, 64), k=2)
 
+    @pytest.mark.parametrize("N", [8, _TWO_PASS_FLOOR])
     @pytest.mark.parametrize("case", ["NaN row", "norm 1.5", "1-D"])
-    def test_rejects_what_is_not_a_matrix_of_unit_rows(self, case):
-        # the two-pass eps bound assumes unit rows; a row of norm 1.5 on
-        # a bank searched in two passes would break it
+    def test_rejects_what_is_not_a_matrix_of_unit_rows(self, case, N):
+        # a bank is a bare matrix, checked where it enters the search, in
+        # one pass or two: the two-pass eps bound assumes unit rows, and a
+        # row of norm 1.5 on a bank searched in two passes would break it
         r = np.random.default_rng(0)
-        D = unit_rows(r, _TWO_PASS_FLOOR, 64)
+        D = unit_rows(r, N, 64)
+        match = "reference rows must be finite and unit-norm; row 7 "
         if case == "NaN row":
             D[7, 3] = np.nan
         elif case == "norm 1.5":
             D[7] *= 1.5
         else:
             D = D[0]
-        with pytest.raises(ValueError, match="reference rows"):
+            match = r"reference rows must be an \(N, d\) matrix"
+        with pytest.raises(ValueError, match=match):
             batch_knn(unit_rows(r, 3, 64), D, k=2)
 
     def test_rejects_non_finite_queries(self, rng):
         with pytest.raises(ValueError, match="non-finite"):
             batch_knn([[1.0, np.nan, 0.0]], unit_rows(rng, 5, 3), k=2)
+
+    def test_result_is_frozen(self, rng):
+        # a search holds its ranks and cosines alone; success flags are
+        # mark_successes' return value, never written onto it
+        D = unit_rows(rng, 6, 4)
+        res = batch_knn(D[:2], D, k=3)
+        assert [f.name for f in dataclasses.fields(res)] == [
+            "ref_indices", "similarities"]
+        for f in dataclasses.fields(res):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(res, f.name, getattr(res, f.name))
 
     def test_result_owns_only_its_k_columns(self, rng):
         # The index block is allocated (n, k); no row is a view of a full
@@ -443,8 +450,9 @@ class TestRecall:
         queries = desc[:8] + 0.05 * rng.standard_normal((8, 6))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         results = batch_knn(queries, desc, k=10)
-        mark_successes(results, db, db.subset(np.arange(8)), tau=1.0)
-        recalls = [recall_at_k(results, k) for k in (1, 5, 10)]
+        success = mark_successes(results, db, db.subset(np.arange(8)),
+                                 tau=1.0)
+        recalls = [recall_at_k(success, k) for k in (1, 5, 10)]
         assert recalls[0] <= recalls[1] <= recalls[2]
 
     def test_recall_exact_on_constructed_case(self):
@@ -458,32 +466,31 @@ class TestRecall:
         # candidates broken by ascending row), so row 0, the one reference
         # within tau of every query, hits at rank 1 only for query 0 and
         # at rank 2 for the others.
-        mark_successes(results, db, Rows(np.zeros((3, 2))), tau=25.0)
-        assert recall_at_k(results, 1) == pytest.approx(1 / 3)
-        assert recall_at_k(results, 2) == pytest.approx(1.0)
+        success = mark_successes(results, db, Rows(np.zeros((3, 2))),
+                                 tau=25.0)
+        assert recall_at_k(success, 1) == pytest.approx(1 / 3)
+        assert recall_at_k(success, 2) == pytest.approx(1.0)
 
     def test_success_is_prefix_cumulative(self, rng):
         desc, db = make_bank(rng, n=10, d=4)
         res = batch_knn(desc[0], desc, k=10)
         # the query stands at row 5's pose, and no other row is that close
-        mark_successes(res, db, db.subset([5]), tau=1e-6)
-        assert np.all(np.diff(res.success.astype(int), axis=1) >= 0)
+        success = mark_successes(res, db, db.subset([5]), tau=1e-6)
+        assert np.all(np.diff(success.astype(int), axis=1) >= 0)
         rank = int(np.flatnonzero(res.ref_indices[0] == 5)[0])
-        assert res.success[0].tolist() == [False] * rank + [True] * (10 - rank)
+        assert success[0].tolist() == [False] * rank + [True] * (10 - rank)
 
-    def test_requires_marked_successes(self, rng):
-        desc, _ = make_bank(rng, n=4, d=4)
-        res = batch_knn(desc[0], desc, k=2)
-        with pytest.raises(ValueError):
-            recall_at_k(res, 1)
-        with pytest.raises(ValueError):
-            recall_at_k([], 1)
+    def test_requires_marked_successes(self):
+        with pytest.raises(ValueError, match="no retrieval results"):
+            recall_at_k(np.zeros((0, 2), dtype=bool), 1)
 
     def test_rejects_k_below_one(self, rng):
         # k = 0 would index the last column, the recall at the deepest rank
         desc, db = make_bank(rng, n=4, d=4)
         res = batch_knn(desc, desc, k=2)
-        mark_successes(res, db, db, tau=1.0)
+        success = mark_successes(res, db, db, tau=1.0)
         for k in (0, -1):
             with pytest.raises(ValueError, match="k must be >= 1"):
-                recall_at_k(res, k)
+                recall_at_k(success, k)
+        with pytest.raises(ValueError, match="fewer than 3 ranks"):
+            recall_at_k(success, 3)

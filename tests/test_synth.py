@@ -1,13 +1,13 @@
 """Synthetic scene generator: determinism, aliasing, splits, recovery."""
 
-from dataclasses import replace
+import dataclasses
 
 import numpy as np
 import pytest
 
 from kappa_sphere.retrieval import DEFAULT_TAU, batch_knn
 from kappa_sphere.synth import (SPLIT_NAMES, SceneConfig, ambiguity_to_kappa,
-                                generate_scene, inject_aliasing, split,
+                                generate_scene, split,
                                 stratified_counts)
 from kappa_sphere.vmf import mle_kappa
 
@@ -80,6 +80,15 @@ class TestScene:
         assert ds.rows.true_kappa.min() >= cfg.kappa_min
         assert ds.rows.true_kappa.max() <= cfg.kappa_max
 
+    def test_built_once(self):
+        # no field of a scene is assigned after generate_scene builds it;
+        # the cached_property rows still cache on the frozen instance
+        ds = generate_scene(SceneConfig(seed=0, **SMALL))
+        for f in dataclasses.fields(ds):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ds, f.name, getattr(ds, f.name))
+        assert ds.head_inputs is ds.head_inputs and ds.raw is ds.raw
+
     def test_prototypes_separated(self):
         ds = generate_scene(SceneConfig(seed=0, **SMALL))
         gram = np.abs(ds.prototypes @ ds.prototypes.T)
@@ -123,13 +132,10 @@ class TestAliasing:
         assert involved == {0, 1, 2, 3}
 
     def test_odd_selection_rejected(self):
-        # rate 0.25 of 6 classes selects 1.5 -> rounds to odd 2? no: 1.5
-        # rounds to 2 (even). Use rate that yields an odd count: 0.5 of 6 = 3.
-        ds = generate_scene(SceneConfig(seed=0, num_classes=6,
-                                        images_per_class=10,
-                                        descriptor_dim=16, aliasing_rate=0.0))
+        # 0.5 of 6 classes selects 3, which cannot form pairs; the scene
+        # config is refused before generate_scene draws anything
         with pytest.raises(ValueError, match="odd"):
-            inject_aliasing(ds, rate=0.5, seed=0)
+            SceneConfig(num_classes=6, aliasing_rate=0.5)
 
     def test_aliased_prototypes_shared(self):
         ds = generate_scene(SceneConfig(seed=0, aliasing_rate=0.25,
@@ -190,8 +196,8 @@ class TestSplit:
         # per-class flatnonzero loop it replaced, kept verbatim below,
         # gives the same splits and leaves the generator in the same state
         ds = generate_scene(SceneConfig(seed=0, **SMALL))
-        ds.rows = replace(ds.rows, labels=np.random.default_rng(
-            shuffle_seed).permutation(ds.rows.labels))
+        labels = np.random.default_rng(shuffle_seed).permutation(
+            ds.rows.labels)
         real, made = np.random.default_rng, []
 
         def capture(seed):
@@ -199,12 +205,11 @@ class TestSplit:
             return made[-1]
 
         monkeypatch.setattr(np.random, "default_rng", capture)
-        got = split(ds, seed=4)
+        got = split(labels, ds.config.num_classes, seed=4)
         monkeypatch.undo()
 
         rng = np.random.default_rng(4)
         parts = {name: [] for name in SPLIT_NAMES}
-        labels = ds.rows.labels
         for cls in range(ds.config.num_classes):
             idx = np.flatnonzero(labels == cls)
             idx = idx[rng.permutation(len(idx))]

@@ -97,11 +97,11 @@ def test_trace_epoch_counters_read_the_history():
     from kappa_sphere.head import init_head
     from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
                                        train_joint, train_post)
+    from oracles import unit_rows
 
     targets = _trace_runner().TARGETS["kappa_sphere.training"]
     rng = np.random.default_rng(0)
-    unit = rng.standard_normal((12, 6))
-    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    unit = unit_rows(rng, 12, 6)
     data = TrainData(features=rng.random((12, 3)), labels=np.arange(12) % 4,
                      descriptors=unit, raw=rng.standard_normal((12, 5)))
     protos = unit[:4].copy()

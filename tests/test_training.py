@@ -14,12 +14,7 @@ from kappa_sphere.training import (AdamState, LmclConfig, TrainConfig,
                                    TrainData, TrainMode, _fit, adam_step,
                                    gnll_batch, lmcl_batch, train_joint,
                                    train_post)
-from oracles import finite_diff_check
-
-
-def unit_rows(rng, n, d):
-    w = rng.standard_normal((n, d))
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
+from oracles import finite_diff_check, unit_rows
 
 
 def lmcl_one(z, weights, label, cfg):
@@ -108,45 +103,68 @@ class TestAdam:
     def test_first_step_matches_hand_computation(self):
         # With fresh state the bias-corrected first step is
         # lr * g / (|g| + eps) elementwise.
-        params = {"w": np.array([1.0, -2.0, 0.5])}
+        theta = np.array([1.0, -2.0, 0.5])
         g = np.array([0.3, -0.1, 2.0])
-        state = AdamState()
-        adam_step(params, {"w": g.copy()}, state, lr=0.01)
+        state = AdamState(3)
+        state.grad[:] = g
+        adam_step(theta, state, lr=0.01)
         expected = np.array([1.0, -2.0, 0.5]) - 0.01 * g / (np.abs(g) + 1e-8)
-        np.testing.assert_allclose(params["w"], expected, rtol=1e-12)
+        np.testing.assert_allclose(theta, expected, rtol=1e-12)
         assert state.t == 1
 
     def test_second_step_matches_reference(self):
         beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 0.05
-        params = {"w": np.array([0.7])}
-        state = AdamState()
+        theta = np.array([0.7])
+        state = AdamState(1)
         ref = 0.7
         m = v = 0.0
         for t, g in enumerate([0.4, -1.1], start=1):
-            adam_step(params, {"w": np.array([g])}, state, lr)
+            state.grad[:] = g
+            adam_step(theta, state, lr)
             m = beta1 * m + (1 - beta1) * g
             v = beta2 * v + (1 - beta2) * g * g
             ref -= lr * (m / (1 - beta1**t)) / (math.sqrt(v / (1 - beta2**t)) + eps)
-        assert params["w"][0] == pytest.approx(ref, rel=1e-12)
+        assert theta[0] == pytest.approx(ref, rel=1e-12)
 
     def test_in_place_update(self):
-        w = np.array([1.0, 2.0])
-        adam_step({"w": w}, {"w": np.array([1.0, 1.0])}, AdamState(), lr=0.1)
-        assert not np.array_equal(w, [1.0, 2.0])
+        theta = np.array([1.0, 2.0])
+        state = AdamState(2)
+        state.grad[:] = 1.0
+        adam_step(theta, state, lr=0.1)
+        assert not np.array_equal(theta, [1.0, 2.0])
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            adam_step({"w": np.zeros(3)}, {"w": np.zeros(2)}, AdamState(), 0.1)
+    @staticmethod
+    def _fit_with(bad, match):
+        # the first batch's gradients fit the arrays, the second's are
+        # `bad`: the fit raises at the second step, before theta moves
+        seen, live = [], []
 
-    def test_keys_fixed_by_the_first_step(self):
-        state = AdamState()
-        adam_step({"w": np.zeros(2)}, {"w": np.ones(2)}, state, 0.1)
-        with pytest.raises(ValueError, match="keys"):
-            adam_step({"w": np.zeros(2), "b": np.zeros(1)},
-                      {"w": np.ones(2), "b": np.ones(1)}, state, 0.1)
+        def loss_and_grads(p, idx):
+            live.append(p)
+            seen.append({key: value.copy() for key, value in p.items()})
+            return 0.0, {"w": np.ones(2)} if len(seen) == 1 else bad
+
+        arrays = {"w": np.zeros(2)}
+        with pytest.raises(ValueError, match=match):
+            _fit(arrays, loss_and_grads, 4,
+                 TrainConfig(batch_size=1, max_epochs=1, warmup=0), None,
+                 (("metric", +1),))
+        assert len(seen) == 2
+        assert not np.array_equal(seen[1]["w"], seen[0]["w"])
+        np.testing.assert_array_equal(live[-1]["w"], seen[1]["w"])
+        np.testing.assert_array_equal(arrays["w"], np.zeros(2))
+
+    @pytest.mark.parametrize("keys", [("w", "b"), ("b",)])
+    def test_gradient_keys_fixed_by_the_arrays(self, keys):
+        self._fit_with({key: np.ones(2) for key in keys}, "keys")
+
+    def test_gradient_shape_mismatch(self):
+        self._fit_with({"w": np.ones(3)}, r"gradient shape \(3,\) != param "
+                       r"shape \(2,\) for 'w'")
 
     def test_bits_of_the_per_key_formula(self):
-        # the allocating per-key update adam_step replaced, verbatim
+        # the allocating per-key update the flat adam_step replaced,
+        # verbatim
         def reference(params, grads, state, lr, beta1=0.9, beta2=0.999,
                       eps=1e-8):
             state["t"] += 1
@@ -165,22 +183,28 @@ class TestAdam:
                 p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         # joint training's keys at the default scene: encoder (d, m),
-        # prototypes (C, d) and the head's entries (hidden 64, 8 channels)
+        # prototypes (C, d) and the head's entries (hidden 64, 8 channels),
+        # laid out in one vector as _fit lays them out
         rng = np.random.default_rng(5)
-        shapes = {"kappa_w": (64,), "kappa_b": (1,), "proj_w": (64, 8),
-                  "encoder": (64, 192), "prototypes": (32, 64)}
-        ours = {k: rng.standard_normal(s) for k, s in shapes.items()}
-        theirs = {k: v.copy() for k, v in ours.items()}
-        state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+        shapes = {"encoder": (64, 192), "prototypes": (32, 64),
+                  "proj_w": (64, 8), "kappa_w": (64,), "kappa_b": (1,)}
+        bounds = np.cumsum([0] + [math.prod(s) for s in shapes.values()])
+        slices = {key: slice(a, b)
+                  for key, a, b in zip(shapes, bounds, bounds[1:])}
+        theirs = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        theta = np.concatenate([v.reshape(-1) for v in theirs.values()])
+        state, ref_state = AdamState(len(theta)), {"m": {}, "v": {}, "t": 0}
         for _ in range(600):
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-6, 2)
                      for k, s in shapes.items()}
-            adam_step(ours, grads, state, 1e-3)
+            for key, sl in slices.items():
+                state.grad[sl] = grads[key].reshape(-1)
+            adam_step(theta, state, 1e-3)
             reference(theirs, grads, ref_state, 1e-3)
-        for key in shapes:
-            assert ours[key].tobytes() == theirs[key].tobytes(), key
-            assert state.m[key].tobytes() == ref_state["m"][key].tobytes()
-            assert state.v[key].tobytes() == ref_state["v"][key].tobytes()
+        for key, sl in slices.items():
+            assert theta[sl].tobytes() == theirs[key].tobytes(), key
+            assert state.m[sl].tobytes() == ref_state["m"][key].tobytes()
+            assert state.v[sl].tobytes() == ref_state["v"][key].tobytes()
 
 
 class TestFiniteDiffCheck:
