@@ -195,8 +195,9 @@ def cmd_eval(args) -> int:
     if max(run.ks) > len(db):
         raise ValueError(f"K = {max(run.ks)} exceeds the {len(db)} rows "
                          "of the database (at $.ks)")
-    ev = evaluate_queries(db, queries, search_splits(desc, splits, run.ks),
-                          ks=run.ks, binning=run.binning, tau=run.tau)
+    results = search_splits(desc, splits, run.ks)
+    ev = evaluate_queries(db, queries, results, ks=run.ks,
+                          binning=run.binning, tau=run.tau)
     body = {
         "level": "query",
         "recalls": {str(k): v for k, v in ev.recalls.items()},
@@ -211,7 +212,7 @@ def cmd_eval(args) -> int:
     # match-eval scores the first k columns of this search, with the poses
     # and kappas recorded beside it: it parses neither input and never
     # searches.  eval itself never reads the file
-    fileio.write_retrieval(paths["retrieval"], key, db, queries, ev.results)
+    fileio.write_retrieval(paths["retrieval"], key, db, queries, results)
     _print_query_table(ev, run.ks)
     print(f"wrote {out_path}")
     return 0

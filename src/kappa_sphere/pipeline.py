@@ -20,8 +20,7 @@ from .retrieval import (DEFAULT_KS, DEFAULT_TAU, SUE_K, RetrievalResult,
                         Rows, batch_knn, mark_successes, positive_mask,
                         recall_at_k)
 from .synth import SynthDataset
-from .training import (LmclConfig, TrainConfig, TrainData, encode,
-                       train_joint, train_post)
+from .training import LmclConfig, TrainConfig, encode, train_joint, train_post
 
 VALIDATION_FRACTION = 0.1
 
@@ -96,12 +95,11 @@ def fit_head(dataset: SynthDataset, cfg: TrainConfig | None = None,
     head = init_head(dataset.config.feature_shape, rng=cfg.seed)
     idx, val_idx = _fit_rows(dataset, cfg.seed)
     desc = dataset.descriptors
-    train = TrainData(features=dataset.head_inputs[idx],
-                      labels=dataset.rows.labels[idx], descriptors=desc[idx])
     val = _Validation(dataset, val_idx, tau, binning)
     # descriptors are frozen: retrieve once, re-score kappas each epoch
     results, success = val.search(desc[val_idx], desc[dataset.splits["db"]])
-    return train_post(train, dataset.prototypes, head, cfg,
+    return train_post(dataset.head_inputs[idx], desc[idx],
+                      dataset.rows.labels[idx], dataset.prototypes, head, cfg,
                       eval_hook=lambda h: val.ece1(results, success, h))
 
 
@@ -109,8 +107,8 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
               lmcl: LmclConfig | None = None, tau: float = DEFAULT_TAU,
               binning: BinningConfig | None = None):
     """Jointly train encoder + prototypes, and the kappa head when
-    cfg.lam > 0 (the vMF term is its only trainer; at lam = 0 no head is
-    built and the head returned is None).
+    cfg.lam > 0 (the vMF term is its only trainer; at lam = 0
+    `train_joint` drops the head and the head returned is None).
 
     Early stopping tracks validation Recall@1, then, with a head,
     resultant ECE@1, with positives within `tau` and ECE binned by
@@ -123,11 +121,9 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
     m = dataset.raw.shape[1]
     rng = np.random.default_rng(cfg.seed)
     encoder = rng.standard_normal((d, m)) / np.sqrt(m)
-    head = (init_head(dataset.config.feature_shape, rng=cfg.seed)
-            if cfg.lam > 0 else None)
+    # a generator of its own: the encoder's draws do not depend on it
+    head = init_head(dataset.config.feature_shape, rng=cfg.seed)
     idx, val_idx = _fit_rows(dataset, cfg.seed)
-    train = TrainData(features=dataset.head_inputs[idx],
-                      labels=dataset.rows.labels[idx], raw=dataset.raw[idx])
     val = _Validation(dataset, val_idx, tau, binning)
     val_raw, db_raw = dataset.raw[val_idx], dataset.raw[dataset.splits["db"]]
 
@@ -138,8 +134,9 @@ def fit_joint(dataset: SynthDataset, cfg: TrainConfig,
             return (recall_at_k(success, 1),)
         return recall_at_k(success, 1), val.ece1(results, success, h)
 
-    return train_joint(train, encoder, dataset.prototypes, head, cfg, lmcl,
-                       eval_hook=hook)
+    return train_joint(dataset.head_inputs[idx], dataset.raw[idx],
+                       dataset.rows.labels[idx], encoder, dataset.prototypes,
+                       head, cfg, lmcl, eval_hook=hook)
 
 
 def _average_ranks(x) -> np.ndarray:
@@ -160,7 +157,6 @@ def _spearman(a, b) -> float:
 class QueryEvaluation:
     reports: dict                      # (method, k) -> CalibrationReport
     recalls: dict                      # k -> overall Recall@K
-    results: RetrievalResult           # (n, K) retrieval, as given
     success: np.ndarray                # (n, K) mark_successes flags
     scored: dict                       # method -> (value, degenerate), (n,) each
     spearman_kappa: float | None       # rank corr of predicted vs true kappa
@@ -222,8 +218,7 @@ def evaluate_queries(db: Rows, queries: Rows, results: RetrievalResult,
     for method in sc.methods_at(sc.QUERY):
         try:
             scored[method] = sc.score_query(method, results, db,
-                                            kappa_q=queries.kappas,
-                                            k=min(SUE_K, len(db)))
+                                            kappa_q=queries.kappas)
         except sc.MissingInputError as exc:
             unsupported[method] = str(exc)
 
@@ -241,9 +236,9 @@ def evaluate_queries(db: Rows, queries: Rows, results: RetrievalResult,
     # undefined, not NaN, when either side is constant
     if kq is not None and kt is not None and np.ptp(kq) > 0 and np.ptp(kt) > 0:
         spear = _spearman(kq, kt)
-    return QueryEvaluation(reports=reports, recalls=recalls, results=results,
-                           success=success, scored=scored,
-                           spearman_kappa=spear, unsupported=unsupported)
+    return QueryEvaluation(reports=reports, recalls=recalls, success=success,
+                           scored=scored, spearman_kappa=spear,
+                           unsupported=unsupported)
 
 
 @dataclass

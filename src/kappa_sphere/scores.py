@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .calibration import ClampMode
-from .retrieval import RetrievalResult, Rows
+from .retrieval import SUE_K, RetrievalResult, Rows
 from .vmf import ResultantUncertainty, resultant_uncertainty
 
 KAPPA_FLOOR = 1.0
@@ -127,19 +127,20 @@ def methods_at(level: str) -> tuple:
     return tuple(m.name for m in METHODS if level in m.levels)
 
 
-def _score(level, name, result, db, kappa_q, cols, k=None):
+def _score(level, name, result, db, kappa_q, cols):
     """Method `name`'s `level` scores of the columns `cols` of `result`, a
     search against the rows `db`, or the MissingInputError of the first
-    input it needs that is None."""
+    input it needs that is None.  SUE's neighbourhood is the top
+    min(SUE_K, K) of the K-deep search."""
     if name not in methods_at(level):
         raise ValueError(f"unknown {level}-level method {name!r}")
     record = METHODS[ALL_METHODS.index(name)]
-    k = result.ref_indices.shape[1] if k is None else k
+    k = min(SUE_K, result.ref_indices.shape[1])
     x = SimpleNamespace(  # a neighbourhood of fewer than 2 neighbours is None
         cos=result.similarities[:, cols], kappa_q=kappa_q,
         kappa_r=None if db.kappas is None
         else db.kappas[result.ref_indices[:, cols]],
-        neighbours=k if 2 <= k <= result.ref_indices.shape[1] else None,
+        neighbours=k if k >= 2 else None,
         result=result, db=db)
     for need, reason in record.needs.items():
         if getattr(x, need) is None:
@@ -152,15 +153,15 @@ def _score(level, name, result, db, kappa_q, cols, k=None):
 
 
 def score_query(method: str, result: RetrievalResult, db: Rows,
-                kappa_q=None, k: int | None = None) -> ResultantUncertainty:
-    """Score every query of `result`, a search against `db`, under the
-    given method tag.
+                kappa_q=None) -> ResultantUncertainty:
+    """Score every query of `result`, a K-deep search against `db`, under
+    the given method tag.
 
-    `kappa_q` holds the (n,) query kappas; SUE spreads the top `k` db
-    poses (all K when None).  Returns the (n,) value and degenerate
+    `kappa_q` holds the (n,) query kappas; SUE spreads the top
+    min(SUE_K, K) db poses.  Returns the (n,) value and degenerate
     arrays; only the resultant score can be degenerate.
     """
-    return _score(QUERY, method, result, db, kappa_q, 0, k)
+    return _score(QUERY, method, result, db, kappa_q, 0)
 
 
 def score_pairs(method: str, result: RetrievalResult, db: Rows,

@@ -47,6 +47,9 @@ class SceneConfig:
     def __post_init__(self):
         if not self.kappa_min > 0:
             raise FieldError("kappa_min", "> 0", self.kappa_min)
+        for key in ("pose_jitter", "noise_std", "seed"):
+            if not getattr(self, key) >= 0:
+                raise FieldError(key, ">= 0", getattr(self, key))
         if not self.kappa_min <= self.kappa_max:
             raise ValueError("require kappa_min <= kappa_max")
         if self.pose_spacing <= 2 * self.pose_jitter:

@@ -6,6 +6,9 @@ Adam and early-stopping driver and differ in their per-batch objective.
 A trainer's arrays (the (d, m) encoder weights, the (C, d) unit
 prototypes and the head's dict of arrays) are copied once into one flat
 float64 vector, and each array it updates is a view of that vector.
+A trainer takes the per-sample arrays it trains on as bare arrays (no
+record type); `_fit` checks that they share one length and is the one
+place that gathers a batch from them.
 
 The vMF objective anchors each sample to its class prototype.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -43,7 +47,7 @@ class TrainConfig:
         if self.lr <= 0:
             raise FieldError("lr", "> 0", self.lr)
         for key, low in (("lam", 0), ("warmup", 0), ("batch_size", 1),
-                         ("patience", 1), ("max_epochs", 1)):
+                         ("patience", 1), ("max_epochs", 1), ("seed", 0)):
             if getattr(self, key) < low:
                 raise FieldError(key, f">= {low}", getattr(self, key))
         if self.warmup >= self.max_epochs:
@@ -79,9 +83,11 @@ def encode(weights: np.ndarray, raw) -> np.ndarray:
 
 
 def _check_labels(labels, c: int) -> np.ndarray:
-    """The labels, or a ValueError naming the first one outside [0, C) and
-    its row: a negative label would index a prototype row from the end.
-    Each trainer calls it once, on the fit's data, before its first step."""
+    """The labels as int64, or a ValueError naming the first one outside
+    [0, C) and its row: a negative label would index a prototype row from
+    the end.  Each trainer calls it once, on the fit's data, before its
+    first step."""
+    labels = np.asarray(labels, dtype=np.int64)
     bad = np.flatnonzero((labels < 0) | (labels >= c))
     if bad.size:
         raise ValueError(f"label {labels[bad[0]]} at row {bad[0]} outside "
@@ -177,48 +183,22 @@ def adam_step(theta: np.ndarray, state: AdamState, lr: float) -> None:
 # --- training loops ----------------------------------------------------------
 
 
-@dataclass
-class TrainData:
-    """Per-sample training inputs.
-
-    descriptors are the frozen embeddings (post-training); raw features
-    feed the encoder in joint mode; features feed the kappa head, as the
-    (n, c) rows `head.aggregate` pooled once from the frozen feature maps.
-    """
-
-    features: np.ndarray           # (n, c) pooled rows
-    labels: np.ndarray             # (n,) int
-    descriptors: np.ndarray | None = None  # (n, d) unit rows
-    raw: np.ndarray | None = None          # (n, m)
-
-    def __post_init__(self):
-        if np.ndim(self.features) != 2:
-            raise ValueError("features must be the pooled (n, c) rows, got "
-                             f"shape {np.shape(self.features)}")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        n = len(self.features)
-        for name in ("labels", "descriptors", "raw"):
-            value = getattr(self, name)
-            if value is not None and len(value) != n:
-                raise ValueError(f"{name} has {len(value)} rows, not {n}")
-        if n == 0:
-            raise ValueError("empty dataset")
-
-    def __len__(self):
-        return len(self.labels)
-
-
-def _fit(arrays: dict, loss_and_grads, n: int, cfg: TrainConfig,
+def _fit(arrays: dict, loss_and_grads, samples: dict, cfg: TrainConfig,
          evaluate, watch: tuple, project=None):
     """The epoch loop both trainers run over their n samples.
 
-    The caller's `arrays` are copied once, in key order, into one flat
-    float64 vector theta; `params` maps each key to its view of theta.
-    Each epoch slices one random permutation of the sample rows into
-    index batches of cfg.batch_size.  Per batch, `loss_and_grads(params,
-    idx) -> (loss, grads)`, one gradient of each array's shape per key
-    (else a ValueError before theta moves), feeds one Adam step on theta,
-    followed by `project(params)` if given.  The epoch's history row holds
+    `samples` maps a name to each per-sample array, in the order
+    `loss_and_grads` takes them; all must hold the same n >= 1 rows (else
+    a ValueError naming the array, before theta is built).  The caller's
+    `arrays` are copied once, in key order, into one flat float64 vector
+    theta; `params` maps each key to its view of theta.  Each epoch
+    slices one random permutation of the sample rows into index batches
+    of cfg.batch_size, and this loop is the one place a batch is
+    gathered.  Per batch, `loss_and_grads(params, *(a[idx] for a in
+    samples.values())) -> (loss, grads)`, one gradient of each array's
+    shape per key (else a ValueError before theta moves), feeds one Adam
+    step on theta, followed by `project(params)` if given.  The epoch's
+    history row holds
     epoch, mean loss, one value per `watch` metric (`evaluate(params)`
     returns them in order; NaN without `evaluate`) and the phase
     (1-based).
@@ -232,6 +212,12 @@ def _fit(arrays: dict, loss_and_grads, n: int, cfg: TrainConfig,
     runs and the final parameters are the result.
     Returns (best params, as views of one vector, history rows).
     """
+    n = len(next(iter(samples.values())))
+    for name, value in samples.items():
+        if len(value) != n:
+            raise ValueError(f"{name} has {len(value)} rows, not {n}")
+    if n == 0:
+        raise ValueError("empty dataset")
     shapes = {key: np.shape(value) for key, value in arrays.items()}
     theta = np.concatenate([np.ravel(value) for value in arrays.values()],
                            dtype=np.float64)
@@ -253,7 +239,8 @@ def _fit(arrays: dict, loss_and_grads, n: int, cfg: TrainConfig,
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            loss, grads = loss_and_grads(params, idx)
+            loss, grads = loss_and_grads(params,
+                                         *(a[idx] for a in samples.values()))
             if grads.keys() != shapes.keys():
                 raise ValueError(f"Adam state holds keys {sorted(shapes)}, "
                                  f"got gradients for {sorted(grads)}")
@@ -307,10 +294,10 @@ def post_loss_and_grads(params: dict, features, z, anchors,
     return loss, backward_batch(cache, params, up)
 
 
-def train_post(data: TrainData, prototypes: np.ndarray, head: dict,
-               cfg: TrainConfig, eval_hook=None):
-    """Train only the kappa head against frozen descriptors and the (C, d)
-    unit `prototypes`.
+def train_post(features, descriptors, labels, prototypes: np.ndarray,
+               head: dict, cfg: TrainConfig, eval_hook=None):
+    """Train only the kappa head on the pooled (n, c) `features` against
+    the frozen (n, d) `descriptors` and the (C, d) unit `prototypes`.
 
     The per-batch objective is `post_loss_and_grads`, on anchors gathered
     once per fit after one label check (`_check_labels`).  Early stopping
@@ -322,18 +309,16 @@ def train_post(data: TrainData, prototypes: np.ndarray, head: dict,
     checkpoint is returned.  `eval_hook(head) -> metric`.
     Returns (trained head, history rows).
     """
-    if data.descriptors is None:
-        raise ValueError("post-training requires precomputed descriptors")
-    anchors = prototypes[_check_labels(data.labels, len(prototypes))]
-
-    def loss_and_grads(p, idx):
-        return post_loss_and_grads(p, data.features[idx],
-                                   data.descriptors[idx], anchors[idx], cfg)
+    anchors = prototypes[_check_labels(labels, len(prototypes))]
 
     def evaluate(p):
         return (float(eval_hook(p)),)
 
-    return _fit(head, loss_and_grads, len(data), cfg,
+    # each anchor is its label's prototype row: a short label vector is
+    # reported under its own name
+    return _fit(head, partial(post_loss_and_grads, cfg=cfg),
+                {"features": features, "descriptors": descriptors,
+                 "labels": anchors}, cfg,
                 evaluate if eval_hook is not None else None,
                 (("metric", +1),))
 
@@ -377,11 +362,13 @@ def _renormalize(rows: np.ndarray) -> None:
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def train_joint(data: TrainData, encoder: np.ndarray, prototypes: np.ndarray,
-                head: dict | None, cfg: TrainConfig, lmcl: LmclConfig,
-                eval_hook=None):
+def train_joint(features, raw, labels, encoder: np.ndarray,
+                prototypes: np.ndarray, head: dict | None, cfg: TrainConfig,
+                lmcl: LmclConfig, eval_hook=None):
     """Jointly train the (d, m) `encoder` weights, the (C, d) unit
-    `prototypes`, and the kappa head when lam > 0 and `head` is given.
+    `prototypes`, and the kappa head when lam > 0 and `head` is given, on
+    the (n, m) `raw` rows the encoder reads and the pooled (n, c)
+    `features` the head reads.
 
     Objective: L_cls + lam * L_vMF per batch (`joint_loss_and_grads`).
     With lam == 0 (or head is None) the vMF term is skipped entirely, so
@@ -398,14 +385,8 @@ def train_joint(data: TrainData, encoder: np.ndarray, prototypes: np.ndarray,
     the checkpoint's are returned, its prototypes renormalized once more.
     Returns (encoder, prototypes, head, history).
     """
-    if data.raw is None:
-        raise ValueError("joint training requires raw features")
-    _check_labels(data.labels, len(prototypes))
+    labels = _check_labels(labels, len(prototypes))
     head = head if cfg.lam > 0.0 else None
-
-    def loss_and_grads(p, idx):
-        return joint_loss_and_grads(p, data.features[idx], data.raw[idx],
-                                    data.labels[idx], cfg, lmcl)
 
     def head_of(p):
         return None if head is None else {key: p[key] for key in head}
@@ -417,7 +398,8 @@ def train_joint(data: TrainData, encoder: np.ndarray, prototypes: np.ndarray,
         (("recall1", -1), ("ece1", +1))
     best, history = _fit(
         {"encoder": encoder, "prototypes": prototypes, **(head or {})},
-        loss_and_grads, len(data), cfg,
+        partial(joint_loss_and_grads, cfg=cfg, lmcl=lmcl),
+        {"features": features, "raw": raw, "labels": labels}, cfg,
         evaluate if eval_hook is not None else None, watch,
         project=lambda p: _renormalize(p["prototypes"]))
     if eval_hook is not None:

@@ -26,10 +26,10 @@ from kappa_sphere.pipeline import (evaluate_matches, fit_head, fit_joint,
                                    scene_rows)
 from kappa_sphere.retrieval import batch_knn, mark_successes, recall_at_k
 from kappa_sphere.synth import SceneConfig, generate_scene
-from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
-                                   TrainMode, encode, gnll_batch,
-                                   joint_loss_and_grads, lmcl_batch,
-                                   post_loss_and_grads, train_joint)
+from kappa_sphere.training import (LmclConfig, TrainConfig, TrainMode,
+                                   encode, gnll_batch, joint_loss_and_grads,
+                                   lmcl_batch, post_loss_and_grads,
+                                   train_joint)
 from kappa_sphere.vmf import (mle_kappa, sample_vmf, stable_log_partition_grad,
                               vmf_batch_nll)
 from oracles import bessel_ratio_exact, finite_diff_check, unit_rows
@@ -426,18 +426,16 @@ def test_criterion_9_joint_training_non_degradation():
     # tested, not checkpoint selection.
     rng = np.random.default_rng(0)
     idx = dataset.splits["train"]
-    data = TrainData(features=dataset.head_inputs[idx],
-                     labels=dataset.rows.labels[idx],
-                     descriptors=dataset.descriptors[idx],
-                     raw=dataset.raw[idx])
+    data = (dataset.head_inputs[idx], dataset.raw[idx],
+            dataset.rows.labels[idx])
     encoder = rng.standard_normal(
         (dataset.config.descriptor_dim, dataset.raw.shape[1]))
     head0 = init_head(dataset.config.feature_shape, hidden=8, rng=0)
     cfg = TrainConfig(lam=0.0, lr=1e-4, max_epochs=8, warmup=0, seed=0)
     lmcl = LmclConfig()
-    enc_a, pro_a, _, hist_a = train_joint(data, encoder, dataset.prototypes,
+    enc_a, pro_a, _, hist_a = train_joint(*data, encoder, dataset.prototypes,
                                           head0, cfg, lmcl)
-    enc_b, pro_b, _, hist_b = train_joint(data, encoder, dataset.prototypes,
+    enc_b, pro_b, _, hist_b = train_joint(*data, encoder, dataset.prototypes,
                                           None, cfg, lmcl)
     np.testing.assert_array_equal(enc_a, enc_b)
     np.testing.assert_array_equal(pro_a, pro_b)

@@ -1058,6 +1058,11 @@ class TestErrors:
         ({"train": {"lr": float("inf")}}, "$.train.lr"),
         ({"lmcl": {"scale": float("nan")}}, "$.lmcl.scale"),
         ({"scene": {"pose_jitter": -10 ** 400}}, "$.scene.pose_jitter"),
+        # numpy would fail without a key, or (noise) flip a sign silently
+        ({"scene": {"pose_jitter": -5}}, "$.scene.pose_jitter"),
+        ({"scene": {"noise_std": -1}}, "$.scene.noise_std"),
+        ({"scene": {"seed": -3}}, "$.scene.seed"),
+        ({"train": {"seed": -3}}, "$.train.seed"),  # gen reads no train seed
         # a check of one key alone is located at that key
         ({"train": {"lr": 0}}, "$.train.lr"),
         ({"train": {"patience": 0}}, "$.train.patience"),
@@ -1083,6 +1088,14 @@ class TestErrors:
                      "--out", str(tmp_path / "o")]) == 1
         assert f"(at {path})" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()  # failed before any write
+
+    def test_bad_seed_option_located(self, tmp_path, capsys):
+        # --seed gives the scene's seed and the training's; the scene's
+        # section is built first, so the failure is located there
+        assert main(["gen", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == \
+            "error: seed must be >= 0, got -1 (at $.scene.seed)\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config, message", [
         ({"train": {"lr": 0}}, "lr must be > 0, got 0 (at $.train.lr)"),

@@ -25,8 +25,8 @@ from kappa_sphere.calibration import BinningConfig, BinStrategy
 from kappa_sphere.head import init_head
 from kappa_sphere.retrieval import DEFAULT_KS, DEFAULT_TAU, Rows, batch_knn
 from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
-from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
-                                   TrainMode, train_joint, train_post)
+from kappa_sphere.training import (LmclConfig, TrainConfig, TrainMode,
+                                   train_joint, train_post)
 from oracles import unit_rows, whole_file_key
 
 
@@ -315,7 +315,7 @@ class TestRunConfig:
 
         seen = []
         monkeypatch.setattr(pipeline, "train_post",
-                            lambda *args, **kwargs: seen.append(args[3]))
+                            lambda *args, **kwargs: seen.append(args[5]))
         scene = SceneConfig(num_classes=8, images_per_class=10,
                             descriptor_dim=16, seed=3)
         pipeline.fit_head(generate_scene(scene))
@@ -704,22 +704,22 @@ class TestHistoryCsv:
         # evaluated; at lam = 0 joint training watches no ece1
         rng = np.random.default_rng(0)
         unit = unit_rows(rng, 12, 6)
-        data = TrainData(features=rng.random((12, 3)),
-                         labels=np.arange(12) % 4, descriptors=unit,
-                         raw=rng.standard_normal((12, 5)))
+        features, labels = rng.random((12, 3)), np.arange(12) % 4
+        raw = rng.standard_normal((12, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         encoder = rng.standard_normal((6, 5))
         cfg = TrainConfig(max_epochs=6, warmup=0, patience=1)
 
         def joint(lam, hook):
-            return train_joint(data, encoder, unit[:4], head,
+            return train_joint(features, raw, labels, encoder, unit[:4], head,
                                TrainConfig(**{**vars(cfg), "lam": lam}),
                                LmclConfig(), eval_hook=hook)[3]
 
         cases = [
-            (["metric"], train_post(data, unit[:4], head, cfg)[1]),
-            (["metric"], train_post(data, unit[:4], head, cfg,
-                                    lambda h: h["kappa_b"][0])[1]),
+            (["metric"], train_post(features, unit, labels, unit[:4], head,
+                                    cfg)[1]),
+            (["metric"], train_post(features, unit, labels, unit[:4], head,
+                                    cfg, lambda h: h["kappa_b"][0])[1]),
             (["recall1", "ece1"], joint(0.5, lambda e, p, h: (
                 e[0, 0], p[0, 0]))),
             (["recall1"], joint(0.0, lambda e, p, h: (e[0, 0],)))]

@@ -67,10 +67,8 @@ class TestEvaluateQueries:
         # every method scores a query the same alone as inside the batch;
         # the search goes SUE_K deep even when ks stops at 5
         dataset, _, db, query = fitted
-        ev = pipeline.evaluate_queries(db, query,
-                                       default_search(dataset, (1, 5)),
-                                       ks=(1, 5))
-        res = ev.results
+        res = default_search(dataset, (1, 5))
+        ev = pipeline.evaluate_queries(db, query, res, ks=(1, 5))
         n = len(query)
         assert ev.success.shape == (n, SUE_K)
         for method, (value, degenerate) in ev.scored.items():
@@ -80,7 +78,7 @@ class TestEvaluateQueries:
                     ref_indices=res.ref_indices[i:i + 1],
                     similarities=res.similarities[i:i + 1])
                 one = sc.score_query(method, row, db,
-                                     kappa_q=query.kappas[i:i + 1], k=SUE_K)
+                                     kappa_q=query.kappas[i:i + 1])
                 assert one.value[0] == value[i], (method, i)
         for k in (1, 5):
             assert ev.recalls[k] == float(np.mean(ev.success[:, k - 1]))
@@ -125,7 +123,6 @@ class TestEvaluateQueries:
             *truth, default_search(dataset)).reports
         key = (sc.METHOD_RESULTANT, 1)
         assert swapped.reports[key] != first.reports[key]
-        assert first.results is results  # scored as given, not copied
 
     def test_constant_kappa_gives_no_spearman(self, fitted):
         # Spearman is undefined for a constant vector: None, not NaN

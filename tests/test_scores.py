@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kappa_sphere import scores as sc
-from kappa_sphere.retrieval import RetrievalResult, Rows
+from kappa_sphere.retrieval import SUE_K, RetrievalResult, Rows
 from kappa_sphere.vmf import resultant_uncertainty
 
 
@@ -135,10 +135,22 @@ class TestScoreQuery:
             sc.l2_distance(0.9)
         assert sc.score_query(sc.METHOD_PA, res, bank).value == \
             sc.baseline_pa(res)
-        assert sc.score_query(sc.METHOD_SUE, res, bank, k=3).value == \
+        assert sc.score_query(sc.METHOD_SUE, res, bank).value == \
             sc.baseline_sue(res, bank, 3)
-        assert sc.score_query(sc.METHOD_SUE_LOG, res, bank, k=3).value == \
+        assert sc.score_query(sc.METHOD_SUE_LOG, res, bank).value == \
             sc.sue_log(sc.baseline_sue(res, bank, 3))
+
+    def test_sue_spreads_at_most_sue_k_neighbours(self, rng):
+        # the neighbourhood is min(SUE_K, K) of the K-deep search scored:
+        # a deeper search spreads its top SUE_K poses, a top-1 none
+        n = SUE_K + 3
+        bank = make_rows(rng, n=n)
+        deep = make_result(np.linspace(0.9, 0.1, n))
+        got = sc.score_query(sc.METHOD_SUE, deep, bank).value
+        assert got == sc.baseline_sue(deep, bank, SUE_K)
+        assert got != sc.baseline_sue(deep, bank, n)
+        with pytest.raises(sc.MissingInputError, match="2 retrieved"):
+            sc.score_query(sc.METHOD_SUE, make_result([0.9]), bank)
 
     def test_resultant_needs_kappas(self, rng):
         bank = make_rows(rng, kappas=None)

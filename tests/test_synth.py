@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from kappa_sphere.calibration import FieldError
 from kappa_sphere.retrieval import DEFAULT_TAU, batch_knn
 from kappa_sphere.synth import (SPLIT_NAMES, SceneConfig, ambiguity_to_kappa,
                                 generate_scene, split,
@@ -32,6 +33,12 @@ class TestConfig:
             SceneConfig(pose_spacing=8.0, pose_jitter=5.0)
         with pytest.raises(ValueError):
             SceneConfig(aliasing_rate=1.5)
+        for key, bad in (("pose_jitter", -5.0), ("noise_std", -1.0),
+                         ("seed", -3)):
+            with pytest.raises(FieldError, match=rf"^{key} must be >= 0, "
+                               rf"got {bad}$"):
+                SceneConfig(**{key: bad})
+        SceneConfig(pose_jitter=0.0, noise_std=0.0, seed=0)
         with pytest.raises(ValueError, match=r"odd number of classes \(1\)"):
             SceneConfig(num_classes=4)  # 0.25 of 4 classes cannot pair up
         with pytest.raises(ValueError, match="selects no class"):

@@ -8,7 +8,8 @@ exception the CLI reports; --help and argument errors return without
 loading numpy; every demo runs; no CLI command leaves a temp file in its
 run directory; no module but scores spells a method's name; traced scores
 keep their spans; gen does not load numpy.ma; no package module leaves
-work to interpreter finalization; and no scorer receives a descriptor."""
+work to interpreter finalization; no scorer receives a descriptor; and
+only the training loop gathers a batch."""
 
 import ast
 import importlib
@@ -95,23 +96,24 @@ def test_trace_epoch_counters_read_the_history():
     import numpy as np
 
     from kappa_sphere.head import init_head
-    from kappa_sphere.training import (LmclConfig, TrainConfig, TrainData,
-                                       train_joint, train_post)
+    from kappa_sphere.training import (LmclConfig, TrainConfig, train_joint,
+                                       train_post)
     from oracles import unit_rows
 
     targets = _trace_runner().TARGETS["kappa_sphere.training"]
     rng = np.random.default_rng(0)
     unit = unit_rows(rng, 12, 6)
-    data = TrainData(features=rng.random((12, 3)), labels=np.arange(12) % 4,
-                     descriptors=unit, raw=rng.standard_normal((12, 5)))
+    features, labels = rng.random((12, 3)), np.arange(12) % 4
+    raw = rng.standard_normal((12, 5))
     protos = unit[:4].copy()
     head = init_head((3, 2, 2), hidden=4, rng=rng)
     cfg = TrainConfig(max_epochs=2, warmup=0)
     for name, run in (
-            ("train_post", lambda: train_post(data, protos, head, cfg)),
+            ("train_post", lambda: train_post(features, unit, labels, protos,
+                                              head, cfg)),
             ("train_joint", lambda: train_joint(
-                data, rng.standard_normal((6, 5)), protos, head, cfg,
-                LmclConfig()))):
+                features, raw, labels, rng.standard_normal((6, 5)), protos,
+                head, cfg, LmclConfig()))):
         _, counter, count = targets[name]
         assert counter == "training.epochs"
         assert count((), {}, run()) == cfg.max_epochs, name
@@ -274,6 +276,36 @@ def test_no_scorer_receives_a_descriptor():
                                   getattr(node, "arg", None))]
     assert not found, found
     assert "descriptors" not in {f.name for f in fields(Rows)}
+
+
+def test_only_the_fit_gathers_a_batch():
+    # the trainers hand `_fit` bare per-sample arrays and it gathers every
+    # batch from them: no other function of training (a trainer or a
+    # closure of one) subscripts an array with the batch index, and no
+    # record type carries the samples
+    tree = _parsed([PACKAGE / "training.py"])[PACKAGE / "training.py"]
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    # the batch index: the names _fit binds to a slice of its permutation
+    batch = {target.id for node in ast.walk(functions["_fit"])
+             if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Subscript)
+             and getattr(node.value.value, "id", None) == "perm"
+             for target in node.targets}
+    assert batch == {"idx"}
+
+    def gathers(function):
+        return [node.lineno for node in ast.walk(function)
+                if isinstance(node, ast.Subscript)
+                and getattr(node.slice, "id", None) in batch]
+
+    assert gathers(functions["_fit"])
+    found = {name: gathers(function) for name, function in functions.items()
+             if name != "_fit" and gathers(function)}
+    assert not found, found
+    assert {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)} == {
+        "TrainMode", "TrainConfig", "LmclConfig", "AdamState"}
 
 
 def _package_imports(top_level) -> list:

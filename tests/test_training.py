@@ -2,18 +2,18 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kappa_sphere import pipeline
+from kappa_sphere import pipeline, training
 from kappa_sphere.calibration import FieldError
 from kappa_sphere.head import aggregate, init_head
 from kappa_sphere.synth import SceneConfig, generate_scene
 from kappa_sphere.training import (AdamState, LmclConfig, TrainConfig,
-                                   TrainData, TrainMode, _fit, adam_step,
-                                   gnll_batch, lmcl_batch, train_joint,
-                                   train_post)
+                                   TrainMode, _fit, adam_step, gnll_batch,
+                                   lmcl_batch, train_joint, train_post)
 from oracles import finite_diff_check, unit_rows
 
 
@@ -139,14 +139,14 @@ class TestAdam:
         # `bad`: the fit raises at the second step, before theta moves
         seen, live = [], []
 
-        def loss_and_grads(p, idx):
+        def loss_and_grads(p, rows):
             live.append(p)
             seen.append({key: value.copy() for key, value in p.items()})
             return 0.0, {"w": np.ones(2)} if len(seen) == 1 else bad
 
         arrays = {"w": np.zeros(2)}
         with pytest.raises(ValueError, match=match):
-            _fit(arrays, loss_and_grads, 4,
+            _fit(arrays, loss_and_grads, {"rows": np.arange(4)},
                  TrainConfig(batch_size=1, max_epochs=1, warmup=0), None,
                  (("metric", +1),))
         assert len(seen) == 2
@@ -237,37 +237,91 @@ class TestFiniteDiffCheck:
 
 
 def tiny_data(rng, n=24, c=3, h=2, w=2, d=6, num_classes=4, raw_dim=5):
+    """A toy fit's per-sample arrays, under the trainers' argument names,
+    and its (C, d) prototypes."""
     labels = np.arange(n) % num_classes
     features = aggregate(rng.standard_normal((n, c, h, w)))
     descriptors = unit_rows(rng, n, d)
     raw = rng.standard_normal((n, raw_dim))
     protos = unit_rows(rng, num_classes, d)
-    return (TrainData(features=features, labels=labels,
-                      descriptors=descriptors, raw=raw), protos)
+    return (SimpleNamespace(features=features, labels=labels,
+                            descriptors=descriptors, raw=raw), protos)
 
 
-class TestTrainData:
-    def test_rejects_what_is_not_pooled_rows(self, rng):
-        # the head reads (n, c) rows: feature maps or a flat vector are
-        # refused with their shape
-        for bad in (rng.standard_normal((4, 3, 2, 2)),
-                    rng.standard_normal(4)):
-            with pytest.raises(ValueError, match=r"\(n, c\) rows, got shape "
-                               + re.escape(str(bad.shape))):
-                TrainData(features=bad, labels=np.zeros(4, dtype=int))
+def post(data, *args, **kwargs):
+    """`train_post` on the arrays of a `tiny_data`."""
+    return train_post(data.features, data.descriptors, data.labels, *args,
+                      **kwargs)
 
-    @pytest.mark.parametrize("name", ["labels", "descriptors", "raw"])
-    def test_rejects_a_field_of_another_length(self, rng, name):
+
+def joint(data, *args, **kwargs):
+    """`train_joint` on the arrays of a `tiny_data`."""
+    return train_joint(data.features, data.raw, data.labels, *args, **kwargs)
+
+
+class TestFitSamples:
+    """`_fit` checks the per-sample arrays before theta is built."""
+
+    @staticmethod
+    def _run(monkeypatch, rng, trainer, data, protos):
+        # the fit fails before its first Adam step, and leaves every array
+        # of the caller as it was
+        steps = []
+        monkeypatch.setattr(training, "adam_step",
+                            lambda *args: steps.append(args))
+        head = init_head((3, 2, 2), hidden=4, rng=rng)
+        encoder = rng.standard_normal((6, 5))
+        before = [a.copy() for a in (*vars(data).values(), protos, encoder,
+                                     *head.values())]
+        cfg = TrainConfig(max_epochs=2, warmup=0)
+        try:
+            if trainer == "post":
+                post(data, protos, head, cfg)
+            else:
+                joint(data, encoder, protos, head, cfg, LmclConfig())
+        finally:
+            assert not steps
+            for a, b in zip((*vars(data).values(), protos, encoder,
+                             *head.values()), before):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("trainer, short, named", [
+        ("post", "descriptors", "descriptors"), ("post", "labels", "labels"),
+        ("post", "features", "descriptors"), ("joint", "raw", "raw"),
+        ("joint", "labels", "labels"), ("joint", "features", "raw")])
+    def test_rejects_a_sample_array_of_another_length(
+            self, monkeypatch, rng, trainer, short, named):
         # a short descriptor block would otherwise fail mid-fit with a bare
-        # IndexError, which the CLI does not report
-        fields = {"features": rng.standard_normal((10, 3)),
-                  "labels": np.zeros(10, dtype=int),
-                  "descriptors": unit_rows(rng, 10, 6),
-                  "raw": rng.standard_normal((10, 5))}
-        fields[name] = fields[name][:8]
-        with pytest.raises(ValueError, match=rf"^{name} has 8 rows, not 10$"):
-            TrainData(**fields)
+        # IndexError, which the CLI does not report; the lengths are read
+        # against the first sample array, the features
+        data, protos = tiny_data(rng)
+        setattr(data, short, getattr(data, short)[:20])
+        rows, n = (24, 20) if short == "features" else (20, 24)
+        with pytest.raises(ValueError,
+                           match=rf"^{named} has {rows} rows, not {n}$"):
+            self._run(monkeypatch, rng, trainer, data, protos)
 
+    @pytest.mark.parametrize("trainer", ["post", "joint"])
+    def test_rejects_an_empty_fit(self, monkeypatch, rng, trainer):
+        data, protos = tiny_data(rng, n=0)
+        with pytest.raises(ValueError, match=r"^empty dataset$"):
+            self._run(monkeypatch, rng, trainer, data, protos)
+
+    @pytest.mark.parametrize("trainer", ["post", "joint"])
+    def test_rejects_what_is_not_pooled_rows(self, monkeypatch, rng,
+                                             trainer):
+        # the head reads (n, c) rows: feature maps or a flat vector are
+        # refused with their shape by forward_batch, on the first batch
+        # (joint training with a head, at lam > 0)
+        for bad in (rng.standard_normal((24, 3, 2, 2)),
+                    rng.standard_normal(24)):
+            data, protos = tiny_data(rng)
+            data.features = bad
+            # one batch holds all 24 rows
+            with pytest.raises(ValueError, match=r"pooled rows of shape "
+                               r"\(n, 3\), got shape "
+                               + re.escape(str(bad.shape))):
+                self._run(monkeypatch, rng, trainer, data, protos)
 
 class TestTrainPost:
     def test_descriptors_untouched(self, rng):
@@ -275,22 +329,22 @@ class TestTrainPost:
         before = data.descriptors.copy()
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         cfg = TrainConfig(max_epochs=3, warmup=0)
-        train_post(data, protos, head, cfg)
+        post(data, protos, head, cfg)
         np.testing.assert_array_equal(data.descriptors, before)
 
     def test_loss_decreases(self, rng):
         data, protos = tiny_data(rng, n=48)
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         cfg = TrainConfig(max_epochs=40, lr=0.05, warmup=0)
-        _, history = train_post(data, protos, head, cfg)
+        _, history = post(data, protos, head, cfg)
         assert history[-1]["loss"] < history[0]["loss"]
 
     def test_returns_copy_not_input_head(self, rng):
         data, protos = tiny_data(rng)
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         before = {key: value.copy() for key, value in head.items()}
-        trained, _ = train_post(data, protos, head,
-                                TrainConfig(max_epochs=2, warmup=0))
+        trained, _ = post(data, protos, head,
+                          TrainConfig(max_epochs=2, warmup=0))
         for key in head:
             np.testing.assert_array_equal(head[key], before[key])
             assert trained[key] is not head[key]
@@ -299,8 +353,8 @@ class TestTrainPost:
         data, protos = tiny_data(rng)
         head = init_head((3, 2, 2), hidden=4, rng=np.random.default_rng(0))
         cfg = TrainConfig(max_epochs=5, seed=7, warmup=0)
-        a, _ = train_post(data, protos, head, cfg)
-        b, _ = train_post(data, protos, head, cfg)
+        a, _ = post(data, protos, head, cfg)
+        b, _ = post(data, protos, head, cfg)
         for key in head:
             np.testing.assert_array_equal(a[key], b[key])
 
@@ -318,7 +372,7 @@ class TestTrainPost:
             return m
 
         cfg = TrainConfig(max_epochs=7, patience=3, warmup=2)
-        trained, history = train_post(data, protos, head, cfg, eval_hook=hook)
+        trained, history = post(data, protos, head, cfg, eval_hook=hook)
         # best eligible metric is 0.3 at epoch index 2
         assert trained["kappa_b"][0] == seen[2][1]
         assert len(history) == 6  # epochs 3,4,5 are stale -> stop at epoch 5
@@ -327,7 +381,7 @@ class TestTrainPost:
         data, protos = tiny_data(rng)
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         cfg = TrainConfig(mode=TrainMode.GNLL_VARIANT, max_epochs=3, warmup=0)
-        _, history = train_post(data, protos, head, cfg)
+        _, history = post(data, protos, head, cfg)
         assert len(history) == 3
         assert all(math.isfinite(row["loss"]) for row in history)
 
@@ -341,30 +395,24 @@ class TestTrainPost:
             data.labels[5] = bad
             with pytest.raises(ValueError, match=rf"label {bad} at row 5 "
                                r"outside \[0, 4\)"):
-                train_post(data, protos, head,
-                           TrainConfig(max_epochs=2, warmup=0))
-
-    def test_requires_descriptors(self, rng):
-        data = TrainData(features=rng.standard_normal((4, 3)),
-                         labels=np.zeros(4, dtype=int))
-        protos = unit_rows(rng, 2, 6)
-        head = init_head((3, 2, 2), hidden=4, rng=rng)
-        with pytest.raises(ValueError):
-            train_post(data, protos, head, TrainConfig())
+                post(data, protos, head, TrainConfig(max_epochs=2, warmup=0))
 
 
 class TestEpochBatches:
     def test_index_batches_slice_one_permutation(self):
-        # the index batches _fit hands loss_and_grads slice one permutation
-        # of the n sample rows, drawn from the config's seed
+        # the batches _fit hands loss_and_grads gather, from every sample
+        # array in order, the rows of index batches that slice one
+        # permutation of the n sample rows, drawn from the config's seed
         n = 70
         seen = []
 
-        def loss_and_grads(params, idx):
+        def loss_and_grads(params, idx, doubled):
+            np.testing.assert_array_equal(doubled, 2 * idx)
             seen.append(idx)
             return 0.0, {"w": np.zeros(1)}
 
-        _fit({"w": np.zeros(1)}, loss_and_grads, n,
+        _fit({"w": np.zeros(1)}, loss_and_grads,
+             {"idx": np.arange(n), "doubled": 2 * np.arange(n)},
              TrainConfig(batch_size=32, max_epochs=1, warmup=0, seed=5), None,
              (("metric", +1),))
         perm = np.random.default_rng(5).permutation(n)
@@ -378,10 +426,10 @@ class TestTrainJoint:
         encoder = rng.standard_normal((6, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         cfg0 = TrainConfig(lam=0.0, max_epochs=4, warmup=0)
-        enc_a, pro_a, head_a, _ = train_joint(data, encoder, protos, head,
-                                              cfg0, LmclConfig())
-        enc_b, pro_b, _, _ = train_joint(data, encoder, protos, None, cfg0,
-                                         LmclConfig())
+        enc_a, pro_a, head_a, _ = joint(data, encoder, protos, head, cfg0,
+                                        LmclConfig())
+        enc_b, pro_b, _, _ = joint(data, encoder, protos, None, cfg0,
+                                   LmclConfig())
         np.testing.assert_array_equal(enc_a, enc_b)
         np.testing.assert_array_equal(pro_a, pro_b)
         # at lam = 0 nothing trains the head, so none comes back
@@ -414,16 +462,16 @@ class TestTrainJoint:
         cfg0 = TrainConfig(lam=0.0, max_epochs=2, warmup=0)
         with pytest.raises(ValueError,
                            match=rf"label {bad} at row 5 outside \[0, 4\)"):
-            train_joint(data, rng.standard_normal((6, 5)),
-                        protos, None, cfg0, LmclConfig())
+            joint(data, rng.standard_normal((6, 5)), protos, None, cfg0,
+                  LmclConfig())
 
     def test_loss_decreases(self, rng):
         data, protos = tiny_data(rng, n=48)
         encoder = rng.standard_normal((6, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         cfg = TrainConfig(lam=0.01, lr=0.01, max_epochs=30, warmup=0)
-        _, _, _, history = train_joint(data, encoder, protos, head, cfg,
-                                       LmclConfig())
+        _, _, _, history = joint(data, encoder, protos, head, cfg,
+                                 LmclConfig())
         assert history[-1]["loss"] < history[0]["loss"]
 
     def test_prototypes_stay_unit(self, rng):
@@ -431,8 +479,7 @@ class TestTrainJoint:
         encoder = rng.standard_normal((6, 5))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         cfg = TrainConfig(max_epochs=3, warmup=0)
-        _, pro, _, _ = train_joint(data, encoder, protos, head, cfg,
-                                   LmclConfig())
+        _, pro, _, _ = joint(data, encoder, protos, head, cfg, LmclConfig())
         np.testing.assert_allclose(np.linalg.norm(pro, axis=1), 1.0,
                                    atol=1e-12)
 
@@ -451,8 +498,8 @@ class TestTrainJoint:
             return recalls[i], eces[i]
 
         cfg = TrainConfig(max_epochs=10, patience=2, warmup=0)
-        _, _, _, history = train_joint(data, encoder, protos, head, cfg,
-                                       LmclConfig(), eval_hook=hook)
+        _, _, _, history = joint(data, encoder, protos, head, cfg,
+                                 LmclConfig(), eval_hook=hook)
         phases = [row["phase"] for row in history]
         # recall plateaus after epoch 1 -> phase flips at epoch 3;
         # ece improves at 4,5 then stales at 6,7 -> stop after epoch 7.
@@ -482,9 +529,8 @@ class TestTrainJoint:
 
         cfg = TrainConfig(lam=0.5, lr=0.05, max_epochs=20, patience=2,
                           warmup=0)
-        enc, _, trained, history = train_joint(data, encoder, protos, head,
-                                               cfg, LmclConfig(),
-                                               eval_hook=hook)
+        enc, _, trained, history = joint(data, encoder, protos, head, cfg,
+                                         LmclConfig(), eval_hook=hook)
         assert len(history) == len(seen) == 7
         best_enc, best_head = seen[4]
         last_enc, last_head = seen[6]
@@ -497,16 +543,6 @@ class TestTrainJoint:
             np.testing.assert_array_equal(head[key], before[key])
         np.testing.assert_array_equal(encoder, before["encoder"])
         np.testing.assert_array_equal(protos, before["prototypes"])
-
-    def test_requires_raw(self, rng):
-        data = TrainData(features=rng.standard_normal((4, 3)),
-                         labels=np.zeros(4, dtype=int),
-                         descriptors=unit_rows(rng, 4, 6))
-        encoder = rng.standard_normal((6, 5))
-        protos = unit_rows(rng, 2, 6)
-        with pytest.raises(ValueError):
-            train_joint(data, encoder, protos, None, TrainConfig(),
-                        LmclConfig())
 
 
 class TestConfigValidation:
@@ -521,6 +557,8 @@ class TestConfigValidation:
             TrainConfig(warmup=-1)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        with pytest.raises(FieldError, match=r"^seed must be >= 0, got -3$"):
+            TrainConfig(seed=-3)
         with pytest.raises(ValueError):
             LmclConfig(margin=1.0)
 
