@@ -198,10 +198,9 @@ def _fit(arrays: dict, loss_and_grads, samples: dict, cfg: TrainConfig,
     samples.values())) -> (loss, grads)`, one gradient of each array's
     shape per key (else a ValueError before theta moves), feeds one Adam
     step on theta, followed by `project(params)` if given.  The epoch's
-    history row holds
-    epoch, mean loss, one value per `watch` metric (`evaluate(params)`
-    returns them in order; NaN without `evaluate`) and the phase
-    (1-based).
+    history row holds epoch, mean loss, one value per `watch` metric
+    (`evaluate(params)` returns them in order; NaN without `evaluate`)
+    and the phase (1-based).
 
     `watch` is the early-stopping schedule: a tuple of phases, each a
     (metric, sign) pair.  A phase keeps the checkpoint with the lowest

@@ -271,8 +271,8 @@ class TestFitSamples:
                             lambda *args: steps.append(args))
         head = init_head((3, 2, 2), hidden=4, rng=rng)
         encoder = rng.standard_normal((6, 5))
-        before = [a.copy() for a in (*vars(data).values(), protos, encoder,
-                                     *head.values())]
+        arrays = (*vars(data).values(), protos, encoder, *head.values())
+        before = [a.copy() for a in arrays]
         cfg = TrainConfig(max_epochs=2, warmup=0)
         try:
             if trainer == "post":
@@ -281,8 +281,7 @@ class TestFitSamples:
                 joint(data, encoder, protos, head, cfg, LmclConfig())
         finally:
             assert not steps
-            for a, b in zip((*vars(data).values(), protos, encoder,
-                             *head.values()), before):
+            for a, b in zip(arrays, before):
                 np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("trainer, short, named", [
