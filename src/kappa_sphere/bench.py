@@ -50,13 +50,13 @@ class BenchResult:
         return asdict(self)
 
 
-def run_bench(seed: int = 0) -> BenchResult:
+def run_bench(seed: int) -> BenchResult:
     """Time the descriptor path and the descriptor + kappa path."""
     rng = np.random.default_rng(seed)
     fms = rng.standard_normal((1, CHANNELS, GRID, GRID))
     encoder = (rng.standard_normal((DESCRIPTOR_DIM, CHANNELS))
                / np.sqrt(CHANNELS))
-    head = init_head((CHANNELS, GRID, GRID), HIDDEN, rng)
+    head = init_head((CHANNELS, GRID, GRID), HIDDEN, rng=rng)
 
     def descriptor_path():
         encode(encoder, aggregate(fms))

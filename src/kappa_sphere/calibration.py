@@ -316,22 +316,21 @@ def ece_bruteforce_oracle(scores, flags, config: BinningConfig) -> float:
     return ece
 
 
-def reliability_svg(report: CalibrationReport, width: int = 420,
-                    height: int = 420) -> str:
+def reliability_svg(report: CalibrationReport) -> str:
     """Minimal deterministic SVG: observed recall vs expected level per bin,
     with the identity diagonal."""
-    pad = 40
-    span = min(width, height) - 2 * pad
+    pad, size = 40, 420  # the margin and the square's side, in pixels
+    span = size - 2 * pad
 
     def sx(x):
         return pad + x * span
 
     def sy(y):
-        return height - pad - y * span
+        return size - pad - y * span
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect x="{pad}" y="{height - pad - span}" width="{span}" height="{span}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
+        f'<rect x="{pad}" y="{pad}" width="{span}" height="{span}" '
         'fill="none" stroke="#888"/>',
         f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(1)}" y2="{sy(1)}" '
         'stroke="#bbb" stroke-dasharray="4 3"/>',

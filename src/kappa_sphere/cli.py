@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write reliability diagrams next to the report")
 
     p = sub.add_parser("bench", help="latency benchmark")
-    p.add_argument("--seed", type=int, help="seed of the benchmark's inputs")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the benchmark's inputs")
     p.add_argument("--out", default=None, help="optional output directory")
 
     return parser
@@ -82,22 +83,18 @@ def _resolve(args):
 
 
 def _paths(out):
-    return {
-        "bank": os.path.join(out, "bank.kpb"),
-        "manifest": os.path.join(out, "manifest.json"),
-        "config": os.path.join(out, "config.json"),
-        "model": os.path.join(out, "model.json"),
-        "history": os.path.join(out, "history.csv"),
-        "retrieval": os.path.join(out, "retrieval.npz"),
-        "scene": os.path.join(out, "scene.npz"),
-    }
+    files = {"bank": "bank.kpb", "manifest": "manifest.json",
+             "config": "config.json", "model": "model.json",
+             "history": "history.csv", "retrieval": "retrieval.npz",
+             "scene": "scene.npz"}
+    return {name: os.path.join(out, file) for name, file in files.items()}
 
 
-def _write_artifacts(out, run, descriptors, rows, splits, history=None,
+def _write_artifacts(out, run, descriptors, rows, split, history=None,
                      **model) -> dict:
     """Write the bank of the (n, d) `descriptors`, the manifest of the
-    Rows `rows` and their `splits`, and the run config into `out`; with a
-    training `history`, also the model state (`model` goes to
+    Rows `rows` and their `split` codes, and the run config into `out`;
+    with a training `history`, also the model state (`model` goes to
     `fileio.write_model_state`) and history.csv.  Returns the paths."""
     from . import fileio
 
@@ -107,7 +104,7 @@ def _write_artifacts(out, run, descriptors, rows, splits, history=None,
         fileio.write_model_state(paths["model"], **model)
         fileio.atomic_write_text(paths["history"], fileio.history_csv(history))
     fileio.write_bank(paths["bank"], descriptors)
-    fileio.write_manifest(paths["manifest"], rows, splits)
+    fileio.write_manifest(paths["manifest"], rows, split)
     fileio.atomic_write_text(paths["config"], json.dumps(
         run.to_json(), sort_keys=True, indent=2))
     return paths
@@ -120,7 +117,7 @@ def cmd_gen(args) -> int:
     run = _resolve(args)
     dataset = generate_scene(run.scene)
     paths = _write_artifacts(args.out, run, dataset.descriptors,
-                             dataset.rows, dataset.splits)
+                             dataset.rows, dataset.split)
     # fit and train read this record instead of generating the scene again
     fileio.write_scene(paths["scene"], dataset)
     print(f"wrote {paths['bank']}, {paths['manifest']}, {paths['config']}, "
@@ -138,7 +135,7 @@ def cmd_fit(args) -> int:
                              binning=run.binning)
     rows = dataset.rows.with_kappas(predict_kappas(dataset.head_inputs, head))
     paths = _write_artifacts(args.out, run, dataset.descriptors, rows,
-                             dataset.splits, history, head=head,
+                             dataset.split, history, head=head,
                              extra={"mode": run.train.mode.value,
                                     "epochs": len(history)})
     print(f"fitted head in {len(history)} epochs; wrote {paths['model']}")
@@ -157,9 +154,9 @@ def cmd_train(args) -> int:
         binning=run.binning)
     rows = dataset.rows if head is None else dataset.rows.with_kappas(
         predict_kappas(dataset.head_inputs, head))
-    descriptors, splits = encode(encoder, dataset.raw), dataset.splits
+    descriptors, split = encode(encoder, dataset.raw), dataset.split
     del dataset  # none of its arrays is written: freed before the writes
-    paths = _write_artifacts(args.out, run, descriptors, rows, splits,
+    paths = _write_artifacts(args.out, run, descriptors, rows, split,
                              history, head=head, encoder=encoder,
                              prototypes=prototypes,
                              extra={"mode": "joint_training",
@@ -302,7 +299,9 @@ def cmd_bench(args) -> int:
     from . import fileio
     from .bench import run_bench
 
-    result = run_bench() if args.seed is None else run_bench(seed=args.seed)
+    if args.seed < 0:  # numpy's own error would name no option
+        raise ValueError(f"seed must be >= 0, got {args.seed} (at --seed)")
+    result = run_bench(args.seed)
     print(f"descriptor path : {result.descriptor_ms:8.4f} ms")
     print(f"with kappa head : {result.combined_ms:8.4f} ms")
     print(f"overhead        : {result.overhead * 100:7.2f} %")

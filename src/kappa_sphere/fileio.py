@@ -28,7 +28,7 @@ from .calibration import (BinningConfig, CalibrationReport, FieldError,
 from .head import GEM_P
 from .retrieval import DEFAULT_KS, DEFAULT_TAU, RetrievalResult, Rows
 from .scores import LEVELS, methods_at
-from .synth import SceneConfig, SPLIT_NAMES, SynthDataset
+from .synth import SceneConfig, SPLIT_NAMES, SynthDataset, split_rows
 from .training import LmclConfig, TrainConfig
 from .vmf import check_unit_rows
 
@@ -170,15 +170,14 @@ def read_bank(path) -> np.ndarray:
     return desc
 
 
-def write_manifest(path, rows: Rows, splits: dict) -> None:
+def write_manifest(path, rows: Rows, split) -> None:
     """JSON manifest of a bank's `rows`, everything but its descriptors:
     ids (each row's index), labels, poses, the kappas it has, and each
-    row's split."""
-    which = np.full(len(rows), len(SPLIT_NAMES))  # no split yet
-    for k, name in enumerate(SPLIT_NAMES):
-        which[np.asarray(splits.get(name, ()), dtype=np.intp)] = k
-    if (which == len(SPLIT_NAMES)).any():
-        raise ValueError("splits do not cover every bank row")
+    row's split, named from its code in `split` (its SPLIT_NAMES index)."""
+    split = np.asarray(split)
+    if split.shape != (len(rows),) or not np.isin(split, range(3)).all():
+        raise ValueError(f"split must give each of the {len(rows)} bank "
+                         "rows one code in [0, 3)")
     doc = {
         "ids": list(range(len(rows))),
         "labels": rows.labels.tolist(),
@@ -186,7 +185,7 @@ def write_manifest(path, rows: Rows, splits: dict) -> None:
         "true_kappa": None if rows.true_kappa is None
         else rows.true_kappa.tolist(),
         "kappas": None if rows.kappas is None else rows.kappas.tolist(),
-        "split": np.array(SPLIT_NAMES)[which].tolist(),
+        "split": np.array(SPLIT_NAMES)[split].tolist(),
     }
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
@@ -295,8 +294,8 @@ def _check_finite(value, path, name: str, nonneg: bool = False) -> None:
 
 
 def write_scene(path, dataset: SynthDataset) -> None:
-    """Record the float64 scene `dataset`: every array it holds (`raw`
-    is derived from them on use), its aliased pairs and splits, and its
+    """Record the scene `dataset`: every array it holds (`raw` and
+    `splits` are derived from them on use), its aliased pairs, and its
     SceneConfig as JSON, the record's key.  A numpy-only .npz archive,
     written atomically."""
     rows = dataset.rows
@@ -305,11 +304,10 @@ def write_scene(path, dataset: SynthDataset) -> None:
         path, scene=np.array(json.dumps(scene, sort_keys=True)),
         descriptors=dataset.descriptors, labels=rows.labels, poses=rows.poses,
         true_kappa=rows.true_kappa, features=dataset.features,
-        ambiguity=dataset.ambiguity, prototypes=dataset.prototypes,
-        class_poses=dataset.class_poses,
+        prototypes=dataset.prototypes,
         aliased_pairs=np.array(dataset.aliased_pairs,
                                dtype=np.int64).reshape(-1, 2),
-        **{f"split_{name}": dataset.splits[name] for name in SPLIT_NAMES})
+        split=dataset.split)
 
 
 def _scene_fields(cfg: SceneConfig) -> dict:
@@ -320,9 +318,8 @@ def _scene_fields(cfg: SceneConfig) -> dict:
     return {"descriptors": (f8, (n, d)), "labels": (i8, (n,)),
             "poses": (f8, (n, 2)), "true_kappa": (f8, (n,)),
             "features": (f8, (n, *cfg.feature_shape)),
-            "ambiguity": (f8, (n,)), "prototypes": (f8, (c, d)),
-            "class_poses": (f8, (c, 2)), "aliased_pairs": (i8, (None, 2)),
-            **{f"split_{name}": (i8, (None,)) for name in SPLIT_NAMES}}
+            "prototypes": (f8, (c, d)), "aliased_pairs": (i8, (None, 2)),
+            "split": (np.int8, (n,))}
 
 
 @contextmanager
@@ -359,43 +356,26 @@ def check_scene(path, cfg: SceneConfig) -> None:
         pass
 
 
-# the fields of a scene record that give its rows' ground truth and splits
-_ROW_FIELDS = ("labels", "poses", "true_kappa",
-               *(f"split_{name}" for name in SPLIT_NAMES))
-
-
-def _scene_rows(values: dict, cfg: SceneConfig, path) -> tuple:
-    """(rows, splits) of a scene record's `values`: the Rows of its poses,
-    true kappas and labels, and the split name -> row indices.  Labels
-    and split rows must be in range, each split strictly ascending and the
-    splits a partition of the rows; poses finite, and true kappas finite
-    and >= 0."""
-    n = len(values["labels"])
-    splits = {name: values[f"split_{name}"] for name in SPLIT_NAMES}
+def _scene_rows(values: dict, cfg: SceneConfig, path) -> Rows:
+    """The Rows of a scene record's `values` once its labels and split codes
+    are found in range, its poses finite and its true kappas finite >= 0."""
     _check_indices(values["labels"], cfg.num_classes, path, "labels")
-    for name, rows in splits.items():
-        _check_indices(rows, n, path, f"split_{name}")
-        if (np.diff(rows) <= 0).any():
-            raise RecordFileError("rows not strictly ascending", path,
-                                  f"split_{name}")
-    if not np.array_equal(np.sort(np.concatenate(list(splits.values()))),
-                          np.arange(n)):
-        raise RecordFileError("the splits do not partition the rows", path)
+    _check_indices(values["split"], len(SPLIT_NAMES), path, "split")
     _check_finite(values["poses"], path, "poses")
     _check_finite(values["true_kappa"], path, "true_kappa", nonneg=True)
     return Rows(poses=values["poses"], true_kappa=values["true_kappa"],
-                labels=values["labels"]), splits
+                labels=values["labels"])
 
 
 def read_scene_rows(path, cfg: SceneConfig) -> tuple:
-    """`_scene_rows` of the scene record at `path`, which eval reads: the
-    record's key and its row fields alone, checked as `read_scene` checks
-    them."""
+    """(rows, splits) of the scene record at `path`, which eval reads: the
+    `_scene_rows` of the record's key and row fields alone, checked as
+    `read_scene` checks them, and `split_rows` of its split codes."""
     spec = _scene_fields(cfg)
     with _scene_record(path, cfg) as archive:
         values = {name: _record_field(archive, name, path, *spec[name])
-                  for name in _ROW_FIELDS}
-    return _scene_rows(values, cfg, path)
+                  for name in ("labels", "poses", "true_kappa", "split")}
+    return _scene_rows(values, cfg, path), split_rows(values["split"])
 
 
 def read_scene(path, cfg: SceneConfig) -> SynthDataset:
@@ -412,11 +392,10 @@ def read_scene(path, cfg: SceneConfig) -> SynthDataset:
     with _scene_record(path, cfg) as archive:
         values = {name: _record_field(archive, name, path, dtype, shape)
                   for name, (dtype, shape) in _scene_fields(cfg).items()}
-    rows, splits = _scene_rows(values, cfg, path)
+    rows = _scene_rows(values, cfg, path)
     _check_indices(values["aliased_pairs"], cfg.num_classes, path,
                    "aliased_pairs")
-    # the head's input; ambiguity and class_poses are gen's alone
-    _check_finite(values["features"], path, "features")
+    _check_finite(values["features"], path, "features")  # the head's input
     for name, rows_name in (("descriptors", "descriptor rows"),
                             ("prototypes", "prototype rows")):
         try:
@@ -425,11 +404,9 @@ def read_scene(path, cfg: SceneConfig) -> SynthDataset:
             raise RecordFileError(str(exc), path, name) from exc
     return SynthDataset(
         config=cfg, descriptors=values["descriptors"], rows=rows,
-        features=values["features"],
-        ambiguity=values["ambiguity"], prototypes=values["prototypes"],
-        class_poses=values["class_poses"],
+        features=values["features"], prototypes=values["prototypes"],
         aliased_pairs=[(int(a), int(b)) for a, b in values["aliased_pairs"]],
-        splits=splits)
+        split=values["split"])
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +586,10 @@ def load_run_config(path=None, seed: int | None = None) -> RunConfig:
             given[section] = {**given[section], "seed": seed}
     ks, tau = doc.get("ks", list(DEFAULT_KS)), doc.get("tau", DEFAULT_TAU)
     if (not isinstance(ks, list) or not ks
-            or not set(map(type, ks)) <= {int} or min(ks) < 1):
-        raise JsonError("ks must be a non-empty array of positive integers, "
-                        f"got {ks!r}", "$.ks")
+            or not set(map(type, ks)) <= {int} or min(ks) < 1
+            or len(set(ks)) < len(ks)):
+        raise JsonError("ks must be a non-empty array of distinct positive "
+                        f"integers, got {ks!r}", "$.ks")
     # false for NaN, infinity and an int beyond the float range
     if type(tau) not in (int, float) or not 0 < tau <= _FLOAT_MAX:
         raise JsonError(f"tau must be a finite positive number, got {tau!r}",

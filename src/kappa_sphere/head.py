@@ -26,10 +26,10 @@ _NORM_EPS = 1e-12
 GEM_P = 3.0   # the GeM exponent every head pools with
 
 
-def init_head(feature_shape, hidden: int = 64, rng=None) -> dict:
-    """A head at a small random initialization scaled by fan-in: the dict
-    of the float64 arrays Adam trains, "proj_w" (hidden, channels),
-    "kappa_w" (hidden,) and "kappa_b" (1,)."""
+def init_head(feature_shape, hidden: int = 64, *, rng) -> dict:
+    """A head drawn from `rng` (a Generator or seed) at a small scale by
+    fan-in: the dict of the float64 arrays Adam trains, "proj_w" (hidden,
+    channels), "kappa_w" (hidden,) and "kappa_b" (1,)."""
     rng = np.random.default_rng(rng)
     c = feature_shape[0]
     proj_w = rng.standard_normal((hidden, c)) / np.sqrt(c)

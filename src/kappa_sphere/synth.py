@@ -20,7 +20,8 @@ import numpy as np
 from .calibration import FieldError
 from .head import aggregate
 from .retrieval import DEFAULT_TAU, Rows
-from .vmf import sample_vmf
+from .training import check_labels
+from .vmf import drawable, sample_vmf
 
 DEFAULT_SPLIT = (0.5, 0.3, 0.2)
 SPLIT_NAMES = ("train", "db", "query")
@@ -62,6 +63,9 @@ class SceneConfig:
             raise FieldError("images_per_class", ">= 1", self.images_per_class)
         if self.descriptor_dim < 2:
             raise FieldError("descriptor_dim", ">= 2", self.descriptor_dim)
+        if not drawable(self.kappa_max, self.descriptor_dim):
+            raise FieldError("kappa_max", "small enough for the vMF sampler "
+                             f"in d={self.descriptor_dim}", self.kappa_max)
         aliased_class_count(self.aliasing_rate, self.num_classes)
         stratified_counts(self.images_per_class)
         self.feature_shape = tuple(int(x) for x in self.feature_shape)
@@ -73,14 +77,17 @@ class SynthDataset:
     descriptors: np.ndarray            # (n, d) unit rows, every image
     rows: Rows                         # every image's poses, kappa*, labels
     features: np.ndarray               # (n, c, h, w)
-    ambiguity: np.ndarray              # (n,) in [0, 1]
     prototypes: np.ndarray             # (C, d) unit rows, post-aliasing
-    class_poses: np.ndarray            # (C, 2)
     aliased_pairs: list                # (a, b) class pairs, b aliased to a
-    splits: dict                       # split name -> ascending row indices
+    split: np.ndarray                  # (n,) int8 SPLIT_NAMES index per row
 
     def __len__(self):
         return len(self.descriptors)
+
+    @cached_property
+    def splits(self) -> dict:
+        """`split_rows` of `split`, derived on first use and kept."""
+        return split_rows(self.split)
 
     @cached_property
     def head_inputs(self) -> np.ndarray:
@@ -213,10 +220,8 @@ def generate_scene(config: SceneConfig) -> SynthDataset:
     return SynthDataset(
         config=config, descriptors=descriptors,
         rows=Rows(poses=poses, true_kappa=true_kappa, labels=labels),
-        features=features,
-        ambiguity=ambiguity, prototypes=prototypes,
-        class_poses=class_poses, aliased_pairs=aliased_pairs,
-        splits=split(labels, c_cls, seed=config.seed),
+        features=features, prototypes=prototypes, aliased_pairs=aliased_pairs,
+        split=split(labels, c_cls, seed=config.seed),
     )
 
 
@@ -255,26 +260,27 @@ def inject_aliasing(prototypes, descriptors, labels, true_kappa, class_poses,
     return pairs
 
 
-def split(labels, num_classes: int, seed: int) -> dict:
+def split(labels, num_classes: int, seed: int) -> np.ndarray:
     """Class-stratified DEFAULT_SPLIT of the rows of `labels`, each in
-    [0, num_classes), into train/db/query: split name -> ascending row
-    indices.
+    [0, num_classes) (else a ValueError naming the row): each row's split
+    as its int8 index in SPLIT_NAMES.
 
     Each class's counts come from `stratified_counts`.  Its rows, ascending,
     are a run of one stable argsort of the labels; each class's shuffle is
-    drawn in class order.
+    drawn in class order and dealt out to train, db and query in turn.
     """
+    labels = check_labels(labels, num_classes)
     rng = np.random.default_rng(seed)
-    parts = {name: [] for name in SPLIT_NAMES}
+    codes = np.empty(len(labels), dtype=np.int8)
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(num_classes + 1))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        idx = order[lo:hi]
-        idx = idx[rng.permutation(len(idx))]
-        counts = stratified_counts(len(idx))
-        start = 0
-        for cnt, name in zip(counts, SPLIT_NAMES):
-            parts[name].append(idx[start:start + cnt])
-            start += cnt
-    return {name: np.sort(np.concatenate(v)).astype(np.int64, copy=False)
-            for name, v in parts.items()}
+        idx = order[lo:hi][rng.permutation(hi - lo)]
+        codes[idx] = np.repeat(np.int8([0, 1, 2]), stratified_counts(hi - lo))
+    return codes
+
+
+def split_rows(codes) -> dict:
+    """Split name -> the ascending rows of the split codes `codes`."""
+    return {name: np.flatnonzero(codes == k)
+            for k, name in enumerate(SPLIT_NAMES)}

@@ -82,11 +82,11 @@ def encode(weights: np.ndarray, raw) -> np.ndarray:
 # --- losses -----------------------------------------------------------------
 
 
-def _check_labels(labels, c: int) -> np.ndarray:
+def check_labels(labels, c: int) -> np.ndarray:
     """The labels as int64, or a ValueError naming the first one outside
     [0, C) and its row: a negative label would index a prototype row from
     the end.  Each trainer calls it once, on the fit's data, before its
-    first step."""
+    first step; `synth.split` calls it on the labels it splits."""
     labels = np.asarray(labels, dtype=np.int64)
     bad = np.flatnonzero((labels < 0) | (labels >= c))
     if bad.size:
@@ -299,7 +299,7 @@ def train_post(features, descriptors, labels, prototypes: np.ndarray,
     the frozen (n, d) `descriptors` and the (C, d) unit `prototypes`.
 
     The per-batch objective is `post_loss_and_grads`, on anchors gathered
-    once per fit after one label check (`_check_labels`).  Early stopping
+    once per fit after one label check (`check_labels`).  Early stopping
     tracks the eval_hook metric (lower is better, e.g. validation ECE@1)
     with the configured patience; the first cfg.warmup epochs are
     excluded from checkpoint selection (the untrained head can hit
@@ -308,7 +308,7 @@ def train_post(features, descriptors, labels, prototypes: np.ndarray,
     checkpoint is returned.  `eval_hook(head) -> metric`.
     Returns (trained head, history rows).
     """
-    anchors = prototypes[_check_labels(labels, len(prototypes))]
+    anchors = prototypes[check_labels(labels, len(prototypes))]
 
     def evaluate(p):
         return (float(eval_hook(p)),)
@@ -384,7 +384,7 @@ def train_joint(features, raw, labels, encoder: np.ndarray,
     the checkpoint's are returned, its prototypes renormalized once more.
     Returns (encoder, prototypes, head, history).
     """
-    labels = _check_labels(labels, len(prototypes))
+    labels = check_labels(labels, len(prototypes))
     head = head if cfg.lam > 0.0 else None
 
     def head_of(p):

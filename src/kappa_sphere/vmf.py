@@ -28,14 +28,14 @@ class DegenerateConcentrationError(ValueError):
     """All samples coincide; the MLE concentration diverges."""
 
 
-def check_unit_rows(rows, tol=UNIT_NORM_TOL, name="rows") -> np.ndarray:
-    """Validate an (N, d) matrix of finite unit rows; return it as float64.
-    A failure names the first bad row."""
+def check_unit_rows(rows, name="rows") -> np.ndarray:
+    """Validate an (N, d) matrix of finite unit rows (to UNIT_NORM_TOL);
+    return it as float64.  A failure names the first bad row."""
     w = np.asarray(rows, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"{name} must be an (N, d) matrix, got shape {w.shape}")
     norms = np.linalg.norm(w, axis=1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))  # NaN fails too
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN too
     if bad.size:
         raise ValueError(f"{name} must be finite and unit-norm; row {bad[0]} "
                          f"has norm {norms[bad[0]]:.6g}")
@@ -110,13 +110,25 @@ def vmf_batch_nll(z, mu, kappas) -> VmfBatchLoss:
     return VmfBatchLoss(loss=loss, kappa=grad / n, z=scale * mu, mu=scale * z)
 
 
+def drawable(kappas, d: int) -> np.ndarray:
+    """Where `sample_vmf` can draw at `kappas` in dimension d >= 2: its Wood
+    envelope x0 = (1 - b) / (1 + b), computed in the row loop's own +, *, /
+    and sqrt (numpy and `math` round them alike), rounds to 1 once kappa is
+    about (d - 1) 2^52, and log(1 - x0^2) is then log 0."""
+    k, dim = np.asarray(kappas, dtype=np.float64), d - 1
+    with np.errstate(over="ignore"):  # k * k is inf, so b is 0 and x0 1
+        b = dim / (np.sqrt(4.0 * k * k + dim * dim) + 2.0 * k)
+    return (1.0 - b) / (1.0 + b) < 1.0
+
+
 def sample_vmf(mu, kappas, rng_seed) -> np.ndarray:
     """Draw one vMF sample per row of the (n, d) unit means `mu` and the
     (n,) concentrations `kappas`, returned as an (n, d) array of unit rows.
 
     Wood (1994): the mu-component w is drawn by beta rejection sampling,
     the tangent component uniformly on the orthogonal sphere.
-    Deterministic for a fixed (seed, mu, kappas).
+    Deterministic for a fixed (seed, mu, kappas).  A kappa not `drawable`
+    is a ValueError naming its row, raised before the first draw.
 
     Stream contract.  Row i consumes the generator in row order: its
     rejection draws (beta, then uniform, until accepted; none at kappa 0),
@@ -142,6 +154,10 @@ def sample_vmf(mu, kappas, rng_seed) -> np.ndarray:
         raise ValueError(f"need mu (n >= 1, d >= 2) and kappa (n,), "
                          f"got {mu.shape} and {kappas.shape}")
     _check_kappas(kappas)
+    bad = np.flatnonzero(~drawable(kappas, d))
+    if bad.size:
+        raise ValueError(f"kappa {kappas[bad[0]].item()!r} at row {bad[0]} "
+                         f"is too large for the vMF sampler in d={d}")
     rng = np.random.default_rng(rng_seed)
     beta, uniform, normal = rng.beta, rng.random, rng.standard_normal
     dim = d - 1

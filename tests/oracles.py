@@ -188,3 +188,12 @@ def whole_file_key(bank_path, manifest_path) -> str:
         h.update(struct.pack("<Q", len(data)))
         h.update(data)
     return h.hexdigest()
+
+
+# (d, the largest kappa the vMF sampler draws in dimension d): at the next
+# float, Wood's envelope x0 = (1 - b) / (1 + b) rounds to 1 and its
+# log(1 - x0^2) is log 0.  Found by bisection over the float64 bit
+# patterns, running the sampler's row loop on one row at each midpoint.
+SAMPLER_KAPPA_LIMITS = [(2, 4503599627370495.5),
+                        (64, 2.8372677652434122e+17),
+                        (512, 2.3013394095863232e+18)]

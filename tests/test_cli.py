@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kappa_sphere import fileio, retrieval, scores as sc, synth
+from kappa_sphere import bench, fileio, retrieval, scores as sc, synth
 from kappa_sphere.cli import _resolve, build_parser, main
 from kappa_sphere.pipeline import evaluate_matches
 from oracles import whole_file_key
@@ -172,8 +172,8 @@ class TestSceneRecord:
             record["true_kappa"][5] = -2.0
         elif fault == "inf feature":
             record["features"][7, 0, 0, 0] = np.inf
-        else:
-            record["split_db"] = record["split_db"][::-1]
+        else:  # "split code 3"
+            record["split"][4] = 3
         np.savez(path, **record)
 
     @pytest.mark.parametrize("command", ["fit", "train"])
@@ -211,9 +211,8 @@ class TestSceneRecord:
     @pytest.mark.parametrize("fault, where", [
         ("NaN pose", "at row 3 (in {path}, field 'poses')"),
         ("negative true kappa", "at row 5 (in {path}, field 'true_kappa')"),
-        ("split out of order", "rows not strictly ascending (in {path}, "
-         "field 'split_db')")],
-        ids=["NaN pose", "negative true kappa", "split out of order"])
+        ("split code 3", "index outside [0, 3) (in {path}, field 'split')")],
+        ids=["NaN pose", "negative true kappa", "split code 3"])
     def test_eval_reads_the_rows_from_the_record(self, workdir, tmp_path,
                                                  capsys, fault, where):
         # eval takes the scene's rows from scene.npz, checked as fit and
@@ -1050,6 +1049,7 @@ class TestErrors:
         # cannot stratify
         ({"scene": {"images_per_class": 4}}, "$.scene.images_per_class"),
         ({"ks": []}, "$.ks"),  # eval and match-eval need a K
+        ({"ks": [1, 1, 5]}, "$.ks"),  # a report holds each K once
         ({"tau": 0}, "$.tau"),
         ({"tau": -5}, "$.tau"),
         ({"tau": float("nan")}, "$.tau"),  # every match would be negative
@@ -1077,6 +1077,8 @@ class TestErrors:
         ({"scene": {"num_classes": 1}}, "$.scene.num_classes"),
         ({"scene": {"images_per_class": 0}}, "$.scene.images_per_class"),
         ({"scene": {"kappa_min": 0}}, "$.scene.kappa_min"),
+        # beyond what the vMF sampler draws in d = 64: a math domain error
+        ({"scene": {"kappa_max": 3e17}}, "$.scene.kappa_max"),
         # a constraint between keys: no epoch past the warmup, so the fit
         # would keep its starting parameters
         ({"train": {"max_epochs": 5}}, "$.train"),
@@ -1300,6 +1302,16 @@ class TestBench:
             main(["bench", "--config", "missing.json"])
         assert exc.value.code == 2
         assert "--config" in capsys.readouterr().err
+
+    def test_negative_seed_located(self, capsys, monkeypatch):
+        # refused before any timing, worded as the run config's seeds
+        def no_timing(*args, **kwargs):
+            raise AssertionError("bench timed a negative seed")
+
+        monkeypatch.setattr(bench, "run_bench", no_timing)
+        assert main(["bench", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == \
+            "error: seed must be >= 0, got -1 (at --seed)\n"
 
 
 class TestUnsupportedMethods:

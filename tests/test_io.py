@@ -27,7 +27,7 @@ from kappa_sphere.retrieval import DEFAULT_KS, DEFAULT_TAU, Rows, batch_knn
 from kappa_sphere.synth import SPLIT_NAMES, SceneConfig, generate_scene
 from kappa_sphere.training import (LmclConfig, TrainConfig, TrainMode,
                                    train_joint, train_post)
-from oracles import unit_rows, whole_file_key
+from oracles import SAMPLER_KAPPA_LIMITS, unit_rows, whole_file_key
 
 
 class TestBankFormat:
@@ -148,8 +148,8 @@ class TestManifest:
     """write_manifest records every field of the bank's Rows; read_manifest
     reads back its kappas alone, as the scene record gives the others."""
 
-    SPLITS = {"train": np.arange(0, 5), "db": np.arange(5, 7),
-              "query": np.arange(7, 9)}  # of make_bank's 9 rows
+    # the SPLIT_NAMES index of each of make_bank's 9 rows
+    SPLIT = np.repeat(np.arange(3, dtype=np.int8), (5, 2, 2))
 
     def make_bank(self, rng, n=9):
         return Rows(labels=np.arange(n) % 3, poses=rng.uniform(0, 10, (n, 2)),
@@ -161,7 +161,7 @@ class TestManifest:
         # the rows the package no longer reads keep theirs for other readers
         bank = self.make_bank(rng)
         path = tmp_path / "manifest.json"
-        write_manifest(path, bank, self.SPLITS)
+        write_manifest(path, bank, self.SPLIT)
         assert _same_bits(read_manifest(path, len(bank)), bank.kappas)
         doc = json.loads(path.read_text())
         assert doc["ids"] == list(range(len(bank)))
@@ -172,7 +172,7 @@ class TestManifest:
         # a bank has no kappa before fit
         bank = Rows(self.make_bank(rng).poses, labels=np.arange(9) % 3)
         path = tmp_path / "manifest.json"
-        write_manifest(path, bank, self.SPLITS)
+        write_manifest(path, bank, self.SPLIT)
         assert read_manifest(path, len(bank)) is None
 
     @pytest.mark.parametrize("values, path", [
@@ -187,7 +187,7 @@ class TestManifest:
         for index, value in values.items():
             bank.kappas[index] = value
         manifest = tmp_path / "manifest.json"
-        write_manifest(manifest, bank, self.SPLITS)
+        write_manifest(manifest, bank, self.SPLIT)
         with pytest.raises(JsonError) as exc:
             read_manifest(manifest, len(bank))
         assert exc.value.path == path
@@ -203,7 +203,7 @@ class TestManifest:
         # the field is null or an array of numbers, and a bool is no number
         bank = self.make_bank(rng)
         manifest = tmp_path / "manifest.json"
-        write_manifest(manifest, bank, self.SPLITS)
+        write_manifest(manifest, bank, self.SPLIT)
         doc = json.loads(manifest.read_text())
         if at is None:
             doc["kappas"] = value
@@ -215,28 +215,37 @@ class TestManifest:
         assert exc.value.path == path
 
     def test_incomplete_split_rejected_on_write(self, rng, tmp_path):
+        # one code per bank row: a code array of another length is refused
+        # and nothing is written
         bank = self.make_bank(rng)
-        with pytest.raises(ValueError, match="cover"):
-            write_manifest(tmp_path / "m.json", bank,
-                           {"train": np.arange(0, 5)})
+        for split in (self.SPLIT[:5], np.append(self.SPLIT, 0)):
+            with pytest.raises(ValueError, match="one code in"):
+                write_manifest(tmp_path / "m.json", bank, split)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("code", [3, -1])
+    def test_split_code_out_of_range_rejected_on_write(self, rng, tmp_path,
+                                                       code):
+        # a -1 would index SPLIT_NAMES from its end
+        bank, split = self.make_bank(rng), self.SPLIT.copy()
+        split[4] = code
+        with pytest.raises(ValueError, match=r"one code in \[0, 3\)"):
+            write_manifest(tmp_path / "m.json", bank, split)
+        assert list(tmp_path.iterdir()) == []
 
     def test_split_column_names_each_row(self, rng, tmp_path):
-        # the column equals the per-row assignment it replaced
+        # the column names each row's split from its code
         bank = self.make_bank(rng)
-        perm = rng.permutation(len(bank))
-        splits = {"train": perm[:4], "db": perm[4:7], "query": perm[7:]}
+        split = rng.permutation(self.SPLIT)
         path = tmp_path / "manifest.json"
-        write_manifest(path, bank, splits)
-        want = [None] * len(bank)
-        for name in ("train", "db", "query"):
-            for i in splits[name]:
-                want[int(i)] = name
+        write_manifest(path, bank, split)
+        want = [SPLIT_NAMES[code] for code in split]
         assert json.loads(path.read_text())["split"] == want
 
     def test_length_mismatch(self, rng, tmp_path):
         bank = self.make_bank(rng)
         path = tmp_path / "manifest.json"
-        write_manifest(path, bank, self.SPLITS)
+        write_manifest(path, bank, self.SPLIT)
         with pytest.raises(JsonError) as exc:
             read_manifest(path, 5)
         assert exc.value.path == "$.kappas"
@@ -276,6 +285,26 @@ class TestRunConfig:
         assert (run.scene.num_classes, run.train.lr) == (8, 0.05)
         assert load_run_config(seed=5) == RunConfig(
             scene=SceneConfig(seed=5), train=TrainConfig(seed=5))
+
+    @pytest.mark.parametrize("d, largest", SAMPLER_KAPPA_LIMITS)
+    def test_kappa_max_beyond_the_sampler_located(self, tmp_path, d,
+                                                  largest):
+        # the scene's largest kappa must be one the sampler draws in its
+        # descriptor_dim: the config is refused before gen writes anything
+        path = tmp_path / "config.json"
+        beyond = float(np.nextafter(largest, np.inf))
+        for kappa_max in (largest, beyond):
+            path.write_text(json.dumps({"scene": {"descriptor_dim": d,
+                                                  "kappa_max": kappa_max}}))
+            if kappa_max == largest:
+                assert load_run_config(path).scene.kappa_max == largest
+                continue
+            with pytest.raises(JsonError) as exc:
+                load_run_config(path)
+            assert exc.value.path == "$.scene.kappa_max"
+            assert str(exc.value).startswith(
+                f"kappa_max must be small enough for the vMF sampler in "
+                f"d={d}, got {beyond!r}")
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -433,9 +462,10 @@ class TestSceneRecord:
             assert _same_bits(getattr(got.rows, name),
                               getattr(want.rows, name)), name
         assert got.rows.kappas is None and want.rows.kappas is None
-        for name in ("descriptors", "features", "raw", "ambiguity",
-                     "class_poses", "prototypes"):
+        for name in ("descriptors", "features", "raw", "prototypes",
+                     "split"):
             assert _same_bits(getattr(got, name), getattr(want, name)), name
+        assert want.split.dtype == np.int8
         assert set(got.splits) == set(want.splits) == set(SPLIT_NAMES)
         for name in SPLIT_NAMES:
             assert _same_bits(got.splits[name], want.splits[name]), name
@@ -471,8 +501,8 @@ class TestSceneRecord:
         ("descriptor row 7 NaN", "descriptors"),
         ("pair out of range", "aliased_pairs"),
         ("scene not JSON", "scene"),
-        ("overlapping splits", None),
-        ("split out of order", "split_db"),
+        ("split code 3", "split"),
+        ("split code -1", "split"),
         ("poses row 3 nan", "poses"),
         ("poses row 8 -inf", "poses"),
         ("true_kappa row 5 -2", "true_kappa"),
@@ -509,13 +539,11 @@ class TestSceneRecord:
             record["aliased_pairs"][0, 1] = -1
         elif garble == "scene not JSON":
             record["scene"] = np.array("{seed")
-        elif garble == "split out of order":
-            record["split_db"] = record["split_db"][::-1]
-        else:
-            record["split_db"] = record["split_query"]
+        else:  # "split code <code>"
+            record["split"][4] = int(garble.split()[2])
         np.savez(path, **record)
         readers = [read_scene] + [read_scene_rows] * (field in {
-            None, "scene", "labels", "poses", "true_kappa", "split_db"})
+            "scene", "labels", "poses", "true_kappa", "split"})
         for reader in readers:
             with pytest.raises(RecordFileError) as exc:
                 reader(path, cfg)
@@ -525,6 +553,8 @@ class TestSceneRecord:
             elif row is not None:
                 assert str(exc.value).endswith(
                     f" at row {row} (in {path}, field {field!r})")
+            elif field == "split":
+                assert str(exc.value).startswith("index outside [0, 3) ")
 
     @pytest.mark.parametrize("scene, key", [
         ({"images_per_class": 20}, "images_per_class"),
@@ -578,11 +608,11 @@ class TestRetrievalRecord:
         `queries`."""
         both = {name: np.concatenate([db[name], queries[name]])
                 for name in db}
-        rows, n = np.arange(len(both["poses"])), len(db["poses"])
-        splits = {"db": rows[:n], "query": rows[n:]}
+        split = np.repeat(np.int8([1, 2]),
+                          (len(db["poses"]), len(queries["poses"])))
         bank, manifest = tmp_path / "bank.kpb", tmp_path / "manifest.json"
         write_bank(bank, both["descriptors"])
-        write_manifest(manifest, _side_rows(both), splits)
+        write_manifest(manifest, _side_rows(both), split)
         return inputs_key(bank, manifest)
 
     def test_prefix_round_trip(self, banks, tmp_path):
@@ -811,11 +841,10 @@ class TestBoundaryProperties:
         # leaves them as they were, as read_manifest reads them alone
         rng = np.random.default_rng(0)
         bank = TestManifest().make_bank(rng, n=6)
-        splits = {"train": np.arange(0, 2), "db": np.arange(2, 4),
-                  "query": np.arange(4, 6)}
+        split = np.repeat(np.arange(3, dtype=np.int8), 2)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "manifest.json")
-            write_manifest(path, bank, splits)
+            write_manifest(path, bank, split)
             text = open(path).read()
             doc = json.loads(text)
             field = data.draw(st.sampled_from(sorted(doc)), label="field")

@@ -1,6 +1,7 @@
 """Synthetic scene generator: determinism, aliasing, splits, recovery."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,21 @@ import pytest
 from kappa_sphere.calibration import FieldError
 from kappa_sphere.retrieval import DEFAULT_TAU, batch_knn
 from kappa_sphere.synth import (SPLIT_NAMES, SceneConfig, ambiguity_to_kappa,
-                                generate_scene, split,
+                                generate_scene, split, split_rows,
                                 stratified_counts)
 from kappa_sphere.vmf import mle_kappa
 
 SMALL = dict(num_classes=8, images_per_class=10, descriptor_dim=16,
              aliasing_rate=0.0)
+
+
+def _class_grid(cfg: SceneConfig) -> np.ndarray:
+    """The (C, 2) grid poses of a scene's classes, which the scene does not
+    keep: class j sits at column j % side and row j // side of a square
+    grid of side ceil(sqrt(C)), pose_spacing apart."""
+    side = math.ceil(math.sqrt(cfg.num_classes))
+    j = np.arange(cfg.num_classes)
+    return cfg.pose_spacing * np.stack([j % side, j // side], axis=1)
 
 
 class TestConfig:
@@ -95,6 +105,7 @@ class TestScene:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(ds, f.name, getattr(ds, f.name))
         assert ds.head_inputs is ds.head_inputs and ds.raw is ds.raw
+        assert ds.splits is ds.splits
 
     def test_prototypes_separated(self):
         ds = generate_scene(SceneConfig(seed=0, **SMALL))
@@ -105,7 +116,7 @@ class TestScene:
     def test_poses_near_class_grid(self):
         cfg = SceneConfig(seed=0, **SMALL)
         ds = generate_scene(cfg)
-        expected = ds.class_poses[ds.rows.labels]
+        expected = _class_grid(cfg)[ds.rows.labels]
         dev = np.abs(ds.rows.poses - expected)
         assert dev.max() <= cfg.pose_jitter
 
@@ -145,15 +156,15 @@ class TestAliasing:
             SceneConfig(num_classes=6, aliasing_rate=0.5)
 
     def test_aliased_prototypes_shared(self):
-        ds = generate_scene(SceneConfig(seed=0, aliasing_rate=0.25,
-                                        num_classes=8, images_per_class=10,
-                                        descriptor_dim=16))
+        cfg = SceneConfig(seed=0, aliasing_rate=0.25, num_classes=8,
+                          images_per_class=10, descriptor_dim=16)
+        ds = generate_scene(cfg)
         a, b = ds.aliased_pairs[0]
         np.testing.assert_array_equal(ds.prototypes[a],
                                       ds.prototypes[b])
         # geographically distinct despite identical appearance
-        assert np.linalg.norm(ds.class_poses[a] - ds.class_poses[b]) \
-            > DEFAULT_TAU
+        grid = _class_grid(cfg)
+        assert np.linalg.norm(grid[a] - grid[b]) > DEFAULT_TAU
 
     def test_aliasing_degrades_top1_label_accuracy(self):
         # Retrieval by descriptor confuses the aliased twin classes.
@@ -199,9 +210,10 @@ class TestSplit:
 
     @pytest.mark.parametrize("shuffle_seed", [0, 1, 2])
     def test_labels_in_any_order(self, monkeypatch, shuffle_seed):
-        # split finds each class's rows with one stable argsort; the
-        # per-class flatnonzero loop it replaced, kept verbatim below,
-        # gives the same splits and leaves the generator in the same state
+        # split finds each class's rows with one stable argsort and writes
+        # their codes; the per-class flatnonzero loop it replaced, kept
+        # verbatim below, gives the rows split_rows reads from the codes,
+        # and leaves the generator in the same state
         ds = generate_scene(SceneConfig(seed=0, **SMALL))
         labels = np.random.default_rng(shuffle_seed).permutation(
             ds.rows.labels)
@@ -212,8 +224,10 @@ class TestSplit:
             return made[-1]
 
         monkeypatch.setattr(np.random, "default_rng", capture)
-        got = split(labels, ds.config.num_classes, seed=4)
+        codes = split(labels, ds.config.num_classes, seed=4)
         monkeypatch.undo()
+        assert codes.dtype == np.int8 and codes.shape == labels.shape
+        got = split_rows(codes)
 
         rng = np.random.default_rng(4)
         parts = {name: [] for name in SPLIT_NAMES}
@@ -234,3 +248,12 @@ class TestSplit:
             np.testing.assert_array_equal(got[name], want[name])
         assert len(made) == 1
         assert made[0].bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_rejects_a_label_outside_the_classes(self, bad):
+        # such a row belongs to no class, so no split would hold it
+        labels = np.repeat(np.arange(8), 10)
+        labels[13] = bad
+        with pytest.raises(ValueError, match=rf"^label {bad} at row 13 "
+                           r"outside \[0, 8\)$"):
+            split(labels, 8, seed=0)

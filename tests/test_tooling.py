@@ -8,8 +8,9 @@ exception the CLI reports; --help and argument errors return without
 loading numpy; every demo runs; no CLI command leaves a temp file in its
 run directory; no module but scores spells a method's name; traced scores
 keep their spans; gen does not load numpy.ma; no package module leaves
-work to interpreter finalization; no scorer receives a descriptor; and
-only the training loop gathers a batch."""
+work to interpreter finalization; no scorer receives a descriptor; only
+the training loop gathers a batch; and the scene record holds exactly
+the fields its reader checks."""
 
 import ast
 import importlib
@@ -234,6 +235,28 @@ def test_harness_configs_load(tmp_path):
                      "--out", str(second)]) == 0
         assert (second / "config.json").read_bytes() == \
             (first / "config.json").read_bytes()
+
+
+def test_scene_record_holds_what_its_reader_checks(tmp_path):
+    # scene.npz holds its key and the fields read_scene checks, no more:
+    # a member no command reads would go unchecked.  A scene keeps one
+    # split code per row, which cannot overlap or skip a row as lists of
+    # rows could.
+    import dataclasses
+
+    import numpy as np
+
+    from kappa_sphere.fileio import _scene_fields, write_scene
+    from kappa_sphere.synth import SceneConfig, SynthDataset, generate_scene
+
+    cfg = SceneConfig(num_classes=8, images_per_class=10, descriptor_dim=16)
+    path = tmp_path / "scene.npz"
+    write_scene(path, generate_scene(cfg))
+    with np.load(path) as npz:
+        assert set(npz.files) == {"scene", *_scene_fields(cfg)}
+    assert [f.name for f in dataclasses.fields(SynthDataset)] == [
+        "config", "descriptors", "rows", "features", "prototypes",
+        "aliased_pairs", "split"]
 
 
 def _parsed(paths):

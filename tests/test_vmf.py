@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from kappa_sphere.vmf import (DegenerateConcentrationError, mle_kappa,
                               resultant_uncertainty, sample_vmf,
                               stable_log_partition, stable_log_partition_grad,
                               vmf_batch_nll)
-from oracles import bessel_ratio_exact, log_density
+from oracles import SAMPLER_KAPPA_LIMITS, bessel_ratio_exact, log_density
 
 
 def unit(v):
@@ -204,6 +205,24 @@ class TestSampling:
             sample_vmf(np.ones((3, 1)), kappas, rng_seed=0)
         with pytest.raises(ValueError, match="n >= 1"):
             sample_vmf(mu[:0], kappas[:0], rng_seed=0)
+
+    @pytest.mark.parametrize("d, largest", SAMPLER_KAPPA_LIMITS)
+    def test_kappa_beyond_the_envelope_located(self, d, largest):
+        # the largest kappa the envelope holds draws unit rows; the next
+        # float is a ValueError naming its row, kappa and d before the
+        # generator is touched (it used to be math's "domain error")
+        mu = np.tile(unit(np.arange(1.0, d + 1)), (3, 1))
+        samples = sample_vmf(mu, np.full(3, largest), rng_seed=0)
+        np.testing.assert_allclose(np.linalg.norm(samples, axis=1), 1.0,
+                                   atol=1e-12)
+        beyond = float(np.nextafter(largest, math.inf))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"kappa {beyond!r} at row 2 is too large for the vMF "
+                f"sampler in d={d}") + "$"):
+            sample_vmf(mu, np.array([5.0, largest, beyond]), rng)
+        assert rng.bit_generator.state == state
 
 
 def scalar_draw_oracle(mu, kappa: float, count: int, rng_seed) -> np.ndarray:
